@@ -323,8 +323,7 @@ func BenchmarkGCInference(b *testing.B) {
 // scatter baseline (per-layer DenseMul allocation + separate epilogue
 // pass) on the acceptance workload: a radix [8,8,8,8] stack (width 4096)
 // at batch 64. The fused/ sub-benchmark must report 0 allocs/op in steady
-// state; cmd/gcinfer -bench-json records the same comparison to
-// BENCH_infer.json.
+// state.
 func BenchmarkE10_Infer(b *testing.B) {
 	cfg, err := core.NewConfig([]radix.System{radix.MustNew(8, 8, 8, 8)}, nil)
 	if err != nil {

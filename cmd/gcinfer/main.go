@@ -4,36 +4,23 @@
 // inputs through it, and reports throughput as edges traversed per second
 // (batch × total nnz / wall time), the challenge's headline metric.
 //
-// With -bench-json the same workload is timed through the unfused scatter
-// baseline (Engine.InferUnfused), the fused CSC kernel stack (Engine.Infer
-// on the generic kernels), and — when the configuration compiles to
-// verified stride plans — the structure-aware radix butterfly kernel, and
-// the comparison is appended to the JSON array in the given file — the
-// BENCH_infer.json format that records the repository's inference-
-// performance trajectory (see README.md for the schema). Each record
-// carries the git SHA, batch size, and kernel it was measured at; a legacy
-// single-record file is converted to an array on first append.
-//
-// -kernel selects the kernel for the plain throughput run: "csc" pins the
-// generic kernels, "radix" demands the structure-aware path (fails on
-// configs that don't compile to stride plans), "auto" (default) resolves
-// to radix whenever the plans verify.
+// -kernel selects the kernel: "csc" pins the generic kernels, "radix"
+// demands the structure-aware path (fails on configs that don't compile to
+// stride plans), "auto" (default) resolves to radix whenever the plans
+// verify.
 //
 // Usage:
 //
 //	gcinfer [-width 1024] [-layers 120] [-batch 64] [-nnz 100] [-reps 3]
-//	gcinfer -radix 8,8,8,8 -batch 64 -kernel radix -bench-json BENCH_infer.json
+//	gcinfer -radix 8,8,8,8 -batch 64 -kernel radix
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"runtime"
-	"testing"
 	"time"
 
-	"github.com/radix-net/radixnet/internal/cliutil"
 	"github.com/radix-net/radixnet/internal/core"
 	"github.com/radix-net/radixnet/internal/dataset"
 	"github.com/radix-net/radixnet/internal/infer"
@@ -53,7 +40,6 @@ func main() {
 		reps      = flag.Int("reps", 3, "timed repetitions (best-of)")
 		seed      = flag.Int64("seed", 1, "input seed")
 		kernel    = flag.String("kernel", "auto", "inference kernel: csc, radix, or auto")
-		benchJSON = flag.String("bench-json", "", "write an unfused-vs-fused-vs-radix benchmark record to this file and exit")
 	)
 	flag.Parse()
 
@@ -100,13 +86,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, cfg, engine, in, inNNZ, *reps); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
 	// Warm-up pass (page in the weight arrays, size the ping-pong buffers)
 	// then timed repetitions.
 	if _, err := engine.Infer(in); err != nil {
@@ -144,118 +123,4 @@ func timeInfer(fn func(*sparse.Dense) (*sparse.Dense, error), in *sparse.Dense, 
 		}
 	}
 	return best
-}
-
-// benchRecord is the BENCH_infer.json schema. "unfused" is the seed
-// scatter path (before); "fused" is the generic CSC kernel stack that
-// replaced it (after); speedup is their edges/sec ratio. "radix" is the
-// structure-aware butterfly kernel, present when the configuration
-// compiles to verified stride plans, with radix_speedup its edges/sec
-// ratio over the fused CSC path. "kernel" names the kernel the record's
-// engine resolved to for plain (non-bench) runs.
-type benchRecord struct {
-	Benchmark    string     `json:"benchmark"`
-	Date         string     `json:"date"`
-	GoVersion    string     `json:"go_version"`
-	GOMAXPROCS   int        `json:"gomaxprocs"`
-	GitSHA       string     `json:"git_sha"`
-	Kernel       string     `json:"kernel"`
-	Network      benchNet   `json:"network"`
-	Workload     benchWork  `json:"workload"`
-	Unfused      benchPath  `json:"unfused"`
-	Fused        benchPath  `json:"fused"`
-	Speedup      float64    `json:"speedup"`
-	Radix        *benchPath `json:"radix,omitempty"`
-	RadixSpeedup float64    `json:"radix_speedup,omitempty"`
-}
-
-type benchNet struct {
-	LayerWidth int    `json:"layer_width"`
-	Layers     int    `json:"layers"`
-	Weights    int    `json:"weights"`
-	Edges      string `json:"edges"`
-}
-
-type benchWork struct {
-	Batch      int     `json:"batch"`
-	NNZPerRow  int     `json:"nnz_per_row"`
-	Reps       int     `json:"reps"`
-	EdgesPerOp float64 `json:"edges_per_op"`
-}
-
-type benchPath struct {
-	NsPerOp     int64   `json:"ns_per_op"`
-	EdgesPerSec float64 `json:"edges_per_sec"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
-
-func writeBenchJSON(path string, cfg core.Config, engine *infer.Engine, in *sparse.Dense, inNNZ, reps int) error {
-	edgesPerOp := float64(in.Rows()) * float64(engine.TotalNNZ())
-	measure := func(fn func(*sparse.Dense) (*sparse.Dense, error)) benchPath {
-		if _, err := fn(in); err != nil { // warm up
-			log.Fatal(err)
-		}
-		best := timeInfer(fn, in, reps)
-		allocs := testing.AllocsPerRun(1, func() {
-			if _, err := fn(in); err != nil {
-				log.Fatal(err)
-			}
-		})
-		return benchPath{
-			NsPerOp:     best.Nanoseconds(),
-			EdgesPerSec: edgesPerOp / best.Seconds(),
-			AllocsPerOp: allocs,
-		}
-	}
-	rec := benchRecord{
-		Benchmark:  "E10-infer",
-		Date:       time.Now().UTC().Format("2006-01-02"),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		GitSHA:     cliutil.GitSHA(),
-		Kernel:     engine.Kernel().String(),
-		Network: benchNet{
-			LayerWidth: cfg.LayerWidths()[0],
-			Layers:     len(cfg.LayerWidths()) - 1,
-			Weights:    engine.TotalNNZ(),
-			Edges:      cfg.NumEdges().String(),
-		},
-		Workload: benchWork{
-			Batch:      in.Rows(),
-			NNZPerRow:  inNNZ,
-			Reps:       reps,
-			EdgesPerOp: edgesPerOp,
-		},
-	}
-	rec.Unfused = measure(engine.InferUnfused)
-	// Fused is always the generic CSC stack, so the speedup column keeps its
-	// meaning across records regardless of the -kernel flag; the radix path
-	// is measured on the same engine (same weights) when its plans compiled.
-	restore := engine.Kernel()
-	if err := engine.SetKernel(infer.KernelCSC); err != nil {
-		return err
-	}
-	rec.Fused = measure(engine.Infer)
-	rec.Speedup = rec.Fused.EdgesPerSec / rec.Unfused.EdgesPerSec
-	if engine.HasRadixPlans() {
-		if err := engine.SetKernel(infer.KernelRadix); err != nil {
-			return err
-		}
-		r := measure(engine.Infer)
-		rec.Radix = &r
-		rec.RadixSpeedup = r.EdgesPerSec / rec.Fused.EdgesPerSec
-	}
-	if err := engine.SetKernel(restore); err != nil {
-		return err
-	}
-	n, err := cliutil.AppendJSONRecord(path, rec)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("bench: unfused %.3g edges/s, fused %.3g edges/s, speedup %.2fx -> %s (record %d, sha %s)\n",
-		rec.Unfused.EdgesPerSec, rec.Fused.EdgesPerSec, rec.Speedup, path, n, rec.GitSHA)
-	if rec.Radix != nil {
-		fmt.Printf("bench: radix %.3g edges/s, %.2fx over fused csc\n", rec.Radix.EdgesPerSec, rec.RadixSpeedup)
-	}
-	return nil
 }

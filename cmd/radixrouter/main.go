@@ -60,8 +60,10 @@
 // zero failures, fleet-wide unregister → 404), kills a backend mid-load to
 // prove zero-failure retry failover, proves QoS starvation-freedom through
 // the router (a saturating background flood cannot starve interactive
-// probes), measures routed throughput, appends a record with per-class
-// rates to BENCH_cluster.json, and exits nonzero on any failure.
+// probes), runs the autoscale control loop on its own larger fleet, and
+// exits nonzero on any failure. It asserts behaviour only and writes no
+// file; performance is measured by the repository's benchmark
+// (BENCHMARK.json, radixbench/).
 //
 // Usage:
 //
@@ -71,7 +73,7 @@
 //	            [-zones host1:8080=zone-a,host2:8080=zone-b]
 //	            [-autoscale] [-autoscale-interval 5s] [-autoscale-max 8]
 //	            [-pprof] [-slow-request 250ms] [-trace-depth 512]
-//	radixrouter -selftest [-backends 3] [-bench-json BENCH_cluster.json]
+//	radixrouter -selftest [-backends 3]
 package main
 
 import (
@@ -149,7 +151,6 @@ func main() {
 		autoShedClass = flag.String("autoscale-shed-class", "", "QoS class shed when an SLO stays violated at the replica ceiling (default background)")
 		selftest      = flag.Bool("selftest", false, "run the in-process fleet selftest and exit")
 		nBackends     = flag.Int("backends", 3, "selftest: in-process radixserve backends to spin up")
-		benchJSON     = flag.String("bench-json", "BENCH_cluster.json", "selftest: append the throughput record to this file")
 		shutdownTO    = flag.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown budget after SIGINT/SIGTERM")
 		backends      backendFlags
 		sloSpecs      sloFlags
@@ -159,7 +160,7 @@ func main() {
 	flag.Parse()
 
 	if *selftest {
-		if err := runSelftest(*benchJSON, *nBackends, *replicas); err != nil {
+		if err := runSelftest(context.Background(), *nBackends, *replicas); err != nil {
 			log.Fatalf("selftest FAILED: %v", err)
 		}
 		log.Printf("selftest PASSED")

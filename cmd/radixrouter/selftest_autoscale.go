@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -18,54 +17,14 @@ import (
 	"time"
 
 	"github.com/radix-net/radixnet/internal/autoscale"
-	"github.com/radix-net/radixnet/internal/cliutil"
 	"github.com/radix-net/radixnet/internal/cluster"
 	"github.com/radix-net/radixnet/internal/core"
 	"github.com/radix-net/radixnet/internal/dataset"
-	"github.com/radix-net/radixnet/internal/graphio"
-	"github.com/radix-net/radixnet/internal/infer"
 	"github.com/radix-net/radixnet/internal/obs/slo"
 	"github.com/radix-net/radixnet/internal/radix"
+	"github.com/radix-net/radixnet/internal/selftest"
 	"github.com/radix-net/radixnet/internal/serve"
-	"github.com/radix-net/radixnet/internal/sparse"
 )
-
-// autoscaleBenchRecord is the "autoscale" entry appended to
-// BENCH_cluster.json: a static-replica baseline against the autoscaled
-// fleet under the same zipfian load, plus the control loop's convergence
-// and SLO-actuation measurements.
-type autoscaleBenchRecord struct {
-	Benchmark  string  `json:"benchmark"`
-	Date       string  `json:"date"`
-	GoVersion  string  `json:"go_version"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	GitSHA     string  `json:"git_sha"`
-	Backends   int     `json:"backends"`
-	Zones      int     `json:"zones"`
-	Models     int     `json:"models"`
-	Workers    int     `json:"load_workers"`
-	RowsPerSec float64 `json:"rows_per_sec"`
-	// BaselineHotP99Ms/AutoscaledHotP99Ms are the hottest model's
-	// client-observed queue-wait p99 with every model pinned at one
-	// replica vs under the control loop: each phase is the median p99
-	// across equal-length sub-windows of the clients' per-response
-	// samples (autoscaled: post-convergence tail only), which rejects
-	// host-scheduler stall bursts symmetrically.
-	BaselineHotP99Ms   float64 `json:"baseline_hot_queue_wait_p99_ms"`
-	AutoscaledHotP99Ms float64 `json:"autoscaled_hot_queue_wait_p99_ms"`
-	TailReduction      float64 `json:"tail_reduction_x"`
-	HotReplicas        int     `json:"hot_model_replicas"`
-	HotZones           int     `json:"hot_model_zones"`
-	ScaleUps           int64   `json:"scale_ups"`
-	ScaleDowns         int64   `json:"scale_downs"`
-	Requests           int64   `json:"requests"`
-	Failed             int64   `json:"failed"`
-	MinStableIntervals int     `json:"min_stable_intervals"`
-	// SLOScaleOutMs is how long after the SLO-violating traffic started the
-	// control loop issued its scale-out decision (bound: two evaluation
-	// windows).
-	SLOScaleOutMs float64 `json:"slo_scale_out_ms"`
-}
 
 // runAutoscalePhase proves the replica control loop end to end on its own
 // fleet: 24 backends across 4 zones, 8 models under zipfian popularity,
@@ -76,7 +35,7 @@ type autoscaleBenchRecord struct {
 // least 2x vs the baseline, its replicas spread across zones, and a
 // deliberately violated SLO triggering scale-out within two evaluation
 // windows.
-func runAutoscalePhase(benchPath string) error {
+func runAutoscalePhase(ctx context.Context) error {
 	const (
 		nBackends  = 24
 		nZones     = 4
@@ -155,29 +114,15 @@ func runAutoscalePhase(benchPath string) error {
 	}
 	pol := serve.Policy{MaxBatch: maxBatch, MaxLatency: time.Millisecond, QueueDepth: 4096, Workers: 1}
 
-	regs := make(map[string]*serve.Registry, nBackends)
-	srvs := make(map[string]*serve.Server, nBackends)
-	zones := make(map[string]string, nBackends)
-	var addrs []string
-	for i := 0; i < nBackends; i++ {
-		reg := serve.NewRegistry(pol)
-		srv := serve.NewServer(reg, "127.0.0.1:0")
-		addr, err := srv.Start()
-		if err != nil {
-			return err
-		}
-		regs[addr] = reg
-		srvs[addr] = srv
-		zones[addr] = fmt.Sprintf("zone-%d", i%nZones)
-		addrs = append(addrs, addr)
+	fleet, err := selftest.StartFleet(ctx, nBackends, pol, serve.ServerOptions{})
+	if err != nil {
+		return err
 	}
-	defer func() {
-		for _, srv := range srvs {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			srv.Shutdown(ctx) //nolint:errcheck // best-effort teardown
-			cancel()
-		}
-	}()
+	defer fleet.Shutdown(ctx)
+	zones := make(map[string]string, nBackends)
+	for i, addr := range fleet.Addrs {
+		zones[addr] = fmt.Sprintf("zone-%d", i%nZones)
+	}
 
 	// Ground truth and pre-marshaled request bodies (8 row offsets per
 	// model) so client-side JSON work does not distort the load.
@@ -185,30 +130,11 @@ func runAutoscalePhase(benchPath string) error {
 	if err != nil {
 		return err
 	}
-	expectedFor := func(cfg core.Config) ([]float64, error) {
-		ref, err := infer.FromConfig(cfg)
-		if err != nil {
-			return nil, err
-		}
-		exp := make([]float64, baseRows) // first output column per row
-		for r := 0; r < baseRows; r++ {
-			rowIn, err := sparse.DenseFromSlice(1, width, in.RowSlice(r))
-			if err != nil {
-				return nil, err
-			}
-			y, err := ref.Infer(rowIn)
-			if err != nil {
-				return nil, err
-			}
-			exp[r] = y.Data()[0]
-		}
-		return exp, nil
-	}
-	expectedHot, err := expectedFor(hotCfg)
+	expectedHot, err := selftest.Oracle(hotCfg, in)
 	if err != nil {
 		return err
 	}
-	expectedCold, err := expectedFor(coldCfg)
+	expectedCold, err := selftest.Oracle(coldCfg, in)
 	if err != nil {
 		return err
 	}
@@ -217,7 +143,7 @@ func runAutoscalePhase(benchPath string) error {
 		models[i] = fmt.Sprintf("pop-%d", i)
 	}
 	hot := models[0]
-	expected := func(model string) []float64 {
+	expected := func(model string) [][]float64 {
 		if model == hot {
 			return expectedHot
 		}
@@ -259,28 +185,15 @@ func runAutoscalePhase(benchPath string) error {
 		cum[r] = total
 	}
 
-	client := selftestClient()
-	hotCfgJSON, err := graphio.MarshalConfig(hotCfg)
-	if err != nil {
-		return err
-	}
-	coldCfgJSON, err := graphio.MarshalConfig(coldCfg)
-	if err != nil {
-		return err
-	}
-	registerAll := func(url string) error {
+	client := selftest.NewClient()
+	registerAll := func(t selftest.Target) error {
 		for _, model := range models {
-			cfgJSON := coldCfgJSON
+			cfg := coldCfg
 			if model == hot {
-				cfgJSON = hotCfgJSON
+				cfg = hotCfg
 			}
-			body, err := json.Marshal(serve.RegisterRequest{Name: model, Config: cfgJSON, Engines: 1})
-			if err != nil {
-				return err
-			}
-			status, out, err := cliutil.DoJSON(context.Background(), client, http.MethodPost, url+"/v1/models", body)
-			if err != nil || status != http.StatusCreated {
-				return fmt.Errorf("autoscale: register %s: status %d err %v (%s)", model, status, err, out)
+			if _, err := selftest.Register(ctx, t.For(model), cfg, 1); err != nil {
+				return fmt.Errorf("autoscale: %w", err)
 			}
 		}
 		return nil
@@ -297,7 +210,7 @@ func runAutoscalePhase(benchPath string) error {
 		t  time.Time
 		ms float64
 	}
-	runLoad := func(url string, d time.Duration) (requests, rows, failed int64, hotWaits []waitSample, firstErr error) {
+	runLoad := func(t selftest.Target, d time.Duration) (requests, failed int64, hotWaits []waitSample, firstErr error) {
 		var req, fail atomic.Int64
 		var errv atomic.Value
 		perWorker := make([][]waitSample, nWorkers)
@@ -318,14 +231,14 @@ func runAutoscalePhase(benchPath string) error {
 						}
 					}
 					o := rng.Intn(nOffsets)
-					status, _, resp, err := postBody(client, url, bodies[model][o])
+					status, _, resp, err := selftest.PostBody(ctx, t, bodies[model][o])
 					req.Add(1)
 					if err != nil || status != http.StatusOK || len(resp.Outputs) != rowsPerReq {
 						fail.Add(1)
 						errv.CompareAndSwap(nil, fmt.Errorf("%s: status %d err %v", model, status, err))
 						continue
 					}
-					if resp.Outputs[0][0] != expected(model)[firstRow(o)] {
+					if resp.Outputs[0][0] != expected(model)[firstRow(o)][0] {
 						fail.Add(1)
 						errv.CompareAndSwap(nil, fmt.Errorf("%s offset %d diverged during scaling", model, o))
 					}
@@ -342,7 +255,7 @@ func runAutoscalePhase(benchPath string) error {
 		for _, s := range perWorker {
 			hotWaits = append(hotWaits, s...)
 		}
-		return req.Load(), req.Load() * rowsPerReq, fail.Load(), hotWaits, firstErr
+		return req.Load(), fail.Load(), hotWaits, firstErr
 	}
 	// Both phases are measured identically: the client-held hot-model
 	// samples between from and to are sliced into subWindow-long
@@ -396,7 +309,7 @@ func runAutoscalePhase(benchPath string) error {
 	// Baseline: every model pinned at 1 replica, no control loop. The
 	// measurement window skips the first 500ms of connection warmup.
 	rtA, err := cluster.NewRouter(cluster.RouterConfig{
-		Addr: "127.0.0.1:0", Backends: addrs, Replicas: 1,
+		Addr: "127.0.0.1:0", Backends: fleet.Addrs, Replicas: 1,
 		Set: cluster.SetConfig{ProbeInterval: 200 * time.Millisecond, FailAfter: 3, Zones: zones},
 	})
 	if err != nil {
@@ -406,8 +319,8 @@ func runAutoscalePhase(benchPath string) error {
 	if err != nil {
 		return err
 	}
-	urlA := "http://" + boundA
-	if err := registerAll(urlA); err != nil {
+	ta := selftest.Routed(client, "http://"+boundA, hot)
+	if err := registerAll(ta); err != nil {
 		return err
 	}
 	const baseDur = 7500 * time.Millisecond
@@ -430,13 +343,13 @@ func runAutoscalePhase(benchPath string) error {
 			case <-stopScrape:
 				return
 			case <-t.C:
-				scrapeMetricsText(client, urlA) //nolint:errcheck // parity load only
+				_, _ = selftest.Scrape(ctx, ta) // parity load only
 			}
 		}
 	}()
 	runtime.GC() // fresh heap: no collection lands inside the window
 	baseStart := time.Now()
-	baseReqs, _, baseFailed, baseWaits, baseErr := runLoad(urlA, baseDur)
+	baseReqs, baseFailed, baseWaits, baseErr := runLoad(ta, baseDur)
 	baseEnd := time.Now()
 	close(stopScrape)
 	scrapeWG.Wait()
@@ -449,14 +362,13 @@ func runAutoscalePhase(benchPath string) error {
 		return err
 	}
 	for _, model := range models {
-		status, out, err := cliutil.DoJSON(context.Background(), client, http.MethodDelete, urlA+"/v1/models/"+model, nil)
-		if err != nil || status != http.StatusOK {
-			return fmt.Errorf("autoscale: baseline unregister %s: status %d err %v (%s)", model, status, err, out)
+		if err := selftest.Unregister(ctx, ta.For(model)); err != nil {
+			return fmt.Errorf("autoscale: baseline: %w", err)
 		}
 	}
 	{
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err := rtA.Shutdown(ctx)
+		sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		err := rtA.Shutdown(sctx)
 		cancel()
 		if err != nil {
 			return fmt.Errorf("autoscale: baseline router shutdown: %w", err)
@@ -473,7 +385,7 @@ func runAutoscalePhase(benchPath string) error {
 		return err
 	}
 	rtB, err := cluster.NewRouter(cluster.RouterConfig{
-		Addr: "127.0.0.1:0", Backends: addrs, Replicas: 1,
+		Addr: "127.0.0.1:0", Backends: fleet.Addrs, Replicas: 1,
 		SLO: slo.Config{Objectives: objectives},
 		Autoscale: &autoscale.Policy{
 			Interval:     interval,
@@ -495,15 +407,15 @@ func runAutoscalePhase(benchPath string) error {
 	if err != nil {
 		return err
 	}
-	urlB := "http://" + boundB
+	tb := selftest.Routed(client, "http://"+boundB, hot)
 	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 		defer cancel()
-		if err := rtB.Shutdown(ctx); err != nil {
+		if err := rtB.Shutdown(sctx); err != nil {
 			log.Printf("autoscale: router shutdown: %v", err)
 		}
 	}()
-	if err := registerAll(urlB); err != nil {
+	if err := registerAll(tb); err != nil {
 		return err
 	}
 	runtime.GC() // fresh heap: with background GC off, no cycle during the load
@@ -518,22 +430,22 @@ func runAutoscalePhase(benchPath string) error {
 	// the engine builds the scale-outs perform.
 	const loadDur = 36 * time.Second
 	type loadRes struct {
-		reqs, rows, failed int64
-		waits              []waitSample
-		err                error
+		reqs, failed int64
+		waits        []waitSample
+		err          error
 	}
 	resCh := make(chan loadRes, 1)
 	start := time.Now()
 	go func() {
-		reqs, rows, failed, waits, err := runLoad(urlB, loadDur)
-		resCh <- loadRes{reqs, rows, failed, waits, err}
+		reqs, failed, waits, err := runLoad(tb, loadDur)
+		resCh <- loadRes{reqs, failed, waits, err}
 	}()
 	var st cluster.AutoscaleStatus
 	minStable, hotReplicas := -1, 0
 	converged := false
 	// Leave at least 3s of load after convergence for the tail window.
 	for time.Since(start) < loadDur-3*time.Second && !converged {
-		if err := getJSON(client, urlB+"/v1/autoscale", &st); err != nil {
+		if err := selftest.GetJSON(ctx, tb, "/v1/autoscale", &st); err != nil {
 			return err
 		}
 		minStable, hotReplicas = -1, 0
@@ -558,8 +470,7 @@ func runAutoscalePhase(benchPath string) error {
 	tailStart := time.Now()
 	res := <-resCh
 	tailEnd := time.Now()
-	autoReqs, autoRows, autoFailed, autoErr := res.reqs, res.rows, res.failed, res.err
-	elapsed := time.Since(start)
+	autoReqs, autoFailed, autoErr := res.reqs, res.failed, res.err
 	if autoErr != nil || autoFailed > 0 {
 		return fmt.Errorf("autoscale: %d/%d requests failed during scaling (first: %v)", autoFailed, autoReqs, autoErr)
 	}
@@ -589,7 +500,7 @@ func runAutoscalePhase(benchPath string) error {
 	}
 	if baseP99 < 2*autoP99 {
 		var end cluster.AutoscaleStatus
-		getJSON(client, urlB+"/v1/autoscale", &end) //nolint:errcheck // debug
+		_ = selftest.GetJSON(ctx, tb, "/v1/autoscale", &end) // debug detail only
 		return fmt.Errorf("autoscale: hot-model queue-wait p99 %v autoscaled vs %v baseline — less than the required 2x reduction\nbaseline windows: %s\ntail windows: %s\nups %d downs %d\nrecent %+v",
 			autoP99.Round(time.Microsecond), baseP99.Round(time.Microsecond),
 			strings.Join(baseDetail, ", "), strings.Join(tailDetail, ", "),
@@ -602,12 +513,8 @@ func runAutoscalePhase(benchPath string) error {
 	// SLO actuation: slo-probe's 1µs objective is unmeetable, so its first
 	// traffic flips the fleet-evaluated SLO to violated and the control
 	// loop must scale it out within two evaluation windows.
-	probeBody, err := json.Marshal(serve.RegisterRequest{Name: "slo-probe", Config: coldCfgJSON, Engines: 1})
-	if err != nil {
-		return err
-	}
-	if status, out, err := cliutil.DoJSON(context.Background(), client, http.MethodPost, urlB+"/v1/models", probeBody); err != nil || status != http.StatusCreated {
-		return fmt.Errorf("autoscale: register slo-probe: status %d err %v (%s)", status, err, out)
+	if _, err := selftest.Register(ctx, tb.For("slo-probe"), coldCfg, 1); err != nil {
+		return fmt.Errorf("autoscale: %w", err)
 	}
 	// Detection latency is only meaningful against a loop that is free to
 	// evaluate: a scale-out actuation left over from the main phase blocks
@@ -617,7 +524,7 @@ func runAutoscalePhase(benchPath string) error {
 	// before starting the clock.
 	for quiesceBy := time.Now().Add(30 * time.Second); time.Now().Before(quiesceBy); {
 		var st cluster.AutoscaleStatus
-		if err := getJSON(client, urlB+"/v1/autoscale", &st); err != nil {
+		if err := selftest.GetJSON(ctx, tb, "/v1/autoscale", &st); err != nil {
 			return err
 		}
 		newest := time.Time{}
@@ -633,16 +540,14 @@ func runAutoscalePhase(benchPath string) error {
 	}
 	sloStart := time.Now()
 	for i := 0; i < 16; i++ {
-		status, _, _, err := postBody(client, urlB, bodies[hot][0]) // warm the scrape path
-		_ = status
-		if err != nil {
+		if _, _, _, err := selftest.PostBody(ctx, tb, bodies[hot][0]); err != nil { // warm the scrape path
 			return err
 		}
 		probeReq, err := json.Marshal(serve.InferRequest{Model: "slo-probe", Inputs: [][]float64{in.RowSlice(i % baseRows)}})
 		if err != nil {
 			return err
 		}
-		if status, _, _, err := postBody(client, urlB, probeReq); err != nil || status != http.StatusOK {
+		if status, _, _, err := selftest.PostBody(ctx, tb, probeReq); err != nil || status != http.StatusOK {
 			return fmt.Errorf("autoscale: slo-probe request %d: status %d err %v", i, status, err)
 		}
 	}
@@ -657,7 +562,7 @@ func runAutoscalePhase(benchPath string) error {
 	var sloDecision *cluster.AppliedDecision
 	for time.Now().Before(deadline) && sloDecision == nil {
 		var st cluster.AutoscaleStatus
-		if err := getJSON(client, urlB+"/v1/autoscale", &st); err != nil {
+		if err := selftest.GetJSON(ctx, tb, "/v1/autoscale", &st); err != nil {
 			return err
 		}
 		for i := range st.Recent {
@@ -680,62 +585,5 @@ func runAutoscalePhase(benchPath string) error {
 	log.Printf("autoscale: violated SLO scaled slo-probe %d → %d replicas %.0fms after first violating traffic (%q)",
 		sloDecision.From, sloDecision.To, float64(sloLatency)/float64(time.Millisecond), sloDecision.Reason)
 
-	rec := autoscaleBenchRecord{
-		Benchmark:          "autoscale",
-		Date:               time.Now().UTC().Format("2006-01-02"),
-		GoVersion:          runtime.Version(),
-		GOMAXPROCS:         runtime.GOMAXPROCS(0),
-		GitSHA:             cliutil.GitSHA(),
-		Backends:           nBackends,
-		Zones:              nZones,
-		Models:             nModels,
-		Workers:            nWorkers,
-		RowsPerSec:         float64(autoRows) / elapsed.Seconds(),
-		BaselineHotP99Ms:   float64(baseP99) / float64(time.Millisecond),
-		AutoscaledHotP99Ms: float64(autoP99) / float64(time.Millisecond),
-		TailReduction:      float64(baseP99) / float64(autoP99),
-		HotReplicas:        hotReplicas,
-		HotZones:           len(hotZones),
-		ScaleUps:           met.ScaleUps,
-		ScaleDowns:         met.ScaleDowns,
-		Requests:           autoReqs,
-		Failed:             autoFailed,
-		MinStableIntervals: minStable,
-		SLOScaleOutMs:      float64(sloLatency) / float64(time.Millisecond),
-	}
-	n, err := cliutil.AppendJSONRecord(benchPath, rec)
-	if err != nil {
-		return err
-	}
-	log.Printf("autoscale: appended record %d to %s", n, benchPath)
 	return nil
-}
-
-// postBody posts a pre-marshaled inference request.
-func postBody(client *http.Client, url string, body []byte) (int, string, serve.InferResponse, error) {
-	resp, err := client.Post(url+"/v1/infer", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, "", serve.InferResponse{}, err
-	}
-	defer resp.Body.Close()
-	var out serve.InferResponse
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return resp.StatusCode, "", out, err
-		}
-	}
-	return resp.StatusCode, resp.Header.Get("X-Radix-Backend"), out, nil
-}
-
-// getJSON decodes a GET response body into out.
-func getJSON(client *http.Client, url string, out any) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }

@@ -37,8 +37,7 @@
 // either a mixed-radix systems spec in the cliutil grammar (e.g. "8,8,8" or
 // "(3,3,4);(2,3)") or "gc:WIDTHxLAYERS" for a Graph Challenge–style
 // configuration. With no -model flags two demo models are served: demo
-// (radix 4,4,4) and e10 (radix 8,8,8,8, the BENCH_infer acceptance
-// network).
+// (radix 4,4,4) and e10 (radix 8,8,8,8, the E10 acceptance network).
 //
 // With -selftest the binary instead starts an in-process server on an
 // ephemeral port, drives it end-to-end with concurrent HTTP load at several
@@ -49,8 +48,9 @@
 // load with zero failures, unregister → 404), and that QoS holds under
 // pressure (a saturating background flood cannot starve interactive
 // traffic: interactive p99 stays within its bound while background still
-// progresses), appends a throughput record with per-class rates to
-// BENCH_serve.json, and exits nonzero on any failure.
+// progresses), and exits nonzero on any failure. It asserts behaviour only
+// and writes no file; performance is measured by the repository's benchmark
+// (BENCHMARK.json, radixbench/).
 //
 // Usage:
 //
@@ -59,7 +59,7 @@
 //	           [-class-weight interactive=8,batch=2,background=1]
 //	           [-default-class interactive] [-exec-slots 0]
 //	           [-pprof] [-slow-request 250ms] [-trace-depth 512]
-//	radixserve -selftest [-bench-json BENCH_serve.json]
+//	radixserve -selftest
 package main
 
 import (
@@ -164,7 +164,6 @@ func main() {
 		sloFast      = flag.Duration("slo-fast-window", 0, "SLO fast burn-rate window (0: default 5m)")
 		sloSlow      = flag.Duration("slo-slow-window", 0, "SLO slow burn-rate window (0: default 1h)")
 		selftest     = flag.Bool("selftest", false, "run the end-to-end load-generator selftest and exit")
-		benchJSON    = flag.String("bench-json", "BENCH_serve.json", "selftest: append the throughput record to this file")
 		shutdownTO   = flag.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown budget after SIGINT/SIGTERM")
 		models       modelFlags
 		sloSpecs     sloFlags
@@ -181,7 +180,7 @@ func main() {
 	qos := serve.QoSConfig{Weights: weights, DefaultClass: *defaultClass, ExecSlots: *execSlots}
 
 	if *selftest {
-		if err := runSelftest(*benchJSON, *engines, pol, qos); err != nil {
+		if err := runSelftest(context.Background(), *engines, pol, qos); err != nil {
 			log.Fatalf("selftest FAILED: %v", err)
 		}
 		log.Printf("selftest PASSED")

@@ -7,7 +7,6 @@ package cliutil
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -23,9 +22,10 @@ import (
 )
 
 // DoJSON issues one HTTP request with an optional JSON body and returns
-// the status code plus the raw response body. Shared by the cmd selftests'
-// model-control-plane drivers (register/reload/unregister verbs against
-// radixserve and radixrouter). The context bounds the whole exchange.
+// the status code plus the raw response body. Used by internal/selftest for
+// the model-control-plane verbs (register/reload/unregister against
+// radixserve and radixrouter) and plain GETs. The context bounds the whole
+// exchange.
 func DoJSON(ctx context.Context, client *http.Client, method, url string, body []byte) (int, []byte, error) {
 	var rd io.Reader
 	if body != nil {
@@ -109,90 +109,15 @@ func ParseClassWeights(text string) (map[string]int, error) {
 }
 
 // GitSHA returns the short commit hash of the working tree the tool runs
-// in, or "unknown" outside a git checkout — benchmark records carry it so a
-// BENCH_*.json trajectory can be tied back to the code that produced each
-// entry.
+// in, or "unknown" outside a git checkout — the benchmark's environment
+// fingerprint (radixbench/bench) carries it so a run can be tied back to the
+// code that produced it.
 func GitSHA() string {
 	out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output()
 	if err != nil {
 		return "unknown"
 	}
 	return strings.TrimSpace(string(out))
-}
-
-// stampGitSHA injects a "git_sha" field into a marshaled JSON object that
-// lacks one, so every appended benchmark record can be tied back to the
-// commit that produced it even when the record type predates the field.
-// Non-object records and records that already carry the field pass through
-// untouched (preserving their key order).
-func stampGitSHA(enc []byte) []byte {
-	var obj map[string]json.RawMessage
-	if err := json.Unmarshal(enc, &obj); err != nil || obj == nil {
-		return enc
-	}
-	if _, ok := obj["git_sha"]; ok {
-		return enc
-	}
-	sha, err := json.Marshal(GitSHA())
-	if err != nil {
-		return enc
-	}
-	obj["git_sha"] = sha
-	out, err := json.Marshal(obj)
-	if err != nil {
-		return enc
-	}
-	return out
-}
-
-// AppendJSONRecord appends rec to the JSON array in path, creating the file
-// if needed, and returns the resulting record count. Records marshaling to
-// an object are stamped with the working tree's git_sha when they don't
-// already carry one. A legacy file holding a single top-level object (the
-// pre-append BENCH format) is converted to a one-element array first, so
-// trajectories accumulate instead of clobbering. The write is atomic (temp
-// file + rename), so a crash never leaves partial JSON; concurrent
-// appenders are last-writer-wins — bench runs are expected to be
-// sequential.
-func AppendJSONRecord(path string, rec any) (int, error) {
-	var records []json.RawMessage
-	if data, err := os.ReadFile(path); err == nil {
-		trimmed := bytes.TrimSpace(data)
-		switch {
-		case len(trimmed) == 0:
-			// empty file: start fresh
-		case trimmed[0] == '[':
-			if err := json.Unmarshal(trimmed, &records); err != nil {
-				return 0, fmt.Errorf("cliutil: existing records in %s: %w", path, err)
-			}
-		default:
-			if !json.Valid(trimmed) {
-				return 0, fmt.Errorf("cliutil: existing record in %s is not valid JSON", path)
-			}
-			records = append(records, json.RawMessage(trimmed))
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return 0, fmt.Errorf("cliutil: %w", err)
-	}
-	enc, err := json.Marshal(rec)
-	if err != nil {
-		return 0, fmt.Errorf("cliutil: %w", err)
-	}
-	records = append(records, stampGitSHA(enc))
-	out, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return 0, fmt.Errorf("cliutil: %w", err)
-	}
-	out = append(out, '\n')
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, out, 0o644); err != nil {
-		return 0, fmt.Errorf("cliutil: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("cliutil: %w", err)
-	}
-	return len(records), nil
 }
 
 // LoadConfig resolves a configuration from either a JSON file path or a

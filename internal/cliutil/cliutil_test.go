@@ -1,7 +1,6 @@
 package cliutil
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -107,94 +106,6 @@ func TestLoadConfigErrors(t *testing.T) {
 	}
 	if _, err := LoadConfig("", "(2,2)", "1,x"); err == nil {
 		t.Fatal("bad shape accepted")
-	}
-}
-
-func TestAppendJSONRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	type rec struct {
-		K string `json:"k"`
-	}
-	n, err := AppendJSONRecord(path, rec{K: "first"})
-	if err != nil || n != 1 {
-		t.Fatalf("first append: n=%d err=%v", n, err)
-	}
-	n, err = AppendJSONRecord(path, rec{K: "second"})
-	if err != nil || n != 2 {
-		t.Fatalf("second append: n=%d err=%v", n, err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []rec
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].K != "first" || got[1].K != "second" {
-		t.Fatalf("records = %+v", got)
-	}
-
-	// A legacy single-object file is converted to an array on append.
-	legacy := filepath.Join(t.TempDir(), "legacy.json")
-	if err := os.WriteFile(legacy, []byte("{\"k\": \"old\"}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := AppendJSONRecord(legacy, rec{K: "new"}); err != nil || n != 2 {
-		t.Fatalf("legacy append: n=%d err=%v", n, err)
-	}
-	data, err = os.ReadFile(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = nil
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].K != "old" || got[1].K != "new" {
-		t.Fatalf("legacy records = %+v", got)
-	}
-
-	// Appended object records are stamped with git_sha when they lack one;
-	// records that carry the field keep their own value.
-	stamped := filepath.Join(t.TempDir(), "stamped.json")
-	if _, err := AppendJSONRecord(stamped, rec{K: "bare"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AppendJSONRecord(stamped, map[string]string{"k": "own", "git_sha": "feedface0000"}); err != nil {
-		t.Fatal(err)
-	}
-	data, err = os.ReadFile(stamped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var withSHA []struct {
-		K      string `json:"k"`
-		GitSHA string `json:"git_sha"`
-	}
-	if err := json.Unmarshal(data, &withSHA); err != nil {
-		t.Fatal(err)
-	}
-	if len(withSHA) != 2 {
-		t.Fatalf("stamped records = %+v", withSHA)
-	}
-	if withSHA[0].GitSHA == "" {
-		t.Fatal("appended record was not stamped with git_sha")
-	}
-	if withSHA[0].GitSHA != GitSHA() {
-		t.Fatalf("stamped git_sha = %q, want %q", withSHA[0].GitSHA, GitSHA())
-	}
-	if withSHA[1].GitSHA != "feedface0000" {
-		t.Fatalf("explicit git_sha overwritten: %q", withSHA[1].GitSHA)
-	}
-
-	// Corrupt existing content must error rather than be clobbered.
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AppendJSONRecord(bad, rec{K: "x"}); err == nil {
-		t.Fatal("corrupt file accepted")
 	}
 }
 

@@ -546,7 +546,7 @@ func (e *Engine) infer(y0 *sparse.Dense) (*sparse.Dense, error) {
 
 // InferUnfused is the pre-kernel scatter implementation — one allocating
 // CSR DenseMul per layer followed by a separate epilogue pass — retained as
-// the performance baseline that BENCH_infer.json compares the fused path
+// the reference the fused path's tests and BenchmarkE10_Infer compare
 // against. Unlike the fused path it returns freshly allocated storage.
 func (e *Engine) InferUnfused(y0 *sparse.Dense) (*sparse.Dense, error) {
 	if y0.Cols() != e.layers[0].Rows() {

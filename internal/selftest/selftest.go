@@ -1,0 +1,359 @@
+// Package selftest is the one end-to-end acceptance harness of the serving
+// stack: `radixserve -selftest`, `radixrouter -selftest` and this package's
+// own go test smoke all drive the same helpers and the same phases over real
+// HTTP. A single radixserve node and a radixrouter in front of a fleet
+// expose the same API, so a phase is written once against a Target and runs
+// unchanged against either tier; what is specific to a tier (leasing an
+// engine away, killing a backend, the autoscale loop) stays in that tier's
+// cmd file and calls the helpers here.
+//
+// The harness asserts behaviour only. Performance is recorded by the
+// repository's benchmark (BENCHMARK.json, radixbench/), never by a selftest.
+package selftest
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"slices"
+	"strings"
+	"sync"
+	"time"
+
+	"github.com/radix-net/radixnet/internal/cliutil"
+	"github.com/radix-net/radixnet/internal/core"
+	"github.com/radix-net/radixnet/internal/graphio"
+	"github.com/radix-net/radixnet/internal/infer"
+	"github.com/radix-net/radixnet/internal/obs"
+	"github.com/radix-net/radixnet/internal/serve"
+	"github.com/radix-net/radixnet/internal/sparse"
+)
+
+// Target is one tier under test: a radixserve node or a radixrouter, the
+// model a phase drives on it, and the two exported histogram families whose
+// names differ by tier. Acceptance assertions read p99s back from these
+// families on /metrics — the data an operator's dashboard sees — not from
+// internal tallies.
+type Target struct {
+	URL    string // "http://host:port"
+	Model  string
+	Client *http.Client
+	// LatencyFamily buckets per-model request latency, QueueWaitFamily
+	// per-model×class scheduler queue wait.
+	LatencyFamily   string
+	QueueWaitFamily string
+}
+
+// Node targets a single radixserve instance, which exports its own
+// histograms.
+func Node(client *http.Client, url, model string) Target {
+	return Target{URL: url, Model: model, Client: client,
+		LatencyFamily:   "radixserve_request_latency_seconds",
+		QueueWaitFamily: "radixserve_queue_wait_seconds"}
+}
+
+// Routed targets a radixrouter, which re-exports its backends' histograms
+// summed bucket-wise as the fleet-merged radixrouter_model_* families.
+func Routed(client *http.Client, url, model string) Target {
+	return Target{URL: url, Model: model, Client: client,
+		LatencyFamily:   "radixrouter_model_request_latency_seconds",
+		QueueWaitFamily: "radixrouter_model_queue_wait_seconds"}
+}
+
+// For returns the same target driving another model.
+func (t Target) For(model string) Target {
+	t.Model = model
+	return t
+}
+
+// NewClient is tuned for many concurrent keep-alive connections to one
+// host.
+func NewClient() *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = 128
+	return &http.Client{Transport: tr, Timeout: 30 * time.Second}
+}
+
+// post sends one pre-marshaled /v1/infer body, with an explicit
+// X-Radix-Trace-Id when traceID is non-empty, and returns the HTTP status
+// and response headers. A 200 body is decoded into out; with out nil, and
+// for every other status, the body is drained so the connection is reused.
+func post(ctx context.Context, t Target, body []byte, traceID string, out *serve.InferResponse) (int, http.Header, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.URL+"/v1/infer", bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if traceID != "" {
+		req.Header.Set(obs.HeaderTraceID, traceID)
+	}
+	resp, err := t.Client.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK && out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return resp.StatusCode, resp.Header, err
+		}
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, resp.Header, nil
+}
+
+// PostBody posts a pre-marshaled inference request and returns the HTTP
+// status, the answering backend id (the router's X-Radix-Backend header;
+// empty against a single node) and the decoded response (valid only for
+// status 200).
+func PostBody(ctx context.Context, t Target, body []byte) (int, string, serve.InferResponse, error) {
+	var out serve.InferResponse
+	status, hdr, err := post(ctx, t, body, "", &out)
+	return status, hdr.Get("X-Radix-Backend"), out, err
+}
+
+// Post sends one inference request (any rows, class, deadline) for the
+// target's model.
+func Post(ctx context.Context, t Target, req serve.InferRequest) (int, string, serve.InferResponse, error) {
+	req.Model = t.Model
+	body, err := json.Marshal(req)
+	if err != nil {
+		return 0, "", serve.InferResponse{}, err
+	}
+	return PostBody(ctx, t, body)
+}
+
+// PostRow sends one single-row inference request for the target's model.
+func PostRow(ctx context.Context, t Target, row []float64) (int, string, serve.InferResponse, error) {
+	return Post(ctx, t, serve.InferRequest{Inputs: [][]float64{row}})
+}
+
+// Scrape fetches the target's /metrics exposition (a router's fans out to
+// every backend and re-emits their series merged).
+func Scrape(ctx context.Context, t Target) (string, error) {
+	status, data, err := cliutil.DoJSON(ctx, t.Client, http.MethodGet, t.URL+"/metrics", nil)
+	if err != nil {
+		return "", err
+	}
+	if status != http.StatusOK {
+		return "", fmt.Errorf("scrape /metrics: status %d", status)
+	}
+	return string(data), nil
+}
+
+// GetJSON decodes the target's GET path into out. Every JSON endpoint of
+// both tiers answers 200 with Content-Type application/json; anything else
+// is an error.
+func GetJSON(ctx context.Context, t Target, path string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.URL+path, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := t.Client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if ctype := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ctype != "application/json" {
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return fmt.Errorf("GET %s: status %d content type %q", path, resp.StatusCode, ctype)
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// Register registers the target's model over the wire from graphio config
+// JSON (POST /v1/models must answer 201) and returns the request body, which
+// PUT /v1/models/{name} accepts again as a hot-reload.
+func Register(ctx context.Context, t Target, cfg core.Config, engines int) ([]byte, error) {
+	cfgJSON, err := graphio.MarshalConfig(cfg)
+	if err != nil {
+		return nil, err
+	}
+	body, err := json.Marshal(serve.RegisterRequest{Name: t.Model, Config: cfgJSON, Engines: engines})
+	if err != nil {
+		return nil, err
+	}
+	status, out, err := cliutil.DoJSON(ctx, t.Client, http.MethodPost, t.URL+"/v1/models", body)
+	if err != nil || status != http.StatusCreated {
+		return nil, fmt.Errorf("register %s: status %d err %v (%s)", t.Model, status, err, out)
+	}
+	return body, nil
+}
+
+// Unregister drains and removes the target's model (DELETE must answer 200).
+func Unregister(ctx context.Context, t Target) error {
+	status, out, err := cliutil.DoJSON(ctx, t.Client, http.MethodDelete, t.URL+"/v1/models/"+t.Model, nil)
+	if err != nil || status != http.StatusOK {
+		return fmt.Errorf("unregister %s: status %d err %v (%s)", t.Model, status, err, out)
+	}
+	return nil
+}
+
+// Percentile returns the p-th percentile (0–100) of the latencies.
+func Percentile(lat []time.Duration, p int) time.Duration {
+	s := slices.Sorted(slices.Values(lat))
+	idx := (len(s) * p) / 100
+	if idx >= len(s) {
+		idx = len(s) - 1
+	}
+	return s[idx]
+}
+
+// ExemplarTraceIDs extracts the trace IDs of every exemplar annotation on
+// scrape lines with the given prefix.
+func ExemplarTraceIDs(scrape, prefix string) []string {
+	var ids []string
+	for _, line := range strings.Split(scrape, "\n") {
+		line = strings.TrimSpace(line)
+		if !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		_, exemplar := obs.SplitExemplar(line)
+		if exemplar == "" {
+			continue
+		}
+		// Exemplar annotations look like {trace_id="<32 hex>"} <value>.
+		open := strings.Index(exemplar, `trace_id="`)
+		if open < 0 {
+			continue
+		}
+		rest := exemplar[open+len(`trace_id="`):]
+		end := strings.IndexByte(rest, '"')
+		if end <= 0 {
+			continue
+		}
+		ids = append(ids, rest[:end])
+	}
+	return ids
+}
+
+// HistWindow parses one histogram family out of two /metrics scrapes and
+// returns the after-minus-before window, so only the traffic between the
+// scrapes counts. A nil want merges every label set of the family. The
+// family may be absent from the before scrape (nothing observed yet) but
+// must be present after. Log-bucketed: quantiles carry at most 2×
+// resolution error.
+func HistWindow(before, after, family string, want map[string]string) (obs.ScrapedHist, error) {
+	ha, ok := obs.ParseHistogram(after, family, want)
+	if !ok {
+		return obs.ScrapedHist{}, fmt.Errorf("%s%v missing from /metrics", family, want)
+	}
+	if hb, ok := obs.ParseHistogram(before, family, want); ok {
+		ha = ha.Sub(hb)
+	}
+	return ha, nil
+}
+
+// Oracle computes the per-row ground truth: every row of in pushed alone
+// through a private engine over cfg. Engine generation is deterministic, so
+// its weights match every served pool built from the same config.
+func Oracle(cfg core.Config, in *sparse.Dense) ([][]float64, error) {
+	ref, err := infer.FromConfig(cfg)
+	if err != nil {
+		return nil, err
+	}
+	expected := make([][]float64, in.Rows())
+	for r := range expected {
+		rowIn, err := sparse.DenseFromSlice(1, in.Cols(), in.RowSlice(r))
+		if err != nil {
+			return nil, err
+		}
+		y, err := ref.Infer(rowIn)
+		if err != nil {
+			return nil, err
+		}
+		expected[r] = append([]float64(nil), y.Data()...)
+	}
+	return expected, nil
+}
+
+// CheckRow is the per-row oracle check: one single-row request must answer
+// 200 with one output row bit-identical to want and, when owners is
+// non-nil, come from one of those backends (routing pinned to the ring
+// placement).
+func CheckRow(ctx context.Context, t Target, row, want []float64, owners []string) error {
+	status, by, resp, err := PostRow(ctx, t, row)
+	if err != nil || status != http.StatusOK || len(resp.Outputs) != 1 {
+		return fmt.Errorf("%s: status %d err %v", t.Model, status, err)
+	}
+	if owners != nil && !slices.Contains(owners, by) {
+		return fmt.Errorf("%s: answered by %q, not an owner %v", t.Model, by, owners)
+	}
+	return sameRow(resp.Outputs[0], want)
+}
+
+// sameRow requires got bit-identical to the per-row Engine.Infer output.
+func sameRow(got, want []float64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("output width %d, want %d", len(got), len(want))
+	}
+	for c, v := range got {
+		if v != want[c] {
+			return fmt.Errorf("col %d: got %v want %v (not bit-identical to direct Engine.Infer)", c, v, want[c])
+		}
+	}
+	return nil
+}
+
+// failures counts the errors concurrent load workers hit and keeps the
+// first for the report.
+type failures struct {
+	mu    sync.Mutex
+	n     int
+	first error
+}
+
+func (f *failures) add(err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.n++; f.first == nil {
+		f.first = err
+	}
+}
+
+func (f *failures) count() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.n
+}
+
+// Fleet is n in-process radixserve nodes on ephemeral ports, booted empty:
+// models are registered once a router's ring decides who owns what. Regs
+// and Srvs are keyed by the bound address, which is also the backend id a
+// router reports.
+type Fleet struct {
+	Addrs []string
+	Regs  map[string]*serve.Registry
+	Srvs  map[string]*serve.Server
+}
+
+// StartFleet boots the nodes. On error the nodes already started are shut
+// down.
+func StartFleet(ctx context.Context, n int, pol serve.Policy, opts serve.ServerOptions) (*Fleet, error) {
+	f := &Fleet{Regs: make(map[string]*serve.Registry, n), Srvs: make(map[string]*serve.Server, n)}
+	for i := 0; i < n; i++ {
+		reg := serve.NewRegistry(pol)
+		srv := serve.NewServerOpts(reg, "127.0.0.1:0", opts)
+		addr, err := srv.Start()
+		if err != nil {
+			f.Shutdown(ctx)
+			return nil, err
+		}
+		f.Regs[addr] = reg
+		f.Srvs[addr] = srv
+		f.Addrs = append(f.Addrs, addr)
+	}
+	return f, nil
+}
+
+// Shutdown drains every node, best effort (a node a phase already killed
+// shuts down twice harmlessly).
+func (f *Fleet) Shutdown(ctx context.Context) {
+	for _, srv := range f.Srvs {
+		sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		_ = srv.Shutdown(sctx) // best-effort teardown
+		cancel()
+	}
+}

@@ -1,0 +1,294 @@
+package selftest
+
+import (
+	"context"
+	"reflect"
+	"testing"
+	"time"
+
+	"github.com/radix-net/radixnet/internal/cluster"
+	"github.com/radix-net/radixnet/internal/core"
+	"github.com/radix-net/radixnet/internal/dataset"
+	"github.com/radix-net/radixnet/internal/obs/slo"
+	"github.com/radix-net/radixnet/internal/radix"
+	"github.com/radix-net/radixnet/internal/serve"
+	"github.com/radix-net/radixnet/internal/sparse"
+)
+
+func TestPercentile(t *testing.T) {
+	ms := func(v ...int) []time.Duration {
+		out := make([]time.Duration, len(v))
+		for i, x := range v {
+			out[i] = time.Duration(x) * time.Millisecond
+		}
+		return out
+	}
+	hundred := make([]int, 100)
+	for i := range hundred {
+		hundred[i] = 100 - i // unsorted on purpose: 100, 99, …, 1
+	}
+	for _, tc := range []struct {
+		name string
+		lat  []time.Duration
+		p    int
+		want time.Duration
+	}{
+		{"single", ms(7), 99, 7 * time.Millisecond},
+		{"median of three", ms(30, 10, 20), 50, 20 * time.Millisecond},
+		{"p0 is the minimum", ms(30, 10, 20), 0, 10 * time.Millisecond},
+		{"p100 clamps to the maximum", ms(30, 10, 20), 100, 30 * time.Millisecond},
+		{"p99 of 1..100", ms(hundred...), 99, 100 * time.Millisecond},
+		{"p50 of 1..100", ms(hundred...), 50, 51 * time.Millisecond},
+	} {
+		if got := Percentile(tc.lat, tc.p); got != tc.want {
+			t.Errorf("%s: Percentile(p=%d) = %v, want %v", tc.name, tc.p, got, tc.want)
+		}
+	}
+	in := ms(3, 1, 2)
+	Percentile(in, 50)
+	if !reflect.DeepEqual(in, ms(3, 1, 2)) {
+		t.Errorf("Percentile reordered its input: %v", in)
+	}
+}
+
+// Two scrapes of one exposition: family lat has model a (with an
+// exemplar-annotated bucket line) and model b; family wait exists only in
+// the second scrape.
+const (
+	scrapeBefore = `# TYPE lat histogram
+lat_bucket{model="a",le="0.001"} 2 # {trace_id="aaaa0000aaaa0000aaaa0000aaaa0000"} 0.0007
+lat_bucket{model="a",le="0.002"} 3
+lat_bucket{model="a",le="+Inf"} 3
+lat_sum{model="a"} 0.004
+lat_count{model="a"} 3
+lat_bucket{model="b",le="0.001"} 1
+lat_bucket{model="b",le="0.002"} 1
+lat_bucket{model="b",le="+Inf"} 1
+lat_sum{model="b"} 0.0005
+lat_count{model="b"} 1
+`
+	scrapeAfter = `# TYPE lat histogram
+lat_bucket{model="a",le="0.001"} 4 # {trace_id="bbbb0000bbbb0000bbbb0000bbbb0000"} 0.0009
+lat_bucket{model="a",le="0.002"} 9 # {trace_id="cccc0000cccc0000cccc0000cccc0000"} 0.0015
+lat_bucket{model="a",le="+Inf"} 9
+lat_sum{model="a"} 0.012
+lat_count{model="a"} 9
+lat_bucket{model="b",le="0.001"} 1
+lat_bucket{model="b",le="0.002"} 5 # {span_id="no-trace-id-here"} 0.0011
+lat_bucket{model="b",le="+Inf"} 5
+lat_sum{model="b"} 0.006
+lat_count{model="b"} 5
+wait_bucket{model="a",class="interactive",le="0.001"} 7
+wait_bucket{model="a",class="interactive",le="+Inf"} 7
+wait_sum{model="a",class="interactive"} 0.003
+wait_count{model="a",class="interactive"} 7
+`
+)
+
+func TestExemplarTraceIDs(t *testing.T) {
+	for _, tc := range []struct {
+		name, scrape, prefix string
+		want                 []string
+	}{
+		{"one annotated bucket", scrapeBefore, `lat_bucket{model="a"`, []string{"aaaa0000aaaa0000aaaa0000aaaa0000"}},
+		{"every annotated bucket of the model, in order", scrapeAfter, `lat_bucket{model="a"`,
+			[]string{"bbbb0000bbbb0000bbbb0000bbbb0000", "cccc0000cccc0000cccc0000cccc0000"}},
+		{"no annotations", scrapeBefore, `lat_bucket{model="b"`, nil},
+		{"an exemplar without a trace_id label is skipped", scrapeAfter, `lat_bucket{model="b"`, nil},
+		{"missing family", scrapeAfter, `nope_bucket{`, nil},
+	} {
+		if got := ExemplarTraceIDs(tc.scrape, tc.prefix); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+func TestHistWindow(t *testing.T) {
+	for _, tc := range []struct {
+		name, family string
+		want         map[string]string
+		count        uint64
+		cum          []uint64 // windowed cumulative counts at le 0.001, 0.002
+		missing      bool
+	}{
+		// The exemplar annotations on a's bucket lines must not disturb the counts.
+		{name: "one model", family: "lat", want: map[string]string{"model": "a"}, count: 6, cum: []uint64{2, 6}},
+		{name: "other model", family: "lat", want: map[string]string{"model": "b"}, count: 4, cum: []uint64{0, 4}},
+		{name: "nil want merges every label set", family: "lat", count: 10, cum: []uint64{2, 10}},
+		{name: "family absent before: the window is the after scrape", family: "wait",
+			want: map[string]string{"model": "a", "class": "interactive"}, count: 7, cum: []uint64{7}},
+		{name: "label set absent after", family: "lat", want: map[string]string{"model": "c"}, missing: true},
+		{name: "family absent after", family: "nope", missing: true},
+	} {
+		win, err := HistWindow(scrapeBefore, scrapeAfter, tc.family, tc.want)
+		if tc.missing {
+			if err == nil {
+				t.Errorf("%s: no error for a family missing from the after scrape", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if win.Count != tc.count || !reflect.DeepEqual(win.Cum, tc.cum) {
+			t.Errorf("%s: window count %d cum %v, want %d %v", tc.name, win.Count, win.Cum, tc.count, tc.cum)
+		}
+	}
+	// All six of a's windowed observations sit at or below 2ms.
+	win, _ := HistWindow(scrapeBefore, scrapeAfter, "lat", map[string]string{"model": "a"})
+	if p99 := win.Quantile(0.99); p99 <= 0.001 || p99 > 0.002 {
+		t.Errorf("windowed p99 %v outside (0.001, 0.002]", p99)
+	}
+}
+
+// smokeModel is the model, inputs and per-row oracle both smokes share:
+// radix [4,4,4] → width 64, 3 layers, 16 sparse rows.
+func smokeModel(t *testing.T) (core.Config, *sparse.Dense, [][]float64) {
+	t.Helper()
+	cfg, err := core.NewConfig([]radix.System{radix.MustNew(4, 4, 4)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	width := cfg.LayerWidths()[0]
+	in, err := dataset.SparseBatch(16, width, width/10, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expected, err := Oracle(cfg, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg, in, expected
+}
+
+// sloObjectives arms the loose and the unmeetable objective
+// ExemplarSLOPhase expects on model.
+func sloObjectives(t *testing.T, model string) slo.Config {
+	t.Helper()
+	objectives, err := slo.ParseObjectives([]string{model + "::10s:50", model + "::1us:99"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slo.Config{Objectives: objectives}
+}
+
+// TestSmokeNode boots one radixserve node and runs the shared phases
+// against it — the same functions `radixserve -selftest` calls.
+func TestSmokeNode(t *testing.T) {
+	ctx := context.Background()
+	cfg, in, expected := smokeModel(t)
+	fleet, err := StartFleet(ctx, 1, serve.Policy{MaxBatch: 32, MaxLatency: time.Millisecond},
+		serve.ServerOptions{Pprof: true, SLO: sloObjectives(t, "smoke")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Shutdown(ctx)
+	addr := fleet.Addrs[0]
+	if _, err := fleet.Regs[addr].Register("smoke", cfg, 2); err != nil {
+		t.Fatal(err)
+	}
+	tg := Node(NewClient(), "http://"+addr, "smoke")
+	defer tg.Client.CloseIdleConnections()
+
+	if err := BitIdentityPhase(ctx, tg, in, expected, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := ConcurrencyPhase(ctx, tg, []string{tg.Model}, in, expected); err != nil {
+		t.Fatal(err)
+	}
+	live := tg.For("live")
+	if err := ControlPlanePhase(ctx, live, cfg, 2, in, expected, nil); err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := fleet.Regs[addr].Model(live.Model); !ok || m.Generation() != 1+Reloads {
+		t.Fatalf("model %q registered=%v, want generation %d", live.Model, ok, 1+Reloads)
+	}
+	if err := UnregisterPhase(ctx, live, in.RowSlice(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ObsPhase(ctx, tg, in.RowSlice(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ExemplarSLOPhase(ctx, tg, in); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSmokeFleet boots three backends behind a router and runs the same
+// phases through it — the functions `radixrouter -selftest` calls, with
+// routing pinned to each model's ring owners.
+func TestSmokeFleet(t *testing.T) {
+	ctx := context.Background()
+	cfg, in, expected := smokeModel(t)
+	fleet, err := StartFleet(ctx, 3, serve.Policy{MaxBatch: 32, MaxLatency: time.Millisecond}, serve.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Shutdown(ctx)
+	models := []string{"shard-0", "shard-1"}
+	rt, err := cluster.NewRouter(cluster.RouterConfig{
+		Addr:       "127.0.0.1:0",
+		Backends:   fleet.Addrs,
+		Replicas:   2,
+		MaxBackoff: 100 * time.Millisecond,
+		Pprof:      true,
+		SLO:        sloObjectives(t, models[0]),
+		Set:        cluster.SetConfig{ProbeInterval: 100 * time.Millisecond, FailAfter: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range models {
+		for _, id := range rt.Placement(model) {
+			if _, err := fleet.Regs[id].Register(model, cfg, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	bound, err := rt.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg := Routed(NewClient(), "http://"+bound, models[0])
+	defer func() {
+		tg.Client.CloseIdleConnections()
+		sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		defer cancel()
+		if err := rt.Shutdown(sctx); err != nil {
+			t.Errorf("router shutdown: %v", err)
+		}
+	}()
+
+	for _, model := range models {
+		if err := BitIdentityPhase(ctx, tg.For(model), in, expected, rt.Placement(model)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ConcurrencyPhase(ctx, tg, models, in, expected); err != nil {
+		t.Fatal(err)
+	}
+	live := tg.For("live")
+	owners := rt.Placement(live.Model)
+	if err := ControlPlanePhase(ctx, live, cfg, 1, in, expected, owners); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range owners {
+		if m, ok := fleet.Regs[id].Model(live.Model); !ok || m.Generation() != 1+Reloads {
+			t.Fatalf("owner %s: model %q registered=%v, want generation %d", id, live.Model, ok, 1+Reloads)
+		}
+	}
+	if err := UnregisterPhase(ctx, live, in.RowSlice(0)); err != nil {
+		t.Fatal(err)
+	}
+	found, err := ObsPhase(ctx, tg, in.RowSlice(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if found.Backend == "" {
+		t.Errorf("router trace carries no backend attribution: %+v", found)
+	}
+	if err := ExemplarSLOPhase(ctx, tg, in); err != nil {
+		t.Fatal(err)
+	}
+}
