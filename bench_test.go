@@ -318,25 +318,20 @@ func BenchmarkGCInference(b *testing.B) {
 	}
 }
 
-// BenchmarkE10_Infer pits the fused CSC-gather kernel stack (ping-pong
-// buffers, fused epilogue, active-row tracking) against the unfused
-// scatter baseline (per-layer DenseMul allocation + separate epilogue
-// pass) on the acceptance workload: a radix [8,8,8,8] stack (width 4096)
-// at batch 64. The fused/ sub-benchmark must report 0 allocs/op in steady
-// state.
+// BenchmarkE10_Infer times the fused CSC-gather kernel stack (ping-pong
+// buffers, fused epilogue, active-row tracking) on the acceptance workload:
+// a radix [8,8,8,8] stack (width 4096) at batch 64. It must report
+// 0 allocs/op in steady state.
 func BenchmarkE10_Infer(b *testing.B) {
 	cfg, err := core.NewConfig([]radix.System{radix.MustNew(8, 8, 8, 8)}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine, err := infer.FromConfig(cfg)
+	// FromConfig auto-selects the radix butterfly kernel; build the CSC
+	// engine here so this benchmark keeps tracking the generic fused path
+	// (the radix kernel has its own benchmark below).
+	engine, err := infer.FromConfigKernel(cfg, infer.KernelCSC)
 	if err != nil {
-		b.Fatal(err)
-	}
-	// FromConfig now auto-selects the radix butterfly kernel; pin CSC here so
-	// this benchmark keeps tracking the generic fused path (the radix kernel
-	// has its own benchmark below).
-	if err := engine.SetKernel(infer.KernelCSC); err != nil {
 		b.Fatal(err)
 	}
 	engine.PerturbWeights(0.01, 1) // avoid the all-equal weight special case
@@ -359,45 +354,33 @@ func BenchmarkE10_Infer(b *testing.B) {
 		}
 		b.ReportMetric(edgesPerOp*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 	})
-	b.Run("unfused", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.InferUnfused(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(edgesPerOp*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
-	})
 }
 
 // BenchmarkRadixKernel pits the structure-aware butterfly kernel (compiled
 // mixed-radix stride plans, arithmetic addressing, zero index arrays in the
 // hot loop) against the generic fused CSC kernel on the same E10 acceptance
-// workload. Both sub-benchmarks run the identical engine and batch — only
-// the kernel selection differs — and both must report 0 allocs/op in steady
-// state; outputs are bit-identical (property-tested in internal/infer).
+// workload. The sub-benchmarks run the same config, weights and batch on
+// one engine per family — only the kernel the engine was built with differs
+// — and both must report 0 allocs/op in steady state; outputs are
+// bit-identical (property-tested and fuzzed in internal/infer).
 func BenchmarkRadixKernel(b *testing.B) {
 	cfg, err := core.NewConfig([]radix.System{radix.MustNew(8, 8, 8, 8)}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine, err := infer.FromConfigKernel(cfg, infer.KernelRadix)
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine.PerturbWeights(0.01, 1)
 	width := 8 * 8 * 8 * 8
 	batch, err := dataset.SparseBatch(64, width, width/10, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	edgesPerOp := float64(batch.Rows()) * float64(engine.TotalNNZ())
 	for _, kind := range []infer.KernelKind{infer.KernelCSC, infer.KernelRadix} {
 		b.Run(kind.String(), func(b *testing.B) {
-			if err := engine.SetKernel(kind); err != nil {
+			engine, err := infer.FromConfigKernel(cfg, kind)
+			if err != nil {
 				b.Fatal(err)
 			}
+			engine.PerturbWeights(0.01, 1)
+			edgesPerOp := float64(batch.Rows()) * float64(engine.TotalNNZ())
 			if _, err := engine.Infer(batch); err != nil { // size the buffers
 				b.Fatal(err)
 			}

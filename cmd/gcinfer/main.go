@@ -28,6 +28,18 @@ import (
 	"github.com/radix-net/radixnet/internal/sparse"
 )
 
+// parseKernel maps the -kernel flag to the family the engine is built with.
+// This flag is the one place a kernel is chosen by name: it exists so the CSC
+// oracle and the production path can be run on the same network and compared.
+func parseKernel(s string) (infer.KernelKind, error) {
+	for _, k := range []infer.KernelKind{infer.KernelAuto, infer.KernelCSC, infer.KernelRadix} {
+		if s == k.String() {
+			return k, nil
+		}
+	}
+	return infer.KernelAuto, fmt.Errorf("unknown kernel %q (want csc, radix or auto)", s)
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gcinfer: ")
@@ -43,7 +55,7 @@ func main() {
 	)
 	flag.Parse()
 
-	kind, err := infer.ParseKernel(*kernel)
+	kind, err := parseKernel(*kernel)
 	if err != nil {
 		log.Fatal(err)
 	}

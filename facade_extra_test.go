@@ -251,25 +251,10 @@ func TestFacadeClusterExports(t *testing.T) {
 	}
 }
 
-// TestFacadeKernelSelection exercises the kernel exports: parse names,
-// build one engine per kernel family from the same config, and require the
-// structure-aware path to match the CSC oracle bit for bit.
+// TestFacadeKernelSelection exercises the kernel exports: build one engine
+// per kernel family from the same config, and require the structure-aware
+// path to match the CSC oracle bit for bit.
 func TestFacadeKernelSelection(t *testing.T) {
-	for name, want := range map[string]radixnet.InferKernel{
-		"":      radixnet.KernelAuto,
-		"auto":  radixnet.KernelAuto,
-		"csc":   radixnet.KernelCSC,
-		"radix": radixnet.KernelRadix,
-	} {
-		got, err := radixnet.ParseInferKernel(name)
-		if err != nil || got != want {
-			t.Fatalf("ParseInferKernel(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	if _, err := radixnet.ParseInferKernel("simd"); err == nil {
-		t.Fatal("unknown kernel name accepted")
-	}
-
 	cfg, err := radixnet.NewConfig([]radixnet.System{radixnet.MustSystem(4, 4)}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -54,13 +54,13 @@ type Engine struct {
 	bias   []float64 // one uniform bias per layer
 	cap    float64   // activation ceiling; 0 disables clamping
 
-	kernels  []*sparse.Kernel      // CSC gather form of each layer
-	radix    []*sparse.RadixKernel // verified stride plans, nil unless radix-structured
-	stockham bool                  // radix kernels run the packed Stockham layout
-	kind     KernelKind            // kernel family Infer dispatches to
-	pool     *parallel.Pool
-	step     func(lo, hi int) // bound once; dispatched per layer on the pool
-	inUse    atomic.Bool      // single-flight guard for the shared scratch
+	kernels []*sparse.Kernel      // CSC gather form of each layer
+	radix   []*sparse.RadixKernel // verified stride plans, nil on the CSC family
+	kind    KernelKind            // kernel family the engine was built with
+	steps   []layerKernel         // each layer bound to that family; immutable
+	pool    *parallel.Pool
+	step    func(lo, hi int) // bound once; dispatched per layer on the pool
+	inUse   atomic.Bool      // single-flight guard for the shared scratch
 
 	// prof, when non-nil, samples per-layer kernel timings (see
 	// profile.go). Shared across clones so a warm pool aggregates into
@@ -72,21 +72,19 @@ type Engine struct {
 	// to the caller's storage, and drops the reference before returning;
 	// bufA/bufB ping-pong the layer activations.
 	batch      int
-	maxW       int // widest layer output, the per-row buffer stride
 	bufA, bufB []float64
-	bufS       []float64 // per-row scatter scratch, Stockham mode only
-	nzIdx      []int32   // per-row input nonzero positions (stride w0), Stockham mode only
+	scratchW   int       // widest per-row scatter scratch any layer declares
+	bufS       []float64 // per-row scatter scratch, stride scratchW
+	nzW        int       // input width when layer 0 reads nonzero positions, else 0
+	nzIdx      []int32   // per-row input nonzero positions, stride nzW
 	active     []int32   // rows still carrying nonzero activations, ascending
 	rowNNZ     []int32   // per-row activation count after the last layer step
 	outView    *sparse.Dense
 
 	// Current layer, read by step across the worker pool.
 	cur struct {
-		kern       *sparse.Kernel
-		rk         *sparse.RadixKernel // non-nil iff this layer runs the radix kernel
-		mat        *sparse.Matrix
+		k          layerKernel
 		in, out    []float64
-		nz         []int32 // staged nonzero positions (stride inW); layer 0 Stockham only
 		inW, outW  int
 		bias, clip float64
 	}
@@ -117,21 +115,38 @@ func New(layers []*sparse.Matrix, bias []float64, cap float64) (*Engine, error) 
 	}
 	e := &Engine{layers: layers, bias: append([]float64(nil), bias...), cap: cap}
 	e.kernels = make([]*sparse.Kernel, len(layers))
+	steps := make([]layerKernel, len(layers))
 	for i, l := range layers {
 		k, err := sparse.NewKernel(l)
 		if err != nil {
 			return nil, fmt.Errorf("infer: layer %d: %w", i, err)
 		}
 		e.kernels[i] = k
+		steps[i] = cscLayer{kern: k, mat: l}
 	}
+	e.bind(steps)
 	e.pool = parallel.Shared()
 	e.step = e.layerStep
 	return e, nil
 }
 
+// bind installs the per-layer kernels and totals the scratch they declare.
+// Construction only: an engine never changes family once it can be called.
+func (e *Engine) bind(steps []layerKernel) {
+	e.steps = steps
+	e.scratchW, e.nzW = 0, 0
+	for _, k := range steps {
+		e.scratchW = max(e.scratchW, k.needs().scratch)
+	}
+	if steps[0].needs().nz {
+		e.nzW = e.layers[0].Rows()
+	}
+}
+
 // FromTopology assigns every edge of the FNNT the same weight and every
-// layer the same bias — the Graph Challenge convention, where weights are
-// 1/16 and biases tuned per width so activations neither die nor saturate.
+// layer the same bias — the Graph Challenge convention, where one weight
+// serves every edge (FromConfig picks 4/fan-in) and biases are tuned per width
+// so activations neither die nor saturate.
 func FromTopology(g *topology.FNNT, weight, bias, cap float64) (*Engine, error) {
 	layers := make([]*sparse.Matrix, g.NumSubs())
 	biases := make([]float64, g.NumSubs())
@@ -143,30 +158,14 @@ func FromTopology(g *topology.FNNT, weight, bias, cap float64) (*Engine, error) 
 }
 
 // FromConfig generates the RadiX-Net of cfg and wraps it in an engine with
-// Graph Challenge weighting: weight 1/16 scaled by fan-in relative to the
-// challenge's 32, bias per the challenge convention, cap 32. Kernel
-// selection is KernelAuto: the config proves the layers radix-structured,
-// so stride plans are compiled and the engine runs the structure-aware
-// butterfly kernel (SetKernel(KernelCSC) restores the generic path).
+// Graph Challenge weighting: every edge weighs 4/fan-in (1/8 on the
+// challenge's fan-in of 32, 1/2 on radix (8,8,8) — a power of two whenever
+// the fan-in is), bias −0.10, cap 32. Kernel selection is KernelAuto: the
+// config proves the layers radix-structured, so stride plans are compiled and
+// the engine runs the structure-aware butterfly kernel
+// (FromConfigKernel(cfg, KernelCSC) builds the generic oracle instead).
 func FromConfig(cfg core.Config) (*Engine, error) {
 	return FromConfigKernel(cfg, KernelAuto)
-}
-
-// fromConfigBase builds the CSC engine for cfg without kernel selection.
-func fromConfigBase(cfg core.Config) (*Engine, error) {
-	g, err := core.Build(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Mean in-degree of the first layer sets the scale. Weight 4/fan-in with
-	// a small negative bias keeps typical sparse inputs alive through
-	// arbitrarily deep stacks: a neuron with ≥2 active in-edges clears the
-	// bias, and growth saturates at the challenge's activation ceiling of 32
-	// rather than exploding.
-	inDeg := float64(g.Sub(0).NNZ()) / float64(g.Sub(0).Cols())
-	weight := 4.0 / inDeg
-	const bias = -0.10
-	return FromTopology(g, weight, bias, 32)
 }
 
 // NumLayers returns the number of weight layers.
@@ -182,39 +181,27 @@ func (e *Engine) TotalNNZ() int {
 	return total
 }
 
-// maxCols returns the widest layer output, which sizes the ping-pong
-// buffers.
-func (e *Engine) maxCols() int {
-	w := 0
-	for _, l := range e.layers {
-		if l.Cols() > w {
-			w = l.Cols()
-		}
-	}
-	return w
-}
-
-// ensure sizes the reusable buffers for a batch of the given row count.
-// Calls with an unchanged batch size perform no allocation.
+// ensure sizes the reusable buffers for a batch of the given row count,
+// including the scatter scratch and nonzero lists the layers declared. Calls
+// that find every buffer already sized perform no allocation; the check
+// covers each buffer the steps index, not the batch size alone.
 func (e *Engine) ensure(batch int) {
-	if batch == e.batch {
+	if batch == e.batch && len(e.bufS) >= batch*e.scratchW && len(e.nzIdx) >= batch*e.nzW {
 		return
 	}
 	e.batch = batch
-	maxW := e.maxCols()
-	e.maxW = maxW
+	maxW := 0 // the widest layer output sizes the ping-pong buffers
+	for _, l := range e.layers {
+		maxW = max(maxW, l.Cols())
+	}
 	if need := batch * maxW; cap(e.bufA) < need {
 		e.bufA = make([]float64, need)
 		e.bufB = make([]float64, need)
 	}
-	if need := batch * maxW; e.stockham && cap(e.bufS) < need {
-		// Stockham scatters accumulate in natural layout before the packed
-		// epilogue; each batch row gets a private scratch region.
+	if need := batch * e.scratchW; len(e.bufS) < need {
 		e.bufS = make([]float64, need)
 	}
-	if need := batch * e.layers[0].Rows(); e.stockham && cap(e.nzIdx) < need {
-		// The staging scan records each input row's nonzero positions so the
-		// layer-0 ring scatter skips straight to them.
+	if need := batch * e.nzW; len(e.nzIdx) < need {
 		e.nzIdx = make([]int32, need)
 	}
 	if cap(e.active) < batch {
@@ -237,129 +224,63 @@ func (e *Engine) ensure(batch int) {
 
 // layerStep processes active rows [lo, hi) of the current layer: one fused
 // multiply + epilogue pass per row, recording the row's new activation
-// count. Dense rows use the CSC gather (every output written once, no
-// random writes), blocked four batch rows at a time so each stored entry's
-// index and weight are loaded once per quad; mostly-zero rows use the CSR
-// scatter, whose zero-input skip does only the work the row's live
-// activations require. All paths accumulate in the same order and agree
-// bitwise. layerStep runs concurrently for disjoint ranges on the worker
-// pool.
+// count. Mostly-zero rows take the layer's scatter, whose zero-input skip
+// does only the work the row's live activations require. Dense rows take
+// its gather (every output written once, no random writes), blocked as wide
+// as the layer allows so each weight is loaded once per block; what is left
+// at the end of the range runs widest form first — one quad if four or more
+// rows remain, then single rows. Chunks arrive in multiples of the pool
+// grain (the layer's block), so remainders only occur in a range's final
+// rows. layerStep runs concurrently for disjoint ranges on the worker pool.
+//
+//radix:hotpath
 func (e *Engine) layerStep(lo, hi int) {
 	cur := &e.cur
-	if cur.rk != nil {
-		e.layerStepRadix(lo, hi)
-		return
-	}
-	var quad [4]int
-	var quadNNZ [4]int
-	qn := 0
+	need := cur.k.needs()
+	var blk rowBlock
+	var rows [8]int
+	n := 0
 	for i := lo; i < hi; i++ {
 		b := int(e.active[i])
-		if int(e.rowNNZ[b])*2 < cur.inW {
-			inRow := cur.in[b*cur.inW : (b+1)*cur.inW]
-			outRow := cur.out[b*cur.outW : (b+1)*cur.outW]
-			e.rowNNZ[b] = int32(cur.mat.FusedScatterRow(outRow, inRow, cur.bias, cur.clip))
+		in := cur.in[b*cur.inW : (b+1)*cur.inW]
+		out := cur.out[b*cur.outW : (b+1)*cur.outW]
+		if live := int(e.rowNNZ[b]); live*2 < cur.inW {
+			var nz []int32
+			if need.nz {
+				nz = e.nzIdx[b*e.nzW : b*e.nzW+live]
+			}
+			scratch := e.bufS[b*e.scratchW : b*e.scratchW+need.scratch]
+			e.rowNNZ[b] = int32(cur.k.scatter(out, in, nz, scratch, cur.bias, cur.clip))
 			continue
 		}
-		quad[qn] = b
-		qn++
-		if qn == 4 {
-			b0, b1, b2, b3 := quad[0], quad[1], quad[2], quad[3]
-			cur.kern.FusedGatherRow4(
-				cur.out[b0*cur.outW:(b0+1)*cur.outW],
-				cur.out[b1*cur.outW:(b1+1)*cur.outW],
-				cur.out[b2*cur.outW:(b2+1)*cur.outW],
-				cur.out[b3*cur.outW:(b3+1)*cur.outW],
-				cur.in[b0*cur.inW:(b0+1)*cur.inW],
-				cur.in[b1*cur.inW:(b1+1)*cur.inW],
-				cur.in[b2*cur.inW:(b2+1)*cur.inW],
-				cur.in[b3*cur.inW:(b3+1)*cur.inW],
-				cur.bias, cur.clip, &quadNNZ)
-			for t, bq := range quad {
-				e.rowNNZ[bq] = int32(quadNNZ[t])
-			}
-			qn = 0
+		rows[n], blk.in[n], blk.out[n] = b, in, out
+		n++
+		if n == need.block {
+			e.gatherBlock(&blk, &rows, 0, n)
+			n = 0
 		}
 	}
-	for t := 0; t < qn; t++ {
-		b := quad[t]
-		inRow := cur.in[b*cur.inW : (b+1)*cur.inW]
-		outRow := cur.out[b*cur.outW : (b+1)*cur.outW]
-		e.rowNNZ[b] = int32(cur.kern.FusedGatherRow(outRow, inRow, cur.bias, cur.clip))
+	for t := 0; t < n; {
+		w := 1
+		if n-t >= 4 {
+			w = 4
+		}
+		e.gatherBlock(&blk, &rows, t, w)
+		t += w
 	}
 }
 
-// layerStepRadix is layerStep on the structure-aware butterfly kernel.
-// Arithmetic addressing removes the per-entry index load, so the gather
-// blocks eight batch rows per weight load (the CSC path's quad blocking is
-// index-bandwidth-bound past four); the dense-row octets are flushed through
-// FusedGatherRow8 and remainders fall back to the quad and single-row forms
-// of the same kernel. All forms accumulate in the same order, so outputs
-// stay bit-identical to the CSC path. Chunks arrive in multiples of the
-// pool grain (8), so remainders only occur in a range's final rows.
-func (e *Engine) layerStepRadix(lo, hi int) {
-	cur := &e.cur
-	rk := cur.rk
-	var oct [8]int
-	var octNNZ [8]int
-	var ins, outs [8][]float64
-	qn := 0
-	for i := lo; i < hi; i++ {
-		b := int(e.active[i])
-		if int(e.rowNNZ[b])*2 < cur.inW {
-			inRow := cur.in[b*cur.inW : (b+1)*cur.inW]
-			outRow := cur.out[b*cur.outW : (b+1)*cur.outW]
-			if e.stockham {
-				scratch := e.bufS[b*e.maxW : b*e.maxW+cur.outW]
-				if cur.nz != nil {
-					nz := cur.nz[b*cur.inW : b*cur.inW+int(e.rowNNZ[b])]
-					e.rowNNZ[b] = int32(rk.FusedScatterRowStockhamNZ(outRow, inRow, nz, scratch, cur.bias, cur.clip))
-				} else {
-					e.rowNNZ[b] = int32(rk.FusedScatterRowStockham(outRow, inRow, scratch, cur.bias, cur.clip))
-				}
-			} else {
-				e.rowNNZ[b] = int32(rk.FusedScatterRow(outRow, inRow, cur.bias, cur.clip))
-			}
-			continue
-		}
-		oct[qn] = b
-		qn++
-		if qn == 8 {
-			for t, bq := range oct {
-				ins[t] = cur.in[bq*cur.inW : (bq+1)*cur.inW]
-				outs[t] = cur.out[bq*cur.outW : (bq+1)*cur.outW]
-			}
-			rk.FusedGatherRow8(&outs, &ins, cur.bias, cur.clip, &octNNZ)
-			for t, bq := range oct {
-				e.rowNNZ[bq] = int32(octNNZ[t])
-			}
-			qn = 0
-		}
-	}
-	t := 0
-	if qn >= 4 {
-		var quadNNZ [4]int
-		b0, b1, b2, b3 := oct[0], oct[1], oct[2], oct[3]
-		rk.FusedGatherRow4(
-			cur.out[b0*cur.outW:(b0+1)*cur.outW],
-			cur.out[b1*cur.outW:(b1+1)*cur.outW],
-			cur.out[b2*cur.outW:(b2+1)*cur.outW],
-			cur.out[b3*cur.outW:(b3+1)*cur.outW],
-			cur.in[b0*cur.inW:(b0+1)*cur.inW],
-			cur.in[b1*cur.inW:(b1+1)*cur.inW],
-			cur.in[b2*cur.inW:(b2+1)*cur.inW],
-			cur.in[b3*cur.inW:(b3+1)*cur.inW],
-			cur.bias, cur.clip, &quadNNZ)
-		for j, bq := range oct[:4] {
-			e.rowNNZ[bq] = int32(quadNNZ[j])
-		}
-		t = 4
-	}
-	for ; t < qn; t++ {
-		b := oct[t]
-		inRow := cur.in[b*cur.inW : (b+1)*cur.inW]
-		outRow := cur.out[b*cur.outW : (b+1)*cur.outW]
-		e.rowNNZ[b] = int32(rk.FusedGatherRow(outRow, inRow, cur.bias, cur.clip))
+// gatherBlock runs rows [t, t+w) of blk through the current layer's w-row
+// gather and records their activation counts.
+//
+//radix:hotpath
+func (e *Engine) gatherBlock(blk *rowBlock, rows *[8]int, t, w int) {
+	var sub rowBlock
+	copy(sub.in[:], blk.in[t:t+w])
+	copy(sub.out[:], blk.out[t:t+w])
+	nnz := e.cur.k.gather(sub, w, e.cur.bias, e.cur.clip)
+	for j, b := range rows[t : t+w] {
+		e.rowNNZ[b] = int32(nnz[j])
 	}
 }
 
@@ -411,15 +332,14 @@ func (e *Engine) infer(y0 *sparse.Dense) (*sparse.Dense, error) {
 		in = stage
 	}
 	e.active = e.active[:0]
-	record := e.stockham && e.kind == KernelRadix
 	for b := 0; b < batch; b++ {
 		row := in[b*w0 : (b+1)*w0]
 		nnz := 0
-		if record {
-			// Record nonzero positions for the layer-0 ring scatter while
-			// counting: the position is stored unconditionally and the
-			// cursor advances by the liveness bit, so the recording pass is
-			// branchless too.
+		if e.nzW > 0 {
+			// The first layer asked for its input's nonzero positions:
+			// record them while counting. The position is stored
+			// unconditionally and the cursor advances by the liveness bit,
+			// so the recording pass is branchless too.
 			idx := e.nzIdx[b*w0 : (b+1)*w0]
 			for i, v := range row {
 				y := math.Float64bits(v) << 1
@@ -449,27 +369,15 @@ func (e *Engine) infer(y0 *sparse.Dense) (*sparse.Dense, error) {
 	// is, each layer's kernel dispatch is timed individually.
 	prof := e.prof.Load()
 	profiled := prof != nil && prof.sample()
-	for l, kern := range e.kernels {
-		outW := kern.Cols()
+	for l, k := range e.steps {
+		outW := e.layers[l].Cols()
 		b := e.bias[l]
-		e.cur.kern, e.cur.mat, e.cur.in, e.cur.out = kern, e.layers[l], in, out
-		e.cur.rk = nil
-		e.cur.nz = nil
-		if e.kind == KernelRadix {
-			e.cur.rk = e.radix[l]
-			if l == 0 && record {
-				e.cur.nz = e.nzIdx
-			}
-		}
+		e.cur.k, e.cur.in, e.cur.out = k, in, out
 		e.cur.inW, e.cur.outW = inW, outW
 		e.cur.bias, e.cur.clip = b, e.cap
-		// The grain keeps pool chunks at whole gather blocks — quads on the
-		// CSC path, octets on the radix path — so the widest kernel engages
-		// even when many workers shrink the chunks.
-		grain := 4
-		if e.cur.rk != nil {
-			grain = 8
-		}
+		// The grain keeps pool chunks at whole gather blocks, so the layer's
+		// widest form engages even when many workers shrink the chunks.
+		grain := k.needs().block
 		if profiled {
 			rows := len(e.active)
 			t0 := time.Now()
@@ -542,43 +450,6 @@ func (e *Engine) infer(y0 *sparse.Dense) (*sparse.Dense, error) {
 	// engine never pins a caller batch between calls.
 	e.cur.in = nil
 	return final, nil
-}
-
-// InferUnfused is the pre-kernel scatter implementation — one allocating
-// CSR DenseMul per layer followed by a separate epilogue pass — retained as
-// the reference the fused path's tests and BenchmarkE10_Infer compare
-// against. Unlike the fused path it returns freshly allocated storage.
-func (e *Engine) InferUnfused(y0 *sparse.Dense) (*sparse.Dense, error) {
-	if y0.Cols() != e.layers[0].Rows() {
-		return nil, fmt.Errorf("infer: batch width %d, first layer expects %d", y0.Cols(), e.layers[0].Rows())
-	}
-	y := y0
-	for i, w := range e.layers {
-		next, err := w.DenseMul(y)
-		if err != nil {
-			return nil, fmt.Errorf("infer: layer %d: %w", i, err)
-		}
-		b := e.bias[i]
-		clip := e.cap
-		data := next.Data()
-		parallel.Blocks(len(data), func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				v := data[j] + b
-				if v < 0 {
-					v = 0
-				} else if clip > 0 && v > clip {
-					v = clip
-				}
-				data[j] = v
-			}
-		})
-		y = next
-	}
-	if y == y0 {
-		// Unreachable with ≥1 layer, but never hand the caller's storage back.
-		y = y0.Clone()
-	}
-	return y, nil
 }
 
 // InferCategories runs Infer and returns, per input row, whether the row
@@ -665,16 +536,16 @@ func (e *Engine) RefreshWeights() {
 // independent scratch state (ping-pong buffers, active-row lists,
 // single-flight guard). A pool of clones serves concurrent batches without
 // duplicating the model: N clones cost N sets of activation buffers, not N
-// copies of the weights. Compiled stride plans (and the kernel selection)
-// are shared the same way, so a radix-kernel pool compiles each plan
-// exactly once. Clones inherit the parent's worker pool; use
+// copies of the weights. Compiled stride plans (and the kernel family) are
+// shared the same way, so a radix-kernel pool compiles each plan exactly
+// once. Clones inherit the parent's worker pool; use
 // SetPool to give each its own parallelism budget. Weight mutation
 // (RefreshWeights, PerturbWeights) through any clone is visible to all of
 // them and must not race an in-flight Infer — serving treats weights as
 // frozen after the pool is built.
 func (e *Engine) Clone() *Engine {
 	c := &Engine{layers: e.layers, bias: e.bias, cap: e.cap, kernels: e.kernels,
-		radix: e.radix, stockham: e.stockham, kind: e.kind, pool: e.pool}
+		radix: e.radix, kind: e.kind, steps: e.steps, scratchW: e.scratchW, nzW: e.nzW, pool: e.pool}
 	c.step = c.layerStep
 	c.prof.Store(e.prof.Load()) // clones aggregate into the parent's profiler
 	return c

@@ -98,14 +98,6 @@ func TestInferMatchesReferenceProperty(t *testing.T) {
 			return false
 		}
 		diff, err := fast.MaxAbsDiff(slow)
-		if err != nil || diff >= 1e-12 {
-			return false
-		}
-		unfused, err := e.InferUnfused(batch)
-		if err != nil {
-			return false
-		}
-		diff, err = unfused.MaxAbsDiff(slow)
 		return err == nil && diff < 1e-12
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
@@ -181,11 +173,11 @@ func TestInferDoesNotMutateInput(t *testing.T) {
 	if &out.Data()[0] == &batch.Data()[0] {
 		t.Fatal("Infer returned the caller's storage")
 	}
-	if _, err := e.InferUnfused(batch); err != nil {
+	if _, err := e.ReferenceInfer(batch); err != nil {
 		t.Fatal(err)
 	}
 	if diff, _ := batch.MaxAbsDiff(orig); diff != 0 {
-		t.Fatal("InferUnfused mutated its input")
+		t.Fatal("ReferenceInfer mutated its input")
 	}
 }
 
@@ -245,9 +237,6 @@ func TestInferWidthError(t *testing.T) {
 	}
 	if _, err := e.ReferenceInfer(bad); err == nil {
 		t.Fatal("wrong batch width accepted by reference")
-	}
-	if _, err := e.InferUnfused(bad); err == nil {
-		t.Fatal("wrong batch width accepted by unfused baseline")
 	}
 }
 

@@ -7,7 +7,8 @@ import (
 	"github.com/radix-net/radixnet/internal/sparse"
 )
 
-// KernelKind selects which fused kernel family an engine's layer steps run.
+// KernelKind names the fused kernel family an engine's layer steps run. An
+// engine is built with its family (FromConfigKernel) and keeps it for life.
 type KernelKind int
 
 const (
@@ -20,16 +21,16 @@ const (
 	// KernelRadix is the structure-aware butterfly kernel: each layer runs a
 	// compiled mixed-radix stride plan with arithmetic addressing and no
 	// index arrays in the hot loop. Only available when every layer's pattern
-	// has been proven radix-structured (CompileRadixPlans).
+	// has been proven radix-structured, which construction from a config does.
 	KernelRadix
 
-	// KernelAuto resolves to KernelRadix when the engine carries verified
-	// stride plans for every layer and KernelCSC otherwise. It is the default
-	// for config-built engines.
+	// KernelAuto resolves at construction to KernelRadix when every layer
+	// compiles to a verified stride plan and KernelCSC otherwise. It is the
+	// default for config-built engines.
 	KernelAuto
 )
 
-// String returns the kernel's wire name, as accepted by ParseKernel.
+// String returns the kernel's wire name, as GET /v1/models reports it.
 func (k KernelKind) String() string {
 	switch k {
 	case KernelCSC:
@@ -42,54 +43,47 @@ func (k KernelKind) String() string {
 	return fmt.Sprintf("KernelKind(%d)", int(k))
 }
 
-// ParseKernel parses a kernel name from config or flags. The empty string
-// means KernelAuto, so omitting the field keeps today's behavior.
-func ParseKernel(s string) (KernelKind, error) {
-	switch s {
-	case "", "auto":
-		return KernelAuto, nil
-	case "csc":
-		return KernelCSC, nil
-	case "radix":
-		return KernelRadix, nil
-	}
-	return KernelAuto, fmt.Errorf("infer: unknown kernel %q (want csc, radix or auto)", s)
-}
-
 // FromConfigKernel is FromConfig with explicit kernel selection. KernelAuto
 // compiles stride plans and falls back to CSC only if the built layers do
 // not verify as radix-structured (which config-built networks always do);
 // KernelRadix makes that failure an error; KernelCSC skips plan compilation
 // entirely.
 func FromConfigKernel(cfg core.Config, kind KernelKind) (*Engine, error) {
-	e, err := fromConfigBase(cfg)
+	if kind != KernelCSC && kind != KernelRadix && kind != KernelAuto {
+		return nil, fmt.Errorf("infer: invalid kernel kind %v", kind)
+	}
+	g, err := core.Build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	switch kind {
-	case KernelCSC:
-		return e, nil
-	case KernelRadix, KernelAuto:
-		if err := e.CompileRadixPlans(cfg); err != nil {
-			if kind == KernelRadix {
-				return nil, err
-			}
-			return e, nil // auto: arbitrary pattern, CSC fallback
-		}
-		e.kind = KernelRadix
-		return e, nil
+	// Mean in-degree of the first layer sets the scale. Weight 4/fan-in with
+	// a small negative bias keeps typical sparse inputs alive through
+	// arbitrarily deep stacks: a neuron with ≥2 active in-edges clears the
+	// bias, and growth saturates at the challenge's activation ceiling of 32
+	// rather than exploding.
+	inDeg := float64(g.Sub(0).NNZ()) / float64(g.Sub(0).Cols())
+	e, err := FromTopology(g, 4.0/inDeg, -0.10, 32)
+	if err != nil || kind == KernelCSC {
+		return e, err
 	}
-	return nil, fmt.Errorf("infer: invalid kernel kind %v", kind)
+	// A failed compilation leaves the engine on CSC, which is what
+	// KernelAuto asks for on a pattern that does not verify.
+	if err := e.compileRadixPlans(cfg); err != nil && kind == KernelRadix {
+		return nil, err
+	}
+	return e, nil
 }
 
-// CompileRadixPlans compiles and verifies a stride plan for every layer of
-// the engine from the mixed-radix config that generated it, attaching a
-// structure-aware kernel per layer. The plans share value storage with the
-// engine's matrices and CSC kernels, so RefreshWeights/PerturbWeights and
-// Clone sharing work unchanged. On any layer failing structural
-// verification (the config does not describe these matrices) the engine is
-// left unmodified on the CSC kernel and the error reports the layer.
-func (e *Engine) CompileRadixPlans(cfg core.Config) error {
+// compileRadixPlans compiles and verifies a stride plan for every layer of
+// the engine from the mixed-radix config that generated it and rebinds the
+// engine's layers to the structure-aware family. The plans share value
+// storage with the engine's matrices and CSC kernels, so
+// RefreshWeights/PerturbWeights and Clone sharing work unchanged. On any
+// layer failing structural verification (the config does not describe these
+// matrices) the engine is left unmodified on the CSC kernel and the error
+// reports the layer. Construction is its only caller: it runs before the
+// engine has served a call.
+func (e *Engine) compileRadixPlans(cfg core.Config) error {
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("infer: radix plans: %w", err)
 	}
@@ -138,51 +132,23 @@ func (e *Engine) CompileRadixPlans(cfg core.Config) error {
 			pack = 1
 		}
 	}
-	if stockham && pack == 1 {
-		for _, rk := range radixKerns {
+	stockham = stockham && pack == 1
+	steps := make([]layerKernel, len(radixKerns))
+	for l, rk := range radixKerns {
+		steps[l] = radixLayer{rk}
+		if stockham {
 			if err := rk.EnableStockham(); err != nil {
 				return fmt.Errorf("infer: %w", err)
 			}
+			steps[l] = stockhamLayer{radixLayer{rk}, l == 0}
 		}
-		e.stockham = true
 	}
 	e.radix = radixKerns
+	e.kind = KernelRadix
+	e.bind(steps)
 	return nil
 }
 
-// Kernel reports which kernel family Infer currently runs.
+// Kernel reports the kernel family the engine was built with (KernelCSC or
+// KernelRadix, never KernelAuto).
 func (e *Engine) Kernel() KernelKind { return e.kind }
-
-// HasRadixPlans reports whether every layer carries a verified stride plan,
-// i.e. whether SetKernel(KernelRadix) would succeed.
-func (e *Engine) HasRadixPlans() bool { return e.radix != nil }
-
-// SetKernel switches the kernel family used by subsequent Infer calls.
-// KernelAuto picks radix when plans are attached, CSC otherwise;
-// KernelRadix errors when the engine has no compiled plans (build with
-// FromConfigKernel or call CompileRadixPlans first). Returns ErrBusy rather
-// than switching under an in-flight Infer.
-func (e *Engine) SetKernel(kind KernelKind) error {
-	if !e.inUse.CompareAndSwap(false, true) {
-		return ErrBusy
-	}
-	defer e.inUse.Store(false)
-	switch kind {
-	case KernelAuto:
-		if e.radix != nil {
-			e.kind = KernelRadix
-		} else {
-			e.kind = KernelCSC
-		}
-	case KernelCSC:
-		e.kind = KernelCSC
-	case KernelRadix:
-		if e.radix == nil {
-			return fmt.Errorf("infer: engine has no compiled stride plans; radix kernel unavailable")
-		}
-		e.kind = KernelRadix
-	default:
-		return fmt.Errorf("infer: invalid kernel kind %v", kind)
-	}
-	return nil
-}

@@ -54,11 +54,12 @@ func randomRadixConfig(t *testing.T, rng *rand.Rand) core.Config {
 	return cfg
 }
 
-// TestRadixKernelEngineBitIdentical is the tentpole property test at engine
-// scope: for random radix configs and batch sizes (including non-multiples
-// of the quad width, so gather-quad, gather-remainder and scatter paths all
-// engage), full-engine inference on the radix kernel is bit-identical to
-// the fused CSC kernel, and both match InferUnfused within float tolerance.
+// TestRadixKernelEngineBitIdentical is the structure-aware kernel's property
+// test at engine scope: for random radix configs and batch sizes (including
+// non-multiples of the quad width, so gather-quad, gather-remainder and
+// scatter paths all engage), an engine built on the radix kernel is
+// bit-identical to its twin built on the fused CSC kernel, and both match
+// ReferenceInfer within float tolerance.
 func TestRadixKernelEngineBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 25; trial++ {
@@ -67,10 +68,15 @@ func TestRadixKernelEngineBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d (%v): %v", trial, cfg, err)
 		}
-		if e.Kernel() != KernelRadix || !e.HasRadixPlans() {
-			t.Fatalf("trial %d: engine did not select radix kernel", trial)
+		oracle, err := FromConfigKernel(cfg, KernelCSC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Kernel() != KernelRadix || oracle.Kernel() != KernelCSC {
+			t.Fatalf("trial %d: kernels %v, %v", trial, e.Kernel(), oracle.Kernel())
 		}
 		e.PerturbWeights(0.15, int64(trial))
+		oracle.PerturbWeights(0.15, int64(trial))
 		width := e.layers[0].Rows()
 		batchRows := 1 + rng.Intn(9) // covers 1..9: quads plus remainders
 		nnz := 1 + rng.Intn(width)
@@ -83,16 +89,11 @@ func TestRadixKernelEngineBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		radixCopy := radixOut.Clone()
-
-		if err := e.SetKernel(KernelCSC); err != nil {
-			t.Fatal(err)
-		}
-		cscOut, err := e.Infer(batch)
+		cscOut, err := oracle.Infer(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rd, cd := radixCopy.Data(), cscOut.Data()
+		rd, cd := radixOut.Data(), cscOut.Data()
 		for i := range rd {
 			if rd[i] != cd[i] {
 				t.Fatalf("trial %d (%v): radix and CSC outputs differ at %d: %x vs %x",
@@ -100,29 +101,23 @@ func TestRadixKernelEngineBitIdentical(t *testing.T) {
 			}
 		}
 
-		unfused, err := e.InferUnfused(batch)
+		ref, err := e.ReferenceInfer(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ud := unfused.Data()
+		ud := ref.Data()
 		for i := range rd {
 			d := rd[i] - ud[i]
 			if d < -1e-9 || d > 1e-9 {
-				t.Fatalf("trial %d: radix vs unfused differ at %d: %v vs %v", trial, i, rd[i], ud[i])
+				t.Fatalf("trial %d: radix vs reference differ at %d: %v vs %v", trial, i, rd[i], ud[i])
 			}
-		}
-
-		if err := e.SetKernel(KernelAuto); err != nil {
-			t.Fatal(err)
-		}
-		if e.Kernel() != KernelRadix {
-			t.Fatal("auto did not re-select radix with plans attached")
 		}
 	}
 }
 
 // TestFromConfigAutoSelectsRadix: config-built engines prove their own
-// structure, so plain FromConfig now runs the butterfly kernel.
+// structure, so plain FromConfig runs the butterfly kernel, and asking for
+// the CSC oracle compiles no plans at all.
 func TestFromConfigAutoSelectsRadix(t *testing.T) {
 	cfg, err := core.NewConfig([]radix.System{radix.MustNew(4, 4)}, nil)
 	if err != nil {
@@ -139,35 +134,30 @@ func TestFromConfigAutoSelectsRadix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eCSC.Kernel() != KernelCSC || eCSC.HasRadixPlans() {
+	if eCSC.Kernel() != KernelCSC || eCSC.radix != nil {
 		t.Fatalf("KernelCSC engine compiled plans anyway (kernel %v)", eCSC.Kernel())
+	}
+	if _, err := FromConfigKernel(cfg, KernelKind(99)); err == nil {
+		t.Fatal("invalid kernel kind accepted")
 	}
 }
 
-// TestSetKernelWithoutPlans: engines built from arbitrary matrices have no
-// proof of structure — radix must be refused, auto must resolve to CSC.
-func TestSetKernelWithoutPlans(t *testing.T) {
+// TestTopologyEngineRunsCSC: engines built from arbitrary matrices have no
+// proof of structure, so they are CSC engines — and stay so through Clone.
+func TestTopologyEngineRunsCSC(t *testing.T) {
 	e := smallEngine(t) // FromTopology: no config, no plans
-	if e.Kernel() != KernelCSC || e.HasRadixPlans() {
-		t.Fatalf("topology-built engine: kernel %v, plans %v", e.Kernel(), e.HasRadixPlans())
-	}
-	if err := e.SetKernel(KernelRadix); err == nil {
-		t.Fatal("SetKernel(KernelRadix) succeeded without compiled plans")
-	}
-	if err := e.SetKernel(KernelAuto); err != nil || e.Kernel() != KernelCSC {
-		t.Fatalf("auto without plans: err %v kernel %v", err, e.Kernel())
+	for _, eng := range []*Engine{e, e.Clone()} {
+		if eng.Kernel() != KernelCSC || eng.radix != nil {
+			t.Fatalf("topology-built engine: kernel %v, plans %v", eng.Kernel(), eng.radix != nil)
+		}
 	}
 }
 
 // TestCompileRadixPlansRejectsMismatchedConfig: a valid config that does not
 // describe the engine's matrices must fail verification and leave the engine
-// on CSC.
+// on CSC, still serving.
 func TestCompileRadixPlansRejectsMismatchedConfig(t *testing.T) {
 	cfg, err := core.NewConfig([]radix.System{radix.MustNew(4, 4)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := FromConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,13 +169,19 @@ func TestCompileRadixPlansRejectsMismatchedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.CompileRadixPlans(other); err == nil {
+	if err := fresh.compileRadixPlans(other); err == nil {
 		t.Fatal("mismatched config accepted")
 	}
-	if fresh.HasRadixPlans() || fresh.Kernel() != KernelCSC {
+	if fresh.radix != nil || fresh.Kernel() != KernelCSC {
 		t.Fatal("failed compilation left plans attached")
 	}
-	_ = e
+	batch, err := dataset.SparseBatch(3, 16, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Infer(batch); err != nil {
+		t.Fatalf("engine unusable after failed compilation: %v", err)
+	}
 }
 
 // TestRadixCloneSharesPlansConcurrentInfer: clones share compiled stride

@@ -44,13 +44,6 @@ type enginePool struct {
 	weights int
 	density float64
 
-	// want is the kernel the generation was requested with (preserved across
-	// reloads that don't name one); kernel is what it resolved to — Auto
-	// becomes radix when the config compiles to verified stride plans, CSC
-	// otherwise. Immutable after construction, like the rest of the pool.
-	want   infer.KernelKind
-	kernel infer.KernelKind
-
 	engines chan *infer.Engine // the warm pool; lease = receive, release = send
 	all     []*infer.Engine    // every member, for lease routing bookkeeping
 	workers []*parallel.Pool   // private per-engine worker pools, closed at retire
@@ -65,15 +58,15 @@ type enginePool struct {
 	once    sync.Once
 }
 
-// newEnginePool builds one generation: the base engine from cfg on the
-// requested kernel, clones sharing its weight stack (and, on the radix
-// kernel, its compiled stride plans), and a private worker pool per engine
-// sized to a fair share of the machine.
-func newEnginePool(cfg core.Config, engines int, kind infer.KernelKind, profileEvery int) (*enginePool, error) {
+// newEnginePool builds one generation: the base engine from cfg (serving
+// always builds with automatic kernel selection), clones sharing its weight
+// stack (and, on the radix kernel, its compiled stride plans), and a private
+// worker pool per engine sized to a fair share of the machine.
+func newEnginePool(cfg core.Config, engines int, profileEvery int) (*enginePool, error) {
 	if engines < 1 {
 		engines = 1
 	}
-	base, err := infer.FromConfigKernel(cfg, kind)
+	base, err := infer.FromConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -88,8 +81,6 @@ func newEnginePool(cfg core.Config, engines int, kind infer.KernelKind, profileE
 		layers:  base.NumLayers(),
 		weights: base.TotalNNZ(),
 		density: core.Density(cfg),
-		want:    kind,
-		kernel:  base.Kernel(),
 		engines: make(chan *infer.Engine, engines),
 		drained: make(chan struct{}),
 	}
@@ -258,14 +249,7 @@ func (r *Registry) DefaultClass() string { return r.qos.name(r.qos.def) }
 // verified stride plans (every standard EMR config does), generic CSC
 // otherwise.
 func (r *Registry) Register(name string, cfg core.Config, engines int) (*Model, error) {
-	return r.RegisterWithPolicyKernel(name, cfg, engines, r.pol, infer.KernelAuto)
-}
-
-// RegisterKernel is Register with explicit kernel selection: KernelCSC pins
-// the model to the generic kernels, KernelRadix demands verified stride
-// plans (the registration fails if the config does not compile).
-func (r *Registry) RegisterKernel(name string, cfg core.Config, engines int, kind infer.KernelKind) (*Model, error) {
-	return r.RegisterWithPolicyKernel(name, cfg, engines, r.pol, kind)
+	return r.RegisterWithPolicy(name, cfg, engines, r.pol)
 }
 
 // RegisterJSON is Register for a configuration in the graphio JSON wire
@@ -280,12 +264,6 @@ func (r *Registry) RegisterJSON(name string, cfgJSON []byte, engines int) (*Mode
 
 // RegisterWithPolicy is Register with a per-model batching policy override.
 func (r *Registry) RegisterWithPolicy(name string, cfg core.Config, engines int, pol Policy) (*Model, error) {
-	return r.RegisterWithPolicyKernel(name, cfg, engines, pol, infer.KernelAuto)
-}
-
-// RegisterWithPolicyKernel is Register with both a batching policy and a
-// kernel override.
-func (r *Registry) RegisterWithPolicyKernel(name string, cfg core.Config, engines int, pol Policy, kind infer.KernelKind) (*Model, error) {
 	if name == "" {
 		return nil, fmt.Errorf("serve: empty model name")
 	}
@@ -296,7 +274,7 @@ func (r *Registry) RegisterWithPolicyKernel(name string, cfg core.Config, engine
 
 	// Build outside the lock: generation is the expensive part and must not
 	// serialize against lookups.
-	ep, err := newEnginePool(cfg, engines, kind, int(r.profEvery.Load()))
+	ep, err := newEnginePool(cfg, engines, int(r.profEvery.Load()))
 	if err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", name, err)
 	}
@@ -377,19 +355,9 @@ func (r *Registry) Unregister(name string) error {
 // model's input and output widths (ErrIncompatible otherwise); interior
 // topology, weights, and pool size may all change. engines < 1 keeps the
 // current pool size, so a weights-only reload preserves the model's
-// serving capacity. The model's requested kernel is preserved (use
-// ReloadKernel to change it).
+// serving capacity. The new generation's kernel is selected afresh from the
+// new config.
 func (r *Registry) Reload(name string, cfg core.Config, engines int) (*Model, error) {
-	return r.reload(name, cfg, engines, infer.KernelAuto, false)
-}
-
-// ReloadKernel is Reload with an explicit kernel for the new generation;
-// subsequent kernel-less reloads preserve it.
-func (r *Registry) ReloadKernel(name string, cfg core.Config, engines int, kind infer.KernelKind) (*Model, error) {
-	return r.reload(name, cfg, engines, kind, true)
-}
-
-func (r *Registry) reload(name string, cfg core.Config, engines int, kind infer.KernelKind, setKernel bool) (*Model, error) {
 	r.mu.RLock()
 	m, ok := r.models[name]
 	closed := r.closed
@@ -415,15 +383,10 @@ func (r *Registry) reload(name string, cfg core.Config, engines int, kind infer.
 		// must not quietly collapse an 8-engine pool to 1.
 		engines = cap(m.pool.Load().engines)
 	}
-	if !setKernel {
-		// Unspecified kernel likewise means "same as now": a weights-only
-		// reload of a CSC-pinned model must not silently move it to radix.
-		kind = m.pool.Load().want
-	}
 
 	// The expensive build happens with no locks held and the old pool
 	// still serving traffic.
-	ep, err := newEnginePool(cfg, engines, kind, int(r.profEvery.Load()))
+	ep, err := newEnginePool(cfg, engines, int(r.profEvery.Load()))
 	if err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", name, err)
 	}
@@ -460,16 +423,6 @@ func (r *Registry) ReloadJSON(name string, cfgJSON []byte, engines int) (*Model,
 		return nil, fmt.Errorf("serve: model %q: %w", name, err)
 	}
 	return r.Reload(name, cfg, engines)
-}
-
-// ReloadJSONKernel is ReloadKernel for a configuration in the graphio JSON
-// wire format.
-func (r *Registry) ReloadJSONKernel(name string, cfgJSON []byte, engines int, kind infer.KernelKind) (*Model, error) {
-	cfg, err := graphio.UnmarshalConfig(cfgJSON)
-	if err != nil {
-		return nil, fmt.Errorf("serve: model %q: %w", name, err)
-	}
-	return r.ReloadKernel(name, cfg, engines, kind)
 }
 
 // Model returns the named model.
@@ -573,8 +526,9 @@ func (m *Model) Config() core.Config { return m.pool.Load().cfg }
 func (m *Model) Generation() int { return m.pool.Load().gen }
 
 // Kernel reports the kernel family the model's current engine generation
-// resolved to (KernelCSC or KernelRadix, never KernelAuto).
-func (m *Model) Kernel() infer.KernelKind { return m.pool.Load().kernel }
+// was built with: radix when its config compiled to verified stride plans,
+// CSC otherwise (never KernelAuto). Engines keep their family for life.
+func (m *Model) Kernel() infer.KernelKind { return m.pool.Load().all[0].Kernel() }
 
 // InputWidth returns the width a request row must have.
 func (m *Model) InputWidth() int { return m.inW }
@@ -596,7 +550,7 @@ func (m *Model) Info() ModelInfo {
 		Layers:       ep.layers,
 		Weights:      ep.weights,
 		Density:      ep.density,
-		Kernel:       ep.kernel.String(),
+		Kernel:       ep.all[0].Kernel().String(),
 		Engines:      cap(ep.engines),
 		MaxBatch:     m.pol.MaxBatch,
 		MaxLatencyMs: float64(m.pol.MaxLatency) / float64(time.Millisecond),

@@ -32,11 +32,12 @@ func testConfig(t testing.TB) core.Config {
 	return cfg
 }
 
-// referenceOutputs runs every row of in through a fresh engine one row at a
-// time — the per-row ground truth that batched serving must match bitwise.
+// referenceOutputs runs every row of in through a fresh CSC engine — the
+// bit-identity oracle, where serving builds the radix family — one row at a
+// time: the per-row ground truth that batched serving must match bitwise.
 func referenceOutputs(t testing.TB, cfg core.Config, in *sparse.Dense) [][]float64 {
 	t.Helper()
-	eng, err := infer.FromConfig(cfg)
+	eng, err := infer.FromConfigKernel(cfg, infer.KernelCSC)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/radix-net/radixnet/internal/graphio"
-	"github.com/radix-net/radixnet/internal/infer"
 	"github.com/radix-net/radixnet/internal/obs"
 	"github.com/radix-net/radixnet/internal/obs/slo"
 )
@@ -113,7 +112,9 @@ type ErrorResponse struct {
 // PUT /v1/models/{name} (hot-reload) body. Config is a RadiX-Net
 // configuration in the graphio JSON wire format. The policy fields apply
 // only to registration (a reload keeps the model's batcher and policy);
-// zero policy fields take the server registry's defaults.
+// zero policy fields take the server registry's defaults. There is no kernel
+// field: every generation is built with automatic kernel selection, and a
+// body that still carries "kernel" is refused with 400.
 type RegisterRequest struct {
 	// Name is the model's registry name. Required for POST /v1/models;
 	// ignored on PUT, where the path names the model.
@@ -123,13 +124,6 @@ type RegisterRequest struct {
 	// Engines sizes the warm engine pool. On registration, min 1; on
 	// reload, 0 (or omitted) keeps the model's current pool size.
 	Engines int `json:"engines,omitempty"`
-	// Kernel selects the inference kernel family: "csc" pins the generic
-	// kernels, "radix" demands the structure-aware butterfly kernel (422 if
-	// the config does not compile to verified stride plans), "auto" resolves
-	// to radix when the plans verify. Unknown names are refused with 422.
-	// Empty means "auto" on registration and "keep the model's kernel" on
-	// reload.
-	Kernel string `json:"kernel,omitempty"`
 	// MaxBatch, MaxLatencyMs, QueueDepth, Workers, Share override the
 	// batching policy at registration.
 	MaxBatch     int     `json:"max_batch,omitempty"`
@@ -512,17 +506,28 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 // register and reload: well-formed JSON (else 400 was written) with a
 // parseable config (else 422 was written). Returns ok=false once a
 // response has been written.
-func decodeRegisterRequest(w http.ResponseWriter, r *http.Request) (req RegisterRequest, ok bool) {
+func decodeRegisterRequest(w http.ResponseWriter, r *http.Request) (RegisterRequest, bool) {
+	// The decoder ignores fields it does not know, so the one field this API
+	// used to honour is refused by name: a client that still pins a kernel
+	// must hear that it no longer can, not be served a different one.
+	var req struct {
+		RegisterRequest
+		Kernel json.RawMessage `json:"kernel"`
+	}
 	body := http.MaxBytesReader(w, r.Body, maxRequestBody)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return req, false
+		return req.RegisterRequest, false
+	}
+	if req.Kernel != nil {
+		writeError(w, http.StatusBadRequest, `the "kernel" field was removed: the kernel is selected automatically from the config and reported by GET /v1/models`)
+		return req.RegisterRequest, false
 	}
 	if len(req.Config) == 0 {
 		writeError(w, http.StatusUnprocessableEntity, "missing config")
-		return req, false
+		return req.RegisterRequest, false
 	}
-	return req, true
+	return req.RegisterRequest, true
 }
 
 // adminPolicy maps a request's policy overrides to a Policy; all-zero means
@@ -571,17 +576,11 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeModelError(w, http.StatusUnprocessableEntity, req.Name, "bad config: %v", err)
 		return
 	}
-	kind, err := infer.ParseKernel(req.Kernel)
-	if err != nil {
-		writeModelError(w, http.StatusUnprocessableEntity, req.Name, "%v", err)
-		return
+	pol, override := req.adminPolicy()
+	if !override {
+		pol = s.reg.pol
 	}
-	var m *Model
-	if pol, override := req.adminPolicy(); override {
-		m, err = s.reg.RegisterWithPolicyKernel(req.Name, cfg, req.Engines, pol, kind)
-	} else {
-		m, err = s.reg.RegisterKernel(req.Name, cfg, req.Engines, kind)
-	}
+	m, err := s.reg.RegisterWithPolicy(req.Name, cfg, req.Engines, pol)
 	if err != nil {
 		writeAdminError(w, req.Name, err)
 		return
@@ -600,20 +599,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var m *Model
-	var err error
-	if req.Kernel == "" {
-		// No kernel named: the reload keeps the model's requested kernel, so
-		// a weights-only reload of a CSC-pinned model stays CSC.
-		m, err = s.reg.ReloadJSON(name, req.Config, req.Engines)
-	} else {
-		kind, perr := infer.ParseKernel(req.Kernel)
-		if perr != nil {
-			writeModelError(w, http.StatusUnprocessableEntity, name, "%v", perr)
-			return
-		}
-		m, err = s.reg.ReloadJSONKernel(name, req.Config, req.Engines, kind)
-	}
+	m, err := s.reg.ReloadJSON(name, req.Config, req.Engines)
 	if err != nil {
 		writeAdminError(w, name, err)
 		return

@@ -1199,13 +1199,19 @@ func (rk *RadixKernel) FusedScatterRow(out, in []float64, bias, cap float64) int
 // edge. Every output column's contributors share one input residue class, so
 // the packed iteration still visits them in ascending row order: results are
 // bit-identical (modulo layout) to FusedScatterRow. It does not allocate.
-func (rk *RadixKernel) FusedScatterRowStockham(out, in, scratch []float64, bias, cap float64) int {
+//
+// nz, when non-nil, lists the row's nonzero positions (ascending, exactly the
+// positions whose values compare != 0). Engines discover them once while
+// staging the batch, so handing them over removes the ring path's full-width
+// skip scan — its only cost that scales with N′ rather than with the live
+// edge count. nil means scan; the scratch-and-epilogue path always scans.
+func (rk *RadixKernel) FusedScatterRowStockham(out, in []float64, nz []int32, scratch []float64, bias, cap float64) int {
 	p := rk.plan
 	in = in[:p.rows]
 	out = out[:p.cols]
 	pv, radix, m := p.pv, p.radix, p.m
 	if pv == 1 && bias <= 0 && radix&(radix-1) == 0 && 2*radix <= len(scratch) {
-		return rk.scatterRowRing(out, in, scratch[:2*radix], bias, cap)
+		return rk.scatterRowRing(out, in, nz, scratch[:2*radix], bias, cap)
 	}
 	scratch = scratch[:p.cols]
 	for c := range scratch {
@@ -1291,8 +1297,10 @@ func (rk *RadixKernel) FusedScatterRowStockham(out, in, scratch []float64, bias,
 // equals ReLU(acc+bias) for acc = 0, bias ≤ 0. Per-column accumulation order
 // is ascending contributor row, the same as FusedScatterRow: results are
 // bit-identical (modulo layout). ring must have length ≥ 2·radix; it is
-// scratch space only, no state is kept between calls.
-func (rk *RadixKernel) scatterRowRing(out, in, ring []float64, bias, cap float64) int {
+// scratch space only, no state is kept between calls. Live rows come from nz
+// when the caller has it and from a skip scan of in otherwise; row discovery
+// is the only thing the two differ in.
+func (rk *RadixKernel) scatterRowRing(out, in []float64, nz []int32, ring []float64, bias, cap float64) int {
 	p := rk.plan
 	radix, m := p.radix, p.m
 	mp := p.np / radix // output rows per packed residue block (sp = radix)
@@ -1319,10 +1327,22 @@ func (rk *RadixKernel) scatterRowRing(out, in, ring []float64, bias, cap float64
 	mask := radix - 1
 	sh := bits.TrailingZeros(uint(radix))
 	pLo, pHi := 0, -1
-	for r, xv := range in {
-		if xv == 0 {
-			continue
+	r, i := -1, 0
+	for {
+		if nz != nil {
+			if i == len(nz) {
+				break
+			}
+			r = int(nz[i])
+			i++
+		} else {
+			for r++; r < len(in) && in[r] == 0; r++ {
+			}
+			if r == len(in) {
+				break
+			}
 		}
+		xv := in[r]
 		if pHi >= 0 {
 			// Retire columns whose contributor interval ended before r.
 			end := r - 1
@@ -1423,152 +1443,6 @@ func (rk *RadixKernel) scatterRowRing(out, in, ring []float64, bias, cap float64
 				v = cap
 			}
 			out[c*mp] = v // OutPackPos(c) for c < radix
-			nnz++
-		}
-	}
-	return nnz
-}
-
-// FusedScatterRowStockhamNZ is FusedScatterRowStockham with the row's
-// nonzero positions precomputed (ascending, exactly the positions whose
-// values compare != 0). Engines already discover them once while staging the
-// batch, so handing them to the scatter removes its full-width skip scan —
-// the only part of the ring path whose cost scales with N′ rather than with
-// the live edge count. Falls back to the scanning form when the ring
-// preconditions don't hold. Results are bit-identical to
-// FusedScatterRowStockham.
-func (rk *RadixKernel) FusedScatterRowStockhamNZ(out, in []float64, nz []int32, scratch []float64, bias, cap float64) int {
-	p := rk.plan
-	radix := p.radix
-	if p.pv != 1 || bias > 0 || radix&(radix-1) != 0 || 2*radix > len(scratch) {
-		return rk.FusedScatterRowStockham(out, in, scratch, bias, cap)
-	}
-	in = in[:p.rows]
-	out = out[:p.cols]
-	return rk.scatterRowRingNZ(out, in, nz, scratch[:2*radix], bias, cap)
-}
-
-// scatterRowRingNZ is scatterRowRing driving the same ring off an explicit
-// nonzero-position list instead of a full-width scan. The body is kept in
-// lockstep with scatterRowRing — per-column accumulation order and rounding
-// are identical, only row discovery differs.
-func (rk *RadixKernel) scatterRowRingNZ(out, in []float64, nz []int32, ring []float64, bias, cap float64) int {
-	p := rk.plan
-	radix, m := p.radix, p.m
-	mp := p.np / radix
-	vals := rk.csrVals
-	for c := range out {
-		out[c] = 0
-	}
-	head := ring[radix : 2*radix]
-	ring = ring[:radix]
-	for i := range ring {
-		ring[i] = 0
-	}
-	for i := range head {
-		head[i] = 0
-	}
-	nnz := 0
-	mask := radix - 1
-	sh := bits.TrailingZeros(uint(radix))
-	pLo, pHi := 0, -1
-	for _, ri := range nz {
-		r := int(ri)
-		xv := in[r]
-		if pHi >= 0 {
-			end := r - 1
-			if end > pHi {
-				end = pHi
-			}
-			sLo, dLo := pLo&mask, pLo>>sh
-			for c := pLo; c <= end; c++ {
-				if acc := ring[sLo]; acc != 0 {
-					ring[sLo] = 0
-					if v := acc + bias; v > 0 {
-						if cap > 0 && v > cap {
-							v = cap
-						}
-						out[sLo*mp+dLo] = v
-						nnz++
-					}
-				}
-				sLo++
-				if sLo == radix {
-					sLo = 0
-					dLo++
-				}
-			}
-			pLo = end + 1
-		}
-		if pLo > pHi {
-			pLo = r
-		}
-		vi := r * radix
-		n2 := radix
-		if hi := r + radix - 1; hi >= m {
-			n1 := hi - m + 1
-			n2 = m - r
-			for j := 0; j < n1; j++ {
-				head[j] += xv * vals[vi]
-				vi++
-			}
-		}
-		if r >= radix-1 {
-			sR := r & mask
-			k1 := radix - sR
-			if k1 > n2 {
-				k1 = n2
-			}
-			a := ring[sR : sR+k1]
-			for j, wv := range vals[vi : vi+k1] {
-				a[j] += xv * wv
-			}
-			if k2 := n2 - k1; k2 > 0 {
-				a = ring[:k2]
-				for j, wv := range vals[vi+k1 : vi+n2] {
-					a[j] += xv * wv
-				}
-			}
-		} else {
-			for j := 0; j < n2; j++ {
-				if c := r + j; c < radix-1 {
-					head[c] += xv * vals[vi]
-				} else {
-					ring[c&mask] += xv * vals[vi]
-				}
-				vi++
-			}
-		}
-		if pHi = r + radix - 1; pHi >= m {
-			pHi = m - 1
-		}
-	}
-	sLo, dLo := pLo&mask, pLo>>sh
-	for c := pLo; c <= pHi; c++ {
-		if acc := ring[sLo]; acc != 0 {
-			if v := acc + bias; v > 0 {
-				if cap > 0 && v > cap {
-					v = cap
-				}
-				out[sLo*mp+dLo] = v
-				nnz++
-			}
-		}
-		sLo++
-		if sLo == radix {
-			sLo = 0
-			dLo++
-		}
-	}
-	for c, acc := range head[:radix-1] {
-		if acc == 0 {
-			continue
-		}
-		if v := acc + bias; v > 0 {
-			if cap > 0 && v > cap {
-				v = cap
-			}
-			out[c*mp] = v
 			nnz++
 		}
 	}

@@ -285,7 +285,7 @@ func TestRadixKernelStockhamBitIdentical(t *testing.T) {
 			wantSN := m.FusedScatterRow(scatterWant, ins[0], bias, clip)
 			scatterGot := make([]float64, np)
 			scratch := make([]float64, np)
-			gotSN := rk.FusedScatterRowStockham(scatterGot, pins[0], scratch, bias, clip)
+			gotSN := rk.FusedScatterRowStockham(scatterGot, pins[0], nil, scratch, bias, clip)
 			if gotSN != wantSN {
 				t.Fatalf("%v: stockham scatter nnz = %d, want %d", p, gotSN, wantSN)
 			}
@@ -296,9 +296,9 @@ func TestRadixKernelStockhamBitIdentical(t *testing.T) {
 				}
 			}
 
-			// The NZ-list variant, driven by recorded nonzero positions the
-			// way the engine's staging scan records them, must match the
-			// scanning scatter bit for bit (and hence the CSR oracle).
+			// Handed the nonzero positions the way the engine's staging scan
+			// records them, the scatter must match its own scanning form bit
+			// for bit (and hence the CSR oracle).
 			var nz []int32
 			for i, v := range pins[0] {
 				if v != 0 {
@@ -306,7 +306,7 @@ func TestRadixKernelStockhamBitIdentical(t *testing.T) {
 				}
 			}
 			nzGot := make([]float64, np)
-			gotNZN := rk.FusedScatterRowStockhamNZ(nzGot, pins[0], nz, scratch, bias, clip)
+			gotNZN := rk.FusedScatterRowStockham(nzGot, pins[0], nz, scratch, bias, clip)
 			if gotNZN != wantSN {
 				t.Fatalf("%v: NZ scatter nnz = %d, want %d", p, gotNZN, wantSN)
 			}

@@ -189,11 +189,11 @@ type InferEngine = infer.Engine
 // inference engine with Graph Challenge weighting.
 func InferFromConfig(cfg Config) (*InferEngine, error) { return infer.FromConfig(cfg) }
 
-// InferKernel selects which fused kernel family an engine's layer steps
-// run: the generic CSC gather/CSR scatter pair, or the structure-aware
-// radix butterfly kernel that replaces index arrays with compiled
-// mixed-radix stride plans. The two are bit-identical; radix is faster on
-// radix-structured layers.
+// InferKernel names the fused kernel family an engine is built with and
+// keeps for life: the generic CSC gather/CSR scatter pair, or the
+// structure-aware radix butterfly kernel that replaces index arrays with
+// compiled mixed-radix stride plans. The two are bit-identical; radix is
+// faster on radix-structured layers.
 type InferKernel = infer.KernelKind
 
 const (
@@ -208,10 +208,6 @@ const (
 	// KernelCSC otherwise — the default for config-built engines.
 	KernelAuto = infer.KernelAuto
 )
-
-// ParseInferKernel parses a kernel name ("csc", "radix", "auto"; empty
-// means auto) as accepted by configs and command-line flags.
-func ParseInferKernel(s string) (InferKernel, error) { return infer.ParseKernel(s) }
 
 // InferFromConfigKernel is InferFromConfig with explicit kernel selection.
 func InferFromConfigKernel(cfg Config, kind InferKernel) (*InferEngine, error) {
