@@ -83,8 +83,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("generation: %v (%d stored weights, %s kernel)\n",
-		time.Since(buildStart).Round(time.Millisecond), engine.TotalNNZ(), engine.Kernel())
+	fmt.Printf("generation: %v (%d stored weights, %s kernel, %d of %d layers uniform-weight)\n",
+		time.Since(buildStart).Round(time.Millisecond), engine.TotalNNZ(), engine.Kernel(), engine.UniformLayers(), numLayers)
 
 	inNNZ := *nnz
 	if inNNZ <= 0 {

@@ -159,7 +159,7 @@ func TestBCEGateCounting(t *testing.T) {
 		t.Errorf("csc-gather index checks = %d, want 1", got)
 	}
 	if got := count("radixkernel.go", 909, 1027, "Found IsInBounds"); got != 0 {
-		t.Errorf("radix8-taps index checks = %d, want 0", got)
+		t.Errorf("slice-only tap region index checks = %d, want 0", got)
 	}
 }
 
@@ -229,7 +229,7 @@ func TestBCERegionsLive(t *testing.T) {
 		}
 		byName[r.Name] = r
 	}
-	for _, want := range []string{"csc-gather", "csc-gather-regular", "csc-gather4", "radix8-taps"} {
+	for _, want := range []string{"csc-gather", "csc-gather-regular", "csc-gather4", "uniform-taps"} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("region %q not found (got %v)", want, regions)
 		}
@@ -237,8 +237,8 @@ func TestBCERegionsLive(t *testing.T) {
 	if r := byName["csc-gather"]; !r.AllowSlice || r.AllowIndex != 1 {
 		t.Errorf("csc-gather allowances = slice=%t index=%d, want slice=true index=1", r.AllowSlice, r.AllowIndex)
 	}
-	if r := byName["radix8-taps"]; !r.AllowSlice || r.AllowIndex != 0 {
-		t.Errorf("radix8-taps allowances = slice=%t index=%d, want slice=true index=0", r.AllowSlice, r.AllowIndex)
+	if r := byName["uniform-taps"]; !r.AllowSlice || r.AllowIndex != 0 {
+		t.Errorf("uniform-taps allowances = slice=%t index=%d, want slice=true index=0", r.AllowSlice, r.AllowIndex)
 	}
 }
 

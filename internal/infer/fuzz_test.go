@@ -83,9 +83,11 @@ func fuzzConfig(spec []byte) (core.Config, error) {
 	return core.NewConfig(systems, shape)
 }
 
-// fuzzEngine builds cfg on the given kernel with the drawn biases, cap and
-// weight perturbation. Two calls with the same draws differ only in family.
-func fuzzEngine(t *testing.T, cfg core.Config, kind KernelKind, bias []float64, cap float64, seed int64) *Engine {
+// fuzzEngine builds cfg on the given kernel with the drawn biases and cap,
+// its weights perturbed or left at the 4/fan-in every served engine has (a
+// power of two on the palette's radices 2–32, not on 3, 5 or under a lift by
+// 3). Two calls with the same draws differ only in family.
+func fuzzEngine(t *testing.T, cfg core.Config, kind KernelKind, bias []float64, cap float64, perturb bool, seed int64) *Engine {
 	t.Helper()
 	e, err := FromConfigKernel(cfg, kind)
 	if err != nil {
@@ -93,7 +95,9 @@ func fuzzEngine(t *testing.T, cfg core.Config, kind KernelKind, bias []float64, 
 	}
 	copy(e.bias, bias)
 	e.cap = cap
-	e.PerturbWeights(0.15, seed)
+	if perturb {
+		e.PerturbWeights(0.15, seed)
+	}
 	return e
 }
 
@@ -126,8 +130,58 @@ func fuzzBatch(rng *rand.Rand, rows, width int, fill uint8) *sparse.Dense {
 	return d
 }
 
+// fuzzScales are the magnitudes a batch is moved to: down among the
+// subnormals, where a weight below 1 makes products inexact; far from both
+// ends; and up where 2^1000 overflows after a few uncapped layers and 2^1022
+// overflows an unweighted sum of eight but not the weighted one.
+var fuzzScales = [...]float64{1, 0x1p-1060, 0x1p-700, 0x1p700, 0x1p1000, 0x1p1022}
+
+// shapeBatch moves a drawn batch to where the uniform-weight window's edges
+// are. mode 0–5 multiplies by fuzzScales[mode], and alt flips the sign of
+// about half the elements; mode 6 (7) sets every nonzero element's exponent to
+// the lower (upper) edge of probe's own window, or with alt one binade outside
+// it — the ends of the normal range when probe has no window. specials then
+// overwrites up to three elements with one kind of value no window admits, or
+// −0, which every path must read as zero.
+func shapeBatch(rng *rand.Rand, batch *sparse.Dense, probe *Engine, mode int, alt, specials bool) {
+	data := batch.Data()
+	if mode < len(fuzzScales) {
+		for i := range data {
+			data[i] *= fuzzScales[mode]
+			if alt && rng.Intn(2) == 0 {
+				data[i] = -data[i]
+			}
+		}
+	} else {
+		n, loE, hiE := windowExps(probe)
+		if n == 0 {
+			loE, hiE = 1, 2046
+		}
+		e := loE
+		if mode == 7 {
+			e = hiE
+		}
+		if alt {
+			e += 2*(mode-6) - 1
+		}
+		for i, v := range data {
+			frac, _ := math.Frexp(v)
+			data[i] = math.Ldexp(frac, e-1022)
+		}
+	}
+	if specials {
+		v := []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+			float64(1+rng.Intn(7)) * 5e-324, math.MaxFloat64, -math.MaxFloat64}[rng.Intn(7)]
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			data[rng.Intn(len(data))] = v
+		}
+	}
+}
+
 // sameBits reports (with Errorf, so engine goroutines may call it) the first
-// element at which got and want differ in any bit.
+// element at which got and want differ in any bit. Two NaNs agree whatever
+// their payloads: when both operands of an add are NaN the hardware keeps the
+// first one's, and the compiler is free to commute the add.
 func sameBits(t *testing.T, what string, got, want *sparse.Dense) {
 	t.Helper()
 	g, w := got.Data(), want.Data()
@@ -136,7 +190,7 @@ func sameBits(t *testing.T, what string, got, want *sparse.Dense) {
 		return
 	}
 	for i := range w {
-		if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+		if math.Float64bits(g[i]) != math.Float64bits(w[i]) && !(math.IsNaN(g[i]) && math.IsNaN(w[i])) {
 			t.Errorf("%s: row %d col %d = %x (%v), want %x (%v)", what, i/want.Cols(), i%want.Cols(),
 				math.Float64bits(g[i]), g[i], math.Float64bits(w[i]), w[i])
 			return
@@ -146,8 +200,9 @@ func sameBits(t *testing.T, what string, got, want *sparse.Dense) {
 
 // layersAgree is the per-layer half of the differential: on one drawn input
 // per layer, the CSC gather, the affine gather with the epilogue applied by
-// hand, and the radix layer's gather and scatter — fed and read through the
-// Stockham packing when the layer runs packed — must all agree bit for bit.
+// hand, and the radix layer's gather, scatter and (where its weights are one
+// power of two) uniform octet — fed and read through the Stockham packing
+// when the layer runs packed — must all agree bit for bit.
 func layersAgree(t *testing.T, rng *rand.Rand, csc, rad *Engine) {
 	t.Helper()
 	for l, k := range csc.kernels {
@@ -209,6 +264,16 @@ func layersAgree(t *testing.T, rng *rand.Rand, csc, rad *Engine) {
 		}
 		out := make([]float64, k.Cols())
 		check("radix gather", out, rk.FusedGatherRow(out, in, bias, clip))
+		if rk.UniformWeight() != 0 {
+			// x is drawn from [0, 1): inside any one layer's window.
+			var ins, outs [8][]float64
+			for b := range ins {
+				ins[b], outs[b] = in, make([]float64, k.Cols())
+			}
+			var n8 [8]int
+			rk.FusedGatherRow8Uniform(&outs, &ins, bias, clip, &n8)
+			check("uniform octet", outs[7], n8[7])
+		}
 		if rk.Stockham() {
 			check("stockham scatter", out, rk.FusedScatterRowStockham(out, in, nil, make([]float64, k.Cols()), bias, clip))
 		} else {
@@ -218,14 +283,29 @@ func layersAgree(t *testing.T, rng *rand.Rand, csc, rad *Engine) {
 }
 
 // FuzzInferPathsAgree is the differential gate every kernel deletion sits
-// behind: for a drawn network, batch and epilogue, the CSC engine, the
-// auto-built radix engine (natural-order or Stockham, as the config
-// resolves), a clone of each under concurrent use, and ReferenceInfer must
-// agree bit for bit — on the batch, on a shorter batch through the same
-// engines, and on each engine's own output view fed back in.
+// behind, and the check on the uniform-weight window's proof: for a drawn
+// network, batch and epilogue, the CSC engine, the auto-built radix engine
+// (natural-order or Stockham, as the config resolves; uniform-weight octets
+// when the weights are left alone and the batch fits the window), a clone of
+// each under concurrent use, and ReferenceInfer must agree bit for bit — on
+// the batch, on a shorter batch through the same engines, and on each
+// engine's own output view fed back in.
+//
+// opts: bit 0 allows positive biases (a quarter of them tiny or subnormal, so
+// the window's bias-granularity term bites), bit 1 turns the cap off, bit 2
+// leaves the weights at 4/fan-in instead of perturbing them, and bits 3–7 are
+// shapeBatch's mode, alt and specials.
 func FuzzInferPathsAgree(f *testing.F) {
 	// The seed corpus alone reaches every function of sparse/kernel.go and
-	// sparse/radixkernel.go (see the -coverprofile recipe in CHANGES.md).
+	// sparse/radixkernel.go (see the -coverprofile recipe in CHANGES.md), and
+	// runs the uniform octet on both sides of both window edges.
+	const (
+		uniform  = 4      // opts bit 2
+		atLo     = 6 << 3 // every input at the window's lower edge
+		atHi     = 7 << 3 // ... upper edge
+		alt      = 64     // one binade outside it; sign flips on modes 0–5
+		specials = 128
+	)
 	for _, s := range []struct {
 		spec             []byte
 		rows, fill, opts uint8 // batch is rows+1
@@ -250,6 +330,63 @@ func FuzzInferPathsAgree(f *testing.F) {
 		{[]byte{2, 0, 2, 4, 2, 2, 6}, 11, 120, 2, 8},
 		// One radix, one layer, one row, all zero.
 		{[]byte{0, 4}, 0, 0, 0, 9},
+
+		// Weights left at 4/fan-in. (8,8), weight 1/2, 25 mostly dense rows:
+		// uniform octets on every layer, then a single row.
+		{[]byte{1, 4, 4}, 24, 240, uniform, 10},
+		// The same net with every input at the window's lower edge, and one
+		// binade below it (seeds that draw zero biases, so the outputs live);
+		// at its upper edge, and one above; cap on and off.
+		{[]byte{1, 4, 4}, 24, 240, uniform | atLo, 25},
+		{[]byte{1, 4, 4}, 24, 240, uniform | atLo | alt, 64},
+		{[]byte{1, 4, 4}, 24, 240, uniform | atHi, 13},
+		{[]byte{1, 4, 4}, 24, 240, uniform | atHi | alt, 14},
+		{[]byte{1, 4, 4}, 24, 240, uniform | 2 | atLo, 76},
+		{[]byte{1, 4, 4}, 24, 240, uniform | 2 | atLo | alt, 25},
+		{[]byte{1, 4, 4}, 24, 240, uniform | 2 | atHi, 17},
+		{[]byte{1, 4, 4}, 24, 240, uniform | 2 | atHi | alt, 18},
+		// (32,2), weight 1/8 on fan-ins 32 and 2 — full 8×8 tiles, then a
+		// radix below the tile — fed subnormals, with zero biases for this
+		// seed so they reach the output: an unguarded octet rounds
+		// differently here.
+		{[]byte{1, 6, 0}, 30, 250, uniform | 1<<3, 132},
+		// (8,8) uncapped at 2^1022: an unguarded octet's sums overflow where
+		// the weighted ones do not. Then capped, with mixed signs.
+		{[]byte{1, 4, 4}, 24, 250, uniform | 2 | 5<<3, 20},
+		{[]byte{1, 4, 4}, 24, 250, uniform | 5<<3 | alt, 21},
+		// 2^1000 uncapped through six layers of (8,8)|(8,8)|(8,8): finite in,
+		// overflow mid-stack on every path alike.
+		{[]byte{1, 4, 4, 2, 0, 0}, 16, 250, uniform | 2 | 4<<3, 22},
+		// One kind of special element per batch (by seed: −0, NaN, subnormal,
+		// ±MaxFloat64, ±Inf), then NaN in thin rows, where the ring scatter
+		// used to drop it, on uniform and on perturbed weights.
+		{[]byte{1, 4, 4}, 24, 240, uniform | specials, 100},
+		{[]byte{1, 4, 4}, 24, 240, uniform | specials, 102},
+		{[]byte{1, 4, 4}, 24, 240, uniform | specials, 103},
+		{[]byte{1, 4, 4}, 24, 240, uniform | specials, 106},
+		{[]byte{1, 4, 4}, 24, 240, uniform | specials, 101},
+		{[]byte{1, 4, 4}, 24, 240, uniform | specials, 112},
+		{[]byte{1, 4, 4}, 24, 240, uniform | specials, 115},
+		{[]byte{1, 4, 4}, 24, 30, uniform | specials, 114},
+		{[]byte{1, 4, 4}, 24, 30, specials, 128},
+		// (8,8)|(8,8) with positive biases on uniform weights. Seed 133 draws
+		// 1e-300, 0, 0.2, 0.2 — none negative, so every layer costs a binade
+		// of granularity and the lower edge rises with depth: at it, below
+		// it, and among the subnormals. Seed 104 draws a subnormal bias,
+		// behind which no window is left; so do seeds 37 and 58 on plain
+		// (8,8), where the all-zero rows it resurrects reach a zero-bias
+		// layer and an octet that ignored the bias's granularity shows.
+		{[]byte{1, 4, 4, 1, 0}, 24, 240, uniform | 1, 133},
+		{[]byte{1, 4, 4, 1, 0}, 24, 240, uniform | 1 | atLo, 133},
+		{[]byte{1, 4, 4, 1, 0}, 24, 240, uniform | 1 | atLo | alt, 133},
+		{[]byte{1, 4, 4, 1, 0}, 24, 240, uniform | 1 | 1<<3, 133},
+		{[]byte{1, 4, 4, 1, 0}, 24, 240, uniform | 1, 104},
+		{[]byte{1, 4, 4}, 24, 240, uniform | 1, 37},
+		{[]byte{1, 4, 4}, 24, 240, uniform | 1, 58},
+		// Left alone but not a power of two: (3,5) weighs 4/3, and (4,4)
+		// lifted by 3 weighs 1/3 on the natural-order family.
+		{[]byte{1, 1, 3}, 12, 240, uniform, 30},
+		{[]byte{1, 2, 2, 0, 2, 2, 2, 2}, 12, 240, uniform, 31},
 	} {
 		f.Add(s.spec, s.rows, s.fill, s.opts, s.seed)
 	}
@@ -273,6 +410,19 @@ func FuzzInferPathsAgree(f *testing.F) {
 		}
 		width := cfg.LayerWidths()[0]
 		batch := fuzzBatch(rng, batchRows, width, fill)
+		// Everything drawn since PR 16 comes from a second stream, so the
+		// draws above are the ones the first nine seeds always made.
+		rng2 := rand.New(rand.NewSource(^seed))
+		if opts&1 != 0 {
+			for i := range bias {
+				if rng2.Intn(4) == 0 {
+					bias[i] = []float64{1e-300, 1e-310}[rng2.Intn(2)]
+				}
+			}
+		}
+		perturb := opts&4 == 0
+		shapeBatch(rng2, batch, fuzzEngine(t, cfg, KernelAuto, bias, cap, perturb, seed),
+			int(opts>>3)&7, opts&64 != 0, opts&128 != 0)
 		short, err := batch.RowsView(0, 1+batchRows/2)
 		if err != nil {
 			t.Fatal(err)
@@ -280,7 +430,7 @@ func FuzzInferPathsAgree(f *testing.F) {
 
 		// The CSC engine serves its first call before its radix twin exists:
 		// the same batch size then reaches both, and their clones, cold.
-		csc := fuzzEngine(t, cfg, KernelCSC, bias, cap, seed)
+		csc := fuzzEngine(t, cfg, KernelCSC, bias, cap, perturb, seed)
 		want, err := csc.ReferenceInfer(batch)
 		if err != nil {
 			t.Fatal(err)
@@ -290,7 +440,7 @@ func FuzzInferPathsAgree(f *testing.F) {
 			t.Fatal(err)
 		}
 		sameBits(t, "csc", got, want)
-		rad := fuzzEngine(t, cfg, KernelAuto, bias, cap, seed)
+		rad := fuzzEngine(t, cfg, KernelAuto, bias, cap, perturb, seed)
 		if rad.Kernel() != KernelRadix {
 			t.Fatalf("%v: auto resolved to %v", cfg, rad.Kernel())
 		}

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -58,6 +59,7 @@ type Engine struct {
 	radix   []*sparse.RadixKernel // verified stride plans, nil on the CSC family
 	kind    KernelKind            // kernel family the engine was built with
 	steps   []layerKernel         // each layer bound to that family; immutable
+	uniform []layerKernel         // steps' uniform-weight twins, Stockham stacks only; immutable
 	pool    *parallel.Pool
 	step    func(lo, hi int) // bound once; dispatched per layer on the pool
 	inUse   atomic.Bool      // single-flight guard for the shared scratch
@@ -284,6 +286,90 @@ func (e *Engine) gatherBlock(blk *rowBlock, rows *[8]int, t, w int) {
 	}
 }
 
+// Exponent range of float64: every value is a multiple of 2^minExp, and a
+// magnitude of at most 2^maxExp is finite.
+const (
+	minExp = -1074
+	maxExp = 1023
+)
+
+// exactWindow returns how many leading layers may run their uniform-weight
+// binding and the input window that makes doing so exact: with y the bits of
+// |x| shifted left once, every nonzero input needs lo ≤ y−1 and y < hi (Inf
+// and NaN never fit, nor do subnormals under a weight below 1). n = 0 when no
+// window exists.
+//
+// sparse.FusedGatherRow8Uniform equals the weighted octet bit for bit when,
+// at every uniform layer (weight 2^k, fan-in f), the inputs are multiples of
+// 2^q with q+k ≥ minExp and neither the unweighted sums (at most 2f·max|x|,
+// the 2 covering rounding) nor the weighted ones (2^k times that) overflow.
+// Down the stack an output w·Σ + bias is a multiple of the coarsest of
+// 2^(q+k), ulp(bias) and, if clamped, ulp(cap) — and under a negative bias of
+// ulp(bias) whatever q was, because an output only survives the ReLU when
+// w·Σ > |bias|, which makes the double w·Σ a multiple of ulp(bias) itself (so
+// Graph Challenge stacks, bias −0.1, lose nothing with depth). Magnitudes
+// grow to the sum's bound plus the bias, or stop at the cap. The walk runs
+// that recurrence backwards from the last uniform layer in O(layers) integer
+// steps: need is the granularity the consumer requires of a layer's output,
+// room the bound on its magnitude exponent. It reads the kernels' uniform
+// bits, e.bias and e.cap on every call, not at construction: weights change
+// under RefreshWeights (through any clone), and in-package callers write the
+// other two after FromConfigKernel returns. Uniform layers behind a weighted
+// one stay weighted — a weighted layer's outputs have no provable granularity.
+func (e *Engine) exactWindow() (n int, lo, hi uint64) {
+	for n < len(e.uniform) && e.radix[n].UniformWeight() != 0 {
+		n++
+	}
+	need, room := minExp, math.MaxInt32
+	for l := n - 1; l >= 0; l-- {
+		rk, bias := e.radix[l], e.bias[l]
+		k := math.Ilogb(rk.UniformWeight())
+		grow := bits.Len(uint(rk.Plan().ColDegree()-1)) + 1 // |Σ| ≤ 2^grow · max|x|
+		if (bias != 0 && ulpExp(bias) < need) || (e.cap > 0 && ulpExp(e.cap) < need) {
+			return 0, 0, 0
+		}
+		if bias < 0 {
+			need = minExp // the output's granularity no longer depends on q
+		}
+		need = max(need, minExp) - k
+		in := maxExp - grow - max(k, 0)
+		if e.cap <= 0 || math.Ilogb(e.cap) >= room {
+			// No cap below 2^room: |w·Σ + bias| ≤ 2^(max(·, mb)+1) must fit,
+			// where |bias| < 2^mb.
+			if mb := math.Ilogb(bias) + 1; mb >= room {
+				return 0, 0, 0
+			}
+			in = min(in, room-1-grow-k)
+		}
+		room = in
+	}
+	// An input with biased exponent E is a multiple of 2^(max(E,1)−1075) and
+	// below 2^(E−1022). lo bounds y−1 and stays 0 when even the subnormals
+	// are fine-grained enough (no weight below 1 anywhere).
+	loE, hiE := max(need+1075, 0), min(room+1022, 2046)
+	if n == 0 || loE > hiE {
+		return 0, 0, 0
+	}
+	if loE > 1 {
+		lo = uint64(loE)<<53 - 1
+	}
+	return n, lo, uint64(hiE+1) << 53
+}
+
+// ulpExp returns g such that the nonzero x is a multiple of 2^g, read off its
+// exponent alone.
+func ulpExp(x float64) int { return max(math.Ilogb(x)-52, minExp) }
+
+// UniformLayers reports how many layers run the uniform-weight octet
+// (sparse.FusedGatherRow8Uniform) on batches whose inputs fit its exactness
+// window: the stack's leading layers whose weights are all one positive power
+// of two, on the Stockham family; 0 on a CSC or natural-order engine, after
+// PerturbWeights, or when bias and cap leave no window.
+func (e *Engine) UniformLayers() int {
+	n, _, _ := e.exactWindow()
+	return n
+}
+
 // Infer runs the batch through every layer with threshold-ReLU semantics
 // and returns the final activations. The input batch is never mutated.
 //
@@ -332,6 +418,10 @@ func (e *Engine) infer(y0 *sparse.Dense) (*sparse.Dense, error) {
 		in = stage
 	}
 	e.active = e.active[:0]
+	// The same pass brackets the nonzero inputs' magnitudes for exactWindow:
+	// y is |v|'s bit pattern with the exponent on top, so unsigned order is
+	// magnitude order with NaN and Inf last, and y-1 wraps ±0 out of the min.
+	minY, maxY := ^uint64(0), uint64(0)
 	for b := 0; b < batch; b++ {
 		row := in[b*w0 : (b+1)*w0]
 		nnz := 0
@@ -345,6 +435,7 @@ func (e *Engine) infer(y0 *sparse.Dense) (*sparse.Dense, error) {
 				y := math.Float64bits(v) << 1
 				idx[nnz] = int32(i)
 				nnz += int((y | -y) >> 63)
+				minY, maxY = min(minY, y-1), max(maxY, y)
 			}
 		} else {
 			for _, v := range row {
@@ -354,12 +445,19 @@ func (e *Engine) infer(y0 *sparse.Dense) (*sparse.Dense, error) {
 				// data-dependent branch on every staged element.
 				y := math.Float64bits(v) << 1
 				nnz += int((y | -y) >> 63)
+				minY, maxY = min(minY, y-1), max(maxY, y)
 			}
 		}
 		e.rowNNZ[b] = int32(nnz)
 		if nnz > 0 {
 			e.active = append(e.active, int32(b))
 		}
+	}
+
+	// Layers below uni run their uniform-weight binding on this batch.
+	uni, lo, hi := e.exactWindow()
+	if minY < lo || maxY >= hi {
+		uni = 0
 	}
 
 	inW := w0
@@ -370,6 +468,9 @@ func (e *Engine) infer(y0 *sparse.Dense) (*sparse.Dense, error) {
 	prof := e.prof.Load()
 	profiled := prof != nil && prof.sample()
 	for l, k := range e.steps {
+		if l < uni {
+			k = e.uniform[l]
+		}
 		outW := e.layers[l].Cols()
 		b := e.bias[l]
 		e.cur.k, e.cur.in, e.cur.out = k, in, out
@@ -382,7 +483,7 @@ func (e *Engine) infer(y0 *sparse.Dense) (*sparse.Dense, error) {
 			rows := len(e.active)
 			t0 := time.Now()
 			e.pool.Run(rows, grain, e.step)
-			prof.record(l, rows, e.layers[l].NNZ(), time.Since(t0))
+			prof.record(l, rows, e.layers[l].NNZ(), time.Since(t0), l < uni)
 		} else {
 			e.pool.Run(len(e.active), grain, e.step)
 		}
@@ -545,7 +646,7 @@ func (e *Engine) RefreshWeights() {
 // frozen after the pool is built.
 func (e *Engine) Clone() *Engine {
 	c := &Engine{layers: e.layers, bias: e.bias, cap: e.cap, kernels: e.kernels,
-		radix: e.radix, kind: e.kind, steps: e.steps, scratchW: e.scratchW, nzW: e.nzW, pool: e.pool}
+		radix: e.radix, kind: e.kind, steps: e.steps, uniform: e.uniform, scratchW: e.scratchW, nzW: e.nzW, pool: e.pool}
 	c.step = c.layerStep
 	c.prof.Store(e.prof.Load()) // clones aggregate into the parent's profiler
 	return c
@@ -566,7 +667,8 @@ func (e *Engine) SetPool(p *parallel.Pool) {
 
 // PerturbWeights adds uniform noise in ±scale to every stored weight,
 // seeded, and resyncs the precomputed kernels; used by robustness tests and
-// benchmarks to avoid the all-equal weight special case.
+// benchmarks to leave the all-equal weight special case (a perturbed layer no
+// longer has one power-of-two weight, so UniformLayers drops to 0).
 func (e *Engine) PerturbWeights(scale float64, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for _, l := range e.layers {

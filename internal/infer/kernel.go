@@ -134,17 +134,23 @@ func (e *Engine) compileRadixPlans(cfg core.Config) error {
 	}
 	stockham = stockham && pack == 1
 	steps := make([]layerKernel, len(radixKerns))
+	var uniform []layerKernel
+	if stockham {
+		uniform = make([]layerKernel, len(radixKerns))
+	}
 	for l, rk := range radixKerns {
 		steps[l] = radixLayer{rk}
 		if stockham {
 			if err := rk.EnableStockham(); err != nil {
 				return fmt.Errorf("infer: %w", err)
 			}
-			steps[l] = stockhamLayer{radixLayer{rk}, l == 0}
+			st := stockhamLayer{radixLayer{rk}, l == 0}
+			steps[l], uniform[l] = st, uniformLayer{st}
 		}
 	}
 	e.radix = radixKerns
 	e.kind = KernelRadix
+	e.uniform = uniform
 	e.bind(steps)
 	return nil
 }

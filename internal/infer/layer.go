@@ -95,3 +95,19 @@ func (l stockhamLayer) needs() layerNeeds {
 func (l stockhamLayer) scatter(out, in []float64, nz []int32, scratch []float64, bias, clip float64) int {
 	return l.rk.FusedScatterRowStockham(out, in, nz, scratch, bias, clip)
 }
+
+// uniformLayer is stockhamLayer on a layer whose weights are all one positive
+// power of two, for a batch whose inputs fit Engine.exactWindow: a full octet
+// sums its in-edges unweighted and scales once per output. Quads, single rows
+// and the scatter stay on the weighted forms, which the window makes
+// bit-identical — so the two mix freely inside one batch.
+type uniformLayer struct{ stockhamLayer }
+
+//radix:hotpath
+func (l uniformLayer) gather(r rowBlock, n int, bias, clip float64) (nnz [8]int) {
+	if n == 8 {
+		l.rk.FusedGatherRow8Uniform(&r.out, &r.in, bias, clip, &nnz)
+		return nnz
+	}
+	return l.radixLayer.gather(r, n, bias, clip)
+}

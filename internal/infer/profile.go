@@ -24,6 +24,7 @@ type layerProf struct {
 	rows    atomic.Int64
 	ns      atomic.Int64
 	edges   atomic.Int64
+	uniform atomic.Int64
 }
 
 // NewProfiler builds a profiler for an engine with the given layer
@@ -47,8 +48,9 @@ func (p *Profiler) sample() bool {
 // record folds one sampled layer execution into the tallies: rows
 // active entering the layer, the layer's stored weight count (so
 // edges = rows×nnz matches the repo's Gedges/s convention), and the
-// kernel wall time.
-func (p *Profiler) record(layer, rows int, nnz int, d time.Duration) {
+// kernel wall time; uniform says the batch's inputs passed the exactness
+// window and the layer ran its uniform-weight binding.
+func (p *Profiler) record(layer, rows int, nnz int, d time.Duration, uniform bool) {
 	if layer < 0 || layer >= len(p.layers) {
 		return
 	}
@@ -57,6 +59,9 @@ func (p *Profiler) record(layer, rows int, nnz int, d time.Duration) {
 	lp.rows.Add(int64(rows))
 	lp.ns.Add(d.Nanoseconds())
 	lp.edges.Add(int64(rows) * int64(nnz))
+	if uniform {
+		lp.uniform.Add(1)
+	}
 }
 
 // LayerProfile is one layer's accumulated sampled-kernel tallies.
@@ -64,6 +69,7 @@ type LayerProfile struct {
 	Layer        int     `json:"layer"`
 	NNZ          int     `json:"nnz"`
 	Batches      int64   `json:"batches"`
+	Uniform      int64   `json:"uniform_batches"` // of Batches, those run on the uniform-weight binding
 	Rows         int64   `json:"rows"`
 	Ns           int64   `json:"ns"`
 	Edges        int64   `json:"edges"`
@@ -91,6 +97,7 @@ func (p *Profiler) snapshot(nnz []int) ProfileSnapshot {
 		l := LayerProfile{
 			Layer:   i,
 			Batches: lp.batches.Load(),
+			Uniform: lp.uniform.Load(),
 			Rows:    lp.rows.Load(),
 			Ns:      lp.ns.Load(),
 			Edges:   lp.edges.Load(),

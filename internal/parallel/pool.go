@@ -24,8 +24,8 @@ type Pool struct {
 	workers    int
 	trackProcs bool // GOMAXPROCS-sized pool: honor later GOMAXPROCS reductions
 	wake       chan struct{}
-	mu      sync.Mutex // serializes Runs; TryLock-guarded to stay deadlock-free
-	wg      sync.WaitGroup
+	mu         sync.Mutex // serializes Runs; TryLock-guarded to stay deadlock-free
+	wg         sync.WaitGroup
 
 	// Current job, valid between the wake sends and wg.Wait of one Run.
 	// Helpers observe these fields via the happens-before edge of the wake

@@ -596,4 +596,3 @@ func TestQoSRegistryConfigValidation(t *testing.T) {
 		t.Fatalf("ResolveClass(\"\") = %q, %v", name, err)
 	}
 }
-
