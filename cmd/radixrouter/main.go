@@ -72,7 +72,7 @@
 //	            [-probe-timeout 1s] [-fail-after 3] [-max-backoff 1s]
 //	            [-zones host1:8080=zone-a,host2:8080=zone-b]
 //	            [-autoscale] [-autoscale-interval 5s] [-autoscale-max 8]
-//	            [-pprof] [-slow-request 250ms] [-trace-depth 512]
+//	            [-pprof] [-slow-request 250ms] [-trace-depth 256]
 //	radixrouter -selftest [-backends 3]
 package main
 
@@ -134,7 +134,7 @@ func main() {
 		classNames    = flag.String("classes", "", "extra QoS class names to label in per-class metrics, comma-separated (unknown classes bucket as \"other\")")
 		pprof         = flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
 		slowReq       = flag.Duration("slow-request", 0, "log routed requests slower than this with their trace ID and span breakdown (0: off)")
-		traceDepth    = flag.Int("trace-depth", 0, "recent request traces retained for GET /debug/traces (0: default 512)")
+		traceDepth    = flag.Int("trace-depth", 0, "recent request traces retained for GET /debug/traces (0: default 256)")
 		sloFast       = flag.Duration("slo-fast-window", 0, "SLO fast burn-rate window (0: default 5m)")
 		sloSlow       = flag.Duration("slo-slow-window", 0, "SLO slow burn-rate window (0: default 1h)")
 		zoneSeeds     = flag.String("zones", "", "static backend zone seeds, ID=ZONE,... (backends self-reporting a zone on /healthz override these); zones spread each model's replicas across failure domains")

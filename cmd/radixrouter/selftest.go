@@ -263,20 +263,14 @@ func runEngineProfilePhase(ctx context.Context, t selftest.Target) error {
 		return err
 	}
 	series := 0
-	for _, line := range strings.Split(scrape, "\n") {
-		line = strings.TrimSpace(line)
-		if !strings.HasPrefix(line, "radixserve_engine_gedges_per_sec{") {
-			continue
-		}
-		if _, _, valStr, ok := obs.SplitSeries(line); ok {
-			var v float64
-			if _, err := fmt.Sscanf(valStr, "%g", &v); err == nil && v > 0 {
-				series++
-			}
+	for i := range scrape.Samples {
+		sm := &scrape.Samples[i]
+		if _, labeled := sm.Label("backend"); labeled && sm.Name == serve.MetricEngineGedges.Name() && sm.Value > 0 {
+			series++
 		}
 	}
 	if series == 0 {
-		return fmt.Errorf("fleet-obs: no positive radixserve_engine_gedges_per_sec series in the merged exposition")
+		return fmt.Errorf("fleet-obs: no positive backend-labeled %s series in the merged exposition", serve.MetricEngineGedges.Name())
 	}
 	log.Printf("fleet-obs: %d backend engine profiles surface through the merged exposition", series)
 	return nil

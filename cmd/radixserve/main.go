@@ -58,7 +58,7 @@
 //	           [-max-batch 32] [-max-latency 2ms] [-queue 256]
 //	           [-class-weight interactive=8,batch=2,background=1]
 //	           [-default-class interactive] [-exec-slots 0]
-//	           [-pprof] [-slow-request 250ms] [-trace-depth 512]
+//	           [-pprof] [-slow-request 250ms] [-trace-depth 256]
 //	radixserve -selftest
 package main
 
@@ -158,7 +158,7 @@ func main() {
 		execSlots    = flag.Int("exec-slots", 0, "cross-model concurrent batch executions (engine quota; 0: GOMAXPROCS, negative: unlimited)")
 		pprof        = flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
 		slowReq      = flag.Duration("slow-request", 0, "log requests slower than this with their trace ID and span breakdown (0: off)")
-		traceDepth   = flag.Int("trace-depth", 0, "recent request traces retained for GET /debug/traces (0: default 512)")
+		traceDepth   = flag.Int("trace-depth", 0, "recent request traces retained for GET /debug/traces (0: default 256)")
 		profEvery    = flag.Int("profile-every", 16, "time every Nth engine batch per layer (Gedges/s on /metrics; 0: off)")
 		zone         = flag.String("zone", "", "failure domain (rack/availability zone) self-reported on /healthz for the router's zone-aware placement")
 		sloFast      = flag.Duration("slo-fast-window", 0, "SLO fast burn-rate window (0: default 5m)")

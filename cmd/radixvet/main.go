@@ -1,7 +1,7 @@
-// Command radixvet runs the project's static-analysis suite: the four AST
-// analyzers (hotpath, atomichygiene, metriclint, ctxguard) over the
-// packages named by its arguments, then the two compiler-diagnostic gates
-// (escape, BCE) against the checked-in hotpath manifest.
+// Command radixvet runs the project's static-analysis suite: the three AST
+// analyzers (hotpath, atomichygiene, ctxguard) over the packages named by
+// its arguments, then the two compiler-diagnostic gates (escape, BCE)
+// against the checked-in hotpath manifest.
 //
 // Usage:
 //

@@ -17,10 +17,6 @@
 //     annotation contract, including allow= escape hatches).
 //   - atomichygiene: fields accessed through sync/atomic anywhere must never
 //     be read or written non-atomically elsewhere.
-//   - metriclint: metric-name literals handed to the exposition writers must
-//     follow the radix(serve|router)_* Prometheus convention, and latency
-//     histograms must stay on the shared bucket ladder that makes the
-//     router's fleet merge exact.
 //   - ctxguard: no context.Background()/TODO() or context-less outbound
 //     requests below the server layer.
 //
@@ -93,7 +89,7 @@ type Package struct {
 	// TestFiles marks which of Files are in-package _test.go files. The
 	// loader checks them into the package so cross-cutting analyzers
 	// (atomichygiene) see test code too; production-convention analyzers
-	// (hotpath, metriclint, ctxguard) scope themselves to ProdFiles.
+	// (hotpath, ctxguard) scope themselves to ProdFiles.
 	TestFiles map[*ast.File]bool
 }
 
@@ -166,7 +162,7 @@ func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns the full analyzer suite in its canonical order.
 func All() []*Analyzer {
-	return []*Analyzer{HotPath, AtomicHygiene, MetricLint, CtxGuard}
+	return []*Analyzer{HotPath, AtomicHygiene, CtxGuard}
 }
 
 // walk traverses every file of the package, invoking fn with the ancestor

@@ -35,7 +35,6 @@ func runExpectations(t *testing.T, pkg string, analyzers []*Analyzer) {
 
 func TestHotPath(t *testing.T)       { runExpectations(t, "hotpath", []*Analyzer{HotPath}) }
 func TestAtomicHygiene(t *testing.T) { runExpectations(t, "atomichygiene", []*Analyzer{AtomicHygiene}) }
-func TestMetricLint(t *testing.T)    { runExpectations(t, "metriclint", []*Analyzer{MetricLint}) }
 func TestCtxGuard(t *testing.T)      { runExpectations(t, "ctxguard", []*Analyzer{CtxGuard}) }
 
 // TestAnalyzersDontCrossTalk runs the full suite over every testdata
@@ -43,7 +42,7 @@ func TestCtxGuard(t *testing.T)      { runExpectations(t, "ctxguard", []*Analyze
 // findings and nothing on the other packages' lines beyond what those
 // packages expect.
 func TestSuiteOverAllTestdata(t *testing.T) {
-	for _, pkg := range []string{"hotpath", "atomichygiene", "metriclint", "ctxguard"} {
+	for _, pkg := range []string{"hotpath", "atomichygiene", "ctxguard"} {
 		pkg := pkg
 		t.Run(pkg, func(t *testing.T) { runExpectations(t, pkg, All()) })
 	}

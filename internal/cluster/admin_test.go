@@ -8,11 +8,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/radix-net/radixnet/internal/core"
 	"github.com/radix-net/radixnet/internal/graphio"
 	"github.com/radix-net/radixnet/internal/infer"
+	"github.com/radix-net/radixnet/internal/radix"
 	"github.com/radix-net/radixnet/internal/serve"
 	"github.com/radix-net/radixnet/internal/sparse"
 )
@@ -374,5 +379,75 @@ func TestRouterAdminFanout(t *testing.T) {
 	}
 	if got := f.router.Metrics().Admin; got < 6 {
 		t.Fatalf("admin ops counter = %d, want ≥6", got)
+	}
+}
+
+// TestRouterAdminFanoutEscapesModelName is the regression for the admin
+// fan-out addressing the wrong model: model names are client-chosen, and
+// a name holding "#", "/", " ", "?" or "%" must reach the backend as one
+// escaped path segment. Built from the decoded name, "a#b" lost its
+// fragment and the backend reloaded or unregistered "a" instead.
+func TestRouterAdminFanoutEscapesModelName(t *testing.T) {
+	for _, odd := range []string{"a#b", "a/b", "a b", "a?x=1", "a%2Fb"} {
+		t.Run(odd, func(t *testing.T) {
+			reg := serve.NewRegistry(serve.Policy{MaxBatch: 8, MaxLatency: time.Millisecond})
+			t.Cleanup(reg.Close)
+			srv := serve.NewServer(reg, "127.0.0.1:0")
+			var mu sync.Mutex
+			var seen []string // admin request lines the backend received
+			backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodPut || r.Method == http.MethodDelete {
+					mu.Lock()
+					seen = append(seen, r.Method+" "+r.RequestURI)
+					mu.Unlock()
+				}
+				srv.Handler().ServeHTTP(w, r)
+			}))
+			t.Cleanup(backend.Close)
+			_, routerURL := startRouter(t, RouterConfig{Backends: []string{backend.URL}, Replicas: 1, Set: SetConfig{ProbeInterval: time.Hour}})
+
+			cfg, err := core.NewConfig([]radix.System{radix.MustNew(4, 4)}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfgJSON, err := graphio.MarshalConfig(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := func(name string) []byte {
+				b, err := json.Marshal(serve.RegisterRequest{Name: name, Config: cfgJSON, Engines: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			for _, name := range []string{"a", odd} {
+				if code, out := adminDo(t, http.MethodPost, routerURL+"/v1/models", body(name)); code != http.StatusCreated {
+					t.Fatalf("register %q: status %d: %s", name, code, out)
+				}
+			}
+
+			path := "/v1/models/" + url.PathEscape(odd)
+			if code, out := adminDo(t, http.MethodPut, routerURL+path, body(odd)); code != http.StatusOK {
+				t.Fatalf("reload %q: status %d: %s", odd, code, out)
+			}
+			if m, ok := reg.Model(odd); !ok || m.Generation() != 2 {
+				t.Fatalf("reload did not reach %q", odd)
+			}
+			if code, out := adminDo(t, http.MethodDelete, routerURL+path, nil); code != http.StatusOK {
+				t.Fatalf("unregister %q: status %d: %s", odd, code, out)
+			}
+			if _, ok := reg.Model(odd); ok {
+				t.Fatalf("%q still registered after the fleet unregister", odd)
+			}
+			if m, ok := reg.Model("a"); !ok || m.Generation() != 1 {
+				t.Fatalf(`model "a" was touched by admin verbs addressed to %q (registered %v)`, odd, ok)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if want := []string{"PUT " + path, "DELETE " + path}; !slices.Equal(seen, want) {
+				t.Fatalf("backend received %q, want %q", seen, want)
+			}
+		})
 	}
 }

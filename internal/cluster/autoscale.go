@@ -9,6 +9,7 @@ import (
 	"github.com/radix-net/radixnet/internal/autoscale"
 	"github.com/radix-net/radixnet/internal/obs"
 	"github.com/radix-net/radixnet/internal/obs/slo"
+	"github.com/radix-net/radixnet/internal/serve"
 )
 
 // autoscaler is the router-side half of the replica control loop: on every
@@ -33,7 +34,8 @@ type autoscaler struct {
 	// against the current scrape is the evaluation window. Loop-goroutine
 	// state, but snapshotted under mu for GET /v1/autoscale.
 	prevHist map[string]obs.ScrapedHist
-	prevCtr  map[string]fleetCounters
+	prevAcc  map[string]uint64 // rows accepted
+	prevRej  map[string]uint64 // rows rejected
 
 	mu       sync.Mutex
 	status   []autoscale.ModelStatus
@@ -63,7 +65,8 @@ func newAutoscaler(rt *Router, pol autoscale.Policy) (*autoscaler, error) {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		prevHist: make(map[string]obs.ScrapedHist),
-		prevCtr:  make(map[string]fleetCounters),
+		prevAcc:  make(map[string]uint64),
+		prevRej:  make(map[string]uint64),
 	}, nil
 }
 
@@ -119,14 +122,13 @@ func (a *autoscaler) cycle() {
 	now := time.Now()
 	_, scrapes := a.rt.scrapeBackends(ctx)
 
-	// Fleet-merged cumulative signals this cycle.
-	hists := collectModelQueueWait(scrapes)
-	counters := map[fleetKey]*fleetCounters{}
-	for _, s := range scrapes {
-		if s != "" {
-			collectOutcomeCounters(s, counters)
-		}
-	}
+	// Fleet-merged cumulative signals this cycle: per-model queue wait
+	// (classes and backends summed — the shared le ladder makes the
+	// bucket-wise sum exact) and the row-outcome counters.
+	byModel := []string{"model"}
+	hists := obs.MergeHist(serve.MetricQueueWait, byModel, nil, scrapes...)
+	acceptedNow := obs.SumCounter(serve.MetricRowsAccepted, byModel, scrapes...)
+	rejectedNow := obs.SumCounter(serve.MetricRowsRejected, byModel, scrapes...)
 	violated := map[string]bool{}
 	if a.rt.slo != nil {
 		a.rt.sloRecord(scrapes, now)
@@ -144,7 +146,8 @@ func (a *autoscaler) cycle() {
 	interval := a.ctl.Policy().Interval.Seconds()
 	fleet := len(a.rt.set.backends)
 	stats := make([]autoscale.ModelStats, 0, len(hists))
-	for model, cur := range hists {
+	for _, hs := range hists {
+		model, cur := hs.Values[0], hs.Hist
 		win := cur.Sub(a.prevHist[model])
 		stat := autoscale.ModelStats{
 			Model:        model,
@@ -154,20 +157,15 @@ func (a *autoscaler) cycle() {
 			Samples:      win.Count,
 			SLOViolated:  violated[model],
 		}
-		var curCtr fleetCounters
-		if c := counters[fleetKey{model, ""}]; c != nil {
-			curCtr = *c
-		}
-		prev := a.prevCtr[model]
-		accepted := sub64(curCtr.accepted, prev.accepted)
-		rejected := sub64(curCtr.rejected, prev.rejected)
+		accepted := sub64(acceptedNow[hs.Key], a.prevAcc[model])
+		rejected := sub64(rejectedNow[hs.Key], a.prevRej[model])
 		if offered := accepted + rejected; offered > 0 {
 			stat.Rate429 = float64(rejected) / float64(offered)
 		}
 		stat.Throughput = float64(accepted) / interval
 		stats = append(stats, stat)
 		a.prevHist[model] = cur
-		a.prevCtr[model] = curCtr
+		a.prevAcc[model], a.prevRej[model] = acceptedNow[hs.Key], rejectedNow[hs.Key]
 	}
 
 	decisions := a.ctl.Evaluate(stats)
@@ -217,41 +215,6 @@ func sub64(cur, prev uint64) uint64 {
 		return 0
 	}
 	return cur - prev
-}
-
-// collectModelQueueWait merges the backends' per-model×class queue-wait
-// histograms into one cumulative histogram per model (classes and backends
-// summed — every obs.Histogram shares the le ladder, so the bucket-wise
-// sum is exact).
-func collectModelQueueWait(scrapes []string) map[string]obs.ScrapedHist {
-	series := map[string]*mergedHist{}
-	for _, s := range scrapes {
-		if s != "" {
-			collectHistFamily(s, "radixserve_queue_wait_seconds", series)
-		}
-	}
-	perModel := map[string]*mergedHist{}
-	for _, mh := range series {
-		model := obs.ParseLabels(mh.labels)["model"]
-		if model == "" {
-			continue
-		}
-		acc := perModel[model]
-		if acc == nil {
-			acc = &mergedHist{labels: model, cum: map[string]uint64{}, exemplar: map[string]string{}}
-			perModel[model] = acc
-		}
-		for le, v := range mh.cum {
-			acc.cum[le] += v
-		}
-		acc.sum += mh.sum
-		acc.count += mh.count
-	}
-	out := make(map[string]obs.ScrapedHist, len(perModel))
-	for model, mh := range perModel {
-		out[model] = mh.scraped()
-	}
-	return out
 }
 
 // AutoscaleStatus is the GET /v1/autoscale body.

@@ -16,6 +16,7 @@ import (
 	"github.com/radix-net/radixnet/internal/core"
 	"github.com/radix-net/radixnet/internal/dataset"
 	"github.com/radix-net/radixnet/internal/infer"
+	"github.com/radix-net/radixnet/internal/obs"
 	"github.com/radix-net/radixnet/internal/radix"
 	"github.com/radix-net/radixnet/internal/serve"
 	"github.com/radix-net/radixnet/internal/sparse"
@@ -573,18 +574,36 @@ func TestRouter429Backoff(t *testing.T) {
 	}
 }
 
+// relabel parses exposition text and re-emits it backend-labelled, the
+// way the router's merged /metrics relays a backend scrape.
+func relabel(text, backend string) string {
+	var w obs.Writer
+	w.Relabel(obs.ParseScrape(text), "backend", backend)
+	return strings.TrimSuffix(string(w.Bytes()), "\n")
+}
+
 func TestInjectBackendLabel(t *testing.T) {
 	for _, tc := range []struct{ in, want string }{
 		{"radixserve_uptime_seconds 3.5", `radixserve_uptime_seconds{backend="b:1"} 3.5`},
 		{`x_total{model="m"} 7`, `x_total{model="m",backend="b:1"} 7`},
-		{`x_total{} 7`, `x_total{backend="b:1"} 7`},
 		{`x{a="s p"} 1`, `x{a="s p",backend="b:1"} 1`},
+		// The value text is relayed, not re-rendered: %g and %d both survive.
+		{`x_total{model="m"} 1e+06`, `x_total{model="m",backend="b:1"} 1e+06`},
+		{`x_total{model="m"} 1000000`, `x_total{model="m",backend="b:1"} 1000000`},
 		// The exposition format's optional trailing timestamp.
 		{"x_total 1027 1712345678000", `x_total{backend="b:1"} 1027 1712345678000`},
 		{`x_total{model="m"} 7 1712345678000`, `x_total{model="m",backend="b:1"} 7 1712345678000`},
+		// A client-chosen model name may hold anything: the label block is
+		// found quote-aware, never by searching for a brace or " # ".
+		{`x_total{model="a # {b}=\"c\\"} 7`, `x_total{model="a # {b}=\"c\\",backend="b:1"} 7`},
+		// A line outside the parser's grammar — an empty label block, which
+		// radixserve never writes, or plain junk — gets no label but is
+		// relayed as it came, after the backend's series: it shows on the
+		// merged page instead of vanishing from it.
+		{"x_total{} 7\njunk\nx 1", "x{backend=\"b:1\"} 1\nx_total{} 7\njunk"},
 	} {
-		if got := injectBackendLabel(tc.in, "b:1"); got != tc.want {
-			t.Errorf("injectBackendLabel(%q) = %q, want %q", tc.in, got, tc.want)
+		if got := relabel(tc.in, "b:1"); got != tc.want {
+			t.Errorf("relabel(%q) = %q, want %q", tc.in, got, tc.want)
 		}
 	}
 }

@@ -1,14 +1,13 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"strings"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"github.com/radix-net/radixnet/internal/obs"
+	"github.com/radix-net/radixnet/internal/obs/slo"
 )
 
 // routerMetrics counts the router's own activity; per-backend forwarding
@@ -42,22 +41,18 @@ func (m *routerMetrics) classRequest(class string) {
 	v.(*atomic.Int64).Add(1)
 }
 
-// classCounts snapshots the per-class request counters, sorted by name.
-func (m *routerMetrics) classCounts() (names []string, counts []int64) {
-	byName := make(map[string]int64)
+// classCounts snapshots the per-class request counters; nil before the
+// first request.
+func (m *routerMetrics) classCounts() map[string]int64 {
+	var counts map[string]int64
 	m.classes.Range(func(k, v any) bool {
-		byName[k.(string)] = v.(*atomic.Int64).Load()
+		if counts == nil {
+			counts = make(map[string]int64)
+		}
+		counts[k.(string)] = v.(*atomic.Int64).Load()
 		return true
 	})
-	for name := range byName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	counts = make([]int64, len(names))
-	for i, name := range names {
-		counts[i] = byName[name]
-	}
-	return names, counts
+	return counts
 }
 
 // RouterMetricsSnapshot is a point-in-time copy of the router's counters.
@@ -75,142 +70,95 @@ type RouterMetricsSnapshot struct {
 }
 
 func (m *routerMetrics) snapshot() RouterMetricsSnapshot {
-	s := RouterMetricsSnapshot{
-		Requests:   m.requests.Load(),
-		Failovers:  m.failovers.Load(),
-		Backoffs:   m.backoffs.Load(),
-		Unroutable: m.unroutable.Load(),
-		Deadlines:  m.deadlines.Load(),
-		Admin:      m.admin.Load(),
-		Shed:       m.shed.Load(),
-		ScaleUps:   m.scaleUps.Load(),
-		ScaleDowns: m.scaleDowns.Load(),
+	return RouterMetricsSnapshot{
+		Requests:      m.requests.Load(),
+		Failovers:     m.failovers.Load(),
+		Backoffs:      m.backoffs.Load(),
+		Unroutable:    m.unroutable.Load(),
+		Deadlines:     m.deadlines.Load(),
+		Admin:         m.admin.Load(),
+		Shed:          m.shed.Load(),
+		ScaleUps:      m.scaleUps.Load(),
+		ScaleDowns:    m.scaleDowns.Load(),
+		ClassRequests: m.classCounts(),
 	}
-	names, counts := m.classCounts()
-	if len(names) > 0 {
-		s.ClassRequests = make(map[string]int64, len(names))
-		for i, name := range names {
-			s.ClassRequests[name] = counts[i]
-		}
-	}
-	return s
 }
+
+// routerCounters are the router's own unlabeled counters, in exposition
+// order.
+var routerCounters = []struct {
+	fam   *obs.Family
+	value func(m *routerMetrics) *atomic.Int64
+}{
+	{obs.NewCounter("radixrouter_requests_total", "Inference requests received by the router."),
+		func(m *routerMetrics) *atomic.Int64 { return &m.requests }},
+	{obs.NewCounter("radixrouter_failovers_total", "Forward attempts retried on the next replica."),
+		func(m *routerMetrics) *atomic.Int64 { return &m.failovers }},
+	{obs.NewCounter("radixrouter_backoffs_total", "Retry-After backoffs honored on 429 responses."),
+		func(m *routerMetrics) *atomic.Int64 { return &m.backoffs }},
+	{obs.NewCounter("radixrouter_unroutable_total", "Requests dropped with no healthy owner."),
+		func(m *routerMetrics) *atomic.Int64 { return &m.unroutable }},
+	{obs.NewCounter("radixrouter_deadlines_total", "Requests whose deadline budget expired router-side (504 without a forward)."),
+		func(m *routerMetrics) *atomic.Int64 { return &m.deadlines }},
+	{obs.NewCounter("radixrouter_admin_total", "Model control-plane operations (register/reload/unregister) fanned out."),
+		func(m *routerMetrics) *atomic.Int64 { return &m.admin }},
+	{obs.NewCounter("radixrouter_shed_total", "Requests 429'd router-side by autoscale class shedding."),
+		func(m *routerMetrics) *atomic.Int64 { return &m.shed }},
+	{obs.NewCounter("radixrouter_autoscale_up_total", "Autoscale scale-out actuations applied."),
+		func(m *routerMetrics) *atomic.Int64 { return &m.scaleUps }},
+	{obs.NewCounter("radixrouter_autoscale_down_total", "Autoscale scale-in actuations applied."),
+		func(m *routerMetrics) *atomic.Int64 { return &m.scaleDowns }},
+}
+
+// backendFamilies are the per-backend health and traffic series.
+var backendFamilies = []struct {
+	fam   *obs.Family
+	value func(b *Backend) int64
+}{
+	{obs.NewGauge("radixrouter_backend_healthy", "Whether the backend is in rotation (1) or ejected (0).", "backend"),
+		func(b *Backend) int64 {
+			if b.Healthy() {
+				return 1
+			}
+			return 0
+		}},
+	{obs.NewCounter("radixrouter_backend_forwarded_total", "Requests answered by the backend.", "backend"),
+		func(b *Backend) int64 { return b.forwarded.Load() }},
+	{obs.NewCounter("radixrouter_backend_failed_total", "Forward attempts lost to transport or 5xx errors.", "backend"),
+		func(b *Backend) int64 { return b.failed.Load() }},
+	{obs.NewCounter("radixrouter_backend_probe_failures_total", "Health probes failed.", "backend"),
+		func(b *Backend) int64 { return b.probeFailures.Load() }},
+}
+
+var (
+	metricClassRequests  = obs.NewCounter("radixrouter_class_requests_total", "Inference requests received, by QoS class.", "class")
+	metricAttemptLatency = obs.NewSeconds("radixrouter_backend_attempt_latency_seconds", "Round-trip latency of answered forward attempts, per backend.", "backend")
+	metricUptime         = obs.NewGauge("radixrouter_uptime_seconds", "Router uptime.")
+	writeSLOMetrics      = slo.Exposition("radixrouter")
+	writeRuntimeMetrics  = obs.RuntimeExposition("radixrouter")
+)
 
 // writeRouterMetrics renders the router's own series plus per-backend
 // health and traffic gauges.
-func writeRouterMetrics(w io.Writer, met *routerMetrics, backends []*Backend, uptimeSeconds float64) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+func writeRouterMetrics(w *obs.Writer, met *routerMetrics, backends []*Backend, uptimeSeconds float64) {
+	for _, c := range routerCounters {
+		w.Family(c.fam).Int(c.value(met).Load())
 	}
-	counter("radixrouter_requests_total", "Inference requests received by the router.", met.requests.Load())
-	counter("radixrouter_failovers_total", "Forward attempts retried on the next replica.", met.failovers.Load())
-	counter("radixrouter_backoffs_total", "Retry-After backoffs honored on 429 responses.", met.backoffs.Load())
-	counter("radixrouter_unroutable_total", "Requests dropped with no healthy owner.", met.unroutable.Load())
-	counter("radixrouter_deadlines_total", "Requests whose deadline budget expired router-side (504 without a forward).", met.deadlines.Load())
-	counter("radixrouter_admin_total", "Model control-plane operations (register/reload/unregister) fanned out.", met.admin.Load())
-	counter("radixrouter_shed_total", "Requests 429'd router-side by autoscale class shedding.", met.shed.Load())
-	counter("radixrouter_autoscale_up_total", "Autoscale scale-out actuations applied.", met.scaleUps.Load())
-	counter("radixrouter_autoscale_down_total", "Autoscale scale-in actuations applied.", met.scaleDowns.Load())
-	if names, counts := met.classCounts(); len(names) > 0 {
-		fmt.Fprintf(w, "# HELP radixrouter_class_requests_total Inference requests received, by QoS class.\n# TYPE radixrouter_class_requests_total counter\n")
-		for i, name := range names {
-			fmt.Fprintf(w, "radixrouter_class_requests_total{class=%q} %d\n", name, counts[i])
+	if counts := met.classCounts(); len(counts) > 0 {
+		w.Family(metricClassRequests)
+		for _, name := range slices.Sorted(maps.Keys(counts)) {
+			w.Int(counts[name], name)
 		}
 	}
-
-	perBackend := []struct {
-		name, help, typ string
-		value           func(b *Backend) int64
-	}{
-		{"radixrouter_backend_healthy", "Whether the backend is in rotation (1) or ejected (0).", "gauge",
-			func(b *Backend) int64 {
-				if b.Healthy() {
-					return 1
-				}
-				return 0
-			}},
-		{"radixrouter_backend_forwarded_total", "Requests answered by the backend.", "counter",
-			func(b *Backend) int64 { return b.forwarded.Load() }},
-		{"radixrouter_backend_failed_total", "Forward attempts lost to transport or 5xx errors.", "counter",
-			func(b *Backend) int64 { return b.failed.Load() }},
-		{"radixrouter_backend_probe_failures_total", "Health probes failed.", "counter",
-			func(b *Backend) int64 { return b.probeFailures.Load() }},
-	}
-	for _, pm := range perBackend {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", pm.name, pm.help, pm.name, pm.typ)
+	for _, bf := range backendFamilies {
+		w.Family(bf.fam)
 		for _, b := range backends {
-			fmt.Fprintf(w, "%s{backend=%q} %d\n", pm.name, b.id, pm.value(b))
+			w.Int(bf.value(b), b.id)
 		}
 	}
-	fmt.Fprintf(w, "# HELP radixrouter_backend_attempt_latency_seconds Round-trip latency of answered forward attempts, per backend.\n# TYPE radixrouter_backend_attempt_latency_seconds histogram\n")
+	w.Family(metricAttemptLatency)
 	for _, b := range backends {
-		b.attempt.Snapshot().WriteTo(w, "radixrouter_backend_attempt_latency_seconds", fmt.Sprintf("backend=%q", b.id), 1e9)
+		w.Hist(b.attempt.Snapshot(), b.id)
 	}
-	fmt.Fprintf(w, "# HELP radixrouter_uptime_seconds Router uptime.\n# TYPE radixrouter_uptime_seconds gauge\nradixrouter_uptime_seconds %g\n", uptimeSeconds)
-}
-
-// injectBackendLabel rewrites one Prometheus series line to carry a
-// backend label, so per-model series scraped from different nodes stay
-// distinguishable after the merge. "name 3" becomes
-// "name{backend=\"id\"} 3"; "name{model=\"m\"} 3" becomes
-// "name{model=\"m\",backend=\"id\"} 3". The exposition format's optional
-// trailing timestamp ("name 3 1712345678000") survives untouched: the
-// label set is located by brace, not by field position. An exemplar
-// annotation is split off first — its own {trace_id=...} braces would
-// otherwise be mistaken for the series label block — and reattached
-// untouched. Lines it cannot parse are returned unchanged.
-func injectBackendLabel(line, backend string) string {
-	line, exemplar := obs.SplitExemplar(line)
-	if exemplar != "" {
-		return injectBackendLabelBare(line, backend) + " # " + exemplar
-	}
-	return injectBackendLabelBare(line, backend)
-}
-
-func injectBackendLabelBare(line, backend string) string {
-	if open := strings.IndexByte(line, '{'); open >= 0 {
-		// After the label block only value (and optional timestamp) follow,
-		// so the line's last '}' closes the labels even when label values
-		// themselves contain braces.
-		close := strings.LastIndexByte(line, '}')
-		if close < open {
-			return line
-		}
-		if open == close-1 { // empty label set "name{}"
-			return fmt.Sprintf("%s{backend=%q}%s", line[:open], backend, line[close+1:])
-		}
-		return fmt.Sprintf("%s,backend=%q%s", line[:close], backend, line[close:])
-	}
-	sp := strings.IndexByte(line, ' ')
-	if sp <= 0 {
-		return line
-	}
-	return fmt.Sprintf("%s{backend=%q}%s", line[:sp], backend, line[sp:])
-}
-
-// mergeBackendMetrics re-emits one backend's /metrics scrape with every
-// series labeled backend=id. HELP/TYPE headers are emitted only the first
-// time a metric name is seen across the fleet (seenMeta tracks that), per
-// the exposition format's one-header-per-name rule.
-func mergeBackendMetrics(w io.Writer, scrape, backendID string, seenMeta map[string]bool) {
-	for _, line := range strings.Split(scrape, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			// "# HELP name ..." / "# TYPE name ..." → fields[2] is the name.
-			if len(fields) >= 3 && (fields[1] == "HELP" || fields[1] == "TYPE") {
-				key := fields[1] + " " + fields[2]
-				if seenMeta[key] {
-					continue
-				}
-				seenMeta[key] = true
-			}
-			fmt.Fprintln(w, line)
-			continue
-		}
-		fmt.Fprintln(w, injectBackendLabel(line, backendID))
-	}
+	w.Family(metricUptime).Float(uptimeSeconds)
 }

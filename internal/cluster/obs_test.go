@@ -31,6 +31,16 @@ func scrapeText(t *testing.T, url string) string {
 	return string(data)
 }
 
+// mergedHist reads one histogram family out of a scrape, every series
+// passing the label filter merged into one.
+func mergedHist(sc *obs.Scrape, f *obs.Family, where ...obs.Label) (obs.ScrapedHist, bool) {
+	hs := obs.MergeHist(f, nil, where, sc)
+	if len(hs) == 0 {
+		return obs.ScrapedHist{}, false
+	}
+	return hs[0].Hist, true
+}
+
 // TestRouterFleetMergedHistograms drives real traffic through a 2-backend
 // fleet and checks the router's bucket-wise histogram merge: the
 // radixrouter_model_* families must reconstruct the fleet-wide
@@ -49,8 +59,13 @@ func TestRouterFleetMergedHistograms(t *testing.T) {
 		}
 	}
 	text := scrapeText(t, f.url+"/metrics")
+	sc := obs.ParseScrape(text)
+	if err := sc.Check(); err != nil {
+		t.Fatalf("router exposition: %v", err)
+	}
+	model := obs.Label{Name: "model", Value: "m"}
 
-	lat, ok := obs.ParseHistogram(text, "radixrouter_model_request_latency_seconds", map[string]string{"model": "m"})
+	lat, ok := mergedHist(sc, MetricModelRequestLatency, model)
 	if !ok {
 		t.Fatal("merged request latency histogram missing from router /metrics")
 	}
@@ -73,8 +88,8 @@ func TestRouterFleetMergedHistograms(t *testing.T) {
 	var direct uint64
 	for id, srv := range f.srvs {
 		_ = srv
-		bt := scrapeText(t, "http://"+id+"/metrics")
-		if h, ok := obs.ParseHistogram(bt, "radixserve_request_latency_seconds", map[string]string{"model": "m"}); ok {
+		bt := obs.ParseScrape(scrapeText(t, "http://"+id+"/metrics"))
+		if h, ok := mergedHist(bt, serve.MetricRequestLatency, model); ok {
 			direct += h.Count
 		}
 	}
@@ -83,8 +98,7 @@ func TestRouterFleetMergedHistograms(t *testing.T) {
 	}
 
 	// Per-class queue wait merged by model×class.
-	wait, ok := obs.ParseHistogram(text, "radixrouter_model_queue_wait_seconds",
-		map[string]string{"model": "m", "class": serve.ClassInteractive})
+	wait, ok := mergedHist(sc, MetricModelQueueWait, model, obs.Label{Name: "class", Value: serve.ClassInteractive})
 	if !ok {
 		t.Fatal("merged queue wait histogram missing")
 	}
@@ -93,7 +107,7 @@ func TestRouterFleetMergedHistograms(t *testing.T) {
 	}
 
 	// Engine execute time merged by model.
-	exec, ok := obs.ParseHistogram(text, "radixrouter_model_execute_seconds", map[string]string{"model": "m"})
+	exec, ok := mergedHist(sc, fleetHistograms[2].dst, model)
 	if !ok {
 		t.Fatal("merged execute histogram missing")
 	}
@@ -103,7 +117,7 @@ func TestRouterFleetMergedHistograms(t *testing.T) {
 
 	// Per-backend attempt latency: every request was answered by exactly
 	// one backend, so the fleet-aggregate attempt count equals n.
-	att, ok := obs.ParseHistogram(text, "radixrouter_backend_attempt_latency_seconds", nil)
+	att, ok := mergedHist(sc, metricAttemptLatency)
 	if !ok {
 		t.Fatal("backend attempt latency histogram missing")
 	}
@@ -279,5 +293,68 @@ func TestRouterPprofOptIn(t *testing.T) {
 		if ok := resp.StatusCode == http.StatusOK; ok != tc.wantOK {
 			t.Errorf("pprof=%v: cmdline status %d, want ok=%v", tc.pprof, resp.StatusCode, tc.wantOK)
 		}
+	}
+}
+
+// TestRouterTraceIDBoundedAtTheEdge sends client-chosen trace IDs through
+// the router: an ID of at most 64 bytes of [0-9A-Za-z_-] is honoured on
+// both tiers, anything else is replaced by a freshly minted 32-hex ID
+// before it is forwarded, echoed or retained.
+func TestRouterTraceIDBoundedAtTheEdge(t *testing.T) {
+	f := startFleet(t, 2, []string{"m"}, SetConfig{ProbeInterval: time.Hour})
+	body, _ := json.Marshal(serve.InferRequest{Model: "m", Inputs: [][]float64{make([]float64, 16)}})
+	cases := []struct {
+		name, in string
+		honoured bool
+	}{
+		{"empty", "", false},
+		{"32 hex", "feedface00000000feedface00000000", true},
+		{"64 bytes", strings.Repeat("aB3_-xyz", 8), true},
+		{"65 bytes", strings.Repeat("a", 65), false},
+		{"space", "cafe cafe", false},
+		{"quote", `cafe"cafe`, false},
+		{"newline", "cafe\ncafe", false},
+		{"non-ASCII", "café0000", false},
+	}
+	for _, tc := range cases {
+		// Straight into the handler: net/http's client refuses to send
+		// some of these, a raw connection would not.
+		req := httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(body))
+		if tc.in != "" {
+			req.Header[obs.HeaderTraceID] = []string{tc.in}
+		}
+		rec := httptest.NewRecorder()
+		f.router.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.name, rec.Code, rec.Body)
+		}
+		var ir serve.InferResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &ir); err != nil {
+			t.Fatal(err)
+		}
+		got := rec.Header().Get(obs.HeaderTraceID)
+		if ir.TraceID != got {
+			t.Errorf("%s: backend answered under trace ID %q, router echoed %q", tc.name, ir.TraceID, got)
+		}
+		if tc.honoured && got != tc.in {
+			t.Errorf("%s: echoed %q, want the incoming ID honoured", tc.name, got)
+		}
+		if !tc.honoured && (got == tc.in || len(got) != 32 || strings.Trim(got, "0123456789abcdef") != "") {
+			t.Errorf("%s: echoed %q, want a freshly minted 32-hex ID", tc.name, got)
+		}
+		if !tc.honoured && tc.in != "" {
+			rings := []*obs.TraceRing{f.router.Traces()}
+			for _, srv := range f.srvs {
+				rings = append(rings, srv.Traces())
+			}
+			for _, ring := range rings {
+				if ring.Find(tc.in) != nil {
+					t.Errorf("%s: a trace ring retained the rejected ID", tc.name)
+				}
+			}
+		}
+	}
+	if n := f.router.Traces().Len(); n != uint64(len(cases)) {
+		t.Errorf("router ring holds %d traces, want one per request (%d)", n, len(cases))
 	}
 }

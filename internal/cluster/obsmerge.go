@@ -1,163 +1,45 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
-	"math"
-	"sort"
-	"strconv"
-	"strings"
-
 	"github.com/radix-net/radixnet/internal/obs"
+	"github.com/radix-net/radixnet/internal/serve"
 )
 
-// histMergeFamilies maps each serve-tier histogram family to the
-// fleet-merged family the router re-emits it under. Merging is valid
-// because every obs.Histogram shares the identical le ladder: summing
-// cumulative bucket counts per le across backends yields the exact
-// histogram a single node observing all the traffic would have exported.
-var histMergeFamilies = []struct{ src, dst, help string }{
-	{"radixserve_request_latency_seconds", "radixrouter_model_request_latency_seconds",
-		"Fleet-merged end-to-end request latency by model (bucket-wise sum across backends)."},
-	{"radixserve_queue_wait_seconds", "radixrouter_model_queue_wait_seconds",
-		"Fleet-merged class-queue wait by model and class (bucket-wise sum across backends)."},
-	{"radixserve_execute_seconds", "radixrouter_model_execute_seconds",
-		"Fleet-merged engine execute time by model (bucket-wise sum across backends)."},
-	{"radixserve_class_request_latency_seconds", "radixrouter_model_class_request_latency_seconds",
-		"Fleet-merged end-to-end request latency by model and class (bucket-wise sum across backends)."},
-}
+// The fleet-merged histogram families the selftests read back by name.
+var (
+	MetricModelRequestLatency = obs.NewSeconds("radixrouter_model_request_latency_seconds",
+		"Fleet-merged end-to-end request latency by model (bucket-wise sum across backends).", "model")
+	MetricModelQueueWait = obs.NewSeconds("radixrouter_model_queue_wait_seconds",
+		"Fleet-merged class-queue wait by model and class (bucket-wise sum across backends).", "class", "model")
+)
 
-// mergedHist accumulates one fleet-merged series: the canonical label
-// body (le stripped, keys sorted) plus per-le cumulative counts and the
-// series sum/count.
-type mergedHist struct {
-	labels string
-	cum    map[string]uint64 // le string → summed cumulative count
-	sum    float64
-	count  uint64
-	// exemplar keeps the last exemplar annotation seen per le across the
-	// scrapes, so a merged bucket still names a request that landed in it
-	// (trace IDs are fleet-wide: the router minted or relayed them).
-	exemplar map[string]string
+// fleetHistograms maps each serve-tier histogram family to the
+// fleet-merged family the router re-emits it under, summed over the
+// merged family's own labels. Merging is valid because every latency
+// family shares the identical le ladder: summing cumulative bucket counts
+// per le across backends yields the exact histogram a single node
+// observing all the traffic would have exported.
+var fleetHistograms = []struct{ src, dst *obs.Family }{
+	{serve.MetricRequestLatency, MetricModelRequestLatency},
+	{serve.MetricQueueWait, MetricModelQueueWait},
+	{serve.MetricExecute, obs.NewSeconds("radixrouter_model_execute_seconds",
+		"Fleet-merged engine execute time by model (bucket-wise sum across backends).", "model")},
+	{serve.MetricClassRequestLatency, obs.NewSeconds("radixrouter_model_class_request_latency_seconds",
+		"Fleet-merged end-to-end request latency by model and class (bucket-wise sum across backends).", "class", "model")},
 }
 
 // writeFleetHistograms re-emits the serve tier's histogram families from
 // the backend scrapes as radixrouter_model_* families, summed bucket-wise
 // per label set (model, or model×class for queue wait).
-func writeFleetHistograms(w io.Writer, scrapes []string) {
-	for _, fam := range histMergeFamilies {
-		series := map[string]*mergedHist{}
-		for _, scrape := range scrapes {
-			if scrape != "" {
-				collectHistFamily(scrape, fam.src, series)
-			}
-		}
+func writeFleetHistograms(w *obs.Writer, scrapes []*obs.Scrape) {
+	for _, fh := range fleetHistograms {
+		series := obs.MergeHist(fh.src, fh.dst.Labels(), nil, scrapes...)
 		if len(series) == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", fam.dst, fam.help, fam.dst)
-		keys := make([]string, 0, len(series))
-		for k := range series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			mh := series[k]
-			les := make([]string, 0, len(mh.cum))
-			for le := range mh.cum {
-				les = append(les, le)
-			}
-			sort.Slice(les, func(i, j int) bool { return leValue(les[i]) < leValue(les[j]) })
-			for _, le := range les {
-				if ex := mh.exemplar[le]; ex != "" {
-					fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d # %s\n", fam.dst, mh.labels, le, mh.cum[le], ex)
-				} else {
-					fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n", fam.dst, mh.labels, le, mh.cum[le])
-				}
-			}
-			fmt.Fprintf(w, "%s_sum{%s} %g\n", fam.dst, mh.labels, mh.sum)
-			fmt.Fprintf(w, "%s_count{%s} %d\n", fam.dst, mh.labels, mh.count)
+		w.Family(fh.dst)
+		for _, hs := range series {
+			w.Scraped(hs.Hist, hs.Values...)
 		}
 	}
-}
-
-// collectHistFamily folds one backend scrape's series of the given
-// histogram family into the per-label-set accumulators.
-func collectHistFamily(scrape, family string, out map[string]*mergedHist) {
-	for _, line := range strings.Split(scrape, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		_, exemplar := obs.SplitExemplar(line)
-		name, labelBody, valStr, ok := obs.SplitSeries(line)
-		if !ok {
-			continue
-		}
-		var kind string
-		switch name {
-		case family + "_bucket":
-			kind = "bucket"
-		case family + "_sum":
-			kind = "sum"
-		case family + "_count":
-			kind = "count"
-		default:
-			continue
-		}
-		labels := obs.ParseLabels(labelBody)
-		le := labels["le"]
-		key := canonicalLabels(labels)
-		mh := out[key]
-		if mh == nil {
-			mh = &mergedHist{labels: key, cum: map[string]uint64{}, exemplar: map[string]string{}}
-			out[key] = mh
-		}
-		v, err := strconv.ParseFloat(valStr, 64)
-		if err != nil {
-			continue
-		}
-		switch kind {
-		case "bucket":
-			if le != "" {
-				mh.cum[le] += uint64(v)
-				if exemplar != "" {
-					mh.exemplar[le] = exemplar
-				}
-			}
-		case "sum":
-			mh.sum += v
-		case "count":
-			mh.count += uint64(v)
-		}
-	}
-}
-
-// canonicalLabels renders a label map (minus le) with sorted keys, so the
-// same label set scraped from different backends lands on one series.
-func canonicalLabels(labels map[string]string) string {
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		if k != "le" {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%q", k, labels[k])
-	}
-	return strings.Join(parts, ",")
-}
-
-// leValue orders le strings numerically, +Inf last.
-func leValue(s string) float64 {
-	if s == "+Inf" {
-		return math.Inf(1)
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return f
 }

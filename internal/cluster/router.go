@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -385,7 +386,7 @@ func (rt *Router) ScaleTo(ctx context.Context, model string, n int) ([]AdminResu
 			targets = append(targets, b)
 		}
 	}
-	results := rt.fanOut(ctx, http.MethodDelete, "/v1/models/"+model, nil, targets)
+	results := rt.fanOut(ctx, http.MethodDelete, "/v1/models/"+url.PathEscape(model), nil, targets)
 	for _, res := range results {
 		// 404 means the backend never actually hosted it (a failed earlier
 		// registration): the desired state already holds.
@@ -548,10 +549,7 @@ func (rt *Router) classAllowsBackoff(class string) bool {
 // is retained for GET /debug/traces and the slow-request log.
 func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 	rt.met.requests.Add(1)
-	traceID := r.Header.Get(obs.HeaderTraceID)
-	if traceID == "" {
-		traceID = obs.NewTraceID()
-	}
+	traceID := obs.RequestTraceID(r.Header)
 	w.Header().Set(obs.HeaderTraceID, traceID)
 	fwd := &inferForward{traceID: traceID, t0: time.Now()}
 	defer rt.recordTrace(fwd)
@@ -1069,7 +1067,7 @@ func (rt *Router) handleAdminReload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, name, "model %q not hosted by any reachable backend", name)
 		return
 	}
-	results := rt.fanOut(r.Context(), http.MethodPut, "/v1/models/"+name, body, targets)
+	results := rt.fanOut(r.Context(), http.MethodPut, "/v1/models/"+url.PathEscape(name), body, targets)
 	// A reload changes the model's desired config; refresh the cached
 	// register body (the reload body is the same RegisterRequest shape with
 	// the name coming from the path) so a later scale-out builds the
@@ -1096,7 +1094,7 @@ func (rt *Router) handleAdminUnregister(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusNotFound, name, "model %q not hosted by any reachable backend", name)
 		return
 	}
-	results := rt.fanOut(r.Context(), http.MethodDelete, "/v1/models/"+name, nil, targets)
+	results := rt.fanOut(r.Context(), http.MethodDelete, "/v1/models/"+url.PathEscape(name), nil, targets)
 	// The model is gone fleet-wide: drop its autoscale state so a future
 	// registration starts from the configured default again.
 	rt.scaleMu.Lock()
@@ -1210,11 +1208,14 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // scrapeBackends fetches /metrics from every healthy backend concurrently
-// (each bounded by the probe timeout), returning the backends and their
-// scrape texts index-aligned; unhealthy or failed backends leave "".
-func (rt *Router) scrapeBackends(ctx context.Context) ([]*Backend, []string) {
+// (each bounded by the probe timeout) and parses each scrape once,
+// returning the backends and their scrapes index-aligned; unhealthy or
+// failed backends leave nil. Everything downstream — the fleet merge, the
+// SLO samples, the autoscaler's signals, the relabelled re-emission —
+// reads the parsed form; no other function here accepts exposition text.
+func (rt *Router) scrapeBackends(ctx context.Context) ([]*Backend, []*obs.Scrape) {
 	backends := rt.set.Backends()
-	scrapes := make([]string, len(backends))
+	scrapes := make([]*obs.Scrape, len(backends))
 	var wg sync.WaitGroup
 	for i, b := range backends {
 		if !b.Healthy() {
@@ -1238,7 +1239,7 @@ func (rt *Router) scrapeBackends(ctx context.Context) ([]*Backend, []string) {
 				return
 			}
 			if text, err := io.ReadAll(io.LimitReader(resp.Body, maxRequestBody)); err == nil {
-				scrapes[i] = string(text)
+				scrapes[i] = obs.ParseScrape(string(text))
 			}
 		}(i, b)
 	}
@@ -1250,7 +1251,7 @@ func (rt *Router) scrapeBackends(ctx context.Context) ([]*Backend, []string) {
 // sample per model (aggregate) and per model×class, derived from the
 // backend scrapes — the router's objectives judge the whole fleet's
 // traffic, not any single node's.
-func (rt *Router) sloRecord(scrapes []string, now time.Time) {
+func (rt *Router) sloRecord(scrapes []*obs.Scrape, now time.Time) {
 	for _, fs := range collectFleetSLOSamples(scrapes) {
 		rt.slo.Record(fs.model, fs.class, fs.sample, now)
 	}
@@ -1275,23 +1276,24 @@ func (rt *Router) handleSLO(w http.ResponseWriter, r *http.Request) {
 // each series labeled backend=id and HELP/TYPE headers deduplicated.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	backends, scrapes := rt.scrapeBackends(r.Context())
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	writeRouterMetrics(w, &rt.met, backends, time.Since(rt.start).Seconds())
+	var out obs.Writer
+	writeRouterMetrics(&out, &rt.met, backends, time.Since(rt.start).Seconds())
 	// Fleet-level latency distributions: every backend exports the same
 	// log-bucket le ladder, so the router's merged view is a straight
 	// per-le sum across the scrapes — quantiles of the merged histogram
 	// are true fleet quantiles, not averages of per-node quantiles.
-	writeFleetHistograms(w, scrapes)
+	writeFleetHistograms(&out, scrapes)
 	if rt.slo != nil {
 		now := time.Now()
 		rt.sloRecord(scrapes, now)
-		serve.WriteSLOMetrics(w, "radixrouter", rt.slo.Evaluate(now))
+		writeSLOMetrics(&out, rt.slo.Evaluate(now))
 	}
-	obs.WriteRuntimeMetrics(w, "radixrouter")
-	seenMeta := make(map[string]bool)
+	writeRuntimeMetrics(&out)
 	for i, b := range backends {
-		if scrapes[i] != "" {
-			mergeBackendMetrics(w, scrapes[i], b.id, seenMeta)
+		if scrapes[i] != nil {
+			out.Relabel(scrapes[i], "backend", b.id)
 		}
 	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	_, _ = w.Write(out.Bytes()) // a scraper that hung up is not the router's error
 }

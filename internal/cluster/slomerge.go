@@ -1,13 +1,9 @@
 package cluster
 
 import (
-	"math"
-	"sort"
-	"strconv"
-	"strings"
-
 	"github.com/radix-net/radixnet/internal/obs"
 	"github.com/radix-net/radixnet/internal/obs/slo"
+	"github.com/radix-net/radixnet/internal/serve"
 )
 
 // fleetSLOSample is one fleet-merged cumulative series for the router's
@@ -17,141 +13,33 @@ type fleetSLOSample struct {
 	sample       slo.Sample
 }
 
-// fleetCounters accumulates the row-outcome counter families of one
-// model (aggregate) or model×class across backend scrapes.
-type fleetCounters struct {
-	accepted, rejected, failed, expired uint64
-}
-
-// scraped converts an accumulated merge into the le-ladder form the SLO
-// engine consumes, dropping the +Inf bucket (ScrapedHist carries overflow
-// in Count).
-func (mh *mergedHist) scraped() obs.ScrapedHist {
-	les := make([]string, 0, len(mh.cum))
-	for le := range mh.cum {
-		les = append(les, le)
-	}
-	sort.Slice(les, func(i, j int) bool { return leValue(les[i]) < leValue(les[j]) })
-	h := obs.ScrapedHist{Count: mh.count, Sum: mh.sum}
-	for _, le := range les {
-		v := leValue(le)
-		if math.IsInf(v, 1) {
-			continue
-		}
-		h.Les = append(h.Les, v)
-		h.Cum = append(h.Cum, mh.cum[le])
-	}
-	return h
-}
-
 // collectFleetSLOSamples folds backend scrapes into cumulative SLO
 // samples: the per-model aggregate latency family plus row-outcome
 // counters, and the per-model×class family likewise. Bad/Total mirror
 // the serve tier's own accounting (failed+expired+rejected over
 // accepted+rejected for the aggregate; the class counters lack a failed
-// series, so a class's Bad is expired+rejected).
-func collectFleetSLOSamples(scrapes []string) []fleetSLOSample {
-	agg := map[string]*mergedHist{}
-	byClass := map[string]*mergedHist{}
-	counters := map[fleetKey]*fleetCounters{}
-	for _, s := range scrapes {
-		if s == "" {
-			continue
-		}
-		collectHistFamily(s, "radixserve_request_latency_seconds", agg)
-		collectHistFamily(s, "radixserve_class_request_latency_seconds", byClass)
-		collectOutcomeCounters(s, counters)
-	}
+// series, so a class's Bad is expired+rejected). Aggregates come first,
+// each group in model (then class) order.
+func collectFleetSLOSamples(scrapes []*obs.Scrape) []fleetSLOSample {
 	var out []fleetSLOSample
-	for _, mh := range agg {
-		labels := obs.ParseLabels(mh.labels)
-		model := labels["model"]
-		if model == "" {
-			continue
-		}
-		fs := fleetSLOSample{model: model, sample: slo.Sample{Hist: mh.scraped()}}
-		if c := counters[fleetKey{model, ""}]; c != nil {
-			fs.sample.Bad = c.failed + c.expired + c.rejected
-			fs.sample.Total = c.accepted + c.rejected
-		}
-		out = append(out, fs)
+	byModel := []string{"model"}
+	accepted := obs.SumCounter(serve.MetricRowsAccepted, byModel, scrapes...)
+	rejected := obs.SumCounter(serve.MetricRowsRejected, byModel, scrapes...)
+	failed := obs.SumCounter(serve.MetricRowsFailed, byModel, scrapes...)
+	expired := obs.SumCounter(serve.MetricRowsExpired, byModel, scrapes...)
+	for _, hs := range obs.MergeHist(serve.MetricRequestLatency, byModel, nil, scrapes...) {
+		k := hs.Key
+		out = append(out, fleetSLOSample{model: hs.Values[0], sample: slo.Sample{
+			Hist: hs.Hist, Bad: failed[k] + expired[k] + rejected[k], Total: accepted[k] + rejected[k]}})
 	}
-	for _, mh := range byClass {
-		labels := obs.ParseLabels(mh.labels)
-		model, class := labels["model"], labels["class"]
-		if model == "" || class == "" {
-			continue
-		}
-		fs := fleetSLOSample{model: model, class: class, sample: slo.Sample{Hist: mh.scraped()}}
-		if c := counters[fleetKey{model, class}]; c != nil {
-			fs.sample.Bad = c.expired + c.rejected
-			fs.sample.Total = c.accepted + c.rejected
-		}
-		out = append(out, fs)
+	byClass := []string{"model", "class"}
+	accepted = obs.SumCounter(serve.MetricClassRowsAccepted, byClass, scrapes...)
+	rejected = obs.SumCounter(serve.MetricClassRowsRejected, byClass, scrapes...)
+	expired = obs.SumCounter(serve.MetricClassRowsExpired, byClass, scrapes...)
+	for _, hs := range obs.MergeHist(serve.MetricClassRequestLatency, byClass, nil, scrapes...) {
+		k := hs.Key
+		out = append(out, fleetSLOSample{model: hs.Values[0], class: hs.Values[1], sample: slo.Sample{
+			Hist: hs.Hist, Bad: expired[k] + rejected[k], Total: accepted[k] + rejected[k]}})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].model != out[j].model {
-			return out[i].model < out[j].model
-		}
-		return out[i].class < out[j].class
-	})
 	return out
-}
-
-type fleetKey struct{ model, class string }
-
-// collectOutcomeCounters folds one scrape's row-outcome counter series
-// into the per-(model, class) accumulators; the aggregate families land
-// on class "".
-func collectOutcomeCounters(scrape string, out map[fleetKey]*fleetCounters) {
-	for _, line := range strings.Split(scrape, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, labelBody, valStr, ok := obs.SplitSeries(line)
-		if !ok {
-			continue
-		}
-		var classed bool
-		switch name {
-		case "radixserve_rows_accepted_total", "radixserve_rows_rejected_total",
-			"radixserve_rows_failed_total", "radixserve_rows_expired_total":
-		case "radixserve_class_rows_accepted_total", "radixserve_class_rows_rejected_total",
-			"radixserve_class_rows_expired_total":
-			classed = true
-		default:
-			continue
-		}
-		labels := obs.ParseLabels(labelBody)
-		model := labels["model"]
-		if model == "" {
-			continue
-		}
-		k := fleetKey{model: model}
-		if classed {
-			if k.class = labels["class"]; k.class == "" {
-				continue
-			}
-		}
-		v, err := strconv.ParseFloat(valStr, 64)
-		if err != nil || v < 0 {
-			continue
-		}
-		c := out[k]
-		if c == nil {
-			c = &fleetCounters{}
-			out[k] = c
-		}
-		switch {
-		case strings.HasSuffix(name, "_accepted_total"):
-			c.accepted += uint64(v)
-		case strings.HasSuffix(name, "_rejected_total"):
-			c.rejected += uint64(v)
-		case strings.HasSuffix(name, "_failed_total"):
-			c.failed += uint64(v)
-		case strings.HasSuffix(name, "_expired_total"):
-			c.expired += uint64(v)
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,8 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/radix-net/radixnet/internal/autoscale"
 	"github.com/radix-net/radixnet/internal/dataset"
+	"github.com/radix-net/radixnet/internal/obs"
 	"github.com/radix-net/radixnet/internal/obs/slo"
+	"github.com/radix-net/radixnet/internal/serve"
 )
 
 func TestInjectBackendLabelExemplarSafe(t *testing.T) {
@@ -27,8 +29,8 @@ func TestInjectBackendLabelExemplarSafe(t *testing.T) {
 			`plain{backend="b:1"} 7`},
 	}
 	for _, tc := range cases {
-		if got := injectBackendLabel(tc.in, "b:1"); got != tc.want {
-			t.Errorf("injectBackendLabel(%q)\n got %q\nwant %q", tc.in, got, tc.want)
+		if got := relabel(tc.in, "b:1"); got != tc.want {
+			t.Errorf("relabel(%q)\n got %q\nwant %q", tc.in, got, tc.want)
 		}
 	}
 }
@@ -63,10 +65,10 @@ func backendScrape(good, slow, accepted, rejected, failed, expired int, exemplar
 }
 
 func TestCollectFleetSLOSamples(t *testing.T) {
-	scrapes := []string{
-		backendScrape(10, 2, 12, 1, 1, 0, "aaaa"),
-		backendScrape(20, 3, 23, 2, 0, 1, "bbbb"),
-		"", // a failed backend scrape must be skipped, not crash
+	scrapes := []*obs.Scrape{
+		obs.ParseScrape(backendScrape(10, 2, 12, 1, 1, 0, "aaaa")),
+		obs.ParseScrape(backendScrape(20, 3, 23, 2, 0, 1, "bbbb")),
+		nil, // a failed backend scrape must be skipped, not crash
 	}
 	samples := collectFleetSLOSamples(scrapes)
 	if len(samples) != 2 {
@@ -101,10 +103,10 @@ func TestCollectFleetSLOSamples(t *testing.T) {
 }
 
 func TestFleetMergeCarriesExemplars(t *testing.T) {
-	scrapes := []string{backendScrape(10, 2, 12, 0, 0, 0, "cafe1234cafe1234cafe1234cafe1234")}
-	var out bytes.Buffer
+	scrapes := []*obs.Scrape{obs.ParseScrape(backendScrape(10, 2, 12, 0, 0, 0, "cafe1234cafe1234cafe1234cafe1234"))}
+	var out obs.Writer
 	writeFleetHistograms(&out, scrapes)
-	text := out.String()
+	text := string(out.Bytes())
 	if !strings.Contains(text, `radixrouter_model_request_latency_seconds_bucket{model="m",le="1"} 12 # {trace_id="cafe1234cafe1234cafe1234cafe1234"} 0.5`) {
 		t.Fatalf("merged exposition lost the exemplar:\n%s", text)
 	}
@@ -168,5 +170,66 @@ func TestRouterSLOViolation(t *testing.T) {
 	}
 	if !strings.Contains(scrapeText(t, f.url+"/metrics"), `radixrouter_slo_state{objective="`) {
 		t.Fatal("radixrouter_slo_state missing from the merged /metrics exposition")
+	}
+}
+
+// TestFleetSeesHostileModelName is the regression for a legal model name
+// making a model invisible to the fleet: names are client-chosen, and one
+// holding " # ", braces, quotes and a backslash used to defeat the
+// exemplar split — no backend label (so two backends emitted duplicate
+// series), nothing merged, no SLO sample, no autoscale signal.
+func TestFleetSeesHostileModelName(t *testing.T) {
+	const name = `a # {b}="c\`
+	objectives, err := slo.ParseObjectives([]string{"*::1us:99"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := startFleetOpts(t, 2, []string{name}, SetConfig{ProbeInterval: time.Hour}, func(rc *RouterConfig) {
+		rc.SLO = slo.Config{Objectives: objectives}
+		rc.Autoscale = &autoscale.Policy{Interval: time.Hour} // armed, never fires: the test runs one cycle itself
+	})
+	const n = 6
+	for i := 0; i < n; i++ {
+		if resp, body := f.post(t, name, [][]float64{make([]float64, 16)}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+	}
+
+	sc := obs.ParseScrape(scrapeText(t, f.url+"/metrics"))
+	if err := sc.Check(); err != nil {
+		t.Fatalf("merged exposition: %v", err)
+	}
+	model := []obs.Label{{Name: "model", Value: name}}
+	// Every backend's own series is relayed under its backend label.
+	perBackend := obs.MergeHist(serve.MetricRequestLatency, []string{"backend"}, model, sc)
+	if len(perBackend) != 2 {
+		t.Fatalf("%d backend-labelled latency series for the model, want 2", len(perBackend))
+	}
+	// The fleet-merged family holds exactly the per-backend sum, bucket by bucket.
+	merged := obs.MergeHist(MetricModelRequestLatency, nil, model, sc)
+	if len(merged) != 1 || merged[0].Hist.Count != n {
+		t.Fatalf("fleet-merged latency = %+v, want one series of count %d", merged, n)
+	}
+	for i, cum := range merged[0].Hist.Cum {
+		if sum := perBackend[0].Hist.Cum[i] + perBackend[1].Hist.Cum[i]; cum != sum {
+			t.Fatalf("merged bucket le=%g holds %d, backends sum to %d", merged[0].Hist.Les[i], cum, sum)
+		}
+	}
+
+	var view slo.View
+	if err := json.Unmarshal([]byte(scrapeText(t, f.url+"/v1/slo")), &view); err != nil {
+		t.Fatal(err)
+	}
+	if len(view.Statuses) != 1 || view.Statuses[0].Model != name || view.Statuses[0].FastTotal != n {
+		t.Fatalf("SLO statuses %+v, want one for the model over %d rows", view.Statuses, n)
+	}
+
+	f.router.scaler.cycle()
+	var st AutoscaleStatus
+	if err := json.Unmarshal([]byte(scrapeText(t, f.url+"/v1/autoscale")), &st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Models) != 1 || st.Models[0].Model != name || st.Models[0].Samples != n {
+		t.Fatalf("autoscale signals %+v, want the model with %d queue-wait samples", st.Models, n)
 	}
 }

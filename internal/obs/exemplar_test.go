@@ -1,11 +1,23 @@
 package obs
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
 )
+
+// testSeconds builds an unregistered latency family for in-package
+// tests (real families go through the registering constructors).
+func testSeconds(name string, labels ...string) *Family {
+	return &Family{name: name, help: "test", kind: KindHistogram, labels: labels, scale: 1e9, lo: minExpoBucket, hi: maxExpoBucket}
+}
+
+// expose renders one snapshot as a series of f.
+func expose(f *Family, s HistSnapshot, values ...string) string {
+	var w Writer
+	w.Family(f).Hist(s, values...)
+	return string(w.Bytes())
+}
 
 func TestHistogramExemplarExposition(t *testing.T) {
 	var h Histogram
@@ -14,37 +26,36 @@ func TestHistogramExemplarExposition(t *testing.T) {
 	h.ObserveTraced(int64(time.Millisecond), "aaaa0000aaaa0000aaaa0000aaaa0000")
 	h.ObserveTraced(slow, "bbbb0000bbbb0000bbbb0000bbbb0000")
 
-	var buf bytes.Buffer
-	h.Snapshot().WriteTo(&buf, "x_seconds", `model="m"`, 1e9)
-	text := buf.String()
+	f := testSeconds("x_seconds", "model")
+	text := expose(f, h.Snapshot(), "m")
 	if !strings.Contains(text, `# {trace_id="bbbb0000bbbb0000bbbb0000bbbb0000"}`) {
 		t.Fatalf("exposition missing the slow bucket's exemplar:\n%s", text)
 	}
 
 	// Exemplar annotations must not break scrape-side parsing, and the
 	// annotated value must name the raw observation in the export unit.
-	sh, ok := ParseHistogram(text, "x_seconds", nil)
-	if !ok {
-		t.Fatalf("ParseHistogram failed on exemplar-annotated exposition:\n%s", text)
+	sc := ParseScrape(text)
+	if err := sc.Check(); err != nil {
+		t.Fatalf("exemplar-annotated exposition does not parse strictly: %v\n%s", err, text)
 	}
-	if sh.Count != 2 {
-		t.Fatalf("parsed count %d, want 2", sh.Count)
+	hs := MergeHist(f, nil, nil, sc)
+	if len(hs) != 1 || hs[0].Hist.Count != 2 {
+		t.Fatalf("parsed %+v, want one series of count 2", hs)
 	}
-	var annotated string
-	for _, line := range strings.Split(text, "\n") {
-		if strings.Contains(line, `trace_id="bbbb`) {
-			annotated = line
+	var annotated *Sample
+	for i := range sc.Samples {
+		if sc.Samples[i].Exemplar.TraceID == "bbbb0000bbbb0000bbbb0000bbbb0000" {
+			annotated = &sc.Samples[i]
 		}
 	}
-	rest, exemplar := SplitExemplar(annotated)
-	if exemplar == "" {
-		t.Fatalf("SplitExemplar found no annotation on %q", annotated)
+	if annotated == nil {
+		t.Fatalf("no sample carries the slow exemplar:\n%s", text)
 	}
-	if _, _, _, ok := SplitSeries(rest); !ok {
-		t.Fatalf("series part %q no longer parses", rest)
+	if le, _ := annotated.Label("le"); annotated.Name != "x_seconds_bucket" || le != "0.268435456" || annotated.Value != 2 {
+		t.Fatalf("series part of the annotated line misparsed: %+v", annotated)
 	}
-	if !strings.HasSuffix(exemplar, " 0.2") {
-		t.Fatalf("exemplar %q should carry the raw observation 0.2s", exemplar)
+	if annotated.Exemplar.Value != 0.2 {
+		t.Fatalf("exemplar %+v should carry the raw observation 0.2s", annotated.Exemplar)
 	}
 }
 
@@ -53,20 +64,17 @@ func TestHistogramExemplarLastWriterWins(t *testing.T) {
 	h.EnableExemplars()
 	h.ObserveTraced(1000, "first000first000first000first000")
 	h.ObserveTraced(1001, "second00second00second00second00") // same bucket
-	var buf bytes.Buffer
-	h.Snapshot().WriteTo(&buf, "x", "", 1)
-	if strings.Contains(buf.String(), "first000") || !strings.Contains(buf.String(), "second00") {
-		t.Fatalf("bucket exemplar should be the most recent observation:\n%s", buf.String())
+	text := expose(testSeconds("x_seconds"), h.Snapshot())
+	if strings.Contains(text, "first000") || !strings.Contains(text, "second00") {
+		t.Fatalf("bucket exemplar should be the most recent observation:\n%s", text)
 	}
 }
 
 func TestObserveTracedDisabledOrUntraced(t *testing.T) {
 	var h Histogram
 	h.ObserveTraced(123, "cccc0000cccc0000cccc0000cccc0000") // exemplars never enabled
-	var buf bytes.Buffer
-	h.Snapshot().WriteTo(&buf, "x", "", 1)
-	if strings.Contains(buf.String(), "trace_id") {
-		t.Fatalf("exemplar emitted without EnableExemplars:\n%s", buf.String())
+	if text := expose(testSeconds("x_seconds"), h.Snapshot()); strings.Contains(text, "trace_id") {
+		t.Fatalf("exemplar emitted without EnableExemplars:\n%s", text)
 	}
 	if h.Snapshot().Count != 1 {
 		t.Fatal("ObserveTraced lost the observation with exemplars disabled")
@@ -109,37 +117,4 @@ func BenchmarkHistogramObserveTraced(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.ObserveTraced(int64(i), "feedface00000000feedface00000000")
 	}
-}
-
-func FuzzParseHistogram(f *testing.F) {
-	var h Histogram
-	h.EnableExemplars()
-	h.ObserveTraced(int64(5*time.Millisecond), "aaaa0000aaaa0000aaaa0000aaaa0000")
-	h.Observe(int64(3 * time.Second))
-	var buf bytes.Buffer
-	h.Snapshot().WriteTo(&buf, "x_seconds", `model="m"`, 1e9)
-	f.Add(buf.String())
-	f.Add(`x_seconds_bucket{le="0.001"} 1` + "\n" + `x_seconds_count 1`)
-	f.Add(`x_seconds_bucket{le="0.001"} 1 # {trace_id="zz"} 0.0005`)
-	f.Add("x_seconds_bucket{le=\"0.001\"} NaN\nx_seconds_sum{} nope")
-	f.Add("# HELP x_seconds broken\nx_seconds_bucket{le=} }{")
-	f.Fuzz(func(t *testing.T, text string) {
-		// Must never panic, whatever the scrape contains.
-		sh, ok := ParseHistogram(text, "x_seconds", nil)
-		if ok {
-			if len(sh.Les) != len(sh.Cum) {
-				t.Fatalf("ragged parse: %d les, %d cums from:\n%s", len(sh.Les), len(sh.Cum), text)
-			}
-			for i := 1; i < len(sh.Les); i++ {
-				if sh.Les[i] <= sh.Les[i-1] {
-					t.Fatalf("accepted unsorted le ladder %v from:\n%s", sh.Les, text)
-				}
-			}
-		}
-		for _, line := range strings.Split(text, "\n") {
-			SplitExemplar(line)
-			SplitSeries(line)
-			ParseLabels(line)
-		}
-	})
 }

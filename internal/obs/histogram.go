@@ -1,10 +1,12 @@
 // Package obs is the shared observability layer for the radixnet serving
 // stack: lock-free log-bucketed latency histograms with mergeable
 // snapshots and quantile extraction, windowed maxima, per-request traces
-// with named span timings retained in a bounded lock-free ring, Go
-// runtime gauges, and a parser for Prometheus histogram exposition (used
-// by the router to merge backend histograms bucket-wise and by selftests
-// to assert tail-latency invariants from the exported data).
+// with named span timings retained in a bounded lock-free ring, and the
+// /metrics exposition itself: every metric family of both tiers is
+// declared once (Family), one Writer renders the text, and one parser
+// (ParseScrape) reads it back — for the router to merge backend
+// histograms bucket-wise and for selftests to assert tail-latency
+// invariants from the exported data.
 //
 // Everything here is stdlib-only and safe for concurrent use. The hot
 // paths (Histogram.Observe, WindowedMax.Observe, TraceRing.Add) are
@@ -13,10 +15,7 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math/bits"
-	"strconv"
 	"sync/atomic"
 )
 
@@ -27,13 +26,13 @@ import (
 const NumBuckets = 48
 
 // Exposition window: emitting all 48 buckets per series would bloat
-// /metrics with empty lines, so WriteTo emits the le ladder for buckets
-// minExpoBucket..maxExpoBucket (4.096µs .. ~17.2s for nanosecond
-// observations) and folds everything outside into the first bucket and
-// +Inf respectively. Counts are never lost — only boundary resolution
-// outside the plausible latency range. All histograms share the exact
-// same ladder, which is what makes router-side bucket-wise merging a
-// straight per-le sum.
+// /metrics with empty lines, so a latency family (NewSeconds) exposes the
+// le ladder for buckets minExpoBucket..maxExpoBucket (4.096µs .. ~17.2s
+// for nanosecond observations) and folds everything outside into the
+// first bucket and +Inf respectively. Counts are never lost — only
+// boundary resolution outside the plausible latency range. All latency
+// histograms share the exact same ladder, which is what makes router-side
+// bucket-wise merging a straight per-le sum.
 const (
 	minExpoBucket = 12
 	maxExpoBucket = 34
@@ -194,22 +193,18 @@ func (s *HistSnapshot) Merge(o HistSnapshot) {
 // Counters are monotone, so any underflow (from torn reads) clamps to 0.
 func (s *HistSnapshot) Sub(prev HistSnapshot) {
 	for i := range s.Buckets {
-		if s.Buckets[i] >= prev.Buckets[i] {
-			s.Buckets[i] -= prev.Buckets[i]
-		} else {
-			s.Buckets[i] = 0
-		}
+		s.Buckets[i] = monus(s.Buckets[i], prev.Buckets[i])
 	}
-	if s.Count >= prev.Count {
-		s.Count -= prev.Count
-	} else {
-		s.Count = 0
+	s.Count = monus(s.Count, prev.Count)
+	s.Sum = max(s.Sum-prev.Sum, 0)
+}
+
+// monus is a - b clamped at zero, for counters read at two moments.
+func monus(a, b uint64) uint64 {
+	if a < b {
+		return 0
 	}
-	if s.Sum >= prev.Sum {
-		s.Sum -= prev.Sum
-	} else {
-		s.Sum = 0
-	}
+	return a - b
 }
 
 // Mean reports the arithmetic mean of the observed values (0 if empty).
@@ -229,16 +224,8 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 	if s.Count == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	if rank < 1 {
-		rank = 1
-	}
+	q = min(max(q, 0), 1)
+	rank := max(q*float64(s.Count), 1)
 	var cum float64
 	for i := 0; i < NumBuckets; i++ {
 		n := float64(s.Buckets[i])
@@ -257,101 +244,6 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 		cum += n
 	}
 	return BucketBound(NumBuckets - 1)
-}
-
-// WriteTo emits the snapshot as one Prometheus histogram series:
-// name_bucket lines for the shared le ladder plus +Inf, then name_sum
-// and name_count. Observations are divided by scale on the way out —
-// pass 1e9 to export nanosecond observations in seconds. labels is a
-// pre-rendered label body without braces (e.g. `model="m",class="c"`);
-// it may be empty. The caller is responsible for emitting the # HELP
-// and # TYPE <name> histogram header once per family.
-func (s HistSnapshot) WriteTo(w io.Writer, name, labels string, scale float64) {
-	s.WriteToRange(w, name, labels, scale, minExpoBucket, maxExpoBucket)
-}
-
-// WriteToRange is WriteTo with an explicit exposition window: buckets
-// lo..hi (log2 indices) form the le ladder, everything below lo folds
-// into the first emitted bucket and everything above hi into +Inf.
-// The default window suits nanosecond latencies; small-integer
-// histograms (batch sizes) pass a low window instead.
-func (s HistSnapshot) WriteToRange(w io.Writer, name, labels string, scale float64, lo, hi int) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi >= NumBuckets {
-		hi = NumBuckets - 1
-	}
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	var cum uint64
-	for i := 0; i <= hi; i++ {
-		cum += s.Buckets[i]
-		if i < lo {
-			continue
-		}
-		le := strconv.FormatFloat(float64(BucketBound(i))/scale, 'g', -1, 64)
-		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d", name, labels, sep, le, cum)
-		s.writeExemplar(w, i, i == lo, lo, scale)
-		io.WriteString(w, "\n")
-	}
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d", name, labels, sep, s.Count)
-	s.writeInfExemplar(w, hi, scale)
-	io.WriteString(w, "\n")
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %g\n", name, float64(s.Sum)/scale)
-		fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
-	} else {
-		fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, float64(s.Sum)/scale)
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, s.Count)
-	}
-}
-
-// writeExemplar appends an OpenMetrics-style exemplar annotation
-// (" # {trace_id=\"...\"} <value>") for exposition bucket i, if one is
-// present. Buckets folded into the first emitted line (i < lo) surface
-// on that line when first is true, newest observation winning.
-func (s HistSnapshot) writeExemplar(w io.Writer, i int, first bool, lo int, scale float64) {
-	if s.Exemplars == nil {
-		return
-	}
-	e := s.Exemplars[i]
-	if first {
-		// The first exposition bucket also covers every sub-resolution
-		// bucket below it.
-		for j := 0; j < lo; j++ {
-			if s.Exemplars[j].TraceID != "" {
-				e = s.Exemplars[j]
-			}
-		}
-		if s.Exemplars[i].TraceID != "" {
-			e = s.Exemplars[i]
-		}
-	}
-	if e.TraceID == "" {
-		return
-	}
-	fmt.Fprintf(w, " # {trace_id=%q} %g", e.TraceID, float64(e.Value)/scale)
-}
-
-// writeInfExemplar emits the exemplar for observations past the
-// exposition window (folded into the +Inf bucket).
-func (s HistSnapshot) writeInfExemplar(w io.Writer, hi int, scale float64) {
-	if s.Exemplars == nil {
-		return
-	}
-	var e Exemplar
-	for j := hi + 1; j < NumBuckets; j++ {
-		if s.Exemplars[j].TraceID != "" {
-			e = s.Exemplars[j]
-		}
-	}
-	if e.TraceID == "" {
-		return
-	}
-	fmt.Fprintf(w, " # {trace_id=%q} %g", e.TraceID, float64(e.Value)/scale)
 }
 
 // WindowedMax tracks a running maximum over scrape windows: Observe
@@ -380,20 +272,12 @@ func (m *WindowedMax) Observe(v int64) {
 // Value reports the max over the current and previous windows without
 // rotating.
 func (m *WindowedMax) Value() int64 {
-	c, p := m.cur.Load(), m.prev.Load()
-	if p > c {
-		return p
-	}
-	return c
+	return max(m.cur.Load(), m.prev.Load())
 }
 
 // Rotate reports the max over the current and previous windows, then
 // retires the current window (prev <- cur, cur <- 0). Call on scrape.
 func (m *WindowedMax) Rotate() int64 {
 	c := m.cur.Swap(0)
-	p := m.prev.Swap(c)
-	if p > c {
-		return p
-	}
-	return c
+	return max(c, m.prev.Swap(c))
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -104,9 +105,8 @@ func TestHistogramExpositionExactBuckets(t *testing.T) {
 	h.Observe(int64(3 * time.Millisecond))  // bucket 22 (le ~4.19ms)
 	h.Observe(int64(40 * time.Millisecond)) // bucket 26 (le ~67.1ms)
 	h.Observe(1)                            // bucket 0, below the ladder: folds into first le
-	var sb strings.Builder
-	h.Snapshot().WriteTo(&sb, "t_seconds", `model="m"`, 1e9)
-	text := sb.String()
+	f := testSeconds("t_seconds", "model")
+	text := expose(f, h.Snapshot(), "m")
 
 	wantLines := []string{
 		// First emitted bound: 2^12/1e9.
@@ -131,11 +131,11 @@ func TestHistogramExpositionExactBuckets(t *testing.T) {
 	}
 	// Cumulative counts must be monotone non-decreasing.
 	prev := uint64(0)
-	hist, ok := ParseHistogram(text, "t_seconds", map[string]string{"model": "m"})
-	if !ok {
-		t.Fatal("ParseHistogram failed on own exposition")
+	hs := MergeHist(f, nil, []Label{{"model", "m"}}, ParseScrape(text))
+	if len(hs) != 1 {
+		t.Fatal("MergeHist failed on own exposition")
 	}
-	for i, c := range hist.Cum {
+	for i, c := range hs[0].Hist.Cum {
 		if c < prev {
 			t.Fatalf("non-monotone cum at %d", i)
 		}
@@ -144,23 +144,28 @@ func TestHistogramExpositionExactBuckets(t *testing.T) {
 }
 
 func TestScrapeRoundTrip(t *testing.T) {
-	// A histogram written with WriteTo and re-parsed with ParseHistogram
+	// A histogram written by the Writer and re-read through ParseScrape
 	// must preserve count, sum, and quantile estimates.
 	var h Histogram
 	for i := 1; i <= 500; i++ {
 		h.Observe(int64(i) * int64(time.Millisecond) / 10) // 0.1ms..50ms
 	}
 	snap := h.Snapshot()
-	var sb strings.Builder
-	sb.WriteString("# HELP t_seconds help\n# TYPE t_seconds histogram\n")
-	snap.WriteTo(&sb, "t_seconds", `model="m",class="c"`, 1e9)
-
-	hist, ok := ParseHistogram(sb.String(), "t_seconds", map[string]string{"model": "m", "class": "c"})
-	if !ok {
+	f := testSeconds("t_seconds", "model", "class")
+	sc := ParseScrape(expose(f, snap, "m", "c"))
+	if err := sc.Check(); err != nil {
+		t.Fatal(err)
+	}
+	hs := MergeHist(f, nil, []Label{{"model", "m"}, {"class", "c"}}, sc)
+	if len(hs) != 1 {
 		t.Fatal("no series found")
 	}
+	hist := hs[0].Hist
 	if hist.Count != snap.Count {
 		t.Fatalf("count = %d, want %d", hist.Count, snap.Count)
+	}
+	if want := f.Scraped(snap); !reflect.DeepEqual(hist.Les, want.Les) || !reflect.DeepEqual(hist.Cum, want.Cum) || hist.Sum != want.Sum {
+		t.Fatalf("scrape of the exposition differs from Family.Scraped of the snapshot:\n got %+v\nwant %+v", hist, want)
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99} {
 		native := float64(snap.Quantile(q)) / 1e9
@@ -169,16 +174,22 @@ func TestScrapeRoundTrip(t *testing.T) {
 			t.Errorf("q%.2f scraped=%g native=%g", q, scraped, native)
 		}
 	}
-	// Aggregation across label-distinct series: same family, two models.
-	var sb2 strings.Builder
-	snap.WriteTo(&sb2, "t_seconds", `model="m",class="c"`, 1e9)
-	snap.WriteTo(&sb2, "t_seconds", `model="m2",class="c"`, 1e9)
-	all, ok := ParseHistogram(sb2.String(), "t_seconds", map[string]string{"class": "c"})
-	if !ok || all.Count != 2*snap.Count {
-		t.Fatalf("aggregate count = %d, want %d", all.Count, 2*snap.Count)
+	// Aggregation across label-distinct series: same family, two models,
+	// merged whole and merged per model.
+	var w Writer
+	w.Family(f).Hist(snap, "m", "c")
+	w.Hist(snap, "m2", "c")
+	both := ParseScrape(string(w.Bytes()))
+	all := MergeHist(f, nil, []Label{{"class", "c"}}, both)
+	if len(all) != 1 || all[0].Hist.Count != 2*snap.Count {
+		t.Fatalf("aggregate = %+v, want one series of count %d", all, 2*snap.Count)
+	}
+	if per := MergeHist(f, []string{"model"}, nil, both, nil, sc); len(per) != 2 || per[0].Values[0] != "m" ||
+		per[0].Hist.Count != 2*snap.Count || per[1].Key != `model="m2"` || per[1].Hist.Count != snap.Count {
+		t.Fatalf("per-model merge over two scrapes (and a failed one) = %+v", per)
 	}
 	// Window diff.
-	win := all.Sub(hist)
+	win := all[0].Hist.Sub(hist)
 	if win.Count != snap.Count {
 		t.Fatalf("window count = %d, want %d", win.Count, snap.Count)
 	}

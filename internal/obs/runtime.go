@@ -1,29 +1,30 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 )
 
-// WriteRuntimeMetrics emits Go runtime gauges under the given metric
-// prefix (e.g. "radixserve"): live goroutines, heap bytes in use, total
-// GC pause seconds, and completed GC cycles. Appended to /metrics so a
+// RuntimeExposition declares one tier's Go runtime families under its
+// prefix ("radixserve" or "radixrouter") — live goroutines, heap bytes in
+// use, total GC pause seconds, completed GC cycles — and returns the
+// function that writes their current readings, appended to /metrics so a
 // fleet's scheduler pressure and GC behaviour are scrapeable alongside
 // the request-path histograms.
-func WriteRuntimeMetrics(w io.Writer, prefix string) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	fmt.Fprintf(w, "# HELP %s_goroutines Live goroutines.\n# TYPE %s_goroutines gauge\n%s_goroutines %d\n",
-		prefix, prefix, prefix, runtime.NumGoroutine())
-	fmt.Fprintf(w, "# HELP %s_heap_alloc_bytes Heap bytes in use.\n# TYPE %s_heap_alloc_bytes gauge\n%s_heap_alloc_bytes %d\n",
-		prefix, prefix, prefix, ms.HeapAlloc)
-	fmt.Fprintf(w, "# HELP %s_gc_pause_seconds_total Cumulative stop-the-world GC pause.\n# TYPE %s_gc_pause_seconds_total counter\n%s_gc_pause_seconds_total %g\n",
-		prefix, prefix, prefix, float64(ms.PauseTotalNs)/1e9)
-	fmt.Fprintf(w, "# HELP %s_gc_cycles_total Completed GC cycles.\n# TYPE %s_gc_cycles_total counter\n%s_gc_cycles_total %d\n",
-		prefix, prefix, prefix, ms.NumGC)
+func RuntimeExposition(tier string) func(w *Writer) {
+	goroutines := NewGauge(tier+"_goroutines", "Live goroutines.")
+	heapAlloc := NewGauge(tier+"_heap_alloc_bytes", "Heap bytes in use.")
+	gcPause := NewCounter(tier+"_gc_pause_seconds_total", "Cumulative stop-the-world GC pause.")
+	gcCycles := NewCounter(tier+"_gc_cycles_total", "Completed GC cycles.")
+	return func(w *Writer) {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		w.Family(goroutines).Int(int64(runtime.NumGoroutine()))
+		w.Family(heapAlloc).Int(int64(ms.HeapAlloc))
+		w.Family(gcPause).Float(float64(ms.PauseTotalNs) / 1e9)
+		w.Family(gcCycles).Int(int64(ms.NumGC))
+	}
 }
 
 // RegisterPprof mounts net/http/pprof's handlers on mux under

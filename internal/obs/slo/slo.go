@@ -206,8 +206,11 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // Record retains one cumulative sample for (model, class) at now.
 // Samples older than the slow window (plus one slot of slack for the
-// baseline) are pruned.
+// baseline) are pruned. Exemplars are dropped first: no objective reads
+// them, and up to MaxSamples retained copies per series would each pin
+// a bucket's worth of trace IDs.
 func (e *Engine) Record(model, class string, s Sample, now time.Time) {
+	s.Hist.Exemplars = nil
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	k := seriesKey{model, class}
@@ -418,5 +421,36 @@ func (e *Engine) ViewOf(now time.Time) View {
 		FastBurn:   e.cfg.FastBurn,
 		SlowBurn:   e.cfg.SlowBurn,
 		Statuses:   statuses,
+	}
+}
+
+// Exposition declares one tier's burn-rate gauge families under its
+// prefix ("radixserve" judges one node's traffic, "radixrouter" the
+// fleet's) and returns the function that writes an evaluation, a series
+// per objective×series.
+func Exposition(tier string) func(w *obs.Writer, statuses []Status) {
+	gauge := func(name, help string) *obs.Family {
+		return obs.NewGauge(tier+"_slo_"+name, help, "objective", "model", "class")
+	}
+	gauges := []struct {
+		fam   *obs.Family
+		value func(st Status) float64
+	}{
+		{gauge("fast_burn", "Error-budget burn rate over the fast window (1 = sustainable)."),
+			func(st Status) float64 { return st.FastBurn }},
+		{gauge("slow_burn", "Error-budget burn rate over the slow window (1 = sustainable)."),
+			func(st Status) float64 { return st.SlowBurn }},
+		{gauge("error_budget_remaining", "Error budget fraction left at the slow window's burn (clamped at 0)."),
+			func(st Status) float64 { return st.BudgetRemaining }},
+		{gauge("state", "Objective state: 0 ok, 1 warn, 2 violated."),
+			func(st Status) float64 { return float64(StateValue(st.State)) }},
+	}
+	return func(w *obs.Writer, statuses []Status) {
+		for _, g := range gauges {
+			w.Family(g.fam)
+			for _, st := range statuses {
+				w.Float(g.value(st), st.Objective.Name, st.Model, st.Class)
+			}
+		}
 	}
 }

@@ -124,6 +124,32 @@ func TestErrorObjective(t *testing.T) {
 	}
 }
 
+// TestRecordRetainsNoExemplars pins what a retained sample may hold: the
+// engine keeps up to MaxSamples of them per series for the slow window,
+// and an exemplar's trace ID can be a substring of a whole backend
+// scrape, so exemplars — which no objective reads — are dropped at the
+// door; the caller's histogram is not touched.
+func TestRecordRetainsNoExemplars(t *testing.T) {
+	t0 := time.Unix(1700000000, 0)
+	e := New(Config{Objectives: mustObjectives(t, "m::10ms:99")})
+	h := histWithGood(90, 100)
+	h.Exemplars = []obs.ScrapedExemplar{{TraceID: "aaaa", Value: 0.005}, {}, {TraceID: "bbbb", Value: 3}}
+	for i := 0; i < 3; i++ {
+		e.Record("m", "", Sample{Hist: h}, t0.Add(time.Duration(i)*time.Second))
+	}
+	for _, ts := range e.series[seriesKey{"m", ""}].samples {
+		if ts.s.Hist.Exemplars != nil {
+			t.Fatalf("retained sample at %v holds exemplars %+v", ts.t, ts.s.Hist.Exemplars)
+		}
+		if ts.s.Hist.Count != 100 || ts.s.Hist.Cum[0] != 90 {
+			t.Fatalf("retained sample lost its counts: %+v", ts.s.Hist)
+		}
+	}
+	if len(h.Exemplars) != 3 || h.Exemplars[0].TraceID != "aaaa" {
+		t.Fatalf("Record modified the caller's histogram: %+v", h.Exemplars)
+	}
+}
+
 // TestWindowDelta pins the multi-window semantics: a series that burned
 // hot long ago but has been clean for the whole fast window reports a
 // cold fast burn and a hot slow burn — warn, not violated, which is the

@@ -23,6 +23,21 @@ func NewTraceID() string {
 	return fmt.Sprintf("%016x%016x", rand.Uint64(), rand.Uint64())
 }
 
+// RequestTraceID returns the trace ID a request travels under: the
+// incoming X-Radix-Trace-Id when it is at most 64 bytes of [0-9A-Za-z_-],
+// otherwise a freshly minted one (this tier is the edge, or the client
+// sent something else). The ID is retained in the trace ring, pinned per
+// bucket as an exemplar, echoed in the response and printed on /metrics,
+// so an unbounded or free-form client string is never honoured.
+func RequestTraceID(h http.Header) string {
+	const allowed = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_-"
+	id := h.Get(HeaderTraceID)
+	if id == "" || len(id) > 64 || strings.Trim(id, allowed) != "" { // Trim leaves the first byte not in allowed
+		return NewTraceID()
+	}
+	return id
+}
+
 // Span is one named stage of a request's lifecycle. Offsets and
 // durations are wall-clock milliseconds relative to the owning trace's
 // start, which keeps the wire format human-readable in /debug/traces

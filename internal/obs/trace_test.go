@@ -2,7 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -110,5 +112,38 @@ func TestSpanLine(t *testing.T) {
 	want := "queue=1.200ms execute=3.400ms"
 	if got != want {
 		t.Fatalf("SpanLine = %q, want %q", got, want)
+	}
+}
+
+func TestRequestTraceID(t *testing.T) {
+	hex32 := "feedface00000000feedface00000000"
+	for _, tc := range []struct {
+		name, in string
+		honoured bool
+	}{
+		{"empty", "", false},
+		{"32 hex", hex32, true},
+		{"64 bytes", strings.Repeat("aB3_-xyz", 8), true},
+		{"65 bytes", strings.Repeat("a", 65), false},
+		{"space", "cafe cafe", false},
+		{"quote", `cafe"cafe`, false},
+		{"newline", "cafe\ncafe", false},
+		{"non-ASCII", "café0000", false},
+	} {
+		h := http.Header{}
+		if tc.in != "" {
+			h[HeaderTraceID] = []string{tc.in}
+		}
+		got := RequestTraceID(h)
+		if tc.honoured && got != tc.in {
+			t.Errorf("%s: got %q, want the incoming ID honoured", tc.name, got)
+		}
+		if !tc.honoured && (got == tc.in || len(got) != 32 || strings.Trim(got, "0123456789abcdef") != "") {
+			t.Errorf("%s: got %q, want a freshly minted 32-hex ID", tc.name, got)
+		}
+	}
+	h := http.Header{HeaderTraceID: []string{hex32}}
+	if allocs := testing.AllocsPerRun(100, func() { RequestTraceID(h) }); allocs != 0 {
+		t.Errorf("honouring an ID allocates %v/op, want 0", allocs)
 	}
 }

@@ -4,55 +4,15 @@
 // All helpers bound their worker count by runtime.GOMAXPROCS(0) and degrade
 // to a plain serial loop when only one worker is available or when the
 // problem is too small to amortize dispatch. Block loops (Blocks,
-// BlocksGrain, For, ForGrain) dispatch through the process-wide persistent
-// Pool (see Shared), so repeated calls — e.g. once per layer of a deep
-// inference stack — reuse parked workers instead of spawning goroutines.
-// Do and Reduce retain the spawn-per-call design, as they are called at
-// coarse granularity where spawn cost is negligible.
+// BlocksGrain) dispatch through the process-wide persistent Pool (see
+// Shared), so repeated calls — e.g. once per layer of a deep inference
+// stack — reuse parked workers instead of spawning goroutines.
 package parallel
 
-import (
-	"runtime"
-	"sync"
-)
-
 // DefaultGrain is the minimum number of loop iterations per worker below
-// which For falls back to a serial loop. Spawning goroutines for tiny loops
-// costs more than it saves.
+// which Blocks falls back to a serial loop. Spawning goroutines for tiny
+// loops costs more than it saves.
 const DefaultGrain = 256
-
-// Workers returns the number of workers to use for n independent tasks with
-// the given minimum grain size. It is always at least 1 and at most
-// runtime.GOMAXPROCS(0).
-func Workers(n, grain int) int {
-	if grain < 1 {
-		grain = 1
-	}
-	w := runtime.GOMAXPROCS(0)
-	if max := n / grain; w > max {
-		w = max
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// For executes fn(i) for every i in [0, n), possibly in parallel.
-// fn must be safe to call concurrently for distinct i.
-func For(n int, fn func(i int)) {
-	ForGrain(n, DefaultGrain, fn)
-}
-
-// ForGrain is For with an explicit minimum grain size: at least grain
-// consecutive iterations are assigned to each worker.
-func ForGrain(n, grain int, fn func(i int)) {
-	BlocksGrain(n, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
 
 // Blocks partitions [0, n) into contiguous blocks, one per worker, and calls
 // fn(lo, hi) for each block, possibly in parallel. fn must be safe to call
@@ -69,65 +29,4 @@ func BlocksGrain(n, grain int, fn func(lo, hi int)) {
 		return
 	}
 	Shared().Run(n, grain, fn)
-}
-
-// Do runs the given thunks, possibly in parallel, and waits for all of them.
-func Do(fns ...func()) {
-	if len(fns) == 0 {
-		return
-	}
-	if len(fns) == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for _, fn := range fns {
-			fn()
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(fns))
-	for _, fn := range fns {
-		go func(fn func()) {
-			defer wg.Done()
-			fn()
-		}(fn)
-	}
-	wg.Wait()
-}
-
-// Reduce computes a parallel reduction over [0, n). Each worker folds its
-// block serially with fold starting from zero, and the per-worker partial
-// results are combined left-to-right with combine. fold must be pure with
-// respect to shared state; combine is called serially.
-func Reduce[T any](n int, zero T, fold func(acc T, i int) T, combine func(a, b T) T) T {
-	w := Workers(n, DefaultGrain)
-	if n <= 0 {
-		return zero
-	}
-	if w == 1 {
-		acc := zero
-		for i := 0; i < n; i++ {
-			acc = fold(acc, i)
-		}
-		return acc
-	}
-	parts := make([]T, w)
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		lo := k * n / w
-		hi := (k + 1) * n / w
-		go func(k, lo, hi int) {
-			defer wg.Done()
-			acc := zero
-			for i := lo; i < hi; i++ {
-				acc = fold(acc, i)
-			}
-			parts[k] = acc
-		}(k, lo, hi)
-	}
-	wg.Wait()
-	acc := zero
-	for _, p := range parts {
-		acc = combine(acc, p)
-	}
-	return acc
 }

@@ -2,53 +2,32 @@ package parallel
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
-func TestForCoversAllIndices(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 255, 256, 257, 10_000} {
-		seen := make([]int32, n)
-		For(n, func(i int) { atomic.AddInt32(&seen[i], 1) })
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, c)
-			}
-		}
-	}
-}
-
-func TestForGrainSmallGrainStillCovers(t *testing.T) {
-	n := 1000
-	var count int64
-	ForGrain(n, 1, func(i int) { atomic.AddInt64(&count, 1) })
-	if got := atomic.LoadInt64(&count); got != int64(n) {
-		t.Fatalf("visited %d of %d", got, n)
-	}
-}
-
 func TestBlocksPartition(t *testing.T) {
-	for _, n := range []int{0, 1, 100, 4096} {
-		var mu sync.Mutex
-		covered := make([]bool, n)
-		BlocksGrain(n, 1, func(lo, hi int) {
-			if lo < 0 || hi > n || lo >= hi {
-				t.Errorf("bad block [%d,%d) for n=%d", lo, hi, n)
-				return
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for i := lo; i < hi; i++ {
-				if covered[i] {
-					t.Errorf("index %d covered twice", i)
+	for _, n := range []int{0, 1, 7, 100, 255, 256, 257, 4096, 10_000} {
+		for _, grain := range []int{1, DefaultGrain} {
+			var mu sync.Mutex
+			covered := make([]bool, n)
+			BlocksGrain(n, grain, func(lo, hi int) {
+				if lo < 0 || hi > n || lo >= hi {
+					t.Errorf("bad block [%d,%d) for n=%d", lo, hi, n)
+					return
 				}
-				covered[i] = true
-			}
-		})
-		for i, c := range covered {
-			if !c {
-				t.Fatalf("n=%d: index %d not covered", n, i)
+				mu.Lock()
+				defer mu.Unlock()
+				for i := lo; i < hi; i++ {
+					if covered[i] {
+						t.Errorf("index %d covered twice", i)
+					}
+					covered[i] = true
+				}
+			})
+			for i, c := range covered {
+				if !c {
+					t.Fatalf("n=%d grain=%d: index %d not covered", n, grain, i)
+				}
 			}
 		}
 	}
@@ -60,59 +39,5 @@ func TestBlocksNegativeAndZero(t *testing.T) {
 	Blocks(-5, func(lo, hi int) { called = true })
 	if called {
 		t.Fatal("Blocks must not invoke fn for non-positive n")
-	}
-}
-
-func TestWorkersBounds(t *testing.T) {
-	if w := Workers(0, 10); w != 1 {
-		t.Fatalf("Workers(0,10) = %d, want 1", w)
-	}
-	if w := Workers(5, 0); w < 1 {
-		t.Fatalf("Workers with zero grain = %d", w)
-	}
-	if w := Workers(1_000_000, 1); w < 1 {
-		t.Fatalf("Workers = %d", w)
-	}
-}
-
-func TestDo(t *testing.T) {
-	var a, b, c int32
-	Do(
-		func() { atomic.StoreInt32(&a, 1) },
-		func() { atomic.StoreInt32(&b, 2) },
-		func() { atomic.StoreInt32(&c, 3) },
-	)
-	av, bv, cv := atomic.LoadInt32(&a), atomic.LoadInt32(&b), atomic.LoadInt32(&c)
-	if av != 1 || bv != 2 || cv != 3 {
-		t.Fatalf("Do did not run all thunks: %d %d %d", av, bv, cv)
-	}
-	Do() // empty must not hang
-}
-
-func TestReduceSum(t *testing.T) {
-	for _, n := range []int{0, 1, 10, 1000, 100_000} {
-		got := Reduce(n, 0, func(acc, i int) int { return acc + i }, func(a, b int) int { return a + b })
-		want := n * (n - 1) / 2
-		if n == 0 {
-			want = 0
-		}
-		if got != want {
-			t.Fatalf("Reduce sum n=%d = %d, want %d", n, got, want)
-		}
-	}
-}
-
-func TestReduceMatchesSerialProperty(t *testing.T) {
-	prop := func(raw []uint8) bool {
-		n := len(raw)
-		par := Reduce(n, 0, func(acc, i int) int { return acc + int(raw[i]) }, func(a, b int) int { return a + b })
-		ser := 0
-		for _, v := range raw {
-			ser += int(v)
-		}
-		return par == ser
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }

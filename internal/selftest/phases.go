@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,10 +42,10 @@ func BitIdentityPhase(ctx context.Context, t Target, in *sparse.Dense, expected 
 func ConcurrencyPhase(ctx context.Context, t Target, models []string, in *sparse.Dense, expected [][]float64) error {
 	baseRows := in.Rows()
 	// One model windows its own series; several merge across all of them
-	// (a nil label want) — the level spread its rows over every one.
-	var want map[string]string
+	// (no label filter) — the level spread its rows over every one.
+	var want []obs.Label
 	if len(models) == 1 {
-		want = map[string]string{"model": models[0]}
+		want = []obs.Label{{Name: "model", Value: models[0]}}
 	}
 	for _, conc := range []int{1, 4, 16} {
 		rows := baseRows * len(models) * conc
@@ -80,7 +81,7 @@ func ConcurrencyPhase(ctx context.Context, t Target, models []string, in *sparse
 		if err != nil {
 			return err
 		}
-		win, err := HistWindow(before, after, t.LatencyFamily, want)
+		win, err := HistWindow(before, after, t.LatencyFamily, want...)
 		if err != nil {
 			return fmt.Errorf("concurrency %d: %w", conc, err)
 		}
@@ -159,7 +160,7 @@ func ControlPlanePhase(ctx context.Context, t Target, cfg core.Config, engines i
 	}
 	for i := 0; i < Reloads; i++ {
 		waitRows(int64((i + 1) * 16))
-		status, body, err := cliutil.DoJSON(ctx, t.Client, http.MethodPut, t.URL+"/v1/models/"+t.Model, regBody)
+		status, body, err := cliutil.DoJSON(ctx, t.Client, http.MethodPut, t.URL+"/v1/models/"+url.PathEscape(t.Model), regBody)
 		if err != nil || status != http.StatusOK {
 			close(stop)
 			wg.Wait()
@@ -333,7 +334,7 @@ func QoSPhase(ctx context.Context, t Target, in *sparse.Dense, expected [][]floa
 	// background rows) would see. The probes' own client-side tally only
 	// annotates the failure message.
 	win, err := HistWindow(before, after, t.QueueWaitFamily,
-		map[string]string{"model": t.Model, "class": serve.ClassInteractive})
+		obs.Label{Name: "model", Value: t.Model}, obs.Label{Name: "class", Value: serve.ClassInteractive})
 	if err != nil {
 		return fmt.Errorf("qos: %w", err)
 	}
@@ -460,9 +461,9 @@ func ExemplarSLOPhase(ctx context.Context, t Target, in *sparse.Dense) error {
 	if err != nil {
 		return err
 	}
-	ids := ExemplarTraceIDs(scrape, fmt.Sprintf("%s_bucket{model=%q", t.LatencyFamily, t.Model))
+	ids := ExemplarTraceIDs(scrape, t.LatencyFamily, t.Model)
 	if len(ids) == 0 {
-		return fmt.Errorf("deep-obs: no exemplar annotations on %s buckets", t.LatencyFamily)
+		return fmt.Errorf("deep-obs: no exemplar annotations on %s buckets", t.LatencyFamily.Name())
 	}
 	// Exemplars name the most recent request per bucket; old buckets may
 	// reference traces the ring has since evicted, so any one resolving

@@ -18,12 +18,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
 	"github.com/radix-net/radixnet/internal/cliutil"
+	"github.com/radix-net/radixnet/internal/cluster"
 	"github.com/radix-net/radixnet/internal/core"
 	"github.com/radix-net/radixnet/internal/graphio"
 	"github.com/radix-net/radixnet/internal/infer"
@@ -43,24 +44,24 @@ type Target struct {
 	Client *http.Client
 	// LatencyFamily buckets per-model request latency, QueueWaitFamily
 	// per-model×class scheduler queue wait.
-	LatencyFamily   string
-	QueueWaitFamily string
+	LatencyFamily   *obs.Family
+	QueueWaitFamily *obs.Family
 }
 
 // Node targets a single radixserve instance, which exports its own
 // histograms.
 func Node(client *http.Client, url, model string) Target {
 	return Target{URL: url, Model: model, Client: client,
-		LatencyFamily:   "radixserve_request_latency_seconds",
-		QueueWaitFamily: "radixserve_queue_wait_seconds"}
+		LatencyFamily:   serve.MetricRequestLatency,
+		QueueWaitFamily: serve.MetricQueueWait}
 }
 
 // Routed targets a radixrouter, which re-exports its backends' histograms
 // summed bucket-wise as the fleet-merged radixrouter_model_* families.
 func Routed(client *http.Client, url, model string) Target {
 	return Target{URL: url, Model: model, Client: client,
-		LatencyFamily:   "radixrouter_model_request_latency_seconds",
-		QueueWaitFamily: "radixrouter_model_queue_wait_seconds"}
+		LatencyFamily:   cluster.MetricModelRequestLatency,
+		QueueWaitFamily: cluster.MetricModelQueueWait}
 }
 
 // For returns the same target driving another model.
@@ -130,17 +131,17 @@ func PostRow(ctx context.Context, t Target, row []float64) (int, string, serve.I
 	return Post(ctx, t, serve.InferRequest{Inputs: [][]float64{row}})
 }
 
-// Scrape fetches the target's /metrics exposition (a router's fans out to
-// every backend and re-emits their series merged).
-func Scrape(ctx context.Context, t Target) (string, error) {
+// Scrape fetches and parses the target's /metrics exposition (a router's
+// fans out to every backend and re-emits their series merged).
+func Scrape(ctx context.Context, t Target) (*obs.Scrape, error) {
 	status, data, err := cliutil.DoJSON(ctx, t.Client, http.MethodGet, t.URL+"/metrics", nil)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if status != http.StatusOK {
-		return "", fmt.Errorf("scrape /metrics: status %d", status)
+		return nil, fmt.Errorf("scrape /metrics: status %d", status)
 	}
-	return string(data), nil
+	return obs.ParseScrape(string(data)), nil
 }
 
 // GetJSON decodes the target's GET path into out. Every JSON endpoint of
@@ -184,7 +185,7 @@ func Register(ctx context.Context, t Target, cfg core.Config, engines int) ([]by
 
 // Unregister drains and removes the target's model (DELETE must answer 200).
 func Unregister(ctx context.Context, t Target) error {
-	status, out, err := cliutil.DoJSON(ctx, t.Client, http.MethodDelete, t.URL+"/v1/models/"+t.Model, nil)
+	status, out, err := cliutil.DoJSON(ctx, t.Client, http.MethodDelete, t.URL+"/v1/models/"+url.PathEscape(t.Model), nil)
 	if err != nil || status != http.StatusOK {
 		return fmt.Errorf("unregister %s: status %d err %v (%s)", t.Model, status, err, out)
 	}
@@ -201,49 +202,35 @@ func Percentile(lat []time.Duration, p int) time.Duration {
 	return s[idx]
 }
 
-// ExemplarTraceIDs extracts the trace IDs of every exemplar annotation on
-// scrape lines with the given prefix.
-func ExemplarTraceIDs(scrape, prefix string) []string {
+// ExemplarTraceIDs returns the trace IDs of the exemplars on the model's
+// buckets of histogram family f, in le order.
+func ExemplarTraceIDs(sc *obs.Scrape, f *obs.Family, model string) []string {
 	var ids []string
-	for _, line := range strings.Split(scrape, "\n") {
-		line = strings.TrimSpace(line)
-		if !strings.HasPrefix(line, prefix) {
-			continue
+	for _, hs := range obs.MergeHist(f, nil, []obs.Label{{Name: "model", Value: model}}, sc) {
+		for _, e := range hs.Hist.Exemplars {
+			if e.TraceID != "" {
+				ids = append(ids, e.TraceID)
+			}
 		}
-		_, exemplar := obs.SplitExemplar(line)
-		if exemplar == "" {
-			continue
-		}
-		// Exemplar annotations look like {trace_id="<32 hex>"} <value>.
-		open := strings.Index(exemplar, `trace_id="`)
-		if open < 0 {
-			continue
-		}
-		rest := exemplar[open+len(`trace_id="`):]
-		end := strings.IndexByte(rest, '"')
-		if end <= 0 {
-			continue
-		}
-		ids = append(ids, rest[:end])
 	}
 	return ids
 }
 
-// HistWindow parses one histogram family out of two /metrics scrapes and
+// HistWindow reads one histogram family out of two /metrics scrapes and
 // returns the after-minus-before window, so only the traffic between the
-// scrapes counts. A nil want merges every label set of the family. The
-// family may be absent from the before scrape (nothing observed yet) but
-// must be present after. Log-bucketed: quantiles carry at most 2×
-// resolution error.
-func HistWindow(before, after, family string, want map[string]string) (obs.ScrapedHist, error) {
-	ha, ok := obs.ParseHistogram(after, family, want)
-	if !ok {
-		return obs.ScrapedHist{}, fmt.Errorf("%s%v missing from /metrics", family, want)
+// scrapes counts. Without a where filter every label set of the family
+// merges. The family may be absent from the before scrape (nothing
+// observed yet) but must be present after. Log-bucketed: quantiles carry
+// at most 2× resolution error.
+func HistWindow(before, after *obs.Scrape, f *obs.Family, where ...obs.Label) (obs.ScrapedHist, error) {
+	ha := obs.MergeHist(f, nil, where, after)
+	if len(ha) == 0 {
+		return obs.ScrapedHist{}, fmt.Errorf("%s%v missing from /metrics", f.Name(), where)
 	}
-	if hb, ok := obs.ParseHistogram(before, family, want); ok {
-		ha = ha.Sub(hb)
+	if hb := obs.MergeHist(f, nil, where, before); len(hb) > 0 {
+		return ha[0].Hist.Sub(hb[0].Hist), nil
 	}
-	return ha, nil
+	return ha[0].Hist, nil
 }
 
 // Oracle computes the per-row ground truth: every row of in pushed alone

@@ -3,12 +3,14 @@ package selftest
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/radix-net/radixnet/internal/cluster"
 	"github.com/radix-net/radixnet/internal/core"
 	"github.com/radix-net/radixnet/internal/dataset"
+	"github.com/radix-net/radixnet/internal/obs"
 	"github.com/radix-net/radixnet/internal/obs/slo"
 	"github.com/radix-net/radixnet/internal/radix"
 	"github.com/radix-net/radixnet/internal/serve"
@@ -51,11 +53,12 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-// Two scrapes of one exposition: family lat has model a (with an
-// exemplar-annotated bucket line) and model b; family wait exists only in
-// the second scrape.
-const (
-	scrapeBefore = `# TYPE lat histogram
+// Two scrapes of one exposition: the latency family has model a (with
+// exemplar-annotated bucket lines) and model b; the queue-wait family
+// exists only in the second scrape. lat and wait stand for the serve
+// tier's family names.
+var (
+	scrapeBefore = fixture(`# TYPE lat histogram
 lat_bucket{model="a",le="0.001"} 2 # {trace_id="aaaa0000aaaa0000aaaa0000aaaa0000"} 0.0007
 lat_bucket{model="a",le="0.002"} 3
 lat_bucket{model="a",le="+Inf"} 3
@@ -66,15 +69,15 @@ lat_bucket{model="b",le="0.002"} 1
 lat_bucket{model="b",le="+Inf"} 1
 lat_sum{model="b"} 0.0005
 lat_count{model="b"} 1
-`
-	scrapeAfter = `# TYPE lat histogram
+`)
+	scrapeAfter = fixture(`# TYPE lat histogram
 lat_bucket{model="a",le="0.001"} 4 # {trace_id="bbbb0000bbbb0000bbbb0000bbbb0000"} 0.0009
 lat_bucket{model="a",le="0.002"} 9 # {trace_id="cccc0000cccc0000cccc0000cccc0000"} 0.0015
 lat_bucket{model="a",le="+Inf"} 9
 lat_sum{model="a"} 0.012
 lat_count{model="a"} 9
 lat_bucket{model="b",le="0.001"} 1
-lat_bucket{model="b",le="0.002"} 5 # {span_id="no-trace-id-here"} 0.0011
+lat_bucket{model="b",le="0.002"} 5
 lat_bucket{model="b",le="+Inf"} 5
 lat_sum{model="b"} 0.006
 lat_count{model="b"} 5
@@ -82,45 +85,55 @@ wait_bucket{model="a",class="interactive",le="0.001"} 7
 wait_bucket{model="a",class="interactive",le="+Inf"} 7
 wait_sum{model="a",class="interactive"} 0.003
 wait_count{model="a",class="interactive"} 7
-`
+`)
+	lat, wait = serve.MetricRequestLatency, serve.MetricQueueWait
 )
+
+func fixture(text string) *obs.Scrape {
+	text = strings.ReplaceAll(text, "lat", lat.Name())
+	return obs.ParseScrape(strings.ReplaceAll(text, "wait", wait.Name()))
+}
 
 func TestExemplarTraceIDs(t *testing.T) {
 	for _, tc := range []struct {
-		name, scrape, prefix string
-		want                 []string
+		name   string
+		scrape *obs.Scrape
+		family *obs.Family
+		model  string
+		want   []string
 	}{
-		{"one annotated bucket", scrapeBefore, `lat_bucket{model="a"`, []string{"aaaa0000aaaa0000aaaa0000aaaa0000"}},
-		{"every annotated bucket of the model, in order", scrapeAfter, `lat_bucket{model="a"`,
+		{"one annotated bucket", scrapeBefore, lat, "a", []string{"aaaa0000aaaa0000aaaa0000aaaa0000"}},
+		{"every annotated bucket of the model, in order", scrapeAfter, lat, "a",
 			[]string{"bbbb0000bbbb0000bbbb0000bbbb0000", "cccc0000cccc0000cccc0000cccc0000"}},
-		{"no annotations", scrapeBefore, `lat_bucket{model="b"`, nil},
-		{"an exemplar without a trace_id label is skipped", scrapeAfter, `lat_bucket{model="b"`, nil},
-		{"missing family", scrapeAfter, `nope_bucket{`, nil},
+		{"no annotations", scrapeBefore, lat, "b", nil},
+		{"missing family", scrapeBefore, wait, "a", nil},
 	} {
-		if got := ExemplarTraceIDs(tc.scrape, tc.prefix); !reflect.DeepEqual(got, tc.want) {
+		if got := ExemplarTraceIDs(tc.scrape, tc.family, tc.model); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
 
 func TestHistWindow(t *testing.T) {
+	model := func(m string) obs.Label { return obs.Label{Name: "model", Value: m} }
 	for _, tc := range []struct {
-		name, family string
-		want         map[string]string
-		count        uint64
-		cum          []uint64 // windowed cumulative counts at le 0.001, 0.002
-		missing      bool
+		name    string
+		family  *obs.Family
+		want    []obs.Label
+		count   uint64
+		cum     []uint64 // windowed cumulative counts at le 0.001, 0.002
+		missing bool
 	}{
 		// The exemplar annotations on a's bucket lines must not disturb the counts.
-		{name: "one model", family: "lat", want: map[string]string{"model": "a"}, count: 6, cum: []uint64{2, 6}},
-		{name: "other model", family: "lat", want: map[string]string{"model": "b"}, count: 4, cum: []uint64{0, 4}},
-		{name: "nil want merges every label set", family: "lat", count: 10, cum: []uint64{2, 10}},
-		{name: "family absent before: the window is the after scrape", family: "wait",
-			want: map[string]string{"model": "a", "class": "interactive"}, count: 7, cum: []uint64{7}},
-		{name: "label set absent after", family: "lat", want: map[string]string{"model": "c"}, missing: true},
-		{name: "family absent after", family: "nope", missing: true},
+		{name: "one model", family: lat, want: []obs.Label{model("a")}, count: 6, cum: []uint64{2, 6}},
+		{name: "other model", family: lat, want: []obs.Label{model("b")}, count: 4, cum: []uint64{0, 4}},
+		{name: "no filter merges every label set", family: lat, count: 10, cum: []uint64{2, 10}},
+		{name: "family absent before: the window is the after scrape", family: wait,
+			want: []obs.Label{model("a"), {Name: "class", Value: "interactive"}}, count: 7, cum: []uint64{7}},
+		{name: "label set absent after", family: lat, want: []obs.Label{model("c")}, missing: true},
+		{name: "family absent after", family: serve.MetricExecute, missing: true},
 	} {
-		win, err := HistWindow(scrapeBefore, scrapeAfter, tc.family, tc.want)
+		win, err := HistWindow(scrapeBefore, scrapeAfter, tc.family, tc.want...)
 		if tc.missing {
 			if err == nil {
 				t.Errorf("%s: no error for a family missing from the after scrape", tc.name)
@@ -136,7 +149,7 @@ func TestHistWindow(t *testing.T) {
 		}
 	}
 	// All six of a's windowed observations sit at or below 2ms.
-	win, _ := HistWindow(scrapeBefore, scrapeAfter, "lat", map[string]string{"model": "a"})
+	win, _ := HistWindow(scrapeBefore, scrapeAfter, lat, model("a"))
 	if p99 := win.Quantile(0.99); p99 <= 0.001 || p99 > 0.002 {
 		t.Errorf("windowed p99 %v outside (0.001, 0.002]", p99)
 	}

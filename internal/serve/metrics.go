@@ -1,8 +1,7 @@
 package serve
 
 import (
-	"fmt"
-	"io"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -178,181 +177,160 @@ func (m *Metrics) observe(ns int64, traceID string) {
 	}
 }
 
-// promMetric describes one exported Prometheus series.
-type promMetric struct {
-	name, help, typ string
-	value           func(m *Metrics) float64
-}
+// The serve tier's metric families that another package reads back out
+// of a /metrics scrape — the router's fleet merge, SLO engine and
+// autoscaler, the selftests — which name these declarations, never a
+// repeated string. Families nobody reads by name are declared in the
+// table that writes them.
+var (
+	MetricRowsAccepted        = obs.NewCounter("radixserve_rows_accepted_total", "Rows admitted to the request queue.", "model")
+	MetricRowsRejected        = obs.NewCounter("radixserve_rows_rejected_total", "Rows rejected with backpressure (class queue full).", "model")
+	MetricRowsFailed          = obs.NewCounter("radixserve_rows_failed_total", "Rows failed by engine error or shutdown.", "model")
+	MetricRowsExpired         = obs.NewCounter("radixserve_rows_expired_total", "Rows shed at dequeue for a passed deadline (never executed).", "model")
+	MetricClassRowsAccepted   = obs.NewCounter("radixserve_class_rows_accepted_total", "Rows admitted to the class queue.", "model", "class")
+	MetricClassRowsRejected   = obs.NewCounter("radixserve_class_rows_rejected_total", "Rows rejected because the class queue was full.", "model", "class")
+	MetricClassRowsExpired    = obs.NewCounter("radixserve_class_rows_expired_total", "Rows of the class shed at dequeue for a passed deadline.", "model", "class")
+	MetricRequestLatency      = obs.NewSeconds("radixserve_request_latency_seconds", "Enqueue-to-delivery latency of completed rows.", "model")
+	MetricExecute             = obs.NewSeconds("radixserve_execute_seconds", "Engine invocation time per coalesced batch.", "model")
+	MetricQueueWait           = obs.NewSeconds("radixserve_queue_wait_seconds", "Enqueue-to-dispatch queue wait of completed rows.", "model", "class")
+	MetricClassRequestLatency = obs.NewSeconds("radixserve_class_request_latency_seconds", "Enqueue-to-delivery latency of completed rows, per class.", "model", "class")
+	MetricEngineGedges        = obs.NewGauge("radixserve_engine_gedges_per_sec", "Whole-stack sampled throughput in Gedges/s.", "model")
+)
 
-var promMetrics = []promMetric{
-	{"radixserve_rows_accepted_total", "Rows admitted to the request queue.", "counter",
-		func(m *Metrics) float64 { return float64(m.Accepted.Load()) }},
-	{"radixserve_rows_rejected_total", "Rows rejected with backpressure (class queue full).", "counter",
-		func(m *Metrics) float64 { return float64(m.Rejected.Load()) }},
-	{"radixserve_rows_completed_total", "Rows inferred and delivered.", "counter",
-		func(m *Metrics) float64 { return float64(m.Completed.Load()) }},
-	{"radixserve_rows_failed_total", "Rows failed by engine error or shutdown.", "counter",
-		func(m *Metrics) float64 { return float64(m.Failed.Load()) }},
-	{"radixserve_rows_expired_total", "Rows shed at dequeue for a passed deadline (never executed).", "counter",
-		func(m *Metrics) float64 { return float64(m.Expired.Load()) }},
-	{"radixserve_batches_total", "Engine invocations (coalesced batches).", "counter",
-		func(m *Metrics) float64 { return float64(m.Batches.Load()) }},
-	{"radixserve_batched_rows_total", "Rows summed over engine invocations.", "counter",
-		func(m *Metrics) float64 { return float64(m.BatchedRows.Load()) }},
-	{"radixserve_engine_busy_seconds_total", "Engine time summed over invocations (drain-capacity basis).", "counter",
-		func(m *Metrics) float64 { return float64(m.ExecNs.Load()) / 1e9 }},
-	// radixserve_request_latency_seconds{_bucket,_sum,_count} are emitted
-	// as a histogram family below; only the maxima remain point series.
-	{"radixserve_request_latency_seconds_max", "Worst single-row enqueue-to-delivery latency (all-time).", "gauge",
-		func(m *Metrics) float64 { return float64(m.MaxLatency.Load()) / 1e9 }},
-	{"radixserve_request_latency_seconds_maxwindow", "Worst single-row enqueue-to-delivery latency over the recent scrape windows (rotates on scrape).", "gauge",
-		func(m *Metrics) float64 { return float64(m.WinLatency.Rotate()) / 1e9 }},
-	{"radixserve_reloads_total", "Engine-pool hot swaps applied to the model.", "counter",
-		func(m *Metrics) float64 { return float64(m.Reloads.Load()) }},
-}
-
-// promClassMetric describes one exported per-class Prometheus series.
-type promClassMetric struct {
-	name, help, typ string
-	value           func(m *Model, class int) float64
-}
-
-var promClassMetrics = []promClassMetric{
-	{"radixserve_class_rows_accepted_total", "Rows admitted to the class queue.", "counter",
-		func(m *Model, c int) float64 { return float64(m.met.class(c).Accepted.Load()) }},
-	{"radixserve_class_rows_rejected_total", "Rows rejected because the class queue was full.", "counter",
-		func(m *Model, c int) float64 { return float64(m.met.class(c).Rejected.Load()) }},
-	{"radixserve_class_rows_completed_total", "Rows inferred and delivered for the class.", "counter",
-		func(m *Model, c int) float64 { return float64(m.met.class(c).Completed.Load()) }},
-	{"radixserve_class_rows_expired_total", "Rows of the class shed at dequeue for a passed deadline.", "counter",
-		func(m *Model, c int) float64 { return float64(m.met.class(c).Expired.Load()) }},
-	// radixserve_queue_wait_seconds{_bucket,_sum,_count} are emitted as a
-	// histogram family below; only the maxima remain point series.
-	{"radixserve_queue_wait_seconds_max", "Worst single-row enqueue-to-dispatch queue wait (all-time).", "gauge",
-		func(m *Model, c int) float64 { return float64(m.met.class(c).MaxWaitNs.Load()) / 1e9 }},
-	{"radixserve_queue_wait_seconds_maxwindow", "Worst single-row enqueue-to-dispatch queue wait over the recent scrape windows (rotates on scrape).", "gauge",
-		func(m *Model, c int) float64 { return float64(m.met.class(c).WinWait.Rotate()) / 1e9 }},
-	{"radixserve_class_queue_depth", "Rows currently queued in the class.", "gauge",
-		func(m *Model, c int) float64 { return float64(m.bat.classDepth(c)) }},
-}
-
-// writePrometheus renders every model's counters in Prometheus text
-// exposition format, one labeled series per model (and per model×class for
-// the QoS series), plus per-model queue gauges.
-func writePrometheus(w io.Writer, models []*Model) {
-	for _, pm := range promMetrics {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", pm.name, pm.help, pm.name, pm.typ)
-		for _, m := range models {
-			fmt.Fprintf(w, "%s{model=%q} %g\n", pm.name, m.name, pm.value(&m.met))
-		}
-	}
-	for _, pm := range promClassMetrics {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", pm.name, pm.help, pm.name, pm.typ)
-		for _, m := range models {
-			for c := 0; c < m.qos.size(); c++ {
-				fmt.Fprintf(w, "%s{model=%q,class=%q} %g\n", pm.name, m.name, m.qos.name(c), pm.value(m, c))
-			}
-		}
-	}
-	// Histogram families: per-model end-to-end latency and engine execute
-	// time, per-model×class queue wait. All share obs's log2 le ladder, so
-	// the router can merge backend series bucket-wise by summing counts.
-	fmt.Fprintf(w, "# HELP radixserve_request_latency_seconds Enqueue-to-delivery latency of completed rows.\n# TYPE radixserve_request_latency_seconds histogram\n")
-	for _, m := range models {
-		m.met.LatencyHist.Snapshot().WriteTo(w, "radixserve_request_latency_seconds", fmt.Sprintf("model=%q", m.name), 1e9)
-	}
-	fmt.Fprintf(w, "# HELP radixserve_execute_seconds Engine invocation time per coalesced batch.\n# TYPE radixserve_execute_seconds histogram\n")
-	for _, m := range models {
-		m.met.ExecHist.Snapshot().WriteTo(w, "radixserve_execute_seconds", fmt.Sprintf("model=%q", m.name), 1e9)
-	}
-	fmt.Fprintf(w, "# HELP radixserve_queue_wait_seconds Enqueue-to-dispatch queue wait of completed rows.\n# TYPE radixserve_queue_wait_seconds histogram\n")
-	for _, m := range models {
+// perClass writes one float sample per registry class of m.
+func perClass(value func(m *Model, c int) float64) func(*obs.Writer, *Model) {
+	return func(w *obs.Writer, m *Model) {
 		for c := 0; c < m.qos.size(); c++ {
-			m.met.class(c).WaitHist.Snapshot().WriteTo(w, "radixserve_queue_wait_seconds",
-				fmt.Sprintf("model=%q,class=%q", m.name, m.qos.name(c)), 1e9)
+			w.Float(value(m, c), m.name, m.qos.name(c))
 		}
 	}
-	fmt.Fprintf(w, "# HELP radixserve_class_request_latency_seconds Enqueue-to-delivery latency of completed rows, per class.\n# TYPE radixserve_class_request_latency_seconds histogram\n")
-	for _, m := range models {
-		for c := 0; c < m.qos.size(); c++ {
-			m.met.class(c).LatencyHist.Snapshot().WriteTo(w, "radixserve_class_request_latency_seconds",
-				fmt.Sprintf("model=%q,class=%q", m.name, m.qos.name(c)), 1e9)
-		}
-	}
-	fmt.Fprintf(w, "# HELP radixserve_batch_rows Rows per coalesced engine invocation.\n# TYPE radixserve_batch_rows histogram\n")
-	for _, m := range models {
-		// Window 0..12: le ladder 1..4096 rows, the plausible batch range.
-		m.met.BatchHist.Snapshot().WriteToRange(w, "radixserve_batch_rows", fmt.Sprintf("model=%q", m.name), 1, 0, 12)
-	}
-	fmt.Fprintf(w, "# HELP radixserve_queue_depth Pending rows in the request queues (all classes).\n# TYPE radixserve_queue_depth gauge\n")
-	for _, m := range models {
-		fmt.Fprintf(w, "radixserve_queue_depth{model=%q} %d\n", m.name, m.bat.depth())
-	}
-	fmt.Fprintf(w, "# HELP radixserve_queue_capacity Request queue bound summed over classes (depth/capacity is a valid utilization ratio; each class's own bound is capacity/classes).\n# TYPE radixserve_queue_capacity gauge\n")
-	for _, m := range models {
-		fmt.Fprintf(w, "radixserve_queue_capacity{model=%q} %d\n", m.name, m.qos.size()*m.pol.QueueDepth)
-	}
-	fmt.Fprintf(w, "# HELP radixserve_model_generation Engine-pool generation (1 at registration, +1 per reload).\n# TYPE radixserve_model_generation gauge\n")
-	for _, m := range models {
-		fmt.Fprintf(w, "radixserve_model_generation{model=%q} %d\n", m.name, m.Generation())
-	}
-	writeEngineMetrics(w, models)
 }
 
-// writeEngineMetrics renders the engine-level observability families:
-// warm-pool utilization gauges for every model, and — for models with
-// layer profiling enabled — the per-layer sampled kernel tallies with
-// derived Gedges/s, the serving-stack view of the paper's per-layer
+// modelFamilies is every family with a series per model (or per
+// model×class), in exposition order, and how one model's samples of it
+// are written. Float renders a counter at 1e6 as 1e+06, Int as 1000000.
+// The histogram families all share obs's log2 le ladder, so the router
+// can merge backend series bucket-wise by summing counts; the *_max and
+// *_maxwindow gauges are the point series beside them.
+var modelFamilies = []struct {
+	fam  *obs.Family
+	emit func(w *obs.Writer, m *Model)
+}{
+	{MetricRowsAccepted, func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Accepted.Load()), m.name) }},
+	{MetricRowsRejected, func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Rejected.Load()), m.name) }},
+	{obs.NewCounter("radixserve_rows_completed_total", "Rows inferred and delivered.", "model"),
+		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Completed.Load()), m.name) }},
+	{MetricRowsFailed, func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Failed.Load()), m.name) }},
+	{MetricRowsExpired, func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Expired.Load()), m.name) }},
+	{obs.NewCounter("radixserve_batches_total", "Engine invocations (coalesced batches).", "model"),
+		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Batches.Load()), m.name) }},
+	{obs.NewCounter("radixserve_batched_rows_total", "Rows summed over engine invocations.", "model"),
+		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.BatchedRows.Load()), m.name) }},
+	{obs.NewCounter("radixserve_engine_busy_seconds_total", "Engine time summed over invocations (drain-capacity basis).", "model"),
+		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.ExecNs.Load())/1e9, m.name) }},
+	{obs.NewGauge("radixserve_request_latency_seconds_max", "Worst single-row enqueue-to-delivery latency (all-time).", "model"),
+		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.MaxLatency.Load())/1e9, m.name) }},
+	{obs.NewGauge("radixserve_request_latency_seconds_maxwindow", "Worst single-row enqueue-to-delivery latency over the recent scrape windows (rotates on scrape).", "model"),
+		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.WinLatency.Rotate())/1e9, m.name) }},
+	{obs.NewCounter("radixserve_reloads_total", "Engine-pool hot swaps applied to the model.", "model"),
+		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Reloads.Load()), m.name) }},
+
+	{MetricClassRowsAccepted, perClass(func(m *Model, c int) float64 { return float64(m.met.class(c).Accepted.Load()) })},
+	{MetricClassRowsRejected, perClass(func(m *Model, c int) float64 { return float64(m.met.class(c).Rejected.Load()) })},
+	{obs.NewCounter("radixserve_class_rows_completed_total", "Rows inferred and delivered for the class.", "model", "class"),
+		perClass(func(m *Model, c int) float64 { return float64(m.met.class(c).Completed.Load()) })},
+	{MetricClassRowsExpired, perClass(func(m *Model, c int) float64 { return float64(m.met.class(c).Expired.Load()) })},
+	{obs.NewGauge("radixserve_queue_wait_seconds_max", "Worst single-row enqueue-to-dispatch queue wait (all-time).", "model", "class"),
+		perClass(func(m *Model, c int) float64 { return float64(m.met.class(c).MaxWaitNs.Load()) / 1e9 })},
+	{obs.NewGauge("radixserve_queue_wait_seconds_maxwindow", "Worst single-row enqueue-to-dispatch queue wait over the recent scrape windows (rotates on scrape).", "model", "class"),
+		perClass(func(m *Model, c int) float64 { return float64(m.met.class(c).WinWait.Rotate()) / 1e9 })},
+	{obs.NewGauge("radixserve_class_queue_depth", "Rows currently queued in the class.", "model", "class"),
+		perClass(func(m *Model, c int) float64 { return float64(m.bat.classDepth(c)) })},
+
+	{MetricRequestLatency, func(w *obs.Writer, m *Model) { w.Hist(m.met.LatencyHist.Snapshot(), m.name) }},
+	{MetricExecute, func(w *obs.Writer, m *Model) { w.Hist(m.met.ExecHist.Snapshot(), m.name) }},
+	{MetricQueueWait, func(w *obs.Writer, m *Model) {
+		for c := range m.met.classes {
+			w.Hist(m.met.classes[c].WaitHist.Snapshot(), m.name, m.qos.name(c))
+		}
+	}},
+	{MetricClassRequestLatency, func(w *obs.Writer, m *Model) {
+		for c := range m.met.classes {
+			w.Hist(m.met.classes[c].LatencyHist.Snapshot(), m.name, m.qos.name(c))
+		}
+	}},
+	// Window 0..12: le ladder 1..4096 rows, the plausible batch range.
+	{obs.NewBuckets("radixserve_batch_rows", "Rows per coalesced engine invocation.", 1, 0, 12, "model"),
+		func(w *obs.Writer, m *Model) { w.Hist(m.met.BatchHist.Snapshot(), m.name) }},
+
+	{obs.NewGauge("radixserve_queue_depth", "Pending rows in the request queues (all classes).", "model"),
+		func(w *obs.Writer, m *Model) { w.Int(int64(m.bat.depth()), m.name) }},
+	{obs.NewGauge("radixserve_queue_capacity", "Request queue bound summed over classes (depth/capacity is a valid utilization ratio; each class's own bound is capacity/classes).", "model"),
+		func(w *obs.Writer, m *Model) { w.Int(int64(m.qos.size()*m.pol.QueueDepth), m.name) }},
+	{obs.NewGauge("radixserve_model_generation", "Engine-pool generation (1 at registration, +1 per reload).", "model"),
+		func(w *obs.Writer, m *Model) { w.Int(int64(m.Generation()), m.name) }},
+	// Warm-pool utilization.
+	{obs.NewGauge("radixserve_engine_pool_engines", "Warm engines in the model's current generation.", "model"),
+		func(w *obs.Writer, m *Model) { engines, _ := m.PoolStats(); w.Int(int64(engines), m.name) }},
+	{obs.NewGauge("radixserve_engine_pool_leased", "Engines currently leased out (executing or being checked out).", "model"),
+		func(w *obs.Writer, m *Model) { _, leased := m.PoolStats(); w.Int(int64(leased), m.name) }},
+}
+
+// The engine-profiler families: the per-layer sampled kernel tallies
+// with derived Gedges/s, the serving-stack view of the paper's per-layer
 // edges/second metric.
-func writeEngineMetrics(w io.Writer, models []*Model) {
-	fmt.Fprintf(w, "# HELP radixserve_engine_pool_engines Warm engines in the model's current generation.\n# TYPE radixserve_engine_pool_engines gauge\n")
-	for _, m := range models {
-		engines, _ := m.PoolStats()
-		fmt.Fprintf(w, "radixserve_engine_pool_engines{model=%q} %d\n", m.name, engines)
-	}
-	fmt.Fprintf(w, "# HELP radixserve_engine_pool_leased Engines currently leased out (executing or being checked out).\n# TYPE radixserve_engine_pool_leased gauge\n")
-	for _, m := range models {
-		_, leased := m.PoolStats()
-		fmt.Fprintf(w, "radixserve_engine_pool_leased{model=%q} %d\n", m.name, leased)
-	}
+var (
+	metricProfileEvery = obs.NewGauge("radixserve_engine_profile_every", "Sampling stride of the engine-layer profiler (every Nth batch is timed).", "model")
+	metricLayerSeconds = obs.NewCounter("radixserve_engine_layer_seconds_total", "Sampled kernel time per layer.", "model", "layer")
+	metricLayerEdges   = obs.NewCounter("radixserve_engine_layer_edges_total", "Sampled edges (rows x layer nnz) per layer.", "model", "layer")
+	metricLayerGedges  = obs.NewGauge("radixserve_engine_layer_gedges_per_sec", "Sampled per-layer throughput in Gedges/s (edges/ns over sampled batches).", "model", "layer")
+)
 
+// writeModelMetrics renders every model's families in Prometheus text
+// exposition format, one labeled series per model (and per model×class
+// for the QoS series), then — for models with layer profiling enabled —
+// the engine-profiler families, from one profile snapshot per model.
+func writeModelMetrics(w *obs.Writer, models []*Model) {
+	for _, mf := range modelFamilies {
+		w.Family(mf.fam)
+		for _, m := range models {
+			mf.emit(w, m)
+		}
+	}
 	type profiled struct {
-		m    *Model
-		snap infer.ProfileSnapshot
+		model string
+		snap  infer.ProfileSnapshot
 	}
 	var profs []profiled
 	for _, m := range models {
 		if snap, ok := m.Profile(); ok {
-			profs = append(profs, profiled{m, snap})
+			profs = append(profs, profiled{m.name, snap})
 		}
 	}
 	if len(profs) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "# HELP radixserve_engine_profile_every Sampling stride of the engine-layer profiler (every Nth batch is timed).\n# TYPE radixserve_engine_profile_every gauge\n")
+	w.Family(metricProfileEvery)
 	for _, p := range profs {
-		fmt.Fprintf(w, "radixserve_engine_profile_every{model=%q} %d\n", p.m.name, p.snap.Every)
+		w.Int(int64(p.snap.Every), p.model)
 	}
-	fmt.Fprintf(w, "# HELP radixserve_engine_layer_seconds_total Sampled kernel time per layer.\n# TYPE radixserve_engine_layer_seconds_total counter\n")
-	for _, p := range profs {
-		for _, l := range p.snap.Layers {
-			fmt.Fprintf(w, "radixserve_engine_layer_seconds_total{model=%q,layer=\"%d\"} %g\n", p.m.name, l.Layer, float64(l.Ns)/1e9)
+	for _, lf := range []struct {
+		fam    *obs.Family
+		sample func(l infer.LayerProfile, labels ...string)
+	}{
+		{metricLayerSeconds, func(l infer.LayerProfile, labels ...string) { w.Float(float64(l.Ns)/1e9, labels...) }},
+		{metricLayerEdges, func(l infer.LayerProfile, labels ...string) { w.Int(l.Edges, labels...) }},
+		{metricLayerGedges, func(l infer.LayerProfile, labels ...string) { w.Float(l.GedgesPerSec, labels...) }},
+	} {
+		w.Family(lf.fam)
+		for _, p := range profs {
+			for _, l := range p.snap.Layers {
+				lf.sample(l, p.model, strconv.Itoa(l.Layer))
+			}
 		}
 	}
-	fmt.Fprintf(w, "# HELP radixserve_engine_layer_edges_total Sampled edges (rows x layer nnz) per layer.\n# TYPE radixserve_engine_layer_edges_total counter\n")
+	w.Family(MetricEngineGedges)
 	for _, p := range profs {
-		for _, l := range p.snap.Layers {
-			fmt.Fprintf(w, "radixserve_engine_layer_edges_total{model=%q,layer=\"%d\"} %d\n", p.m.name, l.Layer, l.Edges)
-		}
-	}
-	fmt.Fprintf(w, "# HELP radixserve_engine_layer_gedges_per_sec Sampled per-layer throughput in Gedges/s (edges/ns over sampled batches).\n# TYPE radixserve_engine_layer_gedges_per_sec gauge\n")
-	for _, p := range profs {
-		for _, l := range p.snap.Layers {
-			fmt.Fprintf(w, "radixserve_engine_layer_gedges_per_sec{model=%q,layer=\"%d\"} %g\n", p.m.name, l.Layer, l.GedgesPerSec)
-		}
-	}
-	fmt.Fprintf(w, "# HELP radixserve_engine_gedges_per_sec Whole-stack sampled throughput in Gedges/s.\n# TYPE radixserve_engine_gedges_per_sec gauge\n")
-	for _, p := range profs {
-		fmt.Fprintf(w, "radixserve_engine_gedges_per_sec{model=%q} %g\n", p.m.name, p.snap.GedgesPerSec)
+		w.Float(p.snap.GedgesPerSec, p.model)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -21,57 +20,30 @@ type promSeries struct {
 	helps  map[string]string
 }
 
-// parsePrometheus parses the text exposition format emitted on /metrics.
-// It fails the test on any malformed line, so the exposition format itself
-// is under test, not just the counter values.
+// parsePrometheus reads the text exposition format emitted on /metrics
+// through obs.ParseScrape's strict reading: it fails the test on any
+// malformed line, duplicate series or header, or unknown TYPE, so the
+// exposition format itself is under test, not just the counter values.
 func parsePrometheus(t *testing.T, text string) promSeries {
 	t.Helper()
+	sc := obs.ParseScrape(text)
+	if err := sc.Check(); err != nil {
+		t.Fatal(err)
+	}
 	p := promSeries{
 		values: make(map[string]float64),
 		types:  make(map[string]string),
 		helps:  make(map[string]string),
 	}
-	for _, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
+	for i := range sc.Samples {
+		p.values[sc.Samples[i].Series()] = sc.Samples[i].Value
+	}
+	for _, m := range sc.Meta {
+		if m.Kind == "TYPE" {
+			p.types[m.Name] = m.Text
+		} else {
+			p.helps[m.Name] = m.Text
 		}
-		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
-			name, help, ok := strings.Cut(rest, " ")
-			if !ok {
-				t.Fatalf("malformed HELP line %q", line)
-			}
-			p.helps[name] = help
-			continue
-		}
-		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
-			name, typ, ok := strings.Cut(rest, " ")
-			if !ok || (typ != "counter" && typ != "gauge" && typ != "histogram") {
-				t.Fatalf("malformed TYPE line %q", line)
-			}
-			p.types[name] = typ
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		// An exemplar annotation rides after the value; split it off so
-		// the series itself still parses (and the annotation's own shape
-		// stays under test via obs.SplitExemplar).
-		line, _ = obs.SplitExemplar(line)
-		idx := strings.LastIndexByte(line, ' ')
-		if idx < 0 {
-			t.Fatalf("malformed series line %q", line)
-		}
-		series, valText := line[:idx], line[idx+1:]
-		v, err := strconv.ParseFloat(valText, 64)
-		if err != nil {
-			t.Fatalf("series %q: bad value %q: %v", series, valText, err)
-		}
-		if _, dup := p.values[series]; dup {
-			t.Fatalf("duplicate series %q", series)
-		}
-		p.values[series] = v
 	}
 	return p
 }

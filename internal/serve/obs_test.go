@@ -48,7 +48,19 @@ func TestHistogramExposition(t *testing.T) {
 	}
 	text := scrapeMetrics(t, ts.URL)
 
-	lat, ok := obs.ParseHistogram(text, "radixserve_request_latency_seconds", map[string]string{"model": "m"})
+	sc := obs.ParseScrape(text)
+	if err := sc.Check(); err != nil {
+		t.Fatal(err)
+	}
+	// hist merges one family's series matching the label filter.
+	hist := func(f *obs.Family, where ...obs.Label) (obs.ScrapedHist, bool) {
+		hs := obs.MergeHist(f, nil, where, sc)
+		if len(hs) == 0 {
+			return obs.ScrapedHist{}, false
+		}
+		return hs[0].Hist, true
+	}
+	lat, ok := hist(MetricRequestLatency, obs.Label{Name: "model", Value: "m"})
 	if !ok {
 		t.Fatalf("latency histogram missing from exposition:\n%s", text)
 	}
@@ -77,16 +89,14 @@ func TestHistogramExposition(t *testing.T) {
 		t.Fatalf("latency p99 = %gs, implausible", p99)
 	}
 
-	wait, ok := obs.ParseHistogram(text, "radixserve_queue_wait_seconds",
-		map[string]string{"model": "m", "class": "interactive"})
+	wait, ok := hist(MetricQueueWait, obs.Label{Name: "model", Value: "m"}, obs.Label{Name: "class", Value: "interactive"})
 	if !ok || wait.Count != rows {
 		t.Fatalf("interactive queue-wait histogram: ok=%v count=%d, want %d", ok, wait.Count, rows)
 	}
-	if idle, ok := obs.ParseHistogram(text, "radixserve_queue_wait_seconds",
-		map[string]string{"model": "m", "class": "batch"}); !ok || idle.Count != 0 {
+	if idle, ok := hist(MetricQueueWait, obs.Label{Name: "model", Value: "m"}, obs.Label{Name: "class", Value: "batch"}); !ok || idle.Count != 0 {
 		t.Fatalf("idle class histogram: ok=%v count=%d, want present and 0", ok, idle.Count)
 	}
-	if ex, ok := obs.ParseHistogram(text, "radixserve_execute_seconds", map[string]string{"model": "m"}); !ok || ex.Count == 0 {
+	if ex, ok := hist(MetricExecute, obs.Label{Name: "model", Value: "m"}); !ok || ex.Count == 0 {
 		t.Fatalf("execute histogram: ok=%v count=%d, want > 0", ok, ex.Count)
 	}
 }
@@ -322,4 +332,61 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
+}
+
+// hostileTraceIDs is what a client may put in X-Radix-Trace-Id and
+// whether the tier honours it (at most 64 bytes of [0-9A-Za-z_-]).
+var hostileTraceIDs = []struct {
+	name, in string
+	honoured bool
+}{
+	{"empty", "", false},
+	{"32 hex", "feedface00000000feedface00000000", true},
+	{"64 bytes", strings.Repeat("aB3_-xyz", 8), true},
+	{"65 bytes", strings.Repeat("a", 65), false},
+	{"space", "cafe cafe", false},
+	{"quote", `cafe"cafe`, false},
+	{"newline", "cafe\ncafe", false},
+	{"non-ASCII", "café0000", false},
+}
+
+// TestTraceIDBoundedAtTheEdge sends client-chosen trace IDs: the
+// response header and body echo the honoured ID or a freshly minted
+// 32-hex one, and the trace ring never retains a rejected string.
+func TestTraceIDBoundedAtTheEdge(t *testing.T) {
+	s, m, _ := newTestServer(t, Policy{MaxBatch: 4, MaxLatency: time.Millisecond, QueueDepth: 7}, 1)
+	body, _ := json.Marshal(InferRequest{Model: "m", Inputs: [][]float64{make([]float64, m.InputWidth())}})
+	for _, tc := range hostileTraceIDs {
+		// Straight into the handler: net/http's client refuses to send
+		// some of these, a raw connection would not.
+		req := httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(body))
+		if tc.in != "" {
+			req.Header[obs.HeaderTraceID] = []string{tc.in}
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.name, rec.Code, rec.Body)
+		}
+		var ir InferResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &ir); err != nil {
+			t.Fatal(err)
+		}
+		got := rec.Header().Get(obs.HeaderTraceID)
+		if ir.TraceID != got {
+			t.Errorf("%s: body trace ID %q, header %q", tc.name, ir.TraceID, got)
+		}
+		if tc.honoured && got != tc.in {
+			t.Errorf("%s: echoed %q, want the incoming ID honoured", tc.name, got)
+		}
+		if !tc.honoured && (got == tc.in || len(got) != 32 || strings.Trim(got, "0123456789abcdef") != "") {
+			t.Errorf("%s: echoed %q, want a freshly minted 32-hex ID", tc.name, got)
+		}
+		if !tc.honoured && tc.in != "" && s.Traces().Find(tc.in) != nil {
+			t.Errorf("%s: the trace ring retained the rejected ID", tc.name)
+		}
+	}
+	if n := s.Traces().Len(); n != uint64(len(hostileTraceIDs)) {
+		t.Errorf("ring holds %d traces, want one per request (%d)", n, len(hostileTraceIDs))
+	}
 }

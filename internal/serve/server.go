@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -337,11 +336,7 @@ func writeModelError(w http.ResponseWriter, code int, model string, format strin
 
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	traceID := r.Header.Get(obs.HeaderTraceID)
-	if traceID == "" {
-		// No upstream router: this server is the edge and mints the ID.
-		traceID = obs.NewTraceID()
-	}
+	traceID := obs.RequestTraceID(r.Header)
 	w.Header().Set(obs.HeaderTraceID, traceID)
 	// finish retains the request in the trace ring and, past the slow
 	// threshold, logs the span breakdown with the trace ID — the same ID
@@ -638,24 +633,34 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h)
 }
 
+// Server-wide families: HTTP status classes, uptime, and the per-tier
+// SLO and Go-runtime families.
+var (
+	metricHTTPResponses = obs.NewCounter("radixserve_http_responses_total", "HTTP responses by status class.", "class")
+	metricUptime        = obs.NewGauge("radixserve_uptime_seconds", "Server uptime.")
+	writeSLOMetrics     = slo.Exposition("radixserve")
+	writeRuntimeMetrics = obs.RuntimeExposition("radixserve")
+)
+
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	var out obs.Writer
 	// One scraper at a time: the maxwindow gauges rotate their window as
 	// they render, so concurrent scrapes must serialize or a racing
 	// scraper steals the window the other was about to read.
 	s.scrapeMu.Lock()
-	writePrometheus(w, s.reg.all())
+	writeModelMetrics(&out, s.reg.all())
 	s.scrapeMu.Unlock()
-	fmt.Fprintf(w, "# HELP radixserve_http_responses_total HTTP responses by status class.\n# TYPE radixserve_http_responses_total counter\n")
-	fmt.Fprintf(w, "radixserve_http_responses_total{class=\"2xx\"} %d\n", s.status2xx.Load())
-	fmt.Fprintf(w, "radixserve_http_responses_total{class=\"4xx\"} %d\n", s.status4xx.Load())
-	fmt.Fprintf(w, "radixserve_http_responses_total{class=\"5xx\"} %d\n", s.status5xx.Load())
-	fmt.Fprintf(w, "# HELP radixserve_uptime_seconds Server uptime.\n# TYPE radixserve_uptime_seconds gauge\nradixserve_uptime_seconds %g\n",
-		time.Since(s.start).Seconds())
+	out.Family(metricHTTPResponses)
+	out.Int(s.status2xx.Load(), "2xx")
+	out.Int(s.status4xx.Load(), "4xx")
+	out.Int(s.status5xx.Load(), "5xx")
+	out.Family(metricUptime).Float(time.Since(s.start).Seconds())
 	if s.slo != nil {
-		WriteSLOMetrics(w, "radixserve", s.sloEvaluate())
+		writeSLOMetrics(&out, s.sloEvaluate())
 	}
-	obs.WriteRuntimeMetrics(w, "radixserve")
+	writeRuntimeMetrics(&out)
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	_, _ = w.Write(out.Bytes()) // a scraper that hung up is not the server's error
 }
 
 // sloRecord feeds the SLO engine one cumulative sample per model (the
@@ -665,14 +670,14 @@ func (s *Server) sloRecord(now time.Time) {
 	for _, m := range s.reg.all() {
 		met := &m.met
 		s.slo.Record(m.name, "", slo.Sample{
-			Hist:  met.LatencyHist.Snapshot().Scraped(1e9),
+			Hist:  MetricRequestLatency.Scraped(met.LatencyHist.Snapshot()),
 			Bad:   uint64(max64(met.Failed.Load(), 0) + max64(met.Expired.Load(), 0) + max64(met.Rejected.Load(), 0)),
 			Total: uint64(max64(met.Accepted.Load(), 0) + max64(met.Rejected.Load(), 0)),
 		}, now)
 		for c := 0; c < m.qos.size(); c++ {
 			cm := met.class(c)
 			s.slo.Record(m.name, m.qos.name(c), slo.Sample{
-				Hist:  cm.LatencyHist.Snapshot().Scraped(1e9),
+				Hist:  MetricClassRequestLatency.Scraped(cm.LatencyHist.Snapshot()),
 				Bad:   uint64(max64(cm.Expired.Load(), 0) + max64(cm.Rejected.Load(), 0)),
 				Total: uint64(max64(cm.Accepted.Load(), 0) + max64(cm.Rejected.Load(), 0)),
 			}, now)
@@ -705,30 +710,4 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	s.sloRecord(now)
 	writeJSON(w, http.StatusOK, s.slo.ViewOf(now))
-}
-
-// WriteSLOMetrics renders one evaluation as prefix_slo_* gauge families;
-// shared with the router tier (prefix "radixrouter").
-func WriteSLOMetrics(w io.Writer, prefix string, statuses []slo.Status) {
-	type fam struct {
-		name, help string
-		value      func(st slo.Status) float64
-	}
-	fams := []fam{
-		{"slo_fast_burn", "Error-budget burn rate over the fast window (1 = sustainable).",
-			func(st slo.Status) float64 { return st.FastBurn }},
-		{"slo_slow_burn", "Error-budget burn rate over the slow window (1 = sustainable).",
-			func(st slo.Status) float64 { return st.SlowBurn }},
-		{"slo_error_budget_remaining", "Error budget fraction left at the slow window's burn (clamped at 0).",
-			func(st slo.Status) float64 { return st.BudgetRemaining }},
-		{"slo_state", "Objective state: 0 ok, 1 warn, 2 violated.",
-			func(st slo.Status) float64 { return float64(slo.StateValue(st.State)) }},
-	}
-	for _, f := range fams {
-		name := prefix + "_" + f.name
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, f.help, name)
-		for _, st := range statuses {
-			fmt.Fprintf(w, "%s{objective=%q,model=%q,class=%q} %g\n", name, st.Objective.Name, st.Model, st.Class, f.value(st))
-		}
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -100,13 +99,11 @@ func TestExemplarResolvesToTrace(t *testing.T) {
 		t.Fatalf("trace ID %q", ir.TraceID)
 	}
 
-	text := scrapeMetrics(t, ts.URL)
+	sc := obs.ParseScrape(scrapeMetrics(t, ts.URL))
 	found := false
-	for _, line := range strings.Split(text, "\n") {
-		if !strings.HasPrefix(line, `radixserve_request_latency_seconds_bucket{model="m"`) {
-			continue
-		}
-		if _, exemplar := obs.SplitExemplar(line); strings.Contains(exemplar, ir.TraceID) {
+	for i := range sc.Samples {
+		sm := &sc.Samples[i]
+		if model, _ := sm.Label("model"); sm.Name == MetricRequestLatency.Name()+"_bucket" && model == "m" && sm.Exemplar.TraceID == ir.TraceID {
 			found = true
 		}
 	}
