@@ -1,7 +1,7 @@
-// Benchmark harness: one benchmark per experiment in the per-experiment
-// index of DESIGN.md §3 (the paper's Figures 1–7, Lemmas/Theorem, and the
-// deferred evaluations E9–E12), plus the design-choice ablations of §6.
-// EXPERIMENTS.md records the paper-vs-measured comparison for each.
+// Benchmark harness and experiment index: one benchmark per experiment (the
+// paper's Figures 1–7, Lemmas/Theorem, and the deferred evaluations
+// E9–E12), plus the design-choice ablations at the end of the file. Each
+// section header below names the experiment it reproduces.
 package radixnet_test
 
 import (
@@ -458,7 +458,7 @@ func BenchmarkConjectureFit(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §6) ---
+// --- Ablations ---
 
 // Ablation 1: parallel vs row-serial SpGEMM. The parallel path is exercised
 // through Pattern.Mul's internal row-block decomposition; the serial

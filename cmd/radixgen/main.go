@@ -113,7 +113,7 @@ func writeStats(out io.Writer, cfg core.Config) error {
 	fmt.Fprintf(out, "approx eq(6):  %.6g  (d=%.3g)\n", core.DensityApproxMuD(cfg.MeanRadix(), cfg.Depth()), cfg.Depth())
 	fmt.Fprintf(out, "paths/pair:    %s (Theorem 1, generalized)\n", cfg.TheoreticalPaths())
 	if cfg.LastProduct() != cfg.NPrime() {
-		fmt.Fprintf(out, "  note: last system product %d < N'=%d; the paper's printed formula would give %s (see DESIGN.md E-b)\n",
+		fmt.Fprintf(out, "  note: last system product %d < N'=%d; the paper's printed formula would give %s (erratum E-b, see core.TestErratumEbDivisorLastSystem)\n",
 			cfg.LastProduct(), cfg.NPrime(), cfg.PaperTheoreticalPaths())
 	}
 	return nil

@@ -258,7 +258,7 @@ func runObsPhase(ctx context.Context, t selftest.Target, in *sparse.Dense) error
 // runEngineProfilePhase requires the backend engine profiles to surface
 // through the router's merged /metrics exposition, backend-labeled.
 func runEngineProfilePhase(ctx context.Context, t selftest.Target) error {
-	scrape, err := selftest.Scrape(ctx, t)
+	scrape, err := t.Metrics(ctx)
 	if err != nil {
 		return err
 	}

@@ -343,7 +343,7 @@ func runAutoscalePhase(ctx context.Context) error {
 			case <-stopScrape:
 				return
 			case <-t.C:
-				_, _ = selftest.Scrape(ctx, ta) // parity load only
+				_, _ = ta.Metrics(ctx) // parity load only
 			}
 		}
 	}()
@@ -362,8 +362,8 @@ func runAutoscalePhase(ctx context.Context) error {
 		return err
 	}
 	for _, model := range models {
-		if err := selftest.Unregister(ctx, ta.For(model)); err != nil {
-			return fmt.Errorf("autoscale: baseline: %w", err)
+		if _, err := ta.Unregister(ctx, model); err != nil {
+			return fmt.Errorf("autoscale: baseline: unregister %s: %w", model, err)
 		}
 	}
 	{
@@ -445,7 +445,7 @@ func runAutoscalePhase(ctx context.Context) error {
 	converged := false
 	// Leave at least 3s of load after convergence for the tail window.
 	for time.Since(start) < loadDur-3*time.Second && !converged {
-		if err := selftest.GetJSON(ctx, tb, "/v1/autoscale", &st); err != nil {
+		if err := tb.GetJSON(ctx, "/v1/autoscale", &st); err != nil {
 			return err
 		}
 		minStable, hotReplicas = -1, 0
@@ -500,7 +500,7 @@ func runAutoscalePhase(ctx context.Context) error {
 	}
 	if baseP99 < 2*autoP99 {
 		var end cluster.AutoscaleStatus
-		_ = selftest.GetJSON(ctx, tb, "/v1/autoscale", &end) // debug detail only
+		_ = tb.GetJSON(ctx, "/v1/autoscale", &end) // debug detail only
 		return fmt.Errorf("autoscale: hot-model queue-wait p99 %v autoscaled vs %v baseline — less than the required 2x reduction\nbaseline windows: %s\ntail windows: %s\nups %d downs %d\nrecent %+v",
 			autoP99.Round(time.Microsecond), baseP99.Round(time.Microsecond),
 			strings.Join(baseDetail, ", "), strings.Join(tailDetail, ", "),
@@ -524,7 +524,7 @@ func runAutoscalePhase(ctx context.Context) error {
 	// before starting the clock.
 	for quiesceBy := time.Now().Add(30 * time.Second); time.Now().Before(quiesceBy); {
 		var st cluster.AutoscaleStatus
-		if err := selftest.GetJSON(ctx, tb, "/v1/autoscale", &st); err != nil {
+		if err := tb.GetJSON(ctx, "/v1/autoscale", &st); err != nil {
 			return err
 		}
 		newest := time.Time{}
@@ -562,7 +562,7 @@ func runAutoscalePhase(ctx context.Context) error {
 	var sloDecision *cluster.AppliedDecision
 	for time.Now().Before(deadline) && sloDecision == nil {
 		var st cluster.AutoscaleStatus
-		if err := selftest.GetJSON(ctx, tb, "/v1/autoscale", &st); err != nil {
+		if err := tb.GetJSON(ctx, "/v1/autoscale", &st); err != nil {
 			return err
 		}
 		for i := range st.Recent {

@@ -274,7 +274,7 @@ func runProfilePhase(ctx context.Context, t selftest.Target, reg *serve.Registry
 // modelGeneration reads GET /v1/models and returns the target model's
 // engine-pool generation.
 func modelGeneration(ctx context.Context, t selftest.Target) (int, error) {
-	infos, err := serve.ListModels(ctx, t.Client, t.URL)
+	infos, err := t.Models(ctx)
 	if err != nil {
 		return 0, err
 	}

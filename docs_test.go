@@ -2,12 +2,18 @@ package radixnet_test
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	_ "github.com/radix-net/radixnet" // links both tiers, whose package init declares every family
 	"github.com/radix-net/radixnet/internal/obs"
+	"github.com/radix-net/radixnet/internal/serve"
 )
 
 // TestREADMEMetricReference fails when the README's metric reference
@@ -30,5 +36,71 @@ func TestREADMEMetricReference(t *testing.T) {
 	_, rest, _ := strings.Cut(string(readme), "<!-- metrics:begin -->\n")
 	if got, _, _ := strings.Cut(rest, "<!-- metrics:end -->"); got != want.String() {
 		t.Fatalf("README.md: the table between <!-- metrics:begin --> and <!-- metrics:end --> is out of date; replace it with:\n%s", want.String())
+	}
+}
+
+// TestCitedDocsExist fails when README.md or any Go file (package docs,
+// comments, printed hints) names a Markdown file that is not in the
+// repository, resolved from the root or from the citing file's directory.
+func TestCitedDocsExist(t *testing.T) {
+	mdName := regexp.MustCompile(`[A-Za-z0-9_./-]+\.md\b`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
+			return filepath.SkipDir // .git, build caches
+		}
+		if d.IsDir() || (path != "README.md" && filepath.Ext(path) != ".go") {
+			return nil
+		}
+		text, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, name := range mdName.FindAllString(string(text), -1) {
+			if _, err := os.Stat(name); err == nil {
+				continue
+			}
+			if _, err := os.Stat(filepath.Join(filepath.Dir(path), name)); err != nil {
+				t.Errorf("%s cites %s, which does not exist", path, name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestREADMEClientTable fails when the README's table of what the router
+// asks a backend and serve.Client's methods differ: every method but
+// GetJSON (the selftest's reader of the debug and SLO endpoints) has a
+// place in the table's second column, and nothing else does.
+func TestREADMEClientTable(t *testing.T) {
+	var want []string
+	client := reflect.TypeOf(serve.Client{})
+	for i := range client.NumMethod() {
+		if name := client.Method(i).Name; name != "GetJSON" {
+			want = append(want, name)
+		}
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, _ := strings.Cut(string(readme), "<!-- client:begin -->\n")
+	table, _, _ := strings.Cut(rest, "<!-- client:end -->")
+	var got []string
+	for _, row := range strings.Split(table, "\n")[2:] { // past the header and rule
+		if cells := strings.Split(row, "|"); len(cells) > 2 {
+			for _, name := range regexp.MustCompile("`([A-Za-z]+)`").FindAllStringSubmatch(cells[2], -1) {
+				got = append(got, name[1])
+			}
+		}
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("README.md: the table between <!-- client:begin --> and <!-- client:end --> names %v; serve.Client has %v", got, want)
 	}
 }

@@ -5,12 +5,8 @@
 package cliutil
 
 import (
-	"bytes"
-	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"os/exec"
 	"strconv"
@@ -20,32 +16,6 @@ import (
 	"github.com/radix-net/radixnet/internal/graphio"
 	"github.com/radix-net/radixnet/internal/radix"
 )
-
-// DoJSON issues one HTTP request with an optional JSON body and returns
-// the status code plus the raw response body. Used by internal/selftest for
-// the model-control-plane verbs (register/reload/unregister against
-// radixserve and radixrouter) and plain GETs. The context bounds the whole
-// exchange.
-func DoJSON(ctx context.Context, client *http.Client, method, url string, body []byte) (int, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
-	if err != nil {
-		return 0, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, data, err
-}
 
 // ParseSystems parses "(3,3,4);(3,3,4);(2,3)" into numeral systems.
 func ParseSystems(text string) ([]radix.System, error) {

@@ -451,3 +451,80 @@ func TestRouterAdminFanoutEscapesModelName(t *testing.T) {
 		})
 	}
 }
+
+// TestRefusedAdminBodyIsNotCached: the register body the router caches is
+// what a later scale-out POSTs onto new owners, so it must be a config the
+// fleet accepted. A register answered 409 everywhere (the name is taken by
+// another config) or a reload answered 422 everywhere used to replace it,
+// and the next scale-out then built a config the fleet had refused beside
+// the one it serves — mixed weights.
+func TestRefusedAdminBodyIsNotCached(t *testing.T) {
+	accepted := []byte(`{"name":"m","config":{"systems":[[4,4]]},"engines":1}`)
+	refused := []byte(`{"name":"m","config":{"systems":[[2,2,2,2]]},"engines":1}`)
+	for _, tc := range []struct {
+		verb, path string
+		status     int
+	}{
+		{http.MethodPost, "/v1/models", http.StatusConflict},
+		{http.MethodPut, "/v1/models/m", http.StatusUnprocessableEntity},
+	} {
+		t.Run(tc.verb, func(t *testing.T) {
+			var mu sync.Mutex
+			var posted []string // "backend index: body" of every POST /v1/models a backend received
+			var addrs []string
+			for i := range 2 {
+				// The first register creates the model; the name is then taken.
+				registered := false
+				listing := fakeBackend(t, []string{"m"}, http.NotFound).Config.Handler
+				backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					switch {
+					case r.Method == http.MethodPost && r.URL.Path == "/v1/models":
+						body, _ := io.ReadAll(r.Body)
+						mu.Lock()
+						posted = append(posted, fmt.Sprintf("%d: %s", i, body))
+						taken := registered
+						registered = true
+						mu.Unlock()
+						if taken {
+							writeError(w, http.StatusConflict, "m", "model already registered")
+							return
+						}
+						writeJSON(w, http.StatusCreated, serve.AdminResponse{Model: "m", Status: "registered"})
+					case r.Method == http.MethodPut:
+						writeError(w, http.StatusUnprocessableEntity, "m", "bad config")
+					default:
+						listing.ServeHTTP(w, r)
+					}
+				}))
+				t.Cleanup(backend.Close)
+				addrs = append(addrs, backend.Listener.Addr().String())
+			}
+			rt, err := NewRouter(RouterConfig{Backends: addrs, Replicas: 1, Set: SetConfig{ProbeInterval: time.Hour}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			admin := func(method, path string, body []byte) int {
+				rec := httptest.NewRecorder()
+				rt.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+				return rec.Code
+			}
+			if code := admin(http.MethodPost, "/v1/models", accepted); code != http.StatusCreated {
+				t.Fatalf("register: status %d", code)
+			}
+			if code := admin(tc.verb, tc.path, refused); code != tc.status {
+				t.Fatalf("%s %s of another config: status %d, want the fleet's unanimous %d", tc.verb, tc.path, code, tc.status)
+			}
+			before := len(posted)
+			if _, err := rt.ScaleTo(context.Background(), "m", 2); err != nil {
+				t.Fatal(err)
+			}
+			if len(posted) != before+1 {
+				t.Fatalf("scale-out POSTed %d bodies, want 1 (all: %q)", len(posted)-before, posted)
+			}
+			owner, newOwner := posted[0][:1], posted[before][:1]
+			if newOwner == owner || posted[before][3:] != string(accepted) {
+				t.Fatalf("scale-out sent %q (first owner: backend %s); want the accepted register body on the other backend", posted[before], owner)
+			}
+		})
+	}
+}

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"maps"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,9 +16,9 @@ import (
 
 // autoscaler is the router-side half of the replica control loop: on every
 // policy interval it scrapes the fleet, windows the per-model load signals
-// against the previous cycle (queue-wait p90 from the fleet-merged
-// histograms, 429 rate and throughput from the row-outcome counters, SLO
-// burn state from the router's engine), feeds them to the pure
+// against the previous cycle (queue-wait p90 from the summed per-backend
+// histogram windows, 429 rate and throughput from the row-outcome counters,
+// SLO burn state from the router's engine), feeds them to the pure
 // autoscale.Controller, and actuates its decisions through Router.ScaleTo
 // and the shed-class switch. The decision logic lives in
 // internal/autoscale; this type owns only the measurement and actuation
@@ -30,12 +32,7 @@ type autoscaler struct {
 	once    sync.Once
 	started bool // guarded by mu; Stop must not wait for a loop never launched
 
-	// prev holds last cycle's cumulative per-model signals; the difference
-	// against the current scrape is the evaluation window. Loop-goroutine
-	// state, but snapshotted under mu for GET /v1/autoscale.
-	prevHist map[string]obs.ScrapedHist
-	prevAcc  map[string]uint64 // rows accepted
-	prevRej  map[string]uint64 // rows rejected
+	prev loadWindows // loop-goroutine state
 
 	mu       sync.Mutex
 	status   []autoscale.ModelStatus
@@ -60,13 +57,11 @@ func newAutoscaler(rt *Router, pol autoscale.Policy) (*autoscaler, error) {
 		return nil, err
 	}
 	return &autoscaler{
-		rt:       rt,
-		ctl:      ctl,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-		prevHist: make(map[string]obs.ScrapedHist),
-		prevAcc:  make(map[string]uint64),
-		prevRej:  make(map[string]uint64),
+		rt:   rt,
+		ctl:  ctl,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
+		prev: loadWindows{},
 	}, nil
 }
 
@@ -120,15 +115,7 @@ func (a *autoscaler) cycle() {
 	ctx, cancel := context.WithTimeout(context.Background(), a.ctl.Policy().Interval)
 	defer cancel()
 	now := time.Now()
-	_, scrapes := a.rt.scrapeBackends(ctx)
-
-	// Fleet-merged cumulative signals this cycle: per-model queue wait
-	// (classes and backends summed — the shared le ladder makes the
-	// bucket-wise sum exact) and the row-outcome counters.
-	byModel := []string{"model"}
-	hists := obs.MergeHist(serve.MetricQueueWait, byModel, nil, scrapes...)
-	acceptedNow := obs.SumCounter(serve.MetricRowsAccepted, byModel, scrapes...)
-	rejectedNow := obs.SumCounter(serve.MetricRowsRejected, byModel, scrapes...)
+	backends, scrapes := a.rt.scrapeBackends(ctx)
 	violated := map[string]bool{}
 	if a.rt.slo != nil {
 		a.rt.sloRecord(scrapes, now)
@@ -145,27 +132,23 @@ func (a *autoscaler) cycle() {
 	// below-band intervals and scale back in).
 	interval := a.ctl.Policy().Interval.Seconds()
 	fleet := len(a.rt.set.backends)
-	stats := make([]autoscale.ModelStats, 0, len(hists))
-	for _, hs := range hists {
-		model, cur := hs.Values[0], hs.Hist
-		win := cur.Sub(a.prevHist[model])
+	windows := a.prev.advance(backends, scrapes)
+	stats := make([]autoscale.ModelStats, 0, len(windows))
+	for _, model := range slices.Sorted(maps.Keys(windows)) {
+		win := windows[model]
 		stat := autoscale.ModelStats{
 			Model:        model,
 			Replicas:     a.rt.ReplicasFor(model),
 			Ceiling:      fleet,
-			QueueWaitP90: time.Duration(win.Quantile(0.90) * float64(time.Second)),
-			Samples:      win.Count,
+			QueueWaitP90: time.Duration(win.wait.Quantile(0.90) * float64(time.Second)),
+			Samples:      win.wait.Count,
 			SLOViolated:  violated[model],
 		}
-		accepted := sub64(acceptedNow[hs.Key], a.prevAcc[model])
-		rejected := sub64(rejectedNow[hs.Key], a.prevRej[model])
-		if offered := accepted + rejected; offered > 0 {
-			stat.Rate429 = float64(rejected) / float64(offered)
+		if offered := win.accepted + win.rejected; offered > 0 {
+			stat.Rate429 = float64(win.rejected) / float64(offered)
 		}
-		stat.Throughput = float64(accepted) / interval
+		stat.Throughput = float64(win.accepted) / interval
 		stats = append(stats, stat)
-		a.prevHist[model] = cur
-		a.prevAcc[model], a.prevRej[model] = acceptedNow[hs.Key], rejectedNow[hs.Key]
 	}
 
 	decisions := a.ctl.Evaluate(stats)
@@ -206,6 +189,50 @@ func (a *autoscaler) cycle() {
 		a.recent = append(a.recent[:0], a.recent[n-maxRecentDecisions:]...)
 	}
 	a.mu.Unlock()
+}
+
+// load is one model's queue-wait histogram (classes merged) and row-outcome
+// counters: cumulative as one backend reports them, or one window's worth.
+type load struct {
+	wait               obs.ScrapedHist
+	accepted, rejected uint64
+}
+
+// loadWindows holds each (backend id, model)'s last cumulative report.
+// Windows are taken per backend and then summed, never on the fleet-merged
+// series: fleet membership varies between cycles, and differencing a merge
+// that lost a backend clamps that window to zero, then books the backend's
+// whole history as one interval's traffic when it returns — a phantom p90
+// and 429-rate spike the controller would act on.
+type loadWindows map[[2]string]load
+
+// advance windows this cycle's scrapes (index-aligned with backends; nil:
+// ejected or failed) against each backend's previous report and returns
+// the per-model sums. An unscraped backend keeps its previous report, so on
+// its return it contributes only what it served since.
+func (prev loadWindows) advance(backends []*Backend, scrapes []*obs.Scrape) map[string]load {
+	byModel := []string{"model"}
+	windows := map[string]load{}
+	for i, scrape := range scrapes {
+		if scrape == nil {
+			continue
+		}
+		accepted := obs.SumCounter(serve.MetricRowsAccepted, byModel, scrape)
+		rejected := obs.SumCounter(serve.MetricRowsRejected, byModel, scrape)
+		for _, hs := range obs.MergeHist(serve.MetricQueueWait, byModel, nil, scrape) {
+			model := hs.Values[0]
+			key := [2]string{backends[i].id, model}
+			was, now := prev[key], load{hs.Hist, accepted[hs.Key], rejected[hs.Key]}
+			prev[key] = now
+			sum := windows[model]
+			windows[model] = load{
+				wait:     sum.wait.Add(now.wait.Sub(was.wait)),
+				accepted: sum.accepted + sub64(now.accepted, was.accepted),
+				rejected: sum.rejected + sub64(now.rejected, was.rejected),
+			}
+		}
+	}
+	return windows
 }
 
 // sub64 is a clamped counter delta: a backend restart resets its counters,

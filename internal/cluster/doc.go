@@ -19,9 +19,10 @@
 // the model's hash. Adding or removing one backend therefore moves only
 // ~1/N of the keyspace, so fleet changes re-place few models.
 //
-// BackendSet — one probed Backend per radixserve instance. An active
-// prober hits each node's GET /healthz every ProbeInterval (via
-// serve.CheckHealth); FailAfter consecutive failures eject the node from
+// BackendSet — one probed Backend per radixserve instance, each holding
+// the serve.Client every request to it goes through (forward, probe,
+// listing, admin verb, scrape). An active prober hits each node's
+// GET /healthz every ProbeInterval (Client.Health); FailAfter consecutive failures eject the node from
 // rotation, and a single successful probe re-admits it. Forwarding errors
 // count against the same consecutive-failure threshold, so a crashed node
 // is ejected by the traffic that discovers it rather than waiting for the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,12 +14,12 @@ import (
 	"github.com/radix-net/radixnet/internal/serve"
 )
 
-// Backend is one radixserve instance in the fleet: its ring identity, its
-// base URL, and atomic health/traffic stats shared by the prober and the
-// router's forwarding path.
+// Backend is one radixserve instance in the fleet: its ring identity, the
+// client every conversation with it goes through, and atomic health/traffic
+// stats shared by the prober and the router's forwarding path.
 type Backend struct {
-	id  string // ring identity (host:port)
-	url string // scheme://host:port, no trailing slash
+	id     string // ring identity (host:port)
+	client serve.Client
 
 	healthy     atomic.Bool
 	consecFails atomic.Int64 // probe + forward failures since the last good probe
@@ -36,15 +37,8 @@ type Backend struct {
 	attempt obs.Histogram
 }
 
-// AttemptLatency snapshots the backend's answered-forward latency
-// histogram (nanosecond observations).
-func (b *Backend) AttemptLatency() obs.HistSnapshot { return b.attempt.Snapshot() }
-
 // ID returns the backend's ring identity (host:port).
 func (b *Backend) ID() string { return b.id }
-
-// URL returns the backend's base URL.
-func (b *Backend) URL() string { return b.url }
 
 // Healthy reports whether the backend is in rotation.
 func (b *Backend) Healthy() bool { return b.healthy.Load() }
@@ -82,7 +76,7 @@ type BackendStatus struct {
 func (b *Backend) Status() BackendStatus {
 	s := BackendStatus{
 		ID:                  b.id,
-		URL:                 b.url,
+		URL:                 b.client.URL,
 		Healthy:             b.healthy.Load(),
 		ConsecutiveFailures: b.consecFails.Load(),
 		Probes:              b.probes.Load(),
@@ -205,7 +199,7 @@ func NewBackendSet(addrs []string, cfg SetConfig) (*BackendSet, error) {
 		if _, dup := s.backends[id]; dup {
 			return nil, fmt.Errorf("cluster: duplicate backend %q", id)
 		}
-		b := &Backend{id: id, url: url}
+		b := &Backend{id: id, client: serve.Client{URL: url, HTTP: cfg.Client}}
 		b.healthy.Store(true)
 		if z, ok := cfg.Zones[id]; ok {
 			b.setZone(z)
@@ -225,6 +219,18 @@ func (s *BackendSet) Ring() *Ring { return s.ring }
 func (s *BackendSet) Backend(id string) (*Backend, bool) {
 	b, ok := s.backends[id]
 	return b, ok
+}
+
+// except returns the backends named by ids, in that order, leaving out
+// those also named by not.
+func (s *BackendSet) except(ids, not []string) []*Backend {
+	var out []*Backend
+	for _, id := range ids {
+		if b, ok := s.backends[id]; ok && !slices.Contains(not, id) {
+			out = append(out, b)
+		}
+	}
+	return out
 }
 
 // Backends returns every backend in construction order.
@@ -327,7 +333,7 @@ func (s *BackendSet) probe(b *Backend) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ProbeTimeout)
 	defer cancel()
 	b.probes.Add(1)
-	h, err := serve.CheckHealth(ctx, s.cfg.Client, b.url)
+	h, err := b.client.Health(ctx)
 	if err != nil {
 		b.probeFailures.Add(1)
 		s.noteFailure(b, err)
@@ -363,47 +369,58 @@ func (s *BackendSet) noteForwardSuccess(b *Backend) {
 	b.consecFails.Store(0)
 }
 
-// backendsHosting scrapes every backend's model listing concurrently —
-// health flag ignored, because an ejected-but-reachable backend may still
-// hold a copy — and returns those that report hosting model, in
-// construction order, plus the ids of backends whose listing could not be
-// fetched. This is the discovery step of the control plane's
-// reload/unregister fan-out: those verbs must reach every live copy of a
-// model (including copies on ring successors left over from fleet
-// changes), and a backend discovery cannot see must be surfaced to the
-// operator rather than silently skipped — it might rejoin still holding
-// the old generation.
-func (s *BackendSet) backendsHosting(ctx context.Context, model string, client *http.Client) (hosting []*Backend, unreachable []string) {
-	backends := s.Backends()
-	hosts := make([]bool, len(backends))
-	failed := make([]bool, len(backends))
+// perBackend calls fn once per backend, concurrently, each call under its
+// own timeout, and returns the results index-aligned with backends once
+// every call is back. It is the package's one goroutine-per-backend loop:
+// the admin fan-out, the /metrics scrape and the model listings all run on
+// it, so none of them can let one wedged backend stall the rest.
+func perBackend[T any](ctx context.Context, timeout time.Duration, backends []*Backend, fn func(context.Context, *Backend) T) []T {
+	out := make([]T, len(backends))
 	var wg sync.WaitGroup
 	for i, b := range backends {
 		wg.Add(1)
-		go func(i int, b *Backend) {
+		go func() {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(ctx, s.cfg.ProbeTimeout)
+			ctx, cancel := context.WithTimeout(ctx, timeout)
 			defer cancel()
-			infos, err := serve.ListModels(ctx, client, b.url)
-			if err != nil {
-				failed[i] = true
-				return
-			}
-			for _, info := range infos {
-				if info.Name == model {
-					hosts[i] = true
-					return
-				}
-			}
-		}(i, b)
+			out[i] = fn(ctx, b)
+		}()
 	}
 	wg.Wait()
-	for i, b := range backends {
+	return out
+}
+
+// listing is one backend's GET /v1/models answer.
+type listing struct {
+	infos []serve.ModelInfo
+	err   error
+}
+
+// listModels fetches the given backends' model listings, index-aligned.
+func (s *BackendSet) listModels(ctx context.Context, backends []*Backend) []listing {
+	return perBackend(ctx, s.cfg.ProbeTimeout, backends, func(ctx context.Context, b *Backend) listing {
+		infos, err := b.client.Models(ctx)
+		return listing{infos, err}
+	})
+}
+
+// backendsHosting lists every backend's models — health flag ignored,
+// because an ejected-but-reachable backend may still hold a copy — and
+// returns those that report hosting model, in construction order, plus the
+// ids of backends whose listing could not be fetched. This is the discovery
+// step of the control plane's reload/unregister fan-out: those verbs must
+// reach every live copy of a model (including copies on ring successors
+// left over from fleet changes), and a backend discovery cannot see must be
+// surfaced to the operator rather than silently skipped — it might rejoin
+// still holding the old generation.
+func (s *BackendSet) backendsHosting(ctx context.Context, model string) (hosting []*Backend, unreachable []string) {
+	backends := s.Backends()
+	for i, l := range s.listModels(ctx, backends) {
 		switch {
-		case hosts[i]:
-			hosting = append(hosting, b)
-		case failed[i]:
-			unreachable = append(unreachable, b.id)
+		case l.err != nil:
+			unreachable = append(unreachable, backends[i].id)
+		case slices.ContainsFunc(l.infos, func(info serve.ModelInfo) bool { return info.Name == model }):
+			hosting = append(hosting, backends[i])
 		}
 	}
 	return hosting, unreachable

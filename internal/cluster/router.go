@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,7 +9,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,10 +22,6 @@ import (
 	"github.com/radix-net/radixnet/internal/obs/slo"
 	"github.com/radix-net/radixnet/internal/serve"
 )
-
-// maxRequestBody mirrors the per-backend bound in internal/serve: the
-// router never buffers more of a request than a backend would accept.
-const maxRequestBody = 64 << 20
 
 // RouterConfig assembles a Router. Zero fields select defaults.
 type RouterConfig struct {
@@ -116,7 +111,6 @@ type Router struct {
 	adminTimeout time.Duration
 	classRetries map[string]int
 	knownClasses map[string]bool
-	client       *http.Client
 	http         *http.Server
 	start        time.Time
 	met          routerMetrics
@@ -203,7 +197,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		adminTimeout: adminTimeout,
 		classRetries: classRetries,
 		knownClasses: knownClasses,
-		client:       set.cfg.Client,
 		start:        time.Now(),
 		traces:       obs.NewTraceRing(cfg.TraceDepth),
 		slow:         cfg.SlowRequest,
@@ -353,21 +346,13 @@ func (rt *Router) ScaleTo(ctx context.Context, model string, n int) ([]AdminResu
 		if body == nil {
 			return nil, fmt.Errorf("cluster: cannot scale out %q: no cached register config (model was not registered through this router)", model)
 		}
-		had := make(map[string]bool, len(curIDs))
-		for _, id := range curIDs {
-			had[id] = true
-		}
-		var targets []*Backend
-		for _, id := range newIDs {
-			if b, ok := rt.set.Backend(id); ok && !had[id] {
-				targets = append(targets, b)
-			}
-		}
-		results := rt.fanOut(ctx, http.MethodPost, "/v1/models", body, targets)
+		results := rt.fanOut(ctx, rt.set.except(newIDs, curIDs), func(ctx context.Context, c serve.Client) (int, error) {
+			return c.Register(ctx, body)
+		})
 		for _, res := range results {
 			// 409 means the backend already hosts the model (a previous
 			// scale-out or manual registration) — the desired state holds.
-			if (res.Status < 200 || res.Status >= 300) && res.Status != http.StatusConflict {
+			if !res.ok() && res.Status != http.StatusConflict {
 				return results, fmt.Errorf("cluster: scale-out of %q to %d: backend %s answered %d %s",
 					model, n, res.Backend, res.Status, res.Error)
 			}
@@ -376,21 +361,13 @@ func (rt *Router) ScaleTo(ctx context.Context, model string, n int) ([]AdminResu
 		return results, nil
 	}
 	rt.setReplicas(model, n)
-	keep := make(map[string]bool, len(newIDs))
-	for _, id := range newIDs {
-		keep[id] = true
-	}
-	var targets []*Backend
-	for _, id := range curIDs {
-		if b, ok := rt.set.Backend(id); ok && !keep[id] {
-			targets = append(targets, b)
-		}
-	}
-	results := rt.fanOut(ctx, http.MethodDelete, "/v1/models/"+url.PathEscape(model), nil, targets)
+	results := rt.fanOut(ctx, rt.set.except(curIDs, newIDs), func(ctx context.Context, c serve.Client) (int, error) {
+		return c.Unregister(ctx, model)
+	})
 	for _, res := range results {
 		// 404 means the backend never actually hosted it (a failed earlier
 		// registration): the desired state already holds.
-		if (res.Status < 200 || res.Status >= 300) && res.Status != http.StatusNotFound {
+		if !res.ok() && res.Status != http.StatusNotFound {
 			return results, fmt.Errorf("cluster: scale-in of %q to %d: backend %s answered %d %s",
 				model, n, res.Backend, res.Status, res.Error)
 		}
@@ -445,7 +422,7 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 		rt.scaler.Stop()
 	}
 	rt.set.Stop()
-	rt.client.CloseIdleConnections()
+	rt.set.cfg.Client.CloseIdleConnections()
 	return err
 }
 
@@ -553,7 +530,7 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(obs.HeaderTraceID, traceID)
 	fwd := &inferForward{traceID: traceID, t0: time.Now()}
 	defer rt.recordTrace(fwd)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxRequestBody))
 	if err != nil {
 		rt.routeError(w, fwd, http.StatusBadRequest, "reading request body: %v", err)
 		return
@@ -707,25 +684,21 @@ const (
 // model.
 func (rt *Router) tryBackend(w http.ResponseWriter, r *http.Request, b *Backend, body []byte, fwd *inferForward) forwardOutcome {
 	for attempt := 0; ; attempt++ {
-		if _, ok := fwd.remainingMs(); !ok {
+		remainingMs, ok := fwd.remainingMs()
+		if !ok {
 			// The request's budget died router-side (earlier slow attempts,
 			// backoffs): answer like a backend shed would, without burning a
 			// forward — and critically without charging the backend a
 			// failure it did not cause.
 			return rt.writeDeadline(w, fwd, "before backend "+b.id+" was tried")
 		}
+		// The buffered body is reposted as it came; class and trace ID
+		// travel verbatim beside it, the deadline as the budget REMAINING
+		// at this attempt — the backend sheds queued rows against the real
+		// end-to-end deadline, not a fresh copy of the original budget.
 		attemptStart := time.Now()
-		resp, err := rt.forwardInfer(r.Context(), b, body, fwd)
-		if !errors.Is(err, errBudgetExhausted) {
-			// A forward was actually issued: trace its round trip. The
-			// per-backend latency histogram only counts answered attempts —
-			// transport errors return in microseconds and would drown the
-			// signal the tail quantiles exist to surface.
-			fwd.span("attempt:"+b.id, attemptStart)
-		}
-		if err == nil {
-			b.attempt.Observe(time.Since(attemptStart).Nanoseconds())
-		}
+		resp, err := b.client.Infer(r.Context(), body, fwd.traceID, fwd.class, remainingMs)
+		fwd.span("attempt:"+b.id, attemptStart)
 		if err != nil {
 			if r.Context().Err() != nil {
 				// The *client* hung up mid-forward: the transport error is
@@ -734,15 +707,14 @@ func (rt *Router) tryBackend(w http.ResponseWriter, r *http.Request, b *Backend,
 				// every healthy backend.
 				return forwardDone // nothing left to write to a gone client
 			}
-			if errors.Is(err, errBudgetExhausted) {
-				// The budget expired between the check above and the header
-				// computation: same verdict, same non-charge.
-				return rt.writeDeadline(w, fwd, "before backend "+b.id+" was tried")
-			}
 			b.failed.Add(1)
 			rt.set.noteFailure(b, err)
 			return forwardFailed
 		}
+		// The per-backend latency histogram only counts answered attempts —
+		// transport errors return in microseconds and would drown the
+		// signal the tail quantiles exist to surface.
+		b.attempt.Observe(time.Since(attemptStart).Nanoseconds())
 		switch {
 		case resp.StatusCode == http.StatusTooManyRequests && attempt == 0 && fwd.allowBackoff:
 			// Backpressure from a healthy backend: honor its Retry-After
@@ -813,11 +785,6 @@ func (rt *Router) tryBackend(w http.ResponseWriter, r *http.Request, b *Backend,
 	}
 }
 
-// errBudgetExhausted is forwardInfer's sentinel for a request whose
-// deadline budget died before the forward could be issued. tryBackend maps
-// it to a 504 without charging the backend.
-var errBudgetExhausted = errors.New("cluster: request deadline budget exhausted")
-
 // writeDeadline answers a router-side deadline expiry: 504 with model and
 // class attribution, counted on the deadlines series. Always forwardDone —
 // a response has been written.
@@ -831,28 +798,6 @@ func (rt *Router) writeDeadline(w http.ResponseWriter, fwd *inferForward, where 
 		Class: fwd.class,
 	})
 	return forwardDone
-}
-
-// forwardInfer reposts the buffered request body to one backend, stamping
-// the QoS headers: the class travels verbatim, the deadline as the budget
-// REMAINING at this attempt — the backend sheds queued rows against the
-// real end-to-end deadline, not a fresh copy of the original budget.
-func (rt *Router) forwardInfer(ctx context.Context, b *Backend, body []byte, fwd *inferForward) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/v1/infer", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(obs.HeaderTraceID, fwd.traceID)
-	if fwd.class != "" {
-		req.Header.Set(serve.HeaderClass, fwd.class)
-	}
-	if ms, ok := fwd.remainingMs(); !ok {
-		return nil, errBudgetExhausted
-	} else if ms > 0 {
-		req.Header.Set(serve.HeaderDeadlineMs, strconv.FormatFloat(ms, 'f', 3, 64))
-	}
-	return rt.client.Do(req)
 }
 
 // retryAfter parses a Retry-After header (delta-seconds or HTTP-date form,
@@ -887,8 +832,7 @@ func retryAfter(header string, limit time.Duration) time.Duration {
 // drain discards a response we will not relay, keeping its keep-alive
 // connection reusable.
 func drain(resp *http.Response) {
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck // best-effort drain
-	resp.Body.Close()
+	_ = serve.DecodeReply(resp, nil) // best effort: the reply is discarded either way
 }
 
 // relay copies a backend response to the client, stamping the answering
@@ -914,6 +858,9 @@ type AdminResult struct {
 	Error   string `json:"error,omitempty"`
 }
 
+// ok reports whether the backend applied the operation.
+func (r AdminResult) ok() bool { return r.Status >= 200 && r.Status < 300 }
+
 // AdminFanoutResponse is the router's body for the control-plane verbs:
 // which backends were targeted and what each answered. Unreachable lists
 // backends whose model inventory could not be scraped during reload/
@@ -933,52 +880,23 @@ type AdminFanoutResponse struct {
 	Unreachable []string      `json:"unreachable,omitempty"`
 }
 
-// fanOut performs one admin operation against every target backend
+// fanOut performs one admin verb against every target backend
 // concurrently, each bounded by AdminTimeout (a wedged backend must not
 // stall the verb forever), and collects per-backend outcomes in target
 // order.
-func (rt *Router) fanOut(ctx context.Context, method, path string, body []byte, targets []*Backend) []AdminResult {
-	results := make([]AdminResult, len(targets))
-	var wg sync.WaitGroup
-	for i, b := range targets {
-		wg.Add(1)
-		go func(i int, b *Backend) {
-			defer wg.Done()
-			res := AdminResult{Backend: b.id}
-			ctx, cancel := context.WithTimeout(ctx, rt.adminTimeout)
-			defer cancel()
-			var rd io.Reader
-			if body != nil {
-				rd = bytes.NewReader(body)
-			}
-			req, err := http.NewRequestWithContext(ctx, method, b.url+path, rd)
-			if err != nil {
-				res.Error = err.Error()
-				results[i] = res
-				return
-			}
-			if body != nil {
-				req.Header.Set("Content-Type", "application/json")
-			}
-			resp, err := rt.client.Do(req)
-			if err != nil {
-				res.Error = err.Error()
-				results[i] = res
-				return
-			}
-			res.Status = resp.StatusCode
-			if resp.StatusCode >= 400 {
-				var e serve.ErrorResponse
-				if json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&e) == nil {
-					res.Error = e.Error
-				}
-			}
-			drain(resp)
-			results[i] = res
-		}(i, b)
-	}
-	wg.Wait()
-	return results
+func (rt *Router) fanOut(ctx context.Context, targets []*Backend, verb func(context.Context, serve.Client) (int, error)) []AdminResult {
+	return perBackend(ctx, rt.adminTimeout, targets, func(ctx context.Context, b *Backend) AdminResult {
+		status, err := verb(ctx, b.client)
+		res := AdminResult{Backend: b.id, Status: status}
+		var refused *serve.StatusError
+		switch {
+		case errors.As(err, &refused):
+			res.Error = refused.Message
+		case err != nil:
+			res.Error = err.Error()
+		}
+		return res
+	})
 }
 
 // writeAdminFanout summarizes fan-out results into one response status per
@@ -994,7 +912,7 @@ func writeAdminFanout(w http.ResponseWriter, model, action string, successCode i
 	unanimous := -1
 	for _, res := range results {
 		switch {
-		case res.Status >= 200 && res.Status < 300:
+		case res.ok():
 			ok++
 		case unanimous == -1:
 			unanimous = res.Status
@@ -1019,7 +937,7 @@ func writeAdminFanout(w http.ResponseWriter, model, action string, successCode i
 // 404-failover path tolerates the placement drift).
 func (rt *Router) handleAdminRegister(w http.ResponseWriter, r *http.Request) {
 	rt.met.admin.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxRequestBody))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "", "reading request body: %v", err)
 		return
@@ -1035,18 +953,19 @@ func (rt *Router) handleAdminRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "", "missing model name")
 		return
 	}
-	var targets []*Backend
-	for _, id := range rt.set.Placement(peek.Name, rt.ReplicasFor(peek.Name)) {
-		if b, ok := rt.set.Backend(id); ok {
-			targets = append(targets, b)
-		}
-	}
-	results := rt.fanOut(r.Context(), http.MethodPost, "/v1/models", body, targets)
+	targets := rt.set.except(rt.set.Placement(peek.Name, rt.ReplicasFor(peek.Name)), nil)
+	results := rt.fanOut(r.Context(), targets, func(ctx context.Context, c serve.Client) (int, error) {
+		return c.Register(ctx, body)
+	})
 	// Cache the register body as the model's desired config: a later
-	// autoscale scale-out re-registers exactly this on new ring owners.
-	rt.scaleMu.Lock()
-	rt.regBodies[peek.Name] = body
-	rt.scaleMu.Unlock()
+	// autoscale scale-out re-registers exactly this on new ring owners. A
+	// body every target refused (409: the name is taken by another config)
+	// is not the fleet's state and must not become it at the next scale-out.
+	if slices.ContainsFunc(results, AdminResult.ok) {
+		rt.scaleMu.Lock()
+		rt.regBodies[peek.Name] = body
+		rt.scaleMu.Unlock()
+	}
 	writeAdminFanout(w, peek.Name, "register", http.StatusCreated, targets, results, nil)
 }
 
@@ -1057,23 +976,26 @@ func (rt *Router) handleAdminRegister(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleAdminReload(w http.ResponseWriter, r *http.Request) {
 	rt.met.admin.Add(1)
 	name := r.PathValue("name")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxRequestBody))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, name, "reading request body: %v", err)
 		return
 	}
-	targets, unreachable := rt.set.backendsHosting(r.Context(), name, rt.client)
+	targets, unreachable := rt.set.backendsHosting(r.Context(), name)
 	if len(targets) == 0 && len(unreachable) == 0 {
 		writeError(w, http.StatusNotFound, name, "model %q not hosted by any reachable backend", name)
 		return
 	}
-	results := rt.fanOut(r.Context(), http.MethodPut, "/v1/models/"+url.PathEscape(name), body, targets)
-	// A reload changes the model's desired config; refresh the cached
-	// register body (the reload body is the same RegisterRequest shape with
-	// the name coming from the path) so a later scale-out builds the
-	// reloaded weights on new owners, not the originals.
+	results := rt.fanOut(r.Context(), targets, func(ctx context.Context, c serve.Client) (int, error) {
+		return c.Reload(ctx, name, body)
+	})
+	// A reload some backend applied changes the model's desired config;
+	// refresh the cached register body (the reload body is the same
+	// RegisterRequest shape with the name coming from the path) so a later
+	// scale-out builds the reloaded weights on new owners, not the
+	// originals — and not a config every backend refused.
 	var req serve.RegisterRequest
-	if json.Unmarshal(body, &req) == nil && len(req.Config) > 0 {
+	if slices.ContainsFunc(results, AdminResult.ok) && json.Unmarshal(body, &req) == nil && len(req.Config) > 0 {
 		req.Name = name
 		if reg, err := json.Marshal(req); err == nil {
 			rt.scaleMu.Lock()
@@ -1089,12 +1011,14 @@ func (rt *Router) handleAdminReload(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleAdminUnregister(w http.ResponseWriter, r *http.Request) {
 	rt.met.admin.Add(1)
 	name := r.PathValue("name")
-	targets, unreachable := rt.set.backendsHosting(r.Context(), name, rt.client)
+	targets, unreachable := rt.set.backendsHosting(r.Context(), name)
 	if len(targets) == 0 && len(unreachable) == 0 {
 		writeError(w, http.StatusNotFound, name, "model %q not hosted by any reachable backend", name)
 		return
 	}
-	results := rt.fanOut(r.Context(), http.MethodDelete, "/v1/models/"+url.PathEscape(name), nil, targets)
+	results := rt.fanOut(r.Context(), targets, func(ctx context.Context, c serve.Client) (int, error) {
+		return c.Unregister(ctx, name)
+	})
 	// The model is gone fleet-wide: drop its autoscale state so a future
 	// registration starts from the configured default again.
 	rt.scaleMu.Lock()
@@ -1119,31 +1043,11 @@ type ModelsResponse struct {
 // of the backends' model lists (first answer wins per name) with ring
 // placement attached.
 func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) {
-	type scraped struct {
-		id    string
-		infos []serve.ModelInfo
-	}
 	backends := rt.set.Backends()
-	results := make([]scraped, len(backends))
-	var wg sync.WaitGroup
-	for i, b := range backends {
-		if !b.Healthy() {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, b *Backend) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), rt.set.cfg.ProbeTimeout)
-			defer cancel()
-			if infos, err := serve.ListModels(ctx, rt.client, b.url); err == nil {
-				results[i] = scraped{id: b.id, infos: infos}
-			}
-		}(i, b)
-	}
-	wg.Wait()
+	healthy := slices.DeleteFunc(slices.Clone(backends), func(b *Backend) bool { return !b.Healthy() })
 	byName := make(map[string]serve.ModelInfo)
-	for _, res := range results {
-		for _, info := range res.infos {
+	for _, l := range rt.set.listModels(r.Context(), healthy) { // a failed listing is empty
+		for _, info := range l.infos {
 			if _, dup := byName[info.Name]; !dup {
 				byName[info.Name] = info
 			}
@@ -1215,36 +1119,13 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // reads the parsed form; no other function here accepts exposition text.
 func (rt *Router) scrapeBackends(ctx context.Context) ([]*Backend, []*obs.Scrape) {
 	backends := rt.set.Backends()
-	scrapes := make([]*obs.Scrape, len(backends))
-	var wg sync.WaitGroup
-	for i, b := range backends {
+	return backends, perBackend(ctx, rt.set.cfg.ProbeTimeout, backends, func(ctx context.Context, b *Backend) *obs.Scrape {
 		if !b.Healthy() {
-			continue
+			return nil
 		}
-		wg.Add(1)
-		go func(i int, b *Backend) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(ctx, rt.set.cfg.ProbeTimeout)
-			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/metrics", nil)
-			if err != nil {
-				return
-			}
-			resp, err := rt.client.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return
-			}
-			if text, err := io.ReadAll(io.LimitReader(resp.Body, maxRequestBody)); err == nil {
-				scrapes[i] = obs.ParseScrape(string(text))
-			}
-		}(i, b)
-	}
-	wg.Wait()
-	return backends, scrapes
+		scrape, _ := b.client.Metrics(ctx) // a failed scrape is the nil entry callers skip
+		return scrape
+	})
 }
 
 // sloRecord feeds the router's SLO engine one cumulative fleet-merged

@@ -152,7 +152,7 @@ func TestLemma2EMRPathsFullProducts(t *testing.T) {
 	}
 }
 
-// TestErratumEbDivisorLastSystem exercises DESIGN.md erratum E-b: with a
+// TestErratumEbDivisorLastSystem exercises erratum E-b: with a
 // divisor last system, symmetry still holds but the exact path count is
 // N″·(N′)^{M−2}, below the paper's (N′)^{M−1}.
 func TestErratumEbDivisorLastSystem(t *testing.T) {

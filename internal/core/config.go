@@ -100,7 +100,7 @@ func (c Config) NPrime() int { return c.Systems[0].Product() }
 
 // LastProduct returns N″ = ∏ N_M, the product of the last system, which
 // divides N′. When N″ < N′ the generalized path-count formula applies
-// (DESIGN.md erratum E-b).
+// (erratum E-b, see TestErratumEbDivisorLastSystem).
 func (c Config) LastProduct() int { return c.Systems[len(c.Systems)-1].Product() }
 
 // NumSystems returns M, the number of mixed-radix systems.
@@ -228,9 +228,9 @@ func (c Config) Depth() float64 {
 //	m = N″ · (N′)^{M−2} · ∏_{i=1}^{𝕄−1} Di    (M ≥ 2 systems)
 //	m = 1 · ∏_{i=1}^{𝕄−1} Di                  (M = 1 system)
 //
-// which reduces to the paper's (N′)^{M−1}·∏Di when N″ = N′. See DESIGN.md
-// erratum E-b for why the published formula needs the N″ correction when
-// the last system's product is a proper divisor of N′.
+// which reduces to the paper's (N′)^{M−1}·∏Di when N″ = N′. The published
+// formula needs the N″ correction when the last system's product is a
+// proper divisor of N′ (erratum E-b, see TestErratumEbDivisorLastSystem).
 func (c Config) TheoreticalPaths() *big.Int {
 	m := big.NewInt(1)
 	if c.NumSystems() >= 2 {

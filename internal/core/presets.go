@@ -89,9 +89,8 @@ func Fig5Config(nprime int) (Config, error) {
 // are multiples of 1024 are reached with a uniform Kronecker lift
 // Di = width/1024, which scales per-neuron fan-in proportionally (the
 // official challenge data kept fan-in at 32 by further subsampling, a step
-// outside the RadiX-Net algebra; see EXPERIMENTS.md E10 for the
-// substitution note). `layers` must be even so it divides into (32,32)
-// systems.
+// outside the RadiX-Net algebra; see the E10 section of bench_test.go).
+// `layers` must be even so it divides into (32,32) systems.
 func GraphChallengeConfig(width, layers int) (Config, error) {
 	const base = 1024
 	if width < base || width%base != 0 {

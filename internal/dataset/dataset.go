@@ -3,7 +3,7 @@
 // used MNIST-class image data, which is unavailable offline; these
 // generators exercise the identical code paths (multiclass classification
 // through sparse vs dense layers, batched sparse inference) with seeded,
-// reproducible data. See DESIGN.md §5 for the substitution rationale.
+// reproducible data.
 package dataset
 
 import (

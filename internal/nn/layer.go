@@ -3,7 +3,7 @@
 // sparse linear layers, activations, losses, optimizers and a data-parallel
 // trainer. The paper defers training evaluation to Alford & Kepner [15];
 // this package is the substitute stack that makes those comparisons
-// executable offline (see DESIGN.md §5).
+// executable offline.
 //
 // Activations flow through *sparse.Dense batches (rows = samples). Sparse
 // layers keep their weights in a value slice aligned with an immutable

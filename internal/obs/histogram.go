@@ -207,14 +207,6 @@ func monus(a, b uint64) uint64 {
 	return a - b
 }
 
-// Mean reports the arithmetic mean of the observed values (0 if empty).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // Quantile reports an estimate of the q-quantile (0 < q <= 1) in the
 // observed unit, linearly interpolating within the containing bucket's
 // [2^(i-1), 2^i] bounds. Returns 0 for an empty snapshot. The estimate

@@ -412,6 +412,22 @@ func (h ScrapedHist) Sub(prev ScrapedHist) ScrapedHist {
 	return out
 }
 
+// Add sums two windows or scrapes of the same family bucket-wise, which
+// the shared le ladder makes exact; the zero value is the identity. h's
+// buckets are updated in place, so h must be the caller's to change (a Sub
+// or MergeHist result is).
+func (h ScrapedHist) Add(o ScrapedHist) ScrapedHist {
+	if len(h.Les) != len(o.Les) {
+		return o
+	}
+	for i := range h.Cum {
+		h.Cum[i] += o.Cum[i]
+	}
+	h.Count += o.Count
+	h.Sum += o.Sum
+	return h
+}
+
 // Quantile estimates the q-quantile (0 < q <= 1) in the exported unit,
 // linearly interpolating within the containing bucket. Observations
 // above the last finite bound report that bound (the ladder tops out at

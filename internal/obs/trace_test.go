@@ -61,6 +61,9 @@ func TestTraceRingHandler(t *testing.T) {
 		Recent  []*Trace `json:"recent"`
 		Slowest []*Trace `json:"slowest"`
 	}
+	if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type %q, want application/json", ct)
+	}
 	if err := json.Unmarshal(w.Body.Bytes(), &view); err != nil {
 		t.Fatalf("bad json: %v\n%s", err, w.Body.String())
 	}

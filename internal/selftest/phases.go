@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/radix-net/radixnet/internal/cliutil"
 	"github.com/radix-net/radixnet/internal/core"
 	"github.com/radix-net/radixnet/internal/obs"
 	"github.com/radix-net/radixnet/internal/obs/slo"
@@ -49,7 +47,7 @@ func ConcurrencyPhase(ctx context.Context, t Target, models []string, in *sparse
 	}
 	for _, conc := range []int{1, 4, 16} {
 		rows := baseRows * len(models) * conc
-		before, err := Scrape(ctx, t)
+		before, err := t.Metrics(ctx)
 		if err != nil {
 			return err
 		}
@@ -77,7 +75,7 @@ func ConcurrencyPhase(ctx context.Context, t Target, models []string, in *sparse
 		if failed.n > 0 {
 			return fmt.Errorf("concurrency %d: %d failures (first: %v)", conc, failed.n, failed.first)
 		}
-		after, err := Scrape(ctx, t)
+		after, err := t.Metrics(ctx)
 		if err != nil {
 			return err
 		}
@@ -160,11 +158,10 @@ func ControlPlanePhase(ctx context.Context, t Target, cfg core.Config, engines i
 	}
 	for i := 0; i < Reloads; i++ {
 		waitRows(int64((i + 1) * 16))
-		status, body, err := cliutil.DoJSON(ctx, t.Client, http.MethodPut, t.URL+"/v1/models/"+url.PathEscape(t.Model), regBody)
-		if err != nil || status != http.StatusOK {
+		if status, err := t.Reload(ctx, t.Model, regBody); err != nil || status != http.StatusOK {
 			close(stop)
 			wg.Wait()
-			return fmt.Errorf("control plane: reload %d: status %d err %v (%s)", i, status, err, body)
+			return fmt.Errorf("control plane: reload %d: status %d err %v", i, status, err)
 		}
 	}
 	waitRows(int64((Reloads + 1) * 16))
@@ -182,8 +179,8 @@ func ControlPlanePhase(ctx context.Context, t Target, cfg core.Config, engines i
 // UnregisterPhase removes the target's model (fleet-wide through a router)
 // and requires inference against it to answer 404 afterwards.
 func UnregisterPhase(ctx context.Context, t Target, row []float64) error {
-	if err := Unregister(ctx, t); err != nil {
-		return fmt.Errorf("control plane: %w", err)
+	if status, err := t.Unregister(ctx, t.Model); err != nil || status != http.StatusOK {
+		return fmt.Errorf("control plane: unregister %s: status %d err %v", t.Model, status, err)
 	}
 	status, _, _, err := PostRow(ctx, t, row)
 	if err != nil || status != http.StatusNotFound {
@@ -299,7 +296,7 @@ func QoSPhase(ctx context.Context, t Target, in *sparse.Dense, expected [][]floa
 	// starvation assertion below must hold on the EXPORTED queue-wait
 	// histogram — what an operator's dashboard would alert on — not on a
 	// client-side tally.
-	before, err := Scrape(ctx, t)
+	before, err := t.Metrics(ctx)
 	if err != nil {
 		close(stop)
 		wg.Wait()
@@ -310,7 +307,7 @@ func QoSPhase(ctx context.Context, t Target, in *sparse.Dense, expected [][]floa
 	loaded, loadedWait, probeErr := probe()
 	loadedElapsed := time.Since(loadedStart)
 	bgDuring := bgRows.Load() - bgBefore
-	after, scrapeErr := Scrape(ctx, t)
+	after, scrapeErr := t.Metrics(ctx)
 	close(stop)
 	wg.Wait()
 	if probeErr != nil {
@@ -416,7 +413,7 @@ func ObsPhase(ctx context.Context, t Target, row []float64) (*obs.Trace, error) 
 	var found *obs.Trace
 	var view tracesView
 	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
-		if err := GetJSON(ctx, t, "/debug/traces?n=16", &view); err != nil {
+		if err := t.GetJSON(ctx, "/debug/traces?n=16", &view); err != nil {
 			return nil, fmt.Errorf("obs: /debug/traces: %w", err)
 		}
 		for _, tr := range view.Recent {
@@ -432,9 +429,8 @@ func ObsPhase(ctx context.Context, t Target, row []float64) (*obs.Trace, error) 
 		}
 	}
 
-	status, _, err = cliutil.DoJSON(ctx, t.Client, http.MethodGet, t.URL+"/debug/pprof/cmdline", nil)
-	if err != nil || status != http.StatusOK {
-		return nil, fmt.Errorf("obs: pprof cmdline: status %d err %v", status, err)
+	if err := t.GetJSON(ctx, "/debug/pprof/cmdline", nil); err != nil {
+		return nil, fmt.Errorf("obs: pprof cmdline: %w", err)
 	}
 	log.Printf("obs: trace %s round-tripped with %d spans, retained in /debug/traces (%d total); pprof live",
 		traceID, len(out.Spans), view.Total)
@@ -457,7 +453,7 @@ func ExemplarSLOPhase(ctx context.Context, t Target, in *sparse.Dense) error {
 			return fmt.Errorf("deep-obs: probe %d: status %d err %v", i, status, err)
 		}
 	}
-	scrape, err := Scrape(ctx, t)
+	scrape, err := t.Metrics(ctx)
 	if err != nil {
 		return err
 	}
@@ -473,7 +469,7 @@ func ExemplarSLOPhase(ctx context.Context, t Target, in *sparse.Dense) error {
 		var view struct {
 			Trace *obs.Trace `json:"trace"`
 		}
-		if err := GetJSON(ctx, t, "/debug/traces?trace="+id, &view); err != nil {
+		if err := t.GetJSON(ctx, "/debug/traces?trace="+id, &view); err != nil {
 			continue
 		}
 		if view.Trace != nil && view.Trace.ID == id && len(view.Trace.Spans) > 0 {
@@ -487,7 +483,7 @@ func ExemplarSLOPhase(ctx context.Context, t Target, in *sparse.Dense) error {
 	// The ?min_ms= filter: an absurd threshold must still answer JSON,
 	// just with everything filtered out.
 	var filtered tracesView
-	if err := GetJSON(ctx, t, "/debug/traces?min_ms=1e9&n=4", &filtered); err != nil {
+	if err := t.GetJSON(ctx, "/debug/traces?min_ms=1e9&n=4", &filtered); err != nil {
 		return fmt.Errorf("deep-obs: ?min_ms=1e9: %w", err)
 	}
 	if filtered.Total == 0 || len(filtered.Recent) != 0 {
@@ -498,7 +494,7 @@ func ExemplarSLOPhase(ctx context.Context, t Target, in *sparse.Dense) error {
 	// process lifetime inside both burn windows it must read "violated";
 	// the 10s objective must stay "ok".
 	var view slo.View
-	if err := GetJSON(ctx, t, "/v1/slo", &view); err != nil {
+	if err := t.GetJSON(ctx, "/v1/slo", &view); err != nil {
 		return fmt.Errorf("deep-obs: /v1/slo: %w", err)
 	}
 	var breached, loose *slo.Status

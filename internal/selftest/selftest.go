@@ -12,18 +12,14 @@
 package selftest
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/url"
 	"slices"
 	"sync"
 	"time"
 
-	"github.com/radix-net/radixnet/internal/cliutil"
 	"github.com/radix-net/radixnet/internal/cluster"
 	"github.com/radix-net/radixnet/internal/core"
 	"github.com/radix-net/radixnet/internal/graphio"
@@ -33,15 +29,14 @@ import (
 	"github.com/radix-net/radixnet/internal/sparse"
 )
 
-// Target is one tier under test: a radixserve node or a radixrouter, the
-// model a phase drives on it, and the two exported histogram families whose
-// names differ by tier. Acceptance assertions read p99s back from these
-// families on /metrics — the data an operator's dashboard sees — not from
-// internal tallies.
+// Target is one tier under test: the client for a radixserve node or a
+// radixrouter (they speak the same API), the model a phase drives on it,
+// and the two exported histogram families whose names differ by tier.
+// Acceptance assertions read p99s back from these families on /metrics —
+// the data an operator's dashboard sees — not from internal tallies.
 type Target struct {
-	URL    string // "http://host:port"
-	Model  string
-	Client *http.Client
+	serve.Client
+	Model string
 	// LatencyFamily buckets per-model request latency, QueueWaitFamily
 	// per-model×class scheduler queue wait.
 	LatencyFamily   *obs.Family
@@ -51,7 +46,7 @@ type Target struct {
 // Node targets a single radixserve instance, which exports its own
 // histograms.
 func Node(client *http.Client, url, model string) Target {
-	return Target{URL: url, Model: model, Client: client,
+	return Target{Client: serve.Client{URL: url, HTTP: client}, Model: model,
 		LatencyFamily:   serve.MetricRequestLatency,
 		QueueWaitFamily: serve.MetricQueueWait}
 }
@@ -59,7 +54,7 @@ func Node(client *http.Client, url, model string) Target {
 // Routed targets a radixrouter, which re-exports its backends' histograms
 // summed bucket-wise as the fleet-merged radixrouter_model_* families.
 func Routed(client *http.Client, url, model string) Target {
-	return Target{URL: url, Model: model, Client: client,
+	return Target{Client: serve.Client{URL: url, HTTP: client}, Model: model,
 		LatencyFamily:   cluster.MetricModelRequestLatency,
 		QueueWaitFamily: cluster.MetricModelQueueWait}
 }
@@ -83,26 +78,15 @@ func NewClient() *http.Client {
 // and response headers. A 200 body is decoded into out; with out nil, and
 // for every other status, the body is drained so the connection is reused.
 func post(ctx context.Context, t Target, body []byte, traceID string, out *serve.InferResponse) (int, http.Header, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.URL+"/v1/infer", bytes.NewReader(body))
+	resp, err := t.Infer(ctx, body, traceID, "", 0)
 	if err != nil {
 		return 0, nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if traceID != "" {
-		req.Header.Set(obs.HeaderTraceID, traceID)
-	}
-	resp, err := t.Client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
+	var into any
 	if resp.StatusCode == http.StatusOK && out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, resp.Header, err
-		}
+		into = out
 	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, resp.Header, nil
+	return resp.StatusCode, resp.Header, serve.DecodeReply(resp, into)
 }
 
 // PostBody posts a pre-marshaled inference request and returns the HTTP
@@ -131,39 +115,6 @@ func PostRow(ctx context.Context, t Target, row []float64) (int, string, serve.I
 	return Post(ctx, t, serve.InferRequest{Inputs: [][]float64{row}})
 }
 
-// Scrape fetches and parses the target's /metrics exposition (a router's
-// fans out to every backend and re-emits their series merged).
-func Scrape(ctx context.Context, t Target) (*obs.Scrape, error) {
-	status, data, err := cliutil.DoJSON(ctx, t.Client, http.MethodGet, t.URL+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("scrape /metrics: status %d", status)
-	}
-	return obs.ParseScrape(string(data)), nil
-}
-
-// GetJSON decodes the target's GET path into out. Every JSON endpoint of
-// both tiers answers 200 with Content-Type application/json; anything else
-// is an error.
-func GetJSON(ctx context.Context, t Target, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.URL+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := t.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if ctype := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ctype != "application/json" {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return fmt.Errorf("GET %s: status %d content type %q", path, resp.StatusCode, ctype)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
 // Register registers the target's model over the wire from graphio config
 // JSON (POST /v1/models must answer 201) and returns the request body, which
 // PUT /v1/models/{name} accepts again as a hot-reload.
@@ -176,20 +127,10 @@ func Register(ctx context.Context, t Target, cfg core.Config, engines int) ([]by
 	if err != nil {
 		return nil, err
 	}
-	status, out, err := cliutil.DoJSON(ctx, t.Client, http.MethodPost, t.URL+"/v1/models", body)
-	if err != nil || status != http.StatusCreated {
-		return nil, fmt.Errorf("register %s: status %d err %v (%s)", t.Model, status, err, out)
+	if status, err := t.Client.Register(ctx, body); err != nil || status != http.StatusCreated {
+		return nil, fmt.Errorf("register %s: status %d err %v", t.Model, status, err)
 	}
 	return body, nil
-}
-
-// Unregister drains and removes the target's model (DELETE must answer 200).
-func Unregister(ctx context.Context, t Target) error {
-	status, out, err := cliutil.DoJSON(ctx, t.Client, http.MethodDelete, t.URL+"/v1/models/"+url.PathEscape(t.Model), nil)
-	if err != nil || status != http.StatusOK {
-		return fmt.Errorf("unregister %s: status %d err %v (%s)", t.Model, status, err, out)
-	}
-	return nil
 }
 
 // Percentile returns the p-th percentile (0–100) of the latencies.

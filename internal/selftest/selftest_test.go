@@ -202,7 +202,7 @@ func TestSmokeNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	tg := Node(NewClient(), "http://"+addr, "smoke")
-	defer tg.Client.CloseIdleConnections()
+	defer tg.HTTP.CloseIdleConnections()
 
 	if err := BitIdentityPhase(ctx, tg, in, expected, nil); err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestSmokeFleet(t *testing.T) {
 	}
 	tg := Routed(NewClient(), "http://"+bound, models[0])
 	defer func() {
-		tg.Client.CloseIdleConnections()
+		tg.HTTP.CloseIdleConnections()
 		sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 		defer cancel()
 		if err := rt.Shutdown(sctx); err != nil {

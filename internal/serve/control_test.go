@@ -492,7 +492,7 @@ func testConfigLocal(t *testing.T) core.Config {
 
 // TestHealthzDrainingAfterClose: once the registry closes, /healthz must
 // flip to 503 "draining" so cluster probes route around the backend, and
-// CheckHealth must report it as unhealthy.
+// Client.Health must report it as unhealthy.
 func TestHealthzDrainingAfterClose(t *testing.T) {
 	reg := NewRegistry(Policy{})
 	if _, err := reg.Register("h", testConfig(t), 1); err != nil {
@@ -527,8 +527,9 @@ func TestHealthzDrainingAfterClose(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || h.Status != "draining" {
 		t.Fatalf("healthz after close = %d %q, want 503 draining", resp.StatusCode, h.Status)
 	}
-	if _, err := CheckHealth(context.Background(), nil, ts.URL); err == nil {
-		t.Fatal("CheckHealth passed a draining backend")
+	var refused *StatusError
+	if _, err := (Client{URL: ts.URL, HTTP: ts.Client()}).Health(context.Background()); !errors.As(err, &refused) || refused.Status != http.StatusServiceUnavailable {
+		t.Fatalf("Client.Health of a draining backend: %v, want a StatusError carrying 503", err)
 	}
 }
 

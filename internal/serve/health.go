@@ -1,14 +1,7 @@
 package serve
 
-import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"net/http"
-)
-
 // Health is the GET /healthz body: the wire shape a liveness probe decodes.
-// The cluster router probes backend radixserve instances with CheckHealth
+// The cluster router probes backend radixserve instances with Client.Health
 // and ejects nodes whose probes fail. Status is "ok" while serving and
 // "draining" (with HTTP 503) once the registry has closed for shutdown, so
 // routers stop sending a stopping backend traffic before its listener dies.
@@ -21,64 +14,4 @@ type Health struct {
 	// zone-aware placement learns it from probes and spreads a model's
 	// replicas across distinct zones. Empty when the operator set none.
 	Zone string `json:"zone,omitempty"`
-}
-
-// CheckHealth probes one radixserve instance's GET /healthz. baseURL is the
-// instance root (e.g. "http://10.0.0.7:8080"); ctx bounds the probe (callers
-// should attach a timeout — a hung backend must fail the probe, not block
-// it). A non-200 status or an undecodable body is an error: a probe is only
-// healthy when the backend says so in the expected shape.
-func CheckHealth(ctx context.Context, client *http.Client, baseURL string) (Health, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/healthz", nil)
-	if err != nil {
-		return Health{}, fmt.Errorf("serve: healthz probe: %w", err)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return Health{}, fmt.Errorf("serve: healthz probe: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Health{}, fmt.Errorf("serve: healthz probe: status %d", resp.StatusCode)
-	}
-	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return Health{}, fmt.Errorf("serve: healthz probe: %w", err)
-	}
-	if h.Status != "ok" {
-		return h, fmt.Errorf("serve: healthz probe: backend status %q", h.Status)
-	}
-	return h, nil
-}
-
-// ListModels fetches one radixserve instance's GET /v1/models. The cluster
-// router uses it both to merge fleet-wide listings and to discover which
-// backends report a model when fanning out admin operations (reload,
-// unregister).
-func ListModels(ctx context.Context, client *http.Client, baseURL string) ([]ModelInfo, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/models", nil)
-	if err != nil {
-		return nil, fmt.Errorf("serve: models probe: %w", err)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("serve: models probe: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("serve: models probe: status %d", resp.StatusCode)
-	}
-	var body struct {
-		Models []ModelInfo `json:"models"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil, fmt.Errorf("serve: models probe: %w", err)
-	}
-	return body.Models, nil
 }

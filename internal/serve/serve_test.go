@@ -685,42 +685,6 @@ func TestInferBatchCoalescesDespiteFastPath(t *testing.T) {
 	}
 }
 
-// TestCheckHealth exercises the probe client the cluster router uses.
-func TestCheckHealth(t *testing.T) {
-	_, _, ts := newTestServer(t, Policy{}, 1)
-	h, err := CheckHealth(context.Background(), nil, ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Status != "ok" || h.Models != 1 || h.UptimeSeconds < 0 {
-		t.Fatalf("health = %+v", h)
-	}
-	// A backend that answers non-200 is unhealthy.
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "down", http.StatusInternalServerError)
-	}))
-	defer bad.Close()
-	if _, err := CheckHealth(context.Background(), nil, bad.URL); err == nil {
-		t.Fatal("unhealthy backend probed healthy")
-	}
-	// A dead backend (connection refused) is unhealthy.
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close()
-	if _, err := CheckHealth(context.Background(), nil, dead.URL); err == nil {
-		t.Fatal("dead backend probed healthy")
-	}
-	// The probe honors ctx cancellation (a hung backend must not block it).
-	hang := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-r.Context().Done()
-	}))
-	defer hang.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := CheckHealth(ctx, nil, hang.URL); err == nil {
-		t.Fatal("hung backend probed healthy")
-	}
-}
-
 // TestManyModelsConcurrently exercises the registry under cross-model load.
 func TestManyModelsConcurrently(t *testing.T) {
 	reg := NewRegistry(Policy{MaxBatch: 8, MaxLatency: time.Millisecond})

@@ -18,9 +18,11 @@ import (
 	"github.com/radix-net/radixnet/internal/obs/slo"
 )
 
-// maxRequestBody bounds a POST /v1/infer body; a full MaxBatch of rows at
-// Graph Challenge widths is a few MB of JSON, so 64 MiB is generous.
-const maxRequestBody = 64 << 20
+// MaxRequestBody bounds a POST /v1/infer body; a full MaxBatch of rows at
+// Graph Challenge widths is a few MB of JSON, so 64 MiB is generous. The
+// router buffers no more of a request than a backend would accept, and
+// Client reads no more of a reply.
+const MaxRequestBody = 64 << 20
 
 // Header names the cluster router uses to forward QoS metadata alongside
 // the (unmodified) request body: the canonical class and the remaining
@@ -357,7 +359,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var req InferRequest
-	body := http.MaxBytesReader(w, r.Body, maxRequestBody)
+	body := http.MaxBytesReader(w, r.Body, MaxRequestBody)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		finish(http.StatusBadRequest, "", "", 0, err.Error(), nil)
@@ -509,7 +511,7 @@ func decodeRegisterRequest(w http.ResponseWriter, r *http.Request) (RegisterRequ
 		RegisterRequest
 		Kernel json.RawMessage `json:"kernel"`
 	}
-	body := http.MaxBytesReader(w, r.Body, maxRequestBody)
+	body := http.MaxBytesReader(w, r.Body, MaxRequestBody)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return req.RegisterRequest, false

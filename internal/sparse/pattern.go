@@ -121,10 +121,11 @@ func Ones(rows, cols int) *Pattern {
 
 // CyclicShift returns the n×n permutation pattern P^s in the orientation
 // used by this library: entry (r, c) is set iff c ≡ r+s (mod n). With s=1
-// this is the transpose of the paper's eq. (2) matrix; see DESIGN.md §1
-// (erratum E-a) for why the stated edge rule j → j+n·ν requires this
-// orientation. Negative shifts are taken modulo n, so CyclicShift(n, -1)
-// reproduces the paper's eq. (2) literally.
+// this is the transpose of the paper's eq. (2) matrix: the stated edge rule
+// j → j+n·ν requires this orientation (erratum E-a; the two are isomorphic,
+// see topology.TestErratumEaOrientationsIsomorphic). Negative shifts are
+// taken modulo n, so CyclicShift(n, -1) reproduces the paper's eq. (2)
+// literally.
 func CyclicShift(n, s int) *Pattern {
 	s = ((s % n) + n) % n
 	p := &Pattern{rows: n, cols: n, rowPtr: make([]int, n+1), colIdx: make([]int, n)}

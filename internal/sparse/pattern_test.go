@@ -154,7 +154,7 @@ func TestCyclicShiftOrientation(t *testing.T) {
 	if !q.Has(0, 4) {
 		t.Fatal("shift(-1) row 0 should hit last column (paper eq. 2)")
 	}
-	// The two orientations are transposes of each other (DESIGN.md E-a).
+	// The two orientations are transposes of each other (erratum E-a).
 	if !p.Transpose().Equal(q) {
 		t.Fatal("CyclicShift(n,1) must be the transpose of CyclicShift(n,-1)")
 	}

@@ -12,7 +12,7 @@ import (
 // submatrix of g into the corresponding submatrix of h. The paper's
 // definitions identify topologies "up to a permutation of indices"; this
 // checker makes that identification executable — in particular it proves
-// that the two orientations of eq. (2) (see DESIGN.md erratum E-a) generate
+// that the two orientations of eq. (2) (erratum E-a, see TestErratumEaOrientationsIsomorphic) generate
 // isomorphic mixed-radix topologies.
 //
 // The search uses degree-profile partitioning to prune, then backtracking

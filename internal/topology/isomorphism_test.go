@@ -89,8 +89,8 @@ func TestIsomorphismRespectsNodeBudget(t *testing.T) {
 	}
 }
 
-// TestErratumEaOrientationsIsomorphic is the executable form of DESIGN.md
-// erratum E-a: the mixed-radix topology built with the paper's literal
+// TestErratumEaOrientationsIsomorphic is the executable form of erratum
+// E-a: the mixed-radix topology built with the paper's literal
 // eq. (2) orientation (edges j → j − n·ν) is isomorphic to the one built
 // from the stated edge rule (j → j + n·ν) via the relabeling j ↦ −j mod N′.
 func TestErratumEaOrientationsIsomorphic(t *testing.T) {

@@ -36,8 +36,8 @@
 //     administration (internal/cluster)
 //   - serialization (internal/graphio)
 //
-// See DESIGN.md for the architecture and EXPERIMENTS.md for the
-// reproduction of every figure and claim in the paper.
+// See README.md for the architecture and bench_test.go for the index of
+// reproduced figures and experiments.
 package radixnet
 
 import (
@@ -131,7 +131,8 @@ func DensityMap(muMin, muMax, dMin, dMax int) []DensityCell {
 }
 
 // TheoreticalPaths returns the exact input→output path count of the
-// configured topology (generalized Theorem 1; see DESIGN.md erratum E-b).
+// configured topology (generalized Theorem 1; erratum E-b, see
+// core.TestErratumEbDivisorLastSystem).
 func TheoreticalPaths(cfg Config) *big.Int { return cfg.TheoreticalPaths() }
 
 // GraphChallengeConfig returns a configuration emulating the Graph
