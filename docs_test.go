@@ -92,9 +92,10 @@ func TestREADMEClientTable(t *testing.T) {
 	_, rest, _ := strings.Cut(string(readme), "<!-- client:begin -->\n")
 	table, _, _ := strings.Cut(rest, "<!-- client:end -->")
 	var got []string
+	quoted := regexp.MustCompile("`([A-Za-z]+)`")
 	for _, row := range strings.Split(table, "\n")[2:] { // past the header and rule
 		if cells := strings.Split(row, "|"); len(cells) > 2 {
-			for _, name := range regexp.MustCompile("`([A-Za-z]+)`").FindAllStringSubmatch(cells[2], -1) {
+			for _, name := range quoted.FindAllStringSubmatch(cells[2], -1) {
 				got = append(got, name[1])
 			}
 		}
