@@ -146,12 +146,19 @@ func TestAutoscaleStatusEndpoint(t *testing.T) {
 	fa := startFleetOpts(t, 3, nil, SetConfig{ProbeInterval: time.Hour}, func(cfg *RouterConfig) {
 		cfg.Autoscale = &autoscale.Policy{Interval: time.Hour} // loop armed but never fires
 	})
-	code, body := adminDo(t, http.MethodGet, fa.url+"/v1/autoscale", nil)
-	if code != http.StatusOK {
-		t.Fatalf("autoscale enabled: status %d: %s", code, body)
+	resp, err := http.Get(fa.url + "/v1/autoscale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("autoscale enabled: status %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("/v1/autoscale: Content-Type %q, want application/json", ct)
 	}
 	var st AutoscaleStatus
-	if err := json.Unmarshal(body, &st); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	if !st.Enabled || st.Policy.ScaleUpP90 != autoscale.DefaultScaleUpP90 {

@@ -152,6 +152,9 @@ func TestRouterSLOViolation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/slo: status %d", resp.StatusCode)
 	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("/v1/slo: Content-Type %q, want application/json", ct)
+	}
 	var view slo.View
 	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
 		t.Fatal(err)

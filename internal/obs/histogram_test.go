@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -192,6 +193,36 @@ func TestScrapeRoundTrip(t *testing.T) {
 	win := all[0].Hist.Sub(hist)
 	if win.Count != snap.Count {
 		t.Fatalf("window count = %d, want %d", win.Count, snap.Count)
+	}
+}
+
+// TestScrapedHistAdd: the zero value is the identity on either side, a
+// histogram on another ladder is left out instead of replacing the sum so
+// far, and neither operand is changed.
+func TestScrapedHistAdd(t *testing.T) {
+	les := []float64{1, 2}
+	a := ScrapedHist{Les: les, Cum: []uint64{1, 3}, Count: 4, Sum: 5}
+	b := ScrapedHist{Les: les, Cum: []uint64{10, 20}, Count: 30, Sum: 7}
+	ab := ScrapedHist{Les: les, Cum: []uint64{11, 23}, Count: 34, Sum: 12}
+	noBuckets := ScrapedHist{Count: 9, Sum: 9}
+	for _, tc := range []struct {
+		name       string
+		h, o, want ScrapedHist
+	}{
+		{"same ladder", a, b, ab},
+		{"zero left", ScrapedHist{}, b, b},
+		{"zero right", a, ScrapedHist{}, a},
+		{"no buckets right", a, noBuckets, a},
+		{"other ladder right", a, ScrapedHist{Les: []float64{1}, Cum: []uint64{2}, Count: 2, Sum: 1}, a},
+	} {
+		h, o := tc.h, tc.o
+		h.Cum, o.Cum = slices.Clone(h.Cum), slices.Clone(o.Cum)
+		if got := h.Add(o); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
+		}
+		if !reflect.DeepEqual(h, tc.h) || !reflect.DeepEqual(o, tc.o) {
+			t.Errorf("%s: Add changed an operand: %+v, %+v", tc.name, h, o)
+		}
 	}
 }
 

@@ -413,19 +413,22 @@ func (h ScrapedHist) Sub(prev ScrapedHist) ScrapedHist {
 }
 
 // Add sums two windows or scrapes of the same family bucket-wise, which
-// the shared le ladder makes exact; the zero value is the identity. h's
-// buckets are updated in place, so h must be the caller's to change (a Sub
-// or MergeHist result is).
+// the shared le ladder makes exact. The zero value is the identity on
+// either side; an o on another ladder (a backend that reported _sum and
+// _count but no buckets) is left out rather than allowed to replace what h
+// has accumulated. Like Sub it changes neither operand.
 func (h ScrapedHist) Add(o ScrapedHist) ScrapedHist {
-	if len(h.Les) != len(o.Les) {
+	if len(h.Les) == 0 {
 		return o
 	}
-	for i := range h.Cum {
-		h.Cum[i] += o.Cum[i]
+	if len(o.Les) != len(h.Les) {
+		return h
 	}
-	h.Count += o.Count
-	h.Sum += o.Sum
-	return h
+	out := ScrapedHist{Les: h.Les, Cum: slices.Clone(h.Cum), Count: h.Count + o.Count, Sum: h.Sum + o.Sum}
+	for i := range min(len(out.Cum), len(o.Cum)) {
+		out.Cum[i] += o.Cum[i]
+	}
+	return out
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) in the exported unit,

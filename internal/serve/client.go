@@ -127,8 +127,9 @@ func (c Client) Infer(ctx context.Context, body []byte, traceID, class string, r
 	return c.HTTP.Do(req)
 }
 
-// GetJSON decodes the reply of GET path into out (nil: the reply only has
-// to be below 400).
+// GetJSON decodes the reply of GET path into out. A nil out makes it a
+// plain status probe: the reply is drained undecoded, whatever its content
+// type, and only has to be below 400.
 func (c Client) GetJSON(ctx context.Context, path string, out any) error {
 	resp, _, err := c.call(ctx, http.MethodGet, path, nil)
 	if err != nil {
