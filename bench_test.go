@@ -369,6 +369,37 @@ func BenchmarkE10_Infer(b *testing.B) {
 	})
 }
 
+// BenchmarkEngineBuild times infer.FromConfigKernel — what a model
+// registration, a hot reload and an autoscaler ScaleTo each pay — and with
+// -benchmem what it allocates, on a stack with two distinct layers in 120
+// (Graph Challenge 1024×120) and on one where every layer is distinct (radix
+// (8,8,8)), for both families.
+func BenchmarkEngineBuild(b *testing.B) {
+	gc, err := core.GraphChallengeConfig(1024, 120)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r888, err := core.NewConfig([]radix.System{radix.MustNew(8, 8, 8)}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		cfg  core.Config
+	}{{"gc1024x120", gc}, {"r888", r888}} {
+		for _, kind := range []infer.KernelKind{infer.KernelAuto, infer.KernelCSC} {
+			b.Run(c.name+"/"+kind.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := infer.FromConfigKernel(c.cfg, kind); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkRadixKernel pits the structure-aware butterfly kernel (compiled
 // mixed-radix stride plans, arithmetic addressing, zero index arrays in the
 // hot loop) against the generic fused CSC kernel on the same E10 acceptance

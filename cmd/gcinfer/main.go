@@ -83,8 +83,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("generation: %v (%d stored weights, %s kernel, %d of %d layers uniform-weight)\n",
-		time.Since(buildStart).Round(time.Millisecond), engine.TotalNNZ(), engine.Kernel(), engine.UniformLayers(), numLayers)
+	fp := engine.Footprint()
+	fmt.Printf("generation: %v (%d stored weights, %s kernel, %d of %d layers uniform-weight; %d distinct, %d structure bytes, %d value bytes held)\n",
+		time.Since(buildStart).Round(time.Millisecond), engine.TotalNNZ(), engine.Kernel(), engine.UniformLayers(), numLayers,
+		fp.DistinctLayers, fp.StructureBytes, fp.ValueBytes)
 
 	inNNZ := *nnz
 	if inNNZ <= 0 {

@@ -64,46 +64,54 @@ func EMR(systems ...radix.System) (*topology.FNNT, error) {
 // value pv running within the system; then Kronecker-lift each Wi with the
 // all-ones Di−1×Di block of the dense shape (eq. 3).
 //
-// Layer submatrices are constructed in parallel; the Kronecker lift
-// parallelizes over row blocks.
+// A layer is determined by (N′, place value, radix, Di−1, Di), and an extended
+// stack repeats its systems, so a deep net has few distinct layers — Graph
+// Challenge 1024×120 is (32,32) sixty times: two. Each distinct layer is built
+// once, in parallel, and every position that has it holds the same immutable
+// *sparse.Pattern; what is derived from a pattern (CSC transposition, stride
+// plan) is then derived once too. Nothing is kept between calls: two builds of
+// one config share nothing.
 func Build(cfg Config) (*topology.FNNT, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	np := cfg.NPrime()
+	shape := cfg.ShapeOrOnes()
 
-	// Pass 1: mixed-radix submatrices on N′ nodes, one per radix, across all
-	// systems (the W array of Fig. 6 before the Kronecker step).
-	type layerSpec struct {
-		radixVal   int
-		placeValue int
-	}
+	type layerSpec struct{ radix, placeValue, dPrev, dNext int }
 	specs := make([]layerSpec, 0, cfg.TotalRadices())
+	index := make(map[layerSpec]int) // spec → position in distinct
+	var distinct []layerSpec
 	for _, sys := range cfg.Systems {
 		for i := 0; i < sys.Len(); i++ {
-			specs = append(specs, layerSpec{radixVal: sys.Radix(i), placeValue: sys.PlaceValue(i)})
+			l := len(specs)
+			s := layerSpec{sys.Radix(i), sys.PlaceValue(i), shape[l], shape[l+1]}
+			if _, ok := index[s]; !ok {
+				index[s] = len(distinct)
+				distinct = append(distinct, s)
+			}
+			specs = append(specs, s)
 		}
 	}
-	mrSubs := make([]*sparse.Pattern, len(specs))
-	parallel.BlocksGrain(len(specs), 1, func(lo, hi int) {
+	built := make([]*sparse.Pattern, len(distinct))
+	parallel.BlocksGrain(len(distinct), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			shifts := make([]int, specs[i].radixVal)
+			s := distinct[i]
+			shifts := make([]int, s.radix)
 			for j := range shifts {
-				shifts[j] = j * specs[i].placeValue
+				shifts[j] = j * s.placeValue
 			}
-			mrSubs[i] = sparse.SumOfShifts(np, shifts)
+			// The W array of Fig. 6, then the Kronecker lift with the dense
+			// shape (eq. 3); 1⊗W = W needs no copy.
+			built[i] = sparse.SumOfShifts(np, shifts)
+			if s.dPrev != 1 || s.dNext != 1 {
+				built[i] = sparse.Ones(s.dPrev, s.dNext).Kron(built[i])
+			}
 		}
 	})
-
-	// Pass 2: Kronecker lift with the dense shape (eq. 3).
-	shape := cfg.ShapeOrOnes()
-	subs := make([]*sparse.Pattern, len(mrSubs))
-	for i, w := range mrSubs {
-		if shape[i] == 1 && shape[i+1] == 1 {
-			subs[i] = w // 1⊗W = W; skip the copy
-			continue
-		}
-		subs[i] = sparse.Ones(shape[i], shape[i+1]).Kron(w)
+	subs := make([]*sparse.Pattern, len(specs))
+	for l, s := range specs {
+		subs[l] = built[index[s]]
 	}
 	return topology.New(subs...)
 }

@@ -353,6 +353,77 @@ func TestBuildSharesUnliftedSubmatrices(t *testing.T) {
 	}
 }
 
+// TestBuildSharesIdenticalLayers: positions with the same (place value, radix,
+// lift) hold the same *Pattern and no others do, and sharing changes no edge —
+// every layer still equals BuildReference's, which shares nothing.
+func TestBuildSharesIdenticalLayers(t *testing.T) {
+	gc, err := GraphChallengeConfig(1024, 120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r44 := radix.MustNew(4, 4)
+	// (4,4)|(4,4) under shape 1,2,1,2,1: layers 0 and 2 have the same digit and
+	// the same 1→2 lift, as have 1 and 3 (2→1). Under 1,2,1,1,1 layers 0 and 2
+	// differ by lift alone, as do 1 and 3: nothing is shared.
+	lifted, err := NewConfig([]radix.System{r44, r44}, []int{1, 2, 1, 2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ragged, err := NewConfig([]radix.System{r44, r44}, []int{1, 2, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// (2,8)|(8,2): radix 8 sits at ν=2 then ν=1, radix 2 at ν=1 then ν=8 — the
+	// same radices at different place values, nothing to share.
+	mixed, err := NewConfig([]radix.System{radix.MustNew(2, 8), radix.MustNew(8, 2)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		cfg   Config
+		class []int // layers with equal entries must share, others must not
+	}{
+		{"gc1024x120", gc, nil}, // filled below: l%2
+		{"lifted", lifted, []int{0, 1, 0, 1}},
+		{"ragged", ragged, []int{0, 1, 2, 3}},
+		{"mixed", mixed, []int{0, 1, 2, 3}},
+	} {
+		if c.class == nil {
+			c.class = make([]int, c.cfg.TotalRadices())
+			for l := range c.class {
+				c.class[l] = l % 2
+			}
+		}
+		g, err := Build(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := BuildReference(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct := make(map[any]bool)
+		for l := 0; l < g.NumSubs(); l++ {
+			distinct[g.Sub(l)] = true
+			if !g.Sub(l).Equal(ref.Sub(l)) {
+				t.Errorf("%s: layer %d differs from BuildReference", c.name, l)
+			}
+			for k := 0; k < l; k++ {
+				if same := g.Sub(k) == g.Sub(l); same != (c.class[k] == c.class[l]) {
+					t.Errorf("%s: layers %d and %d share a pattern: %t", c.name, k, l, same)
+				}
+				if ref.Sub(k) == ref.Sub(l) {
+					t.Errorf("%s: BuildReference shares layers %d and %d", c.name, k, l)
+				}
+			}
+		}
+		if c.name == "gc1024x120" && len(distinct) != 2 {
+			t.Errorf("Graph Challenge 1024×120 built %d distinct patterns, want 2", len(distinct))
+		}
+	}
+}
+
 // --- Streaming generation (E11 substrate) ---
 
 func TestStreamLayerEdgesMatchesBuild(t *testing.T) {

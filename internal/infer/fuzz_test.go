@@ -86,8 +86,12 @@ func fuzzConfig(spec []byte) (core.Config, error) {
 // fuzzEngine builds cfg on the given kernel with the drawn biases and cap,
 // its weights perturbed or left at the 4/fan-in every served engine has (a
 // power of two on the palette's radices 2–32, not on 3, 5 or under a lift by
-// 3). Two calls with the same draws differ only in family.
-func fuzzEngine(t *testing.T, cfg core.Config, kind KernelKind, bias []float64, cap float64, perturb bool, seed int64) *Engine {
+// 3). op then writes to single layers, which PerturbWeights — every layer at
+// once — never does: bit 0 perturbs one drawn layer through Values, bit 1
+// halves one with Scale (still one power of two, but not its neighbours'), so
+// a stack left at 4/fan-in ends up half on the shared constant run and half
+// off it. Two calls with the same draws differ only in family.
+func fuzzEngine(t *testing.T, cfg core.Config, kind KernelKind, bias []float64, cap float64, perturb bool, op int, seed int64) *Engine {
 	t.Helper()
 	e, err := FromConfigKernel(cfg, kind)
 	if err != nil {
@@ -97,6 +101,19 @@ func fuzzEngine(t *testing.T, cfg core.Config, kind KernelKind, bias []float64, 
 	e.cap = cap
 	if perturb {
 		e.PerturbWeights(0.15, seed)
+	}
+	rng := rand.New(rand.NewSource(seed ^ 0x5ca1e))
+	if op&1 != 0 {
+		vals := e.layers[rng.Intn(len(e.layers))].Values()
+		for i := range vals {
+			vals[i] += (rng.Float64()*2 - 1) * 0.15
+		}
+	}
+	if op&2 != 0 {
+		e.layers[rng.Intn(len(e.layers))].Scale(0.5)
+	}
+	if op != 0 {
+		e.RefreshWeights()
 	}
 	return e
 }
@@ -294,7 +311,8 @@ func layersAgree(t *testing.T, rng *rand.Rand, csc, rad *Engine) {
 // opts: bit 0 allows positive biases (a quarter of them tiny or subnormal, so
 // the window's bias-granularity term bites), bit 1 turns the cap off, bit 2
 // leaves the weights at 4/fan-in instead of perturbing them, and bits 3–7 are
-// shapeBatch's mode, alt and specials.
+// shapeBatch's mode, alt and specials. rows carries two things: the batch is
+// 1 + rows%67 rows, and rows/67 is fuzzEngine's single-layer op.
 func FuzzInferPathsAgree(f *testing.F) {
 	// The seed corpus alone reaches every function of sparse/kernel.go and
 	// sparse/radixkernel.go (see the -coverprofile recipe in CHANGES.md), and
@@ -308,7 +326,7 @@ func FuzzInferPathsAgree(f *testing.F) {
 	)
 	for _, s := range []struct {
 		spec             []byte
-		rows, fill, opts uint8 // batch is rows+1
+		rows, fill, opts uint8 // batch is rows%67+1, single-layer op rows/67
 		seed             int64
 	}{
 		// (4,4,4) at batch 4: the shape on which switching a warm CSC engine
@@ -387,6 +405,16 @@ func FuzzInferPathsAgree(f *testing.F) {
 		// lifted by 3 weighs 1/3 on the natural-order family.
 		{[]byte{1, 1, 3}, 12, 240, uniform, 30},
 		{[]byte{1, 2, 2, 0, 2, 2, 2, 2}, 12, 240, uniform, 31},
+		// Single-layer writes to six layers of (8,8)|(8,8)|(8,8) left at 1/2:
+		// one layer perturbed (the rest stay on the shared run, the uniform
+		// window ends where it sits), one halved (uniform throughout, two
+		// weights), both; then both on perturbed weights and on the
+		// natural-order family.
+		{[]byte{1, 4, 4, 2, 0, 0}, 67 + 24, 240, uniform, 40},
+		{[]byte{1, 4, 4, 2, 0, 0}, 2*67 + 24, 240, uniform, 41},
+		{[]byte{1, 4, 4, 2, 0, 0}, 3*67 + 24, 240, uniform, 42},
+		{[]byte{1, 4, 4, 2, 0, 0}, 3*67 + 12, 60, 0, 43},
+		{[]byte{1, 2, 2, 1, 0, 1}, 3*67 + 14, 200, uniform, 44},
 	} {
 		f.Add(s.spec, s.rows, s.fill, s.opts, s.seed)
 	}
@@ -420,8 +448,8 @@ func FuzzInferPathsAgree(f *testing.F) {
 				}
 			}
 		}
-		perturb := opts&4 == 0
-		shapeBatch(rng2, batch, fuzzEngine(t, cfg, KernelAuto, bias, cap, perturb, seed),
+		perturb, op := opts&4 == 0, int(rows)/67
+		shapeBatch(rng2, batch, fuzzEngine(t, cfg, KernelAuto, bias, cap, perturb, op, seed),
 			int(opts>>3)&7, opts&64 != 0, opts&128 != 0)
 		short, err := batch.RowsView(0, 1+batchRows/2)
 		if err != nil {
@@ -430,7 +458,7 @@ func FuzzInferPathsAgree(f *testing.F) {
 
 		// The CSC engine serves its first call before its radix twin exists:
 		// the same batch size then reaches both, and their clones, cold.
-		csc := fuzzEngine(t, cfg, KernelCSC, bias, cap, perturb, seed)
+		csc := fuzzEngine(t, cfg, KernelCSC, bias, cap, perturb, op, seed)
 		want, err := csc.ReferenceInfer(batch)
 		if err != nil {
 			t.Fatal(err)
@@ -440,7 +468,7 @@ func FuzzInferPathsAgree(f *testing.F) {
 			t.Fatal(err)
 		}
 		sameBits(t, "csc", got, want)
-		rad := fuzzEngine(t, cfg, KernelAuto, bias, cap, perturb, seed)
+		rad := fuzzEngine(t, cfg, KernelAuto, bias, cap, perturb, op, seed)
 		if rad.Kernel() != KernelRadix {
 			t.Fatalf("%v: auto resolved to %v", cfg, rad.Kernel())
 		}

@@ -93,12 +93,15 @@ type Engine struct {
 }
 
 // New builds an engine from explicit weight matrices and per-layer biases.
-// cap ≤ 0 disables the activation ceiling. The engine precomputes a CSC
-// gather kernel per layer holding a reordered copy of each matrix's values;
-// the matrices are retained as the authoritative weights. Callers that
-// mutate weight values after construction (e.g. through a retained
-// Matrix.Values() slice) must call RefreshWeights before the next Infer,
-// or the kernels keep computing with the construction-time values.
+// cap ≤ 0 disables the activation ceiling. The engine builds a CSC gather
+// kernel per layer: its index arrays are the layer pattern's (layers given
+// the same *sparse.Pattern store them once), its values a reordered copy of
+// the matrix's — or the matrix's own constant run while the layer still reads
+// one (sparse.ConstantMatrices). The matrices are retained as the
+// authoritative weights. Callers that mutate weight values after construction
+// (through a Matrix.Values() slice, whenever they obtained it) must call
+// RefreshWeights before the next Infer, or the kernels keep computing with
+// the construction-time values.
 func New(layers []*sparse.Matrix, bias []float64, cap float64) (*Engine, error) {
 	if len(layers) == 0 {
 		return nil, errors.New("infer: need at least one layer")
@@ -150,13 +153,15 @@ func (e *Engine) bind(steps []layerKernel) {
 // serves every edge (FromConfig picks 4/fan-in) and biases are tuned per width
 // so activations neither die nor saturate.
 func FromTopology(g *topology.FNNT, weight, bias, cap float64) (*Engine, error) {
-	layers := make([]*sparse.Matrix, g.NumSubs())
+	pats := make([]*sparse.Pattern, g.NumSubs())
 	biases := make([]float64, g.NumSubs())
-	for i := range layers {
-		layers[i] = sparse.MatrixFromPattern(g.Sub(i), weight)
+	for i := range pats {
+		pats[i] = g.Sub(i)
 		biases[i] = bias
 	}
-	return New(layers, biases, cap)
+	// One run of weight for the whole stack: every layer's CSR, CSC and
+	// Stockham views read it until that layer's weights are written.
+	return New(sparse.ConstantMatrices(pats, weight), biases, cap)
 }
 
 // FromConfig generates the RadiX-Net of cfg and wraps it in an engine with
@@ -618,28 +623,36 @@ func (e *Engine) ReferenceInfer(y0 *sparse.Dense) (*sparse.Dense, error) {
 	return y, nil
 }
 
-// RefreshWeights resyncs the precomputed kernels with the current values of
-// the layer matrices. Call it after mutating weights through slices
-// retained from before New; Infer otherwise keeps using the values the
-// kernels were built from.
+// RefreshWeights resyncs the kernels with the current values of the layer
+// matrices. Call it after mutating weights through Matrix.Values(); Infer
+// otherwise keeps using the values the kernels last saw. A layer whose matrix
+// left the stack's constant run gets value storage of its own here (CSC order,
+// and Stockham order unless its values are still all equal); layers that were
+// not written keep reading the run.
 func (e *Engine) RefreshWeights() {
 	for i, l := range e.layers {
 		// Same pattern, same engine: Refresh cannot fail here.
 		_ = e.kernels[i].Refresh(l)
 	}
 	for _, rk := range e.radix {
-		rk.RefreshValues() // Stockham-ordered weight copies are not shared storage
+		rk.RefreshValues() // re-reads the views Refresh may have moved
 	}
 }
 
-// Clone returns an engine sharing this engine's immutable weight stack —
-// the layer matrices, biases, and precomputed CSC kernels — with fresh,
+// Footprint reports the index and value storage the engine's weight stack
+// holds, shared arrays counted once: what every clone of this engine shares,
+// and what a second engine built from the same config would hold again.
+func (e *Engine) Footprint() sparse.Footprint {
+	return sparse.StackFootprint(e.layers, e.kernels, e.radix)
+}
+
+// Clone returns an engine sharing this engine's weight stack — the layer
+// matrices, biases, CSC and radix kernels, compiled stride plans and kernel
+// family, whatever storage those in turn share between layers — with fresh,
 // independent scratch state (ping-pong buffers, active-row lists,
 // single-flight guard). A pool of clones serves concurrent batches without
 // duplicating the model: N clones cost N sets of activation buffers, not N
-// copies of the weights. Compiled stride plans (and the kernel family) are
-// shared the same way, so a radix-kernel pool compiles each plan exactly
-// once. Clones inherit the parent's worker pool; use
+// copies of the weights. Clones inherit the parent's worker pool; use
 // SetPool to give each its own parallelism budget. Weight mutation
 // (RefreshWeights, PerturbWeights) through any clone is visible to all of
 // them and must not race an in-flight Infer — serving treats weights as
@@ -666,9 +679,10 @@ func (e *Engine) SetPool(p *parallel.Pool) {
 }
 
 // PerturbWeights adds uniform noise in ±scale to every stored weight,
-// seeded, and resyncs the precomputed kernels; used by robustness tests and
-// benchmarks to leave the all-equal weight special case (a perturbed layer no
-// longer has one power-of-two weight, so UniformLayers drops to 0).
+// seeded, and resyncs the kernels; used by robustness tests and benchmarks to
+// leave the all-equal weight special case (a perturbed layer no longer has one
+// power-of-two weight, so UniformLayers drops to 0, and every layer now stores
+// its own values in each order it runs).
 func (e *Engine) PerturbWeights(scale float64, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for _, l := range e.layers {

@@ -74,10 +74,12 @@ func FromConfigKernel(cfg core.Config, kind KernelKind) (*Engine, error) {
 	return e, nil
 }
 
-// compileRadixPlans compiles and verifies a stride plan for every layer of
-// the engine from the mixed-radix config that generated it and rebinds the
-// engine's layers to the structure-aware family. The plans share value
-// storage with the engine's matrices and CSC kernels, so
+// compileRadixPlans compiles and verifies a stride plan for every distinct
+// layer of the engine from the mixed-radix config that generated it and
+// rebinds the engine's layers to the structure-aware family. A plan is a proof
+// about one immutable pattern under one (place value, radix, shape), so layers
+// that share the pattern and the parameters share the verified plan; the
+// radix kernels read the engine's matrices and CSC kernels, so
 // RefreshWeights/PerturbWeights and Clone sharing work unchanged. On any
 // layer failing structural verification (the config does not describe these
 // matrices) the engine is left unmodified on the CSC kernel and the error
@@ -93,13 +95,22 @@ func (e *Engine) compileRadixPlans(cfg core.Config) error {
 	np := cfg.NPrime()
 	shape := cfg.ShapeOrOnes()
 	radixKerns := make([]*sparse.RadixKernel, len(e.layers))
+	type planKey struct {
+		pat                     *sparse.Pattern
+		pv, radix, dPrev, dNext int
+	}
+	plans := make(map[planKey]*sparse.StridePlan)
 	l := 0
 	for _, sys := range cfg.Systems {
 		for i := 0; i < sys.Len(); i++ {
-			plan, err := sparse.CompileStridePlan(
-				e.layers[l].Pattern(), np, sys.PlaceValue(i), sys.Radix(i), shape[l], shape[l+1])
-			if err != nil {
-				return fmt.Errorf("infer: layer %d: %w", l, err)
+			key := planKey{e.layers[l].Pattern(), sys.PlaceValue(i), sys.Radix(i), shape[l], shape[l+1]}
+			plan := plans[key]
+			if plan == nil {
+				var err error
+				if plan, err = sparse.CompileStridePlan(key.pat, np, key.pv, key.radix, key.dPrev, key.dNext); err != nil {
+					return fmt.Errorf("infer: layer %d: %w", l, err)
+				}
+				plans[key] = plan
 			}
 			rk, err := sparse.NewRadixKernel(e.layers[l], e.kernels[l], plan)
 			if err != nil {

@@ -68,7 +68,8 @@ func TestRegistryServesResolvedKernel(t *testing.T) {
 }
 
 // TestHTTPModelsReportKernel: the register response and GET /v1/models
-// report the kernel each model's engines resolved to.
+// report the kernel each model's engines resolved to, and the storage its
+// layers hold (shared arrays once).
 func TestHTTPModelsReportKernel(t *testing.T) {
 	_, _, ts := newTestServer(t, Policy{MaxBatch: 4, MaxLatency: time.Millisecond}, 1)
 
@@ -82,6 +83,12 @@ func TestHTTPModelsReportKernel(t *testing.T) {
 	}
 	if info.Kernel != "radix" {
 		t.Fatalf("register info kernel = %q, want radix", info.Kernel)
+	}
+	// (4,4) lifted 2→2→2: two distinct 32×32 layers of 256 edges. One run of
+	// weights; per layer 33+256 CSR ints and 33+256+256 CSC int32s.
+	if info.DistinctLayers != 2 || info.ValueBytes != 256*8 || info.StructureBytes != 2*((33+256)*8+(33+2*256)*4) {
+		t.Fatalf("register info footprint = %d distinct layers, %d structure bytes, %d value bytes",
+			info.DistinctLayers, info.StructureBytes, info.ValueBytes)
 	}
 
 	code, body = adminDo(t, http.MethodGet, ts.URL+"/v1/models", nil)

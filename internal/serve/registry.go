@@ -153,7 +153,17 @@ type ModelInfo struct {
 	Density     float64 `json:"density"`
 	// Kernel is the kernel family the model's engines resolved to ("csc" or
 	// "radix" — never "auto", which resolves at build time).
-	Kernel       string  `json:"kernel"`
+	Kernel string `json:"kernel"`
+	// DistinctLayers, StructureBytes and ValueBytes are infer.Engine.Footprint
+	// of the current generation, read when asked: the index and weight storage
+	// the whole warm pool shares, arrays that several layers read counted
+	// once. A config-built model holds one layer's worth per distinct layer of
+	// its config and one run of weights; a generation whose weights were
+	// written shows the copies it took.
+	DistinctLayers int   `json:"distinct_layers"`
+	StructureBytes int64 `json:"structure_bytes"`
+	ValueBytes     int64 `json:"value_bytes"`
+
 	Engines      int     `json:"engines"`
 	MaxBatch     int     `json:"max_batch"`
 	MaxLatencyMs float64 `json:"max_latency_ms"`
@@ -542,6 +552,7 @@ func (m *Model) Metrics() *Metrics { return &m.met }
 // Info describes the model and its batching policy.
 func (m *Model) Info() ModelInfo {
 	ep := m.pool.Load()
+	fp := ep.all[0].Footprint()
 	return ModelInfo{
 		Name:         m.name,
 		Generation:   ep.gen,
@@ -557,6 +568,10 @@ func (m *Model) Info() ModelInfo {
 		QueueDepth:   m.pol.QueueDepth,
 		Workers:      m.pol.Workers,
 		Share:        m.pol.Share,
+
+		DistinctLayers: fp.DistinctLayers,
+		StructureBytes: fp.StructureBytes,
+		ValueBytes:     fp.ValueBytes,
 	}
 }
 

@@ -27,70 +27,96 @@ type Kernel struct {
 	perm       []int32  // CSR storage index -> CSC storage index, for Refresh
 	colDeg     int      // uniform column in-degree, or 0 when columns are ragged
 	src        *Pattern // the pattern the kernel was built from
+	ownVals    bool     // vals is this kernel's reordered copy, not the matrix's constant run
 }
 
-// NewKernel builds the CSC kernel of m. The kernel owns a reordered copy of
-// the values; after mutating the matrix's values, call Refresh to resync.
+// cscStructure is the transposition of a Pattern: everything a Kernel reads
+// that does not depend on the weights. Built once per Pattern, immutable, and
+// shared by every Kernel on it.
+type cscStructure struct {
+	colPtr, rowIdx, perm []int32
+	colDeg               int
+}
+
+// transposed returns the pattern's CSC structure, building it on first use;
+// nil when the pattern is too large for int32 indexing.
+func (p *Pattern) transposed() *cscStructure {
+	p.cscOnce.Do(func() {
+		nnz := p.NNZ()
+		if int64(p.rows) > math.MaxInt32 || int64(p.cols) > math.MaxInt32 || int64(nnz) > math.MaxInt32 {
+			return
+		}
+		t := &cscStructure{
+			colPtr: make([]int32, p.cols+1),
+			rowIdx: make([]int32, nnz),
+			perm:   make([]int32, nnz),
+		}
+		for _, c := range p.colIdx {
+			t.colPtr[c+1]++
+		}
+		for c := 0; c < p.cols; c++ {
+			t.colPtr[c+1] += t.colPtr[c]
+		}
+		next := append([]int32(nil), t.colPtr[:p.cols]...)
+		for r := 0; r < p.rows; r++ {
+			for i := p.rowPtr[r]; i < p.rowPtr[r+1]; i++ {
+				c := p.colIdx[i]
+				j := next[c]
+				next[c]++
+				t.rowIdx[j] = int32(r)
+				t.perm[i] = j
+			}
+		}
+		// RadiX-Net layers are in-degree regular (every column has the same
+		// number of in-edges); detect that so the gather can run its unrolled
+		// multi-column fast path.
+		deg := int(t.colPtr[1])
+		for c := 1; deg > 0 && c < p.cols; c++ {
+			if int(t.colPtr[c+1]-t.colPtr[c]) != deg {
+				deg = 0
+			}
+		}
+		t.colDeg = deg
+		p.csc = t
+	})
+	return p.csc
+}
+
+// NewKernel builds the CSC kernel of m. The index arrays are the pattern's
+// (one set however many kernels are built on it). The values are a reordered
+// copy the kernel owns — after mutating the matrix's values, call Refresh to
+// resync — except while m still reads a constant run (ConstantMatrices), which
+// the kernel then reads too: one value in every position is the same stream in
+// any order.
 func NewKernel(m *Matrix) (*Kernel, error) {
-	nnz := m.NNZ()
-	if int64(m.pat.rows) > math.MaxInt32 || int64(m.pat.cols) > math.MaxInt32 || int64(nnz) > math.MaxInt32 {
-		return nil, fmt.Errorf("sparse: %dx%d matrix with %d entries exceeds int32 kernel indexing", m.pat.rows, m.pat.cols, nnz)
+	t := m.pat.transposed()
+	if t == nil {
+		return nil, fmt.Errorf("sparse: %dx%d matrix with %d entries exceeds int32 kernel indexing", m.pat.rows, m.pat.cols, m.NNZ())
 	}
 	k := &Kernel{
-		rows:   m.pat.rows,
-		cols:   m.pat.cols,
-		colPtr: make([]int32, m.pat.cols+1),
-		rowIdx: make([]int32, nnz),
-		vals:   make([]float64, nnz),
-		perm:   make([]int32, nnz),
-		src:    m.pat,
+		rows: m.pat.rows, cols: m.pat.cols,
+		colPtr: t.colPtr, rowIdx: t.rowIdx, perm: t.perm, colDeg: t.colDeg,
+		src: m.pat,
 	}
-	for _, c := range m.pat.colIdx {
-		k.colPtr[c+1]++
-	}
-	for c := 0; c < m.pat.cols; c++ {
-		k.colPtr[c+1] += k.colPtr[c]
-	}
-	next := append([]int32(nil), k.colPtr[:m.pat.cols]...)
-	for r := 0; r < m.pat.rows; r++ {
-		lo, hi := m.pat.rowPtr[r], m.pat.rowPtr[r+1]
-		for i := lo; i < hi; i++ {
-			c := m.pat.colIdx[i]
-			j := next[c]
-			next[c]++
-			k.rowIdx[j] = int32(r)
-			k.perm[i] = j
-		}
-	}
-	// RadiX-Net layers are in-degree regular (every column has the same
-	// number of in-edges); detect that so the gather can run its unrolled
-	// multi-column fast path.
-	if m.pat.cols > 0 {
-		deg := int(k.colPtr[1])
-		uniform := deg > 0
-		for c := 1; uniform && c < m.pat.cols; c++ {
-			uniform = int(k.colPtr[c+1]-k.colPtr[c]) == deg
-		}
-		if uniform {
-			k.colDeg = deg
-		}
-	}
-	k.Refresh(m)
-	return k, nil
+	return k, k.Refresh(m)
 }
 
-// Refresh re-copies the matrix's (possibly mutated) values into the
-// kernel's transposed storage. m must be built on the identical Pattern the
-// kernel was constructed from — a same-shaped matrix with different
-// structure would silently scramble the value permutation, so it is
-// rejected. Refresh is O(NNZ) and does not allocate.
+// Refresh resyncs the kernel with the matrix's (possibly mutated) values. m
+// must be built on the identical Pattern the kernel was constructed from — a
+// same-shaped matrix with different structure would silently scramble the
+// value permutation, so it is rejected. O(NNZ); it allocates once, the first
+// time it finds the matrix off the constant run the kernel was sharing.
 func (k *Kernel) Refresh(m *Matrix) error {
 	if m.pat != k.src {
 		return fmt.Errorf("sparse: refresh with a different pattern than the kernel was built from (%dx%d nnz=%d)",
 			m.pat.rows, m.pat.cols, m.NNZ())
 	}
-	if len(m.vals) != len(k.vals) {
-		return fmt.Errorf("sparse: refresh with %d values, kernel has %d", len(m.vals), len(k.vals))
+	if m.shared {
+		k.vals, k.ownVals = m.vals, false
+		return nil
+	}
+	if !k.ownVals {
+		k.vals, k.ownVals = make([]float64, len(m.vals)), true
 	}
 	for i, v := range m.vals {
 		k.vals[k.perm[i]] = v

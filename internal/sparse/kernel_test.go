@@ -220,6 +220,81 @@ func TestKernelRefresh(t *testing.T) {
 	}
 }
 
+// TestConstantMatricesShareUntilWritten pins what is stored once and where
+// the sharing ends. Kernels on one pattern read one transposition; constant
+// matrices and their kernels read one run, in every order; Values and Scale
+// move the written matrix alone — and, at its next Refresh, its kernel — onto
+// copies; caller-owned values (NewMatrix) are never aliased.
+func TestConstantMatricesShareUntilWritten(t *testing.T) {
+	pat := SumOfShifts(16, []int{0, 1, 2, 3})
+	wide := SumOfShifts(16, []int{0, 4, 8, 12, 1})
+	ms := ConstantMatrices([]*Pattern{pat, wide, pat}, 0.5)
+	ks := make([]*Kernel, len(ms))
+	for i, m := range ms {
+		var err error
+		if ks[i], err = NewKernel(m); err != nil {
+			t.Fatal(err)
+		}
+		if m.NNZ() != m.pat.NNZ() || cap(m.vals) != m.NNZ() {
+			t.Fatalf("matrix %d: %d values (cap %d) on %d edges", i, m.NNZ(), cap(m.vals), m.pat.NNZ())
+		}
+	}
+	if &ks[0].rowIdx[0] != &ks[2].rowIdx[0] || &ks[0].perm[0] != &ks[2].perm[0] || &ks[0].colPtr[0] != &ks[2].colPtr[0] {
+		t.Error("two kernels on one pattern hold two transpositions")
+	}
+	if &ks[0].rowIdx[0] == &ks[1].rowIdx[0] {
+		t.Error("kernels on different patterns share a transposition")
+	}
+	whole := ms[1].vals // the longest view: wide has the most edges
+	run := &whole[0]
+	for i := range ms {
+		if &ms[i].vals[0] != run || &ks[i].vals[0] != run {
+			t.Errorf("layer %d: constant matrix or its kernel is off the run", i)
+		}
+	}
+
+	ms[0].Values()[5] = 3
+	ms[1].Scale(2)
+	for i := range ms {
+		if err := ks[i].Refresh(ms[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if &ms[2].vals[0] != run || &ks[2].vals[0] != run {
+		t.Error("writing its neighbours moved the untouched layer off the run")
+	}
+	for i, v := range whole {
+		if v != 0.5 {
+			t.Fatalf("run[%d] = %v after writes to other matrices, want 0.5", i, v)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if &ms[i].vals[0] == run || &ks[i].vals[0] == run || &ks[i].vals[0] == &ms[i].vals[0] {
+			t.Errorf("layer %d: written matrix and its kernel must each own their values", i)
+		}
+	}
+	if got := ks[0].vals[ks[0].perm[5]]; got != 3 || ms[1].vals[0] != 1 {
+		t.Errorf("kernel entry for CSR index 5 = %v (want 3), scaled entry = %v (want 1)", got, ms[1].vals[0])
+	}
+	before := &ks[0].vals[0]
+	if err := ks[0].Refresh(ms[0]); err != nil || &ks[0].vals[0] != before {
+		t.Errorf("a second Refresh re-allocated the kernel's own values (err %v)", err)
+	}
+
+	own := make([]float64, pat.NNZ())
+	m, err := NewMatrix(pat, own)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := NewKernel(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &m.Values()[0] != &own[0] || &k.vals[0] == &own[0] {
+		t.Error("NewMatrix must keep the caller's slice, and its kernel a reordered copy")
+	}
+}
+
 func TestKernelEmptyColumns(t *testing.T) {
 	// A column with no in-edges must still get the epilogue of zero.
 	pat, err := NewPattern(2, 3, [][]int{{0}, {0}})

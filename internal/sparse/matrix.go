@@ -15,6 +15,10 @@ import (
 type Matrix struct {
 	pat  *Pattern
 	vals []float64 // len == pat.NNZ(), aligned with pat.colIdx
+	// shared: vals is a run of one constant that other matrices and kernels
+	// also read (ConstantMatrices). Nothing writes it; Values and Scale copy
+	// it first.
+	shared bool
 }
 
 // NewMatrix pairs a pattern with a value slice of matching length.
@@ -26,21 +30,48 @@ func NewMatrix(pat *Pattern, vals []float64) (*Matrix, error) {
 	return &Matrix{pat: pat, vals: vals}, nil
 }
 
+// ConstantMatrices returns one matrix per pattern with every stored entry set
+// to v — the Graph Challenge convention of one weight for every edge of every
+// layer. They all read one run of v as long as the largest pattern, and so do
+// the kernels built on them: one value in every position is the same stream in
+// CSR, CSC or Stockham order, so a constant stack stores its weights once.
+// Writing is copy-on-write per matrix: see Values.
+func ConstantMatrices(pats []*Pattern, v float64) []*Matrix {
+	n := 0
+	for _, p := range pats {
+		n = max(n, p.NNZ())
+	}
+	run := make([]float64, n)
+	for i := range run {
+		run[i] = v
+	}
+	ms := make([]*Matrix, len(pats))
+	for i, p := range pats {
+		ms[i] = &Matrix{pat: p, vals: run[:p.NNZ():p.NNZ()], shared: true}
+	}
+	return ms
+}
+
 // MatrixFromPattern returns a matrix with every stored entry set to v.
 func MatrixFromPattern(pat *Pattern, v float64) *Matrix {
-	vals := make([]float64, pat.NNZ())
-	for i := range vals {
-		vals[i] = v
-	}
-	return &Matrix{pat: pat, vals: vals}
+	return ConstantMatrices([]*Pattern{pat}, v)[0]
 }
 
 // Pattern returns the structure of the matrix (shared, immutable).
 func (m *Matrix) Pattern() *Pattern { return m.pat }
 
-// Values returns the value slice as a shared view aligned with the
-// pattern's column indices.
-func (m *Matrix) Values() []float64 { return m.vals }
+// Values returns the value slice as a view aligned with the pattern's column
+// indices, for reading or writing: the matrix owns it from here on. On a
+// matrix that was reading a shared constant run this is the copy-on-write
+// point — this matrix gets its own copy, no other does — so it is not safe to
+// call concurrently with anything else that uses the matrix, and kernels built
+// on it keep the old values until their Refresh (as after any mutation).
+func (m *Matrix) Values() []float64 {
+	if m.shared {
+		m.vals, m.shared = append([]float64(nil), m.vals...), false
+	}
+	return m.vals
+}
 
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.pat.rows }
@@ -71,8 +102,9 @@ func (m *Matrix) RowEntries(r int, fn func(c int, v float64)) {
 
 // Scale multiplies every stored value by a.
 func (m *Matrix) Scale(a float64) {
-	for i := range m.vals {
-		m.vals[i] *= a
+	vals := m.Values()
+	for i := range vals {
+		vals[i] *= a
 	}
 }
 

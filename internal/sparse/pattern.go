@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"github.com/radix-net/radixnet/internal/parallel"
 )
@@ -26,11 +27,17 @@ var ErrDims = errors.New("sparse: dimension mismatch")
 
 // Pattern is an immutable binary sparsity pattern in compressed sparse row
 // (CSR) form. Column indices within each row are strictly increasing.
-// A Pattern with zero stored entries is valid.
+// A Pattern with zero stored entries is valid. It is handled by pointer only:
+// layers with the same structure hold the same *Pattern (core.Build hands them
+// out that way), and everything derived from the structure alone — the CSC
+// transposition every Kernel on the pattern reads — is built once, here.
 type Pattern struct {
 	rows, cols int
 	rowPtr     []int // len rows+1; rowPtr[r]..rowPtr[r+1] indexes colIdx
 	colIdx     []int // len NNZ; sorted and unique within each row
+
+	cscOnce sync.Once
+	csc     *cscStructure // see transposed; nil until a Kernel asks
 }
 
 // NewPattern builds a Pattern from per-row column lists. Each row slice may

@@ -15,10 +15,11 @@ import (
 // memory dependence chain (the next gather address no longer waits on an
 // index load).
 //
-// The kernel shares value storage with the Kernel (CSC order, for gathers)
-// and the Matrix (CSR order, for scatters) it was built from: Kernel.Refresh
-// and in-place weight mutation are visible to the RadixKernel automatically,
-// so engines refresh weights exactly as before.
+// The kernel reads the value storage of the Kernel (CSC order, for gathers)
+// and the Matrix (CSR order, for scatters) it is bound to, through views it
+// re-reads from them on every RefreshValues: after any weight mutation —
+// which may have moved either onto storage of its own, see Matrix.Values —
+// refresh the Kernel, then this (the inference engine's RefreshWeights does).
 //
 // Bit-identity: gathers accumulate each column's in-edges in ascending row
 // order and scatters accumulate input rows in ascending order — the same
@@ -26,8 +27,10 @@ import (
 // — so all paths produce bit-identical float64 results.
 type RadixKernel struct {
 	plan    *StridePlan
-	cscVals []float64 // Kernel's values: column-major, ascending row within column
-	csrVals []float64 // Matrix's values: row-major, ascending column within row
+	mat     *Matrix
+	kern    *Kernel
+	cscVals []float64 // kern's values: column-major, ascending row within column
+	csrVals []float64 // mat's values: row-major, ascending column within row
 	inDeg   int       // dPrev·radix, uniform column in-degree
 	outDeg  int       // dNext·radix, uniform row out-degree
 
@@ -43,12 +46,12 @@ type RadixKernel struct {
 	// so the packing composes across the stack with no reorder pass, and the
 	// last layer's output packing pv·radix = N′ is the identity: engine
 	// inputs and outputs stay in natural order. stVals is the weight stream
-	// re-sequenced for that column visit order — the one value array NOT
-	// shared with the CSC/CSR storage (unless every value is the same, when
-	// it aliases cscVals), so RefreshValues must re-derive it after weight
-	// mutation (the inference engine does this in RefreshWeights). nil unless
+	// re-sequenced for that column visit order: cscVals itself while every
+	// value is the same (ownST false), else a copy this kernel owns, which
+	// RefreshValues re-derives after weight mutation. nil unless
 	// EnableStockham succeeded.
 	stVals []float64
+	ownST  bool
 
 	// uniW is the layer's one weight when the kernel is in Stockham mode and
 	// every stored value is the same positive power of two, else 0. Derived
@@ -91,12 +94,11 @@ func NewRadixKernel(m *Matrix, k *Kernel, plan *StridePlan) (*RadixKernel, error
 		return nil, fmt.Errorf("sparse: kernel column degree %d, plan implies %d", k.colDeg, plan.ColDegree())
 	}
 	rk := &RadixKernel{
-		plan:    plan,
-		cscVals: k.vals,
-		csrVals: m.vals,
-		inDeg:   plan.ColDegree(),
-		outDeg:  plan.dNext * plan.radix,
+		plan: plan, mat: m, kern: k,
+		inDeg:  plan.ColDegree(),
+		outDeg: plan.dNext * plan.radix,
 	}
+	rk.RefreshValues()
 	return rk, nil
 }
 
@@ -112,7 +114,7 @@ func (rk *RadixKernel) EnableStockham() error {
 	if !rk.plan.CanStockham() {
 		return fmt.Errorf("sparse: plan %s does not admit the Stockham layout", rk.plan)
 	}
-	rk.stVals = rk.cscVals // Stockham from here on; RefreshValues gives the layer its own copy if it needs one
+	rk.stVals = rk.cscVals // Stockham from here on; RefreshValues decides whose storage it reads
 	rk.RefreshValues()
 	return nil
 }
@@ -120,15 +122,14 @@ func (rk *RadixKernel) EnableStockham() error {
 // Stockham reports whether the kernel runs in the packed Stockham layout.
 func (rk *RadixKernel) Stockham() bool { return rk.stVals != nil }
 
-// RefreshValues re-derives the Stockham-ordered weight stream, and the
-// uniform bit, from the shared CSC storage. The CSC and CSR value slices are
-// shared with the Kernel and Matrix and need no action here; only the
-// re-sequenced copy goes stale when weights mutate. A layer whose values are
-// all equal — every layer FromConfig builds — has no copy to keep: one value
-// in every position is the same stream in any order, so stVals aliases the
-// CSC storage (256 KB a layer on Graph Challenge 1024) until the values
-// differ. O(NNZ); allocates only then; a no-op outside Stockham mode.
+// RefreshValues re-reads the CSC and CSR views from the Kernel and Matrix the
+// kernel is bound to and, in Stockham mode, re-derives the Stockham-ordered
+// weight stream and the uniform bit from them. A layer whose values are all
+// equal — every layer FromConfig builds — has no copy to keep: stVals reads
+// the CSC storage, whoever owns that, until the values differ. O(NNZ);
+// allocates only then.
 func (rk *RadixKernel) RefreshValues() {
+	rk.cscVals, rk.csrVals = rk.kern.vals, rk.mat.vals
 	if rk.stVals == nil {
 		return
 	}
@@ -142,14 +143,14 @@ func (rk *RadixKernel) RefreshValues() {
 		}
 	}
 	if same {
-		rk.stVals = vals
+		rk.stVals, rk.ownST = vals, false
 		if frac, _ := math.Frexp(vals[0]); frac == 0.5 {
 			rk.uniW = vals[0] // a positive power of two (Frexp hands NaN and ±Inf back as they are)
 		}
 		return
 	}
-	if &rk.stVals[0] == &vals[0] {
-		rk.stVals = make([]float64, len(vals))
+	if !rk.ownST {
+		rk.stVals, rk.ownST = make([]float64, len(vals)), true
 	}
 	p, deg := rk.plan, rk.inDeg
 	sp := p.pv * p.radix
