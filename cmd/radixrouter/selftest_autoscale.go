@@ -53,8 +53,14 @@ func runAutoscalePhase(ctx context.Context) error {
 		subWindow     = 500 * time.Millisecond
 		minWindowReqs = 8
 	)
-	// The fleet is heterogeneous on purpose. The hot model is three fully
-	// dense radix-768 layers (~1.8M multiply-adds per row): heavy enough
+	// The fleet is heterogeneous on purpose. The hot model is two fully
+	// dense radix-768 layers and a half-dense radix-384 one (~1.5M
+	// multiply-adds per row). The last system's product only divides N′, so
+	// the stack runs the natural-order kernels, column by column: three
+	// radix-768 layers, as this was first written, would run the Stockham
+	// family, where a one-digit system's layer is a closing layer under one
+	// weight — a single residue class, every output the same chain — and the
+	// class sum evaluates it in 768 multiply-adds, not 590k. Heavy enough
 	// that ONE replica is structurally over capacity under the hot share
 	// of the load — not marginally, which an earlier two-layer version
 	// proved is a coin flip (the backlog only formed in the runs where
@@ -85,7 +91,7 @@ func runAutoscalePhase(ctx context.Context) error {
 	// one's trigger. Scale-out helps because each replica brings its own
 	// single-worker batcher: a hot model's execution share grows with its
 	// replica count.
-	hotCfg, err := core.NewConfig([]radix.System{radix.MustNew(768), radix.MustNew(768), radix.MustNew(768)}, nil)
+	hotCfg, err := core.NewConfig([]radix.System{radix.MustNew(768), radix.MustNew(768), radix.MustNew(384)}, nil)
 	if err != nil {
 		return err
 	}

@@ -218,8 +218,9 @@ func sameBits(t *testing.T, what string, got, want *sparse.Dense) {
 // layersAgree is the per-layer half of the differential: on one drawn input
 // per layer, the CSC gather, the affine gather with the epilogue applied by
 // hand, and the radix layer's gather, scatter and (where its weights are one
-// power of two) uniform octet — fed and read through the Stockham packing
-// when the layer runs packed — must all agree bit for bit.
+// power of two) uniform octet and (where it is closed) class sum — fed and
+// read through the Stockham packing when the layer runs packed — must all
+// agree bit for bit.
 func layersAgree(t *testing.T, rng *rand.Rand, csc, rad *Engine) {
 	t.Helper()
 	for l, k := range csc.kernels {
@@ -291,6 +292,9 @@ func layersAgree(t *testing.T, rng *rand.Rand, csc, rad *Engine) {
 			rk.FusedGatherRow8Uniform(&outs, &ins, bias, clip, &n8)
 			check("uniform octet", outs[7], n8[7])
 		}
+		if rk.Closed() {
+			check("class sum", out, rk.FusedGatherClosed(out, in, bias, clip))
+		}
 		if rk.Stockham() {
 			check("stockham scatter", out, rk.FusedScatterRowStockham(out, in, nil, make([]float64, k.Cols()), bias, clip))
 		} else {
@@ -303,7 +307,8 @@ func layersAgree(t *testing.T, rng *rand.Rand, csc, rad *Engine) {
 // behind, and the check on the uniform-weight window's proof: for a drawn
 // network, batch and epilogue, the CSC engine, the auto-built radix engine
 // (natural-order or Stockham, as the config resolves; uniform-weight octets
-// when the weights are left alone and the batch fits the window), a clone of
+// when the weights are left alone and the batch fits the window, class sums on
+// every closing layer still at one weight), a clone of
 // each under concurrent use, and ReferenceInfer must agree bit for bit — on
 // the batch, on a shorter batch through the same engines, and on each
 // engine's own output view fed back in.
@@ -415,6 +420,24 @@ func FuzzInferPathsAgree(f *testing.F) {
 		{[]byte{1, 4, 4, 2, 0, 0}, 3*67 + 24, 240, uniform, 42},
 		{[]byte{1, 4, 4, 2, 0, 0}, 3*67 + 12, 60, 0, 43},
 		{[]byte{1, 2, 2, 1, 0, 1}, 3*67 + 14, 200, uniform, 44},
+		// Class sums beside per-column gathers, on (8,8) and (2,32) left at
+		// 4/fan-in with one layer perturbed, every row out of the uniform
+		// window (a special element, subnormals, 2^1022) and dense enough to
+		// gather on both layers: batches of 1, 4, 5, 8 and 13 rows — a single,
+		// a quad, an octet and both tails. These seeds perturb the opening
+		// layer, so the closing one sums classes behind weighted gathers ...
+		{[]byte{1, 4, 4}, 67 + 0, 240, uniform | specials, 209},
+		{[]byte{1, 0, 6}, 67 + 3, 240, uniform | 1<<3, 242},
+		{[]byte{1, 4, 4}, 67 + 4, 240, uniform | 5<<3, 249},
+		{[]byte{1, 0, 6}, 67 + 7, 240, uniform | specials, 356},
+		{[]byte{1, 4, 4}, 67 + 12, 240, uniform | 1<<3, 372},
+		// ... and these the closing layer, which must have left the class-sum
+		// binding while the opening one stays uniform-weight.
+		{[]byte{1, 4, 4}, 67 + 0, 240, uniform | 5<<3, 200},
+		{[]byte{1, 4, 4}, 67 + 3, 240, uniform | 1<<3, 219},
+		{[]byte{1, 0, 6}, 67 + 4, 240, uniform | specials, 203},
+		{[]byte{1, 4, 4}, 67 + 7, 240, uniform | 1<<3, 252},
+		{[]byte{1, 0, 6}, 67 + 12, 240, uniform | 5<<3, 1194},
 	} {
 		f.Add(s.spec, s.rows, s.fill, s.opts, s.seed)
 	}

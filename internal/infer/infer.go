@@ -365,13 +365,30 @@ func (e *Engine) exactWindow() (n int, lo, hi uint64) {
 // exponent alone.
 func ulpExp(x float64) int { return max(math.Ilogb(x)-52, minExp) }
 
-// UniformLayers reports how many layers run the uniform-weight octet
-// (sparse.FusedGatherRow8Uniform) on batches whose inputs fit its exactness
-// window: the stack's leading layers whose weights are all one positive power
-// of two, on the Stockham family; 0 on a CSC or natural-order engine, after
-// PerturbWeights, or when bias and cap leave no window.
+// UniformLayers reports how many layers take their uniform-weight binding on
+// batches whose inputs fit its exactness window: the stack's leading layers
+// whose weights are all one positive power of two, on the Stockham family; 0
+// on a CSC or natural-order engine, after PerturbWeights, or when bias and cap
+// leave no window. Those of them ClosedLayers also counts run class sums, on
+// every batch; the rest run sparse.FusedGatherRow8Uniform.
 func (e *Engine) UniformLayers() int {
 	n, _, _ := e.exactWindow()
+	return n
+}
+
+// ClosedLayers reports how many layers gather by class sums
+// (sparse.FusedGatherClosed) whatever the batch: a numeral system's closing
+// layer on the Stockham family while all its weights are equal — every second
+// layer of a config-built Graph Challenge stack; 0 on a CSC or natural-order
+// engine. Writing a layer's weights (a reload that ships trained ones) takes it
+// out of the count.
+func (e *Engine) ClosedLayers() int {
+	n := 0
+	for _, rk := range e.radix {
+		if rk.Closed() {
+			n++
+		}
+	}
 	return n
 }
 
@@ -488,7 +505,7 @@ func (e *Engine) infer(y0 *sparse.Dense) (*sparse.Dense, error) {
 			rows := len(e.active)
 			t0 := time.Now()
 			e.pool.Run(rows, grain, e.step)
-			prof.record(l, rows, e.layers[l].NNZ(), time.Since(t0), l < uni)
+			prof.record(l, rows, e.layers[l].NNZ(), time.Since(t0), l < uni, e.radix != nil && e.radix[l].Closed())
 		} else {
 			e.pool.Run(len(e.active), grain, e.step)
 		}

@@ -81,8 +81,10 @@ func (l radixLayer) gather(r rowBlock, n int, bias, clip float64) (nnz [8]int) {
 
 // stockhamLayer is radixLayer with activations in the packed Stockham
 // layout. The gathers are the same entry points (the kernel knows its
-// layout); the scatter accumulates in private scratch and, on the stack's
-// first layer, walks the nonzero positions the staging scan recorded.
+// layout) except on a numeral system's closing layer while it holds one
+// weight, whose rows each sum every residue class once; the scatter
+// accumulates in private scratch and, on the stack's first layer, walks the
+// nonzero positions the staging scan recorded.
 type stockhamLayer struct {
 	radixLayer
 	first bool
@@ -96,18 +98,36 @@ func (l stockhamLayer) scatter(out, in []float64, nz []int32, scratch []float64,
 	return l.rk.FusedScatterRowStockham(out, in, nz, scratch, bias, clip)
 }
 
+// gather reads Closed on every call: RefreshWeights through any clone can
+// change it, and a written closing layer is back on the per-column forms at
+// once. The class sum is the weighted chain, exact on every input, and has no
+// weight stream for a block to share — so it serves every block width a row at
+// a time.
+//
+//radix:hotpath
+func (l stockhamLayer) gather(r rowBlock, n int, bias, clip float64) (nnz [8]int) {
+	if !l.rk.Closed() {
+		return l.radixLayer.gather(r, n, bias, clip)
+	}
+	for j := 0; j < n; j++ {
+		nnz[j] = l.rk.FusedGatherClosed(r.out[j], r.in[j], bias, clip)
+	}
+	return nnz
+}
+
 // uniformLayer is stockhamLayer on a layer whose weights are all one positive
 // power of two, for a batch whose inputs fit Engine.exactWindow: a full octet
-// sums its in-edges unweighted and scales once per output. Quads, single rows
-// and the scatter stay on the weighted forms, which the window makes
-// bit-identical — so the two mix freely inside one batch.
+// of a layer that is not closed sums its in-edges unweighted and scales once
+// per output. Closed layers, quads, single rows and the scatter stay on the
+// weighted forms, which the window makes bit-identical — so the two mix freely
+// inside one batch.
 type uniformLayer struct{ stockhamLayer }
 
 //radix:hotpath
 func (l uniformLayer) gather(r rowBlock, n int, bias, clip float64) (nnz [8]int) {
-	if n == 8 {
+	if n == 8 && !l.rk.Closed() {
 		l.rk.FusedGatherRow8Uniform(&r.out, &r.in, bias, clip, &nnz)
 		return nnz
 	}
-	return l.radixLayer.gather(r, n, bias, clip)
+	return l.stockhamLayer.gather(r, n, bias, clip)
 }

@@ -20,11 +20,12 @@ type Profiler struct {
 }
 
 type layerProf struct {
-	batches atomic.Int64
-	rows    atomic.Int64
-	ns      atomic.Int64
-	edges   atomic.Int64
-	uniform atomic.Int64
+	batches  atomic.Int64
+	rows     atomic.Int64
+	ns       atomic.Int64
+	edges    atomic.Int64
+	uniform  atomic.Int64
+	classSum atomic.Int64
 }
 
 // NewProfiler builds a profiler for an engine with the given layer
@@ -48,9 +49,11 @@ func (p *Profiler) sample() bool {
 // record folds one sampled layer execution into the tallies: rows
 // active entering the layer, the layer's stored weight count (so
 // edges = rows×nnz matches the repo's Gedges/s convention), and the
-// kernel wall time; uniform says the batch's inputs passed the exactness
-// window and the layer ran its uniform-weight binding.
-func (p *Profiler) record(layer, rows int, nnz int, d time.Duration, uniform bool) {
+// kernel wall time. classSum says the layer ran as a closed layer, every
+// gather a class sum (edges stay nominal: rows×nnz is what the sums stand for,
+// not the multiply-adds spent); otherwise uniform says the batch's inputs
+// passed the exactness window and the layer ran its uniform-weight binding.
+func (p *Profiler) record(layer, rows int, nnz int, d time.Duration, uniform, classSum bool) {
 	if layer < 0 || layer >= len(p.layers) {
 		return
 	}
@@ -59,7 +62,9 @@ func (p *Profiler) record(layer, rows int, nnz int, d time.Duration, uniform boo
 	lp.rows.Add(int64(rows))
 	lp.ns.Add(d.Nanoseconds())
 	lp.edges.Add(int64(rows) * int64(nnz))
-	if uniform {
+	if classSum {
+		lp.classSum.Add(1)
+	} else if uniform {
 		lp.uniform.Add(1)
 	}
 }
@@ -69,7 +74,8 @@ type LayerProfile struct {
 	Layer        int     `json:"layer"`
 	NNZ          int     `json:"nnz"`
 	Batches      int64   `json:"batches"`
-	Uniform      int64   `json:"uniform_batches"` // of Batches, those run on the uniform-weight binding
+	Uniform      int64   `json:"uniform_batches"`   // of Batches, those run on the uniform-weight binding
+	ClassSum     int64   `json:"class_sum_batches"` // of Batches, those run as a closed layer's class sums
 	Rows         int64   `json:"rows"`
 	Ns           int64   `json:"ns"`
 	Edges        int64   `json:"edges"`
@@ -95,12 +101,13 @@ func (p *Profiler) snapshot(nnz []int) ProfileSnapshot {
 	for i := range p.layers {
 		lp := &p.layers[i]
 		l := LayerProfile{
-			Layer:   i,
-			Batches: lp.batches.Load(),
-			Uniform: lp.uniform.Load(),
-			Rows:    lp.rows.Load(),
-			Ns:      lp.ns.Load(),
-			Edges:   lp.edges.Load(),
+			Layer:    i,
+			Batches:  lp.batches.Load(),
+			Uniform:  lp.uniform.Load(),
+			ClassSum: lp.classSum.Load(),
+			Rows:     lp.rows.Load(),
+			Ns:       lp.ns.Load(),
+			Edges:    lp.edges.Load(),
 		}
 		if i < len(nnz) {
 			l.NNZ = nnz[i]

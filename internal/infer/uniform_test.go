@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/radix-net/radixnet/internal/core"
@@ -32,6 +33,8 @@ func gcEngines(t *testing.T, layers int) (rad, csc *Engine) {
 // inferCounting runs one profiled batch and returns a copy of the output with
 // the number of layers that ran their uniform-weight binding on it, as the
 // engine's own profiler counted them — the fast path is observed, not assumed.
+// A closed layer runs class sums on every batch, never the uniform binding:
+// the profile must say so for exactly the layers whose kernels report Closed.
 func inferCounting(t *testing.T, e *Engine, batch *sparse.Dense) (*sparse.Dense, int) {
 	t.Helper()
 	e.EnableProfiling(1)
@@ -47,8 +50,24 @@ func inferCounting(t *testing.T, e *Engine, batch *sparse.Dense) (*sparse.Dense,
 			t.Fatalf("layer %d profiled %d batches, want 1", l.Layer, l.Batches)
 		}
 		ran += int(l.Uniform)
+		closed := e.radix != nil && e.radix[l.Layer].Closed()
+		if (l.ClassSum == 1) != closed || l.ClassSum+l.Uniform > 1 {
+			t.Fatalf("layer %d (closed %t) profiled %d class-sum and %d uniform batches", l.Layer, closed, l.ClassSum, l.Uniform)
+		}
 	}
 	return out.Clone(), ran
+}
+
+// openLayers is how many of e's first n layers are not closed: the ones an
+// in-window batch runs on the uniform-weight binding.
+func openLayers(e *Engine, n int) int {
+	open := 0
+	for _, rk := range e.radix[:n] {
+		if !rk.Closed() {
+			open++
+		}
+	}
+	return open
 }
 
 // windowExps is exactWindow in the units the tests think in: the layers it
@@ -159,8 +178,8 @@ func TestUniformBitFollowsWeights(t *testing.T) {
 			want := mustInfer(t, csc, batch)
 			for _, e := range []*Engine{mutate, other} {
 				got, ran := inferCounting(t, e, batch)
-				if ran != 4 {
-					t.Fatalf("fresh engine ran %d of 4 layers uniform", ran)
+				if ran != 2 || e.ClosedLayers() != 2 {
+					t.Fatalf("fresh engine ran %d of its 2 open layers uniform, %d closed", ran, e.ClosedLayers())
 				}
 				sameBits(t, "fresh", got, want)
 			}
@@ -174,8 +193,8 @@ func TestUniformBitFollowsWeights(t *testing.T) {
 					t.Fatalf("perturbed: %d uniform layers, want 0", e.UniformLayers())
 				}
 				got, ran := inferCounting(t, e, batch)
-				if ran != 0 {
-					t.Fatalf("perturbed engine ran %d layers uniform", ran)
+				if ran != 0 || e.ClosedLayers() != 0 {
+					t.Fatalf("perturbed engine ran %d layers uniform, %d closed", ran, e.ClosedLayers())
 				}
 				sameBits(t, "perturbed", got, wantPerturbed)
 			}
@@ -195,8 +214,8 @@ func TestUniformBitFollowsWeights(t *testing.T) {
 					t.Fatalf("restored: %d uniform layers, want 4", e.UniformLayers())
 				}
 				got, ran := inferCounting(t, e, batch)
-				if ran != 4 {
-					t.Fatalf("restored engine ran %d of 4 layers uniform", ran)
+				if ran != 2 || e.ClosedLayers() != 2 {
+					t.Fatalf("restored engine ran %d of its 2 open layers uniform, %d closed", ran, e.ClosedLayers())
 				}
 				sameBits(t, "restored", got, want)
 			}
@@ -205,9 +224,10 @@ func TestUniformBitFollowsWeights(t *testing.T) {
 }
 
 // TestUniformGuardOutcomes: a Graph Challenge batch takes the uniform
-// bindings on every layer; the same batch with one element outside any
-// correct window — subnormal, MaxFloat64, NaN, +Inf — takes the weighted ones
-// on every layer, and either way the output is the CSC engine's bit for bit.
+// bindings on every open layer (the closed half sums classes whatever the
+// batch); the same batch with one element outside any correct window —
+// subnormal, MaxFloat64, NaN, +Inf — takes the weighted ones on every open
+// layer, and either way the output is the CSC engine's bit for bit.
 func TestUniformGuardOutcomes(t *testing.T) {
 	for _, layers := range []int{24, 120} {
 		rad, csc := gcEngines(t, layers)
@@ -216,8 +236,8 @@ func TestUniformGuardOutcomes(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, ran := inferCounting(t, rad, batch)
-		if ran != layers {
-			t.Errorf("1024×%d: %d layers ran uniform on a SparseBatch batch, want all", layers, ran)
+		if ran != layers/2 || rad.ClosedLayers() != layers/2 {
+			t.Errorf("1024×%d: %d layers ran uniform on a SparseBatch batch and %d are closed, want half each", layers, ran, rad.ClosedLayers())
 		}
 		sameBits(t, fmt.Sprintf("1024×%d", layers), got, mustInfer(t, csc, batch))
 		if layers == 120 {
@@ -269,7 +289,7 @@ func atExponent(t *testing.T, e int) *sparse.Dense {
 // 1024×24 and 1024×120, with the cap on and off (off, magnitudes may grow
 // every layer, so the upper edge falls with depth) and with the challenge's
 // bias and a zero one (zero, granularity is lost every layer, so the lower
-// edge rises with depth), a batch one binade inside each edge runs every
+// edge rises with depth), a batch one binade inside each edge runs every open
 // layer uniform, one a binade outside runs none, and all four equal the CSC
 // engine bit for bit.
 func TestUniformWindowEdges(t *testing.T) {
@@ -306,7 +326,7 @@ func TestUniformWindowEdges(t *testing.T) {
 				} {
 					batch := atExponent(t, c.exp)
 					got, ran := inferCounting(t, rad, batch)
-					if want := map[bool]int{true: layers, false: 0}[c.inside]; ran != want {
+					if want := map[bool]int{true: openLayers(rad, layers), false: 0}[c.inside]; ran != want {
 						t.Errorf("%s, %s (exponent %d): %d layers ran uniform, want %d", name, c.what, c.exp, ran, want)
 					}
 					sameBits(t, name+", "+c.what, got, mustInfer(t, csc, batch))
@@ -335,8 +355,8 @@ func TestUniformWindowEdges(t *testing.T) {
 // 4/fan-in every config-built engine has: per-layer weights 2^k on both sides
 // of 1, biases of either sign down to the subnormals, tiny and absent caps.
 // Whatever window the engine derives, a batch whose elements are spread over
-// all of it, edges included and signs mixed, must run every admitted layer
-// uniform and still equal the CSC engine bit for bit.
+// all of it, edges included and signs mixed, must run every admitted open
+// layer uniform and still equal the CSC engine bit for bit.
 func TestUniformWindowRandomStacks(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	open := 0
@@ -392,8 +412,8 @@ func TestUniformWindowRandomStacks(t *testing.T) {
 		}
 		name := fmt.Sprintf("trial %d: %v weights 2^%v bias %v cap %v, exponents [%d, %d]", trial, radices, ks, rad.bias, cap, loE, hiE)
 		got, ran := inferCounting(t, rad, batch)
-		if ran != n {
-			t.Fatalf("%s: %d layers ran uniform, window admits %d", name, ran, n)
+		if ran != openLayers(rad, n) {
+			t.Fatalf("%s: %d layers ran uniform, window admits %d of which %d open", name, ran, n, openLayers(rad, n))
 		}
 		sameBits(t, name, got, mustInfer(t, csc, batch))
 		if t.Failed() {
@@ -402,5 +422,68 @@ func TestUniformWindowRandomStacks(t *testing.T) {
 	}
 	if open < 100 {
 		t.Errorf("only %d of 300 random stacks had a window; the draw no longer tests it", open)
+	}
+}
+
+// TestClosedFollowsWeights (run it under -race): a closing layer leaves the
+// class-sum binding the moment one of its edges differs — written through a
+// clone's matrices, picked up by RefreshWeights, seen by every clone, the other
+// closing layer untouched — and returns to it when the value is written back.
+// Two clones infer concurrently before, between and after; all of it equals the
+// CSC engine and ReferenceInfer bit for bit. 13 rows: an octet, a quad and a
+// single through every gather.
+func TestClosedFollowsWeights(t *testing.T) {
+	rad, csc := gcEngines(t, 4)
+	a, b := rad.Clone(), rad.Clone()
+	batch, err := dataset.SparseBatch(13, 1024, 1000, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch.RowSlice(3)[17] = math.MaxFloat64 // outside exactWindow: the open layers run weighted
+	const layer, edge = 1, 4097
+	w := rad.layers[layer].Values()[edge]
+	for _, c := range []struct {
+		what   string
+		v      float64
+		closed []bool
+	}{
+		{"one weight", w, []bool{false, true, false, true}},
+		{"one edge of layer 1 doubled", 2 * w, []bool{false, false, false, true}},
+		{"restored", w, []bool{false, true, false, true}},
+	} {
+		a.layers[layer].Values()[edge] = c.v
+		csc.layers[layer].Values()[edge] = c.v
+		a.RefreshWeights()
+		csc.RefreshWeights()
+		want := mustInfer(t, csc, batch)
+		ref, err := b.ReferenceInfer(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, c.what+": reference", ref, want)
+		var wg sync.WaitGroup
+		for name, e := range map[string]*Engine{"clone a": a, "clone b": b} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out, err := e.Infer(batch)
+				if err != nil {
+					t.Error(name, err)
+					return
+				}
+				sameBits(t, c.what+": "+name, out, want)
+			}()
+		}
+		wg.Wait()
+		// What ran, from the profiler of the clone that did not write.
+		b.EnableProfiling(1)
+		sameBits(t, c.what+": profiled", mustInfer(t, b, batch), want)
+		snap, _ := b.Profile()
+		b.DisableProfiling()
+		for l, lp := range snap.Layers {
+			if (lp.ClassSum == 1) != c.closed[l] || lp.Uniform != 0 {
+				t.Errorf("%s: layer %d ran %d class-sum and %d uniform batches, want closed = %t", c.what, l, lp.ClassSum, lp.Uniform, c.closed[l])
+			}
+		}
 	}
 }

@@ -84,6 +84,10 @@ func TestHTTPModelsReportKernel(t *testing.T) {
 	if info.Kernel != "radix" {
 		t.Fatalf("register info kernel = %q, want radix", info.Kernel)
 	}
+	// A lifted stack runs natural order: no uniform octet, no class sums.
+	if info.UniformLayers != 0 || info.ClassSumLayers != 0 {
+		t.Fatalf("register info: %d uniform and %d class-sum layers on a lifted config, want 0 and 0", info.UniformLayers, info.ClassSumLayers)
+	}
 	// (4,4) lifted 2→2→2: two distinct 32×32 layers of 256 edges. One run of
 	// weights; per layer 33+256 CSR ints and 33+256+256 CSC int32s.
 	if info.DistinctLayers != 2 || info.ValueBytes != 256*8 || info.StructureBytes != 2*((33+256)*8+(33+2*256)*4) {
@@ -102,6 +106,11 @@ func TestHTTPModelsReportKernel(t *testing.T) {
 	kernels := map[string]string{}
 	for _, mi := range list["models"] {
 		kernels[mi.Name] = mi.Kernel
+		// "m" is testConfig's (4,4) on the Stockham chain: both layers hold one
+		// power of two, and the second closes the system.
+		if mi.Name == "m" && (mi.UniformLayers != 2 || mi.ClassSumLayers != 1) {
+			t.Fatalf("model m: %d uniform and %d class-sum layers, want 2 and 1", mi.UniformLayers, mi.ClassSumLayers)
+		}
 	}
 	if kernels["m"] != "radix" || kernels["lift"] != "radix" {
 		t.Fatalf("listed kernels = %v", kernels)

@@ -5,13 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/radix-net/radixnet/internal/dataset"
 )
 
 // schedHarness builds a classSched over the default class universe.
@@ -452,6 +456,64 @@ func TestQoSHTTPClassDeadlineWire(t *testing.T) {
 	hresp2.Body.Close()
 	if hresp2.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("header deadline: status %d, want 504", hresp2.StatusCode)
+	}
+}
+
+// TestDeadlineFromMsHostileBudgets: only a positive budget is a deadline. NaN
+// used to pass both range tests and convert to a Duration of MinInt64 — a
+// deadline 292 years ago, so the request was shed unexecuted.
+func TestDeadlineFromMsHostileBudgets(t *testing.T) {
+	for _, ms := range []float64{math.NaN(), 0, math.Copysign(0, -1), -1, math.Inf(-1)} {
+		if d := DeadlineFromMs(ms); !d.IsZero() {
+			t.Errorf("DeadlineFromMs(%v) = %v, want no deadline", ms, d)
+		}
+	}
+	for _, ms := range []float64{5e-324, 250, 1e15, math.MaxFloat64, math.Inf(1)} {
+		if d := DeadlineFromMs(ms); !d.After(time.Now().Add(-time.Second)) {
+			t.Errorf("DeadlineFromMs(%v) = %v, want a deadline not in the past", ms, d)
+		}
+	}
+}
+
+// TestQoSHTTPNaNDeadlineHeaderExecutes: X-Radix-Deadline-Ms: NaN (any
+// spelling strconv.ParseFloat accepts) is no deadline — the request runs and
+// answers the oracle's row, like -1, Inf and no header at all; it was a 504.
+func TestQoSHTTPNaNDeadlineHeaderExecutes(t *testing.T) {
+	_, m, ts := newTestServer(t, Policy{MaxBatch: 8, MaxLatency: time.Millisecond}, 1)
+	in, err := dataset.SparseBatch(1, m.InputWidth(), 4, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := referenceOutputs(t, m.Config(), in)
+	reqBody, err := json.Marshal(InferRequest{Model: "m", Inputs: [][]float64{in.RowSlice(0)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []string{"NaN", "nan", "-1", "Inf", ""} {
+		hreq, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/infer", bytes.NewReader(reqBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hreq.Header.Set("Content-Type", "application/json")
+		if h != "" {
+			hreq.Header.Set(HeaderDeadlineMs, h)
+		}
+		hresp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got InferResponse
+		err = json.NewDecoder(hresp.Body).Decode(&got)
+		hresp.Body.Close()
+		if hresp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("deadline header %q: status %d (decode: %v), want 200", h, hresp.StatusCode, err)
+		}
+		if len(got.Outputs) != 1 || !slices.Equal(got.Outputs[0], want[0]) {
+			t.Fatalf("deadline header %q: outputs differ from the CSC oracle", h)
+		}
+	}
+	if shed := m.Metrics().Expired.Load(); shed != 0 {
+		t.Errorf("%d rows counted as deadline sheds", shed)
 	}
 }
 

@@ -154,6 +154,13 @@ type ModelInfo struct {
 	// Kernel is the kernel family the model's engines resolved to ("csc" or
 	// "radix" — never "auto", which resolves at build time).
 	Kernel string `json:"kernel"`
+	// UniformLayers and ClassSumLayers say how much of the stack's structure
+	// the current generation's kernels use (infer.Engine.UniformLayers and
+	// ClosedLayers, read when asked): layers holding one power-of-two weight,
+	// and closing layers holding one weight, which gather by class sums. A
+	// reload that ships written weights shows up as both dropping.
+	UniformLayers  int `json:"uniform_layers"`
+	ClassSumLayers int `json:"class_sum_layers"`
 	// DistinctLayers, StructureBytes and ValueBytes are infer.Engine.Footprint
 	// of the current generation, read when asked: the index and weight storage
 	// the whole warm pool shares, arrays that several layers read counted
@@ -569,6 +576,8 @@ func (m *Model) Info() ModelInfo {
 		Workers:      m.pol.Workers,
 		Share:        m.pol.Share,
 
+		UniformLayers:  ep.all[0].UniformLayers(),
+		ClassSumLayers: ep.all[0].ClosedLayers(),
 		DistinctLayers: fp.DistinctLayers,
 		StructureBytes: fp.StructureBytes,
 		ValueBytes:     fp.ValueBytes,

@@ -43,10 +43,12 @@ const (
 const maxDeadlineMs = 1e12
 
 // DeadlineFromMs converts a deadline_ms budget to an absolute deadline
-// from now, overflow-clamped; budgets ≤ 0 mean "no deadline" (zero time).
-// Shared by the HTTP handler and the cluster router.
+// from now, overflow-clamped; budgets ≤ 0 — and NaN, which strconv.ParseFloat
+// accepts from a header and which converts to a Duration 292 years in the
+// past — mean "no deadline" (zero time). Shared by the HTTP handler and the
+// cluster router.
 func DeadlineFromMs(ms float64) time.Time {
-	if ms <= 0 {
+	if !(ms > 0) {
 		return time.Time{}
 	}
 	if ms > maxDeadlineMs {

@@ -91,21 +91,6 @@ func (b *BigDense) AllEqual() (*big.Int, bool) {
 	return new(big.Int).Set(first), true
 }
 
-// MinMax returns the smallest and largest element values.
-func (b *BigDense) MinMax() (min, max *big.Int) {
-	min = new(big.Int).Set(b.data[0])
-	max = new(big.Int).Set(b.data[0])
-	for _, v := range b.data[1:] {
-		if v.Cmp(min) < 0 {
-			min.Set(v)
-		}
-		if v.Cmp(max) > 0 {
-			max.Set(v)
-		}
-	}
-	return min, max
-}
-
 // BigVec is a dense vector of arbitrary-precision integers, used by the
 // streaming (per-source) path-counting strategy that avoids the O(rows·cols)
 // memory of a full BigDense product.

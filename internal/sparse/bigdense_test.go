@@ -64,16 +64,6 @@ func TestBigAllEqual(t *testing.T) {
 	}
 }
 
-func TestBigMinMax(t *testing.T) {
-	b, _ := NewBigDense(2, 2)
-	b.At(0, 0).SetInt64(-3)
-	b.At(1, 1).SetInt64(7)
-	min, max := b.MinMax()
-	if min.Int64() != -3 || max.Int64() != 7 {
-		t.Fatalf("MinMax = %v, %v", min, max)
-	}
-}
-
 func TestBigVecPropagation(t *testing.T) {
 	// Propagating e_u through a chain of patterns must equal the u-th row of
 	// the BigDense product of the same chain.

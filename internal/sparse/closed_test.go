@@ -1,0 +1,214 @@
+package sparse
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// drawablePlans lists every (N′, ν, radix) a test in this repository can draw
+// a layer from: infer's FuzzInferPathsAgree config decoder (one to three
+// radices from its palette in any order, product at most 64, N′ the product or
+// — when the last system drops a radix — a palette multiple of it) and
+// FuzzStridePlan's parameters (two radices in 2–6, N′ up to three times their
+// product).
+func drawablePlans() [][3]int {
+	seen := map[[3]int]bool{}
+	var plans [][3]int
+	digits := func(radices []int, np int) {
+		pv := 1
+		for _, r := range radices {
+			if k := [3]int{np, pv, r}; !seen[k] {
+				seen[k] = true
+				plans = append(plans, k)
+			}
+			pv *= r
+		}
+	}
+	palette := []int{2, 3, 4, 5, 8, 16, 32}
+	var walk func(radices []int, prod int)
+	walk = func(radices []int, prod int) {
+		if len(radices) > 0 {
+			digits(radices, prod)
+			for _, r := range palette {
+				if prod*r <= 64 {
+					digits(radices, prod*r)
+				}
+			}
+		}
+		if len(radices) == 3 {
+			return
+		}
+		for _, r := range palette {
+			if prod*r <= 64 {
+				walk(append(radices[:len(radices):len(radices)], r), prod*r)
+			}
+		}
+	}
+	walk(nil, 1)
+	for r1 := 2; r1 <= 6; r1++ {
+		for r2 := 2; r2 <= 6; r2++ {
+			for mult := 1; mult <= 3; mult++ {
+				digits([]int{r1, r2}, r1*r2*mult)
+			}
+		}
+	}
+	return plans
+}
+
+// TestClosedLayerClassesShareInRows is the paper-level fact FusedGatherClosed
+// rests on, and its converse. The edge rule sends node j of a layer with place
+// value ν and radix N to j + n·ν mod N′, n < N. When ν·N = N′ (m = radix) that
+// is every node of j's residue class mod ν: all the columns of a class have
+// the same in-rows, in the same ascending order, and under the Stockham input
+// packing they are the run [lo·radix, (lo+1)·radix). When ν·N < N′ the first
+// two columns of every class differ, so the predicate is tight — Closed can
+// never hold on a layer whose columns are distinct chains. Checked, lifts
+// included, on every plan the fuzz targets can draw.
+func TestClosedLayerClassesShareInRows(t *testing.T) {
+	closed, open := 0, 0
+	for _, k := range drawablePlans() {
+		np, pv, radix := k[0], k[1], k[2]
+		for shape := 0; shape < 9; shape++ {
+			dPrev, dNext := 1+shape/3, 1+shape%3
+			pat := radixLayer(np, pv, radix, dPrev, dNext)
+			plan, err := CompileStridePlan(pat, np, pv, radix, dPrev, dNext)
+			if err != nil {
+				t.Fatalf("np=%d pv=%d radix=%d %dx%d: %v", np, pv, radix, dPrev, dNext, err)
+			}
+			inRows := func(c int) (rows []int) {
+				plan.ColInRows(c, func(r int) { rows = append(rows, r) })
+				return rows
+			}
+			shared := true // every class: all its columns, in every block, one sequence
+			for lo := 0; lo < pv; lo++ {
+				first := fmt.Sprint(inRows(lo))
+				for c := lo; c < plan.Cols(); c += pv {
+					if fmt.Sprint(inRows(c)) != first {
+						shared = false
+					}
+				}
+				if two := fmt.Sprint(inRows(lo + pv)); plan.m > radix && two == first {
+					t.Fatalf("%v: columns %d and %d of class %d share in-rows %s on an open layer", plan, lo, lo+pv, lo, first)
+				}
+			}
+			if shared != (plan.m == radix) {
+				t.Fatalf("%v: m = %d, radix = %d, but classes share their in-rows: %t", plan, plan.m, radix, shared)
+			}
+			if plan.m != radix {
+				open++
+				continue
+			}
+			closed++
+			if !plan.CanStockham() {
+				continue // no packed layout under a lift
+			}
+			for c := 0; c < np; c++ {
+				if plan.OutPackPos(c) != c {
+					t.Fatalf("%v: OutPackPos(%d) = %d on a closing layer", plan, c, plan.OutPackPos(c))
+				}
+				for j, r := range inRows(c) {
+					if want := (c%pv)*radix + j; plan.InPackPos(r) != want {
+						t.Fatalf("%v: column %d in-row %d packs to %d, want %d", plan, c, r, plan.InPackPos(r), want)
+					}
+				}
+			}
+		}
+	}
+	if closed < 500 || open < 500 {
+		t.Errorf("%d closed and %d open plans drawn; the enumeration no longer covers both", closed, open)
+	}
+}
+
+// sameWord reports whether two outputs agree in every bit; two NaNs agree
+// whatever their payloads (when both operands of an add are NaN the hardware
+// keeps the first one's, and the compiler is free to commute the add).
+func sameWord(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// TestClosedGatherBitIdentical: FusedGatherClosed against the CSC kernel on
+// four closing layers — Graph Challenge 1024's, radix (8,8,8)'s, (2,32)'s and
+// (5,3)'s — under weights that are and are not powers of two, negative and
+// zero, every bias sign, the cap on and off, and rows of ordinary values, of
+// specials (NaN, ±Inf, −0), of 3–7-ulp subnormals and of MaxFloat64/4. The
+// last two are where an UNWEIGHTED class sum scaled once — the uniform octet's
+// arithmetic, see TestUniformOctetNeedsItsGuard — rounds or overflows
+// differently; the weighted chain has no such window. Every output word and
+// every live count must match.
+func TestClosedGatherBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, s := range []struct{ np, pv, radix int }{{1024, 32, 32}, {512, 64, 8}, {64, 2, 32}, {15, 5, 3}} {
+		specials, subnormal, huge := randomInput(rng, s.np, 0.9), make([]float64, s.np), make([]float64, s.np)
+		for n := 0; n < 4+s.np/16; n++ {
+			specials[rng.Intn(s.np)] = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}[rng.Intn(4)]
+		}
+		for c := range huge {
+			subnormal[c] = float64(3+rng.Intn(5)) * 5e-324
+			huge[c] = math.MaxFloat64 / 4
+		}
+		rows := []struct {
+			name string
+			x    []float64
+		}{{"ordinary", randomInput(rng, s.np, 0.9)}, {"specials", specials}, {"subnormal", subnormal}, {"huge", huge}}
+		for _, w := range []float64{0.125, 0.3, -0.5, 0} {
+			_, k, rk := uniformTrio(t, s.np, s.pv, s.radix, w)
+			if !rk.Closed() {
+				t.Fatalf("%v weight %v: not closed", rk.Plan(), w)
+			}
+			for _, row := range rows {
+				name, x := row.name, row.x
+				in := packBy(x, rk.Plan().InPackPos)
+				for _, bias := range []float64{-0.1, 0, 0.25} {
+					for _, clip := range []float64{0, 32} {
+						want, got := make([]float64, s.np), make([]float64, s.np)
+						wantN := k.FusedGatherRow(want, x, bias, clip)
+						gotN := rk.FusedGatherClosed(got, in, bias, clip) // closing layer: output packing is the identity
+						what := fmt.Sprintf("%v weight %v bias %v cap %v, %s row", rk.Plan(), w, bias, clip, name)
+						if gotN != wantN {
+							t.Errorf("%s: %d live outputs, want %d", what, gotN, wantN)
+						}
+						for c := range want {
+							if !sameWord(got[c], want[c]) {
+								t.Fatalf("%s: col %d = %x (%v), want %x (%v)", what, c, math.Float64bits(got[c]), got[c], math.Float64bits(want[c]), want[c])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestClosedFollowsValues: Closed needs the Stockham layout, m = radix and one
+// weight, whatever it is, and follows the values through RefreshValues in both
+// directions.
+func TestClosedFollowsValues(t *testing.T) {
+	for _, w := range []float64{0.25, 0.3, -0.5, 0} {
+		if _, _, rk := uniformTrio(t, 16, 4, 4, w); !rk.Closed() {
+			t.Errorf("closing layer, weight %v: not closed", w)
+		}
+	}
+	if _, _, rk := uniformTrio(t, 16, 1, 4, 0.25); rk.Closed() {
+		t.Error("opening layer (m = 16, radix 4) reported closed")
+	}
+	m, k, rk := uniformTrio(t, 16, 4, 4, 0.25)
+	if natural, err := NewRadixKernel(m, k, rk.Plan()); err != nil || natural.Closed() {
+		t.Errorf("natural-order kernel: closed = %t, err = %v", natural.Closed(), err)
+	}
+	vals := m.Values()
+	for _, c := range []struct {
+		v    float64
+		want bool
+	}{{0.5, false}, {0.25, true}} {
+		vals[len(vals)-1] = c.v
+		if err := k.Refresh(m); err != nil {
+			t.Fatal(err)
+		}
+		rk.RefreshValues()
+		if rk.Closed() != c.want {
+			t.Errorf("last edge = %v: closed = %t, want %t", c.v, rk.Closed(), c.want)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"github.com/radix-net/radixnet/internal/parallel"
@@ -106,25 +105,6 @@ func (m *Matrix) Scale(a float64) {
 	for i := range vals {
 		vals[i] *= a
 	}
-}
-
-// MulVec returns m·x for a dense vector x of length Cols().
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if len(x) != m.pat.cols {
-		return nil, fmt.Errorf("%w: %dx%d · vec(%d)", ErrDims, m.pat.rows, m.pat.cols, len(x))
-	}
-	y := make([]float64, m.pat.rows)
-	parallel.Blocks(m.pat.rows, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			var acc float64
-			rlo, rhi := m.pat.rowPtr[r], m.pat.rowPtr[r+1]
-			for i := rlo; i < rhi; i++ {
-				acc += m.vals[i] * x[m.pat.colIdx[i]]
-			}
-			y[r] = acc
-		}
-	})
-	return y, nil
 }
 
 // VecMul returns xᵀ·m for a dense vector x of length Rows(); this is the
@@ -282,45 +262,6 @@ func (m *Matrix) Add(o *Matrix) (*Matrix, error) {
 	return &Matrix{pat: pat, vals: vals}, nil
 }
 
-// Hadamard returns the elementwise product m ⊙ o on the intersection
-// structure (entries absent from either operand are zero and dropped).
-func (m *Matrix) Hadamard(o *Matrix) (*Matrix, error) {
-	if m.pat.rows != o.pat.rows || m.pat.cols != o.pat.cols {
-		return nil, fmt.Errorf("%w: hadamard %dx%d ⊙ %dx%d", ErrDims, m.pat.rows, m.pat.cols, o.pat.rows, o.pat.cols)
-	}
-	pat := &Pattern{rows: m.pat.rows, cols: m.pat.cols, rowPtr: make([]int, m.pat.rows+1)}
-	var vals []float64
-	for r := 0; r < m.pat.rows; r++ {
-		aLo, aHi := m.pat.rowPtr[r], m.pat.rowPtr[r+1]
-		bLo, bHi := o.pat.rowPtr[r], o.pat.rowPtr[r+1]
-		i, j := aLo, bLo
-		for i < aHi && j < bHi {
-			switch {
-			case m.pat.colIdx[i] < o.pat.colIdx[j]:
-				i++
-			case o.pat.colIdx[j] < m.pat.colIdx[i]:
-				j++
-			default:
-				pat.colIdx = append(pat.colIdx, m.pat.colIdx[i])
-				vals = append(vals, m.vals[i]*o.vals[j])
-				i++
-				j++
-			}
-		}
-		pat.rowPtr[r+1] = len(pat.colIdx)
-	}
-	return &Matrix{pat: pat, vals: vals}, nil
-}
-
-// FrobeniusNorm returns √(Σ v²) over stored entries.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var sq float64
-	for _, v := range m.vals {
-		sq += v * v
-	}
-	return math.Sqrt(sq)
-}
-
 // ToDense materializes the matrix densely. Intended for small matrices in
 // tests and reference comparisons.
 func (m *Matrix) ToDense() *Dense {
@@ -332,21 +273,4 @@ func (m *Matrix) ToDense() *Dense {
 		}
 	}
 	return out
-}
-
-// MatrixFromDense extracts the nonzero structure and values of a dense
-// matrix into CSR form.
-func MatrixFromDense(d *Dense) *Matrix {
-	pat := &Pattern{rows: d.rows, cols: d.cols, rowPtr: make([]int, d.rows+1)}
-	var vals []float64
-	for r := 0; r < d.rows; r++ {
-		for c := 0; c < d.cols; c++ {
-			if v := d.data[r*d.cols+c]; v != 0 {
-				pat.colIdx = append(pat.colIdx, c)
-				vals = append(vals, v)
-			}
-		}
-		pat.rowPtr[r+1] = len(pat.colIdx)
-	}
-	return &Matrix{pat: pat, vals: vals}
 }

@@ -47,41 +47,6 @@ func TestMatrixFromPatternAt(t *testing.T) {
 	}
 }
 
-func TestToDenseFromDenseRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := randMatrix(rng, 8, 6, 0.4)
-	back := MatrixFromDense(m.ToDense())
-	if !denseAlmostEqual(m.ToDense(), back.ToDense(), 0) {
-		t.Fatal("dense round trip changed values")
-	}
-}
-
-func TestMulVecAgainstDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	m := randMatrix(rng, 9, 7, 0.5)
-	x := make([]float64, 7)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	got, err := m.MulVec(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := m.ToDense()
-	for r := 0; r < 9; r++ {
-		var want float64
-		for c := 0; c < 7; c++ {
-			want += d.At(r, c) * x[c]
-		}
-		if math.Abs(got[r]-want) > 1e-12 {
-			t.Fatalf("MulVec row %d = %g, want %g", r, got[r], want)
-		}
-	}
-	if _, err := m.MulVec(make([]float64, 3)); err == nil {
-		t.Fatal("wrong vector length accepted")
-	}
-}
-
 func TestVecMulAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := randMatrix(rng, 6, 8, 0.5)
@@ -216,46 +181,11 @@ func TestMatrixAddAgainstDenseProperty(t *testing.T) {
 	}
 }
 
-func TestMatrixHadamardAgainstDenseProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rows, cols := 1+rng.Intn(10), 1+rng.Intn(10)
-		a := randMatrix(rng, rows, cols, 0.5)
-		b := randMatrix(rng, rows, cols, 0.5)
-		had, err := a.Hadamard(b)
-		if err != nil {
-			return false
-		}
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				if math.Abs(had.At(r, c)-a.At(r, c)*b.At(r, c)) > 1e-12 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMatrixAddHadamardShapeErrors(t *testing.T) {
+func TestMatrixAddShapeError(t *testing.T) {
 	a := MatrixFromPattern(Ones(2, 3), 1)
 	b := MatrixFromPattern(Ones(3, 2), 1)
 	if _, err := a.Add(b); err == nil {
 		t.Fatal("add shape mismatch accepted")
-	}
-	if _, err := a.Hadamard(b); err == nil {
-		t.Fatal("hadamard shape mismatch accepted")
-	}
-}
-
-func TestFrobeniusNorm(t *testing.T) {
-	pat, _ := NewPattern(1, 2, [][]int{{0, 1}})
-	m, _ := NewMatrix(pat, []float64{3, 4})
-	if n := m.FrobeniusNorm(); n != 5 {
-		t.Fatalf("‖m‖F = %g, want 5", n)
 	}
 }
 

@@ -25,6 +25,12 @@ import (
 // order and scatters accumulate input rows in ascending order — the same
 // orders as Kernel.FusedGatherRow/FusedGatherRow4 and Matrix.FusedScatterRow
 // — so all paths produce bit-identical float64 results.
+//
+// Two forms use more of the structure than the addresses, each behind a
+// predicate RefreshValues derives from the weights: FusedGatherRow8Uniform
+// (UniformWeight: one positive power of two, so the sum can be scaled once)
+// and FusedGatherClosed (Closed: one weight on a system's closing layer, so a
+// residue class's columns are one chain, evaluated once).
 type RadixKernel struct {
 	plan    *StridePlan
 	mat     *Matrix
@@ -60,6 +66,12 @@ type RadixKernel struct {
 	// can hold a stale copy. FusedGatherRow8Uniform may run only while it is
 	// nonzero.
 	uniW float64
+
+	// closed says the layer is a numeral system's closing layer (m = radix, so
+	// pv·radix = N′) in Stockham mode with every stored value equal: all the
+	// columns of a residue class then run one chain, and FusedGatherClosed may
+	// stand in for every gather. Derived with uniW, for the same reason.
+	closed bool
 }
 
 // CanStockham reports whether the plan admits the Stockham packed layout:
@@ -134,7 +146,7 @@ func (rk *RadixKernel) RefreshValues() {
 		return
 	}
 	vals := rk.cscVals
-	rk.uniW = 0
+	rk.uniW, rk.closed = 0, false
 	same := true
 	for _, v := range vals {
 		if v != vals[0] {
@@ -144,6 +156,7 @@ func (rk *RadixKernel) RefreshValues() {
 	}
 	if same {
 		rk.stVals, rk.ownST = vals, false
+		rk.closed = rk.plan.m == rk.plan.radix
 		if frac, _ := math.Frexp(vals[0]); frac == 0.5 {
 			rk.uniW = vals[0] // a positive power of two (Frexp hands NaN and ±Inf back as they are)
 		}
@@ -170,6 +183,12 @@ func (rk *RadixKernel) RefreshValues() {
 // Stockham layout and every edge carries the same positive power of two, and
 // 0 otherwise. It tracks the weights through RefreshValues.
 func (rk *RadixKernel) UniformWeight() float64 { return rk.uniW }
+
+// Closed reports whether FusedGatherClosed computes this layer: Stockham
+// layout, a plan whose radix is its whole circulant modulus (the last digit of
+// a numeral system whose product is N′) and one weight on every edge, of any
+// value. It tracks the weights through RefreshValues, so read it per call.
+func (rk *RadixKernel) Closed() bool { return rk.closed }
 
 // Plan returns the stride plan the kernel executes.
 func (rk *RadixKernel) Plan() *StridePlan { return rk.plan }
@@ -947,6 +966,42 @@ func (rk *RadixKernel) FusedGatherRow8Uniform(outs, ins *[8][]float64, bias, cap
 	*nnz = n
 }
 
+// FusedGatherClosed is the single-row gather of a layer for which Closed()
+// holds (callers check). The edge rule j → j + n·ν mod N′, n < N, with ν·N = N′
+// makes the layer a complete bipartite block inside each residue class mod ν:
+// the radix columns k·ν+lo of class lo all read the packed run
+// in[lo·radix : (lo+1)·radix], in the same ascending order, and under one
+// weight they evaluate the same floating-point chain. It runs that chain once
+// per class and copies the ν results into the other radix−1 segments (the
+// output packing ν·N = N′ is the identity): N′ multiply-adds a row where the
+// per-column gathers spend N′·radix. The chain is the weighted one,
+// a ← a + w·x, so the outputs are fusedGatherRowST's and the CSC kernel's bit
+// for bit on every input and for any w — there is no exactness window — and,
+// with no weight stream to amortise over rows, blocks of 8 or 4 rows are this
+// function called per row. It does not allocate.
+//
+//radix:hotpath
+func (rk *RadixKernel) FusedGatherClosed(out, in []float64, bias, cap float64) int {
+	p := rk.plan
+	in = in[:p.rows]
+	out = out[:p.cols]
+	w := rk.stVals[0]
+	pv, radix := p.pv, p.radix
+	live := 0
+	for lo := range out[:pv] {
+		var a float64
+		for _, x := range in[lo*radix : (lo+1)*radix] {
+			a += w * x
+		}
+		out[lo] = reluCap(a+bias, cap, &live)
+	}
+	// out[:n] is a whole number of ν-periods, so doubling it replicates them.
+	for n := pv; n < len(out); n *= 2 {
+		copy(out[n:], out[:n])
+	}
+	return live * radix
+}
+
 // sum8 adds the eight elements of x onto a one at a time, in order — the
 // accumulation order every gather shares, so results stay bit-identical. It
 // inlines, each add taking its operand straight from memory.
@@ -956,10 +1011,10 @@ func sum8(a float64, x *[8]float64) float64 {
 
 // reluCap is the fused epilogue for one output whose bias is already added:
 // max(0, v) clamped to cap when cap > 0, counting the output in *live when it
-// is not ≤ 0 (so a NaN stays, and counts). It inlines. The two Stockham octets
-// use it, where it measures the same as the written-out form; the natural-order
-// octet keeps that form, which measured 0.60 against 0.71 ns/edge with the
-// helper on radix 8 at ν = 8.
+// is not ≤ 0 (so a NaN stays, and counts). It inlines. The class sum and the
+// two Stockham octets use it, where it measures the same as the written-out
+// form; the natural-order octet keeps that form, which measured 0.60 against
+// 0.71 ns/edge with the helper on radix 8 at ν = 8.
 func reluCap(v, cap float64, live *int) float64 {
 	if v <= 0 {
 		return 0

@@ -551,7 +551,10 @@ func TestUniformWeightFollowsValues(t *testing.T) {
 // FusedGatherRow8) against FusedGatherRow8Uniform on the same power-of-two
 // weights, and the weighted form again on perturbed weights. Shapes: the two
 // Graph Challenge 1024 layers (radix 32 at ν = 1 and ν = 32) and the middle
-// layer of radix (8,8,8).
+// and last layers of radix (8,8,8). The closing layers (ν·radix = N′) add a
+// closed cell: the same eight rows through FusedGatherClosed, still per
+// nominal edge — the edges the class sums stand for — so it reads against
+// uniform.
 func BenchmarkOctet(b *testing.B) {
 	for _, s := range []struct {
 		name          string
@@ -560,6 +563,7 @@ func BenchmarkOctet(b *testing.B) {
 		{"gc1024_l0", 1024, 1, 32},
 		{"gc1024_l1", 1024, 32, 32},
 		{"r888_l1", 512, 8, 8},
+		{"r888_l2", 512, 64, 8},
 	} {
 		m, k, rk := uniformTrio(b, s.np, s.pv, s.radix, 4/float64(s.radix))
 		rng := rand.New(rand.NewSource(1))
@@ -584,6 +588,13 @@ func BenchmarkOctet(b *testing.B) {
 		}
 		run("weighted", func() { rk.FusedGatherRow8(&outs, &ins, -0.1, 32, &nnz) })
 		run("uniform", func() { rk.FusedGatherRow8Uniform(&outs, &ins, -0.1, 32, &nnz) })
+		if rk.Closed() {
+			run("closed", func() {
+				for r := range ins {
+					nnz[r] = rk.FusedGatherClosed(outs[r], ins[r], -0.1, 32)
+				}
+			})
+		}
 		vals := m.Values()
 		for i := range vals {
 			vals[i] += (rng.Float64()*2 - 1) * 0.01
