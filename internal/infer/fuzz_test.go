@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -220,7 +221,8 @@ func sameBits(t *testing.T, what string, got, want *sparse.Dense) {
 // hand, and the radix layer's gather, scatter and (where its weights are one
 // power of two) uniform octet and (where it is closed) class sum — fed and
 // read through the Stockham packing when the layer runs packed — must all
-// agree bit for bit.
+// agree bit for bit; so must, on rows folded to each period it takes, the
+// periodic gather of an opening layer that holds one weight.
 func layersAgree(t *testing.T, rng *rand.Rand, csc, rad *Engine) {
 	t.Helper()
 	for l, k := range csc.kernels {
@@ -300,6 +302,21 @@ func layersAgree(t *testing.T, rng *rand.Rand, csc, rad *Engine) {
 		} else {
 			check("radix scatter", out, rk.FusedScatterRow(out, in, bias, clip))
 		}
+		if p := rk.Plan(); rk.OneWeight() && p.PlaceValue() == 1 && p.Radix() < p.NPrime() {
+			// An opening layer on one weight: fold x to every period the
+			// periodic gather takes, longest first, and compare with the CSC
+			// gather of that row.
+			for period := p.NPrime() - p.Radix(); period > 0; period -= p.Radix() {
+				if p.NPrime()%period != 0 {
+					continue
+				}
+				for r := range x {
+					x[r] = x[r%period]
+				}
+				wantN = k.FusedGatherRow(want, x, bias, clip)
+				check(fmt.Sprintf("periodic gather, period %d", period), out, rk.FusedGatherPeriodic(out, x[:period+p.Radix()-1], bias, clip))
+			}
+		}
 	}
 }
 
@@ -308,7 +325,8 @@ func layersAgree(t *testing.T, rng *rand.Rand, csc, rad *Engine) {
 // network, batch and epilogue, the CSC engine, the auto-built radix engine
 // (natural-order or Stockham, as the config resolves; uniform-weight octets
 // when the weights are left alone and the batch fits the window, class sums on
-// every closing layer still at one weight), a clone of
+// every closing layer still at one weight, periodic gathers and short rows
+// behind those), a clone of
 // each under concurrent use, and ReferenceInfer must agree bit for bit — on
 // the batch, on a shorter batch through the same engines, and on each
 // engine's own output view fed back in.
@@ -438,6 +456,44 @@ func FuzzInferPathsAgree(f *testing.F) {
 		{[]byte{1, 0, 6}, 67 + 4, 240, uniform | specials, 203},
 		{[]byte{1, 4, 4}, 67 + 7, 240, uniform | 1<<3, 252},
 		{[]byte{1, 0, 6}, 67 + 12, 240, uniform | 5<<3, 1194},
+		// Periodic gathers behind class sums, and the short hand-offs between
+		// them. (8,8)|(8,8)|(8,8) left at 1/2 — layers 2 and 4 gather one period
+		// of 8 columns from 15 leading entries and hand a 16-entry head on — on
+		// 13 rows inside the window, then on subnormals (this seed draws zero
+		// biases, so they reach the output); one layer halved, which keeps every
+		// layer on one weight but not its neighbour's.
+		{[]byte{1, 4, 4, 2, 0, 0}, 12, 240, uniform, 406},
+		{[]byte{1, 4, 4, 2, 0, 0}, 12, 240, uniform | 1<<3, 710},
+		{[]byte{1, 4, 4, 2, 0, 0}, 2*67 + 3, 240, uniform, 406},
+		// The same stack with one layer perturbed, rows out of the window, zero
+		// biases: the opening layer 4 (it gathers per column again, layer 3
+		// writes whole rows, layer 5 reads one), the closing layer 3 (off the
+		// class sums, and layer 4 behind it off the periodic gather) and the
+		// closing layer 1. Batches of 8, 5 and 1.
+		{[]byte{1, 4, 4, 2, 0, 0}, 67 + 7, 240, uniform | 5<<3, 5639},
+		{[]byte{1, 4, 4, 2, 0, 0}, 67 + 4, 240, uniform | specials, 8734},
+		{[]byte{1, 4, 4, 2, 0, 0}, 67 + 0, 240, uniform | 1<<3, 2767},
+		// (2,32)|(2,32): a period of 2 under a radix of 2 — three entries in, a
+		// head of four, every chain on the scalar lanes.
+		{[]byte{1, 0, 6, 1, 0}, 7, 240, uniform | specials, 451},
+		{[]byte{1, 0, 6, 1, 0}, 12, 240, uniform, 406},
+		// (16,4)|(4,16): a period of four radices, so the wrapped columns are
+		// chains of their own; then its opening layer 2 and its closing layer 1
+		// perturbed.
+		{[]byte{1, 5, 2, 1, 1}, 4, 240, uniform | 1<<3, 462},
+		{[]byte{1, 5, 2, 1, 1}, 67 + 12, 240, uniform | 5<<3, 997},
+		{[]byte{1, 5, 2, 1, 1}, 67 + 3, 240, uniform | specials, 710},
+		// (4,8)|(8,4): the period 4 is no multiple of the radix 8, so the stack
+		// must stay on the forms it had.
+		{[]byte{1, 2, 4, 1, 1}, 12, 240, uniform, 406},
+		// (4,4,4)|(4,4,4): the periodic layer 3 feeds a middle digit, which needs
+		// the whole packed row (the decoder stops at N′ = 64; (8,8,8) twice is in
+		// TestPeriodicHandoffs).
+		{[]byte{2, 2, 2, 2, 1, 0}, 12, 240, uniform | 5<<3, 997},
+		{[]byte{2, 2, 2, 2, 1, 0}, 7, 240, uniform, 406},
+		// (8,8)|(8,8) with positive biases on thin rows: rows that died come back
+		// filled full width beside live rows handed over short.
+		{[]byte{1, 4, 4, 1, 0}, 12, 60, uniform | 1, 400},
 	} {
 		f.Add(s.spec, s.rows, s.fill, s.opts, s.seed)
 	}

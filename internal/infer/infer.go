@@ -86,8 +86,9 @@ type Engine struct {
 	// Current layer, read by step across the worker pool.
 	cur struct {
 		k          layerKernel
+		need       layerNeeds // k's, as declared for this step
 		in, out    []float64
-		inW, outW  int
+		inW, outW  int // row strides; need.in and need.out may be less
 		bias, clip float64
 	}
 }
@@ -232,26 +233,27 @@ func (e *Engine) ensure(batch int) {
 // layerStep processes active rows [lo, hi) of the current layer: one fused
 // multiply + epilogue pass per row, recording the row's new activation
 // count. Mostly-zero rows take the layer's scatter, whose zero-input skip
-// does only the work the row's live activations require. Dense rows take
-// its gather (every output written once, no random writes), blocked as wide
-// as the layer allows so each weight is loaded once per block; what is left
-// at the end of the range runs widest form first — one quad if four or more
-// rows remain, then single rows. Chunks arrive in multiples of the pool
-// grain (the layer's block), so remainders only occur in a range's final
-// rows. layerStep runs concurrently for disjoint ranges on the worker pool.
+// does only the work the row's live activations require, unless the step's
+// form gathers every row. Dense rows take its gather (every output written
+// once, no random writes), blocked as wide as the layer allows so each
+// weight is loaded once per block; what is left at the end of the range runs
+// widest form first — one quad if four or more rows remain, then single
+// rows. Chunks arrive in multiples of the pool grain (the layer's block), so
+// remainders only occur in a range's final rows. layerStep runs concurrently
+// for disjoint ranges on the worker pool.
 //
 //radix:hotpath
 func (e *Engine) layerStep(lo, hi int) {
 	cur := &e.cur
-	need := cur.k.needs()
+	need := cur.need
 	var blk rowBlock
 	var rows [8]int
 	n := 0
 	for i := lo; i < hi; i++ {
 		b := int(e.active[i])
-		in := cur.in[b*cur.inW : (b+1)*cur.inW]
-		out := cur.out[b*cur.outW : (b+1)*cur.outW]
-		if live := int(e.rowNNZ[b]); live*2 < cur.inW {
+		in := cur.in[b*cur.inW : b*cur.inW+need.in]
+		out := cur.out[b*cur.outW : b*cur.outW+need.out]
+		if live := int(e.rowNNZ[b]); live*2 < cur.inW && !need.form.everyRow() {
 			var nz []int32
 			if need.nz {
 				nz = e.nzIdx[b*e.nzW : b*e.nzW+live]
@@ -376,16 +378,25 @@ func (e *Engine) UniformLayers() int {
 	return n
 }
 
+// PeriodicLayers reports how many layers gather one period of columns
+// (sparse.FusedGatherPeriodic) whatever the batch: on the Stockham family, an
+// opening layer whose radix divides the place value of the closing layer before
+// it while both hold one weight — every second layer of a config-built Graph
+// Challenge stack past layer 0. Writing either layer's weights takes it out.
+func (e *Engine) PeriodicLayers() int { return e.formLayers(periodicRows) }
+
 // ClosedLayers reports how many layers gather by class sums
 // (sparse.FusedGatherClosed) whatever the batch: a numeral system's closing
 // layer on the Stockham family while all its weights are equal — every second
 // layer of a config-built Graph Challenge stack; 0 on a CSC or natural-order
 // engine. Writing a layer's weights (a reload that ships trained ones) takes it
 // out of the count.
-func (e *Engine) ClosedLayers() int {
-	n := 0
-	for _, rk := range e.radix {
-		if rk.Closed() {
+func (e *Engine) ClosedLayers() int { return e.formLayers(classSums) }
+
+// formLayers counts the layers that declare form f as the weights stand.
+func (e *Engine) formLayers(f gatherForm) (n int) {
+	for _, k := range e.steps {
+		if k.needs().form == f {
 			n++
 		}
 	}
@@ -490,22 +501,26 @@ func (e *Engine) infer(y0 *sparse.Dense) (*sparse.Dense, error) {
 	prof := e.prof.Load()
 	profiled := prof != nil && prof.sample()
 	for l, k := range e.steps {
-		if l < uni {
-			k = e.uniform[l]
-		}
 		outW := e.layers[l].Cols()
+		// The weights decide what the layer runs (they change under
+		// RefreshWeights), then the batch: a per-column step inside the window
+		// runs the uniform-weight twin.
+		need := k.needs()
+		if l < uni && need.form == perColumn {
+			k, need.form = e.uniform[l], uniformOctets
+		}
 		b := e.bias[l]
-		e.cur.k, e.cur.in, e.cur.out = k, in, out
+		e.cur.k, e.cur.need, e.cur.in, e.cur.out = k, need, in, out
 		e.cur.inW, e.cur.outW = inW, outW
 		e.cur.bias, e.cur.clip = b, e.cap
 		// The grain keeps pool chunks at whole gather blocks, so the layer's
 		// widest form engages even when many workers shrink the chunks.
-		grain := k.needs().block
+		grain := need.block
 		if profiled {
 			rows := len(e.active)
 			t0 := time.Now()
 			e.pool.Run(rows, grain, e.step)
-			prof.record(l, rows, e.layers[l].NNZ(), time.Since(t0), l < uni, e.radix != nil && e.radix[l].Closed())
+			prof.record(l, rows, e.layers[l].NNZ(), time.Since(t0), need.form)
 		} else {
 			e.pool.Run(len(e.active), grain, e.step)
 		}

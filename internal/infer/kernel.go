@@ -149,14 +149,18 @@ func (e *Engine) compileRadixPlans(cfg core.Config) error {
 	if stockham {
 		uniform = make([]layerKernel, len(radixKerns))
 	}
+	var prev *stockhamLayer
 	for l, rk := range radixKerns {
 		steps[l] = radixLayer{rk}
 		if stockham {
 			if err := rk.EnableStockham(); err != nil {
 				return fmt.Errorf("infer: %w", err)
 			}
-			st := stockhamLayer{radixLayer{rk}, l == 0}
-			steps[l], uniform[l] = st, uniformLayer{st}
+			st := &stockhamLayer{radixLayer: radixLayer{rk}, prev: prev}
+			if prev != nil {
+				prev.next = st
+			}
+			steps[l], uniform[l], prev = st, uniformLayer{st}, st
 		}
 	}
 	e.radix = radixKerns

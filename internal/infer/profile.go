@@ -20,12 +20,11 @@ type Profiler struct {
 }
 
 type layerProf struct {
-	batches  atomic.Int64
-	rows     atomic.Int64
-	ns       atomic.Int64
-	edges    atomic.Int64
-	uniform  atomic.Int64
-	classSum atomic.Int64
+	batches atomic.Int64
+	rows    atomic.Int64
+	ns      atomic.Int64
+	edges   atomic.Int64
+	forms   [periodicRows + 1]atomic.Int64 // batches by the gatherForm that ran
 }
 
 // NewProfiler builds a profiler for an engine with the given layer
@@ -49,11 +48,12 @@ func (p *Profiler) sample() bool {
 // record folds one sampled layer execution into the tallies: rows
 // active entering the layer, the layer's stored weight count (so
 // edges = rows×nnz matches the repo's Gedges/s convention), and the
-// kernel wall time. classSum says the layer ran as a closed layer, every
-// gather a class sum (edges stay nominal: rows×nnz is what the sums stand for,
-// not the multiply-adds spent); otherwise uniform says the batch's inputs
-// passed the exactness window and the layer ran its uniform-weight binding.
-func (p *Profiler) record(layer, rows int, nnz int, d time.Duration, uniform, classSum bool) {
+// kernel wall time. form is what the step ran: class sums and periodic gathers
+// on every row (edges stay nominal: rows×nnz is what the shared chains stand
+// for, not the multiply-adds spent), the uniform-weight binding when the
+// batch's inputs passed the exactness window, else the weighted per-column
+// forms.
+func (p *Profiler) record(layer, rows int, nnz int, d time.Duration, form gatherForm) {
 	if layer < 0 || layer >= len(p.layers) {
 		return
 	}
@@ -62,11 +62,7 @@ func (p *Profiler) record(layer, rows int, nnz int, d time.Duration, uniform, cl
 	lp.rows.Add(int64(rows))
 	lp.ns.Add(d.Nanoseconds())
 	lp.edges.Add(int64(rows) * int64(nnz))
-	if classSum {
-		lp.classSum.Add(1)
-	} else if uniform {
-		lp.uniform.Add(1)
-	}
+	lp.forms[form].Add(1)
 }
 
 // LayerProfile is one layer's accumulated sampled-kernel tallies.
@@ -76,6 +72,7 @@ type LayerProfile struct {
 	Batches      int64   `json:"batches"`
 	Uniform      int64   `json:"uniform_batches"`   // of Batches, those run on the uniform-weight binding
 	ClassSum     int64   `json:"class_sum_batches"` // of Batches, those run as a closed layer's class sums
+	Periodic     int64   `json:"periodic_batches"`  // of Batches, those run as periodic gathers behind a closed layer
 	Rows         int64   `json:"rows"`
 	Ns           int64   `json:"ns"`
 	Edges        int64   `json:"edges"`
@@ -103,8 +100,9 @@ func (p *Profiler) snapshot(nnz []int) ProfileSnapshot {
 		l := LayerProfile{
 			Layer:    i,
 			Batches:  lp.batches.Load(),
-			Uniform:  lp.uniform.Load(),
-			ClassSum: lp.classSum.Load(),
+			Uniform:  lp.forms[uniformOctets].Load(),
+			ClassSum: lp.forms[classSums].Load(),
+			Periodic: lp.forms[periodicRows].Load(),
 			Rows:     lp.rows.Load(),
 			Ns:       lp.ns.Load(),
 			Edges:    lp.edges.Load(),

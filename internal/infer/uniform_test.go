@@ -33,8 +33,9 @@ func gcEngines(t *testing.T, layers int) (rad, csc *Engine) {
 // inferCounting runs one profiled batch and returns a copy of the output with
 // the number of layers that ran their uniform-weight binding on it, as the
 // engine's own profiler counted them — the fast path is observed, not assumed.
-// A closed layer runs class sums on every batch, never the uniform binding:
-// the profile must say so for exactly the layers whose kernels report Closed.
+// A closed layer runs class sums on every batch and an opening layer behind one
+// periodic gathers, never the uniform binding: the profile must say so for
+// exactly the layers whose kernels report Closed and that followsClosed picks.
 func inferCounting(t *testing.T, e *Engine, batch *sparse.Dense) (*sparse.Dense, int) {
 	t.Helper()
 	e.EnableProfiling(1)
@@ -51,19 +52,34 @@ func inferCounting(t *testing.T, e *Engine, batch *sparse.Dense) (*sparse.Dense,
 		}
 		ran += int(l.Uniform)
 		closed := e.radix != nil && e.radix[l.Layer].Closed()
-		if (l.ClassSum == 1) != closed || l.ClassSum+l.Uniform > 1 {
-			t.Fatalf("layer %d (closed %t) profiled %d class-sum and %d uniform batches", l.Layer, closed, l.ClassSum, l.Uniform)
+		periodic := followsClosed(e, l.Layer)
+		if (l.ClassSum == 1) != closed || (l.Periodic == 1) != periodic || l.ClassSum+l.Periodic+l.Uniform > 1 {
+			t.Fatalf("layer %d (closed %t, follows a closed layer %t) profiled %d class-sum, %d periodic and %d uniform batches",
+				l.Layer, closed, periodic, l.ClassSum, l.Periodic, l.Uniform)
 		}
 	}
 	return out.Clone(), ran
 }
 
-// openLayers is how many of e's first n layers are not closed: the ones an
-// in-window batch runs on the uniform-weight binding.
+// followsClosed says, from the kernels alone, whether layer l gathers
+// periodically: a Stockham opening layer with one weight, not itself closing,
+// behind a closed layer whose place value its radix divides.
+func followsClosed(e *Engine, l int) bool {
+	if e.uniform == nil || l == 0 {
+		return false
+	}
+	rk, p := e.radix[l], e.radix[l].Plan()
+	return e.radix[l-1].Closed() && rk.OneWeight() && p.PlaceValue() == 1 && p.Radix() < p.NPrime() &&
+		e.radix[l-1].Plan().PlaceValue()%p.Radix() == 0
+}
+
+// openLayers is how many of e's first n layers are neither closed nor periodic:
+// the ones an in-window batch runs on the uniform-weight binding — layer 0 and
+// the middle digits of a config-built stack.
 func openLayers(e *Engine, n int) int {
 	open := 0
-	for _, rk := range e.radix[:n] {
-		if !rk.Closed() {
+	for l, rk := range e.radix[:n] {
+		if !rk.Closed() && !followsClosed(e, l) {
 			open++
 		}
 	}
@@ -178,8 +194,8 @@ func TestUniformBitFollowsWeights(t *testing.T) {
 			want := mustInfer(t, csc, batch)
 			for _, e := range []*Engine{mutate, other} {
 				got, ran := inferCounting(t, e, batch)
-				if ran != 2 || e.ClosedLayers() != 2 {
-					t.Fatalf("fresh engine ran %d of its 2 open layers uniform, %d closed", ran, e.ClosedLayers())
+				if ran != 1 || e.ClosedLayers() != 2 || e.PeriodicLayers() != 1 {
+					t.Fatalf("fresh engine ran %d layers uniform with %d closed and %d periodic, want 1 (layer 0), 2 and 1", ran, e.ClosedLayers(), e.PeriodicLayers())
 				}
 				sameBits(t, "fresh", got, want)
 			}
@@ -193,8 +209,8 @@ func TestUniformBitFollowsWeights(t *testing.T) {
 					t.Fatalf("perturbed: %d uniform layers, want 0", e.UniformLayers())
 				}
 				got, ran := inferCounting(t, e, batch)
-				if ran != 0 || e.ClosedLayers() != 0 {
-					t.Fatalf("perturbed engine ran %d layers uniform, %d closed", ran, e.ClosedLayers())
+				if ran != 0 || e.ClosedLayers() != 0 || e.PeriodicLayers() != 0 {
+					t.Fatalf("perturbed engine ran %d layers uniform, %d closed, %d periodic", ran, e.ClosedLayers(), e.PeriodicLayers())
 				}
 				sameBits(t, "perturbed", got, wantPerturbed)
 			}
@@ -214,8 +230,8 @@ func TestUniformBitFollowsWeights(t *testing.T) {
 					t.Fatalf("restored: %d uniform layers, want 4", e.UniformLayers())
 				}
 				got, ran := inferCounting(t, e, batch)
-				if ran != 2 || e.ClosedLayers() != 2 {
-					t.Fatalf("restored engine ran %d of its 2 open layers uniform, %d closed", ran, e.ClosedLayers())
+				if ran != 1 || e.ClosedLayers() != 2 || e.PeriodicLayers() != 1 {
+					t.Fatalf("restored engine ran %d layers uniform with %d closed and %d periodic, want 1 (layer 0), 2 and 1", ran, e.ClosedLayers(), e.PeriodicLayers())
 				}
 				sameBits(t, "restored", got, want)
 			}
@@ -224,10 +240,11 @@ func TestUniformBitFollowsWeights(t *testing.T) {
 }
 
 // TestUniformGuardOutcomes: a Graph Challenge batch takes the uniform
-// bindings on every open layer (the closed half sums classes whatever the
-// batch); the same batch with one element outside any correct window —
-// subnormal, MaxFloat64, NaN, +Inf — takes the weighted ones on every open
-// layer, and either way the output is the CSC engine's bit for bit.
+// binding on its one open layer, layer 0 (the closing half sums classes and the
+// opening layers behind them gather periodically, whatever the batch); the same
+// batch with one element outside any correct window — subnormal, MaxFloat64,
+// NaN, +Inf — takes the weighted one there, and either way the output is the
+// CSC engine's bit for bit.
 func TestUniformGuardOutcomes(t *testing.T) {
 	for _, layers := range []int{24, 120} {
 		rad, csc := gcEngines(t, layers)
@@ -236,8 +253,9 @@ func TestUniformGuardOutcomes(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, ran := inferCounting(t, rad, batch)
-		if ran != layers/2 || rad.ClosedLayers() != layers/2 {
-			t.Errorf("1024×%d: %d layers ran uniform on a SparseBatch batch and %d are closed, want half each", layers, ran, rad.ClosedLayers())
+		if ran != 1 || rad.ClosedLayers() != layers/2 || rad.PeriodicLayers() != layers/2-1 {
+			t.Errorf("1024×%d: %d layers ran uniform on a SparseBatch batch, %d are closed and %d periodic, want 1, %d and %d",
+				layers, ran, rad.ClosedLayers(), rad.PeriodicLayers(), layers/2, layers/2-1)
 		}
 		sameBits(t, fmt.Sprintf("1024×%d", layers), got, mustInfer(t, csc, batch))
 		if layers == 120 {

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,15 +85,30 @@ func TestHTTPModelsReportKernel(t *testing.T) {
 	if info.Kernel != "radix" {
 		t.Fatalf("register info kernel = %q, want radix", info.Kernel)
 	}
-	// A lifted stack runs natural order: no uniform octet, no class sums.
-	if info.UniformLayers != 0 || info.ClassSumLayers != 0 {
-		t.Fatalf("register info: %d uniform and %d class-sum layers on a lifted config, want 0 and 0", info.UniformLayers, info.ClassSumLayers)
+	// A lifted stack runs natural order: no uniform octet, no class sums, no
+	// periodic gathers.
+	if info.UniformLayers != 0 || info.ClassSumLayers != 0 || info.PeriodicLayers != 0 {
+		t.Fatalf("register info: %d uniform, %d class-sum and %d periodic layers on a lifted config, want 0, 0 and 0",
+			info.UniformLayers, info.ClassSumLayers, info.PeriodicLayers)
 	}
 	// (4,4) lifted 2→2→2: two distinct 32×32 layers of 256 edges. One run of
 	// weights; per layer 33+256 CSR ints and 33+256+256 CSC int32s.
 	if info.DistinctLayers != 2 || info.ValueBytes != 256*8 || info.StructureBytes != 2*((33+256)*8+(33+2*256)*4) {
 		t.Fatalf("register info footprint = %d distinct layers, %d structure bytes, %d value bytes",
 			info.DistinctLayers, info.StructureBytes, info.ValueBytes)
+	}
+
+	// (4,4) twice: the second system's opening layer follows a closing layer
+	// whose place value its radix divides.
+	twice, err := core.NewConfig([]radix.System{radix.MustNew(4, 4), radix.MustNew(4, 4)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, body = adminDo(t, http.MethodPost, ts.URL+"/v1/models", registerBody(t, "twice", twice, 1)); code != http.StatusCreated {
+		t.Fatalf("register (4,4)(4,4): status %d: %s", code, body)
+	}
+	if !strings.Contains(string(body), `"uniform_layers":4,"class_sum_layers":2,"periodic_layers":1,`) {
+		t.Fatalf("register (4,4)(4,4): kernel-use fields missing from %s", body)
 	}
 
 	code, body = adminDo(t, http.MethodGet, ts.URL+"/v1/models", nil)
@@ -108,11 +124,14 @@ func TestHTTPModelsReportKernel(t *testing.T) {
 		kernels[mi.Name] = mi.Kernel
 		// "m" is testConfig's (4,4) on the Stockham chain: both layers hold one
 		// power of two, and the second closes the system.
-		if mi.Name == "m" && (mi.UniformLayers != 2 || mi.ClassSumLayers != 1) {
-			t.Fatalf("model m: %d uniform and %d class-sum layers, want 2 and 1", mi.UniformLayers, mi.ClassSumLayers)
+		if mi.Name == "m" && (mi.UniformLayers != 2 || mi.ClassSumLayers != 1 || mi.PeriodicLayers != 0) {
+			t.Fatalf("model m: %d uniform, %d class-sum and %d periodic layers, want 2, 1 and 0", mi.UniformLayers, mi.ClassSumLayers, mi.PeriodicLayers)
+		}
+		if mi.Name == "twice" && mi.PeriodicLayers != 1 {
+			t.Fatalf("model twice: %d periodic layers, want 1", mi.PeriodicLayers)
 		}
 	}
-	if kernels["m"] != "radix" || kernels["lift"] != "radix" {
+	if kernels["m"] != "radix" || kernels["lift"] != "radix" || kernels["twice"] != "radix" {
 		t.Fatalf("listed kernels = %v", kernels)
 	}
 }

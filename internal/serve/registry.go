@@ -154,13 +154,16 @@ type ModelInfo struct {
 	// Kernel is the kernel family the model's engines resolved to ("csc" or
 	// "radix" — never "auto", which resolves at build time).
 	Kernel string `json:"kernel"`
-	// UniformLayers and ClassSumLayers say how much of the stack's structure
-	// the current generation's kernels use (infer.Engine.UniformLayers and
-	// ClosedLayers, read when asked): layers holding one power-of-two weight,
-	// and closing layers holding one weight, which gather by class sums. A
-	// reload that ships written weights shows up as both dropping.
+	// UniformLayers, ClassSumLayers and PeriodicLayers say how much of the
+	// stack's structure the current generation's kernels use
+	// (infer.Engine.UniformLayers, ClosedLayers and PeriodicLayers, read when
+	// asked): layers holding one power-of-two weight; closing layers holding one
+	// weight, which gather by class sums; and the one-weight opening layers
+	// behind those, which gather one period of the repeating row. A reload that
+	// ships written weights shows up as all three dropping.
 	UniformLayers  int `json:"uniform_layers"`
 	ClassSumLayers int `json:"class_sum_layers"`
+	PeriodicLayers int `json:"periodic_layers"`
 	// DistinctLayers, StructureBytes and ValueBytes are infer.Engine.Footprint
 	// of the current generation, read when asked: the index and weight storage
 	// the whole warm pool shares, arrays that several layers read counted
@@ -578,6 +581,7 @@ func (m *Model) Info() ModelInfo {
 
 		UniformLayers:  ep.all[0].UniformLayers(),
 		ClassSumLayers: ep.all[0].ClosedLayers(),
+		PeriodicLayers: ep.all[0].PeriodicLayers(),
 		DistinctLayers: fp.DistinctLayers,
 		StructureBytes: fp.StructureBytes,
 		ValueBytes:     fp.ValueBytes,

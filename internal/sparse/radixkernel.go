@@ -26,11 +26,13 @@ import (
 // orders as Kernel.FusedGatherRow/FusedGatherRow4 and Matrix.FusedScatterRow
 // — so all paths produce bit-identical float64 results.
 //
-// Two forms use more of the structure than the addresses, each behind a
+// Three forms use more of the structure than the addresses, each behind a
 // predicate RefreshValues derives from the weights: FusedGatherRow8Uniform
-// (UniformWeight: one positive power of two, so the sum can be scaled once)
-// and FusedGatherClosed (Closed: one weight on a system's closing layer, so a
-// residue class's columns are one chain, evaluated once).
+// (UniformWeight: one positive power of two, so the sum can be scaled once),
+// FusedGatherClosed (Closed: one weight on a system's closing layer, so a
+// residue class's columns are one chain, evaluated once) and
+// FusedGatherPeriodic (OneWeight on the opening layer behind a closed one: the
+// input row repeats, so the columns one period apart are one chain).
 type RadixKernel struct {
 	plan    *StridePlan
 	mat     *Matrix
@@ -67,11 +69,11 @@ type RadixKernel struct {
 	// nonzero.
 	uniW float64
 
-	// closed says the layer is a numeral system's closing layer (m = radix, so
-	// pv·radix = N′) in Stockham mode with every stored value equal: all the
-	// columns of a residue class then run one chain, and FusedGatherClosed may
-	// stand in for every gather. Derived with uniW, for the same reason.
-	closed bool
+	// oneW says the kernel is in Stockham mode with every stored value equal,
+	// whatever the value: columns that read the same inputs in the same order
+	// then run one chain, which FusedGatherClosed and FusedGatherPeriodic
+	// evaluate once. Derived with uniW, for the same reason.
+	oneW bool
 }
 
 // CanStockham reports whether the plan admits the Stockham packed layout:
@@ -146,17 +148,15 @@ func (rk *RadixKernel) RefreshValues() {
 		return
 	}
 	vals := rk.cscVals
-	rk.uniW, rk.closed = 0, false
-	same := true
+	rk.uniW, rk.oneW = 0, true
 	for _, v := range vals {
 		if v != vals[0] {
-			same = false
+			rk.oneW = false
 			break
 		}
 	}
-	if same {
+	if rk.oneW {
 		rk.stVals, rk.ownST = vals, false
-		rk.closed = rk.plan.m == rk.plan.radix
 		if frac, _ := math.Frexp(vals[0]); frac == 0.5 {
 			rk.uniW = vals[0] // a positive power of two (Frexp hands NaN and ±Inf back as they are)
 		}
@@ -184,11 +184,15 @@ func (rk *RadixKernel) RefreshValues() {
 // 0 otherwise. It tracks the weights through RefreshValues.
 func (rk *RadixKernel) UniformWeight() float64 { return rk.uniW }
 
-// Closed reports whether FusedGatherClosed computes this layer: Stockham
-// layout, a plan whose radix is its whole circulant modulus (the last digit of
-// a numeral system whose product is N′) and one weight on every edge, of any
-// value. It tracks the weights through RefreshValues, so read it per call.
-func (rk *RadixKernel) Closed() bool { return rk.closed }
+// OneWeight reports whether the kernel runs the Stockham layout with the same
+// weight on every edge, of any value. It tracks the weights through
+// RefreshValues, so read it per call.
+func (rk *RadixKernel) OneWeight() bool { return rk.oneW }
+
+// Closed reports whether FusedGatherClosed computes this layer: OneWeight on a
+// plan whose radix is its whole circulant modulus (the last digit of a numeral
+// system whose product is N′). Read it per call, like OneWeight.
+func (rk *RadixKernel) Closed() bool { return rk.oneW && rk.plan.m == rk.plan.radix }
 
 // Plan returns the stride plan the kernel executes.
 func (rk *RadixKernel) Plan() *StridePlan { return rk.plan }
@@ -980,26 +984,150 @@ func (rk *RadixKernel) FusedGatherRow8Uniform(outs, ins *[8][]float64, bias, cap
 // with no weight stream to amortise over rows, blocks of 8 or 4 rows are this
 // function called per row. It does not allocate.
 //
+// Either slice may be short of the row. An in shorter than Rows() is the head
+// FusedGatherPeriodic leaves — natural order, period + ν entries — where class
+// lo's run is in[lo], then in[lo+ν], …, in[lo+period] round and round, eight
+// classes side by side. An out shorter than Cols() gets that many leading
+// entries of the ν-periodic row. The count is the full row's either way.
+//
 //radix:hotpath
 func (rk *RadixKernel) FusedGatherClosed(out, in []float64, bias, cap float64) int {
 	p := rk.plan
-	in = in[:p.rows]
-	out = out[:p.cols]
 	w := rk.stVals[0]
 	pv, radix := p.pv, p.radix
 	live := 0
-	for lo := range out[:pv] {
-		var a float64
-		for _, x := range in[lo*radix : (lo+1)*radix] {
-			a += w * x
+	if len(in) < p.rows {
+		for lo := 0; lo < pv; lo += 8 {
+			lanes := min(8, pv-lo)
+			a := slide(in, w, lo, lanes, radix, pv, len(in)-pv)
+			for i, v := range a[:lanes] {
+				out[lo+i] = reluCap(v+bias, cap, &live)
+			}
 		}
-		out[lo] = reluCap(a+bias, cap, &live)
+	} else {
+		for lo := range out[:pv] {
+			var a float64
+			for _, x := range in[lo*radix : (lo+1)*radix] {
+				a += w * x
+			}
+			out[lo] = reluCap(a+bias, cap, &live)
+		}
 	}
 	// out[:n] is a whole number of ν-periods, so doubling it replicates them.
 	for n := pv; n < len(out); n *= 2 {
 		copy(out[n:], out[:n])
 	}
 	return live * radix
+}
+
+// FusedGatherPeriodic is the single-row gather of an opening layer (ν = 1,
+// radix < N′, OneWeight) whose input row repeats with a period P the radix
+// divides — what a Closed layer of place value P leaves. in is the row's
+// P + radix − 1 leading entries, all the layer reads. Column t ≥ radix − 1 reads
+// rows t−radix+1 … t, so column t + P reads the value sequence of column t: P
+// chains cover the unwrapped columns, eight neighbours side by side over a
+// sliding window. The radix − 1 wrapped columns (rows 0 … t, then the row's
+// last radix−1−t) are chains of their own, except that with P = radix each is
+// in[0:P] in order. Every chain is the weighted a ← a + w·x in ascending row
+// order — the CSC kernel's bit for bit on every input, as in FusedGatherClosed
+// — and a row costs (P + radix)·radix multiply-adds, not N′·radix.
+//
+// An out of Cols() entries is the whole row in the packed output layout, where
+// block k repeats its entries 1 … P/radix. A shorter one, of P + radix entries,
+// receives the head: columns 0 … P+radix−1 in natural order, the last being
+// column radix−1 again so that every class steps alike in FusedGatherClosed.
+// The count is the full row's either way. It does not allocate.
+//
+//radix:hotpath
+func (rk *RadixKernel) FusedGatherPeriodic(out, in []float64, bias, cap float64) int {
+	p := rk.plan
+	w, radix := rk.stVals[0], p.radix
+	period := len(in) - radix + 1
+	// Column up·radix + k lives at k·sk + up·su: natural order in the head,
+	// block k of the packed layout otherwise.
+	sk, su := 1, radix
+	packed := len(out) == p.cols
+	if packed {
+		sk, su = p.np/radix, 1
+	}
+	var a float64
+	wrapped := 0
+	for t := 0; t < radix-1; t++ {
+		if t == 0 || period != radix { // else column t−1's chain over again
+			a = 0
+			for _, x := range in[:t+1] {
+				a += w * x
+			}
+			for _, x := range in[period-(radix-1-t) : period] {
+				a += w * x
+			}
+		}
+		out[t*sk] = reluCap(a+bias, cap, &wrapped)
+	}
+	// Unwrapped column radix−1+s stands for N′/P columns of the row, one fewer
+	// from column P on (n[1]).
+	var n [2]int
+	k, pos := radix-1, (radix-1)*sk
+	for s := 0; s < period; s += 8 {
+		lanes := min(8, period-s)
+		sums := slide(in, w, s, lanes, radix, 1, 0)
+		for i, v := range sums[:lanes] {
+			past := 0
+			if s+i > period-radix {
+				past = 1
+			}
+			out[pos] = reluCap(v+bias, cap, &n[past])
+			pos += sk
+			if k++; k == radix {
+				k, pos = 0, pos-radix*sk+su
+			}
+		}
+	}
+	out[pos] = out[(radix-1)*sk]
+	if packed {
+		for k := 0; k < radix; k++ {
+			blk := out[k*sk+1 : (k+1)*sk]
+			for n := period / radix; n < len(blk); n *= 2 {
+				copy(blk[n:], blk[:n])
+			}
+		}
+	}
+	reps := p.np / period
+	return wrapped + reps*n[0] + (reps-1)*n[1]
+}
+
+// slide runs lanes ≤ 8 weighted chains side by side: chain i accumulates
+// a ← a + w·x[j+i] over taps positions j, which start at s and advance by step,
+// falling back by span on reaching len(x) — each chain in the order its
+// positions come. Eight lanes read one window per tap; fewer run in turn.
+func slide(x []float64, w float64, s, lanes, taps, step, span int) (a [8]float64) {
+	if lanes < 8 {
+		for i := range a[:lanes] {
+			for t, j := 0, s+i; t < taps; t++ {
+				a[i] += w * x[j]
+				if j += step; j >= len(x) {
+					j -= span
+				}
+			}
+		}
+		return a
+	}
+	var a0, a1, a2, a3, a4, a5, a6, a7 float64
+	for t := 0; t < taps; t++ {
+		v := (*[8]float64)(x[s : s+8])
+		a0 += w * v[0]
+		a1 += w * v[1]
+		a2 += w * v[2]
+		a3 += w * v[3]
+		a4 += w * v[4]
+		a5 += w * v[5]
+		a6 += w * v[6]
+		a7 += w * v[7]
+		if s += step; s >= len(x) {
+			s -= span
+		}
+	}
+	return [8]float64{a0, a1, a2, a3, a4, a5, a6, a7}
 }
 
 // sum8 adds the eight elements of x onto a one at a time, in order — the

@@ -550,20 +550,26 @@ func TestUniformWeightFollowsValues(t *testing.T) {
 // in ns per edge: the weighted form (fusedGatherRow8ST behind
 // FusedGatherRow8) against FusedGatherRow8Uniform on the same power-of-two
 // weights, and the weighted form again on perturbed weights. Shapes: the two
-// Graph Challenge 1024 layers (radix 32 at ν = 1 and ν = 32) and the middle
-// and last layers of radix (8,8,8). The closing layers (ν·radix = N′) add a
-// closed cell: the same eight rows through FusedGatherClosed, still per
-// nominal edge — the edges the class sums stand for — so it reads against
-// uniform.
+// Graph Challenge 1024 layers (radix 32 at ν = 1 and ν = 32), the two of
+// radix (8,8) and the middle and last layers of radix (8,8,8). The closing
+// layers (ν·radix = N′) add a closed cell: the same eight rows through
+// FusedGatherClosed, still per nominal edge — the edges the class sums stand
+// for — so it reads against uniform. Where a second system of the same radices
+// would put the layer behind a closing one (period > 0), the opening layer adds
+// periodic cells — FusedGatherPeriodic on the row's leading entries, writing
+// the packed row and the head — and the closing layer closed_head: the class
+// sums read from that head.
 func BenchmarkOctet(b *testing.B) {
 	for _, s := range []struct {
-		name          string
-		np, pv, radix int
+		name                  string
+		np, pv, radix, period int
 	}{
-		{"gc1024_l0", 1024, 1, 32},
-		{"gc1024_l1", 1024, 32, 32},
-		{"r888_l1", 512, 8, 8},
-		{"r888_l2", 512, 64, 8},
+		{"gc1024_l0", 1024, 1, 32, 32},
+		{"gc1024_l1", 1024, 32, 32, 32},
+		{"r88_l0", 64, 1, 8, 8},
+		{"r88_l1", 64, 8, 8, 8},
+		{"r888_l1", 512, 8, 8, 0},
+		{"r888_l2", 512, 64, 8, 0},
 	} {
 		m, k, rk := uniformTrio(b, s.np, s.pv, s.radix, 4/float64(s.radix))
 		rng := rand.New(rand.NewSource(1))
@@ -583,17 +589,29 @@ func BenchmarkOctet(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(8*m.NNZ()), "ns/edge")
 			})
 		}
+		// perRow runs a single-row form over the eight rows, reading the in and
+		// writing the out leading entries of each.
+		perRow := func(name string, gather func(out, in []float64, bias, cap float64) int, in, out int) {
+			run(name, func() {
+				for r := range ins {
+					nnz[r] = gather(outs[r][:out], ins[r][:in], -0.1, 32)
+				}
+			})
+		}
 		if rk.UniformWeight() == 0 {
 			b.Fatalf("%s: weight %v not reported uniform", s.name, 4/float64(s.radix))
 		}
 		run("weighted", func() { rk.FusedGatherRow8(&outs, &ins, -0.1, 32, &nnz) })
 		run("uniform", func() { rk.FusedGatherRow8Uniform(&outs, &ins, -0.1, 32, &nnz) })
-		if rk.Closed() {
-			run("closed", func() {
-				for r := range ins {
-					nnz[r] = rk.FusedGatherClosed(outs[r], ins[r], -0.1, 32)
-				}
-			})
+		switch {
+		case rk.Closed():
+			perRow("closed", rk.FusedGatherClosed, s.np, s.np)
+			if s.period > 0 {
+				perRow("closed_head", rk.FusedGatherClosed, s.period+s.pv, s.np)
+			}
+		case s.period > 0:
+			perRow("periodic", rk.FusedGatherPeriodic, s.period+s.radix-1, s.np)
+			perRow("periodic_head", rk.FusedGatherPeriodic, s.period+s.radix-1, s.period+s.radix)
 		}
 		vals := m.Values()
 		for i := range vals {
