@@ -59,7 +59,6 @@ type Engine struct {
 	radix   []*sparse.RadixKernel // verified stride plans, nil on the CSC family
 	kind    KernelKind            // kernel family the engine was built with
 	steps   []layerKernel         // each layer bound to that family; immutable
-	uniform []layerKernel         // steps' uniform-weight twins, Stockham stacks only; immutable
 	pool    *parallel.Pool
 	step    func(lo, hi int) // bound once; dispatched per layer on the pool
 	inUse   atomic.Bool      // single-flight guard for the shared scratch
@@ -287,7 +286,7 @@ func (e *Engine) gatherBlock(blk *rowBlock, rows *[8]int, t, w int) {
 	var sub rowBlock
 	copy(sub.in[:], blk.in[t:t+w])
 	copy(sub.out[:], blk.out[t:t+w])
-	nnz := e.cur.k.gather(sub, w, e.cur.bias, e.cur.clip)
+	nnz := e.cur.k.gather(sub, w, e.cur.need.form, e.cur.bias, e.cur.clip)
 	for j, b := range rows[t : t+w] {
 		e.rowNNZ[b] = int32(nnz[j])
 	}
@@ -324,7 +323,7 @@ const (
 // other two after FromConfigKernel returns. Uniform layers behind a weighted
 // one stay weighted — a weighted layer's outputs have no provable granularity.
 func (e *Engine) exactWindow() (n int, lo, hi uint64) {
-	for n < len(e.uniform) && e.radix[n].UniformWeight() != 0 {
+	for n < len(e.radix) && e.radix[n].UniformWeight() != 0 { // Stockham stacks only
 		n++
 	}
 	need, room := minExp, math.MaxInt32
@@ -379,10 +378,9 @@ func (e *Engine) UniformLayers() int {
 }
 
 // PeriodicLayers reports how many layers gather one period of columns
-// (sparse.FusedGatherPeriodic) whatever the batch: on the Stockham family, an
-// opening layer whose radix divides the place value of the closing layer before
-// it while both hold one weight — every second layer of a config-built Graph
-// Challenge stack past layer 0. Writing either layer's weights takes it out.
+// (sparse.FusedGatherPeriodic) whatever the batch: Stockham opening layers whose
+// radix divides the place value of the closing layer before them while both hold
+// one weight — every second layer of a Graph Challenge stack past layer 0.
 func (e *Engine) PeriodicLayers() int { return e.formLayers(periodicRows) }
 
 // ClosedLayers reports how many layers gather by class sums
@@ -503,11 +501,11 @@ func (e *Engine) infer(y0 *sparse.Dense) (*sparse.Dense, error) {
 	for l, k := range e.steps {
 		outW := e.layers[l].Cols()
 		// The weights decide what the layer runs (they change under
-		// RefreshWeights), then the batch: a per-column step inside the window
-		// runs the uniform-weight twin.
+		// RefreshWeights), then the batch: inside the window a per-column
+		// step's full octets run unweighted.
 		need := k.needs()
 		if l < uni && need.form == perColumn {
-			k, need.form = e.uniform[l], uniformOctets
+			need.form = uniformOctets
 		}
 		b := e.bias[l]
 		e.cur.k, e.cur.need, e.cur.in, e.cur.out = k, need, in, out
@@ -691,7 +689,7 @@ func (e *Engine) Footprint() sparse.Footprint {
 // frozen after the pool is built.
 func (e *Engine) Clone() *Engine {
 	c := &Engine{layers: e.layers, bias: e.bias, cap: e.cap, kernels: e.kernels,
-		radix: e.radix, kind: e.kind, steps: e.steps, uniform: e.uniform, scratchW: e.scratchW, nzW: e.nzW, pool: e.pool}
+		radix: e.radix, kind: e.kind, steps: e.steps, scratchW: e.scratchW, nzW: e.nzW, pool: e.pool}
 	c.step = c.layerStep
 	c.prof.Store(e.prof.Load()) // clones aggregate into the parent's profiler
 	return c

@@ -145,10 +145,6 @@ func (e *Engine) compileRadixPlans(cfg core.Config) error {
 	}
 	stockham = stockham && pack == 1
 	steps := make([]layerKernel, len(radixKerns))
-	var uniform []layerKernel
-	if stockham {
-		uniform = make([]layerKernel, len(radixKerns))
-	}
 	var prev *stockhamLayer
 	for l, rk := range radixKerns {
 		steps[l] = radixLayer{rk}
@@ -160,12 +156,11 @@ func (e *Engine) compileRadixPlans(cfg core.Config) error {
 			if prev != nil {
 				prev.next = st
 			}
-			steps[l], uniform[l], prev = st, uniformLayer{st}, st
+			steps[l], prev = st, st
 		}
 	}
 	e.radix = radixKerns
 	e.kind = KernelRadix
-	e.uniform = uniform
 	e.bind(steps)
 	return nil
 }

@@ -65,7 +65,7 @@ func inferCounting(t *testing.T, e *Engine, batch *sparse.Dense) (*sparse.Dense,
 // periodically: a Stockham opening layer with one weight, not itself closing,
 // behind a closed layer whose place value its radix divides.
 func followsClosed(e *Engine, l int) bool {
-	if e.uniform == nil || l == 0 {
+	if e.radix == nil || l == 0 {
 		return false
 	}
 	rk, p := e.radix[l], e.radix[l].Plan()
@@ -161,7 +161,7 @@ func TestUniformLayersReport(t *testing.T) {
 		if err := e.compileRadixPlans(r888); err != nil {
 			t.Fatal(err)
 		}
-		if e.uniform == nil || e.UniformLayers() != 0 {
+		if !e.radix[0].Stockham() || e.UniformLayers() != 0 {
 			t.Errorf("weight %v on a Stockham stack: %d uniform layers, want 0", w, e.UniformLayers())
 		}
 		got, ran := inferCounting(t, e, batch)

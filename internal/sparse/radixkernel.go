@@ -984,11 +984,11 @@ func (rk *RadixKernel) FusedGatherRow8Uniform(outs, ins *[8][]float64, bias, cap
 // with no weight stream to amortise over rows, blocks of 8 or 4 rows are this
 // function called per row. It does not allocate.
 //
-// Either slice may be short of the row. An in shorter than Rows() is the head
-// FusedGatherPeriodic leaves — natural order, period + ν entries — where class
-// lo's run is in[lo], then in[lo+ν], …, in[lo+period] round and round, eight
-// classes side by side. An out shorter than Cols() gets that many leading
-// entries of the ν-periodic row. The count is the full row's either way.
+// Either slice may be short of the row, and the count is the full row's all the
+// same. An in shorter than Rows() is the head FusedGatherPeriodic leaves, where
+// class lo's run is in[lo], in[lo+ν], … wrapping back by the period, eight
+// classes side by side; an out shorter than Cols() gets that many leading
+// entries of the ν-periodic row.
 //
 //radix:hotpath
 func (rk *RadixKernel) FusedGatherClosed(out, in []float64, bias, cap float64) int {
@@ -1024,19 +1024,18 @@ func (rk *RadixKernel) FusedGatherClosed(out, in []float64, bias, cap float64) i
 // radix < N′, OneWeight) whose input row repeats with a period P the radix
 // divides — what a Closed layer of place value P leaves. in is the row's
 // P + radix − 1 leading entries, all the layer reads. Column t ≥ radix − 1 reads
-// rows t−radix+1 … t, so column t + P reads the value sequence of column t: P
-// chains cover the unwrapped columns, eight neighbours side by side over a
-// sliding window. The radix − 1 wrapped columns (rows 0 … t, then the row's
-// last radix−1−t) are chains of their own, except that with P = radix each is
-// in[0:P] in order. Every chain is the weighted a ← a + w·x in ascending row
-// order — the CSC kernel's bit for bit on every input, as in FusedGatherClosed
-// — and a row costs (P + radix)·radix multiply-adds, not N′·radix.
+// rows t−radix+1 … t, so column t + P runs column t's chain: P chains cover the
+// unwrapped columns, eight neighbours side by side over a sliding window. The
+// radix − 1 wrapped columns (rows 0 … t, then the row's last radix−1−t) are
+// chains of their own, except that with P = radix each is in[0:P] in order.
+// Every chain is the weighted a ← a + w·x in ascending row order, exact as in
+// FusedGatherClosed, and a row costs (P + radix)·radix multiply-adds.
 //
 // An out of Cols() entries is the whole row in the packed output layout, where
 // block k repeats its entries 1 … P/radix. A shorter one, of P + radix entries,
-// receives the head: columns 0 … P+radix−1 in natural order, the last being
-// column radix−1 again so that every class steps alike in FusedGatherClosed.
-// The count is the full row's either way. It does not allocate.
+// is the head: columns 0 … P+radix−1 in natural order (the last is column
+// radix−1 again, so every class steps alike in FusedGatherClosed). The count is
+// the full row's either way. It does not allocate.
 //
 //radix:hotpath
 func (rk *RadixKernel) FusedGatherPeriodic(out, in []float64, bias, cap float64) int {
@@ -1046,8 +1045,7 @@ func (rk *RadixKernel) FusedGatherPeriodic(out, in []float64, bias, cap float64)
 	// Column up·radix + k lives at k·sk + up·su: natural order in the head,
 	// block k of the packed layout otherwise.
 	sk, su := 1, radix
-	packed := len(out) == p.cols
-	if packed {
+	if len(out) == p.cols {
 		sk, su = p.np/radix, 1
 	}
 	var a float64
@@ -1084,7 +1082,7 @@ func (rk *RadixKernel) FusedGatherPeriodic(out, in []float64, bias, cap float64)
 		}
 	}
 	out[pos] = out[(radix-1)*sk]
-	if packed {
+	if len(out) == p.cols {
 		for k := 0; k < radix; k++ {
 			blk := out[k*sk+1 : (k+1)*sk]
 			for n := period / radix; n < len(blk); n *= 2 {

@@ -607,7 +607,9 @@ func BenchmarkOctet(b *testing.B) {
 		case rk.Closed():
 			perRow("closed", rk.FusedGatherClosed, s.np, s.np)
 			if s.period > 0 {
-				perRow("closed_head", rk.FusedGatherClosed, s.period+s.pv, s.np)
+				// As the engine pairs them: the head in, and out the leading
+				// entries the next system's opening layer (radix pv) reads.
+				perRow("closed_head", rk.FusedGatherClosed, s.period+s.pv, s.pv+s.pv-1)
 			}
 		case s.period > 0:
 			perRow("periodic", rk.FusedGatherPeriodic, s.period+s.radix-1, s.np)
