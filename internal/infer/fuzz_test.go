@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/radix-net/radixnet/internal/core"
+	"github.com/radix-net/radixnet/internal/parallel"
 	"github.com/radix-net/radixnet/internal/radix"
 	"github.com/radix-net/radixnet/internal/sparse"
 )
@@ -328,8 +329,10 @@ func layersAgree(t *testing.T, rng *rand.Rand, csc, rad *Engine) {
 // every closing layer still at one weight, periodic gathers and short rows
 // behind those), a clone of
 // each under concurrent use, and ReferenceInfer must agree bit for bit — on
-// the batch, on a shorter batch through the same engines, and on each
-// engine's own output view fed back in.
+// the batch, on a shorter batch through the same engines, on each engine's
+// own output view fed back in, and on the batch again cut into tiles for a
+// private pool of three workers (the first runs share parallel.Shared, so all
+// but one at a time take its busy path).
 //
 // opts: bit 0 allows positive biases (a quarter of them tiny or subnormal, so
 // the window's bias-granularity term bites), bit 1 turns the cap off, bit 2
@@ -494,6 +497,22 @@ func FuzzInferPathsAgree(f *testing.F) {
 		// (8,8)|(8,8) with positive biases on thin rows: rows that died come back
 		// filled full width beside live rows handed over short.
 		{[]byte{1, 4, 4, 1, 0}, 12, 60, uniform | 1, 400},
+		// Depth-first tiles. ((2,32),(2)) lifted to widths 64, 128, 64, 64 with
+		// positive biases, 25 rows: in a buffer every tile shares, a row's slot
+		// moves with the layer width, and a tile one layer ahead wrote over rows
+		// its neighbour had yet to read — the spec that caught the prototype.
+		// Then the same with 67 thin rows; and more stacks whose widths differ
+		// from layer to layer, positive biases on all, at 13, 25 and 67 rows:
+		// ((8,8),(8,8)) at 128, 64, 192, 128, 192; (4,8) at 96, 32, 64;
+		// ((2,4,8),(8,4,2)) at 64 to 192, cap off; ((8,4),(4,8)) at 96, 96, 32,
+		// 64, 64; ((16),(16)) at 16, 48, 32.
+		{[]byte("11017201"), 0x18, 0xf2, 'q', 100},
+		{[]byte("11017201"), 66, 0x30, uniform | 1, 133},
+		{[]byte{1, 4, 4, 1, 0, 2, 1, 0, 2, 1, 2}, 66, 60, uniform | 1, 400},
+		{[]byte{1, 2, 4, 0, 2, 2, 0, 1}, 12, 200, 1, 7},
+		{[]byte{2, 0, 2, 4, 1, 1, 2, 0, 2, 1, 0, 2, 1, 2}, 24, 30, 1 | 2, 8},
+		{[]byte{1, 4, 2, 1, 1, 2, 2, 2, 0, 1, 1}, 66, 240, uniform | 1, 406},
+		{[]byte{0, 5, 1, 0, 2, 0, 2, 1}, 12, 120, 1, 3},
 	} {
 		f.Add(s.spec, s.rows, s.fill, s.opts, s.seed)
 	}
@@ -587,6 +606,14 @@ func FuzzInferPathsAgree(f *testing.F) {
 					return
 				}
 				sameBits(t, name+" short batch", out, wantShort)
+				pool := parallel.NewPool(3)
+				defer pool.Close()
+				e.SetPool(pool)
+				if out, err = e.Infer(batch); err != nil {
+					t.Error(name, err)
+					return
+				}
+				sameBits(t, name+" on three workers", out, want)
 			}()
 		}
 		wg.Wait()

@@ -16,13 +16,18 @@
 // are mostly zero instead take the CSR scatter dual, whose zero-input skip
 // does only the work the live activations require (the engine chooses per
 // row from the exact activation count the previous layer's epilogue
-// produced for free). Activations ping-pong between two preallocated
-// buffers sized to the widest layer, so an N-layer forward pass performs
-// O(1) allocations (zero in steady state) instead of O(N). The bias +
-// threshold-ReLU + cap epilogue is fused into the multiply loop, and rows
-// whose activations go all-zero mid-stack are dropped from subsequent
-// layers. Layer steps dispatch on the persistent parallel.Shared worker
-// pool.
+// produced for free). The bias + threshold-ReLU + cap epilogue is fused into
+// the multiply loop, and rows whose activations go all-zero mid-stack are
+// skipped by the layers that follow.
+//
+// Rows of a batch never interact, so a batch is one dispatch on the
+// persistent parallel.Shared worker pool, not one per layer: each worker
+// carries contiguous tiles of at most tileRows rows depth-first through the
+// whole stack. A tile's activations ping-pong between two buffers of a
+// scratch set private to the worker running it — the engine holds at most one
+// set per pool worker, whatever the batch size — and only the last layer
+// writes the batch-sized output, so an N-layer forward pass performs O(1)
+// allocations (zero in steady state) and meets no barrier between layers.
 package infer
 
 import (
@@ -31,6 +36,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -42,8 +48,8 @@ import (
 )
 
 // ErrBusy is returned by Infer when another Infer call is already in
-// flight on the same engine. Engines share ping-pong scratch across calls
-// and are therefore single-flight by contract; concurrent callers must use
+// flight on the same engine. Engines share their output and scratch across
+// calls and are therefore single-flight by contract; concurrent callers must use
 // one engine per worker (see Clone) — the serving layer's engine pools are
 // built on this guarantee.
 var ErrBusy = errors.New("infer: engine busy: concurrent Infer on a shared engine (use one engine per worker; see Engine.Clone)")
@@ -60,8 +66,8 @@ type Engine struct {
 	kind    KernelKind            // kernel family the engine was built with
 	steps   []layerKernel         // each layer bound to that family; immutable
 	pool    *parallel.Pool
-	step    func(lo, hi int) // bound once; dispatched per layer on the pool
-	inUse   atomic.Bool      // single-flight guard for the shared scratch
+	run     func(lo, hi int) // bound once; dispatched once per batch on the pool
+	inUse   atomic.Bool      // single-flight guard for the output and scratch
 
 	// prof, when non-nil, samples per-layer kernel timings (see
 	// profile.go). Shared across clones so a warm pool aggregates into
@@ -70,26 +76,48 @@ type Engine struct {
 
 	// Reusable per-batch state, sized by ensure. The caller's batch is read
 	// directly (and only read) by the first layer step — Infer never writes
-	// to the caller's storage, and drops the reference before returning;
-	// bufA/bufB ping-pong the layer activations.
-	batch      int
-	bufA, bufB []float64
-	scratchW   int       // widest per-row scatter scratch any layer declares
-	bufS       []float64 // per-row scatter scratch, stride scratchW
-	nzW        int       // input width when layer 0 reads nonzero positions, else 0
-	nzIdx      []int32   // per-row input nonzero positions, stride nzW
-	active     []int32   // rows still carrying nonzero activations, ascending
-	rowNNZ     []int32   // per-row activation count after the last layer step
-	outView    *sparse.Dense
+	// to the caller's storage, and drops the reference before returning.
+	batch    int
+	out      []float64 // the last layer's output, batch rows: all that is batch-sized
+	outView  *sparse.Dense
+	stage    []float64 // the input's copy, when it is out and tiles would overwrite unread rows
+	scratchW int       // widest scatter scratch any layer declares
+	nzW      int       // input width when layer 0 reads nonzero positions, else 0
+	nzIdx    []int32   // per-row input nonzero positions, stride nzW
+	rowNNZ   []int32   // per-row nonzero count of the input
 
-	// Current layer, read by step across the worker pool.
-	cur struct {
-		k          layerKernel
-		need       layerNeeds // k's, as declared for this step
-		in, out    []float64
-		inW, outW  int // row strides; need.in and need.out may be less
-		bias, clip float64
-	}
+	// The batch in flight, read by every tile across the worker pool.
+	in    []float64    // the caller's rows, or their staged copy
+	plan  []layerNeeds // what each layer runs on this batch
+	timed bool         // a sampled batch: tiles read the clock between layers
+	laps  []lap        // where they add up what they read
+
+	mu      sync.Mutex
+	free    []*tileSet // idle scratch sets; with those in use, at most one per pool worker
+	setRows int        // rows the sets are sized for: min(tileRows, largest batch seen)
+}
+
+// tileRows is the most rows a tile carries through the stack at once: whole
+// gather blocks, and two of them deep in scratch stay cache-resident under the
+// widest layers served.
+const tileRows = 32
+
+// tileSet is the scratch one worker runs its tiles on, a row addressed by its
+// position in the tile.
+type tileSet struct {
+	buf     [2][]float64    // ping-pong activations: layer l writes buf[l&1]
+	scatter []float64       // one row's scatter scratch
+	nnz     [tileRows]int32 // per-row activation count after the last layer step; 0 is a dead row
+	t0      time.Time       // the last clock read of a sampled batch
+}
+
+// cursor is the layer a tile is on.
+type cursor struct {
+	k          layerKernel
+	need       layerNeeds // k's, as planned for this batch
+	in, out    []float64  // from the tile's first row on
+	inW, outW  int        // row strides; need.in and need.out may be less
+	bias, clip float64
 }
 
 // New builds an engine from explicit weight matrices and per-layer biases.
@@ -131,7 +159,7 @@ func New(layers []*sparse.Matrix, bias []float64, cap float64) (*Engine, error) 
 	}
 	e.bind(steps)
 	e.pool = parallel.Shared()
-	e.step = e.layerStep
+	e.run = e.tiles
 	return e, nil
 }
 
@@ -189,106 +217,172 @@ func (e *Engine) TotalNNZ() int {
 }
 
 // ensure sizes the reusable buffers for a batch of the given row count,
-// including the scatter scratch and nonzero lists the layers declared. Calls
-// that find every buffer already sized perform no allocation; the check
-// covers each buffer the steps index, not the batch size alone.
+// including the nonzero lists layer 0 declared. Calls that find every buffer
+// already sized perform no allocation. Scratch sets are not built here but by
+// the workers that need one; a batch of more rows than they were sized for
+// (below tileRows) retires them.
 func (e *Engine) ensure(batch int) {
-	if batch == e.batch && len(e.bufS) >= batch*e.scratchW && len(e.nzIdx) >= batch*e.nzW {
+	if batch == e.batch && e.plan != nil {
 		return
 	}
 	e.batch = batch
-	maxW := 0 // the widest layer output sizes the ping-pong buffers
-	for _, l := range e.layers {
-		maxW = max(maxW, l.Cols())
+	if e.plan == nil {
+		e.plan = make([]layerNeeds, len(e.steps))
 	}
-	if need := batch * maxW; cap(e.bufA) < need {
-		e.bufA = make([]float64, need)
-		e.bufB = make([]float64, need)
-	}
-	if need := batch * e.scratchW; len(e.bufS) < need {
-		e.bufS = make([]float64, need)
+	if rows := min(batch, tileRows); rows > e.setRows {
+		e.setRows, e.free = rows, nil
 	}
 	if need := batch * e.nzW; len(e.nzIdx) < need {
 		e.nzIdx = make([]int32, need)
-	}
-	if cap(e.active) < batch {
-		e.active = make([]int32, 0, batch)
 	}
 	if cap(e.rowNNZ) < batch {
 		e.rowNNZ = make([]int32, batch)
 	}
 	e.rowNNZ = e.rowNNZ[:batch]
-	// The final layer's output lands in bufA when the layer count is odd
-	// (layer l writes bufA iff l is even), so the returned view has a fixed
-	// home per engine.
 	lastW := e.layers[len(e.layers)-1].Cols()
-	final := e.bufA
-	if len(e.layers)%2 == 0 {
-		final = e.bufB
+	if need := batch * lastW; cap(e.out) < need {
+		e.out = make([]float64, need)
 	}
-	e.outView, _ = sparse.DenseFromSlice(batch, lastW, final[:batch*lastW])
+	e.outView, _ = sparse.DenseFromSlice(batch, lastW, e.out[:batch*lastW])
 }
 
-// layerStep processes active rows [lo, hi) of the current layer: one fused
-// multiply + epilogue pass per row, recording the row's new activation
-// count. Mostly-zero rows take the layer's scatter, whose zero-input skip
-// does only the work the row's live activations require, unless the step's
-// form gathers every row. Dense rows take its gather (every output written
-// once, no random writes), blocked as wide as the layer allows so each
-// weight is loaded once per block; what is left at the end of the range runs
-// widest form first — one quad if four or more rows remain, then single
-// rows. Chunks arrive in multiples of the pool grain (the layer's block), so
-// remainders only occur in a range's final rows. layerStep runs concurrently
-// for disjoint ranges on the worker pool.
+// tiles is the pool's body: it carries batch rows [lo, hi) through every
+// layer, tileRows at a time, on one scratch set. The idle list is empty at most
+// once per worker and height, so steady state allocates nothing.
+func (e *Engine) tiles(lo, hi int) {
+	var s *tileSet
+	e.mu.Lock()
+	if n := len(e.free); n > 0 {
+		s, e.free = e.free[n-1], e.free[:n-1]
+	}
+	e.mu.Unlock()
+	if s == nil {
+		maxW := 0 // the widest output a tile keeps to itself: the last layer's is not
+		for _, l := range e.layers[:len(e.layers)-1] {
+			maxW = max(maxW, l.Cols())
+		}
+		s = &tileSet{scatter: make([]float64, e.scratchW)}
+		s.buf[0], s.buf[1] = make([]float64, e.setRows*maxW), make([]float64, e.setRows*maxW)
+	}
+	for ; lo < hi; lo += tileRows {
+		e.tile(s, lo, min(hi, lo+tileRows))
+	}
+	e.mu.Lock()
+	e.free = append(e.free, s)
+	e.mu.Unlock()
+}
+
+// tile runs batch rows [lo, hi) through the whole stack before any other row
+// of the batch needs to start: rows never interact, so nothing is awaited
+// between layers. Layer 0 reads the batch in place, the last layer writes the
+// rows' slots of the output, and everything between lives in s, addressed by
+// position in the tile — a row's slot in a shared buffer would move with the
+// layer width, into rows another tile has yet to read.
 //
 //radix:hotpath
-func (e *Engine) layerStep(lo, hi int) {
-	cur := &e.cur
+func (e *Engine) tile(s *tileSet, lo, hi int) {
+	n, w0 := hi-lo, e.layers[0].Rows()
+	copy(s.nnz[:n], e.rowNNZ[lo:hi])
+	if e.timed {
+		e.lap(s, -1, 0)
+	}
+	cur := cursor{in: e.in[lo*w0:], inW: w0, clip: e.cap}
+	for l, k := range e.steps {
+		cur.k, cur.need, cur.bias = k, e.plan[l], e.bias[l]
+		cur.out, cur.outW = s.buf[l&1], e.layers[l].Cols()
+		if l == len(e.steps)-1 {
+			cur.out = e.out[lo*cur.outW:]
+		}
+		rows := e.layerStep(s, &cur, lo, n)
+		if e.timed {
+			e.lap(s, l, rows)
+		}
+		cur.in, cur.inW = cur.out, cur.outW
+	}
+	// Rows that died mid-stack were skipped from then on; their slots in the
+	// output hold stale data from earlier calls. Zero them.
+	for i, live := range s.nnz[:n] {
+		if live == 0 {
+			clear(cur.out[i*cur.outW : (i+1)*cur.outW])
+		}
+	}
+}
+
+// layerStep runs the tile's n rows through the cursor's layer — one fused
+// multiply + epilogue pass per live row, recording the row's new activation
+// count — and returns how many were live. Mostly-zero rows take the layer's
+// scatter, whose zero-input skip does only the work the row's live activations
+// require, unless the step's form gathers every row. Dense rows take its
+// gather (every output written once, no random writes), blocked as wide as the
+// layer allows so each weight is loaded once per block; what is left at the
+// end of the tile runs widest form first — one quad if four or more rows
+// remain, then single rows. A dead row stays zero through a non-positive bias
+// and is skipped; a positive one resurrects it: its image is the constant
+// clamp(relu(bias)) > 0 in every element, filled directly (its gather would be
+// a no-op over zeros).
+//
+//radix:hotpath
+func (e *Engine) layerStep(s *tileSet, cur *cursor, lo, n int) (rows int) {
 	need := cur.need
 	var blk rowBlock
-	var rows [8]int
-	n := 0
-	for i := lo; i < hi; i++ {
-		b := int(e.active[i])
-		in := cur.in[b*cur.inW : b*cur.inW+need.in]
-		out := cur.out[b*cur.outW : b*cur.outW+need.out]
-		if live := int(e.rowNNZ[b]); live*2 < cur.inW && !need.form.everyRow() {
-			var nz []int32
-			if need.nz {
-				nz = e.nzIdx[b*e.nzW : b*e.nzW+live]
+	var at [8]int
+	q := 0
+	for i := 0; i < n; i++ {
+		live := int(s.nnz[i])
+		if live == 0 {
+			if cur.bias > 0 {
+				phi := cur.bias
+				if cur.clip > 0 && phi > cur.clip {
+					phi = cur.clip
+				}
+				row := cur.out[i*cur.outW : (i+1)*cur.outW]
+				for c := range row {
+					row[c] = phi
+				}
+				s.nnz[i] = int32(cur.outW)
 			}
-			scratch := e.bufS[b*e.scratchW : b*e.scratchW+need.scratch]
-			e.rowNNZ[b] = int32(cur.k.scatter(out, in, nz, scratch, cur.bias, cur.clip))
 			continue
 		}
-		rows[n], blk.in[n], blk.out[n] = b, in, out
-		n++
-		if n == need.block {
-			e.gatherBlock(&blk, &rows, 0, n)
-			n = 0
+		rows++
+		in := cur.in[i*cur.inW : i*cur.inW+need.in]
+		out := cur.out[i*cur.outW : i*cur.outW+need.out]
+		if live*2 < cur.inW && !need.form.everyRow() {
+			var nz []int32
+			if need.nz {
+				nz = e.nzIdx[(lo+i)*e.nzW : (lo+i)*e.nzW+live]
+			}
+			s.nnz[i] = int32(cur.k.scatter(out, in, nz, s.scatter[:need.scratch], cur.bias, cur.clip))
+			continue
+		}
+		at[q], blk.in[q], blk.out[q] = i, in, out
+		q++
+		if q == need.block {
+			gatherBlock(s, cur, &blk, &at, 0, q)
+			q = 0
 		}
 	}
-	for t := 0; t < n; {
+	for t := 0; t < q; {
 		w := 1
-		if n-t >= 4 {
+		if q-t >= 4 {
 			w = 4
 		}
-		e.gatherBlock(&blk, &rows, t, w)
+		gatherBlock(s, cur, &blk, &at, t, w)
 		t += w
 	}
+	return rows
 }
 
-// gatherBlock runs rows [t, t+w) of blk through the current layer's w-row
-// gather and records their activation counts.
+// gatherBlock runs rows [t, t+w) of blk through the cursor's w-row gather and
+// records their activation counts.
 //
 //radix:hotpath
-func (e *Engine) gatherBlock(blk *rowBlock, rows *[8]int, t, w int) {
+func gatherBlock(s *tileSet, cur *cursor, blk *rowBlock, at *[8]int, t, w int) {
 	var sub rowBlock
 	copy(sub.in[:], blk.in[t:t+w])
 	copy(sub.out[:], blk.out[t:t+w])
-	nnz := e.cur.k.gather(sub, w, e.cur.need.form, e.cur.bias, e.cur.clip)
-	for j, b := range rows[t : t+w] {
-		e.rowNNZ[b] = int32(nnz[j])
+	nnz := cur.k.gather(sub, w, cur.need.form, cur.bias, cur.clip)
+	for j, i := range at[t : t+w] {
+		s.nnz[i] = int32(nnz[j])
 	}
 }
 
@@ -404,9 +498,9 @@ func (e *Engine) formLayers(f gatherForm) (n int) {
 // Infer runs the batch through every layer with threshold-ReLU semantics
 // and returns the final activations. The input batch is never mutated.
 //
-// The returned matrix is a view into the engine's internal ping-pong
-// buffer: it is valid until the next Infer or InferCategories call on the
-// same engine, which overwrites it (clone it to keep it). This is what
+// The returned matrix is a view into the engine's output buffer: it is valid
+// until the next Infer or InferCategories call on the same engine, which
+// overwrites it (clone it to keep it). This is what
 // makes the steady-state forward pass allocation-free. Engines are not safe
 // for concurrent Infer calls: a call that overlaps another returns ErrBusy
 // rather than corrupting the shared scratch; use Clone for per-worker
@@ -427,28 +521,24 @@ func (e *Engine) infer(y0 *sparse.Dense) (*sparse.Dense, error) {
 	batch := y0.Rows()
 	e.ensure(batch)
 
-	// Scan the input, counting each row's nonzeros (which seeds the
-	// gather/scatter choice for layer 0) and the active-row list: a row that
-	// is already all-zero maps to clamp(relu(bias)) per element, which the
-	// per-layer reactivation below handles, so it starts inactive. The first
-	// layer step reads the caller's storage directly — no layer ever writes
+	// Scan the input, counting each row's nonzeros, which seeds the
+	// gather/scatter choice for layer 0 and marks the rows that start dead: a
+	// row that is already all-zero maps to clamp(relu(bias)) per element,
+	// which layerStep fills in without a kernel. The first layer step reads
+	// the caller's storage directly — no layer ever writes
 	// its input, so staging a private copy would only add a batch-sized
 	// memmove to every call.
 	w0 := y0.Cols()
 	in := y0.Data()[:batch*w0]
-	if len(in) > 0 && len(e.bufA) > 0 && &in[0] == &e.bufA[0] {
+	if len(in) > 0 && &in[0] == &e.out[0] && (w0 != e.outView.Cols() || len(e.steps) == 1) {
 		// Chained inference: the caller handed the engine's own output view
-		// back as input, and layer 0 writes that same buffer. Stage the batch
-		// in bufB, which layer 0 never touches and layer 1 reclaims only
-		// after the input is consumed.
-		if cap(e.bufB) < len(in) {
-			e.bufB = make([]float64, len(in))
-		}
-		stage := e.bufB[:len(in)]
-		copy(stage, in)
-		in = stage
+		// back as input. At equal widths a row's input is the slot its own
+		// tile writes, and only after reading it into scratch; at unequal
+		// ones (or when the first layer is the last) a tile would write over
+		// rows not yet read, so the batch is staged.
+		in = append(e.stage[:0], in...)
+		e.stage = in[:0]
 	}
-	e.active = e.active[:0]
 	// The same pass brackets the nonzero inputs' magnitudes for exactWindow:
 	// y is |v|'s bit pattern with the exponent on top, so unsigned order is
 	// magnitude order with NaN and Inf last, and y-1 wraps ±0 out of the min.
@@ -480,9 +570,6 @@ func (e *Engine) infer(y0 *sparse.Dense) (*sparse.Dense, error) {
 			}
 		}
 		e.rowNNZ[b] = int32(nnz)
-		if nnz > 0 {
-			e.active = append(e.active, int32(b))
-		}
 	}
 
 	// Layers below uni run their uniform-weight binding on this batch.
@@ -490,102 +577,38 @@ func (e *Engine) infer(y0 *sparse.Dense) (*sparse.Dense, error) {
 	if minY < lo || maxY >= hi {
 		uni = 0
 	}
-
-	inW := w0
-	out := e.bufA
-	other := e.bufB
-	// One pointer load decides whether this batch is profiled; when it
-	// is, each layer's kernel dispatch is timed individually.
-	prof := e.prof.Load()
-	profiled := prof != nil && prof.sample()
 	for l, k := range e.steps {
-		outW := e.layers[l].Cols()
 		// The weights decide what the layer runs (they change under
 		// RefreshWeights), then the batch: inside the window a per-column
 		// step's full octets run unweighted.
-		need := k.needs()
-		if l < uni && need.form == perColumn {
-			need.form = uniformOctets
+		e.plan[l] = k.needs()
+		if l < uni && e.plan[l].form == perColumn {
+			e.plan[l].form = uniformOctets
 		}
-		b := e.bias[l]
-		e.cur.k, e.cur.need, e.cur.in, e.cur.out = k, need, in, out
-		e.cur.inW, e.cur.outW = inW, outW
-		e.cur.bias, e.cur.clip = b, e.cap
-		// The grain keeps pool chunks at whole gather blocks, so the layer's
-		// widest form engages even when many workers shrink the chunks.
-		grain := need.block
-		if profiled {
-			rows := len(e.active)
-			t0 := time.Now()
-			e.pool.Run(rows, grain, e.step)
-			prof.record(l, rows, e.layers[l].NNZ(), time.Since(t0), need.form)
-		} else {
-			e.pool.Run(len(e.active), grain, e.step)
-		}
-
-		if b > 0 {
-			// A positive bias resurrects all-zero rows: their image is the
-			// constant clamp(relu(bias)) > 0 in every element. Fill them
-			// directly (their gather would be a no-op over zeros) and fold
-			// them back into the active set.
-			phi := b
-			if e.cap > 0 && phi > e.cap {
-				phi = e.cap
-			}
-			ai := 0
-			for r := 0; r < batch; r++ {
-				if ai < len(e.active) && int(e.active[ai]) == r {
-					ai++
-					continue
-				}
-				row := out[r*outW : (r+1)*outW]
-				for c := range row {
-					row[c] = phi
-				}
-				e.rowNNZ[r] = int32(outW)
-			}
-			e.active = e.active[:0]
-			for r := 0; r < batch; r++ {
-				if e.rowNNZ[r] > 0 {
-					e.active = append(e.active, int32(r))
-				}
-			}
-		} else {
-			// Zero-input rows stay zero through a non-positive bias, so the
-			// active list only ever shrinks: compact it in place.
-			kept := 0
-			for _, r := range e.active {
-				if e.rowNNZ[r] > 0 {
-					e.active[kept] = r
-					kept++
-				}
-			}
-			e.active = e.active[:kept]
-		}
-
-		in, inW = out[:batch*outW], outW
-		out, other = other, out
 	}
-
-	// Rows that died mid-stack were skipped above; their slots in the final
-	// buffer hold stale data from earlier layers or calls. Zero them.
-	final := e.outView
-	lastW := final.Cols()
-	ai := 0
-	for r := 0; r < batch; r++ {
-		if ai < len(e.active) && int(e.active[ai]) == r {
-			ai++
-			continue
+	// One pointer load decides whether this batch is profiled; when it is,
+	// its tiles time each layer and report splits the dispatch by what they
+	// read.
+	prof := e.prof.Load()
+	e.in, e.timed = in, prof != nil && prof.sample()
+	var t0 time.Time
+	if e.timed {
+		if e.laps == nil {
+			e.laps = make([]lap, len(e.steps))
 		}
-		row := final.Data()[r*lastW : (r+1)*lastW]
-		for c := range row {
-			row[c] = 0
-		}
+		t0 = time.Now()
+	}
+	// One dispatch for the whole batch. The grain keeps pool chunks, hence
+	// tiles, at whole gather blocks, so the widest form engages even when many
+	// workers shrink the chunks.
+	e.pool.Run(batch, e.plan[0].block, e.run)
+	if e.timed {
+		e.report(prof, time.Since(t0))
 	}
 	// Layer 0 read the caller's storage in place; drop the reference so the
 	// engine never pins a caller batch between calls.
-	e.cur.in = nil
-	return final, nil
+	e.in = nil
+	return e.outView, nil
 }
 
 // InferCategories runs Infer and returns, per input row, whether the row
@@ -679,9 +702,9 @@ func (e *Engine) Footprint() sparse.Footprint {
 // Clone returns an engine sharing this engine's weight stack — the layer
 // matrices, biases, CSC and radix kernels, compiled stride plans and kernel
 // family, whatever storage those in turn share between layers — with fresh,
-// independent scratch state (ping-pong buffers, active-row lists,
-// single-flight guard). A pool of clones serves concurrent batches without
-// duplicating the model: N clones cost N sets of activation buffers, not N
+// independent scratch state (output, tile scratch sets, single-flight
+// guard). A pool of clones serves concurrent batches without duplicating the
+// model: N clones cost N sets of activation buffers, not N
 // copies of the weights. Clones inherit the parent's worker pool; use
 // SetPool to give each its own parallelism budget. Weight mutation
 // (RefreshWeights, PerturbWeights) through any clone is visible to all of
@@ -690,12 +713,12 @@ func (e *Engine) Footprint() sparse.Footprint {
 func (e *Engine) Clone() *Engine {
 	c := &Engine{layers: e.layers, bias: e.bias, cap: e.cap, kernels: e.kernels,
 		radix: e.radix, kind: e.kind, steps: e.steps, scratchW: e.scratchW, nzW: e.nzW, pool: e.pool}
-	c.step = c.layerStep
+	c.run = c.tiles
 	c.prof.Store(e.prof.Load()) // clones aggregate into the parent's profiler
 	return c
 }
 
-// SetPool directs the engine's per-layer steps at the given worker pool
+// SetPool directs the engine's batches at the given worker pool
 // instead of the process-wide parallel.Shared pool (nil restores the shared
 // pool). Engine pools in the serving layer give each warm engine a private
 // pool sized parallel.Quota(poolSize) so concurrent batches split the

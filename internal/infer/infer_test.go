@@ -208,24 +208,76 @@ func TestInferAcceptsOwnOutputAsInput(t *testing.T) {
 	if diff >= 1e-12 {
 		t.Fatalf("self-feed diff %g", diff)
 	}
+
+	// With several tiles in flight on two workers, the output is written
+	// while other tiles still read the input it is. At equal widths a row's
+	// input and output are one slot, read (into the tile's scratch) before it
+	// is written, and the batch runs in place; at unequal widths — the
+	// output's storage viewed at the input's width — and on a one-layer
+	// stack, whose only layer would read the row it writes, the input must
+	// have been staged.
+	for _, c := range []struct {
+		name   string
+		e      *Engine
+		rows   int // of the first batch
+		staged bool
+	}{
+		{"equal widths", configEngine(t, KernelAuto, nil, []int{8, 8}, []int{8, 8}), 70, false},
+		// Widths 32, 64, 128: a tile's eight output rows cover 32 input rows.
+		{"unequal widths", configEngine(t, KernelAuto, []int{1, 2, 4}, []int{8, 4}), 64, true},
+		{"one layer", configEngine(t, KernelCSC, nil, []int{64}), 70, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e, w0 := c.e, c.e.layers[0].Rows()
+			e.cap = 0 // a second pass would saturate at it, and every row look alike
+			onPool(t, e, 2)
+			batch, err := dataset.SparseBatch(c.rows, w0, w0/2, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := e.Infer(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := sparse.DenseFromSlice(c.rows, w0, out.Data()[:c.rows*w0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := e.ReferenceInfer(again)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.Infer(again)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "own output fed back", got, want)
+			if staged := cap(e.stage) > 0; staged != c.staged {
+				t.Fatalf("input staged: %t, want %t", staged, c.staged)
+			}
+		})
+	}
 }
 
 func TestInferZeroAllocSteadyState(t *testing.T) {
-	e := smallEngine(t)
-	batch, err := dataset.SparseBatch(8, 16, 5, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Infer(batch); err != nil { // size the buffers
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := e.Infer(batch); err != nil {
+	for _, workers := range []int{1, 2} {
+		e := smallEngine(t)
+		onPool(t, e, workers)
+		batch, err := dataset.SparseBatch(40, 16, 5, 13) // a tile and a quarter
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Infer allocated %g objects per op, want 0", allocs)
+		if _, err := e.Infer(batch); err != nil { // size the buffers
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := e.Infer(batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state Infer on %d workers allocated %g objects per op, want 0", workers, allocs)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ type layerKernel interface {
 // layerNeeds is what a layer declares to the engine that runs it.
 type layerNeeds struct {
 	block   int  // widest gather block, 8 or 4 rows; also the pool grain
-	scratch int  // float64s of private scatter scratch per batch row
+	scratch int  // float64s of scratch a row's scatter accumulates in
 	nz      bool // scatter reads the staged nonzero positions of its input
 	form    gatherForm
 	in, out int // leading entries of a row the gather reads and writes

@@ -7,9 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/radix-net/radixnet/internal/core"
 	"github.com/radix-net/radixnet/internal/dataset"
-	"github.com/radix-net/radixnet/internal/radix"
 	"github.com/radix-net/radixnet/internal/sparse"
 )
 
@@ -58,21 +56,7 @@ func TestStructuredLayersGatherEveryRow(t *testing.T) {
 // CSC oracle.
 func stackEngines(t *testing.T, systems ...[]int) (rad, csc *Engine) {
 	t.Helper()
-	var sys []radix.System
-	for _, rs := range systems {
-		sys = append(sys, radix.MustNew(rs...))
-	}
-	cfg, err := core.NewConfig(sys, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rad, err = FromConfig(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if csc, err = FromConfigKernel(cfg, KernelCSC); err != nil {
-		t.Fatal(err)
-	}
-	return rad, csc
+	return configEngine(t, KernelAuto, nil, systems...), configEngine(t, KernelCSC, nil, systems...)
 }
 
 // step is what a layer declares for a call: its form and how much of a row it

@@ -6,9 +6,10 @@ import (
 )
 
 // Profiler accumulates per-layer kernel timings behind a sampling
-// gate: every Nth Infer call is timed layer-by-layer, the rest pay
-// one atomic add. Disabled engines (no profiler attached) pay a
-// single atomic pointer load per Infer — nothing per layer.
+// gate: every Nth Infer call is timed layer-by-layer — each tile reads the
+// clock once per layer — and the rest pay one atomic add. Disabled engines
+// (no profiler attached) pay a single atomic pointer load per Infer —
+// nothing per layer.
 //
 // A profiler is shared across an engine and its clones (the serving
 // layer's warm pools), so the per-layer tallies aggregate the whole
@@ -48,8 +49,9 @@ func (p *Profiler) sample() bool {
 // record folds one sampled layer execution into the tallies: rows
 // active entering the layer, the layer's stored weight count (so
 // edges = rows×nnz matches the repo's Gedges/s convention), and the
-// kernel wall time. form is what the step ran: class sums and periodic gathers
-// on every row (edges stay nominal: rows×nnz is what the shared chains stand
+// layer's share of the batch's one dispatch, in wall time: a sampled batch's
+// layers sum to the time its caller waited, whatever the worker count. form
+// is what the step ran: class sums and periodic gathers on every row (edges stay nominal: rows×nnz is what the shared chains stand
 // for, not the multiply-adds spent), the uniform-weight binding when the
 // batch's inputs passed the exactness window, else the weighted per-column
 // forms.
@@ -63,6 +65,34 @@ func (p *Profiler) record(layer, rows int, nnz int, d time.Duration, form gather
 	lp.ns.Add(d.Nanoseconds())
 	lp.edges.Add(int64(rows) * int64(nnz))
 	lp.forms[form].Add(1)
+}
+
+// lap is one layer's tally over the tiles of the sampled batch in flight.
+type lap struct{ ns, rows atomic.Int64 }
+
+// lap charges the time since the tile's last clock read, and the rows it
+// carried, to layer l; l < 0 only starts the tile's clock.
+func (e *Engine) lap(s *tileSet, l, rows int) {
+	now := time.Now()
+	if l >= 0 {
+		e.laps[l].ns.Add(int64(now.Sub(s.t0)))
+		e.laps[l].rows.Add(int64(rows))
+	}
+	s.t0 = now
+}
+
+// report records every layer of the sampled batch just dispatched: tiles on
+// different workers overlap, so the laps sum to worker time, and each layer
+// gets the dispatch's wall time in proportion to its laps.
+func (e *Engine) report(prof *Profiler, wall time.Duration) {
+	var sum int64
+	for l := range e.laps {
+		sum += e.laps[l].ns.Load()
+	}
+	for l := range e.laps {
+		share := float64(e.laps[l].ns.Swap(0)) / float64(max(sum, 1))
+		prof.record(l, int(e.laps[l].rows.Swap(0)), e.layers[l].NNZ(), time.Duration(share*float64(wall)), e.plan[l].form)
+	}
 }
 
 // LayerProfile is one layer's accumulated sampled-kernel tallies.

@@ -17,17 +17,7 @@ import (
 // and on the CSC oracle.
 func gcEngines(t *testing.T, layers int) (rad, csc *Engine) {
 	t.Helper()
-	cfg, err := core.GraphChallengeConfig(1024, layers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rad, err = FromConfig(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if csc, err = FromConfigKernel(cfg, KernelCSC); err != nil {
-		t.Fatal(err)
-	}
-	return rad, csc
+	return stackEngines(t, repeat([]int{32, 32}, layers/2)...)
 }
 
 // inferCounting runs one profiled batch and returns a copy of the output with
@@ -94,7 +84,7 @@ func windowExps(e *Engine) (n, loE, hiE int) {
 }
 
 // mustInfer returns a copy of e's output on batch.
-func mustInfer(t *testing.T, e *Engine, batch *sparse.Dense) *sparse.Dense {
+func mustInfer(t testing.TB, e *Engine, batch *sparse.Dense) *sparse.Dense {
 	t.Helper()
 	out, err := e.Infer(batch)
 	if err != nil {

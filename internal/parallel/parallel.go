@@ -5,8 +5,9 @@
 // to a plain serial loop when only one worker is available or when the
 // problem is too small to amortize dispatch. Block loops (Blocks,
 // BlocksGrain) dispatch through the process-wide persistent Pool (see
-// Shared), so repeated calls — e.g. once per layer of a deep inference
-// stack — reuse parked workers instead of spawning goroutines.
+// Shared), so repeated calls — e.g. once per inference batch, each block
+// carried depth-first through the layer stack — reuse parked workers instead
+// of spawning goroutines.
 package parallel
 
 // DefaultGrain is the minimum number of loop iterations per worker below

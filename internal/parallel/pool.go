@@ -8,9 +8,10 @@ import (
 
 // Pool is a persistent worker pool for data-parallel block loops. Unlike
 // Blocks, which spawns fresh goroutines per call, a Pool keeps its workers
-// parked between calls, so deep per-layer loops (e.g. a 120-layer sparse
-// inference stack) pay goroutine startup once per process instead of once
-// per layer. A steady-state Run performs no heap allocations.
+// parked between calls, so a caller that dispatches often (the inference
+// engine: once per batch, each block carried through the whole layer stack)
+// pays goroutine startup once per process, not once per call. A steady-state
+// Run performs no heap allocations.
 //
 // Scheduling is dynamic: [0, n) is cut into contiguous chunks and workers
 // claim chunks from a shared atomic cursor, so uneven block costs balance
@@ -85,8 +86,8 @@ func (p *Pool) runBlocks() {
 // two grains run serially on the caller — and also the scheduling quantum:
 // every block is a multiple of grain long except the final one, so a
 // caller that processes items in fixed-size groups (e.g. the inference
-// engine's four-row gather quads) can keep its groups whole by passing the
-// group size. Run does not allocate, so it is safe inside allocation-free
+// engine's eight-row gather blocks) can keep its groups whole by passing the
+// group size; that holds on the busy fallback too. Run does not allocate, so it is safe inside allocation-free
 // hot paths.
 func (p *Pool) Run(n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
@@ -112,7 +113,7 @@ func (p *Pool) Run(n, grain int, fn func(lo, hi int)) {
 	// worker — taking mu here would deadlock), fall back to spawn-per-call
 	// goroutines: still fully parallel, just without the parked workers.
 	if !p.mu.TryLock() {
-		spawnBlocks(n, w, fn)
+		spawnBlocks(n, grain, w, fn)
 		return
 	}
 	// Four chunks per worker balances uneven block costs without excessive
@@ -142,16 +143,20 @@ func (p *Pool) Run(n, grain int, fn func(lo, hi int)) {
 }
 
 // spawnBlocks is the pool-less fallback: w fresh goroutines, one contiguous
-// block each, exactly the pre-pool Blocks design. Used when the pool's
-// parked workers are already occupied, so concurrent callers (e.g.
-// data-parallel trainer shards) keep their parallelism instead of
-// degrading to a serial loop.
-func spawnBlocks(n, w int, fn func(lo, hi int)) {
+// block each, exactly the pre-pool Blocks design but for the cuts, which keep
+// Run's promise of grain multiples (w ≤ n/grain, so no block is empty). Used
+// when the pool's parked workers are already occupied, so concurrent callers
+// (e.g. data-parallel trainer shards, engines sharing Shared) keep their
+// parallelism instead of degrading to a serial loop.
+func spawnBlocks(n, grain, w int, fn func(lo, hi int)) {
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for k := 0; k < w; k++ {
-		lo := k * n / w
-		hi := (k + 1) * n / w
+		lo := k * n / w / grain * grain
+		hi := n
+		if k < w-1 {
+			hi = (k + 1) * n / w / grain * grain
+		}
 		go func(lo, hi int) {
 			defer wg.Done()
 			fn(lo, hi)
@@ -168,7 +173,7 @@ func (p *Pool) Close() { close(p.wake) }
 // its private pool so that together they roughly fill the machine:
 // GOMAXPROCS(0)/parts, floored, never below 1. The serving layer uses it to
 // split the machine among the engines of a warm pool — at high engine
-// counts each engine runs its layer loops serially (quota 1) and
+// counts each engine runs its batches on the caller alone (quota 1) and
 // parallelism comes from concurrent batches instead, avoiding
 // oversubscription of the cores.
 func Quota(parts int) int {

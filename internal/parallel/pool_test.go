@@ -43,27 +43,53 @@ func TestPoolCoversRange(t *testing.T) {
 func TestPoolBlocksAreGrainMultiples(t *testing.T) {
 	// grain is the scheduling quantum: every block except the final one
 	// must be a whole number of grains, so callers processing fixed-size
-	// groups (the inference engine's gather quads) keep their groups whole.
+	// groups (the inference engine's gather blocks) keep their groups whole —
+	// on the parked workers, and on the goroutines a Run spawns when it finds
+	// the pool held by another (engines sharing Shared()).
 	p := NewPool(4)
 	defer p.Close()
-	for _, n := range []int{30, 64, 1000, 4099} {
-		var mu sync.Mutex
-		type block struct{ lo, hi int }
-		var blocks []block
-		p.Run(n, 4, func(lo, hi int) {
-			mu.Lock()
-			blocks = append(blocks, block{lo, hi})
-			mu.Unlock()
-		})
-		for _, b := range blocks {
-			if (b.hi-b.lo)%4 != 0 && b.hi != n {
-				t.Fatalf("n=%d: interior block [%d,%d) is not a grain multiple", n, b.lo, b.hi)
+	check := func(what string) {
+		t.Helper()
+		for _, n := range []int{30, 64, 70, 1000, 4099} {
+			var mu sync.Mutex
+			type block struct{ lo, hi int }
+			var blocks []block
+			p.Run(n, 4, func(lo, hi int) {
+				mu.Lock()
+				blocks = append(blocks, block{lo, hi})
+				mu.Unlock()
+			})
+			covered := 0
+			for _, b := range blocks {
+				if (b.hi-b.lo)%4 != 0 && b.hi != n {
+					t.Fatalf("%s, n=%d: interior block [%d,%d) is not a grain multiple", what, n, b.lo, b.hi)
+				}
+				if b.lo%4 != 0 || b.lo >= b.hi {
+					t.Fatalf("%s, n=%d: block [%d,%d) empty or not grain-aligned", what, n, b.lo, b.hi)
+				}
+				covered += b.hi - b.lo
 			}
-			if b.lo%4 != 0 {
-				t.Fatalf("n=%d: block start %d not grain-aligned", n, b.lo)
+			if covered != n || len(blocks) < 2 {
+				t.Fatalf("%s, n=%d: %d blocks cover %d", what, n, len(blocks), covered)
 			}
 		}
 	}
+	check("parked")
+	holding, release := make(chan struct{}), make(chan struct{})
+	var held sync.WaitGroup
+	held.Add(1)
+	go func() {
+		defer held.Done()
+		var once sync.Once
+		p.Run(8, 1, func(lo, hi int) {
+			once.Do(func() { close(holding) })
+			<-release
+		})
+	}()
+	<-holding
+	check("busy")
+	close(release)
+	held.Wait()
 }
 
 func TestPoolZeroAndNegativeN(t *testing.T) {
