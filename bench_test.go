@@ -284,11 +284,11 @@ func benchTrainEpoch(b *testing.B, useSparse bool) {
 // --- E10: Graph Challenge inference throughput ---
 
 // BenchmarkGCInference runs each Graph Challenge shape twice: with the
-// weights FromConfig assigns (one power of two per layer, so the 1024-wide
-// Stockham stacks take the uniform-weight octet; the lifted 4096-wide one has
-// none) and with the same weights perturbed by 1 %, which puts every layer
-// back on the weighted kernels. The pair reproduces the uniform octet's margin
-// without radixbench.
+// weights FromConfig assigns (one weight per layer, so the 1024-wide Stockham
+// stacks sum classes on their closing layers and gather periodically behind
+// them; the lifted 4096-wide one runs natural order) and with the same weights
+// perturbed by 1 %, which puts every layer on the per-column kernels. The pair
+// reproduces the structured forms' margin without radixbench.
 func BenchmarkGCInference(b *testing.B) {
 	for _, spec := range []struct {
 		width, layers int
@@ -423,9 +423,9 @@ func BenchmarkRadixKernel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// Perturbed, so the radix engine runs its weighted kernels: left
-			// alone, its layers weigh one power of two and it would take the
-			// uniform-weight octet (BenchmarkGCInference times that pair).
+			// Perturbed, so the radix engine runs its per-column kernels: left
+			// alone, its closing layer holds one weight and would sum classes
+			// (BenchmarkGCInference times that pair).
 			engine.PerturbWeights(0.01, 1)
 			edgesPerOp := float64(batch.Rows()) * float64(engine.TotalNNZ())
 			if _, err := engine.Infer(batch); err != nil { // size the buffers

@@ -228,7 +228,7 @@ func TestBCERegionsLive(t *testing.T) {
 		}
 		byName[r.Name] = r
 	}
-	for _, want := range []string{"csc-gather", "csc-gather-regular", "csc-gather4", "uniform-taps"} {
+	for _, want := range []string{"csc-gather", "csc-gather-regular", "csc-gather4"} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("region %q not found (got %v)", want, regions)
 		}
@@ -236,8 +236,8 @@ func TestBCERegionsLive(t *testing.T) {
 	if r := byName["csc-gather"]; !r.AllowSlice || r.AllowIndex != 1 {
 		t.Errorf("csc-gather allowances = slice=%t index=%d, want slice=true index=1", r.AllowSlice, r.AllowIndex)
 	}
-	if r := byName["uniform-taps"]; !r.AllowSlice || r.AllowIndex != 0 {
-		t.Errorf("uniform-taps allowances = slice=%t index=%d, want slice=true index=0", r.AllowSlice, r.AllowIndex)
+	if r := byName["csc-gather-regular"]; !r.AllowSlice || r.AllowIndex != 4 {
+		t.Errorf("csc-gather-regular allowances = slice=%t index=%d, want slice=true index=4", r.AllowSlice, r.AllowIndex)
 	}
 }
 

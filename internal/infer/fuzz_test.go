@@ -152,17 +152,17 @@ func fuzzBatch(rng *rand.Rand, rows, width int, fill uint8) *sparse.Dense {
 // fuzzScales are the magnitudes a batch is moved to: down among the
 // subnormals, where a weight below 1 makes products inexact; far from both
 // ends; and up where 2^1000 overflows after a few uncapped layers and 2^1022
-// overflows an unweighted sum of eight but not the weighted one.
+// within one layer's sums.
 var fuzzScales = [...]float64{1, 0x1p-1060, 0x1p-700, 0x1p700, 0x1p1000, 0x1p1022}
 
-// shapeBatch moves a drawn batch to where the uniform-weight window's edges
-// are. mode 0–5 multiplies by fuzzScales[mode], and alt flips the sign of
-// about half the elements; mode 6 (7) sets every nonzero element's exponent to
-// the lower (upper) edge of probe's own window, or with alt one binade outside
-// it — the ends of the normal range when probe has no window. specials then
-// overwrites up to three elements with one kind of value no window admits, or
-// −0, which every path must read as zero.
-func shapeBatch(rng *rand.Rand, batch *sparse.Dense, probe *Engine, mode int, alt, specials bool) {
+// shapeBatch moves a drawn batch to the ends of the double range. mode 0–5
+// multiplies by fuzzScales[mode], and alt flips the sign of about half the
+// elements; mode 6 (7) sets every nonzero element's exponent to the lowest
+// (highest) normal binade, or with alt one binade beyond it — subnormals
+// (infinities). specials then overwrites up to three elements with one kind of
+// special value — NaN, ±Inf, a subnormal, ±MaxFloat64 — or −0, which every
+// path must read as zero.
+func shapeBatch(rng *rand.Rand, batch *sparse.Dense, mode int, alt, specials bool) {
 	data := batch.Data()
 	if mode < len(fuzzScales) {
 		for i := range data {
@@ -172,13 +172,9 @@ func shapeBatch(rng *rand.Rand, batch *sparse.Dense, probe *Engine, mode int, al
 			}
 		}
 	} else {
-		n, loE, hiE := windowExps(probe)
-		if n == 0 {
-			loE, hiE = 1, 2046
-		}
-		e := loE
+		e := 1
 		if mode == 7 {
-			e = hiE
+			e = 2046
 		}
 		if alt {
 			e += 2*(mode-6) - 1
@@ -219,11 +215,11 @@ func sameBits(t *testing.T, what string, got, want *sparse.Dense) {
 
 // layersAgree is the per-layer half of the differential: on one drawn input
 // per layer, the CSC gather, the affine gather with the epilogue applied by
-// hand, and the radix layer's gather, scatter and (where its weights are one
-// power of two) uniform octet and (where it is closed) class sum — fed and
-// read through the Stockham packing when the layer runs packed — must all
-// agree bit for bit; so must, on rows folded to each period it takes, the
-// periodic gather of an opening layer that holds one weight.
+// hand, and the radix layer's gather, octet (on eight copies of the row),
+// scatter and (where it is closed) class sum — fed and read through the
+// Stockham packing when the layer runs packed — must all agree bit for bit; so
+// must, on rows folded to each period it takes, the periodic gather of an
+// opening layer that holds one weight.
 func layersAgree(t *testing.T, rng *rand.Rand, csc, rad *Engine) {
 	t.Helper()
 	for l, k := range csc.kernels {
@@ -285,15 +281,14 @@ func layersAgree(t *testing.T, rng *rand.Rand, csc, rad *Engine) {
 		}
 		out := make([]float64, k.Cols())
 		check("radix gather", out, rk.FusedGatherRow(out, in, bias, clip))
-		if rk.UniformWeight() != 0 {
-			// x is drawn from [0, 1): inside any one layer's window.
-			var ins, outs [8][]float64
-			for b := range ins {
-				ins[b], outs[b] = in, make([]float64, k.Cols())
-			}
-			var n8 [8]int
-			rk.FusedGatherRow8Uniform(&outs, &ins, bias, clip, &n8)
-			check("uniform octet", outs[7], n8[7])
+		var ins, outs [8][]float64
+		for b := range ins {
+			ins[b], outs[b] = in, make([]float64, k.Cols())
+		}
+		var n8 [8]int
+		rk.FusedGatherRow8(&outs, &ins, bias, clip, &n8)
+		for b := range outs {
+			check(fmt.Sprintf("octet row %d", b), outs[b], n8[b])
 		}
 		if rk.Closed() {
 			check("class sum", out, rk.FusedGatherClosed(out, in, bias, clip))
@@ -322,32 +317,30 @@ func layersAgree(t *testing.T, rng *rand.Rand, csc, rad *Engine) {
 }
 
 // FuzzInferPathsAgree is the differential gate every kernel deletion sits
-// behind, and the check on the uniform-weight window's proof: for a drawn
-// network, batch and epilogue, the CSC engine, the auto-built radix engine
-// (natural-order or Stockham, as the config resolves; uniform-weight octets
-// when the weights are left alone and the batch fits the window, class sums on
-// every closing layer still at one weight, periodic gathers and short rows
-// behind those), a clone of
-// each under concurrent use, and ReferenceInfer must agree bit for bit — on
+// behind: for a drawn network, batch and epilogue, the CSC engine, the
+// auto-built radix engine (natural-order or Stockham, as the config resolves;
+// class sums on every closing layer still at one weight, periodic gathers and
+// short rows behind those), a clone of each under concurrent use, and
+// ReferenceInfer must agree bit for bit — on
 // the batch, on a shorter batch through the same engines, on each engine's
 // own output view fed back in, and on the batch again cut into tiles for a
 // private pool of three workers (the first runs share parallel.Shared, so all
 // but one at a time take its busy path).
 //
-// opts: bit 0 allows positive biases (a quarter of them tiny or subnormal, so
-// the window's bias-granularity term bites), bit 1 turns the cap off, bit 2
+// opts: bit 0 allows positive biases (a quarter of them tiny or subnormal),
+// bit 1 turns the cap off, bit 2
 // leaves the weights at 4/fan-in instead of perturbing them, and bits 3–7 are
 // shapeBatch's mode, alt and specials. rows carries two things: the batch is
 // 1 + rows%67 rows, and rows/67 is fuzzEngine's single-layer op.
 func FuzzInferPathsAgree(f *testing.F) {
 	// The seed corpus alone reaches every function of sparse/kernel.go and
 	// sparse/radixkernel.go (see the -coverprofile recipe in CHANGES.md), and
-	// runs the uniform octet on both sides of both window edges.
+	// runs every path at both ends of the double range.
 	const (
-		uniform  = 4      // opts bit 2
-		atLo     = 6 << 3 // every input at the window's lower edge
-		atHi     = 7 << 3 // ... upper edge
-		alt      = 64     // one binade outside it; sign flips on modes 0–5
+		uniform  = 4      // opts bit 2: weights left at 4/fan-in
+		atLo     = 6 << 3 // every input in the lowest normal binade
+		atHi     = 7 << 3 // ... the highest
+		alt      = 64     // one binade beyond it; sign flips on modes 0–5
 		specials = 128
 	)
 	for _, s := range []struct {
@@ -376,11 +369,11 @@ func FuzzInferPathsAgree(f *testing.F) {
 		{[]byte{0, 4}, 0, 0, 0, 9},
 
 		// Weights left at 4/fan-in. (8,8), weight 1/2, 25 mostly dense rows:
-		// uniform octets on every layer, then a single row.
+		// octets on every layer, then a single row.
 		{[]byte{1, 4, 4}, 24, 240, uniform, 10},
-		// The same net with every input at the window's lower edge, and one
-		// binade below it (seeds that draw zero biases, so the outputs live);
-		// at its upper edge, and one above; cap on and off.
+		// The same net with every input in the lowest normal binade, and among
+		// the subnormals below it (seeds that draw zero biases, so the outputs
+		// live); in the highest, and at infinity above it; cap on and off.
 		{[]byte{1, 4, 4}, 24, 240, uniform | atLo, 25},
 		{[]byte{1, 4, 4}, 24, 240, uniform | atLo | alt, 64},
 		{[]byte{1, 4, 4}, 24, 240, uniform | atHi, 13},
@@ -391,11 +384,10 @@ func FuzzInferPathsAgree(f *testing.F) {
 		{[]byte{1, 4, 4}, 24, 240, uniform | 2 | atHi | alt, 18},
 		// (32,2), weight 1/8 on fan-ins 32 and 2 — full 8×8 tiles, then a
 		// radix below the tile — fed subnormals, with zero biases for this
-		// seed so they reach the output: an unguarded octet rounds
-		// differently here.
+		// seed so they reach the output: the products round here.
 		{[]byte{1, 6, 0}, 30, 250, uniform | 1<<3, 132},
-		// (8,8) uncapped at 2^1022: an unguarded octet's sums overflow where
-		// the weighted ones do not. Then capped, with mixed signs.
+		// (8,8) uncapped at 2^1022, where a sum of eight inputs overflows before
+		// its weight is applied and not after. Then capped, with mixed signs.
 		{[]byte{1, 4, 4}, 24, 250, uniform | 2 | 5<<3, 20},
 		{[]byte{1, 4, 4}, 24, 250, uniform | 5<<3 | alt, 21},
 		// 2^1000 uncapped through six layers of (8,8)|(8,8)|(8,8): finite in,
@@ -403,7 +395,7 @@ func FuzzInferPathsAgree(f *testing.F) {
 		{[]byte{1, 4, 4, 2, 0, 0}, 16, 250, uniform | 2 | 4<<3, 22},
 		// One kind of special element per batch (by seed: −0, NaN, subnormal,
 		// ±MaxFloat64, ±Inf), then NaN in thin rows, where the ring scatter
-		// used to drop it, on uniform and on perturbed weights.
+		// used to drop it, on weights left alone and on perturbed ones.
 		{[]byte{1, 4, 4}, 24, 240, uniform | specials, 100},
 		{[]byte{1, 4, 4}, 24, 240, uniform | specials, 102},
 		{[]byte{1, 4, 4}, 24, 240, uniform | specials, 103},
@@ -413,13 +405,12 @@ func FuzzInferPathsAgree(f *testing.F) {
 		{[]byte{1, 4, 4}, 24, 240, uniform | specials, 115},
 		{[]byte{1, 4, 4}, 24, 30, uniform | specials, 114},
 		{[]byte{1, 4, 4}, 24, 30, specials, 128},
-		// (8,8)|(8,8) with positive biases on uniform weights. Seed 133 draws
-		// 1e-300, 0, 0.2, 0.2 — none negative, so every layer costs a binade
-		// of granularity and the lower edge rises with depth: at it, below
-		// it, and among the subnormals. Seed 104 draws a subnormal bias,
-		// behind which no window is left; so do seeds 37 and 58 on plain
-		// (8,8), where the all-zero rows it resurrects reach a zero-bias
-		// layer and an octet that ignored the bias's granularity shows.
+		// (8,8)|(8,8) with positive biases on weights left alone. Seed 133
+		// draws 1e-300, 0, 0.2, 0.2 — none negative, so every layer's outputs
+		// take the granularity of its bias: on ordinary rows, in the lowest
+		// normal binade, below it and at 2^−1060. Seed 104 draws a subnormal
+		// bias; so do seeds 37 and 58 on plain (8,8), where the all-zero rows
+		// it resurrects reach a zero-bias layer.
 		{[]byte{1, 4, 4, 1, 0}, 24, 240, uniform | 1, 133},
 		{[]byte{1, 4, 4, 1, 0}, 24, 240, uniform | 1 | atLo, 133},
 		{[]byte{1, 4, 4, 1, 0}, 24, 240, uniform | 1 | atLo | alt, 133},
@@ -432,18 +423,17 @@ func FuzzInferPathsAgree(f *testing.F) {
 		{[]byte{1, 1, 3}, 12, 240, uniform, 30},
 		{[]byte{1, 2, 2, 0, 2, 2, 2, 2}, 12, 240, uniform, 31},
 		// Single-layer writes to six layers of (8,8)|(8,8)|(8,8) left at 1/2:
-		// one layer perturbed (the rest stay on the shared run, the uniform
-		// window ends where it sits), one halved (uniform throughout, two
-		// weights), both; then both on perturbed weights and on the
-		// natural-order family.
+		// one layer perturbed (the rest stay on the shared run), one halved
+		// (one weight per layer throughout, two across the stack), both; then
+		// both on perturbed weights and on the natural-order family.
 		{[]byte{1, 4, 4, 2, 0, 0}, 67 + 24, 240, uniform, 40},
 		{[]byte{1, 4, 4, 2, 0, 0}, 2*67 + 24, 240, uniform, 41},
 		{[]byte{1, 4, 4, 2, 0, 0}, 3*67 + 24, 240, uniform, 42},
 		{[]byte{1, 4, 4, 2, 0, 0}, 3*67 + 12, 60, 0, 43},
 		{[]byte{1, 2, 2, 1, 0, 1}, 3*67 + 14, 200, uniform, 44},
 		// Class sums beside per-column gathers, on (8,8) and (2,32) left at
-		// 4/fan-in with one layer perturbed, every row out of the uniform
-		// window (a special element, subnormals, 2^1022) and dense enough to
+		// 4/fan-in with one layer perturbed, every row at an end of the range
+		// (a special element, subnormals, 2^1022) and dense enough to
 		// gather on both layers: batches of 1, 4, 5, 8 and 13 rows — a single,
 		// a quad, an octet and both tails. These seeds perturb the opening
 		// layer, so the closing one sums classes behind weighted gathers ...
@@ -453,7 +443,7 @@ func FuzzInferPathsAgree(f *testing.F) {
 		{[]byte{1, 0, 6}, 67 + 7, 240, uniform | specials, 356},
 		{[]byte{1, 4, 4}, 67 + 12, 240, uniform | 1<<3, 372},
 		// ... and these the closing layer, which must have left the class-sum
-		// binding while the opening one stays uniform-weight.
+		// binding while the opening one stays at one weight.
 		{[]byte{1, 4, 4}, 67 + 0, 240, uniform | 5<<3, 200},
 		{[]byte{1, 4, 4}, 67 + 3, 240, uniform | 1<<3, 219},
 		{[]byte{1, 0, 6}, 67 + 4, 240, uniform | specials, 203},
@@ -462,13 +452,13 @@ func FuzzInferPathsAgree(f *testing.F) {
 		// Periodic gathers behind class sums, and the short hand-offs between
 		// them. (8,8)|(8,8)|(8,8) left at 1/2 — layers 2 and 4 gather one period
 		// of 8 columns from 15 leading entries and hand a 16-entry head on — on
-		// 13 rows inside the window, then on subnormals (this seed draws zero
+		// 13 ordinary rows, then on subnormals (this seed draws zero
 		// biases, so they reach the output); one layer halved, which keeps every
 		// layer on one weight but not its neighbour's.
 		{[]byte{1, 4, 4, 2, 0, 0}, 12, 240, uniform, 406},
 		{[]byte{1, 4, 4, 2, 0, 0}, 12, 240, uniform | 1<<3, 710},
 		{[]byte{1, 4, 4, 2, 0, 0}, 2*67 + 3, 240, uniform, 406},
-		// The same stack with one layer perturbed, rows out of the window, zero
+		// The same stack with one layer perturbed, rows at the range's ends, zero
 		// biases: the opening layer 4 (it gathers per column again, layer 3
 		// writes whole rows, layer 5 reads one), the closing layer 3 (off the
 		// class sums, and layer 4 behind it off the periodic gather) and the
@@ -547,8 +537,7 @@ func FuzzInferPathsAgree(f *testing.F) {
 			}
 		}
 		perturb, op := opts&4 == 0, int(rows)/67
-		shapeBatch(rng2, batch, fuzzEngine(t, cfg, KernelAuto, bias, cap, perturb, op, seed),
-			int(opts>>3)&7, opts&64 != 0, opts&128 != 0)
+		shapeBatch(rng2, batch, int(opts>>3)&7, opts&64 != 0, opts&128 != 0)
 		short, err := batch.RowsView(0, 1+batchRows/2)
 		if err != nil {
 			t.Fatal(err)

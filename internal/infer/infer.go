@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -194,11 +193,11 @@ func FromTopology(g *topology.FNNT, weight, bias, cap float64) (*Engine, error) 
 
 // FromConfig generates the RadiX-Net of cfg and wraps it in an engine with
 // Graph Challenge weighting: every edge weighs 4/fan-in (1/8 on the
-// challenge's fan-in of 32, 1/2 on radix (8,8,8) — a power of two whenever
-// the fan-in is), bias −0.10, cap 32. Kernel selection is KernelAuto: the
-// config proves the layers radix-structured, so stride plans are compiled and
-// the engine runs the structure-aware butterfly kernel
-// (FromConfigKernel(cfg, KernelCSC) builds the generic oracle instead).
+// challenge's fan-in of 32, 1/2 on radix (8,8,8)), bias −0.10, cap 32.
+// Kernel selection is KernelAuto: the config proves the layers
+// radix-structured, so stride plans are compiled and the engine runs the
+// structure-aware butterfly kernel (FromConfigKernel(cfg, KernelCSC) builds
+// the generic oracle instead).
 func FromConfig(cfg core.Config) (*Engine, error) {
 	return FromConfigKernel(cfg, KernelAuto)
 }
@@ -386,91 +385,6 @@ func gatherBlock(s *tileSet, cur *cursor, blk *rowBlock, at *[8]int, t, w int) {
 	}
 }
 
-// Exponent range of float64: every value is a multiple of 2^minExp, and a
-// magnitude of at most 2^maxExp is finite.
-const (
-	minExp = -1074
-	maxExp = 1023
-)
-
-// exactWindow returns how many leading layers may run their uniform-weight
-// binding and the input window that makes doing so exact: with y the bits of
-// |x| shifted left once, every nonzero input needs lo ≤ y−1 and y < hi (Inf
-// and NaN never fit, nor do subnormals under a weight below 1). n = 0 when no
-// window exists.
-//
-// sparse.FusedGatherRow8Uniform equals the weighted octet bit for bit when,
-// at every uniform layer (weight 2^k, fan-in f), the inputs are multiples of
-// 2^q with q+k ≥ minExp and neither the unweighted sums (at most 2f·max|x|,
-// the 2 covering rounding) nor the weighted ones (2^k times that) overflow.
-// Down the stack an output w·Σ + bias is a multiple of the coarsest of
-// 2^(q+k), ulp(bias) and, if clamped, ulp(cap) — and under a negative bias of
-// ulp(bias) whatever q was, because an output only survives the ReLU when
-// w·Σ > |bias|, which makes the double w·Σ a multiple of ulp(bias) itself (so
-// Graph Challenge stacks, bias −0.1, lose nothing with depth). Magnitudes
-// grow to the sum's bound plus the bias, or stop at the cap. The walk runs
-// that recurrence backwards from the last uniform layer in O(layers) integer
-// steps: need is the granularity the consumer requires of a layer's output,
-// room the bound on its magnitude exponent. It reads the kernels' uniform
-// bits, e.bias and e.cap on every call, not at construction: weights change
-// under RefreshWeights (through any clone), and in-package callers write the
-// other two after FromConfigKernel returns. Uniform layers behind a weighted
-// one stay weighted — a weighted layer's outputs have no provable granularity.
-func (e *Engine) exactWindow() (n int, lo, hi uint64) {
-	for n < len(e.radix) && e.radix[n].UniformWeight() != 0 { // Stockham stacks only
-		n++
-	}
-	need, room := minExp, math.MaxInt32
-	for l := n - 1; l >= 0; l-- {
-		rk, bias := e.radix[l], e.bias[l]
-		k := math.Ilogb(rk.UniformWeight())
-		grow := bits.Len(uint(rk.Plan().ColDegree()-1)) + 1 // |Σ| ≤ 2^grow · max|x|
-		if (bias != 0 && ulpExp(bias) < need) || (e.cap > 0 && ulpExp(e.cap) < need) {
-			return 0, 0, 0
-		}
-		if bias < 0 {
-			need = minExp // the output's granularity no longer depends on q
-		}
-		need = max(need, minExp) - k
-		in := maxExp - grow - max(k, 0)
-		if e.cap <= 0 || math.Ilogb(e.cap) >= room {
-			// No cap below 2^room: |w·Σ + bias| ≤ 2^(max(·, mb)+1) must fit,
-			// where |bias| < 2^mb.
-			if mb := math.Ilogb(bias) + 1; mb >= room {
-				return 0, 0, 0
-			}
-			in = min(in, room-1-grow-k)
-		}
-		room = in
-	}
-	// An input with biased exponent E is a multiple of 2^(max(E,1)−1075) and
-	// below 2^(E−1022). lo bounds y−1 and stays 0 when even the subnormals
-	// are fine-grained enough (no weight below 1 anywhere).
-	loE, hiE := max(need+1075, 0), min(room+1022, 2046)
-	if n == 0 || loE > hiE {
-		return 0, 0, 0
-	}
-	if loE > 1 {
-		lo = uint64(loE)<<53 - 1
-	}
-	return n, lo, uint64(hiE+1) << 53
-}
-
-// ulpExp returns g such that the nonzero x is a multiple of 2^g, read off its
-// exponent alone.
-func ulpExp(x float64) int { return max(math.Ilogb(x)-52, minExp) }
-
-// UniformLayers reports how many layers take their uniform-weight binding on
-// batches whose inputs fit its exactness window: the stack's leading layers
-// whose weights are all one positive power of two, on the Stockham family; 0
-// on a CSC or natural-order engine, after PerturbWeights, or when bias and cap
-// leave no window. Those of them ClosedLayers also counts run class sums, on
-// every batch; the rest run sparse.FusedGatherRow8Uniform.
-func (e *Engine) UniformLayers() int {
-	n, _, _ := e.exactWindow()
-	return n
-}
-
 // PeriodicLayers reports how many layers gather one period of columns
 // (sparse.FusedGatherPeriodic) whatever the batch: Stockham opening layers whose
 // radix divides the place value of the closing layer before them while both hold
@@ -539,10 +453,6 @@ func (e *Engine) infer(y0 *sparse.Dense) (*sparse.Dense, error) {
 		in = append(e.stage[:0], in...)
 		e.stage = in[:0]
 	}
-	// The same pass brackets the nonzero inputs' magnitudes for exactWindow:
-	// y is |v|'s bit pattern with the exponent on top, so unsigned order is
-	// magnitude order with NaN and Inf last, and y-1 wraps ±0 out of the min.
-	minY, maxY := ^uint64(0), uint64(0)
 	for b := 0; b < batch; b++ {
 		row := in[b*w0 : (b+1)*w0]
 		nnz := 0
@@ -556,7 +466,6 @@ func (e *Engine) infer(y0 *sparse.Dense) (*sparse.Dense, error) {
 				y := math.Float64bits(v) << 1
 				idx[nnz] = int32(i)
 				nnz += int((y | -y) >> 63)
-				minY, maxY = min(minY, y-1), max(maxY, y)
 			}
 		} else {
 			for _, v := range row {
@@ -566,25 +475,14 @@ func (e *Engine) infer(y0 *sparse.Dense) (*sparse.Dense, error) {
 				// data-dependent branch on every staged element.
 				y := math.Float64bits(v) << 1
 				nnz += int((y | -y) >> 63)
-				minY, maxY = min(minY, y-1), max(maxY, y)
 			}
 		}
 		e.rowNNZ[b] = int32(nnz)
 	}
-
-	// Layers below uni run their uniform-weight binding on this batch.
-	uni, lo, hi := e.exactWindow()
-	if minY < lo || maxY >= hi {
-		uni = 0
-	}
+	// The weights decide what each layer runs: they change under
+	// RefreshWeights, through any clone.
 	for l, k := range e.steps {
-		// The weights decide what the layer runs (they change under
-		// RefreshWeights), then the batch: inside the window a per-column
-		// step's full octets run unweighted.
 		e.plan[l] = k.needs()
-		if l < uni && e.plan[l].form == perColumn {
-			e.plan[l].form = uniformOctets
-		}
 	}
 	// One pointer load decides whether this batch is profiled; when it is,
 	// its tiles time each layer and report splits the dispatch by what they
@@ -734,8 +632,8 @@ func (e *Engine) SetPool(p *parallel.Pool) {
 // PerturbWeights adds uniform noise in ±scale to every stored weight,
 // seeded, and resyncs the kernels; used by robustness tests and benchmarks to
 // leave the all-equal weight special case (a perturbed layer no longer has one
-// power-of-two weight, so UniformLayers drops to 0, and every layer now stores
-// its own values in each order it runs).
+// weight, so ClosedLayers and PeriodicLayers drop to 0, and every layer now
+// stores its own values in each order it runs).
 func (e *Engine) PerturbWeights(scale float64, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for _, l := range e.layers {

@@ -34,10 +34,9 @@ type layerNeeds struct {
 type gatherForm uint8
 
 const (
-	perColumn     gatherForm = iota // one chain per output column; mostly-zero rows scatter
-	uniformOctets                   // perColumn, full octets on sparse.FusedGatherRow8Uniform
-	classSums                       // sparse.FusedGatherClosed: one chain per residue class
-	periodicRows                    // sparse.FusedGatherPeriodic: one chain per column of a period
+	perColumn    gatherForm = iota // one chain per output column; mostly-zero rows scatter
+	classSums                      // sparse.FusedGatherClosed: one chain per residue class
+	periodicRows                   // sparse.FusedGatherPeriodic: one chain per column of a period
 )
 
 // everyRow reports whether the form gathers even mostly-zero rows: it spends
@@ -171,24 +170,19 @@ func (l *stockhamLayer) scatter(out, in []float64, nz []int32, scratch []float64
 }
 
 // gather runs the step's form. Neither structured form has a weight stream for
-// a block to share, so they serve every block width a row at a time. A full
-// octet of uniformOctets sums its in-edges unweighted and scales once per
-// output; quads and single rows stay on the weighted forms, which
-// Engine.exactWindow makes bit-identical, so the two mix inside one batch.
+// a block to share, so they serve every block width a row at a time.
 //
 //radix:hotpath
 func (l *stockhamLayer) gather(r rowBlock, n int, form gatherForm, bias, clip float64) (nnz [8]int) {
-	switch {
-	case form == classSums:
+	switch form {
+	case classSums:
 		for j := 0; j < n; j++ {
 			nnz[j] = l.rk.FusedGatherClosed(r.out[j], r.in[j], bias, clip)
 		}
-	case form == periodicRows:
+	case periodicRows:
 		for j := 0; j < n; j++ {
 			nnz[j] = l.rk.FusedGatherPeriodic(r.out[j], r.in[j], bias, clip)
 		}
-	case form == uniformOctets && n == 8:
-		l.rk.FusedGatherRow8Uniform(&r.out, &r.in, bias, clip, &nnz)
 	default:
 		return l.radixLayer.gather(r, n, form, bias, clip)
 	}

@@ -82,10 +82,8 @@ func ranForms(t *testing.T, snap ProfileSnapshot) []gatherForm {
 	forms := make([]gatherForm, len(snap.Layers))
 	for l, lp := range snap.Layers {
 		switch {
-		case lp.Batches != 1 || lp.Uniform+lp.ClassSum+lp.Periodic > 1:
-			t.Fatalf("layer %d: %d batches, %d uniform, %d class-sum, %d periodic", l, lp.Batches, lp.Uniform, lp.ClassSum, lp.Periodic)
-		case lp.Uniform == 1:
-			forms[l] = uniformOctets
+		case lp.Batches != 1 || lp.ClassSum+lp.Periodic > 1:
+			t.Fatalf("layer %d: %d batches, %d class-sum, %d periodic", l, lp.Batches, lp.ClassSum, lp.Periodic)
 		case lp.ClassSum == 1:
 			forms[l] = classSums
 		case lp.Periodic == 1:
@@ -98,8 +96,7 @@ func ranForms(t *testing.T, snap ProfileSnapshot) []gatherForm {
 // TestPeriodicHandoffs pins the selection shape by shape: which layers sum
 // classes, which gather periodically, and what each pair hands over — and that
 // whatever is selected equals the CSC engine bit for bit on 13 rows (an octet, a
-// quad, a single), one of them outside the uniform window so layer 0 and the
-// middle digits run weighted.
+// quad, a single), one of them holding MaxFloat64.
 func TestPeriodicHandoffs(t *testing.T) {
 	col, cls, per := perColumn, classSums, periodicRows
 	for _, c := range []struct {
@@ -170,7 +167,7 @@ func TestPeriodicFollowsWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch.RowSlice(3)[17] = math.MaxFloat64 // outside exactWindow: layer 0 runs weighted
+	batch.RowSlice(3)[17] = math.MaxFloat64 // one extreme element among ordinary ones
 	const layer, edge = 1, 4097
 	w := rad.layers[layer].Values()[edge]
 	col, cls, per := perColumn, classSums, periodicRows

@@ -51,10 +51,10 @@ func (p *Profiler) sample() bool {
 // edges = rows×nnz matches the repo's Gedges/s convention), and the
 // layer's share of the batch's one dispatch, in wall time: a sampled batch's
 // layers sum to the time its caller waited, whatever the worker count. form
-// is what the step ran: class sums and periodic gathers on every row (edges stay nominal: rows×nnz is what the shared chains stand
-// for, not the multiply-adds spent), the uniform-weight binding when the
-// batch's inputs passed the exactness window, else the weighted per-column
-// forms.
+// is the step's: class-sum and periodic layers gather every row, so the form
+// recorded is what ran (edges stay nominal: rows×nnz is what the shared chains
+// stand for, not the multiply-adds spent); per-column layers gather dense rows
+// and scatter the rest.
 func (p *Profiler) record(layer, rows int, nnz int, d time.Duration, form gatherForm) {
 	if layer < 0 || layer >= len(p.layers) {
 		return
@@ -100,7 +100,6 @@ type LayerProfile struct {
 	Layer        int     `json:"layer"`
 	NNZ          int     `json:"nnz"`
 	Batches      int64   `json:"batches"`
-	Uniform      int64   `json:"uniform_batches"`   // of Batches, those run on the uniform-weight binding
 	ClassSum     int64   `json:"class_sum_batches"` // of Batches, those run as a closed layer's class sums
 	Periodic     int64   `json:"periodic_batches"`  // of Batches, those run as periodic gathers behind a closed layer
 	Rows         int64   `json:"rows"`
@@ -130,7 +129,6 @@ func (p *Profiler) snapshot(nnz []int) ProfileSnapshot {
 		l := LayerProfile{
 			Layer:    i,
 			Batches:  lp.batches.Load(),
-			Uniform:  lp.forms[uniformOctets].Load(),
 			ClassSum: lp.forms[classSums].Load(),
 			Periodic: lp.forms[periodicRows].Load(),
 			Rows:     lp.rows.Load(),
@@ -157,10 +155,8 @@ func (p *Profiler) snapshot(nnz []int) ProfileSnapshot {
 }
 
 // EnableProfiling attaches a fresh profiler sampling every Nth batch
-// (every <= 1: every batch; every < 0 is normalized to 1). The
-// profiler is shared with clones made afterwards. Returns the
-// profiler so callers can share it across pre-existing clones via
-// SetProfiler.
+// (every <= 1: every batch; every < 0 is normalized to 1) and returns
+// it. The profiler is shared with clones made afterwards.
 func (e *Engine) EnableProfiling(every int) *Profiler {
 	p := NewProfiler(len(e.layers), every)
 	e.prof.Store(p)
@@ -170,11 +166,6 @@ func (e *Engine) EnableProfiling(every int) *Profiler {
 // DisableProfiling detaches the profiler; subsequent Infer calls pay
 // only the nil pointer load.
 func (e *Engine) DisableProfiling() { e.prof.Store(nil) }
-
-// SetProfiler attaches an existing profiler (from another engine of
-// the same layer stack) so a pool of clones aggregates into one set
-// of tallies. A nil p disables profiling.
-func (e *Engine) SetProfiler(p *Profiler) { e.prof.Store(p) }
 
 // Profile snapshots the attached profiler's tallies; ok is false when
 // profiling is disabled.

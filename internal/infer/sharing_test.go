@@ -73,7 +73,7 @@ func perturbLayer(e *Engine, k int, seed int64) {
 
 // TestPerturbOneLayerLeavesOthers: writing one layer of a stack that reads one
 // constant run moves that layer, and only that layer, onto storage of its own.
-// Every other layer keeps its values, its uniform bit and the run (the
+// Every other layer keeps its values, its one-weight bit and the run (the
 // footprint grows by exactly one layer's copies); and the half-shared stack
 // computes the same bits on every path. A RadixKernel that decided ownership
 // of its Stockham stream by comparing addresses took the re-pointed CSC view
@@ -116,16 +116,13 @@ func TestPerturbOneLayerLeavesOthers(t *testing.T) {
 			}
 		}
 		for l, rk := range rad.radix {
-			want := w
-			if l == k {
-				want = 0
-			}
-			if got := rk.UniformWeight(); got != want {
-				t.Errorf("k=%d: layer %d uniform weight %v, want %v", k, l, got, want)
+			if rk.OneWeight() != (l != k) {
+				t.Errorf("k=%d: layer %d reports one weight %t", k, l, rk.OneWeight())
 			}
 		}
-		if got := rad.UniformLayers(); got != k {
-			t.Errorf("k=%d: %d leading uniform layers, want %d", k, got, k)
+		// The odd layers close their systems: writing one takes it off the class sums.
+		if got, want := rad.ClosedLayers(), layers/2-k%2; got != want {
+			t.Errorf("k=%d: %d closed layers, want %d", k, got, want)
 		}
 
 		want, err := csc.ReferenceInfer(batch)

@@ -85,11 +85,10 @@ func TestHTTPModelsReportKernel(t *testing.T) {
 	if info.Kernel != "radix" {
 		t.Fatalf("register info kernel = %q, want radix", info.Kernel)
 	}
-	// A lifted stack runs natural order: no uniform octet, no class sums, no
-	// periodic gathers.
-	if info.UniformLayers != 0 || info.ClassSumLayers != 0 || info.PeriodicLayers != 0 {
-		t.Fatalf("register info: %d uniform, %d class-sum and %d periodic layers on a lifted config, want 0, 0 and 0",
-			info.UniformLayers, info.ClassSumLayers, info.PeriodicLayers)
+	// A lifted stack runs natural order: no class sums, no periodic gathers.
+	if info.ClassSumLayers != 0 || info.PeriodicLayers != 0 {
+		t.Fatalf("register info: %d class-sum and %d periodic layers on a lifted config, want 0 and 0",
+			info.ClassSumLayers, info.PeriodicLayers)
 	}
 	// (4,4) lifted 2→2→2: two distinct 32×32 layers of 256 edges. One run of
 	// weights; per layer 33+256 CSR ints and 33+256+256 CSC int32s.
@@ -107,7 +106,7 @@ func TestHTTPModelsReportKernel(t *testing.T) {
 	if code, body = adminDo(t, http.MethodPost, ts.URL+"/v1/models", registerBody(t, "twice", twice, 1)); code != http.StatusCreated {
 		t.Fatalf("register (4,4)(4,4): status %d: %s", code, body)
 	}
-	if !strings.Contains(string(body), `"uniform_layers":4,"class_sum_layers":2,"periodic_layers":1,`) {
+	if !strings.Contains(string(body), `"kernel":"radix","class_sum_layers":2,"periodic_layers":1,`) {
 		t.Fatalf("register (4,4)(4,4): kernel-use fields missing from %s", body)
 	}
 
@@ -122,10 +121,10 @@ func TestHTTPModelsReportKernel(t *testing.T) {
 	kernels := map[string]string{}
 	for _, mi := range list["models"] {
 		kernels[mi.Name] = mi.Kernel
-		// "m" is testConfig's (4,4) on the Stockham chain: both layers hold one
-		// power of two, and the second closes the system.
-		if mi.Name == "m" && (mi.UniformLayers != 2 || mi.ClassSumLayers != 1 || mi.PeriodicLayers != 0) {
-			t.Fatalf("model m: %d uniform, %d class-sum and %d periodic layers, want 2, 1 and 0", mi.UniformLayers, mi.ClassSumLayers, mi.PeriodicLayers)
+		// "m" is testConfig's (4,4) on the Stockham chain: the second layer
+		// closes the system.
+		if mi.Name == "m" && (mi.ClassSumLayers != 1 || mi.PeriodicLayers != 0) {
+			t.Fatalf("model m: %d class-sum and %d periodic layers, want 1 and 0", mi.ClassSumLayers, mi.PeriodicLayers)
 		}
 		if mi.Name == "twice" && mi.PeriodicLayers != 1 {
 			t.Fatalf("model twice: %d periodic layers, want 1", mi.PeriodicLayers)

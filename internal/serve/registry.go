@@ -154,14 +154,12 @@ type ModelInfo struct {
 	// Kernel is the kernel family the model's engines resolved to ("csc" or
 	// "radix" — never "auto", which resolves at build time).
 	Kernel string `json:"kernel"`
-	// UniformLayers, ClassSumLayers and PeriodicLayers say how much of the
-	// stack's structure the current generation's kernels use
-	// (infer.Engine.UniformLayers, ClosedLayers and PeriodicLayers, read when
-	// asked): layers holding one power-of-two weight; closing layers holding one
-	// weight, which gather by class sums; and the one-weight opening layers
-	// behind those, which gather one period of the repeating row. A reload that
-	// ships written weights shows up as all three dropping.
-	UniformLayers  int `json:"uniform_layers"`
+	// ClassSumLayers and PeriodicLayers say how much of the stack's structure
+	// the current generation's kernels use (infer.Engine.ClosedLayers and
+	// PeriodicLayers, read when asked): closing layers holding one weight,
+	// which gather by class sums, and the one-weight opening layers behind
+	// those, which gather one period of the repeating row. A reload that ships
+	// written weights shows up as both dropping.
 	ClassSumLayers int `json:"class_sum_layers"`
 	PeriodicLayers int `json:"periodic_layers"`
 	// DistinctLayers, StructureBytes and ValueBytes are infer.Engine.Footprint
@@ -579,7 +577,6 @@ func (m *Model) Info() ModelInfo {
 		Workers:      m.pol.Workers,
 		Share:        m.pol.Share,
 
-		UniformLayers:  ep.all[0].UniformLayers(),
 		ClassSumLayers: ep.all[0].ClosedLayers(),
 		PeriodicLayers: ep.all[0].PeriodicLayers(),
 		DistinctLayers: fp.DistinctLayers,

@@ -133,8 +133,7 @@ func sameWord(a, b float64) bool {
 // (5,3)'s — under weights that are and are not powers of two, negative and
 // zero, every bias sign, the cap on and off, and rows of ordinary values, of
 // specials (NaN, ±Inf, −0), of 3–7-ulp subnormals and of MaxFloat64/4. The
-// last two are where an UNWEIGHTED class sum scaled once — the uniform octet's
-// arithmetic, see TestUniformOctetNeedsItsGuard — rounds or overflows
+// last two are where an UNWEIGHTED class sum scaled once rounds or overflows
 // differently; the weighted chain has no such window. Every output word and
 // every live count must match.
 func TestClosedGatherBitIdentical(t *testing.T) {
@@ -153,7 +152,7 @@ func TestClosedGatherBitIdentical(t *testing.T) {
 			x    []float64
 		}{{"ordinary", randomInput(rng, s.np, 0.9)}, {"specials", specials}, {"subnormal", subnormal}, {"huge", huge}}
 		for _, w := range []float64{0.125, 0.3, -0.5, 0} {
-			_, k, rk := uniformTrio(t, s.np, s.pv, s.radix, w)
+			_, k, rk := oneWeightTrio(t, s.np, s.pv, s.radix, w)
 			if !rk.Closed() {
 				t.Fatalf("%v weight %v: not closed", rk.Plan(), w)
 			}
@@ -186,14 +185,14 @@ func TestClosedGatherBitIdentical(t *testing.T) {
 // directions.
 func TestClosedFollowsValues(t *testing.T) {
 	for _, w := range []float64{0.25, 0.3, -0.5, 0} {
-		if _, _, rk := uniformTrio(t, 16, 4, 4, w); !rk.Closed() {
+		if _, _, rk := oneWeightTrio(t, 16, 4, 4, w); !rk.Closed() {
 			t.Errorf("closing layer, weight %v: not closed", w)
 		}
 	}
-	if _, _, rk := uniformTrio(t, 16, 1, 4, 0.25); rk.Closed() {
+	if _, _, rk := oneWeightTrio(t, 16, 1, 4, 0.25); rk.Closed() {
 		t.Error("opening layer (m = 16, radix 4) reported closed")
 	}
-	m, k, rk := uniformTrio(t, 16, 4, 4, 0.25)
+	m, k, rk := oneWeightTrio(t, 16, 4, 4, 0.25)
 	if natural, err := NewRadixKernel(m, k, rk.Plan()); err != nil || natural.Closed() {
 		t.Errorf("natural-order kernel: closed = %t, err = %v", natural.Closed(), err)
 	}

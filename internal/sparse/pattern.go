@@ -76,33 +76,6 @@ func NewPattern(rows, cols int, rowCols [][]int) (*Pattern, error) {
 	return p, nil
 }
 
-// FromCSR adopts pre-built CSR arrays after validating them. The slices are
-// used directly (not copied); callers must not mutate them afterwards.
-func FromCSR(rows, cols int, rowPtr, colIdx []int) (*Pattern, error) {
-	if rows < 1 || cols < 1 {
-		return nil, fmt.Errorf("%w: %dx%d", ErrDims, rows, cols)
-	}
-	if len(rowPtr) != rows+1 || rowPtr[0] != 0 || rowPtr[rows] != len(colIdx) {
-		return nil, errors.New("sparse: malformed rowPtr")
-	}
-	for r := 0; r < rows; r++ {
-		if rowPtr[r] > rowPtr[r+1] {
-			return nil, fmt.Errorf("sparse: rowPtr decreases at row %d", r)
-		}
-		prev := -1
-		for _, c := range colIdx[rowPtr[r]:rowPtr[r+1]] {
-			if c < 0 || c >= cols {
-				return nil, fmt.Errorf("sparse: column %d out of range in row %d", c, r)
-			}
-			if c <= prev {
-				return nil, fmt.Errorf("sparse: columns not strictly increasing in row %d", r)
-			}
-			prev = c
-		}
-	}
-	return &Pattern{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx}, nil
-}
-
 // Identity returns the n×n identity pattern.
 func Identity(n int) *Pattern {
 	p := &Pattern{rows: n, cols: n, rowPtr: make([]int, n+1), colIdx: make([]int, n)}
@@ -419,49 +392,6 @@ func (p *Pattern) Kron(q *Pattern) *Pattern {
 		}
 	})
 	return out
-}
-
-// PermuteRows returns the pattern whose row r is p's row perm[r].
-// perm must be a permutation of [0, rows).
-func (p *Pattern) PermuteRows(perm []int) (*Pattern, error) {
-	if err := checkPerm(perm, p.rows); err != nil {
-		return nil, err
-	}
-	rowCols := make([][]int, p.rows)
-	for r := 0; r < p.rows; r++ {
-		rowCols[r] = append([]int(nil), p.Row(perm[r])...)
-	}
-	return NewPattern(p.rows, p.cols, rowCols)
-}
-
-// PermuteCols returns the pattern with column c relabeled to perm[c].
-func (p *Pattern) PermuteCols(perm []int) (*Pattern, error) {
-	if err := checkPerm(perm, p.cols); err != nil {
-		return nil, err
-	}
-	rowCols := make([][]int, p.rows)
-	for r := 0; r < p.rows; r++ {
-		row := make([]int, 0, p.RowDegree(r))
-		for _, c := range p.Row(r) {
-			row = append(row, perm[c])
-		}
-		rowCols[r] = row
-	}
-	return NewPattern(p.rows, p.cols, rowCols)
-}
-
-func checkPerm(perm []int, n int) error {
-	if len(perm) != n {
-		return fmt.Errorf("sparse: permutation length %d, want %d", len(perm), n)
-	}
-	seen := make([]bool, n)
-	for _, v := range perm {
-		if v < 0 || v >= n || seen[v] {
-			return fmt.Errorf("sparse: invalid permutation value %d", v)
-		}
-		seen[v] = true
-	}
-	return nil
 }
 
 // DenseBool materializes the pattern as a row-major boolean matrix.

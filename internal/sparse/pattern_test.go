@@ -93,32 +93,6 @@ func TestNewPatternSortsAndDedupes(t *testing.T) {
 	}
 }
 
-func TestFromCSRValidation(t *testing.T) {
-	if _, err := FromCSR(2, 2, []int{0, 1, 2}, []int{0, 1}); err != nil {
-		t.Fatalf("valid CSR rejected: %v", err)
-	}
-	cases := []struct {
-		name   string
-		rowPtr []int
-		colIdx []int
-	}{
-		{"short rowPtr", []int{0, 2}, []int{0, 1}},
-		{"rowPtr head", []int{1, 1, 2}, []int{0, 1}},
-		{"rowPtr tail", []int{0, 1, 3}, []int{0, 1}},
-		{"decreasing", []int{0, 2, 1}, []int{0, 1}},
-		{"unsorted row", []int{0, 2, 2}, []int{1, 0}},
-		{"dup in row", []int{0, 2, 2}, []int{1, 1}},
-		{"col range", []int{0, 1, 2}, []int{0, 5}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := FromCSR(2, 2, tc.rowPtr, tc.colIdx); err == nil {
-				t.Fatal("malformed CSR accepted")
-			}
-		})
-	}
-}
-
 func TestIdentity(t *testing.T) {
 	p := Identity(4)
 	if p.NNZ() != 4 {
@@ -471,49 +445,6 @@ func TestZeroRowColDetection(t *testing.T) {
 	full := Ones(2, 2)
 	if full.HasZeroRow() || full.HasZeroCol() {
 		t.Fatal("ones has no empty rows or columns")
-	}
-}
-
-func TestPermuteRowsAndCols(t *testing.T) {
-	p, _ := NewPattern(3, 3, [][]int{{0}, {1}, {2}})
-	perm := []int{2, 0, 1}
-	pr, err := p.PermuteRows(perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Row r of pr is row perm[r] of p.
-	for r := 0; r < 3; r++ {
-		if !pr.Has(r, perm[r]) {
-			t.Fatalf("PermuteRows wrong at row %d", r)
-		}
-	}
-	pc, err := p.PermuteCols(perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 3; r++ {
-		if !pc.Has(r, perm[r]) {
-			t.Fatalf("PermuteCols wrong at row %d", r)
-		}
-	}
-	if _, err := p.PermuteRows([]int{0, 0, 1}); err == nil {
-		t.Fatal("invalid permutation accepted")
-	}
-	if _, err := p.PermuteCols([]int{0, 1}); err == nil {
-		t.Fatal("short permutation accepted")
-	}
-}
-
-func TestPermutationPreservesSymmetryClass(t *testing.T) {
-	// Permuting node labels of a cyclic shift keeps it a permutation matrix.
-	p := CyclicShift(6, 2)
-	perm := []int{5, 4, 3, 2, 1, 0}
-	q, err := p.PermuteRows(perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.NNZ() != 6 || q.HasZeroRow() || q.HasZeroCol() {
-		t.Fatal("permuted permutation matrix is no longer a permutation")
 	}
 }
 

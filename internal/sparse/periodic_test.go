@@ -155,8 +155,8 @@ func TestPeriodicGatherBitIdentical(t *testing.T) {
 		rows := periodicRows(rng, s.np, s.period)
 		lead, head := s.period+s.radix-1, s.period+s.radix
 		for _, w := range []float64{0.125, 0.3, -0.5, 0} {
-			_, k, rk := uniformTrio(t, s.np, 1, s.radix, w)
-			_, kc, rkc := uniformTrio(t, s.np, s.radix, s.np/s.radix, w)
+			_, k, rk := oneWeightTrio(t, s.np, 1, s.radix, w)
+			_, kc, rkc := oneWeightTrio(t, s.np, s.radix, s.np/s.radix, w)
 			if !rk.OneWeight() || rk.Closed() || !rkc.Closed() {
 				t.Fatalf("%v weight %v: one weight %t, closed %t; %v closed %t", rk.Plan(), w, rk.OneWeight(), rk.Closed(), rkc.Plan(), rkc.Closed())
 			}

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -26,13 +25,12 @@ import (
 // orders as Kernel.FusedGatherRow/FusedGatherRow4 and Matrix.FusedScatterRow
 // — so all paths produce bit-identical float64 results.
 //
-// Three forms use more of the structure than the addresses, each behind a
-// predicate RefreshValues derives from the weights: FusedGatherRow8Uniform
-// (UniformWeight: one positive power of two, so the sum can be scaled once),
-// FusedGatherClosed (Closed: one weight on a system's closing layer, so a
-// residue class's columns are one chain, evaluated once) and
-// FusedGatherPeriodic (OneWeight on the opening layer behind a closed one: the
-// input row repeats, so the columns one period apart are one chain).
+// Two forms use more of the structure than the addresses, each behind a
+// predicate RefreshValues derives from the weights: FusedGatherClosed (Closed:
+// one weight on a system's closing layer, so a residue class's columns are one
+// chain, evaluated once) and FusedGatherPeriodic (OneWeight on the opening
+// layer behind a closed one: the input row repeats, so the columns one period
+// apart are one chain).
 type RadixKernel struct {
 	plan    *StridePlan
 	mat     *Matrix
@@ -61,18 +59,12 @@ type RadixKernel struct {
 	stVals []float64
 	ownST  bool
 
-	// uniW is the layer's one weight when the kernel is in Stockham mode and
-	// every stored value is the same positive power of two, else 0. Derived
-	// with stVals, so weight mutation re-derives it through RefreshValues;
-	// it lives here, with the values every engine clone shares, so no clone
-	// can hold a stale copy. FusedGatherRow8Uniform may run only while it is
-	// nonzero.
-	uniW float64
-
 	// oneW says the kernel is in Stockham mode with every stored value equal,
 	// whatever the value: columns that read the same inputs in the same order
 	// then run one chain, which FusedGatherClosed and FusedGatherPeriodic
-	// evaluate once. Derived with uniW, for the same reason.
+	// evaluate once. Derived with stVals, so weight mutation re-derives it
+	// through RefreshValues; it lives here, with the values every engine clone
+	// shares, so no clone can hold a stale copy.
 	oneW bool
 }
 
@@ -138,7 +130,7 @@ func (rk *RadixKernel) Stockham() bool { return rk.stVals != nil }
 
 // RefreshValues re-reads the CSC and CSR views from the Kernel and Matrix the
 // kernel is bound to and, in Stockham mode, re-derives the Stockham-ordered
-// weight stream and the uniform bit from them. A layer whose values are all
+// weight stream and the one-weight bit from them. A layer whose values are all
 // equal — every layer FromConfig builds — has no copy to keep: stVals reads
 // the CSC storage, whoever owns that, until the values differ. O(NNZ);
 // allocates only then.
@@ -148,7 +140,7 @@ func (rk *RadixKernel) RefreshValues() {
 		return
 	}
 	vals := rk.cscVals
-	rk.uniW, rk.oneW = 0, true
+	rk.oneW = true
 	for _, v := range vals {
 		if v != vals[0] {
 			rk.oneW = false
@@ -157,9 +149,6 @@ func (rk *RadixKernel) RefreshValues() {
 	}
 	if rk.oneW {
 		rk.stVals, rk.ownST = vals, false
-		if frac, _ := math.Frexp(vals[0]); frac == 0.5 {
-			rk.uniW = vals[0] // a positive power of two (Frexp hands NaN and ±Inf back as they are)
-		}
 		return
 	}
 	if !rk.ownST {
@@ -178,11 +167,6 @@ func (rk *RadixKernel) RefreshValues() {
 		}
 	}
 }
-
-// UniformWeight returns the layer's one weight when the kernel runs the
-// Stockham layout and every edge carries the same positive power of two, and
-// 0 otherwise. It tracks the weights through RefreshValues.
-func (rk *RadixKernel) UniformWeight() float64 { return rk.uniW }
 
 // OneWeight reports whether the kernel runs the Stockham layout with the same
 // weight on every edge, of any value. It tracks the weights through
@@ -763,8 +747,9 @@ func (rk *RadixKernel) fusedGatherRow4ST(out0, out1, out2, out3, in0, in1, in2, 
 // amd64), with two of the eight accumulator chains and the tap counter
 // parked on the stack each iteration — and it measures 0.41–0.48 ns/edge on
 // Graph Challenge 1024, where eight register-only add chains run at 0.087
-// ns/add on the same host. Layers whose weights are one power of two skip it
-// for FusedGatherRow8Uniform.
+// ns/add on the same host. A one-weight layer runs it too: an unweighted sum
+// scaled once is faster on dense octets but exact only inside an input window,
+// which no caller's batches reached.
 //
 //radix:hotpath
 func (rk *RadixKernel) fusedGatherRow8ST(outs, ins *[8][]float64, bias, cap float64, nnz *[8]int) {
@@ -856,109 +841,6 @@ func (rk *RadixKernel) fusedGatherRow8ST(outs, ins *[8][]float64, bias, cap floa
 			out5[c] = reluCap(a5+bias, cap, &n[5])
 			out6[c] = reluCap(a6+bias, cap, &n[6])
 			out7[c] = reluCap(a7+bias, cap, &n[7])
-			c++
-		}
-		lo++
-		if lo == pv {
-			lo = 0
-			k++
-		}
-	}
-	*nnz = n
-}
-
-// FusedGatherRow8Uniform is fusedGatherRow8ST for a layer whose every weight
-// is the one positive power of two w = UniformWeight() (callers check it is
-// nonzero): each lane accumulates the UNWEIGHTED sum of its in-edges, in the
-// same ascending-tap order, and is scaled once per output, v = a·w + bias,
-// ahead of the shared epilogue. The tap loop reads no value array and does
-// not multiply: 0.27 ns/edge against the weighted octet's 0.41 on Graph
-// Challenge 1024 (same host, quiet windows), 8 taps × 8 rows per tile so each
-// add takes its operand straight from memory.
-//
-// The result is the weighted octet's bit for bit PROVIDED the inputs keep
-// every product and partial sum exactly scalable, which is what the engine's
-// input window (infer's exactWindow) guarantees; it is not optional. Let
-// every nonzero input be a multiple of 2^q and w = 2^k. Rounding a sum only
-// drops low bits, so every partial sum is a multiple of 2^q too. Scaling by
-// 2^k commutes with IEEE rounding as long as the scaled value stays
-// representable — q+k ≥ −1074 and no overflow on either side — so by
-// induction over the taps the weighted chain a ← fl(a + fl(w·xᵢ)) equals w·S
-// for the unweighted chain S ← fl(S + xᵢ), and fl(w·S + bias) is the same
-// double (fused or not: w·S is exact). Both edges are real: under w = 1/8,
-// subnormal inputs differ in the last bit (fl(x/8) rounds) and inputs near
-// MaxFloat64 overflow S but not w·S. w must be positive because a negative
-// scale flips the sign of a zero sum.
-//
-//radix:hotpath
-func (rk *RadixKernel) FusedGatherRow8Uniform(outs, ins *[8][]float64, bias, cap float64, nnz *[8]int) {
-	p := rk.plan
-	w := rk.uniW
-	rows, cols := p.rows, p.cols
-	in0, in1, in2, in3 := ins[0][:rows], ins[1][:rows], ins[2][:rows], ins[3][:rows]
-	in4, in5, in6, in7 := ins[4][:rows], ins[5][:rows], ins[6][:rows], ins[7][:rows]
-	out0, out1, out2, out3 := outs[0][:cols], outs[1][:cols], outs[2][:cols], outs[3][:cols]
-	out4, out5, out6, out7 := outs[4][:cols], outs[5][:cols], outs[6][:cols], outs[7][:cols]
-	pv, radix, m := p.pv, p.radix, p.m
-	sp := pv * radix
-	mp := p.np / sp
-	var n [8]int
-	c := 0
-	lo, k := 0, 0 // lop = k·pv + lo, maintained incrementally (no div/mod)
-	for lop := 0; lop < sp; lop++ {
-		base := lo * m
-		for up := 0; up < mp; up++ {
-			// The column's in-edges are the packed run [s, s+n1) and, where
-			// the circulant wraps in a layer with m > radix, a second run
-			// [s2, s2+n2) after it — the same windows as fusedGatherRow8ST.
-			t := up*radix + k
-			s, n1, s2, n2 := base, radix, 0, 0
-			if t >= radix-1 {
-				s += t - radix + 1
-			} else if m != radix {
-				s, n1, s2, n2 = p.colRuns(t)
-				s, s2 = s+base, s2+base
-			}
-			var a0, a1, a2, a3, a4, a5, a6, a7 float64
-			for {
-				j := 0
-				// Per-element IsInBounds in the tile is a regression the
-				// bce-gate fails; window formation may keep IsSliceInBounds.
-				//radix:bce region=uniform-taps allow=slice
-				for ; j+8 <= n1; j += 8 {
-					a0 = sum8(a0, (*[8]float64)(in0[s+j:s+j+8]))
-					a1 = sum8(a1, (*[8]float64)(in1[s+j:s+j+8]))
-					a2 = sum8(a2, (*[8]float64)(in2[s+j:s+j+8]))
-					a3 = sum8(a3, (*[8]float64)(in3[s+j:s+j+8]))
-					a4 = sum8(a4, (*[8]float64)(in4[s+j:s+j+8]))
-					a5 = sum8(a5, (*[8]float64)(in5[s+j:s+j+8]))
-					a6 = sum8(a6, (*[8]float64)(in6[s+j:s+j+8]))
-					a7 = sum8(a7, (*[8]float64)(in7[s+j:s+j+8]))
-				}
-				//radix:bce end
-				for ; j < n1; j++ {
-					a0 += in0[s+j]
-					a1 += in1[s+j]
-					a2 += in2[s+j]
-					a3 += in3[s+j]
-					a4 += in4[s+j]
-					a5 += in5[s+j]
-					a6 += in6[s+j]
-					a7 += in7[s+j]
-				}
-				if n2 == 0 {
-					break
-				}
-				s, n1, n2 = s2, n2, 0
-			}
-			out0[c] = reluCap(a0*w+bias, cap, &n[0])
-			out1[c] = reluCap(a1*w+bias, cap, &n[1])
-			out2[c] = reluCap(a2*w+bias, cap, &n[2])
-			out3[c] = reluCap(a3*w+bias, cap, &n[3])
-			out4[c] = reluCap(a4*w+bias, cap, &n[4])
-			out5[c] = reluCap(a5*w+bias, cap, &n[5])
-			out6[c] = reluCap(a6*w+bias, cap, &n[6])
-			out7[c] = reluCap(a7*w+bias, cap, &n[7])
 			c++
 		}
 		lo++
@@ -1128,19 +1010,12 @@ func slide(x []float64, w float64, s, lanes, taps, step, span int) (a [8]float64
 	return [8]float64{a0, a1, a2, a3, a4, a5, a6, a7}
 }
 
-// sum8 adds the eight elements of x onto a one at a time, in order — the
-// accumulation order every gather shares, so results stay bit-identical. It
-// inlines, each add taking its operand straight from memory.
-func sum8(a float64, x *[8]float64) float64 {
-	return a + x[0] + x[1] + x[2] + x[3] + x[4] + x[5] + x[6] + x[7]
-}
-
 // reluCap is the fused epilogue for one output whose bias is already added:
 // max(0, v) clamped to cap when cap > 0, counting the output in *live when it
-// is not ≤ 0 (so a NaN stays, and counts). It inlines. The class sum and the
-// two Stockham octets use it, where it measures the same as the written-out
-// form; the natural-order octet keeps that form, which measured 0.60 against
-// 0.71 ns/edge with the helper on radix 8 at ν = 8.
+// is not ≤ 0 (so a NaN stays, and counts). It inlines. The class sum, the
+// periodic gather and the Stockham octet use it, where it measures the same as
+// the written-out form; the natural-order octet keeps that form, which
+// measured 0.60 against 0.71 ns/edge with the helper on radix 8 at ν = 8.
 func reluCap(v, cap float64, live *int) float64 {
 	if v <= 0 {
 		return 0

@@ -382,9 +382,9 @@ func TestNewRadixKernelRejectsMismatchedPattern(t *testing.T) {
 	}
 }
 
-// uniformTrio is buildRadixTrio with every weight equal to w, in Stockham
+// oneWeightTrio is buildRadixTrio with every weight equal to w, in Stockham
 // mode.
-func uniformTrio(t testing.TB, np, pv, radix int, w float64) (*Matrix, *Kernel, *RadixKernel) {
+func oneWeightTrio(t testing.TB, np, pv, radix int, w float64) (*Matrix, *Kernel, *RadixKernel) {
 	t.Helper()
 	pat := radixLayer(np, pv, radix, 1, 1)
 	m := MatrixFromPattern(pat, w)
@@ -406,117 +406,24 @@ func uniformTrio(t testing.TB, np, pv, radix int, w float64) (*Matrix, *Kernel, 
 	return m, k, rk
 }
 
-// uniformMismatches runs eight rows through FusedGatherRow8Uniform and counts
-// the outputs that differ in any bit from the CSC kernel's.
-func uniformMismatches(t *testing.T, k *Kernel, rk *RadixKernel, ins *[8][]float64, bias, clip float64) int {
-	t.Helper()
-	p := rk.Plan()
-	var pins, outs [8][]float64
-	for b := range ins {
-		pins[b] = packBy(ins[b], p.InPackPos)
-		outs[b] = make([]float64, rk.Cols())
-	}
-	var nnz [8]int
-	rk.FusedGatherRow8Uniform(&outs, &pins, bias, clip, &nnz)
-	bad := 0
-	want := make([]float64, k.Cols())
-	for b := range ins {
-		wantN := k.FusedGatherRow(want, ins[b], bias, clip)
-		got := unpackBy(outs[b], p.OutPackPos)
-		live := 0
-		for c := range want {
-			if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
-				bad++
-			}
-			if got[c] != 0 {
-				live++
-			}
-		}
-		if bad == 0 && (nnz[b] != wantN || live != wantN) {
-			t.Fatalf("%v: row %d reports %d live outputs, holds %d, want %d", p, b, nnz[b], live, wantN)
+// TestOneWeightFollowsValues: OneWeight is derived with the Stockham weight
+// copy, so it is false outside Stockham mode, and it follows the values through
+// RefreshValues in both directions — and with it the storage: an all-equal
+// layer reads its CSC storage, one changed edge gives it a Stockham copy of its
+// own, and restoring the value makes it share again.
+func TestOneWeightFollowsValues(t *testing.T) {
+	for _, w := range []float64{0.3, -0.5, 0, math.Inf(1), 3} {
+		if _, _, rk := oneWeightTrio(t, 16, 4, 4, w); !rk.OneWeight() {
+			t.Errorf("weight %v: OneWeight false", w)
 		}
 	}
-	return bad
-}
-
-// TestUniformOctetBitIdentical: on inputs well inside the double range the
-// unweighted octet must equal the CSC kernel bit for bit — across random
-// systems (so radices below 8, radices that are not multiples of 8, wrapped
-// columns and m = radix layers all occur), power-of-two weights on both sides
-// of 1, negative inputs, and the cap on and off.
-func TestUniformOctetBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 40; trial++ {
-		radices, np := randomSystem(rng)
-		pv := 1
-		for _, r := range radices {
-			w := math.Ldexp(1, rng.Intn(9)-6)
-			_, k, rk := uniformTrio(t, np, pv, r, w)
-			if rk.UniformWeight() != w {
-				t.Fatalf("%v: UniformWeight = %v, want %v", rk.Plan(), rk.UniformWeight(), w)
-			}
-			var ins [8][]float64
-			for b := range ins {
-				ins[b] = randomInput(rng, np, []float64{1, 0.6}[rng.Intn(2)])
-			}
-			bias := []float64{-0.1, 0, 0.2}[rng.Intn(3)]
-			clip := []float64{0, 1.5}[rng.Intn(2)]
-			if bad := uniformMismatches(t, k, rk, &ins, bias, clip); bad != 0 {
-				t.Fatalf("%v w=%v bias=%v clip=%v: %d outputs differ from the CSC kernel", rk.Plan(), w, bias, clip, bad)
-			}
-			pv *= r
-		}
-	}
-}
-
-// TestUniformOctetNeedsItsGuard pins both edges the engine's input window
-// exists for, on Graph Challenge layer 0 (radix 32, weight 1/8): subnormal
-// inputs make the weighted products inexact, and inputs near MaxFloat64
-// overflow the unweighted sum but not the weighted one. If either stops
-// differing, the guard can be relaxed; until then it is not optional.
-func TestUniformOctetNeedsItsGuard(t *testing.T) {
-	_, k, rk := uniformTrio(t, 1024, 1, 32, 0.125)
-	rng := rand.New(rand.NewSource(43))
-	var ins [8][]float64
-	for b := range ins {
-		ins[b] = make([]float64, 1024)
-		for c := range ins[b] {
-			ins[b][c] = float64(3+rng.Intn(5)) * 5e-324 // 3–7 ulp
-		}
-	}
-	if bad := uniformMismatches(t, k, rk, &ins, 0, 0); bad == 0 {
-		t.Error("subnormal inputs: the unweighted octet agreed with the CSC kernel")
-	}
-	for b := range ins {
-		for c := range ins[b] {
-			ins[b][c] = math.MaxFloat64 / 4
-		}
-	}
-	if bad := uniformMismatches(t, k, rk, &ins, 0, 0); bad == 0 {
-		t.Error("inputs of MaxFloat64/4: the unweighted octet agreed with the CSC kernel")
-	}
-}
-
-// TestUniformWeightFollowsValues: the uniform bit is derived with the
-// Stockham weight copy, so it is 0 outside Stockham mode and for any layer
-// that is not one positive power of two, and it follows the values through
-// RefreshValues in both directions.
-func TestUniformWeightFollowsValues(t *testing.T) {
-	for _, w := range []float64{0.3, -0.5, 0, math.Inf(1), math.NaN(), 3} {
-		if _, _, rk := uniformTrio(t, 16, 4, 4, w); rk.UniformWeight() != 0 {
-			t.Errorf("weight %v: UniformWeight = %v, want 0", w, rk.UniformWeight())
-		}
-	}
-	m, k, rk := uniformTrio(t, 16, 4, 4, 0.25)
-	if rk.UniformWeight() != 0.25 {
-		t.Fatalf("UniformWeight = %v, want 0.25", rk.UniformWeight())
-	}
+	m, k, rk := oneWeightTrio(t, 16, 4, 4, 0.25)
 	natural, err := NewRadixKernel(m, k, rk.Plan())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if natural.UniformWeight() != 0 {
-		t.Errorf("natural-order kernel reports uniform weight %v", natural.UniformWeight())
+	if natural.OneWeight() {
+		t.Error("natural-order kernel reports one weight")
 	}
 	vals := m.Values()
 	last := len(vals) - 1
@@ -531,30 +438,26 @@ func TestUniformWeightFollowsValues(t *testing.T) {
 	if !shared() {
 		t.Error("an all-equal layer keeps its own Stockham copy")
 	}
-	vals[last] = 0.5 // a power of two, but not the layer's
+	vals[last] = 0.5
 	refresh()
-	if rk.UniformWeight() != 0 || shared() {
-		t.Errorf("one edge changed: UniformWeight = %v (want 0), storage shared = %t", rk.UniformWeight(), shared())
+	if rk.OneWeight() || shared() {
+		t.Errorf("one edge changed: OneWeight = %t (want false), storage shared = %t", rk.OneWeight(), shared())
 	}
 	vals[last] = 0.25
 	refresh()
-	if !shared() {
-		t.Error("value restored: the layer still keeps its own Stockham copy")
-	}
-	if rk.UniformWeight() != 0.25 {
-		t.Errorf("value restored: UniformWeight = %v, want 0.25", rk.UniformWeight())
+	if !rk.OneWeight() || !shared() {
+		t.Errorf("value restored: OneWeight = %t, storage shared = %t, want both", rk.OneWeight(), shared())
 	}
 }
 
 // BenchmarkOctet times the Stockham octet on eight dense rows of one layer,
 // in ns per edge: the weighted form (fusedGatherRow8ST behind
-// FusedGatherRow8) against FusedGatherRow8Uniform on the same power-of-two
-// weights, and the weighted form again on perturbed weights. Shapes: the two
-// Graph Challenge 1024 layers (radix 32 at ν = 1 and ν = 32), the two of
-// radix (8,8) and the middle and last layers of radix (8,8,8). The closing
-// layers (ν·radix = N′) add a closed cell: the same eight rows through
+// FusedGatherRow8) on one weight, 4/fan-in, and again on perturbed weights.
+// Shapes: the two Graph Challenge 1024 layers (radix 32 at ν = 1 and ν = 32),
+// the two of radix (8,8) and the middle and last layers of radix (8,8,8). The
+// closing layers (ν·radix = N′) add a closed cell: the same eight rows through
 // FusedGatherClosed, still per nominal edge — the edges the class sums stand
-// for — so it reads against uniform. Where a second system of the same radices
+// for — so it reads against weighted. Where a second system of the same radices
 // would put the layer behind a closing one (period > 0), the opening layer adds
 // periodic cells — FusedGatherPeriodic on the row's leading entries, writing
 // the packed row and the head — and the closing layer closed_head: the class
@@ -571,7 +474,7 @@ func BenchmarkOctet(b *testing.B) {
 		{"r888_l1", 512, 8, 8, 0},
 		{"r888_l2", 512, 64, 8, 0},
 	} {
-		m, k, rk := uniformTrio(b, s.np, s.pv, s.radix, 4/float64(s.radix))
+		m, k, rk := oneWeightTrio(b, s.np, s.pv, s.radix, 4/float64(s.radix))
 		rng := rand.New(rand.NewSource(1))
 		var ins, outs [8][]float64
 		for r := range ins {
@@ -598,11 +501,7 @@ func BenchmarkOctet(b *testing.B) {
 				}
 			})
 		}
-		if rk.UniformWeight() == 0 {
-			b.Fatalf("%s: weight %v not reported uniform", s.name, 4/float64(s.radix))
-		}
 		run("weighted", func() { rk.FusedGatherRow8(&outs, &ins, -0.1, 32, &nnz) })
-		run("uniform", func() { rk.FusedGatherRow8Uniform(&outs, &ins, -0.1, 32, &nnz) })
 		switch {
 		case rk.Closed():
 			perRow("closed", rk.FusedGatherClosed, s.np, s.np)
@@ -623,8 +522,8 @@ func BenchmarkOctet(b *testing.B) {
 			b.Fatal(err)
 		}
 		rk.RefreshValues()
-		if rk.UniformWeight() != 0 {
-			b.Fatalf("%s: perturbed weights still reported uniform", s.name)
+		if rk.OneWeight() {
+			b.Fatalf("%s: perturbed weights still reported as one", s.name)
 		}
 		run("perturbed", func() { rk.FusedGatherRow8(&outs, &ins, -0.1, 32, &nnz) })
 	}
