@@ -284,11 +284,11 @@ func benchTrainEpoch(b *testing.B, useSparse bool) {
 // --- E10: Graph Challenge inference throughput ---
 
 // BenchmarkGCInference runs each Graph Challenge shape twice: with the
-// weights FromConfig assigns (one weight per layer, so the 1024-wide Stockham
-// stacks sum classes on their closing layers and gather periodically behind
-// them; the lifted 4096-wide one runs natural order) and with the same weights
-// perturbed by 1 %, which puts every layer on the per-column kernels. The pair
-// reproduces the structured forms' margin without radixbench.
+// weights FromConfig assigns (one weight per layer, so every layer past the
+// first runs as a quotient — on the lifted 4096-wide stack too, which is
+// natural order) and with the same weights perturbed by 1 %, which puts every
+// layer on the per-column kernels. The pair reproduces the quotients' margin
+// without radixbench.
 func BenchmarkGCInference(b *testing.B) {
 	for _, spec := range []struct {
 		width, layers int

@@ -84,8 +84,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fp := engine.Footprint()
-	fmt.Printf("generation: %v (%d stored weights, %s kernel, %d of %d layers on class sums, %d on periodic rows; %d distinct, %d structure bytes, %d value bytes held)\n",
-		time.Since(buildStart).Round(time.Millisecond), engine.TotalNNZ(), engine.Kernel(), engine.ClosedLayers(), numLayers, engine.PeriodicLayers(),
+	fmt.Printf("generation: %v (%d stored weights, %s kernel, %d of %d layers on quotients; %d distinct, %d structure bytes, %d value bytes held)\n",
+		time.Since(buildStart).Round(time.Millisecond), engine.TotalNNZ(), engine.Kernel(), engine.QuotientLayers(), numLayers,
 		fp.DistinctLayers, fp.StructureBytes, fp.ValueBytes)
 
 	inNNZ := *nnz

@@ -53,14 +53,18 @@ func runAutoscalePhase(ctx context.Context) error {
 		subWindow     = 500 * time.Millisecond
 		minWindowReqs = 8
 	)
-	// The fleet is heterogeneous on purpose. The hot model is two fully
-	// dense radix-768 layers and a half-dense radix-384 one (~1.5M
-	// multiply-adds per row). The last system's product only divides N′, so
-	// the stack runs the natural-order kernels, column by column: three
-	// radix-768 layers, as this was first written, would run the Stockham
-	// family, where a one-digit system's layer is a closing layer under one
-	// weight — a single residue class, every output the same chain — and the
-	// class sum evaluates it in 768 multiply-adds, not 590k. Heavy enough
+	// The fleet is heterogeneous on purpose. The hot model is a radix-768
+	// layer lifted to 1536 columns and a radix-384 layer reading both of its
+	// blocks (768 taps a column; ~0.7M multiply-adds per row of 10 %-live
+	// input, most of them in the second layer). It must be heavy past layer 0,
+	// which scatters the thin rows, and no layer past it may number into fewer
+	// classes than columns under one weight, or the engine runs it as a
+	// quotient: a one-digit system after the first is a closing layer — a
+	// single residue class, every output the same chain, 768 multiply-adds
+	// where 590k were meant — and every layer behind a closing one reads a
+	// periodic row. The radix-384 layer opens its system, whose product only
+	// divides N′, and behind per-column layer 0 each of its columns reads its
+	// own window, so it runs column by column. Heavy enough
 	// that ONE replica is structurally over capacity under the hot share
 	// of the load — not marginally, which an earlier two-layer version
 	// proved is a coin flip (the backlog only formed in the runs where
@@ -91,7 +95,7 @@ func runAutoscalePhase(ctx context.Context) error {
 	// one's trigger. Scale-out helps because each replica brings its own
 	// single-worker batcher: a hot model's execution share grows with its
 	// replica count.
-	hotCfg, err := core.NewConfig([]radix.System{radix.MustNew(768), radix.MustNew(768), radix.MustNew(384)}, nil)
+	hotCfg, err := core.NewConfig([]radix.System{radix.MustNew(768), radix.MustNew(384)}, []int{1, 2, 1})
 	if err != nil {
 		return err
 	}

@@ -105,3 +105,36 @@ func TestREADMEClientTable(t *testing.T) {
 		t.Fatalf("README.md: the table between <!-- client:begin --> and <!-- client:end --> names %v; serve.Client has %v", got, want)
 	}
 }
+
+// kernelLineBudget is the most non-test Go lines internal/sparse and
+// internal/infer may hold together (ROADMAP B): a new form pays for itself in
+// lines deleted elsewhere.
+const kernelLineBudget = 4389
+
+// TestKernelLineBudget fails when internal/sparse and internal/infer together
+// hold more non-test Go lines than kernelLineBudget, and prints their count,
+// so that moving the budget — down after a deletion, or up when a change
+// argues for it — is a paste.
+func TestKernelLineBudget(t *testing.T) {
+	lines := 0
+	for _, dir := range []string{"internal/sparse", "internal/infer"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			text, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines += strings.Count(string(text), "\n")
+		}
+	}
+	t.Logf("internal/sparse + internal/infer: %d non-test lines; const kernelLineBudget = %d", lines, lines)
+	if lines > kernelLineBudget {
+		t.Fatalf("internal/sparse + internal/infer hold %d non-test lines, over the budget of %d", lines, kernelLineBudget)
+	}
+}

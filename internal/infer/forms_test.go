@@ -21,9 +21,9 @@ func gcEngines(t *testing.T, layers int) (rad, csc *Engine) {
 }
 
 // inferProfiled runs one profiled batch and returns a copy of the output. What
-// ran is observed, not assumed: the engine's own profiler must count class sums
-// on exactly the layers whose kernels report Closed, periodic gathers on
-// exactly those followsClosed picks, and the per-column forms everywhere else.
+// ran is observed, not assumed: the engine's own profiler must count a
+// quotient batch on exactly the layers the numbering bound to quotients, and
+// on no other.
 func inferProfiled(t *testing.T, e *Engine, batch *sparse.Dense) *sparse.Dense {
 	t.Helper()
 	e.EnableProfiling(1)
@@ -33,30 +33,12 @@ func inferProfiled(t *testing.T, e *Engine, batch *sparse.Dense) *sparse.Dense {
 		t.Fatal(err)
 	}
 	snap, _ := e.Profile()
-	for l, f := range ranForms(t, snap) {
-		want := perColumn
-		if e.radix != nil && e.radix[l].Closed() {
-			want = classSums
-		} else if followsClosed(e, l) {
-			want = periodicRows
-		}
-		if f != want {
-			t.Fatalf("layer %d ran form %d, its kernels say %d", l, f, want)
+	for l, q := range ranQuotients(t, snap) {
+		if q != e.steps[l].needs().quotient {
+			t.Fatalf("layer %d ran as a quotient: %t; its step says %t", l, q, !q)
 		}
 	}
 	return out.Clone()
-}
-
-// followsClosed says, from the kernels alone, whether layer l gathers
-// periodically: a Stockham opening layer with one weight, not itself closing,
-// behind a closed layer whose place value its radix divides.
-func followsClosed(e *Engine, l int) bool {
-	if e.radix == nil || l == 0 {
-		return false
-	}
-	rk, p := e.radix[l], e.radix[l].Plan()
-	return e.radix[l-1].Closed() && rk.OneWeight() && p.PlaceValue() == 1 && p.Radix() < p.NPrime() &&
-		e.radix[l-1].Plan().PlaceValue()%p.Radix() == 0
 }
 
 // mustInfer returns a copy of e's output on batch.
@@ -69,12 +51,13 @@ func mustInfer(t testing.TB, e *Engine, batch *sparse.Dense) *sparse.Dense {
 	return out.Clone()
 }
 
-// TestFormsFollowWeights is the stale-bit regression: the one-weight bit lives
-// with the kernel every clone shares, so weight mutation through the engine or
-// through a clone takes the closing layers off the class sums and the opening
-// layer behind them off the periodic gather the moment their values stop being
-// equal, and writing the value back restores both. A bit cached per engine
-// would keep sharing chains and return wrong activations without any error.
+// TestFormsFollowWeights is the stale-binding regression: the numbering runs
+// again on RefreshWeights and rebinds the steps every clone shares, so weight
+// mutation through the engine or through a clone puts every quotient layer back
+// on its per-column step the moment its values stop numbering into fewer
+// classes than columns, and writing the value back restores them all. A
+// binding cached per engine would keep sharing chains and return wrong
+// activations without any error.
 func TestFormsFollowWeights(t *testing.T) {
 	batch, err := dataset.SparseBatch(24, 1024, 900, 5)
 	if err != nil {
@@ -88,22 +71,22 @@ func TestFormsFollowWeights(t *testing.T) {
 			if through == "clone" {
 				mutate, other = other, mutate
 			}
-			check := func(what string, closed, periodic int, want *sparse.Dense) {
+			check := func(what string, quotients int, want *sparse.Dense) {
 				t.Helper()
 				for _, e := range []*Engine{mutate, other} {
-					if e.ClosedLayers() != closed || e.PeriodicLayers() != periodic {
-						t.Fatalf("%s: %d closed and %d periodic layers, want %d and %d", what, e.ClosedLayers(), e.PeriodicLayers(), closed, periodic)
+					if e.QuotientLayers() != quotients {
+						t.Fatalf("%s: %d quotient layers, want %d", what, e.QuotientLayers(), quotients)
 					}
 					sameBits(t, what, inferProfiled(t, e, batch), want)
 				}
 			}
 			want := mustInfer(t, csc, batch)
-			check("fresh", 2, 1, want)
+			check("fresh", 3, want)
 
 			w := rad.layers[0].Values()[0]
 			mutate.PerturbWeights(0.01, 1)
 			csc.PerturbWeights(0.01, 1)
-			check("perturbed", 0, 0, mustInfer(t, csc, batch))
+			check("perturbed", 0, mustInfer(t, csc, batch))
 
 			for _, e := range []*Engine{rad, csc} {
 				for _, l := range e.layers {
@@ -115,14 +98,14 @@ func TestFormsFollowWeights(t *testing.T) {
 			}
 			mutate.RefreshWeights()
 			csc.RefreshWeights()
-			check("restored", 2, 1, want)
+			check("restored", 3, want)
 		})
 	}
 }
 
 // TestSpecialElementsAgree: a Graph Challenge batch through 1024×24 and
-// 1024×120 equals the CSC engine bit for bit, the closing half summing classes
-// and the opening layers behind them gathering periodically; so does, through
+// 1024×120 equals the CSC engine bit for bit, every layer past the first on
+// its quotient; so does, through
 // 1024×24, the same batch with eight rows made dense and one element of them
 // special — subnormal, MaxFloat64, NaN, +Inf — so that it reaches a layer-0
 // octet.
@@ -133,9 +116,8 @@ func TestSpecialElementsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rad.ClosedLayers() != layers/2 || rad.PeriodicLayers() != layers/2-1 {
-			t.Errorf("1024×%d: %d closed and %d periodic layers, want %d and %d",
-				layers, rad.ClosedLayers(), rad.PeriodicLayers(), layers/2, layers/2-1)
+		if rad.QuotientLayers() != layers-1 {
+			t.Errorf("1024×%d: %d quotient layers, want %d", layers, rad.QuotientLayers(), layers-1)
 		}
 		sameBits(t, fmt.Sprintf("1024×%d", layers), inferProfiled(t, rad, batch), mustInfer(t, csc, batch))
 		if layers == 120 {
@@ -274,13 +256,13 @@ func TestPowerOfTwoStacksAgree(t *testing.T) {
 	}
 }
 
-// TestClosedFollowsWeights (run it under -race): a closing layer leaves the
-// class-sum binding the moment one of its edges differs — written through a
-// clone's matrices, picked up by RefreshWeights, seen by every clone, the other
-// closing layer untouched — and returns to it when the value is written back.
-// Two clones infer concurrently before, between and after; all of it equals the
-// CSC engine and ReferenceInfer bit for bit. 13 rows: an octet, a quad and a
-// single through every gather.
+// TestClosedFollowsWeights (run it under -race): one edge of a closing layer
+// written — through a clone's matrices, picked up by RefreshWeights, seen by
+// every clone — splits its column off its class, and the opening layer's
+// classes behind it; the other closing layer, complete within each residue
+// class, keeps its 32. Writing the value back joins them again. Two clones infer concurrently before, between and after; all of
+// it equals the CSC engine and ReferenceInfer bit for bit, on quotients
+// throughout. 13 rows: an octet, a quad and a single through every gather.
 func TestClosedFollowsWeights(t *testing.T) {
 	rad, csc := gcEngines(t, 4)
 	a, b := rad.Clone(), rad.Clone()
@@ -292,18 +274,21 @@ func TestClosedFollowsWeights(t *testing.T) {
 	const layer, edge = 1, 4097
 	w := rad.layers[layer].Values()[edge]
 	for _, c := range []struct {
-		what   string
-		v      float64
-		closed []bool
+		what    string
+		v       float64
+		classes []int
 	}{
-		{"one weight", w, []bool{false, true, false, true}},
-		{"one edge of layer 1 doubled", 2 * w, []bool{false, false, false, true}},
-		{"restored", w, []bool{false, true, false, true}},
+		{"one weight", w, []int{1024, 32, 32, 32}},
+		{"one edge of layer 1 doubled", 2 * w, []int{1024, 33, 64, 32}},
+		{"restored", w, []int{1024, 32, 32, 32}},
 	} {
 		a.layers[layer].Values()[edge] = c.v
 		csc.layers[layer].Values()[edge] = c.v
 		a.RefreshWeights()
 		csc.RefreshWeights()
+		if got := classes(b); fmt.Sprint(got) != fmt.Sprint(c.classes) {
+			t.Errorf("%s: the clone that did not write numbers %v classes, want %v", c.what, got, c.classes)
+		}
 		want := mustInfer(t, csc, batch)
 		ref, err := b.ReferenceInfer(batch)
 		if err != nil {
@@ -325,14 +310,6 @@ func TestClosedFollowsWeights(t *testing.T) {
 		}
 		wg.Wait()
 		// What ran, from the profiler of the clone that did not write.
-		b.EnableProfiling(1)
-		sameBits(t, c.what+": profiled", mustInfer(t, b, batch), want)
-		snap, _ := b.Profile()
-		b.DisableProfiling()
-		for l, lp := range snap.Layers {
-			if (lp.ClassSum == 1) != c.closed[l] {
-				t.Errorf("%s: layer %d ran %d class-sum batches, want closed = %t", c.what, l, lp.ClassSum, c.closed[l])
-			}
-		}
+		sameBits(t, c.what+": profiled", inferProfiled(t, b, batch), want)
 	}
 }

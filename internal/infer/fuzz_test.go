@@ -215,13 +215,17 @@ func sameBits(t *testing.T, what string, got, want *sparse.Dense) {
 
 // layersAgree is the per-layer half of the differential: on one drawn input
 // per layer, the CSC gather, the affine gather with the epilogue applied by
-// hand, and the radix layer's gather, octet (on eight copies of the row),
-// scatter and (where it is closed) class sum — fed and read through the
-// Stockham packing when the layer runs packed — must all agree bit for bit; so
-// must, on rows folded to each period it takes, the periodic gather of an
-// opening layer that holds one weight.
+// hand, and the radix layer's gather, octet (on eight copies of the row) and
+// scatter — fed and read through the Stockham packing when the layer runs
+// packed — must all agree bit for bit. So must, on every layer, its quotient
+// under the numbering its input carries in the radix engine (a class per row
+// behind a per-column step, the previous quotient's classes behind one), on a
+// row drawn as one value per class: expanded through its classes, word for
+// word, and its live count over the whole row. Where the engine runs the layer
+// as a quotient, it must find the same number of classes.
 func layersAgree(t *testing.T, rng *rand.Rand, csc, rad *Engine) {
 	t.Helper()
+	var inClass []int32 // layer l's input numbering, by row; nil for a class per row
 	for l, k := range csc.kernels {
 		rk := rad.radix[l]
 		if k.NNZ() != csc.layers[l].NNZ() || k.Rows() != rk.Rows() || k.Cols() != rk.Cols() {
@@ -290,28 +294,49 @@ func layersAgree(t *testing.T, rng *rand.Rand, csc, rad *Engine) {
 		for b := range outs {
 			check(fmt.Sprintf("octet row %d", b), outs[b], n8[b])
 		}
-		if rk.Closed() {
-			check("class sum", out, rk.FusedGatherClosed(out, in, bias, clip))
-		}
 		if rk.Stockham() {
 			check("stockham scatter", out, rk.FusedScatterRowStockham(out, in, nil, make([]float64, k.Cols()), bias, clip))
 		} else {
 			check("radix scatter", out, rk.FusedScatterRow(out, in, bias, clip))
 		}
-		if p := rk.Plan(); rk.OneWeight() && p.PlaceValue() == 1 && p.Radix() < p.NPrime() {
-			// An opening layer on one weight: fold x to every period the
-			// periodic gather takes, longest first, and compare with the CSC
-			// gather of that row.
-			for period := p.NPrime() - p.Radix(); period > 0; period -= p.Radix() {
-				if p.NPrime()%period != 0 {
-					continue
-				}
-				for r := range x {
-					x[r] = x[r%period]
-				}
-				wantN = k.FusedGatherRow(want, x, bias, clip)
-				check(fmt.Sprintf("periodic gather, period %d", period), out, rk.FusedGatherPeriodic(out, x[:period+p.Radix()-1], bias, clip))
+
+		if inClass == nil {
+			inClass = make([]int32, k.Rows())
+			for r := range inClass {
+				inClass[r] = int32(r)
 			}
+		}
+		q, outClass, mult := sparse.NewQuotient(k, inClass)
+		v := make([]float64, q.Rows())
+		for i := range v {
+			if rng.Intn(3) > 0 {
+				v[i] = rng.Float64()
+			}
+		}
+		for r := range x {
+			x[r] = v[inClass[r]]
+		}
+		wantN = k.FusedGatherRow(want, x, bias, clip)
+		cls := make([]float64, q.Cols())
+		q.FusedGatherRow(cls, v, bias, clip)
+		live := 0
+		for c, i := range outClass {
+			out[c] = cls[i]
+		}
+		for i, v := range cls {
+			if v != 0 {
+				live += int(mult[i])
+			}
+		}
+		unpack = func(out []float64) []float64 { return out }
+		check(fmt.Sprintf("quotient, %d classes of %d rows", q.Rows(), k.Rows()), out, live)
+		inClass = nil
+		st, ok := rad.steps[l].(quotientLayer)
+		if ok != (l > 0 && q.Cols() < k.Cols()) || ok && st.q.Cols() != q.Cols() {
+			t.Fatalf("layer %d: %d classes of %d columns, but the engine's step is %T", l, q.Cols(), k.Cols(), rad.steps[l])
+		}
+		if ok {
+			inClass = outClass
 		}
 	}
 }
@@ -319,8 +344,9 @@ func layersAgree(t *testing.T, rng *rand.Rand, csc, rad *Engine) {
 // FuzzInferPathsAgree is the differential gate every kernel deletion sits
 // behind: for a drawn network, batch and epilogue, the CSC engine, the
 // auto-built radix engine (natural-order or Stockham, as the config resolves;
-// class sums on every closing layer still at one weight, periodic gathers and
-// short rows behind those), a clone of each under concurrent use, and
+// a quotient on every layer past the first that its values number into fewer
+// classes than columns, class vectors between them), a clone of each under
+// concurrent use, and
 // ReferenceInfer must agree bit for bit — on
 // the batch, on a shorter batch through the same engines, on each engine's
 // own output view fed back in, and on the batch again cut into tiles for a
@@ -431,61 +457,62 @@ func FuzzInferPathsAgree(f *testing.F) {
 		{[]byte{1, 4, 4, 2, 0, 0}, 3*67 + 24, 240, uniform, 42},
 		{[]byte{1, 4, 4, 2, 0, 0}, 3*67 + 12, 60, 0, 43},
 		{[]byte{1, 2, 2, 1, 0, 1}, 3*67 + 14, 200, uniform, 44},
-		// Class sums beside per-column gathers, on (8,8) and (2,32) left at
+		// A quotient beside per-column gathers, on (8,8) and (2,32) left at
 		// 4/fan-in with one layer perturbed, every row at an end of the range
 		// (a special element, subnormals, 2^1022) and dense enough to
 		// gather on both layers: batches of 1, 4, 5, 8 and 13 rows — a single,
 		// a quad, an octet and both tails. These seeds perturb the opening
-		// layer, so the closing one sums classes behind weighted gathers ...
+		// layer, so the closing one runs its quotient behind weighted gathers ...
 		{[]byte{1, 4, 4}, 67 + 0, 240, uniform | specials, 209},
 		{[]byte{1, 0, 6}, 67 + 3, 240, uniform | 1<<3, 242},
 		{[]byte{1, 4, 4}, 67 + 4, 240, uniform | 5<<3, 249},
 		{[]byte{1, 0, 6}, 67 + 7, 240, uniform | specials, 356},
 		{[]byte{1, 4, 4}, 67 + 12, 240, uniform | 1<<3, 372},
-		// ... and these the closing layer, which must have left the class-sum
-		// binding while the opening one stays at one weight.
+		// ... and these the closing layer, which must number a class per column
+		// and run per column while the opening one stays at one weight.
 		{[]byte{1, 4, 4}, 67 + 0, 240, uniform | 5<<3, 200},
 		{[]byte{1, 4, 4}, 67 + 3, 240, uniform | 1<<3, 219},
 		{[]byte{1, 0, 6}, 67 + 4, 240, uniform | specials, 203},
 		{[]byte{1, 4, 4}, 67 + 7, 240, uniform | 1<<3, 252},
 		{[]byte{1, 0, 6}, 67 + 12, 240, uniform | 5<<3, 1194},
-		// Periodic gathers behind class sums, and the short hand-offs between
-		// them. (8,8)|(8,8)|(8,8) left at 1/2 — layers 2 and 4 gather one period
-		// of 8 columns from 15 leading entries and hand a 16-entry head on — on
-		// 13 ordinary rows, then on subnormals (this seed draws zero
-		// biases, so they reach the output); one layer halved, which keeps every
-		// layer on one weight but not its neighbour's.
+		// Quotients behind quotients, and the class vectors between them.
+		// (8,8)|(8,8)|(8,8) left at 1/2 — layers 1 to 5 on 8 classes each, which
+		// they hand on as 8 entries, the last expanding them to the row — on 13
+		// ordinary rows, then on subnormals (this seed draws zero biases, so
+		// they reach the output); one layer halved, which keeps every layer on
+		// one weight but not its neighbour's.
 		{[]byte{1, 4, 4, 2, 0, 0}, 12, 240, uniform, 406},
 		{[]byte{1, 4, 4, 2, 0, 0}, 12, 240, uniform | 1<<3, 710},
 		{[]byte{1, 4, 4, 2, 0, 0}, 2*67 + 3, 240, uniform, 406},
 		// The same stack with one layer perturbed, rows at the range's ends, zero
-		// biases: the opening layer 4 (it gathers per column again, layer 3
-		// writes whole rows, layer 5 reads one), the closing layer 3 (off the
-		// class sums, and layer 4 behind it off the periodic gather) and the
-		// closing layer 1. Batches of 8, 5 and 1.
+		// biases: the opening layer 4 (it gathers per column, so layer 3 expands
+		// its classes to the row and layer 5 numbers layer 4's row afresh), the
+		// closing layer 3 (per column, and layer 4 behind it too, reading a row
+		// of a class apiece) and the closing layer 1. Batches of 8, 5 and 1.
 		{[]byte{1, 4, 4, 2, 0, 0}, 67 + 7, 240, uniform | 5<<3, 5639},
 		{[]byte{1, 4, 4, 2, 0, 0}, 67 + 4, 240, uniform | specials, 8734},
 		{[]byte{1, 4, 4, 2, 0, 0}, 67 + 0, 240, uniform | 1<<3, 2767},
-		// (2,32)|(2,32): a period of 2 under a radix of 2 — three entries in, a
-		// head of four, every chain on the scalar lanes.
+		// (2,32)|(2,32): two classes from layer 1 on — a quad gathers two chains
+		// a row.
 		{[]byte{1, 0, 6, 1, 0}, 7, 240, uniform | specials, 451},
 		{[]byte{1, 0, 6, 1, 0}, 12, 240, uniform, 406},
 		// (16,4)|(4,16): a period of four radices, so the wrapped columns are
-		// chains of their own; then its opening layer 2 and its closing layer 1
-		// perturbed.
+		// classes of their own (19 in all); then its opening layer 2 and its
+		// closing layer 1 perturbed.
 		{[]byte{1, 5, 2, 1, 1}, 4, 240, uniform | 1<<3, 462},
 		{[]byte{1, 5, 2, 1, 1}, 67 + 12, 240, uniform | 5<<3, 997},
 		{[]byte{1, 5, 2, 1, 1}, 67 + 3, 240, uniform | specials, 710},
-		// (4,8)|(8,4): the period 4 is no multiple of the radix 8, so the stack
-		// must stay on the forms it had.
+		// (4,8)|(8,4): the period 4 is no multiple of the radix 8, so columns a
+		// period apart fall in different blocks of the packed row; class vectors
+		// have no blocks, and every layer past the first runs on 4 classes.
 		{[]byte{1, 2, 4, 1, 1}, 12, 240, uniform, 406},
-		// (4,4,4)|(4,4,4): the periodic layer 3 feeds a middle digit, which needs
-		// the whole packed row (the decoder stops at N′ = 64; (8,8,8) twice is in
-		// TestPeriodicHandoffs).
+		// (4,4,4)|(4,4,4): the 19 classes behind the closing layer 2 feed a
+		// middle digit, which keeps them (the decoder stops at N′ = 64; (8,8,8)
+		// twice is in TestQuotientClassCounts).
 		{[]byte{2, 2, 2, 2, 1, 0}, 12, 240, uniform | 5<<3, 997},
 		{[]byte{2, 2, 2, 2, 1, 0}, 7, 240, uniform, 406},
 		// (8,8)|(8,8) with positive biases on thin rows: rows that died come back
-		// filled full width beside live rows handed over short.
+		// filled by a quotient's bias beside live rows handed on as classes.
 		{[]byte{1, 4, 4, 1, 0}, 12, 60, uniform | 1, 400},
 		// Depth-first tiles. ((2,32),(2)) lifted to widths 64, 128, 64, 64 with
 		// positive biases, 25 rows: in a buffer every tile shares, a row's slot

@@ -63,7 +63,8 @@ type Engine struct {
 	kernels []*sparse.Kernel      // CSC gather form of each layer
 	radix   []*sparse.RadixKernel // verified stride plans, nil on the CSC family
 	kind    KernelKind            // kernel family the engine was built with
-	steps   []layerKernel         // each layer bound to that family; immutable
+	cols    []layerKernel         // each layer bound to that family; immutable
+	steps   []layerKernel         // what each layer runs, cols[l] or its quotient; clones share the array
 	pool    *parallel.Pool
 	run     func(lo, hi int) // bound once; dispatched once per batch on the pool
 	inUse   atomic.Bool      // single-flight guard for the output and scratch
@@ -80,7 +81,7 @@ type Engine struct {
 	out      []float64 // the last layer's output, batch rows: all that is batch-sized
 	outView  *sparse.Dense
 	stage    []float64 // the input's copy, when it is out and tiles would overwrite unread rows
-	scratchW int       // widest scatter scratch any layer declares
+	scratchW int       // widest scratch any step can declare
 	nzW      int       // input width when layer 0 reads nonzero positions, else 0
 	nzIdx    []int32   // per-row input nonzero positions, stride nzW
 	rowNNZ   []int32   // per-row nonzero count of the input
@@ -162,15 +163,17 @@ func New(layers []*sparse.Matrix, bias []float64, cap float64) (*Engine, error) 
 	return e, nil
 }
 
-// bind installs the per-layer kernels and totals the scratch they declare.
-// Construction only: an engine never changes family once it can be called.
-func (e *Engine) bind(steps []layerKernel) {
-	e.steps = steps
+// bind installs the per-layer kernels and totals the scratch any step of a
+// layer can declare: its kernel's, or a quotient's class vector, which is
+// shorter than the row. Construction only: an engine never changes family
+// once it can be called.
+func (e *Engine) bind(cols []layerKernel) {
+	e.cols, e.steps = cols, append([]layerKernel(nil), cols...)
 	e.scratchW, e.nzW = 0, 0
-	for _, k := range steps {
-		e.scratchW = max(e.scratchW, k.needs().scratch)
+	for l, k := range cols {
+		e.scratchW = max(e.scratchW, k.needs().scratch, e.layers[l].Cols())
 	}
-	if steps[0].needs().nz {
+	if cols[0].needs().nz {
 		e.nzW = e.layers[0].Rows()
 	}
 }
@@ -311,14 +314,14 @@ func (e *Engine) tile(s *tileSet, lo, hi int) {
 // multiply + epilogue pass per live row, recording the row's new activation
 // count — and returns how many were live. Mostly-zero rows take the layer's
 // scatter, whose zero-input skip does only the work the row's live activations
-// require, unless the step's form gathers every row. Dense rows take its
-// gather (every output written once, no random writes), blocked as wide as the
-// layer allows so each weight is loaded once per block; what is left at the
-// end of the tile runs widest form first — one quad if four or more rows
-// remain, then single rows. A dead row stays zero through a non-positive bias
-// and is skipped; a positive one resurrects it: its image is the constant
-// clamp(relu(bias)) > 0 in every element, filled directly (its gather would be
-// a no-op over zeros).
+// require, unless the step is a quotient, which gathers every row. Dense rows
+// take its gather (every output written once, no random writes), blocked as
+// wide as the layer allows so each weight is loaded once per block; what is
+// left at the end of the tile runs widest form first — one quad if four or
+// more rows remain, then single rows. A dead row stays zero through a
+// non-positive bias and is skipped; a positive one resurrects it: its image is
+// the constant clamp(relu(bias)) > 0 in every element, filled directly (its
+// gather would be a no-op over zeros).
 //
 //radix:hotpath
 func (e *Engine) layerStep(s *tileSet, cur *cursor, lo, n int) (rows int) {
@@ -334,7 +337,7 @@ func (e *Engine) layerStep(s *tileSet, cur *cursor, lo, n int) (rows int) {
 				if cur.clip > 0 && phi > cur.clip {
 					phi = cur.clip
 				}
-				row := cur.out[i*cur.outW : (i+1)*cur.outW]
+				row := cur.out[i*cur.outW : i*cur.outW+need.out]
 				for c := range row {
 					row[c] = phi
 				}
@@ -345,7 +348,7 @@ func (e *Engine) layerStep(s *tileSet, cur *cursor, lo, n int) (rows int) {
 		rows++
 		in := cur.in[i*cur.inW : i*cur.inW+need.in]
 		out := cur.out[i*cur.outW : i*cur.outW+need.out]
-		if live*2 < cur.inW && !need.form.everyRow() {
+		if live*2 < cur.inW && !need.quotient {
 			var nz []int32
 			if need.nz {
 				nz = e.nzIdx[(lo+i)*e.nzW : (lo+i)*e.nzW+live]
@@ -379,30 +382,21 @@ func gatherBlock(s *tileSet, cur *cursor, blk *rowBlock, at *[8]int, t, w int) {
 	var sub rowBlock
 	copy(sub.in[:], blk.in[t:t+w])
 	copy(sub.out[:], blk.out[t:t+w])
-	nnz := cur.k.gather(sub, w, cur.need.form, cur.bias, cur.clip)
+	nnz := cur.k.gather(sub, w, s.scatter[:cur.need.scratch], cur.bias, cur.clip)
 	for j, i := range at[t : t+w] {
 		s.nnz[i] = int32(nnz[j])
 	}
 }
 
-// PeriodicLayers reports how many layers gather one period of columns
-// (sparse.FusedGatherPeriodic) whatever the batch: Stockham opening layers whose
-// radix divides the place value of the closing layer before them while both hold
-// one weight — every second layer of a Graph Challenge stack past layer 0.
-func (e *Engine) PeriodicLayers() int { return e.formLayers(periodicRows) }
-
-// ClosedLayers reports how many layers gather by class sums
-// (sparse.FusedGatherClosed) whatever the batch: a numeral system's closing
-// layer on the Stockham family while all its weights are equal — every second
-// layer of a config-built Graph Challenge stack; 0 on a CSC or natural-order
-// engine. Writing a layer's weights (a reload that ships trained ones) takes it
-// out of the count.
-func (e *Engine) ClosedLayers() int { return e.formLayers(classSums) }
-
-// formLayers counts the layers that declare form f as the weights stand.
-func (e *Engine) formLayers(f gatherForm) (n int) {
+// QuotientLayers reports how many layers run as quotients as the weights
+// stand: layers past the first whose columns their values number into fewer
+// classes than columns — every layer past the first of a config-built Graph
+// Challenge stack; 0 on a CSC engine, which never numbers. Writing a layer's
+// weights (a reload that ships trained ones) yields more classes, and where
+// that leaves one per column, a per-column step.
+func (e *Engine) QuotientLayers() (n int) {
 	for _, k := range e.steps {
-		if k.needs().form == f {
+		if k.needs().quotient {
 			n++
 		}
 	}
@@ -579,7 +573,8 @@ func (e *Engine) ReferenceInfer(y0 *sparse.Dense) (*sparse.Dense, error) {
 // otherwise keeps using the values the kernels last saw. A layer whose matrix
 // left the stack's constant run gets value storage of its own here (CSC order,
 // and Stockham order unless its values are still all equal); layers that were
-// not written keep reading the run.
+// not written keep reading the run. A radix engine then numbers the values
+// again, rebinding the steps of every clone.
 func (e *Engine) RefreshWeights() {
 	for i, l := range e.layers {
 		// Same pattern, same engine: Refresh cannot fail here.
@@ -587,6 +582,9 @@ func (e *Engine) RefreshWeights() {
 	}
 	for _, rk := range e.radix {
 		rk.RefreshValues() // re-reads the views Refresh may have moved
+	}
+	if e.radix != nil {
+		e.number()
 	}
 }
 
@@ -610,7 +608,7 @@ func (e *Engine) Footprint() sparse.Footprint {
 // frozen after the pool is built.
 func (e *Engine) Clone() *Engine {
 	c := &Engine{layers: e.layers, bias: e.bias, cap: e.cap, kernels: e.kernels,
-		radix: e.radix, kind: e.kind, steps: e.steps, scratchW: e.scratchW, nzW: e.nzW, pool: e.pool}
+		radix: e.radix, kind: e.kind, cols: e.cols, steps: e.steps, scratchW: e.scratchW, nzW: e.nzW, pool: e.pool}
 	c.run = c.tiles
 	c.prof.Store(e.prof.Load()) // clones aggregate into the parent's profiler
 	return c
@@ -631,9 +629,9 @@ func (e *Engine) SetPool(p *parallel.Pool) {
 
 // PerturbWeights adds uniform noise in ±scale to every stored weight,
 // seeded, and resyncs the kernels; used by robustness tests and benchmarks to
-// leave the all-equal weight special case (a perturbed layer no longer has one
-// weight, so ClosedLayers and PeriodicLayers drop to 0, and every layer now
-// stores its own values in each order it runs).
+// leave the all-equal weight special case (a perturbed layer numbers into one
+// class per column, so QuotientLayers drops to 0, and every layer now stores
+// its own values in each order it runs).
 func (e *Engine) PerturbWeights(scale float64, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for _, l := range e.layers {

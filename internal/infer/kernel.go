@@ -80,11 +80,12 @@ func FromConfigKernel(cfg core.Config, kind KernelKind) (*Engine, error) {
 // about one immutable pattern under one (place value, radix, shape), so layers
 // that share the pattern and the parameters share the verified plan; the
 // radix kernels read the engine's matrices and CSC kernels, so
-// RefreshWeights/PerturbWeights and Clone sharing work unchanged. On any
-// layer failing structural verification (the config does not describe these
-// matrices) the engine is left unmodified on the CSC kernel and the error
-// reports the layer. Construction is its only caller: it runs before the
-// engine has served a call.
+// RefreshWeights/PerturbWeights and Clone sharing work unchanged, and the
+// values are numbered (Engine.number). On any layer failing structural
+// verification (the config does not describe these matrices) the engine is
+// left unmodified on the CSC kernel and the error reports the layer.
+// Construction is its only caller: it runs before the engine has served a
+// call.
 func (e *Engine) compileRadixPlans(cfg core.Config) error {
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("infer: radix plans: %w", err)
@@ -145,23 +146,19 @@ func (e *Engine) compileRadixPlans(cfg core.Config) error {
 	}
 	stockham = stockham && pack == 1
 	steps := make([]layerKernel, len(radixKerns))
-	var prev *stockhamLayer
 	for l, rk := range radixKerns {
 		steps[l] = radixLayer{rk}
 		if stockham {
 			if err := rk.EnableStockham(); err != nil {
 				return fmt.Errorf("infer: %w", err)
 			}
-			st := &stockhamLayer{radixLayer: radixLayer{rk}, prev: prev}
-			if prev != nil {
-				prev.next = st
-			}
-			steps[l], prev = st, st
+			steps[l] = stockhamLayer{radixLayer{rk}, l == 0}
 		}
 	}
 	e.radix = radixKerns
 	e.kind = KernelRadix
 	e.bind(steps)
+	e.number()
 	return nil
 }
 

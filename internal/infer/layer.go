@@ -1,48 +1,38 @@
 package infer
 
-import "github.com/radix-net/radixnet/internal/sparse"
+import (
+	"encoding/binary"
+
+	"github.com/radix-net/radixnet/internal/sparse"
+)
 
 // layerKernel is one weight layer bound to the kernel family its engine was
-// built with. The family is resolved once, at construction; Engine.layerStep
-// owns the gather-vs-scatter choice and the row blocking and reaches the
-// arithmetic only through this interface. Every implementation accumulates
-// in the same order, so all families agree bit for bit.
+// built with, or to the quotient of that layer (quotientLayer). The family is
+// resolved once, at construction; Engine.layerStep owns the gather-vs-scatter
+// choice and the row blocking and reaches the arithmetic only through this
+// interface. Every implementation accumulates in the same order, so all
+// families agree bit for bit.
 type layerKernel interface {
-	// needs is asked once per step: form, in and out follow the weights.
+	// needs is asked once per step: RefreshWeights may rebind the layer.
 	needs() layerNeeds
 	// scatter runs one mostly-zero row. nz and scratch are what needs asked
 	// for (nil / empty when it asked for nothing).
 	scatter(out, in []float64, nz []int32, scratch []float64, bias, clip float64) int
 	// gather runs the first n rows of the block — n is needs().block, 4 or 1
-	// — in the step's form and returns their activation counts. The block
-	// travels by value: a pointer to a step-local array passed through an
-	// interface would move the array to the heap on every step.
-	gather(rows rowBlock, n int, form gatherForm, bias, clip float64) [8]int
+	// — and returns their activation counts; scratch is what needs asked for.
+	// The block travels by value: a pointer to a step-local array passed
+	// through an interface would move the array to the heap on every step.
+	gather(rows rowBlock, n int, scratch []float64, bias, clip float64) [8]int
 }
 
 // layerNeeds is what a layer declares to the engine that runs it.
 type layerNeeds struct {
-	block   int  // widest gather block, 8 or 4 rows; also the pool grain
-	scratch int  // float64s of scratch a row's scatter accumulates in
-	nz      bool // scatter reads the staged nonzero positions of its input
-	form    gatherForm
-	in, out int // leading entries of a row the gather reads and writes
+	block    int  // widest gather block, 8 or 4 rows; also the pool grain
+	scratch  int  // float64s of scratch a row accumulates or stages in
+	nz       bool // scatter reads the staged nonzero positions of its input
+	quotient bool // a quotientLayer: it gathers every row, into classes
+	in, out  int  // leading entries of a row the step reads and writes
 }
-
-// gatherForm is what a layer's gathers compute on a step, and what the
-// profiler reports having run.
-type gatherForm uint8
-
-const (
-	perColumn    gatherForm = iota // one chain per output column; mostly-zero rows scatter
-	classSums                      // sparse.FusedGatherClosed: one chain per residue class
-	periodicRows                   // sparse.FusedGatherPeriodic: one chain per column of a period
-)
-
-// everyRow reports whether the form gathers even mostly-zero rows: it spends
-// about N′ multiply-adds whatever the row holds, which a scatter's epilogue
-// alone costs, and may be handed a row too short to scatter from.
-func (f gatherForm) everyRow() bool { return f == classSums || f == periodicRows }
 
 // rowBlock is up to eight batch rows' input and output slices.
 type rowBlock struct{ in, out [8][]float64 }
@@ -64,7 +54,7 @@ func (l cscLayer) scatter(out, in []float64, _ []int32, _ []float64, bias, clip 
 }
 
 //radix:hotpath
-func (l cscLayer) gather(r rowBlock, n int, _ gatherForm, bias, clip float64) (nnz [8]int) {
+func (l cscLayer) gather(r rowBlock, n int, _ []float64, bias, clip float64) (nnz [8]int) {
 	if n == 4 {
 		l.kern.FusedGatherRow4(r.out[0], r.out[1], r.out[2], r.out[3],
 			r.in[0], r.in[1], r.in[2], r.in[3], bias, clip, (*[4]int)(nnz[:4]))
@@ -88,7 +78,7 @@ func (l radixLayer) scatter(out, in []float64, _ []int32, _ []float64, bias, cli
 }
 
 //radix:hotpath
-func (l radixLayer) gather(r rowBlock, n int, _ gatherForm, bias, clip float64) (nnz [8]int) {
+func (l radixLayer) gather(r rowBlock, n int, _ []float64, bias, clip float64) (nnz [8]int) {
 	switch n {
 	case 8:
 		l.rk.FusedGatherRow8(&r.out, &r.in, bias, clip, &nnz)
@@ -104,87 +94,149 @@ func (l radixLayer) gather(r rowBlock, n int, _ gatherForm, bias, clip float64) 
 // stockhamLayer is radixLayer with activations in the packed Stockham
 // layout. The gathers are the same entry points (the kernel knows its
 // layout) and the scatter accumulates in private scratch, walking on the
-// stack's first layer the nonzero positions the staging scan recorded — except
-// where one weight makes columns share their chains: a numeral system's closing
-// layer (sparse.FusedGatherClosed) and the opening layer behind one
-// (sparse.FusedGatherPeriodic), which also pass each other only the distinct
-// part of a row. All of it is read from the kernels on every step:
-// RefreshWeights through any clone puts a written layer back on the per-column
-// forms, and its neighbours on whole rows, at once.
+// stack's first layer the nonzero positions the staging scan recorded.
 type stockhamLayer struct {
 	radixLayer
-	prev, next *stockhamLayer // neighbours in the stack, nil at its ends
+	first bool
 }
 
-// period returns the period of the layer's input rows if on this step its
-// gathers are periodic, else 0: an opening layer that is not also closing,
-// holding one weight, behind a closed layer whose place value its radix divides
-// (columns a period apart then share a block of the packed output).
-func (l *stockhamLayer) period() int {
-	p := l.rk.Plan()
-	if l.prev == nil || p.PlaceValue() != 1 || p.Radix() == p.NPrime() || !l.rk.OneWeight() || !l.prev.rk.Closed() {
-		return 0
-	}
-	if pv := l.prev.rk.Plan().PlaceValue(); pv%p.Radix() == 0 {
-		return pv
-	}
-	return 0
+func (l stockhamLayer) needs() layerNeeds {
+	return layerNeeds{block: 8, scratch: l.rk.Cols(), nz: l.first, in: l.rk.Rows(), out: l.rk.Cols()}
 }
 
-// handoff returns how many leading entries of a row layer a writes for the
-// next layer b on this step, 0 for all of it: the period + radix − 1 a periodic
-// b reads of a closed a, or the natural-order head of period + radix a periodic
-// a leaves a closed b — when that is shorter than the row, whose length would
-// not tell the two layouts apart.
-func handoff(a, b *stockhamLayer) int {
-	if a == nil || b == nil {
-		return 0
-	}
-	if period := b.period(); period > 0 {
-		return period + b.rk.Plan().Radix() - 1
-	}
-	if period := a.period(); period > 0 && b.rk.Closed() && period+a.rk.Plan().Radix() < a.rk.Cols() {
-		return period + a.rk.Plan().Radix()
-	}
-	return 0
+func (l stockhamLayer) scatter(out, in []float64, nz []int32, scratch []float64, bias, clip float64) int {
+	return l.rk.FusedScatterRowStockham(out, in, nz, scratch, bias, clip)
 }
 
-func (l *stockhamLayer) needs() layerNeeds {
-	n := layerNeeds{block: 8, scratch: l.rk.Cols(), nz: l.prev == nil, in: l.rk.Rows(), out: l.rk.Cols()}
-	if l.rk.Closed() {
-		n.form = classSums
-	} else if l.period() > 0 {
-		n.form = periodicRows
-	}
-	if h := handoff(l.prev, l); h > 0 {
-		n.in = h
-	}
-	if h := handoff(l, l.next); h > 0 {
-		n.out = h
+// quotientLayer runs a layer whose columns fall into fewer value classes than
+// there are columns (sparse.NewQuotient): its rows in and out are class
+// vectors — except that a row a per-column step left is read whole, each
+// position its own class, and a row the engine returns or a per-column step
+// reads next is expanded to the whole row. It has no weight stream worth an
+// octet and nothing to scatter: every row gathers, four at a time.
+type quotientLayer struct {
+	q      *sparse.Kernel
+	mult   []int32 // columns per class
+	expand []int32 // the class at each position of the row written, nil to write classes
+}
+
+func (l quotientLayer) needs() layerNeeds {
+	n := layerNeeds{block: 4, quotient: true, in: l.q.Rows(), out: l.q.Cols()}
+	if l.expand != nil {
+		n.scratch, n.out = l.q.Cols(), len(l.expand)
 	}
 	return n
 }
 
-func (l *stockhamLayer) scatter(out, in []float64, nz []int32, scratch []float64, bias, clip float64) int {
-	return l.rk.FusedScatterRowStockham(out, in, nz, scratch, bias, clip)
+func (l quotientLayer) scatter([]float64, []float64, []int32, []float64, float64, float64) int {
+	panic("infer: a quotient step gathers every row")
 }
 
-// gather runs the step's form. Neither structured form has a weight stream for
-// a block to share, so they serve every block width a row at a time.
+// gather returns each row's live count over the whole row: a class counts
+// once per column it stands for.
 //
 //radix:hotpath
-func (l *stockhamLayer) gather(r rowBlock, n int, form gatherForm, bias, clip float64) (nnz [8]int) {
-	switch form {
-	case classSums:
-		for j := 0; j < n; j++ {
-			nnz[j] = l.rk.FusedGatherClosed(r.out[j], r.in[j], bias, clip)
+func (l quotientLayer) gather(r rowBlock, n int, scratch []float64, bias, clip float64) (nnz [8]int) {
+	if n == 4 {
+		l.q.FusedGatherRow4(r.out[0], r.out[1], r.out[2], r.out[3],
+			r.in[0], r.in[1], r.in[2], r.in[3], bias, clip, (*[4]int)(nnz[:4]))
+	} else {
+		l.q.FusedGatherRow(r.out[0], r.in[0], bias, clip)
+	}
+	for j, out := range r.out[:n] {
+		cls := out[:len(l.mult)]
+		live := 0
+		for i, v := range cls {
+			if v != 0 { // the epilogue leaves 0 or a live value, NaN included
+				live += int(l.mult[i])
+			}
 		}
-	case periodicRows:
-		for j := 0; j < n; j++ {
-			nnz[j] = l.rk.FusedGatherPeriodic(r.out[j], r.in[j], bias, clip)
+		nnz[j] = live
+		if l.expand != nil {
+			cls = scratch[:copy(scratch, cls)]
+			for p, i := range l.expand {
+				out[p] = cls[i]
+			}
 		}
-	default:
-		return l.radixLayer.gather(r, n, form, bias, clip)
 	}
 	return nnz
+}
+
+// number binds every layer past the first to its quotient where the layer's
+// values number it into fewer classes than columns, and to its per-column step
+// elsewhere, and returns how many numbering passes it ran. Layer 0 reads the
+// caller's rows and stays per column. A per-column step's output is numbered
+// as the identity, each position of the row it wrote its own class; a
+// quotient's output by its classes. A pass depends only on the layer's storage
+// and its input's numbering, interned by content, and runs once per distinct
+// pair: a stack that repeats a numeral system repeats its numbering from the
+// first closing layer on, so Graph Challenge 1024×120 numbers in three passes.
+func (e *Engine) number() (passes int) {
+	type key struct {
+		storage any
+		in      *int32 // the input numbering, interned
+	}
+	type numbering struct {
+		q         *sparse.Kernel
+		out, mult []int32
+	}
+	interned := map[string][]int32{}
+	intern := func(v []int32) []int32 {
+		b := make([]byte, 0, 4*len(v))
+		for _, c := range v {
+			b = binary.LittleEndian.AppendUint32(b, uint32(c))
+		}
+		if w, ok := interned[string(b)]; ok {
+			return w
+		}
+		interned[string(b)] = v
+		return v
+	}
+	memo := map[key]*numbering{}
+	nums := make([]*numbering, len(e.layers)) // nil where the layer runs per column
+	for l := 1; l < len(e.layers); l++ {
+		var in []int32
+		if nums[l-1] != nil {
+			in = nums[l-1].out
+		} else {
+			in = make([]int32, e.layers[l].Rows())
+			for r := range in {
+				in[r] = int32(r)
+				if rk := e.radix[l]; rk.Stockham() {
+					in[r] = int32(rk.Plan().InPackPos(r))
+				}
+			}
+			in = intern(in)
+		}
+		k := key{e.kernels[l].Storage(), &in[0]}
+		n := memo[k]
+		if n == nil {
+			n = new(numbering)
+			n.q, n.out, n.mult = sparse.NewQuotient(e.kernels[l], in)
+			n.out = intern(n.out)
+			memo[k] = n
+		}
+		if n.q.Cols() < e.layers[l].Cols() {
+			nums[l] = n
+		}
+	}
+	for l, n := range nums {
+		if n == nil {
+			e.steps[l] = e.cols[l]
+			continue
+		}
+		st := quotientLayer{q: n.q, mult: n.mult}
+		if l == len(nums)-1 || nums[l+1] == nil {
+			st.expand = make([]int32, len(n.out))
+			for c, j := range n.out {
+				p := c
+				if e.radix[l].Stockham() {
+					p = e.radix[l].Plan().OutPackPos(c)
+				}
+				st.expand[p] = j
+			}
+		}
+		e.steps[l] = st
+	}
+	return len(memo)
 }

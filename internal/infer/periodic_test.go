@@ -23,9 +23,9 @@ func (s scatterSpy) scatter(out, in []float64, nz []int32, scratch []float64, bi
 }
 
 // TestStructuredLayersGatherEveryRow: a row 3 % live entering a closing layer
-// is summed by classes, not scattered — the scatter would spend 32 multiply-adds
-// per live input and then an epilogue over all 1024 columns, the class sums 1024
-// in all — and equals the CSC engine bit for bit.
+// is gathered by its quotient, not scattered — the scatter would spend 32
+// multiply-adds per live input and then an epilogue over all 1024 columns, the
+// quotient 1024 in all — and equals the CSC engine bit for bit.
 func TestStructuredLayersGatherEveryRow(t *testing.T) {
 	rad, csc := gcEngines(t, 2)
 	var scattered atomic.Int64
@@ -46,8 +46,8 @@ func TestStructuredLayersGatherEveryRow(t *testing.T) {
 	rad.EnableProfiling(1)
 	got := mustInfer(t, rad, batch)
 	snap, _ := rad.Profile()
-	if snap.Layers[1].ClassSum != 1 || scattered.Load() != 0 {
-		t.Errorf("closing layer: %d class-sum batches, %d rows scattered; want 1 and 0", snap.Layers[1].ClassSum, scattered.Load())
+	if snap.Layers[1].Quotient != 1 || scattered.Load() != 0 {
+		t.Errorf("closing layer: %d quotient batches, %d rows scattered; want 1 and 0", snap.Layers[1].Quotient, scattered.Load())
 	}
 	sameBits(t, "thin rows through a closing layer", got, mustInfer(t, csc, batch))
 }
@@ -59,80 +59,146 @@ func stackEngines(t *testing.T, systems ...[]int) (rad, csc *Engine) {
 	return configEngine(t, KernelAuto, nil, systems...), configEngine(t, KernelCSC, nil, systems...)
 }
 
-// step is what a layer declares for a call: its form and how much of a row it
-// reads and writes (declared reports the whole row as 0).
-type step struct {
-	form    gatherForm
-	in, out int
-}
+// step is what a layer declares for a call: its classes (0 on a per-column
+// step) and how much of a row it reads and writes (declared reports the whole
+// row as 0).
+type step struct{ classes, in, out int }
 
 // declared reads every layer's step off the engine.
 func declared(e *Engine) []step {
 	steps := make([]step, len(e.steps))
 	for l, k := range e.steps {
 		n := k.needs()
-		steps[l] = step{n.form, n.in % e.layers[l].Rows(), n.out % e.layers[l].Cols()}
+		steps[l] = step{0, n.in % e.layers[l].Rows(), n.out % e.layers[l].Cols()}
+		if q, ok := k.(quotientLayer); ok {
+			steps[l].classes = q.q.Cols()
+		}
 	}
 	return steps
 }
 
-// ranForms reads the form each layer ran from a one-batch profile.
-func ranForms(t *testing.T, snap ProfileSnapshot) []gatherForm {
-	t.Helper()
-	forms := make([]gatherForm, len(snap.Layers))
-	for l, lp := range snap.Layers {
-		switch {
-		case lp.Batches != 1 || lp.ClassSum+lp.Periodic > 1:
-			t.Fatalf("layer %d: %d batches, %d class-sum, %d periodic", l, lp.Batches, lp.ClassSum, lp.Periodic)
-		case lp.ClassSum == 1:
-			forms[l] = classSums
-		case lp.Periodic == 1:
-			forms[l] = periodicRows
+// classes reads every layer's output classes off the engine: one per column
+// where the layer runs per column.
+func classes(e *Engine) []int {
+	n := make([]int, len(e.steps))
+	for l, s := range declared(e) {
+		n[l] = s.classes
+		if n[l] == 0 {
+			n[l] = e.layers[l].Cols()
 		}
 	}
-	return forms
+	return n
 }
 
-// TestPeriodicHandoffs pins the selection shape by shape: which layers sum
-// classes, which gather periodically, and what each pair hands over — and that
-// whatever is selected equals the CSC engine bit for bit on 13 rows (an octet, a
-// quad, a single), one of them holding MaxFloat64.
+// ranQuotients reads off a one-batch profile which layers ran as quotients.
+func ranQuotients(t *testing.T, snap ProfileSnapshot) []bool {
+	t.Helper()
+	ran := make([]bool, len(snap.Layers))
+	for l, lp := range snap.Layers {
+		if lp.Batches != 1 || lp.Quotient > 1 {
+			t.Fatalf("layer %d: %d batches, %d quotient", l, lp.Batches, lp.Quotient)
+		}
+		ran[l] = lp.Quotient == 1
+	}
+	return ran
+}
+
+// TestQuotientClassCounts pins what the numbering finds on the real patterns:
+// Graph Challenge 1024 has 32 classes from the first closing layer on; the
+// opening layer behind (8,8,8)'s closing one reads a row of period 64 and
+// leaves 71 classes, which the middle digit keeps; (8,2) twice — a head as
+// long as the row — is 8 classes from layer 1 on; and under a Kronecker lift
+// by 2, where a layer's two output blocks are one block, (8,8) twice is 8
+// classes of 128 columns from layer 1 on. A quotient layer runs on each, and
+// each stack equals the CSC engine bit for bit on 13 rows (an octet, a quad, a
+// single), one of them holding MaxFloat64.
+func TestQuotientClassCounts(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		rad  *Engine
+		csc  *Engine
+		want []int
+	}{
+		{"gc1024x6", configEngine(t, KernelAuto, nil, repeat([]int{32, 32}, 3)...), configEngine(t, KernelCSC, nil, repeat([]int{32, 32}, 3)...),
+			[]int{1024, 32, 32, 32, 32, 32}},
+		{"(8,8,8)²", configEngine(t, KernelAuto, nil, []int{8, 8, 8}, []int{8, 8, 8}), configEngine(t, KernelCSC, nil, []int{8, 8, 8}, []int{8, 8, 8}),
+			[]int{512, 512, 64, 71, 71, 64}},
+		{"(8,2)²", configEngine(t, KernelAuto, nil, []int{8, 2}, []int{8, 2}), configEngine(t, KernelCSC, nil, []int{8, 2}, []int{8, 2}),
+			[]int{16, 8, 8, 8}},
+		{"(8,8)² lifted by 2", configEngine(t, KernelAuto, []int{2, 2, 2, 2, 2}, []int{8, 8}, []int{8, 8}), configEngine(t, KernelCSC, []int{2, 2, 2, 2, 2}, []int{8, 8}, []int{8, 8}),
+			[]int{128, 8, 8, 8}},
+	} {
+		if got := classes(c.rad); fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s numbers %v classes, want %v", c.name, got, c.want)
+		}
+		quotients := 0
+		for l, n := range c.want {
+			if n < c.rad.layers[l].Cols() {
+				quotients++
+			}
+		}
+		if c.rad.QuotientLayers() != quotients || c.csc.QuotientLayers() != 0 {
+			t.Errorf("%s: %d quotient layers (CSC %d), want %d (0)", c.name, c.rad.QuotientLayers(), c.csc.QuotientLayers(), quotients)
+		}
+		width := c.rad.layers[0].Rows()
+		batch, err := dataset.SparseBatch(13, width, width-width/8, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch.RowSlice(2)[1] = math.MaxFloat64
+		sameBits(t, c.name, inferProfiled(t, c.rad, batch), mustInfer(t, c.csc, batch))
+	}
+}
+
+// TestGCNumberingPasses: Graph Challenge 1024×120 repeats one system sixty
+// times, so its numbering reaches a fixed point after the first closing layer
+// and building it runs at most four numbering passes — all of them on the
+// first three layers past the first.
+func TestGCNumberingPasses(t *testing.T) {
+	rad, _ := gcEngines(t, 120)
+	n := rad.number()
+	t.Logf("numbering 1024×120: %d passes", n)
+	if n > 4 {
+		t.Errorf("numbering 1024×120 ran %d passes, want at most 4", n)
+	}
+	if rad.QuotientLayers() != 119 {
+		t.Errorf("%d quotient layers, want 119", rad.QuotientLayers())
+	}
+}
+
+// TestPeriodicHandoffs pins what each layer runs and hands on, shape by shape:
+// the classes a quotient layer gathers and the class vectors between them, whole
+// rows where a per-column step or the caller reads — and that whatever is
+// selected equals the CSC engine bit for bit on 13 rows (an octet, a quad, a
+// single), one of them holding MaxFloat64.
 func TestPeriodicHandoffs(t *testing.T) {
-	col, cls, per := perColumn, classSums, periodicRows
 	for _, c := range []struct {
 		systems [][]int
 		want    []step
 	}{
-		// Graph Challenge: every opening layer past the first follows a closing
-		// layer of place value 32 = its radix; 63 entries in, a 64-entry head out.
-		{[][]int{{32, 32}, {32, 32}, {32, 32}}, []step{{col, 0, 0}, {cls, 0, 63}, {per, 63, 64}, {cls, 64, 63}, {per, 63, 64}, {cls, 64, 0}}},
-		// Three digits: the periodic layer feeds a middle digit, which needs the row.
-		{[][]int{{8, 8, 8}, {8, 8, 8}}, []step{{col, 0, 0}, {col, 0, 0}, {cls, 0, 71}, {per, 71, 0}, {col, 0, 0}, {cls, 0, 0}}},
-		// Period 16 = four radices; head of 20.
-		{[][]int{{16, 4}, {4, 16}}, []step{{col, 0, 0}, {cls, 0, 19}, {per, 19, 20}, {cls, 20, 0}}},
-		// Period 4 under a radix of 8: columns a period apart change block.
-		{[][]int{{4, 8}, {8, 4}}, []step{{col, 0, 0}, {cls, 0, 0}, {col, 0, 0}, {cls, 0, 0}}},
-		// The head would be the whole row: lengths could not tell it from the packed one.
-		{[][]int{{8, 2}, {8, 2}}, []step{{col, 0, 0}, {cls, 0, 15}, {per, 15, 0}, {cls, 0, 0}}},
-		// Two classes: every chain runs on the scalar lanes.
-		{[][]int{{2, 32}, {2, 32}}, []step{{col, 0, 0}, {cls, 0, 3}, {per, 3, 4}, {cls, 4, 0}}},
-		// One system, and one-digit systems: nothing follows a closing layer it divides.
-		{[][]int{{8, 8}}, []step{{col, 0, 0}, {cls, 0, 0}}},
-		{[][]int{{64}, {64}}, []step{{cls, 0, 0}, {cls, 0, 0}}},
+		// Graph Challenge: a closing layer reads layer 0's whole row; from it on,
+		// 32 classes.
+		{[][]int{{32, 32}, {32, 32}, {32, 32}}, []step{{0, 0, 0}, {32, 0, 32}, {32, 32, 32}, {32, 32, 32}, {32, 32, 32}, {32, 32, 0}}},
+		// Three digits: the first system's middle digit runs per column; the
+		// second's keeps the 71 classes behind the closing layer.
+		{[][]int{{8, 8, 8}, {8, 8, 8}}, []step{{0, 0, 0}, {0, 0, 0}, {64, 0, 64}, {71, 64, 71}, {71, 71, 71}, {64, 71, 0}}},
+		// Period 16 = four radices: the wrapped columns are classes of their own.
+		{[][]int{{16, 4}, {4, 16}}, []step{{0, 0, 0}, {16, 0, 16}, {19, 16, 19}, {4, 19, 0}}},
+		// Period 4 under a radix of 8: classes need no packing, and the closing
+		// layer's residue classes mod 8 read the period twice over.
+		{[][]int{{4, 8}, {8, 4}}, []step{{0, 0, 0}, {4, 0, 4}, {4, 4, 4}, {4, 4, 0}}},
+		// A head as long as the row made no difference to classes.
+		{[][]int{{8, 2}, {8, 2}}, []step{{0, 0, 0}, {8, 0, 8}, {8, 8, 8}, {8, 8, 0}}},
+		// Two classes.
+		{[][]int{{2, 32}, {2, 32}}, []step{{0, 0, 0}, {2, 0, 2}, {2, 2, 2}, {2, 2, 0}}},
+		// One system, and one-digit systems: the second one-digit layer is one class.
+		{[][]int{{8, 8}}, []step{{0, 0, 0}, {8, 0, 0}}},
+		{[][]int{{64}, {64}}, []step{{0, 0, 0}, {1, 0, 0}}},
 	} {
 		rad, csc := stackEngines(t, c.systems...)
 		name := fmt.Sprint(c.systems)
 		if got := declared(rad); fmt.Sprint(got) != fmt.Sprint(c.want) {
 			t.Errorf("%s declares %v, want %v", name, got, c.want)
-		}
-		periodic := 0
-		for _, s := range c.want {
-			if s.form == per {
-				periodic++
-			}
-		}
-		if rad.PeriodicLayers() != periodic || csc.PeriodicLayers() != 0 {
-			t.Errorf("%s: %d periodic layers (CSC %d), want %d (0)", name, rad.PeriodicLayers(), csc.PeriodicLayers(), periodic)
 		}
 		width := rad.layers[0].Rows()
 		batch, err := dataset.SparseBatch(13, width, width-width/8, 7)
@@ -140,26 +206,19 @@ func TestPeriodicHandoffs(t *testing.T) {
 			t.Fatal(err)
 		}
 		batch.RowSlice(2)[1] = math.MaxFloat64
-		rad.EnableProfiling(1)
-		got := mustInfer(t, rad, batch)
-		snap, _ := rad.Profile()
-		for l, f := range ranForms(t, snap) {
-			if f != c.want[l].form {
-				t.Errorf("%s layer %d ran form %d, want %d", name, l, f, c.want[l].form)
-			}
-		}
-		sameBits(t, name, got, mustInfer(t, csc, batch))
+		sameBits(t, name, inferProfiled(t, rad, batch), mustInfer(t, csc, batch))
 	}
 }
 
 // TestPeriodicFollowsWeights (run it under -race): doubling one edge of a
 // closing layer — written through a clone's matrices, picked up by
-// RefreshWeights, seen by every clone — takes that layer off the class sums AND
-// the opening layer behind it off the periodic gather, and both hand-offs next
-// to them go back to whole rows; the systems further on are untouched. Writing
-// the value back restores all of it. Two clones infer concurrently before,
-// between and after; everything equals the CSC engine and ReferenceInfer bit
-// for bit.
+// RefreshWeights, seen by every clone — gives that layer one class more and
+// the opening layer behind it the classes that follow from it, 64; the next
+// closing layer, complete within each residue class whatever its rows carry,
+// is back at 32, and so is the rest of the stack. Writing the value back
+// numbers it all as before. Two clones infer
+// concurrently before, between and after; everything equals the CSC engine
+// and ReferenceInfer bit for bit.
 func TestPeriodicFollowsWeights(t *testing.T) {
 	rad, csc := gcEngines(t, 6)
 	a, b := rad.Clone(), rad.Clone()
@@ -170,15 +229,14 @@ func TestPeriodicFollowsWeights(t *testing.T) {
 	batch.RowSlice(3)[17] = math.MaxFloat64 // one extreme element among ordinary ones
 	const layer, edge = 1, 4097
 	w := rad.layers[layer].Values()[edge]
-	col, cls, per := perColumn, classSums, periodicRows
-	whole := []step{{col, 0, 0}, {cls, 0, 63}, {per, 63, 64}, {cls, 64, 63}, {per, 63, 64}, {cls, 64, 0}}
+	whole := []step{{0, 0, 0}, {32, 0, 32}, {32, 32, 32}, {32, 32, 32}, {32, 32, 32}, {32, 32, 0}}
 	for _, c := range []struct {
 		what string
 		v    float64
 		want []step
 	}{
 		{"one weight", w, whole},
-		{"one edge of layer 1 doubled", 2 * w, []step{{col, 0, 0}, {col, 0, 0}, {col, 0, 0}, {cls, 0, 63}, {per, 63, 64}, {cls, 64, 0}}},
+		{"one edge of layer 1 doubled", 2 * w, []step{{0, 0, 0}, {33, 0, 33}, {64, 33, 64}, {32, 64, 32}, {32, 32, 32}, {32, 32, 0}}},
 		{"restored", w, whole},
 	} {
 		a.layers[layer].Values()[edge] = c.v
@@ -208,23 +266,15 @@ func TestPeriodicFollowsWeights(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		b.EnableProfiling(1)
-		sameBits(t, c.what+": profiled", mustInfer(t, b, batch), want)
-		snap, _ := b.Profile()
-		b.DisableProfiling()
-		for l, f := range ranForms(t, snap) {
-			if f != c.want[l].form {
-				t.Errorf("%s: layer %d ran form %d, want %d", c.what, l, f, c.want[l].form)
-			}
-		}
+		sameBits(t, c.what+": profiled", inferProfiled(t, b, batch), want)
 	}
 }
 
 // TestPeriodicRevivedRows: rows that died under the first layers' biases are
-// filled, full width, by the positive bias of a periodic layer that hands its
-// live rows over as heads, and again two layers on where the live rows arrive
-// as 63 leading entries — a constant row reads the same through either
-// hand-off. Rows that enter all zero come back at layer 2 as well.
+// filled by the positive bias of a quotient layer that hands its live rows on
+// as class vectors, and again two layers on — a constant row is the same in
+// every class — and leave the stack expanded like the live ones. Rows that
+// enter all zero come back at layer 2 as well.
 func TestPeriodicRevivedRows(t *testing.T) {
 	rad, csc := gcEngines(t, 6)
 	for _, e := range []*Engine{rad, csc} {
@@ -249,7 +299,7 @@ func TestPeriodicRevivedRows(t *testing.T) {
 			t.Fatalf("row %d leaves layer 0 with %d live elements", r, n)
 		}
 	}
-	if got := declared(rad); got[2] != (step{periodicRows, 63, 64}) || got[4] != (step{periodicRows, 63, 64}) {
+	if got := declared(rad); got[2] != (step{32, 32, 32}) || got[4] != (step{32, 32, 32}) {
 		t.Fatalf("layers 2 and 4 declare %v and %v", got[2], got[4])
 	}
 	want := mustInfer(t, csc, batch)

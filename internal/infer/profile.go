@@ -21,11 +21,11 @@ type Profiler struct {
 }
 
 type layerProf struct {
-	batches atomic.Int64
-	rows    atomic.Int64
-	ns      atomic.Int64
-	edges   atomic.Int64
-	forms   [periodicRows + 1]atomic.Int64 // batches by the gatherForm that ran
+	batches  atomic.Int64
+	rows     atomic.Int64
+	ns       atomic.Int64
+	edges    atomic.Int64
+	quotient atomic.Int64 // batches the layer ran as a quotient step
 }
 
 // NewProfiler builds a profiler for an engine with the given layer
@@ -50,12 +50,11 @@ func (p *Profiler) sample() bool {
 // active entering the layer, the layer's stored weight count (so
 // edges = rows×nnz matches the repo's Gedges/s convention), and the
 // layer's share of the batch's one dispatch, in wall time: a sampled batch's
-// layers sum to the time its caller waited, whatever the worker count. form
-// is the step's: class-sum and periodic layers gather every row, so the form
-// recorded is what ran (edges stay nominal: rows×nnz is what the shared chains
-// stand for, not the multiply-adds spent); per-column layers gather dense rows
-// and scatter the rest.
-func (p *Profiler) record(layer, rows int, nnz int, d time.Duration, form gatherForm) {
+// layers sum to the time its caller waited, whatever the worker count.
+// quotient says the step ran as a quotient, which gathers every row (edges stay
+// nominal: rows×nnz is what the shared chains stand for, not the multiply-adds
+// spent); per-column steps gather dense rows and scatter the rest.
+func (p *Profiler) record(layer, rows int, nnz int, d time.Duration, quotient bool) {
 	if layer < 0 || layer >= len(p.layers) {
 		return
 	}
@@ -64,7 +63,9 @@ func (p *Profiler) record(layer, rows int, nnz int, d time.Duration, form gather
 	lp.rows.Add(int64(rows))
 	lp.ns.Add(d.Nanoseconds())
 	lp.edges.Add(int64(rows) * int64(nnz))
-	lp.forms[form].Add(1)
+	if quotient {
+		lp.quotient.Add(1)
+	}
 }
 
 // lap is one layer's tally over the tiles of the sampled batch in flight.
@@ -91,7 +92,7 @@ func (e *Engine) report(prof *Profiler, wall time.Duration) {
 	}
 	for l := range e.laps {
 		share := float64(e.laps[l].ns.Swap(0)) / float64(max(sum, 1))
-		prof.record(l, int(e.laps[l].rows.Swap(0)), e.layers[l].NNZ(), time.Duration(share*float64(wall)), e.plan[l].form)
+		prof.record(l, int(e.laps[l].rows.Swap(0)), e.layers[l].NNZ(), time.Duration(share*float64(wall)), e.plan[l].quotient)
 	}
 }
 
@@ -100,8 +101,7 @@ type LayerProfile struct {
 	Layer        int     `json:"layer"`
 	NNZ          int     `json:"nnz"`
 	Batches      int64   `json:"batches"`
-	ClassSum     int64   `json:"class_sum_batches"` // of Batches, those run as a closed layer's class sums
-	Periodic     int64   `json:"periodic_batches"`  // of Batches, those run as periodic gathers behind a closed layer
+	Quotient     int64   `json:"quotient_batches"` // of Batches, those run as a quotient step
 	Rows         int64   `json:"rows"`
 	Ns           int64   `json:"ns"`
 	Edges        int64   `json:"edges"`
@@ -129,8 +129,7 @@ func (p *Profiler) snapshot(nnz []int) ProfileSnapshot {
 		l := LayerProfile{
 			Layer:    i,
 			Batches:  lp.batches.Load(),
-			ClassSum: lp.forms[classSums].Load(),
-			Periodic: lp.forms[periodicRows].Load(),
+			Quotient: lp.quotient.Load(),
 			Rows:     lp.rows.Load(),
 			Ns:       lp.ns.Load(),
 			Edges:    lp.edges.Load(),

@@ -73,9 +73,10 @@ func perturbLayer(e *Engine, k int, seed int64) {
 
 // TestPerturbOneLayerLeavesOthers: writing one layer of a stack that reads one
 // constant run moves that layer, and only that layer, onto storage of its own.
-// Every other layer keeps its values, its one-weight bit and the run (the
-// footprint grows by exactly one layer's copies); and the half-shared stack
-// computes the same bits on every path. A RadixKernel that decided ownership
+// Every other layer keeps its values and the run (the footprint grows by
+// exactly one layer's copies); the written layer runs per column, and so does
+// the opening layer behind it when it closes a system; and the half-shared
+// stack computes the same bits on every path. A RadixKernel that decided ownership
 // of its Stockham stream by comparing addresses took the re-pointed CSC view
 // for "mine" and wrote layer k's re-sequenced weights into the run.
 func TestPerturbOneLayerLeavesOthers(t *testing.T) {
@@ -84,7 +85,8 @@ func TestPerturbOneLayerLeavesOthers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{0, 3, layers - 1} {
+	for _, c := range []struct{ k, quotients int }{{0, 5}, {3, 3}, {layers - 1, 4}} {
+		k := c.k
 		rad, csc := gcEngines(t, layers)
 		clone := rad.Clone()
 		w := 4.0 / 32
@@ -115,14 +117,8 @@ func TestPerturbOneLayerLeavesOthers(t *testing.T) {
 					k, e.Kernel(), fp, (1+copies)*gcEdges*8)
 			}
 		}
-		for l, rk := range rad.radix {
-			if rk.OneWeight() != (l != k) {
-				t.Errorf("k=%d: layer %d reports one weight %t", k, l, rk.OneWeight())
-			}
-		}
-		// The odd layers close their systems: writing one takes it off the class sums.
-		if got, want := rad.ClosedLayers(), layers/2-k%2; got != want {
-			t.Errorf("k=%d: %d closed layers, want %d", k, got, want)
+		if got := rad.QuotientLayers(); got != c.quotients {
+			t.Errorf("k=%d: %d quotient layers, want %d", k, got, c.quotients)
 		}
 
 		want, err := csc.ReferenceInfer(batch)

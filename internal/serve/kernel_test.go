@@ -14,7 +14,8 @@ import (
 )
 
 // liftedConfig is a Kronecker-lifted config: it compiles stride plans too,
-// but runs the natural-order radix kernels instead of the Stockham chain.
+// but runs the natural-order radix kernels instead of the Stockham chain — and
+// its closing layer on a quotient all the same.
 func liftedConfig(t *testing.T) core.Config {
 	t.Helper()
 	cfg, err := core.NewConfig([]radix.System{radix.MustNew(4, 4)}, []int{2, 2, 2})
@@ -85,10 +86,10 @@ func TestHTTPModelsReportKernel(t *testing.T) {
 	if info.Kernel != "radix" {
 		t.Fatalf("register info kernel = %q, want radix", info.Kernel)
 	}
-	// A lifted stack runs natural order: no class sums, no periodic gathers.
-	if info.ClassSumLayers != 0 || info.PeriodicLayers != 0 {
-		t.Fatalf("register info: %d class-sum and %d periodic layers on a lifted config, want 0 and 0",
-			info.ClassSumLayers, info.PeriodicLayers)
+	// A lifted stack runs natural order, and its closing layer — both output
+	// blocks one block, four residue classes of 32 columns — on a quotient.
+	if info.QuotientLayers != 1 {
+		t.Fatalf("register info: %d quotient layers on a lifted config, want 1", info.QuotientLayers)
 	}
 	// (4,4) lifted 2→2→2: two distinct 32×32 layers of 256 edges. One run of
 	// weights; per layer 33+256 CSR ints and 33+256+256 CSC int32s.
@@ -97,8 +98,7 @@ func TestHTTPModelsReportKernel(t *testing.T) {
 			info.DistinctLayers, info.StructureBytes, info.ValueBytes)
 	}
 
-	// (4,4) twice: the second system's opening layer follows a closing layer
-	// whose place value its radix divides.
+	// (4,4) twice: every layer past the first on a quotient.
 	twice, err := core.NewConfig([]radix.System{radix.MustNew(4, 4), radix.MustNew(4, 4)}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestHTTPModelsReportKernel(t *testing.T) {
 	if code, body = adminDo(t, http.MethodPost, ts.URL+"/v1/models", registerBody(t, "twice", twice, 1)); code != http.StatusCreated {
 		t.Fatalf("register (4,4)(4,4): status %d: %s", code, body)
 	}
-	if !strings.Contains(string(body), `"kernel":"radix","class_sum_layers":2,"periodic_layers":1,`) {
+	if !strings.Contains(string(body), `"kernel":"radix","quotient_layers":3,`) {
 		t.Fatalf("register (4,4)(4,4): kernel-use fields missing from %s", body)
 	}
 
@@ -123,11 +123,11 @@ func TestHTTPModelsReportKernel(t *testing.T) {
 		kernels[mi.Name] = mi.Kernel
 		// "m" is testConfig's (4,4) on the Stockham chain: the second layer
 		// closes the system.
-		if mi.Name == "m" && (mi.ClassSumLayers != 1 || mi.PeriodicLayers != 0) {
-			t.Fatalf("model m: %d class-sum and %d periodic layers, want 1 and 0", mi.ClassSumLayers, mi.PeriodicLayers)
+		if mi.Name == "m" && mi.QuotientLayers != 1 {
+			t.Fatalf("model m: %d quotient layers, want 1", mi.QuotientLayers)
 		}
-		if mi.Name == "twice" && mi.PeriodicLayers != 1 {
-			t.Fatalf("model twice: %d periodic layers, want 1", mi.PeriodicLayers)
+		if mi.Name == "twice" && mi.QuotientLayers != 3 {
+			t.Fatalf("model twice: %d quotient layers, want 3", mi.QuotientLayers)
 		}
 	}
 	if kernels["m"] != "radix" || kernels["lift"] != "radix" || kernels["twice"] != "radix" {

@@ -154,14 +154,12 @@ type ModelInfo struct {
 	// Kernel is the kernel family the model's engines resolved to ("csc" or
 	// "radix" — never "auto", which resolves at build time).
 	Kernel string `json:"kernel"`
-	// ClassSumLayers and PeriodicLayers say how much of the stack's structure
-	// the current generation's kernels use (infer.Engine.ClosedLayers and
-	// PeriodicLayers, read when asked): closing layers holding one weight,
-	// which gather by class sums, and the one-weight opening layers behind
-	// those, which gather one period of the repeating row. A reload that ships
-	// written weights shows up as both dropping.
-	ClassSumLayers int `json:"class_sum_layers"`
-	PeriodicLayers int `json:"periodic_layers"`
+	// QuotientLayers says how much of the stack's structure the current
+	// generation's engines use (infer.Engine.QuotientLayers, read when
+	// asked): the layers whose values number their columns into fewer classes
+	// than columns, which run on class vectors. A reload that ships written
+	// weights shows up as it dropping.
+	QuotientLayers int `json:"quotient_layers"`
 	// DistinctLayers, StructureBytes and ValueBytes are infer.Engine.Footprint
 	// of the current generation, read when asked: the index and weight storage
 	// the whole warm pool shares, arrays that several layers read counted
@@ -577,8 +575,7 @@ func (m *Model) Info() ModelInfo {
 		Workers:      m.pol.Workers,
 		Share:        m.pol.Share,
 
-		ClassSumLayers: ep.all[0].ClosedLayers(),
-		PeriodicLayers: ep.all[0].PeriodicLayers(),
+		QuotientLayers: ep.all[0].QuotientLayers(),
 		DistinctLayers: fp.DistinctLayers,
 		StructureBytes: fp.StructureBytes,
 		ValueBytes:     fp.ValueBytes,

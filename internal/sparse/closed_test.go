@@ -57,15 +57,17 @@ func drawablePlans() [][3]int {
 	return plans
 }
 
-// TestClosedLayerClassesShareInRows is the paper-level fact FusedGatherClosed
-// rests on, and its converse. The edge rule sends node j of a layer with place
-// value ν and radix N to j + n·ν mod N′, n < N. When ν·N = N′ (m = radix) that
-// is every node of j's residue class mod ν: all the columns of a class have
-// the same in-rows, in the same ascending order, and under the Stockham input
-// packing they are the run [lo·radix, (lo+1)·radix). When ν·N < N′ the first
-// two columns of every class differ, so the predicate is tight — Closed can
-// never hold on a layer whose columns are distinct chains. Checked, lifts
-// included, on every plan the fuzz targets can draw.
+// TestClosedLayerClassesShareInRows is the paper-level fact the numbering
+// relies on to collapse a closing layer, and its converse. The edge rule sends
+// node j of a layer with place value ν and radix N to j + n·ν mod N′, n < N.
+// When ν·N = N′ (m = radix) that is every node of j's residue class mod ν: all
+// the columns of a class have the same in-rows, in the same ascending order,
+// and under the Stockham input packing they are the run [lo·radix,
+// (lo+1)·radix) — so under one weight they have one signature whatever numbers
+// the rows carry. When ν·N < N′ the first two columns of every class differ,
+// so on rows numbered one class apiece every column of an open layer is a
+// class of its own. Checked, lifts included, on every plan the fuzz targets
+// can draw.
 func TestClosedLayerClassesShareInRows(t *testing.T) {
 	closed, open := 0, 0
 	for _, k := range drawablePlans() {
@@ -128,14 +130,49 @@ func sameWord(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// TestClosedGatherBitIdentical: FusedGatherClosed against the CSC kernel on
-// four closing layers — Graph Challenge 1024's, radix (8,8,8)'s, (2,32)'s and
-// (5,3)'s — under weights that are and are not powers of two, negative and
-// zero, every bias sign, the cap on and off, and rows of ordinary values, of
-// specials (NaN, ±Inf, −0), of 3–7-ulp subnormals and of MaxFloat64/4. The
-// last two are where an UNWEIGHTED class sum scaled once rounds or overflows
-// differently; the weighted chain has no such window. Every output word and
-// every live count must match.
+// quotientRow runs the class vector v through q — as one row, and as each of
+// the four rows of a quad — and returns what a quotient step hands on: the row
+// v stands for, expanded through outClass, and the whole row's live count,
+// each class counting once per column.
+func quotientRow(t *testing.T, q *Kernel, outClass, mult []int32, v []float64, bias, clip float64) (row []float64, live int) {
+	t.Helper()
+	cls := make([]float64, q.Cols())
+	n := q.FusedGatherRow(cls, v, bias, clip)
+	var quad [4][]float64
+	for j := range quad {
+		quad[j] = make([]float64, q.Cols())
+	}
+	var n4 [4]int
+	q.FusedGatherRow4(quad[0], quad[1], quad[2], quad[3], v, v, v, v, bias, clip, &n4)
+	for j := range quad {
+		for i := range cls {
+			if !sameWord(quad[j][i], cls[i]) || n4[j] != n {
+				t.Fatalf("quad row %d: class %d = %v (%d live), single row %v (%d live)", j, i, quad[j][i], n4[j], cls[i], n)
+			}
+		}
+	}
+	for i, v := range cls {
+		if v != 0 {
+			live += int(mult[i])
+		}
+	}
+	row = make([]float64, len(outClass))
+	for c, i := range outClass {
+		row[c] = cls[i]
+	}
+	return row, live
+}
+
+// TestClosedGatherBitIdentical: the quotient of a closing layer, numbered from
+// rows one class apiece in the Stockham input packing as the engine numbers
+// them, against the CSC kernel on four closing layers — Graph Challenge 1024's,
+// radix (8,8,8)'s, (2,32)'s and (5,3)'s — under weights that are and are not
+// powers of two, negative and zero, every bias sign, the cap on and off, and
+// rows of ordinary values, of specials (NaN, ±Inf, −0), of 3–7-ulp subnormals
+// and of MaxFloat64/4. The last two are where an UNWEIGHTED class sum scaled
+// once rounds or overflows differently; the weighted chain has no such window.
+// Every output word and every live count must match, and the layer must number
+// into its ν residue classes.
 func TestClosedGatherBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for _, s := range []struct{ np, pv, radix int }{{1024, 32, 32}, {512, 64, 8}, {64, 2, 32}, {15, 5, 3}} {
@@ -153,17 +190,18 @@ func TestClosedGatherBitIdentical(t *testing.T) {
 		}{{"ordinary", randomInput(rng, s.np, 0.9)}, {"specials", specials}, {"subnormal", subnormal}, {"huge", huge}}
 		for _, w := range []float64{0.125, 0.3, -0.5, 0} {
 			_, k, rk := oneWeightTrio(t, s.np, s.pv, s.radix, w)
-			if !rk.Closed() {
-				t.Fatalf("%v weight %v: not closed", rk.Plan(), w)
+			q, outClass, mult := NewQuotient(k, packedClasses(rk.Plan()))
+			if q.Cols() != s.pv {
+				t.Fatalf("%v weight %v: %d classes, want %d", rk.Plan(), w, q.Cols(), s.pv)
 			}
 			for _, row := range rows {
 				name, x := row.name, row.x
-				in := packBy(x, rk.Plan().InPackPos)
+				in := packBy(x, rk.Plan().InPackPos) // x[r] = in[class of r]
 				for _, bias := range []float64{-0.1, 0, 0.25} {
 					for _, clip := range []float64{0, 32} {
-						want, got := make([]float64, s.np), make([]float64, s.np)
+						want := make([]float64, s.np)
 						wantN := k.FusedGatherRow(want, x, bias, clip)
-						gotN := rk.FusedGatherClosed(got, in, bias, clip) // closing layer: output packing is the identity
+						got, gotN := quotientRow(t, q, outClass, mult, in, bias, clip)
 						what := fmt.Sprintf("%v weight %v bias %v cap %v, %s row", rk.Plan(), w, bias, clip, name)
 						if gotN != wantN {
 							t.Errorf("%s: %d live outputs, want %d", what, gotN, wantN)
@@ -180,34 +218,47 @@ func TestClosedGatherBitIdentical(t *testing.T) {
 	}
 }
 
-// TestClosedFollowsValues: Closed needs the Stockham layout, m = radix and one
-// weight, whatever it is, and follows the values through RefreshValues in both
-// directions.
+// packedClasses numbers each input row of a plan by its position in the
+// Stockham input packing: rows one class apiece, as a per-column layer leaves
+// them.
+func packedClasses(p *StridePlan) []int32 {
+	in := make([]int32, p.Rows())
+	for r := range in {
+		in[r] = int32(p.InPackPos(r))
+	}
+	return in
+}
+
+// TestClosedFollowsValues: a closing layer numbers into its ν classes under one
+// weight, whatever it is, an opening one into a class per column, and the
+// numbering follows the values through Refresh in both directions: one edge
+// written splits its column off its class, and writing the value back joins
+// them again.
 func TestClosedFollowsValues(t *testing.T) {
+	classes := func(k *Kernel, p *StridePlan) int {
+		q, _, _ := NewQuotient(k, packedClasses(p))
+		return q.Cols()
+	}
 	for _, w := range []float64{0.25, 0.3, -0.5, 0} {
-		if _, _, rk := oneWeightTrio(t, 16, 4, 4, w); !rk.Closed() {
-			t.Errorf("closing layer, weight %v: not closed", w)
+		if _, k, rk := oneWeightTrio(t, 16, 4, 4, w); classes(k, rk.Plan()) != 4 {
+			t.Errorf("closing layer, weight %v: %d classes, want 4", w, classes(k, rk.Plan()))
 		}
 	}
-	if _, _, rk := oneWeightTrio(t, 16, 1, 4, 0.25); rk.Closed() {
-		t.Error("opening layer (m = 16, radix 4) reported closed")
+	if _, k, rk := oneWeightTrio(t, 16, 1, 4, 0.25); classes(k, rk.Plan()) != 16 {
+		t.Errorf("opening layer (m = 16, radix 4): %d classes, want 16", classes(k, rk.Plan()))
 	}
 	m, k, rk := oneWeightTrio(t, 16, 4, 4, 0.25)
-	if natural, err := NewRadixKernel(m, k, rk.Plan()); err != nil || natural.Closed() {
-		t.Errorf("natural-order kernel: closed = %t, err = %v", natural.Closed(), err)
-	}
 	vals := m.Values()
 	for _, c := range []struct {
 		v    float64
-		want bool
-	}{{0.5, false}, {0.25, true}} {
+		want int
+	}{{0.5, 5}, {0.25, 4}} {
 		vals[len(vals)-1] = c.v
 		if err := k.Refresh(m); err != nil {
 			t.Fatal(err)
 		}
-		rk.RefreshValues()
-		if rk.Closed() != c.want {
-			t.Errorf("last edge = %v: closed = %t, want %t", c.v, rk.Closed(), c.want)
+		if got := classes(k, rk.Plan()); got != c.want {
+			t.Errorf("last edge = %v: %d classes, want %d", c.v, got, c.want)
 		}
 	}
 }

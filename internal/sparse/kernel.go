@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -16,7 +17,8 @@ import (
 //
 // Indices are int32 (halving index bandwidth versus the Matrix's ints);
 // construction rejects matrices too large to index. Within each column the
-// in-edge row indices are strictly increasing, so a gathered dot product
+// in-edge row indices are strictly increasing (a quotient's taps keep its
+// source's order instead: NewQuotient), so a gathered dot product
 // accumulates contributions in exactly the same order as the CSR scatter —
 // the two paths produce bit-identical floating-point results.
 type Kernel struct {
@@ -122,6 +124,73 @@ func (k *Kernel) Refresh(m *Matrix) error {
 		k.vals[k.perm[i]] = v
 	}
 	return nil
+}
+
+// Storage returns a comparable key that two kernels share exactly when they
+// are built on one pattern and read one value storage, so compute the same
+// function — until either is refreshed.
+func (k *Kernel) Storage() any {
+	type storage struct {
+		src  *Pattern
+		vals *float64
+	}
+	s := storage{src: k.src}
+	if len(k.vals) > 0 {
+		s.vals = &k.vals[0]
+	}
+	return s
+}
+
+// NewQuotient numbers the values k computes on inputs where rows of one class
+// hold one value: inClass gives each of k's rows a class in [0, n). A column's
+// signature is its ordered list of (input class, weight bits) pairs, read off
+// the CSC structure in ascending row order — the order every gather
+// accumulates in — so columns with equal signatures compute the same floating-
+// point chain on the same operands, hence the same bits, on every such input.
+// They get one output class: outClass[c] is column c's, numbered in order of
+// first appearance, and mult[j] counts the columns of class j.
+//
+// q is the quotient: an ordinary kernel of n rows and one column per output
+// class, holding the taps of the class's first column in chain order, each
+// reading the input class in place of the row. Unlike a kernel built from a
+// matrix, a column's taps may therefore repeat or skip back over an input
+// class, and q has no pattern to Refresh from: number again after the weights
+// change. On the class vector v, FusedGatherRow and FusedGatherRow4 of q write
+// to out[outClass[c]] exactly what k's write to column c on the row
+// x[r] = v[inClass[r]], and count each live class once.
+func NewQuotient(k *Kernel, inClass []int32) (q *Kernel, outClass, mult []int32) {
+	inClass = inClass[:k.rows]
+	n := int32(0)
+	for _, c := range inClass {
+		n = max(n, c+1)
+	}
+	q = &Kernel{rows: int(n), colDeg: k.colDeg, colPtr: []int32{0}}
+	outClass = make([]int32, k.cols)
+	seen := make(map[string]int32)
+	var sig []byte
+	for c := range outClass {
+		lo, hi := k.colPtr[c], k.colPtr[c+1]
+		sig = sig[:0]
+		for j := lo; j < hi; j++ {
+			sig = binary.LittleEndian.AppendUint32(sig, uint32(inClass[k.rowIdx[j]]))
+			sig = binary.LittleEndian.AppendUint64(sig, math.Float64bits(k.vals[j]))
+		}
+		id, ok := seen[string(sig)]
+		if !ok {
+			id = int32(len(mult))
+			seen[string(sig)] = id
+			mult = append(mult, 0)
+			for _, r := range k.rowIdx[lo:hi] {
+				q.rowIdx = append(q.rowIdx, inClass[r])
+			}
+			q.vals = append(q.vals, k.vals[lo:hi]...)
+			q.colPtr = append(q.colPtr, int32(len(q.rowIdx)))
+		}
+		outClass[c] = id
+		mult[id]++
+	}
+	q.cols = len(mult)
+	return q, outClass, mult
 }
 
 // Rows returns the input dimension (rows of the underlying matrix).

@@ -7,22 +7,21 @@ import (
 	"testing"
 )
 
-// TestPeriodicRowsShareChains is the paper-level fact FusedGatherPeriodic rests
-// on, and the reasons for each shape its binding refuses. A closing layer with
-// place value P leaves a P-periodic row (TestClosedLayerClassesShareInRows: a
-// class's columns are one chain). On such a row the opening layer of the next
-// system — ν = 1, so column t reads rows t−radix+1 … t — enumerates under
-// ColInRows the same VALUE sequence at column t and at column t − P, for every
-// t ≥ radix − 1 + P; its radix − 1 wrapped columns enumerate column radix−1's
-// exactly when P divides the radix, which among the periods the binding takes
-// (multiples of the radix) is P = radix alone. Checked for every closing and
-// opening plan of one width that the fuzz targets can draw. What is refused
-// really differs: when the radix does not divide P, columns a period apart sit
-// in different blocks of the packed output, so no block repeats itself; under
-// a lift a column's chain is dPrev·radix taps long and there is no packed
-// layout at all; and on a row that is not periodic — what a layer that is not
-// closed leaves, the last system of a stack whose product only divides N′
-// included — columns a period apart share nothing.
+// TestPeriodicRowsShareChains is the paper-level fact the numbering relies on
+// behind a closing layer. A closing layer with place value P leaves a
+// P-periodic row (TestClosedLayerClassesShareInRows: a class's columns are one
+// chain). On such a row the opening layer of the next system — ν = 1, so
+// column t reads rows t−radix+1 … t — enumerates under ColInRows the same VALUE
+// sequence at column t and at column t − P, for every t ≥ radix − 1 + P, so
+// the two share a class; its radix − 1 wrapped columns join column radix−1's
+// exactly when P divides the radix. Checked for every closing and opening plan
+// of one width that the fuzz targets can draw. And what the numbering does not
+// need: on a row that is not periodic — what a layer that is not closed
+// leaves, the last system of a stack whose product only divides N′ included —
+// columns a period apart share nothing; columns a period apart repeat within
+// one block of the packed output only when the radix divides P, which a form
+// writing the packed row needed and class vectors do not; and under a lift a
+// column's chain is dPrev·radix taps long and there is no packed layout at all.
 func TestPeriodicRowsShareChains(t *testing.T) {
 	byWidth := map[int][][3]int{}
 	for _, k := range drawablePlans() {
@@ -106,10 +105,10 @@ func TestPeriodicRowsShareChains(t *testing.T) {
 	}
 }
 
-// periodicRows returns rows of each kind the bit-identity tests feed a kernel,
+// repeatingRows returns rows of each kind the bit-identity tests feed a kernel,
 // every one repeating with the given period: ordinary values, specials (NaN,
 // ±Inf, −0), 3–7-ulp subnormals and MaxFloat64/4.
-func periodicRows(rng *rand.Rand, np, period int) map[string][]float64 {
+func repeatingRows(rng *rand.Rand, np, period int) map[string][]float64 {
 	rows := map[string][]float64{}
 	for _, name := range []string{"ordinary", "specials", "subnormal", "huge"} {
 		y := randomInput(rng, period, 0.9)
@@ -136,52 +135,52 @@ func periodicRows(rng *rand.Rand, np, period int) map[string][]float64 {
 	return rows
 }
 
-// TestPeriodicGatherBitIdentical: FusedGatherPeriodic against the CSC kernel on
-// the opening layer of a second system — Graph Challenge 1024's, (8,8)(8,8)'s
-// and (16,4)(4,16)'s, where the period is four radices — under weights that
-// are and are not powers of two, negative and zero, every bias sign, the cap on
-// and off, and periodic rows of each kind. Both output forms: the packed row,
-// every word and the live count; and the head, which the second system's
-// closing layer then reads through FusedGatherClosed — its output, whole and
-// cut short, against the CSC kernel's on the natural row. On (8,2)(8,2) the
-// head would be as long as the row, so an out of that length is the packed row
-// and there is no head form. The subnormal row is
-// where a chain that summed first and scaled once would round differently; the
-// test checks that it would have noticed.
+// TestPeriodicGatherBitIdentical: the quotient of the opening layer of a
+// second system, numbered from the P-periodic row a closing layer leaves (row r
+// in class r mod P), and the quotient of the closing layer behind it, numbered
+// by the opening layer's classes, against the CSC kernel — on Graph Challenge
+// 1024's, (8,8)(8,8)'s, (16,4)(4,16)'s, where the period is four radices and
+// the wrapped columns are classes of their own, and (8,2)(8,2)'s — under
+// weights that are and are not powers of two, negative and zero, every bias
+// sign, the cap on and off, and periodic rows of each kind: every word and live
+// count of both layers, and the P + radix − 1 classes (P when P = radix) of the
+// opening one. The subnormal row is where a chain that summed first and scaled
+// once would round differently; the test checks that it would have noticed.
 func TestPeriodicGatherBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	mutantSeen := false
 	for _, s := range []struct{ np, period, radix int }{{1024, 32, 32}, {64, 8, 8}, {64, 16, 4}, {16, 8, 8}} {
-		rows := periodicRows(rng, s.np, s.period)
-		lead, head := s.period+s.radix-1, s.period+s.radix
+		rows := repeatingRows(rng, s.np, s.period)
+		periodic := make([]int32, s.np)
+		for r := range periodic {
+			periodic[r] = int32(r % s.period)
+		}
+		chains := s.period
+		if s.period != s.radix {
+			chains += s.radix - 1
+		}
 		for _, w := range []float64{0.125, 0.3, -0.5, 0} {
 			_, k, rk := oneWeightTrio(t, s.np, 1, s.radix, w)
 			_, kc, rkc := oneWeightTrio(t, s.np, s.radix, s.np/s.radix, w)
-			if !rk.OneWeight() || rk.Closed() || !rkc.Closed() {
-				t.Fatalf("%v weight %v: one weight %t, closed %t; %v closed %t", rk.Plan(), w, rk.OneWeight(), rk.Closed(), rkc.Plan(), rkc.Closed())
+			q, outClass, mult := NewQuotient(k, periodic)
+			qc, outClassC, multC := NewQuotient(kc, outClass)
+			if q.Cols() != chains || qc.Cols() != s.radix {
+				t.Fatalf("%v period %d weight %v: %d classes, want %d; %v behind it %d, want %d",
+					rk.Plan(), s.period, w, q.Cols(), chains, rkc.Plan(), qc.Cols(), s.radix)
 			}
 			for name, x := range rows {
 				for _, bias := range []float64{-0.1, 0, 0.25} {
 					for _, clip := range []float64{0, 32} {
 						what := fmt.Sprintf("%v period %d weight %v bias %v cap %v, %s row", rk.Plan(), s.period, w, bias, clip, name)
-						want, packed, short := make([]float64, s.np), make([]float64, s.np), make([]float64, head)
+						want := make([]float64, s.np)
 						wantN := k.FusedGatherRow(want, x, bias, clip)
-						if n := rk.FusedGatherPeriodic(packed, x[:lead], bias, clip); n != wantN {
+						got, n := quotientRow(t, q, outClass, mult, x[:s.period], bias, clip)
+						if n != wantN {
 							t.Errorf("%s: %d live outputs, want %d", what, n, wantN)
 						}
-						if head == s.np {
-							short = unpackBy(packed, rk.Plan().OutPackPos)
-						} else if n := rk.FusedGatherPeriodic(short, x[:lead], bias, clip); n != wantN {
-							t.Errorf("%s, head: %d live outputs, want %d", what, n, wantN)
-						}
-						for c, v := range unpackBy(packed, rk.Plan().OutPackPos) {
+						for c, v := range got {
 							if !sameWord(v, want[c]) {
 								t.Fatalf("%s: col %d = %x (%v), want %x (%v)", what, c, math.Float64bits(v), v, math.Float64bits(want[c]), want[c])
-							}
-						}
-						for c, v := range short {
-							if !sameWord(v, want[c]) {
-								t.Fatalf("%s: head col %d = %x (%v), want %x (%v)", what, c, math.Float64bits(v), v, math.Float64bits(want[c]), want[c])
 							}
 						}
 						if name == "subnormal" && w == 0.125 && bias == 0 {
@@ -195,20 +194,19 @@ func TestPeriodicGatherBitIdentical(t *testing.T) {
 							}
 						}
 
-						want2, whole, cut := make([]float64, s.np), make([]float64, s.np), make([]float64, s.radix+5)
+						cls := make([]float64, q.Cols())
+						for c, i := range outClass {
+							cls[i] = got[c]
+						}
+						want2 := make([]float64, s.np)
 						want2N := kc.FusedGatherRow(want2, want, bias, clip)
-						if head == s.np {
-							short = packed
+						got2, n2 := quotientRow(t, qc, outClassC, multC, cls, bias, clip)
+						if n2 != want2N {
+							t.Errorf("%s, closing layer: %d live outputs, want %d", what, n2, want2N)
 						}
-						if n := rkc.FusedGatherClosed(whole, short, bias, clip); n != want2N {
-							t.Errorf("%s, closing layer on the head: %d live outputs, want %d", what, n, want2N)
-						}
-						if n := rkc.FusedGatherClosed(cut, packed, bias, clip); n != want2N {
-							t.Errorf("%s, closing layer cut short: %d live outputs, want %d", what, n, want2N)
-						}
-						for c, v := range whole {
-							if !sameWord(v, want2[c]) || (c < len(cut) && !sameWord(cut[c], v)) {
-								t.Fatalf("%s, closing layer: col %d = %x (%v) from the head, want %x (%v)", what, c, math.Float64bits(v), v, math.Float64bits(want2[c]), want2[c])
+						for c, v := range got2 {
+							if !sameWord(v, want2[c]) {
+								t.Fatalf("%s, closing layer: col %d = %x (%v), want %x (%v)", what, c, math.Float64bits(v), v, math.Float64bits(want2[c]), want2[c])
 							}
 						}
 					}

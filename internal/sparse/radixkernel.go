@@ -24,13 +24,6 @@ import (
 // order and scatters accumulate input rows in ascending order — the same
 // orders as Kernel.FusedGatherRow/FusedGatherRow4 and Matrix.FusedScatterRow
 // — so all paths produce bit-identical float64 results.
-//
-// Two forms use more of the structure than the addresses, each behind a
-// predicate RefreshValues derives from the weights: FusedGatherClosed (Closed:
-// one weight on a system's closing layer, so a residue class's columns are one
-// chain, evaluated once) and FusedGatherPeriodic (OneWeight on the opening
-// layer behind a closed one: the input row repeats, so the columns one period
-// apart are one chain).
 type RadixKernel struct {
 	plan    *StridePlan
 	mat     *Matrix
@@ -58,14 +51,6 @@ type RadixKernel struct {
 	// EnableStockham succeeded.
 	stVals []float64
 	ownST  bool
-
-	// oneW says the kernel is in Stockham mode with every stored value equal,
-	// whatever the value: columns that read the same inputs in the same order
-	// then run one chain, which FusedGatherClosed and FusedGatherPeriodic
-	// evaluate once. Derived with stVals, so weight mutation re-derives it
-	// through RefreshValues; it lives here, with the values every engine clone
-	// shares, so no clone can hold a stale copy.
-	oneW bool
 }
 
 // CanStockham reports whether the plan admits the Stockham packed layout:
@@ -130,24 +115,23 @@ func (rk *RadixKernel) Stockham() bool { return rk.stVals != nil }
 
 // RefreshValues re-reads the CSC and CSR views from the Kernel and Matrix the
 // kernel is bound to and, in Stockham mode, re-derives the Stockham-ordered
-// weight stream and the one-weight bit from them. A layer whose values are all
-// equal — every layer FromConfig builds — has no copy to keep: stVals reads
-// the CSC storage, whoever owns that, until the values differ. O(NNZ);
-// allocates only then.
+// weight stream from them. A layer whose values are all equal — every layer
+// FromConfig builds — has no copy to keep: stVals reads the CSC storage,
+// whoever owns that, until the values differ. O(NNZ); allocates only then.
 func (rk *RadixKernel) RefreshValues() {
 	rk.cscVals, rk.csrVals = rk.kern.vals, rk.mat.vals
 	if rk.stVals == nil {
 		return
 	}
 	vals := rk.cscVals
-	rk.oneW = true
+	oneWeight := true
 	for _, v := range vals {
 		if v != vals[0] {
-			rk.oneW = false
+			oneWeight = false
 			break
 		}
 	}
-	if rk.oneW {
+	if oneWeight {
 		rk.stVals, rk.ownST = vals, false
 		return
 	}
@@ -167,16 +151,6 @@ func (rk *RadixKernel) RefreshValues() {
 		}
 	}
 }
-
-// OneWeight reports whether the kernel runs the Stockham layout with the same
-// weight on every edge, of any value. It tracks the weights through
-// RefreshValues, so read it per call.
-func (rk *RadixKernel) OneWeight() bool { return rk.oneW }
-
-// Closed reports whether FusedGatherClosed computes this layer: OneWeight on a
-// plan whose radix is its whole circulant modulus (the last digit of a numeral
-// system whose product is N′). Read it per call, like OneWeight.
-func (rk *RadixKernel) Closed() bool { return rk.oneW && rk.plan.m == rk.plan.radix }
 
 // Plan returns the stride plan the kernel executes.
 func (rk *RadixKernel) Plan() *StridePlan { return rk.plan }
@@ -852,169 +826,11 @@ func (rk *RadixKernel) fusedGatherRow8ST(outs, ins *[8][]float64, bias, cap floa
 	*nnz = n
 }
 
-// FusedGatherClosed is the single-row gather of a layer for which Closed()
-// holds (callers check). The edge rule j → j + n·ν mod N′, n < N, with ν·N = N′
-// makes the layer a complete bipartite block inside each residue class mod ν:
-// the radix columns k·ν+lo of class lo all read the packed run
-// in[lo·radix : (lo+1)·radix], in the same ascending order, and under one
-// weight they evaluate the same floating-point chain. It runs that chain once
-// per class and copies the ν results into the other radix−1 segments (the
-// output packing ν·N = N′ is the identity): N′ multiply-adds a row where the
-// per-column gathers spend N′·radix. The chain is the weighted one,
-// a ← a + w·x, so the outputs are fusedGatherRowST's and the CSC kernel's bit
-// for bit on every input and for any w — there is no exactness window — and,
-// with no weight stream to amortise over rows, blocks of 8 or 4 rows are this
-// function called per row. It does not allocate.
-//
-// Either slice may be short of the row, and the count is the full row's all the
-// same. An in shorter than Rows() is the head FusedGatherPeriodic leaves, where
-// class lo's run is in[lo], in[lo+ν], … wrapping back by the period, eight
-// classes side by side; an out shorter than Cols() gets that many leading
-// entries of the ν-periodic row.
-//
-//radix:hotpath
-func (rk *RadixKernel) FusedGatherClosed(out, in []float64, bias, cap float64) int {
-	p := rk.plan
-	w := rk.stVals[0]
-	pv, radix := p.pv, p.radix
-	live := 0
-	if len(in) < p.rows {
-		for lo := 0; lo < pv; lo += 8 {
-			lanes := min(8, pv-lo)
-			a := slide(in, w, lo, lanes, radix, pv, len(in)-pv)
-			for i, v := range a[:lanes] {
-				out[lo+i] = reluCap(v+bias, cap, &live)
-			}
-		}
-	} else {
-		for lo := range out[:pv] {
-			var a float64
-			for _, x := range in[lo*radix : (lo+1)*radix] {
-				a += w * x
-			}
-			out[lo] = reluCap(a+bias, cap, &live)
-		}
-	}
-	// out[:n] is a whole number of ν-periods, so doubling it replicates them.
-	for n := pv; n < len(out); n *= 2 {
-		copy(out[n:], out[:n])
-	}
-	return live * radix
-}
-
-// FusedGatherPeriodic is the single-row gather of an opening layer (ν = 1,
-// radix < N′, OneWeight) whose input row repeats with a period P the radix
-// divides — what a Closed layer of place value P leaves. in is the row's
-// P + radix − 1 leading entries, all the layer reads. Column t ≥ radix − 1 reads
-// rows t−radix+1 … t, so column t + P runs column t's chain: P chains cover the
-// unwrapped columns, eight neighbours side by side over a sliding window. The
-// radix − 1 wrapped columns (rows 0 … t, then the row's last radix−1−t) are
-// chains of their own, except that with P = radix each is in[0:P] in order.
-// Every chain is the weighted a ← a + w·x in ascending row order, exact as in
-// FusedGatherClosed, and a row costs (P + radix)·radix multiply-adds.
-//
-// An out of Cols() entries is the whole row in the packed output layout, where
-// block k repeats its entries 1 … P/radix. A shorter one, of P + radix entries,
-// is the head: columns 0 … P+radix−1 in natural order (the last is column
-// radix−1 again, so every class steps alike in FusedGatherClosed). The count is
-// the full row's either way. It does not allocate.
-//
-//radix:hotpath
-func (rk *RadixKernel) FusedGatherPeriodic(out, in []float64, bias, cap float64) int {
-	p := rk.plan
-	w, radix := rk.stVals[0], p.radix
-	period := len(in) - radix + 1
-	// Column up·radix + k lives at k·sk + up·su: natural order in the head,
-	// block k of the packed layout otherwise.
-	sk, su := 1, radix
-	if len(out) == p.cols {
-		sk, su = p.np/radix, 1
-	}
-	var a float64
-	wrapped := 0
-	for t := 0; t < radix-1; t++ {
-		if t == 0 || period != radix { // else column t−1's chain over again
-			a = 0
-			for _, x := range in[:t+1] {
-				a += w * x
-			}
-			for _, x := range in[period-(radix-1-t) : period] {
-				a += w * x
-			}
-		}
-		out[t*sk] = reluCap(a+bias, cap, &wrapped)
-	}
-	// Unwrapped column radix−1+s stands for N′/P columns of the row, one fewer
-	// from column P on (n[1]).
-	var n [2]int
-	k, pos := radix-1, (radix-1)*sk
-	for s := 0; s < period; s += 8 {
-		lanes := min(8, period-s)
-		sums := slide(in, w, s, lanes, radix, 1, 0)
-		for i, v := range sums[:lanes] {
-			past := 0
-			if s+i > period-radix {
-				past = 1
-			}
-			out[pos] = reluCap(v+bias, cap, &n[past])
-			pos += sk
-			if k++; k == radix {
-				k, pos = 0, pos-radix*sk+su
-			}
-		}
-	}
-	out[pos] = out[(radix-1)*sk]
-	if len(out) == p.cols {
-		for k := 0; k < radix; k++ {
-			blk := out[k*sk+1 : (k+1)*sk]
-			for n := period / radix; n < len(blk); n *= 2 {
-				copy(blk[n:], blk[:n])
-			}
-		}
-	}
-	reps := p.np / period
-	return wrapped + reps*n[0] + (reps-1)*n[1]
-}
-
-// slide runs lanes ≤ 8 weighted chains side by side: chain i accumulates
-// a ← a + w·x[j+i] over taps positions j, which start at s and advance by step,
-// falling back by span on reaching len(x) — each chain in the order its
-// positions come. Eight lanes read one window per tap; fewer run in turn.
-func slide(x []float64, w float64, s, lanes, taps, step, span int) (a [8]float64) {
-	if lanes < 8 {
-		for i := range a[:lanes] {
-			for t, j := 0, s+i; t < taps; t++ {
-				a[i] += w * x[j]
-				if j += step; j >= len(x) {
-					j -= span
-				}
-			}
-		}
-		return a
-	}
-	var a0, a1, a2, a3, a4, a5, a6, a7 float64
-	for t := 0; t < taps; t++ {
-		v := (*[8]float64)(x[s : s+8])
-		a0 += w * v[0]
-		a1 += w * v[1]
-		a2 += w * v[2]
-		a3 += w * v[3]
-		a4 += w * v[4]
-		a5 += w * v[5]
-		a6 += w * v[6]
-		a7 += w * v[7]
-		if s += step; s >= len(x) {
-			s -= span
-		}
-	}
-	return [8]float64{a0, a1, a2, a3, a4, a5, a6, a7}
-}
-
 // reluCap is the fused epilogue for one output whose bias is already added:
 // max(0, v) clamped to cap when cap > 0, counting the output in *live when it
-// is not ≤ 0 (so a NaN stays, and counts). It inlines. The class sum, the
-// periodic gather and the Stockham octet use it, where it measures the same as
-// the written-out form; the natural-order octet keeps that form, which
+// is not ≤ 0 (so a NaN stays, and counts). It inlines. The Stockham octet uses
+// it, where it measures the same as the written-out form; the natural-order
+// octet keeps that form, which
 // measured 0.60 against 0.71 ns/edge with the helper on radix 8 at ν = 8.
 func reluCap(v, cap float64, live *int) float64 {
 	if v <= 0 {

@@ -406,25 +406,17 @@ func oneWeightTrio(t testing.TB, np, pv, radix int, w float64) (*Matrix, *Kernel
 	return m, k, rk
 }
 
-// TestOneWeightFollowsValues: OneWeight is derived with the Stockham weight
-// copy, so it is false outside Stockham mode, and it follows the values through
-// RefreshValues in both directions — and with it the storage: an all-equal
-// layer reads its CSC storage, one changed edge gives it a Stockham copy of its
-// own, and restoring the value makes it share again.
+// TestOneWeightFollowsValues: a Stockham layer whose values are all equal,
+// whatever the value, keeps no Stockham copy of its own and reads its CSC
+// storage; one changed edge gives it a copy, and restoring the value makes it
+// share again.
 func TestOneWeightFollowsValues(t *testing.T) {
 	for _, w := range []float64{0.3, -0.5, 0, math.Inf(1), 3} {
-		if _, _, rk := oneWeightTrio(t, 16, 4, 4, w); !rk.OneWeight() {
-			t.Errorf("weight %v: OneWeight false", w)
+		if _, _, rk := oneWeightTrio(t, 16, 4, 4, w); &rk.stVals[0] != &rk.cscVals[0] {
+			t.Errorf("weight %v: an all-equal layer keeps its own Stockham copy", w)
 		}
 	}
 	m, k, rk := oneWeightTrio(t, 16, 4, 4, 0.25)
-	natural, err := NewRadixKernel(m, k, rk.Plan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if natural.OneWeight() {
-		t.Error("natural-order kernel reports one weight")
-	}
 	vals := m.Values()
 	last := len(vals) - 1
 	refresh := func() {
@@ -435,18 +427,15 @@ func TestOneWeightFollowsValues(t *testing.T) {
 		rk.RefreshValues()
 	}
 	shared := func() bool { return &rk.stVals[0] == &rk.cscVals[0] }
-	if !shared() {
-		t.Error("an all-equal layer keeps its own Stockham copy")
-	}
 	vals[last] = 0.5
 	refresh()
-	if rk.OneWeight() || shared() {
-		t.Errorf("one edge changed: OneWeight = %t (want false), storage shared = %t", rk.OneWeight(), shared())
+	if shared() {
+		t.Error("one edge changed: the Stockham stream still reads the CSC storage")
 	}
 	vals[last] = 0.25
 	refresh()
-	if !rk.OneWeight() || !shared() {
-		t.Errorf("value restored: OneWeight = %t, storage shared = %t, want both", rk.OneWeight(), shared())
+	if !shared() {
+		t.Error("value restored: the Stockham stream keeps its own copy")
 	}
 }
 
@@ -454,23 +443,22 @@ func TestOneWeightFollowsValues(t *testing.T) {
 // in ns per edge: the weighted form (fusedGatherRow8ST behind
 // FusedGatherRow8) on one weight, 4/fan-in, and again on perturbed weights.
 // Shapes: the two Graph Challenge 1024 layers (radix 32 at ν = 1 and ν = 32),
-// the two of radix (8,8) and the middle and last layers of radix (8,8,8). The
-// closing layers (ν·radix = N′) add a closed cell: the same eight rows through
-// FusedGatherClosed, still per nominal edge — the edges the class sums stand
-// for — so it reads against weighted. Where a second system of the same radices
-// would put the layer behind a closing one (period > 0), the opening layer adds
-// periodic cells — FusedGatherPeriodic on the row's leading entries, writing
-// the packed row and the head — and the closing layer closed_head: the class
-// sums read from that head.
+// the two of radix (8,8) and the middle and last layers of radix (8,8,8).
+// Where the engine runs the layer as a quotient, a quotient cell adds the
+// numbered layer's two quad gathers over the eight rows' class vectors, still
+// per nominal edge — the edges the classes stand for — so it reads against
+// weighted: a closing layer numbered from rows one class apiece, as behind a
+// per-column layer, and an opening layer numbered from the row of period
+// `period` the closing layer of a second system of the same radices leaves.
 func BenchmarkOctet(b *testing.B) {
 	for _, s := range []struct {
 		name                  string
 		np, pv, radix, period int
 	}{
 		{"gc1024_l0", 1024, 1, 32, 32},
-		{"gc1024_l1", 1024, 32, 32, 32},
+		{"gc1024_l1", 1024, 32, 32, 0},
 		{"r88_l0", 64, 1, 8, 8},
-		{"r88_l1", 64, 8, 8, 8},
+		{"r88_l1", 64, 8, 8, 0},
 		{"r888_l1", 512, 8, 8, 0},
 		{"r888_l2", 512, 64, 8, 0},
 	} {
@@ -492,27 +480,19 @@ func BenchmarkOctet(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(8*m.NNZ()), "ns/edge")
 			})
 		}
-		// perRow runs a single-row form over the eight rows, reading the in and
-		// writing the out leading entries of each.
-		perRow := func(name string, gather func(out, in []float64, bias, cap float64) int, in, out int) {
-			run(name, func() {
-				for r := range ins {
-					nnz[r] = gather(outs[r][:out], ins[r][:in], -0.1, 32)
-				}
-			})
-		}
 		run("weighted", func() { rk.FusedGatherRow8(&outs, &ins, -0.1, 32, &nnz) })
-		switch {
-		case rk.Closed():
-			perRow("closed", rk.FusedGatherClosed, s.np, s.np)
-			if s.period > 0 {
-				// As the engine pairs them: the head in, and out the leading
-				// entries the next system's opening layer (radix pv) reads.
-				perRow("closed_head", rk.FusedGatherClosed, s.period+s.pv, s.pv+s.pv-1)
+		in := packedClasses(rk.Plan())
+		if s.period > 0 {
+			for r := range in {
+				in[r] = int32(r % s.period)
 			}
-		case s.period > 0:
-			perRow("periodic", rk.FusedGatherPeriodic, s.period+s.radix-1, s.np)
-			perRow("periodic_head", rk.FusedGatherPeriodic, s.period+s.radix-1, s.period+s.radix)
+		}
+		if q, _, _ := NewQuotient(k, in); q.Cols() < s.np {
+			n4 := (*[4]int)(nnz[:4])
+			run("quotient", func() {
+				q.FusedGatherRow4(outs[0], outs[1], outs[2], outs[3], ins[0], ins[1], ins[2], ins[3], -0.1, 32, n4)
+				q.FusedGatherRow4(outs[4], outs[5], outs[6], outs[7], ins[4], ins[5], ins[6], ins[7], -0.1, 32, n4)
+			})
 		}
 		vals := m.Values()
 		for i := range vals {
@@ -522,8 +502,8 @@ func BenchmarkOctet(b *testing.B) {
 			b.Fatal(err)
 		}
 		rk.RefreshValues()
-		if rk.OneWeight() {
-			b.Fatalf("%s: perturbed weights still reported as one", s.name)
+		if &rk.stVals[0] == &rk.cscVals[0] {
+			b.Fatalf("%s: perturbed weights still read as one", s.name)
 		}
 		run("perturbed", func() { rk.FusedGatherRow8(&outs, &ins, -0.1, 32, &nnz) })
 	}
