@@ -13,8 +13,8 @@ import (
 	"github.com/radix-net/radixnet/internal/sparse"
 )
 
-// gcEngines builds Graph Challenge 1024×layers on the auto (Stockham) family
-// and on the CSC oracle.
+// gcEngines builds Graph Challenge 1024×layers on the auto (radix) family and
+// on the CSC oracle.
 func gcEngines(t *testing.T, layers int) (rad, csc *Engine) {
 	t.Helper()
 	return stackEngines(t, repeat([]int{32, 32}, layers/2)...)

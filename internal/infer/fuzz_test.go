@@ -216,8 +216,7 @@ func sameBits(t *testing.T, what string, got, want *sparse.Dense) {
 // layersAgree is the per-layer half of the differential: on one drawn input
 // per layer, the CSC gather, the affine gather with the epilogue applied by
 // hand, and the radix layer's gather, octet (on eight copies of the row) and
-// scatter — fed and read through the Stockham packing when the layer runs
-// packed — must all agree bit for bit. So must, on every layer, its quotient
+// scatter must all agree bit for bit. So must, on every layer, its quotient
 // under the numbering its input carries in the radix engine (a class per row
 // behind a per-column step, the previous quotient's classes behind one), on a
 // row drawn as one value per class: expanded through its classes, word for
@@ -257,48 +256,29 @@ func layersAgree(t *testing.T, rng *rand.Rand, csc, rad *Engine) {
 			}
 		}
 
-		in, unpack := x, func(out []float64) []float64 { return out }
-		if rk.Stockham() {
-			p := rk.Plan()
-			in = make([]float64, len(x))
-			for r, v := range x {
-				in[p.InPackPos(r)] = v
-			}
-			unpack = func(out []float64) []float64 {
-				nat := make([]float64, len(out))
-				for c := range nat {
-					nat[c] = out[p.OutPackPos(c)]
-				}
-				return nat
-			}
-		}
 		check := func(what string, out []float64, n int) {
 			t.Helper()
 			if n != wantN {
 				t.Fatalf("layer %d %s: %d live outputs, want %d", l, what, n, wantN)
 			}
-			for c, v := range unpack(out) {
+			for c, v := range out {
 				if math.Float64bits(v) != math.Float64bits(want[c]) {
 					t.Fatalf("layer %d %s: col %d = %v, want %v", l, what, c, v, want[c])
 				}
 			}
 		}
 		out := make([]float64, k.Cols())
-		check("radix gather", out, rk.FusedGatherRow(out, in, bias, clip))
+		check("radix gather", out, rk.FusedGatherRow(out, x, bias, clip))
 		var ins, outs [8][]float64
 		for b := range ins {
-			ins[b], outs[b] = in, make([]float64, k.Cols())
+			ins[b], outs[b] = x, make([]float64, k.Cols())
 		}
 		var n8 [8]int
 		rk.FusedGatherRow8(&outs, &ins, bias, clip, &n8)
 		for b := range outs {
 			check(fmt.Sprintf("octet row %d", b), outs[b], n8[b])
 		}
-		if rk.Stockham() {
-			check("stockham scatter", out, rk.FusedScatterRowStockham(out, in, nil, make([]float64, k.Cols()), bias, clip))
-		} else {
-			check("radix scatter", out, rk.FusedScatterRow(out, in, bias, clip))
-		}
+		check("radix scatter", out, rk.FusedScatterRow(out, x, bias, clip))
 
 		if inClass == nil {
 			inClass = make([]int32, k.Rows())
@@ -328,7 +308,6 @@ func layersAgree(t *testing.T, rng *rand.Rand, csc, rad *Engine) {
 				live += int(mult[i])
 			}
 		}
-		unpack = func(out []float64) []float64 { return out }
 		check(fmt.Sprintf("quotient, %d classes of %d rows", q.Rows(), k.Rows()), out, live)
 		inClass = nil
 		st, ok := rad.steps[l].(quotientLayer)
@@ -343,11 +322,10 @@ func layersAgree(t *testing.T, rng *rand.Rand, csc, rad *Engine) {
 
 // FuzzInferPathsAgree is the differential gate every kernel deletion sits
 // behind: for a drawn network, batch and epilogue, the CSC engine, the
-// auto-built radix engine (natural-order or Stockham, as the config resolves;
-// a quotient on every layer past the first that its values number into fewer
-// classes than columns, class vectors between them), a clone of each under
-// concurrent use, and
-// ReferenceInfer must agree bit for bit — on
+// auto-built radix engine (a quotient on every layer past the first that its
+// values number into fewer classes than columns, class vectors between them),
+// a clone of each under concurrent use, and ReferenceInfer must agree bit for
+// bit — on
 // the batch, on a shorter batch through the same engines, on each engine's
 // own output view fed back in, and on the batch again cut into tiles for a
 // private pool of three workers (the first runs share parallel.Shared, so all
@@ -375,13 +353,13 @@ func FuzzInferPathsAgree(f *testing.F) {
 		seed             int64
 	}{
 		// (4,4,4) at batch 4: the shape on which switching a warm CSC engine
-		// to Stockham used to index unsized scratch.
+		// to the radix family used to index unsized scratch.
 		{[]byte{2, 2, 2, 2}, 3, 40, 0, 1},
 		// (8,8), 21 dense rows: octets through the radix-8 taps, a quad, a single.
 		{[]byte{1, 4, 4}, 20, 230, 0, 2},
-		// (8,8) with positive biases: dead rows come back, the ring steps aside.
+		// (8,8) with positive biases: dead rows come back.
 		{[]byte{1, 4, 4}, 8, 20, 1, 3},
-		// (3,5): radices that are not powers of two, so no ring; cap off.
+		// (3,5): radices that are not powers of two; cap off.
 		{[]byte{1, 1, 3}, 12, 30, 2, 4},
 		// (2,32) then (32,2): very unequal radices, thin rows past layer 0.
 		{[]byte{1, 0, 6, 1, 1}, 66, 12, 0, 5},
@@ -420,8 +398,8 @@ func FuzzInferPathsAgree(f *testing.F) {
 		// overflow mid-stack on every path alike.
 		{[]byte{1, 4, 4, 2, 0, 0}, 16, 250, uniform | 2 | 4<<3, 22},
 		// One kind of special element per batch (by seed: −0, NaN, subnormal,
-		// ±MaxFloat64, ±Inf), then NaN in thin rows, where the ring scatter
-		// used to drop it, on weights left alone and on perturbed ones.
+		// ±MaxFloat64, ±Inf), then NaN in thin rows, where a scatter once
+		// dropped it, on weights left alone and on perturbed ones.
 		{[]byte{1, 4, 4}, 24, 240, uniform | specials, 100},
 		{[]byte{1, 4, 4}, 24, 240, uniform | specials, 102},
 		{[]byte{1, 4, 4}, 24, 240, uniform | specials, 103},
@@ -502,9 +480,8 @@ func FuzzInferPathsAgree(f *testing.F) {
 		{[]byte{1, 5, 2, 1, 1}, 4, 240, uniform | 1<<3, 462},
 		{[]byte{1, 5, 2, 1, 1}, 67 + 12, 240, uniform | 5<<3, 997},
 		{[]byte{1, 5, 2, 1, 1}, 67 + 3, 240, uniform | specials, 710},
-		// (4,8)|(8,4): the period 4 is no multiple of the radix 8, so columns a
-		// period apart fall in different blocks of the packed row; class vectors
-		// have no blocks, and every layer past the first runs on 4 classes.
+		// (4,8)|(8,4): the period 4 is no multiple of the radix 8; every layer
+		// past the first runs on 4 classes all the same.
 		{[]byte{1, 2, 4, 1, 1}, 12, 240, uniform, 406},
 		// (4,4,4)|(4,4,4): the 19 classes behind the closing layer 2 feed a
 		// middle digit, which keeps them (the decoder stops at N′ = 64; (8,8,8)

@@ -77,14 +77,11 @@ type Engine struct {
 	// Reusable per-batch state, sized by ensure. The caller's batch is read
 	// directly (and only read) by the first layer step — Infer never writes
 	// to the caller's storage, and drops the reference before returning.
-	batch    int
-	out      []float64 // the last layer's output, batch rows: all that is batch-sized
-	outView  *sparse.Dense
-	stage    []float64 // the input's copy, when it is out and tiles would overwrite unread rows
-	scratchW int       // widest scratch any step can declare
-	nzW      int       // input width when layer 0 reads nonzero positions, else 0
-	nzIdx    []int32   // per-row input nonzero positions, stride nzW
-	rowNNZ   []int32   // per-row nonzero count of the input
+	batch   int
+	out     []float64 // the last layer's output, batch rows: all that is batch-sized
+	outView *sparse.Dense
+	stage   []float64 // the input's copy, when it is out and tiles would overwrite unread rows
+	rowNNZ  []int32   // per-row nonzero count of the input
 
 	// The batch in flight, read by every tile across the worker pool.
 	in    []float64    // the caller's rows, or their staged copy
@@ -106,7 +103,7 @@ const tileRows = 32
 // position in the tile.
 type tileSet struct {
 	buf     [2][]float64    // ping-pong activations: layer l writes buf[l&1]
-	scatter []float64       // one row's scatter scratch
+	scratch []float64       // one row's class vector, before a quotient expands it
 	nnz     [tileRows]int32 // per-row activation count after the last layer step; 0 is a dead row
 	t0      time.Time       // the last clock read of a sampled batch
 }
@@ -163,19 +160,10 @@ func New(layers []*sparse.Matrix, bias []float64, cap float64) (*Engine, error) 
 	return e, nil
 }
 
-// bind installs the per-layer kernels and totals the scratch any step of a
-// layer can declare: its kernel's, or a quotient's class vector, which is
-// shorter than the row. Construction only: an engine never changes family
-// once it can be called.
+// bind installs the per-layer kernels. Construction only: an engine never
+// changes family once it can be called.
 func (e *Engine) bind(cols []layerKernel) {
 	e.cols, e.steps = cols, append([]layerKernel(nil), cols...)
-	e.scratchW, e.nzW = 0, 0
-	for l, k := range cols {
-		e.scratchW = max(e.scratchW, k.needs().scratch, e.layers[l].Cols())
-	}
-	if cols[0].needs().nz {
-		e.nzW = e.layers[0].Rows()
-	}
 }
 
 // FromTopology assigns every edge of the FNNT the same weight and every
@@ -189,8 +177,8 @@ func FromTopology(g *topology.FNNT, weight, bias, cap float64) (*Engine, error) 
 		pats[i] = g.Sub(i)
 		biases[i] = bias
 	}
-	// One run of weight for the whole stack: every layer's CSR, CSC and
-	// Stockham views read it until that layer's weights are written.
+	// One run of weight for the whole stack: every layer's CSR and CSC views
+	// read it until that layer's weights are written.
 	return New(sparse.ConstantMatrices(pats, weight), biases, cap)
 }
 
@@ -218,11 +206,10 @@ func (e *Engine) TotalNNZ() int {
 	return total
 }
 
-// ensure sizes the reusable buffers for a batch of the given row count,
-// including the nonzero lists layer 0 declared. Calls that find every buffer
-// already sized perform no allocation. Scratch sets are not built here but by
-// the workers that need one; a batch of more rows than they were sized for
-// (below tileRows) retires them.
+// ensure sizes the reusable buffers for a batch of the given row count. Calls
+// that find every buffer already sized perform no allocation. Scratch sets are
+// not built here but by the workers that need one; a batch of more rows than
+// they were sized for (below tileRows) retires them.
 func (e *Engine) ensure(batch int) {
 	if batch == e.batch && e.plan != nil {
 		return
@@ -233,9 +220,6 @@ func (e *Engine) ensure(batch int) {
 	}
 	if rows := min(batch, tileRows); rows > e.setRows {
 		e.setRows, e.free = rows, nil
-	}
-	if need := batch * e.nzW; len(e.nzIdx) < need {
-		e.nzIdx = make([]int32, need)
 	}
 	if cap(e.rowNNZ) < batch {
 		e.rowNNZ = make([]int32, batch)
@@ -263,7 +247,9 @@ func (e *Engine) tiles(lo, hi int) {
 		for _, l := range e.layers[:len(e.layers)-1] {
 			maxW = max(maxW, l.Cols())
 		}
-		s = &tileSet{scatter: make([]float64, e.scratchW)}
+		// The only scratch a step declares is a quotient's class vector, which
+		// is shorter than the row it stands for.
+		s = &tileSet{scratch: make([]float64, max(maxW, e.layers[len(e.layers)-1].Cols()))}
 		s.buf[0], s.buf[1] = make([]float64, e.setRows*maxW), make([]float64, e.setRows*maxW)
 	}
 	for ; lo < hi; lo += tileRows {
@@ -295,7 +281,7 @@ func (e *Engine) tile(s *tileSet, lo, hi int) {
 		if l == len(e.steps)-1 {
 			cur.out = e.out[lo*cur.outW:]
 		}
-		rows := e.layerStep(s, &cur, lo, n)
+		rows := e.layerStep(s, &cur, n)
 		if e.timed {
 			e.lap(s, l, rows)
 		}
@@ -324,7 +310,7 @@ func (e *Engine) tile(s *tileSet, lo, hi int) {
 // gather would be a no-op over zeros).
 //
 //radix:hotpath
-func (e *Engine) layerStep(s *tileSet, cur *cursor, lo, n int) (rows int) {
+func (e *Engine) layerStep(s *tileSet, cur *cursor, n int) (rows int) {
 	need := cur.need
 	var blk rowBlock
 	var at [8]int
@@ -349,11 +335,7 @@ func (e *Engine) layerStep(s *tileSet, cur *cursor, lo, n int) (rows int) {
 		in := cur.in[i*cur.inW : i*cur.inW+need.in]
 		out := cur.out[i*cur.outW : i*cur.outW+need.out]
 		if live*2 < cur.inW && !need.quotient {
-			var nz []int32
-			if need.nz {
-				nz = e.nzIdx[(lo+i)*e.nzW : (lo+i)*e.nzW+live]
-			}
-			s.nnz[i] = int32(cur.k.scatter(out, in, nz, s.scatter[:need.scratch], cur.bias, cur.clip))
+			s.nnz[i] = int32(cur.k.scatter(out, in, cur.bias, cur.clip))
 			continue
 		}
 		at[q], blk.in[q], blk.out[q] = i, in, out
@@ -382,7 +364,7 @@ func gatherBlock(s *tileSet, cur *cursor, blk *rowBlock, at *[8]int, t, w int) {
 	var sub rowBlock
 	copy(sub.in[:], blk.in[t:t+w])
 	copy(sub.out[:], blk.out[t:t+w])
-	nnz := cur.k.gather(sub, w, s.scatter[:cur.need.scratch], cur.bias, cur.clip)
+	nnz := cur.k.gather(sub, w, s.scratch[:cur.need.scratch], cur.bias, cur.clip)
 	for j, i := range at[t : t+w] {
 		s.nnz[i] = int32(nnz[j])
 	}
@@ -450,26 +432,13 @@ func (e *Engine) infer(y0 *sparse.Dense) (*sparse.Dense, error) {
 	for b := 0; b < batch; b++ {
 		row := in[b*w0 : (b+1)*w0]
 		nnz := 0
-		if e.nzW > 0 {
-			// The first layer asked for its input's nonzero positions:
-			// record them while counting. The position is stored
-			// unconditionally and the cursor advances by the liveness bit,
-			// so the recording pass is branchless too.
-			idx := e.nzIdx[b*w0 : (b+1)*w0]
-			for i, v := range row {
-				y := math.Float64bits(v) << 1
-				idx[nnz] = int32(i)
-				nnz += int((y | -y) >> 63)
-			}
-		} else {
-			for _, v := range row {
-				// Branchless v != 0: shifting out the sign bit makes ±0 read
-				// as zero and everything else (including NaN) as live,
-				// exactly the float comparison's semantics, without a
-				// data-dependent branch on every staged element.
-				y := math.Float64bits(v) << 1
-				nnz += int((y | -y) >> 63)
-			}
+		for _, v := range row {
+			// Branchless v != 0: shifting out the sign bit makes ±0 read as
+			// zero and everything else (including NaN) as live, exactly the
+			// float comparison's semantics, without a data-dependent branch
+			// on every staged element.
+			y := math.Float64bits(v) << 1
+			nnz += int((y | -y) >> 63)
 		}
 		e.rowNNZ[b] = int32(nnz)
 	}
@@ -571,17 +540,14 @@ func (e *Engine) ReferenceInfer(y0 *sparse.Dense) (*sparse.Dense, error) {
 // RefreshWeights resyncs the kernels with the current values of the layer
 // matrices. Call it after mutating weights through Matrix.Values(); Infer
 // otherwise keeps using the values the kernels last saw. A layer whose matrix
-// left the stack's constant run gets value storage of its own here (CSC order,
-// and Stockham order unless its values are still all equal); layers that were
-// not written keep reading the run. A radix engine then numbers the values
-// again, rebinding the steps of every clone.
+// left the stack's constant run gets CSC value storage of its own here; layers
+// that were not written keep reading the run. The radix kernels read the
+// matrices and CSC kernels on every call, so a radix engine only numbers the
+// values again, rebinding the steps of every clone.
 func (e *Engine) RefreshWeights() {
 	for i, l := range e.layers {
 		// Same pattern, same engine: Refresh cannot fail here.
 		_ = e.kernels[i].Refresh(l)
-	}
-	for _, rk := range e.radix {
-		rk.RefreshValues() // re-reads the views Refresh may have moved
 	}
 	if e.radix != nil {
 		e.number()
@@ -592,7 +558,7 @@ func (e *Engine) RefreshWeights() {
 // holds, shared arrays counted once: what every clone of this engine shares,
 // and what a second engine built from the same config would hold again.
 func (e *Engine) Footprint() sparse.Footprint {
-	return sparse.StackFootprint(e.layers, e.kernels, e.radix)
+	return sparse.StackFootprint(e.layers, e.kernels)
 }
 
 // Clone returns an engine sharing this engine's weight stack — the layer
@@ -608,7 +574,7 @@ func (e *Engine) Footprint() sparse.Footprint {
 // frozen after the pool is built.
 func (e *Engine) Clone() *Engine {
 	c := &Engine{layers: e.layers, bias: e.bias, cap: e.cap, kernels: e.kernels,
-		radix: e.radix, kind: e.kind, cols: e.cols, steps: e.steps, scratchW: e.scratchW, nzW: e.nzW, pool: e.pool}
+		radix: e.radix, kind: e.kind, cols: e.cols, steps: e.steps, pool: e.pool}
 	c.run = c.tiles
 	c.prof.Store(e.prof.Load()) // clones aggregate into the parent's profiler
 	return c

@@ -121,39 +121,9 @@ func (e *Engine) compileRadixPlans(cfg core.Config) error {
 			l++
 		}
 	}
-	// Stockham chaining: if every layer is a pure EMR circulant and each
-	// layer's output packing (pv·radix, identity once it reaches N′) is the
-	// next layer's input packing (its pv), the whole stack can run in the
-	// packed Stockham layout — all hot-loop streams unit-stride, engine
-	// inputs and outputs still natural. Mixed-radix systems chain by
-	// construction (place values multiply to the product), so this holds for
-	// every standard EMR config; Kronecker lifts and last-system-divides
-	// configs fall back to the natural-order radix kernels, which are still
-	// index-free and bit-identical.
-	stockham := true
-	pack := 1
-	for _, rk := range radixKerns {
-		p := rk.Plan()
-		dp, dn := p.Shape()
-		if dp != 1 || dn != 1 || !p.CanStockham() || p.PlaceValue() != pack {
-			stockham = false
-			break
-		}
-		pack = p.PlaceValue() * p.Radix()
-		if pack == p.NPrime() {
-			pack = 1
-		}
-	}
-	stockham = stockham && pack == 1
 	steps := make([]layerKernel, len(radixKerns))
 	for l, rk := range radixKerns {
 		steps[l] = radixLayer{rk}
-		if stockham {
-			if err := rk.EnableStockham(); err != nil {
-				return fmt.Errorf("infer: %w", err)
-			}
-			steps[l] = stockhamLayer{radixLayer{rk}, l == 0}
-		}
 	}
 	e.radix = radixKerns
 	e.kind = KernelRadix

@@ -15,9 +15,8 @@ import (
 type layerKernel interface {
 	// needs is asked once per step: RefreshWeights may rebind the layer.
 	needs() layerNeeds
-	// scatter runs one mostly-zero row. nz and scratch are what needs asked
-	// for (nil / empty when it asked for nothing).
-	scatter(out, in []float64, nz []int32, scratch []float64, bias, clip float64) int
+	// scatter runs one mostly-zero row.
+	scatter(out, in []float64, bias, clip float64) int
 	// gather runs the first n rows of the block — n is needs().block, 4 or 1
 	// — and returns their activation counts; scratch is what needs asked for.
 	// The block travels by value: a pointer to a step-local array passed
@@ -28,8 +27,7 @@ type layerKernel interface {
 // layerNeeds is what a layer declares to the engine that runs it.
 type layerNeeds struct {
 	block    int  // widest gather block, 8 or 4 rows; also the pool grain
-	scratch  int  // float64s of scratch a row accumulates or stages in
-	nz       bool // scatter reads the staged nonzero positions of its input
+	scratch  int  // float64s of scratch a row stages in
 	quotient bool // a quotientLayer: it gathers every row, into classes
 	in, out  int  // leading entries of a row the step reads and writes
 }
@@ -49,7 +47,7 @@ func (l cscLayer) needs() layerNeeds {
 	return layerNeeds{block: 4, in: l.mat.Rows(), out: l.mat.Cols()}
 }
 
-func (l cscLayer) scatter(out, in []float64, _ []int32, _ []float64, bias, clip float64) int {
+func (l cscLayer) scatter(out, in []float64, bias, clip float64) int {
 	return l.mat.FusedScatterRow(out, in, bias, clip)
 }
 
@@ -73,7 +71,7 @@ func (l radixLayer) needs() layerNeeds {
 	return layerNeeds{block: 8, in: l.rk.Rows(), out: l.rk.Cols()}
 }
 
-func (l radixLayer) scatter(out, in []float64, _ []int32, _ []float64, bias, clip float64) int {
+func (l radixLayer) scatter(out, in []float64, bias, clip float64) int {
 	return l.rk.FusedScatterRow(out, in, bias, clip)
 }
 
@@ -89,23 +87,6 @@ func (l radixLayer) gather(r rowBlock, n int, _ []float64, bias, clip float64) (
 		nnz[0] = l.rk.FusedGatherRow(r.out[0], r.in[0], bias, clip)
 	}
 	return nnz
-}
-
-// stockhamLayer is radixLayer with activations in the packed Stockham
-// layout. The gathers are the same entry points (the kernel knows its
-// layout) and the scatter accumulates in private scratch, walking on the
-// stack's first layer the nonzero positions the staging scan recorded.
-type stockhamLayer struct {
-	radixLayer
-	first bool
-}
-
-func (l stockhamLayer) needs() layerNeeds {
-	return layerNeeds{block: 8, scratch: l.rk.Cols(), nz: l.first, in: l.rk.Rows(), out: l.rk.Cols()}
-}
-
-func (l stockhamLayer) scatter(out, in []float64, nz []int32, scratch []float64, bias, clip float64) int {
-	return l.rk.FusedScatterRowStockham(out, in, nz, scratch, bias, clip)
 }
 
 // quotientLayer runs a layer whose columns fall into fewer value classes than
@@ -128,7 +109,7 @@ func (l quotientLayer) needs() layerNeeds {
 	return n
 }
 
-func (l quotientLayer) scatter([]float64, []float64, []int32, []float64, float64, float64) int {
+func (l quotientLayer) scatter([]float64, []float64, float64, float64) int {
 	panic("infer: a quotient step gathers every row")
 }
 
@@ -166,11 +147,11 @@ func (l quotientLayer) gather(r rowBlock, n int, scratch []float64, bias, clip f
 // values number it into fewer classes than columns, and to its per-column step
 // elsewhere, and returns how many numbering passes it ran. Layer 0 reads the
 // caller's rows and stays per column. A per-column step's output is numbered
-// as the identity, each position of the row it wrote its own class; a
-// quotient's output by its classes. A pass depends only on the layer's storage
-// and its input's numbering, interned by content, and runs once per distinct
-// pair: a stack that repeats a numeral system repeats its numbering from the
-// first closing layer on, so Graph Challenge 1024×120 numbers in three passes.
+// as the identity, each column of the row it wrote its own class; a quotient's
+// output by its classes. A pass depends only on the layer's storage and its
+// input's numbering, interned by content, and runs once per distinct pair: a
+// stack that repeats a numeral system repeats its numbering from the first
+// closing layer on, so Graph Challenge 1024×120 numbers in three passes.
 func (e *Engine) number() (passes int) {
 	type key struct {
 		storage any
@@ -202,9 +183,6 @@ func (e *Engine) number() (passes int) {
 			in = make([]int32, e.layers[l].Rows())
 			for r := range in {
 				in[r] = int32(r)
-				if rk := e.radix[l]; rk.Stockham() {
-					in[r] = int32(rk.Plan().InPackPos(r))
-				}
 			}
 			in = intern(in)
 		}
@@ -227,14 +205,7 @@ func (e *Engine) number() (passes int) {
 		}
 		st := quotientLayer{q: n.q, mult: n.mult}
 		if l == len(nums)-1 || nums[l+1] == nil {
-			st.expand = make([]int32, len(n.out))
-			for c, j := range n.out {
-				p := c
-				if e.radix[l].Stockham() {
-					p = e.radix[l].Plan().OutPackPos(c)
-				}
-				st.expand[p] = j
-			}
+			st.expand = n.out
 		}
 		e.steps[l] = st
 	}

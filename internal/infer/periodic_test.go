@@ -17,9 +17,9 @@ type scatterSpy struct {
 	rows *atomic.Int64
 }
 
-func (s scatterSpy) scatter(out, in []float64, nz []int32, scratch []float64, bias, clip float64) int {
+func (s scatterSpy) scatter(out, in []float64, bias, clip float64) int {
 	s.rows.Add(1)
-	return s.layerKernel.scatter(out, in, nz, scratch, bias, clip)
+	return s.layerKernel.scatter(out, in, bias, clip)
 }
 
 // TestStructuredLayersGatherEveryRow: a row 3 % live entering a closing layer

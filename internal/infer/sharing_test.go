@@ -76,9 +76,7 @@ func perturbLayer(e *Engine, k int, seed int64) {
 // Every other layer keeps its values and the run (the footprint grows by
 // exactly one layer's copies); the written layer runs per column, and so does
 // the opening layer behind it when it closes a system; and the half-shared
-// stack computes the same bits on every path. A RadixKernel that decided ownership
-// of its Stockham stream by comparing addresses took the re-pointed CSC view
-// for "mine" and wrote layer k's re-sequenced weights into the run.
+// stack computes the same bits on every path.
 func TestPerturbOneLayerLeavesOthers(t *testing.T) {
 	const layers = 6
 	batch, err := dataset.SparseBatch(13, 1024, 300, 5) // an octet, a quad, a single
@@ -106,15 +104,11 @@ func TestPerturbOneLayerLeavesOthers(t *testing.T) {
 					})
 				}
 			}
-			// The written layer now stores CSR and CSC order, and Stockham
-			// order where it runs that; the rest still read the one run.
-			copies := int64(2)
-			if e.Kernel() == KernelRadix {
-				copies = 3
-			}
-			if fp := e.Footprint(); fp.DistinctLayers != 3 || fp.ValueBytes != (1+copies)*gcEdges*8 {
+			// The written layer now stores CSR and CSC order; the rest still
+			// read the one run.
+			if fp := e.Footprint(); fp.DistinctLayers != 3 || fp.ValueBytes != 3*gcEdges*8 {
 				t.Errorf("k=%d %v: footprint %+v, want 3 distinct layers and %d value bytes",
-					k, e.Kernel(), fp, (1+copies)*gcEdges*8)
+					k, e.Kernel(), fp, 3*gcEdges*8)
 			}
 		}
 		if got := rad.QuotientLayers(); got != c.quotients {
@@ -180,7 +174,7 @@ func TestPerturbThroughCloneVisibleToAll(t *testing.T) {
 	for i, out := range all() {
 		sameBits(t, []string{"parent", "perturbed clone", "other clone"}[i], out, want)
 	}
-	if fp := rad.Footprint(); fp.DistinctLayers != 4 || fp.ValueBytes != 4*3*gcEdges*8 {
-		t.Errorf("footprint after perturbing every layer: %+v, want 4 distinct layers, %d value bytes", fp, 4*3*gcEdges*8)
+	if fp := rad.Footprint(); fp.DistinctLayers != 4 || fp.ValueBytes != 4*2*gcEdges*8 {
+		t.Errorf("footprint after perturbing every layer: %+v, want 4 distinct layers, %d value bytes", fp, 4*2*gcEdges*8)
 	}
 }

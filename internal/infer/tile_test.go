@@ -148,7 +148,7 @@ func TestScratchFollowsWorkersNotBatch(t *testing.T) {
 	}
 	held := cap(e.out) + cap(e.stage)
 	for _, s := range e.free {
-		held += cap(s.buf[0]) + cap(s.buf[1]) + cap(s.scatter)
+		held += cap(s.buf[0]) + cap(s.buf[1]) + cap(s.scratch)
 	}
 	if limit := rows*width + e.pool.Workers()*(2*tileRows+1)*width; held > limit {
 		t.Fatalf("engine holds %d floats after %d rows, want at most %d", held, rows, limit)
@@ -167,7 +167,9 @@ func repeat(sys []int, n int) [][]int {
 // BenchmarkInferWorkers is the in-tree twin of the harness's parallel.speedup:
 // one engine's batch on a private pool of one worker and of two, on the shapes
 // the benchmark's workloads run and the two that change what a tile holds — a
-// stack off the shared weight, and a batch whose tiles are half dead.
+// stack off the shared weight, and a batch whose tiles are half dead — plus
+// written weights on 1024×24, where every layer runs the natural-order octet on
+// its own values rather than a quotient.
 func BenchmarkInferWorkers(b *testing.B) {
 	for _, c := range []struct {
 		name          string
@@ -178,6 +180,7 @@ func BenchmarkInferWorkers(b *testing.B) {
 		{"gc1024x120_b64_perturbed", 120, 64, true, false},
 		{"gc1024x120_b64_halfdead", 120, 64, false, true},
 		{"gc1024x24_b16", 24, 16, false, false},
+		{"gc1024x24_b64_perturbed", 24, 64, true, false},
 	} {
 		e := configEngine(b, KernelAuto, nil, repeat([]int{32, 32}, c.layers/2)...)
 		if c.perturb {

@@ -13,9 +13,9 @@ import (
 	"github.com/radix-net/radixnet/internal/radix"
 )
 
-// liftedConfig is a Kronecker-lifted config: it compiles stride plans too,
-// but runs the natural-order radix kernels instead of the Stockham chain — and
-// its closing layer on a quotient all the same.
+// liftedConfig is a Kronecker-lifted config: it compiles stride plans and runs
+// the radix kernels too, with every tap repeated over the lift — and its
+// closing layer on a quotient all the same.
 func liftedConfig(t *testing.T) core.Config {
 	t.Helper()
 	cfg, err := core.NewConfig([]radix.System{radix.MustNew(4, 4)}, []int{2, 2, 2})
@@ -26,13 +26,13 @@ func liftedConfig(t *testing.T) core.Config {
 }
 
 // TestRegistryServesResolvedKernel: serving always builds with automatic
-// kernel selection, so a config-built model — Stockham-chained or lifted —
+// kernel selection, so a config-built model — plain or lifted —
 // resolves to the radix kernel, reports it, serves outputs bitwise identical
 // to the CSC oracle, and keeps doing all three across a reload.
 func TestRegistryServesResolvedKernel(t *testing.T) {
 	reg := NewRegistry(Policy{MaxBatch: 4, MaxLatency: time.Millisecond})
 	defer reg.Close()
-	for name, cfg := range map[string]core.Config{"chained": testConfig(t), "lifted": liftedConfig(t)} {
+	for name, cfg := range map[string]core.Config{"plain": testConfig(t), "lifted": liftedConfig(t)} {
 		m, err := reg.Register(name, cfg, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -121,8 +121,7 @@ func TestHTTPModelsReportKernel(t *testing.T) {
 	kernels := map[string]string{}
 	for _, mi := range list["models"] {
 		kernels[mi.Name] = mi.Kernel
-		// "m" is testConfig's (4,4) on the Stockham chain: the second layer
-		// closes the system.
+		// "m" is testConfig's (4,4): the second layer closes the system.
 		if mi.Name == "m" && mi.QuotientLayers != 1 {
 			t.Fatalf("model m: %d quotient layers, want 1", mi.QuotientLayers)
 		}

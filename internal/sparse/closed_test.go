@@ -61,10 +61,9 @@ func drawablePlans() [][3]int {
 // relies on to collapse a closing layer, and its converse. The edge rule sends
 // node j of a layer with place value ν and radix N to j + n·ν mod N′, n < N.
 // When ν·N = N′ (m = radix) that is every node of j's residue class mod ν: all
-// the columns of a class have the same in-rows, in the same ascending order,
-// and under the Stockham input packing they are the run [lo·radix,
-// (lo+1)·radix) — so under one weight they have one signature whatever numbers
-// the rows carry. When ν·N < N′ the first two columns of every class differ,
+// the columns of a class have the same in-rows, in the same ascending order —
+// lo, lo+ν, …, lo+(radix−1)·ν without a lift — so under one weight they have
+// one signature whatever numbers the rows carry. When ν·N < N′ the first two columns of every class differ,
 // so on rows numbered one class apiece every column of an open layer is a
 // class of its own. Checked, lifts included, on every plan the fuzz targets
 // can draw.
@@ -103,16 +102,13 @@ func TestClosedLayerClassesShareInRows(t *testing.T) {
 				continue
 			}
 			closed++
-			if !plan.CanStockham() {
-				continue // no packed layout under a lift
+			if dPrev > 1 {
+				continue // a lift repeats the class in every input block
 			}
-			for c := 0; c < np; c++ {
-				if plan.OutPackPos(c) != c {
-					t.Fatalf("%v: OutPackPos(%d) = %d on a closing layer", plan, c, plan.OutPackPos(c))
-				}
+			for c := 0; c < plan.Cols(); c++ {
 				for j, r := range inRows(c) {
-					if want := (c%pv)*radix + j; plan.InPackPos(r) != want {
-						t.Fatalf("%v: column %d in-row %d packs to %d, want %d", plan, c, r, plan.InPackPos(r), want)
+					if want := c%pv + j*pv; r != want {
+						t.Fatalf("%v: column %d in-row %d is %d, want %d", plan, c, j, r, want)
 					}
 				}
 			}
@@ -164,8 +160,7 @@ func quotientRow(t *testing.T, q *Kernel, outClass, mult []int32, v []float64, b
 }
 
 // TestClosedGatherBitIdentical: the quotient of a closing layer, numbered from
-// rows one class apiece in the Stockham input packing as the engine numbers
-// them, against the CSC kernel on four closing layers — Graph Challenge 1024's,
+// rows one class apiece in natural order as the engine numbers them, against the CSC kernel on four closing layers — Graph Challenge 1024's,
 // radix (8,8,8)'s, (2,32)'s and (5,3)'s — under weights that are and are not
 // powers of two, negative and zero, every bias sign, the cap on and off, and
 // rows of ordinary values, of specials (NaN, ±Inf, −0), of 3–7-ulp subnormals
@@ -190,19 +185,18 @@ func TestClosedGatherBitIdentical(t *testing.T) {
 		}{{"ordinary", randomInput(rng, s.np, 0.9)}, {"specials", specials}, {"subnormal", subnormal}, {"huge", huge}}
 		for _, w := range []float64{0.125, 0.3, -0.5, 0} {
 			_, k, rk := oneWeightTrio(t, s.np, s.pv, s.radix, w)
-			q, outClass, mult := NewQuotient(k, packedClasses(rk.Plan()))
+			q, outClass, mult := NewQuotient(k, naturalClasses(rk.plan))
 			if q.Cols() != s.pv {
-				t.Fatalf("%v weight %v: %d classes, want %d", rk.Plan(), w, q.Cols(), s.pv)
+				t.Fatalf("%v weight %v: %d classes, want %d", rk.plan, w, q.Cols(), s.pv)
 			}
 			for _, row := range rows {
 				name, x := row.name, row.x
-				in := packBy(x, rk.Plan().InPackPos) // x[r] = in[class of r]
 				for _, bias := range []float64{-0.1, 0, 0.25} {
 					for _, clip := range []float64{0, 32} {
 						want := make([]float64, s.np)
 						wantN := k.FusedGatherRow(want, x, bias, clip)
-						got, gotN := quotientRow(t, q, outClass, mult, in, bias, clip)
-						what := fmt.Sprintf("%v weight %v bias %v cap %v, %s row", rk.Plan(), w, bias, clip, name)
+						got, gotN := quotientRow(t, q, outClass, mult, x, bias, clip) // row r is class r
+						what := fmt.Sprintf("%v weight %v bias %v cap %v, %s row", rk.plan, w, bias, clip, name)
 						if gotN != wantN {
 							t.Errorf("%s: %d live outputs, want %d", what, gotN, wantN)
 						}
@@ -218,13 +212,12 @@ func TestClosedGatherBitIdentical(t *testing.T) {
 	}
 }
 
-// packedClasses numbers each input row of a plan by its position in the
-// Stockham input packing: rows one class apiece, as a per-column layer leaves
-// them.
-func packedClasses(p *StridePlan) []int32 {
+// naturalClasses numbers each input row of a plan as the identity: rows one
+// class apiece, as a per-column layer leaves them.
+func naturalClasses(p *StridePlan) []int32 {
 	in := make([]int32, p.Rows())
 	for r := range in {
-		in[r] = int32(p.InPackPos(r))
+		in[r] = int32(r)
 	}
 	return in
 }
@@ -236,16 +229,16 @@ func packedClasses(p *StridePlan) []int32 {
 // them again.
 func TestClosedFollowsValues(t *testing.T) {
 	classes := func(k *Kernel, p *StridePlan) int {
-		q, _, _ := NewQuotient(k, packedClasses(p))
+		q, _, _ := NewQuotient(k, naturalClasses(p))
 		return q.Cols()
 	}
 	for _, w := range []float64{0.25, 0.3, -0.5, 0} {
-		if _, k, rk := oneWeightTrio(t, 16, 4, 4, w); classes(k, rk.Plan()) != 4 {
-			t.Errorf("closing layer, weight %v: %d classes, want 4", w, classes(k, rk.Plan()))
+		if _, k, rk := oneWeightTrio(t, 16, 4, 4, w); classes(k, rk.plan) != 4 {
+			t.Errorf("closing layer, weight %v: %d classes, want 4", w, classes(k, rk.plan))
 		}
 	}
-	if _, k, rk := oneWeightTrio(t, 16, 1, 4, 0.25); classes(k, rk.Plan()) != 16 {
-		t.Errorf("opening layer (m = 16, radix 4): %d classes, want 16", classes(k, rk.Plan()))
+	if _, k, rk := oneWeightTrio(t, 16, 1, 4, 0.25); classes(k, rk.plan) != 16 {
+		t.Errorf("opening layer (m = 16, radix 4): %d classes, want 16", classes(k, rk.plan))
 	}
 	m, k, rk := oneWeightTrio(t, 16, 4, 4, 0.25)
 	vals := m.Values()
@@ -257,7 +250,7 @@ func TestClosedFollowsValues(t *testing.T) {
 		if err := k.Refresh(m); err != nil {
 			t.Fatal(err)
 		}
-		if got := classes(k, rk.Plan()); got != c.want {
+		if got := classes(k, rk.plan); got != c.want {
 			t.Errorf("last edge = %v: %d classes, want %d", c.v, got, c.want)
 		}
 	}

@@ -11,13 +11,13 @@ import "math/bits"
 type Footprint struct {
 	DistinctLayers int   // layers differing in pattern or in CSR value storage
 	StructureBytes int64 // CSR index arrays, and CSC ones where a kernel was built
-	ValueBytes     int64 // CSR, CSC and Stockham-ordered weights
+	ValueBytes     int64 // CSR- and CSC-ordered weights
 }
 
-// StackFootprint measures the storage behind a layer stack: its matrices, the
-// CSC kernels built on them and, where the stack runs them, its radix kernels
-// (nil otherwise).
-func StackFootprint(mats []*Matrix, kerns []*Kernel, rks []*RadixKernel) Footprint {
+// StackFootprint measures the storage behind a layer stack: its matrices and
+// the CSC kernels built on them. A radix kernel reads those two and holds no
+// values of its own.
+func StackFootprint(mats []*Matrix, kerns []*Kernel) Footprint {
 	type layer struct {
 		pat  *Pattern
 		vals *float64
@@ -46,9 +46,6 @@ func StackFootprint(mats []*Matrix, kerns []*Kernel, rks []*RadixKernel) Footpri
 			csc[k.src] = true
 			f.StructureBytes += int64(len(k.colPtr)+len(k.rowIdx)+len(k.perm)) * 4
 		}
-	}
-	for _, rk := range rks {
-		values(rk.stVals)
 	}
 	f.DistinctLayers = len(layers)
 	for _, n := range runs {

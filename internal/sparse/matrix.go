@@ -33,7 +33,7 @@ func NewMatrix(pat *Pattern, vals []float64) (*Matrix, error) {
 // to v — the Graph Challenge convention of one weight for every edge of every
 // layer. They all read one run of v as long as the largest pattern, and so do
 // the kernels built on them: one value in every position is the same stream in
-// CSR, CSC or Stockham order, so a constant stack stores its weights once.
+// CSR or CSC order, so a constant stack stores its weights once.
 // Writing is copy-on-write per matrix: see Values.
 func ConstantMatrices(pats []*Pattern, v float64) []*Matrix {
 	n := 0

@@ -18,16 +18,14 @@ import (
 // of one width that the fuzz targets can draw. And what the numbering does not
 // need: on a row that is not periodic — what a layer that is not closed
 // leaves, the last system of a stack whose product only divides N′ included —
-// columns a period apart share nothing; columns a period apart repeat within
-// one block of the packed output only when the radix divides P, which a form
-// writing the packed row needed and class vectors do not; and under a lift a
-// column's chain is dPrev·radix taps long and there is no packed layout at all.
+// columns a period apart share nothing; and under a lift a column's chain is
+// dPrev·radix taps long.
 func TestPeriodicRowsShareChains(t *testing.T) {
 	byWidth := map[int][][3]int{}
 	for _, k := range drawablePlans() {
 		byWidth[k[0]] = append(byWidth[k[0]], k)
 	}
-	pairs, bound, alone := 0, 0, 0
+	pairs := 0
 	for np, plans := range byWidth {
 		for _, open := range plans {
 			radix := open[2]
@@ -71,37 +69,21 @@ func TestPeriodicRowsShareChains(t *testing.T) {
 						t.Fatalf("%v, period %d: wrapped column %d equals column %d: %t", plan, period, c, radix-1, same)
 					}
 				}
-				// Block-local repetition in the packed output ⇔ radix | P.
-				local := true
-				for c := 0; c+period < np; c++ {
-					if plan.OutPackPos(c+period) != plan.OutPackPos(c)+period/radix {
-						local = false
-					}
-				}
-				if local != (period%radix == 0) {
-					t.Fatalf("%v, period %d: columns a period apart are %d/%d packed positions apart everywhere: %t", plan, period, period, radix, local)
-				}
-				if local {
-					bound++
-					if period == radix {
-						alone++
-					}
-				}
 			}
-			// A lift: the chain is not radix taps long, and nothing packs.
+			// A lift: the chain is not radix taps long.
 			lifted, err := CompileStridePlan(radixLayer(np, 1, radix, 2, 1), np, 1, radix, 2, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			taps := 0
 			lifted.ColInRows(radix, func(int) { taps++ })
-			if taps != 2*radix || lifted.CanStockham() {
-				t.Fatalf("%v: %d taps a column, packed layout: %t", lifted, taps, lifted.CanStockham())
+			if taps != 2*radix {
+				t.Fatalf("%v: %d taps a column, want %d", lifted, taps, 2*radix)
 			}
 		}
 	}
-	if pairs < 100 || bound < 20 || alone < 3 || bound == alone {
-		t.Errorf("%d pairs drawn, %d the binding takes, %d of them with P = radix; the enumeration no longer covers the cases", pairs, bound, alone)
+	if pairs < 100 {
+		t.Errorf("%d pairs drawn; the enumeration no longer covers the cases", pairs)
 	}
 }
 
@@ -166,12 +148,12 @@ func TestPeriodicGatherBitIdentical(t *testing.T) {
 			qc, outClassC, multC := NewQuotient(kc, outClass)
 			if q.Cols() != chains || qc.Cols() != s.radix {
 				t.Fatalf("%v period %d weight %v: %d classes, want %d; %v behind it %d, want %d",
-					rk.Plan(), s.period, w, q.Cols(), chains, rkc.Plan(), qc.Cols(), s.radix)
+					rk.plan, s.period, w, q.Cols(), chains, rkc.plan, qc.Cols(), s.radix)
 			}
 			for name, x := range rows {
 				for _, bias := range []float64{-0.1, 0, 0.25} {
 					for _, clip := range []float64{0, 32} {
-						what := fmt.Sprintf("%v period %d weight %v bias %v cap %v, %s row", rk.Plan(), s.period, w, bias, clip, name)
+						what := fmt.Sprintf("%v period %d weight %v bias %v cap %v, %s row", rk.plan, s.period, w, bias, clip, name)
 						want := make([]float64, s.np)
 						wantN := k.FusedGatherRow(want, x, bias, clip)
 						got, n := quotientRow(t, q, outClass, mult, x[:s.period], bias, clip)

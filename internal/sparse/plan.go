@@ -99,18 +99,6 @@ func (p *StridePlan) Cols() int { return p.cols }
 // NNZ returns the edge count the plan enumerates.
 func (p *StridePlan) NNZ() int { return p.rows * p.dNext * p.radix }
 
-// NPrime returns np, the pre-lift layer width N′.
-func (p *StridePlan) NPrime() int { return p.np }
-
-// PlaceValue returns the digit's place value ν (the run stride).
-func (p *StridePlan) PlaceValue() int { return p.pv }
-
-// Radix returns the digit's radix N.
-func (p *StridePlan) Radix() int { return p.radix }
-
-// Shape returns the Kronecker dense-shape block dimensions (dPrev, dNext).
-func (p *StridePlan) Shape() (dPrev, dNext int) { return p.dPrev, p.dNext }
-
 // ColDegree returns the uniform in-degree dPrev·radix of every output
 // column.
 func (p *StridePlan) ColDegree() int { return p.dPrev * p.radix }

@@ -1,8 +1,8 @@
 package sparse
 
 import (
-	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -47,10 +47,10 @@ func randomInput(rng *rand.Rand, n int, density float64) []float64 {
 	return in
 }
 
-// TestRadixKernelBitIdenticalToCSC: the radix kernel's gather, quad-gather
-// and scatter paths must produce bit-identical outputs (and identical nnz
-// counts) to the CSC kernel and CSR matrix they share values with, across
-// random radix systems, shapes, densities and clip settings.
+// TestRadixKernelBitIdenticalToCSC: the radix kernel's gather, quad-gather,
+// octet-gather and scatter paths must produce bit-identical outputs (and
+// identical nnz counts) to the CSC kernel and CSR matrix they share values
+// with, across random radix systems, shapes, densities and clip settings.
 func TestRadixKernelBitIdenticalToCSC(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
@@ -78,22 +78,22 @@ func TestRadixKernelBitIdenticalToCSC(t *testing.T) {
 				wantNNZ := k.FusedGatherRow(want, ins[b], bias, clip)
 				gotNNZ := rk.FusedGatherRow(got, ins[b], bias, clip)
 				if wantNNZ != gotNNZ {
-					t.Fatalf("%v: gather nnz %d, want %d", rk.Plan(), gotNNZ, wantNNZ)
+					t.Fatalf("%v: gather nnz %d, want %d", rk.plan, gotNNZ, wantNNZ)
 				}
 				for c := range want {
 					if want[c] != got[c] {
-						t.Fatalf("%v: gather out[%d] = %x, want %x", rk.Plan(), c, got[c], want[c])
+						t.Fatalf("%v: gather out[%d] = %x, want %x", rk.plan, c, got[c], want[c])
 					}
 				}
 
 				wantNNZ = m.FusedScatterRow(want, ins[b], bias, clip)
 				gotNNZ = rk.FusedScatterRow(got, ins[b], bias, clip)
 				if wantNNZ != gotNNZ {
-					t.Fatalf("%v: scatter nnz %d, want %d", rk.Plan(), gotNNZ, wantNNZ)
+					t.Fatalf("%v: scatter nnz %d, want %d", rk.plan, gotNNZ, wantNNZ)
 				}
 				for c := range want {
 					if want[c] != got[c] {
-						t.Fatalf("%v: scatter out[%d] = %x, want %x", rk.Plan(), c, got[c], want[c])
+						t.Fatalf("%v: scatter out[%d] = %x, want %x", rk.plan, c, got[c], want[c])
 					}
 				}
 			}
@@ -110,11 +110,28 @@ func TestRadixKernelBitIdenticalToCSC(t *testing.T) {
 			rk.FusedGatherRow4(gots[0], gots[1], gots[2], gots[3], ins[0], ins[1], ins[2], ins[3], bias, clip, &gotN)
 			for b := range ins {
 				if gotN[b] != wantN[b] {
-					t.Fatalf("%v: quad nnz[%d] = %d, want %d", rk.Plan(), b, gotN[b], wantN[b])
+					t.Fatalf("%v: quad nnz[%d] = %d, want %d", rk.plan, b, gotN[b], wantN[b])
 				}
 				for c := range wants[b] {
 					if wants[b][c] != gots[b][c] {
-						t.Fatalf("%v: quad out%d[%d] = %x, want %x", rk.Plan(), b, c, gots[b][c], wants[b][c])
+						t.Fatalf("%v: quad out%d[%d] = %x, want %x", rk.plan, b, c, gots[b][c], wants[b][c])
+					}
+				}
+			}
+			// Octet gather over the four rows twice vs the singles.
+			var ins8, outs8 [8][]float64
+			for b := range ins8 {
+				ins8[b], outs8[b] = ins[b%4], make([]float64, cols)
+			}
+			var n8 [8]int
+			rk.FusedGatherRow8(&outs8, &ins8, bias, clip, &n8)
+			for b := range outs8 {
+				if n8[b] != wantN[b%4] {
+					t.Fatalf("%v: octet nnz[%d] = %d, want %d", rk.plan, b, n8[b], wantN[b%4])
+				}
+				for c := range outs8[b] {
+					if wants[b%4][c] != outs8[b][c] {
+						t.Fatalf("%v: octet out%d[%d] = %x, want %x", rk.plan, b, c, outs8[b][c], wants[b%4][c])
 					}
 				}
 			}
@@ -169,204 +186,6 @@ func TestRadixKernelSharesValueStorage(t *testing.T) {
 	}
 }
 
-// packBy permutes a natural-layout vector into packed layout via pos.
-func packBy(natural []float64, pos func(int) int) []float64 {
-	out := make([]float64, len(natural))
-	for i, v := range natural {
-		out[pos(i)] = v
-	}
-	return out
-}
-
-// unpackBy reads a packed-layout vector back into natural layout via pos.
-func unpackBy(packed []float64, pos func(int) int) []float64 {
-	out := make([]float64, len(packed))
-	for i := range out {
-		out[i] = packed[pos(i)]
-	}
-	return out
-}
-
-// TestRadixKernelStockhamBitIdentical: in Stockham mode every kernel form —
-// single, quad and octet gathers plus the scratch-based scatter — must
-// produce, after unpacking the packed output layout, results bit-identical
-// to the natural-order CSC kernel and CSR matrix. Also checks the packing
-// maps are permutations and that the last layer of a system (pv·radix = N′)
-// packs to the identity, which is what lets the engine keep natural I/O.
-func TestRadixKernelStockhamBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 30; trial++ {
-		radices, np := randomSystem(rng)
-		pv := 1
-		for _, r := range radices {
-			m, k, rk := buildRadixTrio(t, rng, np, pv, r, 1, 1)
-			p := rk.Plan()
-			if !p.CanStockham() {
-				t.Fatalf("%v: pure EMR layer should admit Stockham", p)
-			}
-			if err := rk.EnableStockham(); err != nil {
-				t.Fatal(err)
-			}
-			if !rk.Stockham() {
-				t.Fatalf("%v: Stockham not enabled", p)
-			}
-
-			seenIn := make([]bool, np)
-			seenOut := make([]bool, np)
-			for i := 0; i < np; i++ {
-				seenIn[p.InPackPos(i)] = true
-				seenOut[p.OutPackPos(i)] = true
-			}
-			for i := 0; i < np; i++ {
-				if !seenIn[i] || !seenOut[i] {
-					t.Fatalf("%v: packing is not a permutation at %d", p, i)
-				}
-			}
-			if pv*r == np {
-				for c := 0; c < np; c++ {
-					if p.OutPackPos(c) != c {
-						t.Fatalf("%v: final-layer out packing not identity at %d", p, c)
-					}
-				}
-			}
-
-			bias := rng.NormFloat64() * 0.2
-			clip := 0.0
-			if rng.Intn(2) == 0 {
-				clip = 0.5 + rng.Float64()
-			}
-			var ins, pins, wants [8][]float64
-			var wantN [8]int
-			for b := range ins {
-				ins[b] = randomInput(rng, np, []float64{1, 0.3, 0.05}[rng.Intn(3)])
-				pins[b] = packBy(ins[b], p.InPackPos)
-				wants[b] = make([]float64, np)
-				wantN[b] = k.FusedGatherRow(wants[b], ins[b], bias, clip)
-			}
-			checkRow := func(form string, b int, packed []float64, nnz int) {
-				t.Helper()
-				if nnz != wantN[b] {
-					t.Fatalf("%v: %s nnz[%d] = %d, want %d", p, form, b, nnz, wantN[b])
-				}
-				got := unpackBy(packed, p.OutPackPos)
-				for c := range got {
-					if got[c] != wants[b][c] {
-						t.Fatalf("%v: %s out%d[%d] = %x, want %x", p, form, b, c, got[c], wants[b][c])
-					}
-				}
-			}
-
-			single := make([]float64, np)
-			n1 := rk.FusedGatherRow(single, pins[0], bias, clip)
-			checkRow("single", 0, single, n1)
-
-			var quads [4][]float64
-			for b := range quads {
-				quads[b] = make([]float64, np)
-			}
-			var qn [4]int
-			rk.FusedGatherRow4(quads[0], quads[1], quads[2], quads[3],
-				pins[0], pins[1], pins[2], pins[3], bias, clip, &qn)
-			for b := range quads {
-				checkRow("quad", b, quads[b], qn[b])
-			}
-
-			var outs, pins8 [8][]float64
-			for b := range outs {
-				outs[b] = make([]float64, np)
-				pins8[b] = pins[b]
-			}
-			var on [8]int
-			rk.FusedGatherRow8(&outs, &pins8, bias, clip, &on)
-			for b := range outs {
-				checkRow("octet", b, outs[b], on[b])
-			}
-
-			scatterWant := make([]float64, np)
-			wantSN := m.FusedScatterRow(scatterWant, ins[0], bias, clip)
-			scatterGot := make([]float64, np)
-			scratch := make([]float64, np)
-			gotSN := rk.FusedScatterRowStockham(scatterGot, pins[0], nil, scratch, bias, clip)
-			if gotSN != wantSN {
-				t.Fatalf("%v: stockham scatter nnz = %d, want %d", p, gotSN, wantSN)
-			}
-			sg := unpackBy(scatterGot, p.OutPackPos)
-			for c := range sg {
-				if sg[c] != scatterWant[c] {
-					t.Fatalf("%v: stockham scatter out[%d] = %x, want %x", p, c, sg[c], scatterWant[c])
-				}
-			}
-
-			// Handed the nonzero positions the way the engine's staging scan
-			// records them, the scatter must match its own scanning form bit
-			// for bit (and hence the CSR oracle).
-			var nz []int32
-			for i, v := range pins[0] {
-				if v != 0 {
-					nz = append(nz, int32(i))
-				}
-			}
-			nzGot := make([]float64, np)
-			gotNZN := rk.FusedScatterRowStockham(nzGot, pins[0], nz, scratch, bias, clip)
-			if gotNZN != wantSN {
-				t.Fatalf("%v: NZ scatter nnz = %d, want %d", p, gotNZN, wantSN)
-			}
-			for c := range nzGot {
-				if nzGot[c] != scatterGot[c] {
-					t.Fatalf("%v: NZ scatter out[%d] = %x, want %x", p, c, nzGot[c], scatterGot[c])
-				}
-			}
-			pv *= r
-		}
-	}
-}
-
-// TestRadixKernelStockhamRefresh: the Stockham weight copy is the one value
-// array not shared with CSC/CSR storage; RefreshValues must resync it after
-// in-place weight mutation.
-func TestRadixKernelStockhamRefresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	m, k, rk := buildRadixTrio(t, rng, 12, 2, 3, 1, 1)
-	if err := rk.EnableStockham(); err != nil {
-		t.Fatal(err)
-	}
-	p := rk.Plan()
-	in := randomInput(rng, m.Rows(), 1)
-	pin := packBy(in, p.InPackPos)
-
-	vals := m.Values()
-	for i := range vals {
-		vals[i] *= -1.25
-	}
-	if err := k.Refresh(m); err != nil {
-		t.Fatal(err)
-	}
-	rk.RefreshValues()
-
-	want := make([]float64, m.Cols())
-	k.FusedGatherRow(want, in, -0.1, 0)
-	got := make([]float64, m.Cols())
-	rk.FusedGatherRow(got, pin, -0.1, 0)
-	for c := range want {
-		if got[p.OutPackPos(c)] != want[c] {
-			t.Fatalf("post-refresh stockham out[%d] = %x, want %x", c, got[p.OutPackPos(c)], want[c])
-		}
-	}
-}
-
-// TestEnableStockhamRejectsKronLift: Kronecker-lifted layers have no packed
-// layout; EnableStockham must refuse rather than scramble.
-func TestEnableStockhamRejectsKronLift(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	_, _, rk := buildRadixTrio(t, rng, 12, 2, 3, 2, 1)
-	if err := rk.EnableStockham(); err == nil {
-		t.Fatal("EnableStockham accepted a Kronecker-lifted plan")
-	}
-	if rk.Stockham() {
-		t.Fatal("failed EnableStockham left the kernel in Stockham mode")
-	}
-}
-
 // TestNewRadixKernelRejectsMismatchedPattern: a plan compiled against a
 // different (even identical-looking) pattern must be rejected.
 func TestNewRadixKernelRejectsMismatchedPattern(t *testing.T) {
@@ -382,8 +201,7 @@ func TestNewRadixKernelRejectsMismatchedPattern(t *testing.T) {
 	}
 }
 
-// oneWeightTrio is buildRadixTrio with every weight equal to w, in Stockham
-// mode.
+// oneWeightTrio is buildRadixTrio with every weight equal to w.
 func oneWeightTrio(t testing.TB, np, pv, radix int, w float64) (*Matrix, *Kernel, *RadixKernel) {
 	t.Helper()
 	pat := radixLayer(np, pv, radix, 1, 1)
@@ -400,55 +218,19 @@ func oneWeightTrio(t testing.TB, np, pv, radix int, w float64) (*Matrix, *Kernel
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rk.EnableStockham(); err != nil {
-		t.Fatal(err)
-	}
 	return m, k, rk
 }
 
-// TestOneWeightFollowsValues: a Stockham layer whose values are all equal,
-// whatever the value, keeps no Stockham copy of its own and reads its CSC
-// storage; one changed edge gives it a copy, and restoring the value makes it
-// share again.
-func TestOneWeightFollowsValues(t *testing.T) {
-	for _, w := range []float64{0.3, -0.5, 0, math.Inf(1), 3} {
-		if _, _, rk := oneWeightTrio(t, 16, 4, 4, w); &rk.stVals[0] != &rk.cscVals[0] {
-			t.Errorf("weight %v: an all-equal layer keeps its own Stockham copy", w)
-		}
-	}
-	m, k, rk := oneWeightTrio(t, 16, 4, 4, 0.25)
-	vals := m.Values()
-	last := len(vals) - 1
-	refresh := func() {
-		t.Helper()
-		if err := k.Refresh(m); err != nil {
-			t.Fatal(err)
-		}
-		rk.RefreshValues()
-	}
-	shared := func() bool { return &rk.stVals[0] == &rk.cscVals[0] }
-	vals[last] = 0.5
-	refresh()
-	if shared() {
-		t.Error("one edge changed: the Stockham stream still reads the CSC storage")
-	}
-	vals[last] = 0.25
-	refresh()
-	if !shared() {
-		t.Error("value restored: the Stockham stream keeps its own copy")
-	}
-}
-
-// BenchmarkOctet times the Stockham octet on eight dense rows of one layer,
-// in ns per edge: the weighted form (fusedGatherRow8ST behind
-// FusedGatherRow8) on one weight, 4/fan-in, and again on perturbed weights.
+// BenchmarkOctet times the natural-order octet (FusedGatherRow8) on eight
+// dense rows of one layer, in ns per edge: on one weight, 4/fan-in, and again
+// on perturbed weights.
 // Shapes: the two Graph Challenge 1024 layers (radix 32 at ν = 1 and ν = 32),
 // the two of radix (8,8) and the middle and last layers of radix (8,8,8).
 // Where the engine runs the layer as a quotient, a quotient cell adds the
 // numbered layer's two quad gathers over the eight rows' class vectors, still
 // per nominal edge — the edges the classes stand for — so it reads against
-// weighted: a closing layer numbered from rows one class apiece, as behind a
-// per-column layer, and an opening layer numbered from the row of period
+// weighted: a closing layer numbered from rows one class apiece in natural
+// order, as behind a per-column layer, and an opening layer numbered from the row of period
 // `period` the closing layer of a second system of the same radices leaves.
 func BenchmarkOctet(b *testing.B) {
 	for _, s := range []struct {
@@ -481,7 +263,7 @@ func BenchmarkOctet(b *testing.B) {
 			})
 		}
 		run("weighted", func() { rk.FusedGatherRow8(&outs, &ins, -0.1, 32, &nnz) })
-		in := packedClasses(rk.Plan())
+		in := naturalClasses(rk.plan)
 		if s.period > 0 {
 			for r := range in {
 				in[r] = int32(r % s.period)
@@ -501,8 +283,7 @@ func BenchmarkOctet(b *testing.B) {
 		if err := k.Refresh(m); err != nil {
 			b.Fatal(err)
 		}
-		rk.RefreshValues()
-		if &rk.stVals[0] == &rk.cscVals[0] {
+		if slices.Min(k.vals) == slices.Max(k.vals) {
 			b.Fatalf("%s: perturbed weights still read as one", s.name)
 		}
 		run("perturbed", func() { rk.FusedGatherRow8(&outs, &ins, -0.1, 32, &nnz) })
