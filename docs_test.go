@@ -2,6 +2,9 @@ package radixnet_test
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -109,7 +112,7 @@ func TestREADMEClientTable(t *testing.T) {
 // kernelLineBudget is the most non-test Go lines internal/sparse and
 // internal/infer may hold together (ROADMAP B): a new form pays for itself in
 // lines deleted elsewhere.
-const kernelLineBudget = 3545
+const kernelLineBudget = 3432
 
 // TestKernelLineBudget fails when internal/sparse and internal/infer together
 // hold more non-test Go lines than kernelLineBudget, and prints their count,
@@ -136,5 +139,87 @@ func TestKernelLineBudget(t *testing.T) {
 	t.Logf("internal/sparse + internal/infer: %d non-test lines; const kernelLineBudget = %d", lines, lines)
 	if lines > kernelLineBudget {
 		t.Fatalf("internal/sparse + internal/infer hold %d non-test lines, over the budget of %d", lines, kernelLineBudget)
+	}
+}
+
+// TestFacadeHasCallers fails when radixnet.go exports a name nothing calls,
+// printing the names to delete. A name has a caller when a program under
+// examples/ or a ```go block of README.md uses it, or when the signature of a
+// function that has one mentions it.
+func TestFacadeHasCallers(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "radixnet.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigs := map[string]*ast.FuncType{} // every exported name; nil for all but functions
+	for _, decl := range file.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			sigs[d.Name.Name] = d.Type
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					sigs[s.Name.Name] = nil
+				case *ast.ValueSpec:
+					for _, name := range s.Names {
+						sigs[name.Name] = nil
+					}
+				}
+			}
+		}
+	}
+	var callers strings.Builder
+	programs, err := filepath.Glob("examples/*/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append(programs, "README.md") {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if path != "README.md" {
+			callers.Write(text)
+			continue
+		}
+		for _, block := range regexp.MustCompile("(?s)```go\n(.*?)```").FindAllStringSubmatch(string(text), -1) {
+			callers.WriteString(block[1])
+		}
+	}
+	used := map[string]bool{}
+	var queue []string
+	use := func(name string) {
+		if _, facade := sigs[name]; facade && !used[name] {
+			used[name] = true
+			queue = append(queue, name)
+		}
+	}
+	for _, m := range regexp.MustCompile(`\bradixnet\.([A-Z]\w*)`).FindAllStringSubmatch(callers.String(), -1) {
+		use(m[1])
+	}
+	for ; len(queue) > 0; queue = queue[1:] {
+		if sig := sigs[queue[0]]; sig != nil {
+			ast.Inspect(sig, func(n ast.Node) bool {
+				if _, qualified := n.(*ast.SelectorExpr); qualified {
+					return false // io.Writer, big.Int: not facade names
+				}
+				if id, ok := n.(*ast.Ident); ok {
+					use(id.Name)
+				}
+				return true
+			})
+		}
+	}
+	var uncalled []string
+	for name := range sigs {
+		if ast.IsExported(name) && !used[name] {
+			uncalled = append(uncalled, name)
+		}
+	}
+	slices.Sort(uncalled)
+	t.Logf("radixnet.go: %d exported names, %d with a caller", len(sigs), len(used))
+	if len(uncalled) > 0 {
+		t.Fatalf("radixnet.go exports names no example, README Go block or kept signature uses; delete them: %s", strings.Join(uncalled, ", "))
 	}
 }

@@ -64,7 +64,7 @@ func main() {
 	base := "http://" + addr
 
 	// Drive a few requests; each response carries its trace ID and the
-	// span breakdown header the router would stitch from.
+	// span breakdown header the router would stitch into its own trace.
 	var traceID string
 	row := make([]float64, model.InputWidth())
 	row[0] = 1
@@ -77,11 +77,8 @@ func main() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		traceID = resp.Header.Get(radixnet.HeaderTraceID)
-		if spans, err := radixnet.DecodeSpans(resp.Header.Get(radixnet.HeaderSpans)); err == nil && i == 0 {
-			fmt.Printf("request traced as %s, %d spans in %s:\n", traceID, len(spans), radixnet.HeaderSpans)
-			for _, s := range spans {
-				fmt.Printf("  %-10s +%.3fms  %.3fms\n", s.Name, s.StartMs, s.DurMs)
-			}
+		if i == 0 {
+			fmt.Printf("request traced as %s\n  %s: %s\n", traceID, radixnet.HeaderSpans, resp.Header.Get(radixnet.HeaderSpans))
 		}
 	}
 
@@ -103,6 +100,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n?trace=%s → %d spans, total %.3fms\n", traceID, len(lookup.Trace.Spans), lookup.Trace.TotalMs)
+	for _, s := range lookup.Trace.Spans {
+		fmt.Printf("  %-10s +%.3fms  %.3fms\n", s.Name, s.StartMs, s.DurMs)
+	}
 
 	// The burn-rate engine: the 1µs objective is violated (every request
 	// exceeds it in both windows), the 10s objective is ok.

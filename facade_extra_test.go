@@ -10,6 +10,12 @@ import (
 	"time"
 
 	radixnet "github.com/radix-net/radixnet"
+	"github.com/radix-net/radixnet/internal/cluster"
+	"github.com/radix-net/radixnet/internal/core"
+	"github.com/radix-net/radixnet/internal/dataset"
+	"github.com/radix-net/radixnet/internal/infer"
+	"github.com/radix-net/radixnet/internal/serve"
+	"github.com/radix-net/radixnet/internal/sparse"
 )
 
 func TestFacadeSearchWorkflow(t *testing.T) {
@@ -50,9 +56,8 @@ func TestFacadeInferEngine(t *testing.T) {
 	if engine.NumLayers() != 2 {
 		t.Fatalf("layers = %d", engine.NumLayers())
 	}
-	// The whole inference loop must be drivable through the facade alone:
-	// build a batch, run it, read activations.
-	in, err := radixnet.SparseBatch(4, 16, 5, 1)
+	// Build a batch, run it, read activations.
+	in, err := dataset.SparseBatch(4, 16, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,17 +68,10 @@ func TestFacadeInferEngine(t *testing.T) {
 	if out.Rows() != 4 || out.Cols() != 16 {
 		t.Fatalf("output shape %dx%d", out.Rows(), out.Cols())
 	}
-	g, err := radixnet.Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := radixnet.InferFromTopology(g, 0.25, -0.05, 32); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestFacadeOrderedFactorizations(t *testing.T) {
-	fs := radixnet.OrderedFactorizations(12, 16)
+	fs := core.OrderedFactorizations(12, 16)
 	// 12 = (12), (2,6), (6,2), (3,4), (4,3), (2,2,3), (2,3,2), (3,2,2).
 	if len(fs) != 8 {
 		t.Fatalf("factorizations of 12: got %d (%v)", len(fs), fs)
@@ -81,12 +79,11 @@ func TestFacadeOrderedFactorizations(t *testing.T) {
 }
 
 func TestFacadeIsomorphism(t *testing.T) {
-	a := radixnet.MixedRadix(radixnet.MustSystem(2, 2))
-	b := radixnet.MixedRadix(radixnet.MustSystem(2, 2))
+	a, b := buildNet(t, radixnet.MustSystem(2, 2)), buildNet(t, radixnet.MustSystem(2, 2))
 	if _, ok := radixnet.Isomorphic(a, b, 0); !ok {
 		t.Fatal("identical topologies not isomorphic")
 	}
-	c := radixnet.MixedRadix(radixnet.MustSystem(4))
+	c := buildNet(t, radixnet.MustSystem(4))
 	if _, ok := radixnet.Isomorphic(a, c, 0); ok {
 		t.Fatal("different-depth topologies reported isomorphic")
 	}
@@ -96,7 +93,7 @@ func TestFacadeIsomorphism(t *testing.T) {
 // realistic network: receptive-field growth for a Graph Challenge block is
 // 1 → 32 → 1024 (radix-32 fan-out squared covers the layer).
 func TestFacadeAnalysisOnChallengeNet(t *testing.T) {
-	cfg, err := radixnet.GraphChallengeConfig(1024, 4)
+	cfg, err := core.GraphChallengeConfig(1024, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +117,9 @@ func TestFacadeAnalysisOnChallengeNet(t *testing.T) {
 	}
 }
 
-// TestFacadeServing drives the whole serving stack through the facade
-// alone: registry, model, micro-batched inference (bit-identical to the
-// direct engine), the HTTP API, and graceful shutdown.
+// TestFacadeServing drives the serving stack from the facade's registry and
+// server: model, micro-batched inference (bit-identical to the direct
+// engine), the HTTP API, and graceful shutdown.
 func TestFacadeServing(t *testing.T) {
 	cfg, err := radixnet.NewConfig([]radixnet.System{radixnet.MustSystem(4, 4)}, nil)
 	if err != nil {
@@ -133,7 +130,7 @@ func TestFacadeServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := radixnet.SparseBatch(4, m.InputWidth(), 5, 1)
+	in, err := dataset.SparseBatch(4, m.InputWidth(), 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,12 +138,13 @@ func TestFacadeServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]float64, m.OutputWidth())
 	for r := 0; r < in.Rows(); r++ {
-		if err := m.Infer(context.Background(), in.RowSlice(r), out); err != nil {
+		resp, err := m.Do(context.Background(), &serve.Request{Rows: [][]float64{in.RowSlice(r)}})
+		if err != nil {
 			t.Fatal(err)
 		}
-		rowIn, err := radixnet.DenseFromSlice(1, in.Cols(), in.RowSlice(r))
+		out := resp.Outputs[0]
+		rowIn, err := sparse.DenseFromSlice(1, in.Cols(), in.RowSlice(r))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +159,7 @@ func TestFacadeServing(t *testing.T) {
 		}
 	}
 
-	srv := radixnet.NewServer(reg, "127.0.0.1:0")
+	srv := radixnet.NewServerOpts(reg, "127.0.0.1:0", radixnet.ServerOptions{})
 	addr, err := srv.Start()
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +168,7 @@ func TestFacadeServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var models map[string][]radixnet.ServedModelInfo
+	var models map[string][]serve.ModelInfo
 	if err := json.NewDecoder(resp.Body).Decode(&models); err != nil {
 		t.Fatal(err)
 	}
@@ -183,22 +181,15 @@ func TestFacadeServing(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Infer(context.Background(), in.RowSlice(0), out); !errors.Is(err, radixnet.ErrServeClosed) {
-		t.Fatalf("post-shutdown Infer = %v, want ErrServeClosed", err)
+	if _, err := m.Do(context.Background(), &serve.Request{Rows: [][]float64{in.RowSlice(0)}}); !errors.Is(err, serve.ErrClosed) {
+		t.Fatalf("post-shutdown Do = %v, want ErrClosed", err)
 	}
 }
 
-// TestFacadeEngineBusy pins the exported single-flight error.
-func TestFacadeEngineBusy(t *testing.T) {
-	if radixnet.ErrEngineBusy == nil || radixnet.ErrQueueFull == nil || radixnet.ErrServeClosed == nil {
-		t.Fatal("serving errors not exported")
-	}
-}
-
-// TestFacadeClusterExports exercises the sharding layer through the public
-// API: ring placement stability and a router front end over one backend.
+// TestFacadeClusterExports puts the sharding layer in front of a facade
+// server: ring placement stability and a router front end over one backend.
 func TestFacadeClusterExports(t *testing.T) {
-	ring := radixnet.NewRing(0).Add("a:1", "b:1", "c:1")
+	ring := cluster.NewRing(0).Add("a:1", "b:1", "c:1")
 	owners := ring.Owners("some-model", 2)
 	if len(owners) != 2 || owners[0] == owners[1] {
 		t.Fatalf("Owners = %v", owners)
@@ -212,15 +203,15 @@ func TestFacadeClusterExports(t *testing.T) {
 	if _, err := reg.Register("m", cfg, 1); err != nil {
 		t.Fatal(err)
 	}
-	srv := radixnet.NewServer(reg, "127.0.0.1:0")
+	srv := radixnet.NewServerOpts(reg, "127.0.0.1:0", radixnet.ServerOptions{})
 	backend, err := srv.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := radixnet.NewRouter(radixnet.RouterConfig{
+	rt, err := cluster.NewRouter(cluster.RouterConfig{
 		Addr:     "127.0.0.1:0",
 		Backends: []string{backend},
-		Set:      radixnet.ClusterSetConfig{ProbeInterval: time.Hour},
+		Set:      cluster.SetConfig{ProbeInterval: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -251,26 +242,26 @@ func TestFacadeClusterExports(t *testing.T) {
 	}
 }
 
-// TestFacadeKernelSelection exercises the kernel exports: build one engine
-// per kernel family from the same config, and require the structure-aware
-// path to match the CSC oracle bit for bit.
+// TestFacadeKernelSelection: InferFromConfig picks the radix kernel for a
+// radix config, and its engine matches the generic CSC kernel — the
+// bit-identity oracle — bit for bit.
 func TestFacadeKernelSelection(t *testing.T) {
 	cfg, err := radixnet.NewConfig([]radixnet.System{radixnet.MustSystem(4, 4)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := radixnet.InferFromConfigKernel(cfg, radixnet.KernelCSC)
+	oracle, err := infer.FromConfigKernel(cfg, infer.KernelCSC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := radixnet.InferFromConfigKernel(cfg, radixnet.KernelRadix)
+	fast, err := radixnet.InferFromConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oracle.Kernel() != radixnet.KernelCSC || fast.Kernel() != radixnet.KernelRadix {
-		t.Fatalf("kernels = %v, %v", oracle.Kernel(), fast.Kernel())
+	if fast.Kernel() != infer.KernelRadix {
+		t.Fatalf("InferFromConfig kernel = %v, want radix", fast.Kernel())
 	}
-	in, err := radixnet.SparseBatch(4, 16, 3, 7)
+	in, err := dataset.SparseBatch(4, 16, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +276,7 @@ func TestFacadeKernelSelection(t *testing.T) {
 	w, g := wantOut.Data(), gotOut.Data()
 	for i := range w {
 		if g[i] != w[i] {
-			t.Fatalf("radix facade engine diverged at %d: %x want %x", i, g[i], w[i])
+			t.Fatalf("facade engine diverged from the CSC oracle at %d: %x want %x", i, g[i], w[i])
 		}
 	}
 }

@@ -66,7 +66,7 @@ func newAutoscaler(rt *Router, pol autoscale.Policy) (*autoscaler, error) {
 }
 
 // Start launches the control loop goroutine. Idempotent via the router's
-// single Start/ListenAndServe call contract.
+// single Start call contract.
 func (a *autoscaler) Start() {
 	a.mu.Lock()
 	a.started = true

@@ -89,41 +89,11 @@ func (r *Ring) Add(nodes ...string) *Ring {
 	return r
 }
 
-// Remove takes a node off the ring; keys it owned fall to their next
-// clockwise owners. Unknown ids are ignored.
-func (r *Ring) Remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.nodes[node]; !ok {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Len returns the number of nodes on the ring.
 func (r *Ring) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.nodes)
-}
-
-// Nodes returns the ring membership in sorted order.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	nodes := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	return nodes
 }
 
 // Walk visits the distinct nodes in ring order starting clockwise from

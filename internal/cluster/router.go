@@ -101,7 +101,7 @@ type RouterConfig struct {
 // replicas, PUT /v1/models/{name} hot-reloads it on every backend that
 // reports hosting it, DELETE /v1/models/{name} unregisters it likewise —
 // so a fleet is (re)shardable without restarting backends. Construct with
-// NewRouter, start with Start or ListenAndServe, stop with Shutdown.
+// NewRouter, start with Start, stop with Shutdown.
 type Router struct {
 	set          *BackendSet
 	replicas     int
@@ -144,8 +144,7 @@ func DefaultClassRetries() map[string]int {
 }
 
 // NewRouter validates the config, builds the backend set and ring, and
-// wires the HTTP front end. Probing starts with the router (Start or
-// ListenAndServe).
+// wires the HTTP front end. Probing starts with the router (Start).
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	set, err := NewBackendSet(cfg.Backends, cfg.Set)
 	if err != nil {
@@ -330,16 +329,6 @@ func (rt *Router) Start() (string, error) {
 		}
 	}()
 	return ln.Addr().String(), nil
-}
-
-// ListenAndServe begins health probing and serves on the configured
-// address until Shutdown, returning http.ErrServerClosed on a clean stop.
-func (rt *Router) ListenAndServe() error {
-	rt.set.Start()
-	if rt.scaler != nil {
-		rt.scaler.Start()
-	}
-	return rt.http.ListenAndServe()
 }
 
 // Shutdown stops the front end gracefully (bounded by ctx) and halts

@@ -186,9 +186,11 @@ func FromTopology(g *topology.FNNT, weight, bias, cap float64) (*Engine, error) 
 // Graph Challenge weighting: every edge weighs 4/fan-in (1/8 on the
 // challenge's fan-in of 32, 1/2 on radix (8,8,8)), bias −0.10, cap 32.
 // Kernel selection is KernelAuto: the config proves the layers
-// radix-structured, so stride plans are compiled and the engine runs the
-// structure-aware butterfly kernel (FromConfigKernel(cfg, KernelCSC) builds
-// the generic oracle instead).
+// radix-structured, so stride plans are compiled. A layer past the first
+// whose values number its columns into fewer classes than columns (on Graph
+// Challenge stacks, every layer past the first) runs as a quotient through
+// the CSC gather; the others run the structure-aware butterfly kernel
+// (FromConfigKernel(cfg, KernelCSC) builds the generic oracle instead).
 func FromConfig(cfg core.Config) (*Engine, error) {
 	return FromConfigKernel(cfg, KernelAuto)
 }

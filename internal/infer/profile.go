@@ -38,9 +38,6 @@ func NewProfiler(layers, every int) *Profiler {
 	return &Profiler{every: uint64(every), layers: make([]layerProf, layers)}
 }
 
-// Every reports the sampling stride.
-func (p *Profiler) Every() int { return int(p.every) }
-
 // sample reports whether this Infer call should be timed.
 func (p *Profiler) sample() bool {
 	return p.tick.Add(1)%p.every == 0

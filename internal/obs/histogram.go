@@ -154,49 +154,15 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// HistSnapshot is a point-in-time copy of a Histogram, mergeable with
-// other snapshots taken from histograms using the same unit.
+// HistSnapshot is a point-in-time copy of a Histogram.
 type HistSnapshot struct {
 	Buckets [NumBuckets]uint64
 	Count   uint64
 	Sum     int64
 
 	// Exemplars, when non-nil, has NumBuckets entries; an entry with an
-	// empty TraceID means that bucket has no exemplar. Merge and Sub
-	// carry exemplars through best-effort (counters are the contract).
+	// empty TraceID means that bucket has no exemplar.
 	Exemplars []Exemplar
-}
-
-// Merge adds o's counters into s (bucket-wise). Exemplars merge
-// per-bucket, preferring o's (the merged-in snapshot is treated as
-// newer); a bucket keeps s's exemplar when o has none.
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Exemplars != nil {
-		if s.Exemplars == nil {
-			s.Exemplars = make([]Exemplar, NumBuckets)
-		}
-		for i := range o.Exemplars {
-			if o.Exemplars[i].TraceID != "" {
-				s.Exemplars[i] = o.Exemplars[i]
-			}
-		}
-	}
-}
-
-// Sub subtracts an earlier snapshot of the same histogram, yielding the
-// distribution observed in the window between the two snapshots.
-// Counters are monotone, so any underflow (from torn reads) clamps to 0.
-func (s *HistSnapshot) Sub(prev HistSnapshot) {
-	for i := range s.Buckets {
-		s.Buckets[i] = monus(s.Buckets[i], prev.Buckets[i])
-	}
-	s.Count = monus(s.Count, prev.Count)
-	s.Sum = max(s.Sum-prev.Sum, 0)
 }
 
 // monus is a - b clamped at zero, for counters read at two moments.

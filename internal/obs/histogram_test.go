@@ -78,28 +78,6 @@ func TestHistogramQuantileKnownDistribution(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeAndSub(t *testing.T) {
-	var a, b Histogram
-	for i := 0; i < 10; i++ {
-		a.Observe(1000)
-		b.Observe(8000)
-	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	merged := sa
-	merged.Merge(sb)
-	if merged.Count != 20 || merged.Sum != 10*1000+10*8000 {
-		t.Fatalf("merge: count=%d sum=%d", merged.Count, merged.Sum)
-	}
-	if merged.Buckets[bucketOf(1000)] != 10 || merged.Buckets[bucketOf(8000)] != 10 {
-		t.Fatalf("merge buckets wrong")
-	}
-	win := merged
-	win.Sub(sa)
-	if win.Count != 10 || win.Buckets[bucketOf(1000)] != 0 || win.Buckets[bucketOf(8000)] != 10 {
-		t.Fatalf("sub window wrong: count=%d", win.Count)
-	}
-}
-
 func TestHistogramExpositionExactBuckets(t *testing.T) {
 	var h Histogram
 	h.Observe(int64(5 * time.Microsecond))  // 5000ns -> bucket 13 (le 8192ns)
@@ -239,15 +217,12 @@ func TestHistogramConcurrent(t *testing.T) {
 			}
 		}(g)
 	}
-	// Concurrent snapshots + merges while observers run.
+	// Concurrent snapshots while observers run.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		var acc HistSnapshot
 		for i := 0; i < 200; i++ {
-			s := h.Snapshot()
-			acc.Merge(s)
-			_ = s.Quantile(0.99)
+			_ = h.Snapshot().Quantile(0.99)
 		}
 	}()
 	wg.Wait()

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -109,7 +108,7 @@ func TestAdaptiveWindowLightLoadConverges(t *testing.T) {
 	}
 	out := make([]float64, m.OutputWidth())
 	for i := 0; i < 80; i++ {
-		if err := m.Infer(context.Background(), in.RowSlice(0), out); err != nil {
+		if err := doRow(m, in.RowSlice(0), out); err != nil {
 			t.Fatal(err)
 		}
 	}

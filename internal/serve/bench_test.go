@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -58,7 +57,7 @@ func BenchmarkServe_Microbatch(b *testing.B) {
 						if i >= int64(b.N) {
 							return
 						}
-						if err := m.Infer(context.Background(), in.RowSlice(int(i%inputRows)), out); err != nil {
+						if err := doRow(m, in.RowSlice(int(i%inputRows)), out); err != nil {
 							b.Error(err)
 							return
 						}

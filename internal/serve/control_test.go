@@ -46,13 +46,13 @@ func TestUnregisterDrainsAndRemoves(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := make([]float64, m.OutputWidth())
-	if err := m.Infer(context.Background(), in.RowSlice(0), out); err != nil {
+	if err := doRow(m, in.RowSlice(0), out); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Unregister("u"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Infer(context.Background(), in.RowSlice(0), out); !errors.Is(err, ErrClosed) {
+	if err := doRow(m, in.RowSlice(0), out); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Infer after Unregister = %v, want ErrClosed", err)
 	}
 	if _, ok := reg.Model("u"); ok {
@@ -127,7 +127,7 @@ func TestReloadSwapsWeights(t *testing.T) {
 		t.Helper()
 		out := make([]float64, m.OutputWidth())
 		for r := 0; r < in.Rows(); r++ {
-			if err := m.Infer(context.Background(), in.RowSlice(r), out); err != nil {
+			if err := doRow(m, in.RowSlice(r), out); err != nil {
 				t.Fatalf("%s row %d: %v", label, r, err)
 			}
 			for c, v := range out {
@@ -239,7 +239,7 @@ func TestConcurrentInferDuringReload(t *testing.T) {
 				default:
 				}
 				r := i % rows
-				if err := m.Infer(context.Background(), in.RowSlice(r), out); err != nil {
+				if err := doRow(m, in.RowSlice(r), out); err != nil {
 					failures.Add(1)
 					firstErr.CompareAndSwap(nil, fmt.Errorf("infer: %w", err))
 					return
@@ -305,7 +305,7 @@ func TestConcurrentInferDuringUnregister(t *testing.T) {
 			defer wg.Done()
 			out := make([]float64, m.OutputWidth())
 			for i := 0; i < 200; i++ {
-				err := m.Infer(context.Background(), in.RowSlice(i%in.Rows()), out)
+				err := doRow(m, in.RowSlice(i%in.Rows()), out)
 				if err != nil {
 					if !errors.Is(err, ErrClosed) {
 						unexpected.CompareAndSwap(nil, err)

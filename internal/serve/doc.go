@@ -30,7 +30,7 @@
 // is built off-lock, installed with one atomic pointer swap, and the old
 // generation is retired only after lease counting shows its last
 // checked-out engine home — so in-flight batches finish on the weights
-// they started with and concurrent Infer callers never see a failure.
+// they started with and concurrent callers never see a failure.
 // HTTP surfaces these as POST /v1/models (409 on duplicates), PUT
 // /v1/models/{name} (404 unknown, 422 shape change), and DELETE
 // /v1/models/{name} (404 unknown).
@@ -47,8 +47,7 @@
 // weight makes progress within a bounded number of dispatches — a
 // saturating background flood cannot starve interactive traffic. Rows
 // whose deadline has passed are shed at dequeue (ErrDeadlineExceeded,
-// HTTP 504), never executed. Model.Infer and Model.InferBatch remain as
-// thin compatibility wrappers scheduling the registry's default class.
+// HTTP 504), never executed.
 //
 // Micro-batching — a collector takes a weighted-fair batch and — if still
 // short of Policy.MaxBatch — waits up to Policy.MaxLatency for more rows

@@ -50,10 +50,11 @@ func TestRegistryServesResolvedKernel(t *testing.T) {
 			if got := m.Kernel(); got != infer.KernelRadix {
 				t.Fatalf("%s generation %d kernel = %v, want radix", name, gen, got)
 			}
-			got, err := m.InferBatch(t.Context(), rows)
+			resp, err := m.Do(t.Context(), &Request{Rows: rows})
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := resp.Outputs
 			for r := range want {
 				for c := range want[r] {
 					if got[r][c] != want[r][c] {

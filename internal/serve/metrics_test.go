@@ -70,7 +70,7 @@ func TestMetricsExpositionAfterKnownSequence(t *testing.T) {
 	row[1] = 1
 	out := make([]float64, m.OutputWidth())
 	for i := 0; i < 3; i++ {
-		if err := m.Infer(context.Background(), row, out); err != nil {
+		if err := doRow(m, row, out); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,7 +263,7 @@ func TestMetricsRejectionCounters(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		go func() {
 			out := make([]float64, m.OutputWidth())
-			done <- m.Infer(context.Background(), row, out)
+			done <- doRow(m, row, out)
 		}()
 	}
 	// The worker holds at most MaxBatch rows and the queue at most

@@ -109,7 +109,7 @@ func TestWindowedMaxResetsOnScrape(t *testing.T) {
 	_, m, ts := newTestServer(t, pol, 1)
 	row := make([]float64, m.InputWidth())
 	out := make([]float64, m.OutputWidth())
-	if err := m.Infer(context.Background(), row, out); err != nil {
+	if err := doRow(m, row, out); err != nil {
 		t.Fatal(err)
 	}
 	series := `radixserve_request_latency_seconds_maxwindow{model="m"}`

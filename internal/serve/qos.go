@@ -47,7 +47,7 @@ type QoSConfig struct {
 	// selects DefaultClassWeights.
 	Weights map[string]int
 	// DefaultClass is the class of requests that do not name one — every
-	// pre-QoS caller (bare Infer/InferBatch, HTTP bodies without "class").
+	// request with an empty Class (HTTP bodies without "class").
 	// Default "interactive", so existing traffic keeps top priority.
 	DefaultClass string
 	// ExecSlots bounds batch executions running concurrently across ALL
@@ -153,11 +153,6 @@ type Request struct {
 	// (router or HTTP server, carried as X-Radix-Trace-Id on the wire) or
 	// by Do itself when empty. Response echoes the effective ID.
 	TraceID string
-
-	// outs, when non-nil, are caller-owned destination slices (one per row,
-	// each OutputWidth long) — the zero-copy path the Infer compatibility
-	// wrapper uses. Nil entries are allocated.
-	outs [][]float64
 }
 
 // Response reports a completed Request with its QoS accounting.

@@ -340,7 +340,7 @@ func TestQoSDoDeadlineShedsQueuedRows(t *testing.T) {
 	blocker := make(chan error, 1)
 	go func() {
 		out := make([]float64, m.OutputWidth())
-		blocker <- m.Infer(context.Background(), row, out)
+		blocker <- doRow(m, row, out)
 	}()
 	// Wait until the worker has actually DEQUEUED the blocker (it is now
 	// blocked on the engine lease) — only then is the next submission

@@ -210,10 +210,6 @@ func (r *Registry) SetProfileEvery(n int) {
 	r.profEvery.Store(int32(n))
 }
 
-// ProfileEvery reports the registry's engine-profiling sample stride
-// (0 = off).
-func (r *Registry) ProfileEvery() int { return int(r.profEvery.Load()) }
-
 // NewRegistry returns an empty registry whose Register calls default to the
 // given policy (zero fields of which default per Policy's docs), with the
 // default QoS configuration (DefaultClassWeights, unlabeled requests
@@ -260,22 +256,14 @@ func (r *Registry) DefaultClass() string { return r.qos.name(r.qos.def) }
 
 // Register builds the RadiX-Net of cfg with Graph Challenge weighting and
 // registers it under name with a pool of `engines` warm engine instances
-// (min 1), using the registry's default policy and automatic kernel
-// selection: the structure-aware radix kernel when the config compiles to
-// verified stride plans (every standard EMR config does), generic CSC
-// otherwise.
+// (min 1), using the registry's default policy and infer.FromConfig's
+// kernel selection. When the config compiles to verified stride plans (every
+// standard EMR config does), a layer past the first whose values number its
+// columns into fewer classes than columns runs as a quotient through the CSC
+// gather and the others run the structure-aware radix kernel; otherwise
+// every layer runs the generic CSC kernel.
 func (r *Registry) Register(name string, cfg core.Config, engines int) (*Model, error) {
 	return r.RegisterWithPolicy(name, cfg, engines, r.pol)
-}
-
-// RegisterJSON is Register for a configuration in the graphio JSON wire
-// format.
-func (r *Registry) RegisterJSON(name string, cfgJSON []byte, engines int) (*Model, error) {
-	cfg, err := graphio.UnmarshalConfig(cfgJSON)
-	if err != nil {
-		return nil, fmt.Errorf("serve: model %q: %w", name, err)
-	}
-	return r.Register(name, cfg, engines)
 }
 
 // RegisterWithPolicy is Register with a per-model batching policy override.
@@ -367,7 +355,7 @@ func (r *Registry) Unregister(name string) error {
 // batches finish on the old engines (the old generation is retired only
 // after its last lease comes home), new leases get the new pool. The
 // model's batcher, queue, and policy survive the swap, so concurrent
-// Infer calls observe zero failures. The new configuration must keep the
+// Do calls observe zero failures. The new configuration must keep the
 // model's input and output widths (ErrIncompatible otherwise); interior
 // topology, weights, and pool size may all change. engines < 1 keeps the
 // current pool size, so a weights-only reload preserves the model's
@@ -730,8 +718,8 @@ func (m *Model) RetryAfterSeconds(class string) int {
 // are awaited, and the first error is returned (ErrQueueFull under
 // backpressure, ErrDeadlineExceeded when rows expired queued, ErrClosed
 // during shutdown, ErrUnknownClass for a class the registry does not
-// serve). On a ctx error rows may still execute later and write their out
-// slices — callers abandoning a request must also abandon its outputs.
+// serve). On a ctx error rows may still execute later; their outputs are
+// dropped.
 func (m *Model) Do(ctx context.Context, req *Request) (*Response, error) {
 	if req == nil || len(req.Rows) == 0 {
 		return nil, fmt.Errorf("serve: model %q: empty batch", m.name)
@@ -754,10 +742,7 @@ func (m *Model) Do(ctx context.Context, req *Request) (*Response, error) {
 		cm.Expired.Add(n)
 		return nil, fmt.Errorf("serve: model %q: %w", m.name, ErrDeadlineExceeded)
 	}
-	outs := req.outs
-	if outs == nil {
-		outs = make([][]float64, len(req.Rows))
-	}
+	outs := make([][]float64, len(req.Rows))
 	pendings := make([]*pending, 0, len(req.Rows))
 	// Announce multi-row requests up front so collectors holding their
 	// first rows keep waiting for the rest instead of taking the
@@ -782,9 +767,7 @@ func (m *Model) Do(ctx context.Context, req *Request) (*Response, error) {
 			firstErr = fmt.Errorf("serve: model %q: row %d width %d, want %d", m.name, i, len(row), m.inW)
 			break
 		}
-		if outs[i] == nil {
-			outs[i] = make([]float64, m.outW)
-		}
+		outs[i] = make([]float64, m.outW)
 		p := &pending{
 			row:      row,
 			out:      outs[i],
@@ -844,41 +827,4 @@ func (m *Model) Do(ctx context.Context, req *Request) (*Response, error) {
 	}
 	resp.Spans = pipelineSpans(queueD, assembleD, leaseD, resp.Execute, deliverD)
 	return resp, nil
-}
-
-// Infer submits one input row (length InputWidth) to the micro-batcher and
-// blocks until the result lands in out (length OutputWidth) or ctx is done.
-// Returns ErrQueueFull under backpressure and ErrClosed during shutdown.
-// On a ctx error the row may still execute later and write out — callers
-// abandoning a row must also abandon its out slice.
-//
-// Compatibility wrapper over Do: the row is scheduled as the registry's
-// default class with no deadline, so pre-QoS callers behave bit-identically
-// to the pre-QoS scheduler.
-func (m *Model) Infer(ctx context.Context, row, out []float64) error {
-	if len(row) != m.inW {
-		return fmt.Errorf("serve: model %q: input width %d, want %d", m.name, len(row), m.inW)
-	}
-	if len(out) != m.outW {
-		return fmt.Errorf("serve: model %q: output width %d, want %d", m.name, len(out), m.outW)
-	}
-	_, err := m.Do(ctx, &Request{Rows: [][]float64{row}, outs: [][]float64{out}})
-	return err
-}
-
-// InferBatch submits every row of a multi-row request to the micro-batcher
-// — rows coalesce with concurrent callers' rows — and returns the outputs
-// in request order. The request fails as a unit: on the first submission
-// rejection the remaining rows are not submitted, already-submitted rows
-// are awaited, and the rejection error is returned (so an HTTP 429 means
-// the whole request should be retried).
-//
-// Compatibility wrapper over Do: rows are scheduled as the registry's
-// default class with no deadline.
-func (m *Model) InferBatch(ctx context.Context, rows [][]float64) ([][]float64, error) {
-	resp, err := m.Do(ctx, &Request{Rows: rows})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Outputs, nil
 }

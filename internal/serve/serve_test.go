@@ -16,7 +16,6 @@ import (
 
 	"github.com/radix-net/radixnet/internal/core"
 	"github.com/radix-net/radixnet/internal/dataset"
-	"github.com/radix-net/radixnet/internal/graphio"
 	"github.com/radix-net/radixnet/internal/infer"
 	"github.com/radix-net/radixnet/internal/radix"
 	"github.com/radix-net/radixnet/internal/sparse"
@@ -30,6 +29,16 @@ func testConfig(t testing.TB) core.Config {
 		t.Fatal(err)
 	}
 	return cfg
+}
+
+// doRow runs one row through Do and copies its output into out.
+func doRow(m *Model, row, out []float64) error {
+	resp, err := m.Do(context.Background(), &Request{Rows: [][]float64{row}})
+	if err != nil {
+		return err
+	}
+	copy(out, resp.Outputs[0])
+	return nil
 }
 
 // referenceOutputs runs every row of in through a fresh CSC engine — the
@@ -73,15 +82,8 @@ func TestRegistryRegisterAndList(t *testing.T) {
 	if _, err := reg.Register("", cfg, 1); err == nil {
 		t.Fatal("empty name accepted")
 	}
-	cfgJSON, err := graphio.MarshalConfig(cfg)
-	if err != nil {
+	if _, err := reg.Register("b", cfg, 1); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := reg.RegisterJSON("b", cfgJSON, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.RegisterJSON("c", []byte("{nope"), 1); err == nil {
-		t.Fatal("malformed config JSON accepted")
 	}
 	infos := reg.List()
 	if len(infos) != 2 || infos[0].Name != "a" || infos[1].Name != "b" {
@@ -116,7 +118,7 @@ func TestSingleRowBitIdenticalToDirectEngine(t *testing.T) {
 	want := referenceOutputs(t, cfg, in)
 	out := make([]float64, m.OutputWidth())
 	for r := 0; r < in.Rows(); r++ {
-		if err := m.Infer(context.Background(), in.RowSlice(r), out); err != nil {
+		if err := doRow(m, in.RowSlice(r), out); err != nil {
 			t.Fatal(err)
 		}
 		for c, v := range out {
@@ -152,7 +154,7 @@ func TestConcurrentClientsCoalesceAndMatch(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			out := make([]float64, m.OutputWidth())
-			if err := m.Infer(context.Background(), in.RowSlice(r), out); err != nil {
+			if err := doRow(m, in.RowSlice(r), out); err != nil {
 				t.Errorf("row %d: %v", r, err)
 				return
 			}
@@ -207,7 +209,7 @@ func TestBackpressureDeterministic(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			out := make([]float64, m.OutputWidth())
-			results <- m.Infer(context.Background(), in.RowSlice(i), out)
+			results <- doRow(m, in.RowSlice(i), out)
 		}(i)
 	}
 	// Wait until the queue is saturated: the worker holds at most MaxBatch
@@ -265,23 +267,23 @@ func TestInferBatchWholeRequestSemantics(t *testing.T) {
 	for r := range rows {
 		rows[r] = in.RowSlice(r)
 	}
-	outs, err := m.InferBatch(context.Background(), rows)
+	resp, err := m.Do(context.Background(), &Request{Rows: rows})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := referenceOutputs(t, cfg, in)
-	for r := range outs {
-		for c := range outs[r] {
-			if outs[r][c] != want[r][c] {
+	for r, out := range resp.Outputs {
+		for c := range out {
+			if out[c] != want[r][c] {
 				t.Fatalf("row %d diverged", r)
 			}
 		}
 	}
 	// Width errors fail the whole request.
-	if _, err := m.InferBatch(context.Background(), [][]float64{rows[0], {1, 2}}); err == nil {
+	if _, err := m.Do(context.Background(), &Request{Rows: [][]float64{rows[0], {1, 2}}}); err == nil {
 		t.Fatal("bad row width accepted")
 	}
-	if _, err := m.InferBatch(context.Background(), nil); err == nil {
+	if _, err := m.Do(context.Background(), &Request{}); err == nil {
 		t.Fatal("empty batch accepted")
 	}
 }
@@ -307,7 +309,7 @@ func TestCloseRejectsNewWorkAndDrains(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			out := make([]float64, m.OutputWidth())
-			errs[r] = m.Infer(context.Background(), in.RowSlice(r), out)
+			errs[r] = doRow(m, in.RowSlice(r), out)
 		}(r)
 	}
 	for m.Metrics().Accepted.Load() < int64(in.Rows()) {
@@ -321,7 +323,7 @@ func TestCloseRejectsNewWorkAndDrains(t *testing.T) {
 		}
 	}
 	out := make([]float64, m.OutputWidth())
-	if err := m.Infer(context.Background(), in.RowSlice(0), out); !errors.Is(err, ErrClosed) {
+	if err := doRow(m, in.RowSlice(0), out); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close Infer = %v, want ErrClosed", err)
 	}
 	if _, err := reg.Register("late", cfg, 1); !errors.Is(err, ErrClosed) {
@@ -489,7 +491,7 @@ func TestHTTPModelsHealthzMetrics(t *testing.T) {
 	out := make([]float64, m.OutputWidth())
 	row := make([]float64, m.InputWidth())
 	row[3] = 1
-	if err := m.Infer(context.Background(), row, out); err != nil {
+	if err := doRow(m, row, out); err != nil {
 		t.Fatal(err)
 	}
 
@@ -570,7 +572,7 @@ func TestServerStartShutdown(t *testing.T) {
 	}
 	// Shutdown closed the registry too: submissions now fail.
 	out := make([]float64, m.OutputWidth())
-	if err := m.Infer(context.Background(), make([]float64, m.InputWidth()), out); !errors.Is(err, ErrClosed) {
+	if err := doRow(m, make([]float64, m.InputWidth()), out); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-shutdown Infer = %v, want ErrClosed", err)
 	}
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
@@ -635,7 +637,7 @@ func TestSingleClientFastPathLatency(t *testing.T) {
 	out := make([]float64, m.OutputWidth())
 	start := time.Now()
 	for r := 0; r < in.Rows(); r++ {
-		if err := m.Infer(context.Background(), in.RowSlice(r), out); err != nil {
+		if err := doRow(m, in.RowSlice(r), out); err != nil {
 			t.Fatal(err)
 		}
 		for c, v := range out {
@@ -670,7 +672,7 @@ func TestInferBatchCoalescesDespiteFastPath(t *testing.T) {
 		rows[r] = in.RowSlice(r)
 	}
 	start := time.Now()
-	if _, err := m.InferBatch(context.Background(), rows); err != nil {
+	if _, err := m.Do(context.Background(), &Request{Rows: rows}); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
@@ -713,7 +715,7 @@ func TestManyModelsConcurrently(t *testing.T) {
 			go func(m *Model, r int, want []float64) {
 				defer wg.Done()
 				out := make([]float64, m.OutputWidth())
-				if err := m.Infer(context.Background(), in.RowSlice(r), out); err != nil {
+				if err := doRow(m, in.RowSlice(r), out); err != nil {
 					t.Errorf("%s row %d: %v", m.Name(), r, err)
 					return
 				}

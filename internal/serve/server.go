@@ -146,7 +146,7 @@ type AdminResponse struct {
 // GET /healthz, GET /metrics, plus the model control plane —
 // POST /v1/models (register), PUT /v1/models/{name} (atomic hot-reload),
 // DELETE /v1/models/{name} (unregister). Construct with NewServer, start
-// with Start or ListenAndServe, stop with Shutdown.
+// with Start, stop with Shutdown.
 type Server struct {
 	reg   *Registry
 	http  *http.Server
@@ -268,10 +268,6 @@ func (s *Server) Start() (string, error) {
 	}()
 	return ln.Addr().String(), nil
 }
-
-// ListenAndServe serves on the configured address until Shutdown, returning
-// http.ErrServerClosed on a clean stop.
-func (s *Server) ListenAndServe() error { return s.http.ListenAndServe() }
 
 // Shutdown stops the server gracefully: stop accepting connections, wait
 // (bounded by ctx) for in-flight requests, then close the registry — new

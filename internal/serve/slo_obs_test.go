@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -165,7 +164,7 @@ func TestSLOEndpointViolation(t *testing.T) {
 	row := make([]float64, m.InputWidth())
 	out := make([]float64, m.OutputWidth())
 	for i := 0; i < 4; i++ {
-		if err := m.Infer(context.Background(), row, out); err != nil {
+		if err := doRow(m, row, out); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	radixnet "github.com/radix-net/radixnet"
+	"github.com/radix-net/radixnet/internal/core"
+	"github.com/radix-net/radixnet/internal/graphio"
 )
 
 // TestPublicQuickstart runs the doc-comment quick start through the facade.
@@ -43,11 +45,11 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// JSON round trip of the configuration.
-	data, err := radixnet.MarshalConfig(cfg)
+	data, err := graphio.MarshalConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg2, err := radixnet.UnmarshalConfig(data)
+	cfg2, err := graphio.UnmarshalConfig(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +81,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err := radixnet.WriteTSV(&buf, net); err != nil {
 		t.Fatal(err)
 	}
-	back, err := radixnet.ReadTSV(&buf)
+	back, err := graphio.ReadTSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// Streamed edges must agree with the built edge count.
 	streamed := 0
-	err = radixnet.StreamEdges(cfg, func(layer int, u, v int64) bool {
+	err = core.StreamEdges(cfg, func(layer int, u, v int64) bool {
 		streamed++
 		return true
 	})
@@ -101,43 +103,46 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 }
 
+// TestFacadeSystemHelpers: MustSystem validates its radices and the system
+// it returns spans the product of its digits.
 func TestFacadeSystemHelpers(t *testing.T) {
-	if _, err := radixnet.NewSystem(1); err == nil {
-		t.Fatal("radix 1 accepted")
-	}
-	s, err := radixnet.ParseSystem("(3,3,4)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Product() != 36 {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("radix 1 accepted")
+			}
+		}()
+		radixnet.MustSystem(1)
+	}()
+	if s := radixnet.MustSystem(3, 3, 4); s.Product() != 36 {
 		t.Fatalf("product = %d", s.Product())
-	}
-	u, err := radixnet.UniformSystem(2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Product() != 32 {
-		t.Fatalf("uniform product = %d", u.Product())
-	}
-	f, err := radixnet.FactorizeSystem(30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Product() != 30 {
-		t.Fatalf("factorized product = %d", f.Product())
 	}
 }
 
-func TestFacadeEMRAndMixedRadix(t *testing.T) {
-	s := radixnet.MustSystem(2, 3)
-	mr := radixnet.MixedRadix(s)
-	if mr.NumLayers() != 3 || mr.LayerSize(0) != 6 {
-		t.Fatalf("mixed radix shape: %v", mr.LayerSizes())
-	}
-	emr, err := radixnet.EMR(s, s, s)
+// buildNet builds the extended mixed-radix topology of the systems: the
+// RadiX-Net of NewConfig's all-ones shape.
+func buildNet(t *testing.T, systems ...radixnet.System) *radixnet.Topology {
+	t.Helper()
+	cfg, err := radixnet.NewConfig(systems, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g, err := radixnet.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestFacadeEMRAndMixedRadix builds the mixed-radix topology of one system
+// and the extended mixed-radix topology of three copies.
+func TestFacadeEMRAndMixedRadix(t *testing.T) {
+	s := radixnet.MustSystem(2, 3)
+	mr := buildNet(t, s)
+	if mr.NumLayers() != 3 || mr.LayerSize(0) != 6 {
+		t.Fatalf("mixed radix shape: %v", mr.LayerSizes())
+	}
+	emr := buildNet(t, s, s, s)
 	m, ok := emr.Symmetric()
 	if !ok {
 		t.Fatal("EMR not symmetric")
@@ -148,9 +153,6 @@ func TestFacadeEMRAndMixedRadix(t *testing.T) {
 }
 
 func TestFacadeDensityHelpers(t *testing.T) {
-	if d := radixnet.DensityApproxMu(4, 64); d != 0.0625 {
-		t.Fatalf("eq(5) = %g", d)
-	}
 	if d := radixnet.DensityApproxMuD(4, 3); d != 0.0625 {
 		t.Fatalf("eq(6) = %g", d)
 	}
@@ -160,22 +162,27 @@ func TestFacadeDensityHelpers(t *testing.T) {
 	}
 }
 
+// TestFacadePresets: the preset configurations the cmd/ tools build from
+// are facade Configs, priced by the facade's closed-form density.
 func TestFacadePresets(t *testing.T) {
-	gc, err := radixnet.GraphChallengeConfig(1024, 6)
+	gc, err := core.GraphChallengeConfig(1024, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gc.NPrime() != 1024 {
 		t.Fatalf("N′ = %d", gc.NPrime())
 	}
-	uc, err := radixnet.UniformConfig(4, 2, 3, 1)
+	if d := radixnet.Density(gc); d != 32.0/1024 {
+		t.Fatalf("challenge density = %g, want 32/1024", d)
+	}
+	uc, err := core.UniformConfig(4, 2, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if uc.TotalRadices() != 6 {
 		t.Fatalf("radices = %d", uc.TotalRadices())
 	}
-	bs, err := radixnet.BrainConfig(1e-7, 4)
+	bs, err := core.BrainConfig(1e-7, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,9 +192,9 @@ func TestFacadePresets(t *testing.T) {
 }
 
 func TestFacadeDOTOutput(t *testing.T) {
-	net := radixnet.MixedRadix(radixnet.MustSystem(2, 2))
+	net := buildNet(t, radixnet.MustSystem(2, 2))
 	var buf bytes.Buffer
-	if err := radixnet.WriteDOT(&buf, net, "example"); err != nil {
+	if err := graphio.WriteDOT(&buf, net, "example"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "digraph") {
@@ -200,7 +207,8 @@ func TestFacadeDOTOutput(t *testing.T) {
 // build, and consume the adjacency submatrices.
 func TestDownstreamUsageScenario(t *testing.T) {
 	// Want ~1/8 density at width 64 → µ = 8, d = 2 → systems (8,8).
-	cfg, err := radixnet.UniformConfig(8, 2, 2, 1)
+	sys := radixnet.MustSystem(8, 8)
+	cfg, err := radixnet.NewConfig([]radixnet.System{sys, sys}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
