@@ -452,7 +452,7 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(obs.HeaderTraceID, traceID)
 	fwd := &inferForward{traceID: traceID, t0: time.Now()}
 	defer rt.recordTrace(fwd)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxRequestBody))
+	body, err := serve.ReadBody(nil, http.MaxBytesReader(w, r.Body, serve.MaxRequestBody), r.ContentLength)
 	if err != nil {
 		rt.routeError(w, fwd, http.StatusBadRequest, "reading request body: %v", err)
 		return

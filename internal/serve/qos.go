@@ -153,6 +153,11 @@ type Request struct {
 	// (router or HTTP server, carried as X-Radix-Trace-Id on the wire) or
 	// by Do itself when empty. Response echoes the effective ID.
 	TraceID string
+
+	// x, when set, is the pooled exchange the HTTP handler decoded the rows
+	// into: Do then writes the outputs into its storage instead of
+	// allocating them, and Response.Outputs are views of it.
+	x *exchange
 }
 
 // Response reports a completed Request with its QoS accounting.

@@ -713,7 +713,8 @@ func (m *Model) RetryAfterSeconds(class string) int {
 // every row completes or ctx is done. Rows coalesce with concurrent
 // requests' rows into shared engine batches; the scheduler dispatches
 // across classes by deficit round-robin, so a flood in one class cannot
-// starve another. The request fails as a unit: on the first submission
+// starve another. The request fails as a unit: a row of the wrong width
+// fails it before any row is queued; on the first submission
 // rejection the remaining rows are not submitted, already-submitted rows
 // are awaited, and the first error is returned (ErrQueueFull under
 // backpressure, ErrDeadlineExceeded when rows expired queued, ErrClosed
@@ -742,8 +743,21 @@ func (m *Model) Do(ctx context.Context, req *Request) (*Response, error) {
 		cm.Expired.Add(n)
 		return nil, fmt.Errorf("serve: model %q: %w", m.name, ErrDeadlineExceeded)
 	}
-	outs := make([][]float64, len(req.Rows))
-	pendings := make([]*pending, 0, len(req.Rows))
+	for i, row := range req.Rows {
+		if len(row) != m.inW {
+			return nil, fmt.Errorf("serve: model %q: row %d width %d, want %d", m.name, i, len(row), m.inW)
+		}
+	}
+	// One block holds every output row, in request order.
+	n, w := len(req.Rows), m.outW
+	var out []float64
+	if req.x != nil {
+		out = req.x.output(n, w)
+	} else {
+		out = make([]float64, n*w)
+	}
+	outs := make([][]float64, n)
+	pendings := make([]*pending, 0, n)
 	// Announce multi-row requests up front so collectors holding their
 	// first rows keep waiting for the rest instead of taking the
 	// single-client fast path and splitting the request into tiny batches.
@@ -763,11 +777,7 @@ func (m *Model) Do(ctx context.Context, req *Request) (*Response, error) {
 	defer withdraw()
 	var firstErr error
 	for i, row := range req.Rows {
-		if len(row) != m.inW {
-			firstErr = fmt.Errorf("serve: model %q: row %d width %d, want %d", m.name, i, len(row), m.inW)
-			break
-		}
-		outs[i] = make([]float64, m.outW)
+		outs[i] = out[i*w : (i+1)*w : (i+1)*w]
 		p := &pending{
 			row:      row,
 			out:      outs[i],

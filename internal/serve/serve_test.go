@@ -279,9 +279,13 @@ func TestInferBatchWholeRequestSemantics(t *testing.T) {
 			}
 		}
 	}
-	// Width errors fail the whole request.
+	// Width errors fail the whole request, before any of its rows is queued.
+	accepted := m.Metrics().Snapshot().Accepted
 	if _, err := m.Do(context.Background(), &Request{Rows: [][]float64{rows[0], {1, 2}}}); err == nil {
 		t.Fatal("bad row width accepted")
+	}
+	if got := m.Metrics().Snapshot().Accepted; got != accepted {
+		t.Fatalf("a request with a bad row queued %d of its rows", got-accepted)
 	}
 	if _, err := m.Do(context.Background(), &Request{}); err == nil {
 		t.Fatal("empty batch accepted")

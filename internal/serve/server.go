@@ -356,9 +356,23 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 				"spans", tr.SpanLine())
 		}
 	}
+	// The request's rows and outputs live in a pooled exchange. Rows a
+	// departed client left queued or executing still use it after Do
+	// returns, so an exchange is pooled again only while the request's
+	// context is live — Do returns early on nothing else.
+	x := getExchange()
+	defer func() {
+		if r.Context().Err() == nil {
+			putExchange(x)
+		}
+	}()
 	var req InferRequest
-	body := http.MaxBytesReader(w, r.Body, MaxRequestBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	var err error
+	x.body, err = ReadBody(x.body, http.MaxBytesReader(w, r.Body, MaxRequestBody), r.ContentLength)
+	if err == nil {
+		err = x.decodeInfer(&req)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		finish(http.StatusBadRequest, "", "", 0, err.Error(), nil)
 		return
@@ -381,7 +395,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if h := r.Header.Get(HeaderClass); h != "" {
 		class = h
 	}
-	class, err := m.ResolveClass(class)
+	class, err = m.ResolveClass(class)
 	if err != nil {
 		// Unknown class is a deterministic client error: refuse before any
 		// row is queued, like an unparseable config on the admin plane.
@@ -399,7 +413,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	// Everything from arrival to submission — decode, model/class resolve,
 	// deadline math — is the admission span; the scheduler spans chain on.
 	admission := obs.MkSpan("admission", 0, time.Since(t0))
-	qreq := &Request{Rows: req.Inputs, Class: class, Deadline: DeadlineFromMs(deadlineMs), TraceID: traceID}
+	qreq := &Request{Rows: req.Inputs, Class: class, Deadline: DeadlineFromMs(deadlineMs), TraceID: traceID, x: x}
 	qresp, err := m.Do(r.Context(), qreq)
 	if err != nil {
 		switch {
