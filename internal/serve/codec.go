@@ -1,32 +1,29 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"slices"
-	"strconv"
 	"sync"
-	"unicode/utf8"
 )
 
 // exchange is the storage one POST /v1/infer request lives in: the body as
-// read, its input rows back to back, and the output rows the batcher writes
-// in place. Exchanges are pooled, so a steady stream of requests decodes and
-// answers in memory the previous requests already grew, instead of growing a
-// slice per row per request.
+// read, the request decoded from it, and the output rows the batcher writes
+// in place. Exchanges are pooled, so a steady stream of requests reads and
+// answers in memory the previous requests already grew: json.Unmarshal
+// decodes into req.Inputs and each of its rows within their capacity,
+// instead of growing a slice per row per request.
 type exchange struct {
 	body []byte
-	in   []float64   // every input row, back to back
-	ends []int       // ends[i] is where row i stops in in
-	rows [][]float64 // views of in, one per row
-	out  []float64   // every output row, back to back
+	req  InferRequest
+	out  []float64 // every output row, back to back
 }
 
-// maxPooledFloats bounds the rows an exchange keeps for the next request
-// (in and out each; the body gets eight bytes per float): one outsized
-// request must not pin its buffers for the life of the process. 128 Ki
-// floats is a full default batch of 32 rows at 4096 wide.
+// maxPooledFloats bounds the storage an exchange brings back to the pool
+// (input rows and outputs each; the body gets eight bytes per float, the
+// row headers one per eight floats), so that one outsized request does not
+// leave its buffers in the pool until the next collections empty it.
+// 128 Ki floats is a full default batch of 32 rows at 4096 wide.
 const maxPooledFloats = 128 << 10
 
 var exchanges = sync.Pool{New: func() any { return new(exchange) }}
@@ -37,15 +34,26 @@ func getExchange() *exchange { return exchanges.Get().(*exchange) }
 // The caller must be sure nothing reads or writes x any more — in
 // particular that no row of it is still queued or executing.
 func putExchange(x *exchange) {
-	if cap(x.in) > maxPooledFloats || cap(x.out) > maxPooledFloats || cap(x.body) > 8*maxPooledFloats {
+	rows := x.req.Inputs[:cap(x.req.Inputs)]
+	if len(rows) > maxPooledFloats/8 || cap(x.out) > maxPooledFloats || cap(x.body) > 8*maxPooledFloats {
+		return
+	}
+	in := 0
+	for _, row := range rows {
+		in += cap(row)
+	}
+	if in > maxPooledFloats {
 		return
 	}
 	exchanges.Put(x)
 }
 
 // maxBodyHint caps how far a request's Content-Length is trusted to size a
-// read up front: a header can claim 64 MiB and send ten bytes.
-const maxBodyHint = 1 << 20
+// read up front. A header can claim 64 MiB and send ten bytes, or nothing
+// at all for as long as the connection lives; past the hint, storage grows
+// only as bytes arrive. 64 KiB holds a Graph Challenge 8-row request
+// (≈ 30 KB) in one allocation.
+const maxBodyHint = 64 << 10
 
 // ReadBody reads r to EOF into dst's storage (growing it as needed) and
 // returns the bytes read. size is the body's announced length, or -1 when
@@ -56,7 +64,7 @@ func ReadBody(dst []byte, r io.Reader, size int64) ([]byte, error) {
 	b := dst[:0]
 	if size > 0 {
 		// One byte more than announced: the read that meets EOF needs room.
-		b = slices.Grow(b, int(min(size, maxBodyHint))+1)
+		b = slices.Grow(b, int(min(size, maxBodyHint-1))+1)
 	}
 	for {
 		if len(b) == cap(b) {
@@ -73,17 +81,11 @@ func ReadBody(dst []byte, r io.Reader, size int64) ([]byte, error) {
 	}
 }
 
-// decodeInfer decodes x.body into req, its rows into x.in. The body is read
-// in one pass by parseInfer when it has the form every client sends; any
-// other form goes through encoding/json, which stays the reference for what
-// a body means and what its errors say. As with a json.Decoder on the
-// stream, whatever follows the first JSON value is ignored.
-func (x *exchange) decodeInfer(req *InferRequest) error {
-	if x.parseInfer(req) {
-		return nil
-	}
-	*req = InferRequest{}
-	return json.NewDecoder(bytes.NewReader(x.body)).Decode(req)
+// decode decodes x.body into x.req. A field the body leaves out is zero, as
+// in a fresh request; Inputs keeps its storage for the rows to decode into.
+func (x *exchange) decode() error {
+	x.req = InferRequest{Inputs: x.req.Inputs[:0]}
+	return json.Unmarshal(x.body, &x.req)
 }
 
 // output returns room for n rows of w outputs each.
@@ -93,259 +95,4 @@ func (x *exchange) output(n, w int) []float64 {
 	}
 	x.out = x.out[:n*w]
 	return x.out
-}
-
-// inferKeys are the InferRequest keys the fast path knows, spelled as the
-// struct tags spell them; bit i of parseInfer's seen set is inferKeys[i].
-var inferKeys = [...]string{"model", "inputs", "class", "deadline_ms", "categories"}
-
-// parseInfer is the fast path of decodeInfer. It accepts an object whose
-// keys are inferKeys spelled exactly, each at most once, with a plain string
-// (no escapes) for "model" and "class", an array of arrays of numbers for
-// "inputs", a number for "deadline_ms" and true or false for "categories".
-// For every body it accepts, req ends up exactly as encoding/json would
-// leave it, bit for bit (FuzzDecodeInfer holds it to that). Anything else —
-// escapes, other spellings or unknown keys, null, a duplicate, a number
-// float64 cannot hold, malformed JSON — returns false, and req is then
-// garbage.
-func (x *exchange) parseInfer(req *InferRequest) bool {
-	*req = InferRequest{}
-	s := scanner{b: x.body}
-	s.ws()
-	if !s.take('{') {
-		return false
-	}
-	s.ws()
-	if s.take('}') {
-		return true
-	}
-	var seen uint
-	for {
-		key, ok := s.token()
-		if !ok {
-			return false
-		}
-		k := 0
-		for k < len(inferKeys) && string(key) != inferKeys[k] {
-			k++
-		}
-		if k == len(inferKeys) || seen&(1<<k) != 0 {
-			return false
-		}
-		seen |= 1 << k
-		s.ws()
-		if !s.take(':') {
-			return false
-		}
-		s.ws()
-		switch inferKeys[k] {
-		case "model":
-			if req.Model, ok = s.str(); !ok {
-				return false
-			}
-		case "class":
-			if req.Class, ok = s.str(); !ok {
-				return false
-			}
-		case "inputs":
-			if !x.parseRows(&s) {
-				return false
-			}
-			req.Inputs = x.rows
-		case "deadline_ms":
-			if req.DeadlineMs, ok = s.num(); !ok {
-				return false
-			}
-		case "categories":
-			switch {
-			case s.word("true"):
-				req.Categories = true
-			case !s.word("false"):
-				return false
-			}
-		}
-		s.ws()
-		if s.take('}') {
-			return true
-		}
-		if !s.take(',') {
-			return false
-		}
-		s.ws()
-	}
-}
-
-// parseRows reads an array of arrays of numbers into x.in and x.rows. Its
-// appends grow the exchange's storage only until it has held a request this
-// big, hence the allowance.
-//
-//radix:hotpath allow=alloc
-func (x *exchange) parseRows(s *scanner) bool {
-	if !s.take('[') {
-		return false
-	}
-	x.in, x.ends = x.in[:0], x.ends[:0]
-	s.ws()
-	for !s.take(']') {
-		if len(x.ends) > 0 && !s.take(',') {
-			return false
-		}
-		s.ws()
-		if !s.take('[') {
-			return false
-		}
-		s.ws()
-		start := len(x.in)
-		for !s.take(']') {
-			if len(x.in) > start {
-				if !s.take(',') {
-					return false
-				}
-				s.ws()
-			}
-			v, ok := s.num()
-			if !ok {
-				return false
-			}
-			x.in = append(x.in, v)
-			s.ws()
-		}
-		x.ends = append(x.ends, len(x.in))
-		s.ws()
-	}
-	// Views are cut once every row is in: an append that grew x.in would
-	// have left earlier views on the old array.
-	x.rows = x.rows[:0]
-	start := 0
-	for _, end := range x.ends {
-		x.rows = append(x.rows, x.in[start:end:end])
-		start = end
-	}
-	return true
-}
-
-// scanner reads JSON tokens off b from i on. A method that reports
-// success consumes its token only when it succeeds.
-type scanner struct {
-	b []byte
-	i int
-}
-
-// ws skips JSON whitespace.
-//
-//radix:hotpath
-func (s *scanner) ws() {
-	for s.i < len(s.b) {
-		switch s.b[s.i] {
-		case ' ', '\t', '\n', '\r':
-			s.i++
-		default:
-			return
-		}
-	}
-}
-
-//radix:hotpath
-func (s *scanner) take(c byte) bool {
-	if s.i < len(s.b) && s.b[s.i] == c {
-		s.i++
-		return true
-	}
-	return false
-}
-
-func (s *scanner) word(w string) bool {
-	if len(s.b)-s.i >= len(w) && string(s.b[s.i:s.i+len(w)]) == w {
-		s.i += len(w)
-		return true
-	}
-	return false
-}
-
-// str reads a string with no escapes.
-func (s *scanner) str() (string, bool) {
-	v, ok := s.token()
-	return string(v), ok
-}
-
-// token reads a string with no escapes and returns its contents, which are
-// then the string's value: valid UTF-8 without control characters is taken
-// as it stands by encoding/json too.
-func (s *scanner) token() ([]byte, bool) {
-	if !s.take('"') {
-		return nil, false
-	}
-	start, ascii := s.i, true
-	for ; s.i < len(s.b); s.i++ {
-		switch c := s.b[s.i]; {
-		case c == '"':
-			v := s.b[start:s.i]
-			if !ascii && !utf8.Valid(v) {
-				return nil, false
-			}
-			s.i++
-			return v, true
-		case c == '\\' || c < ' ':
-			return nil, false
-		case c >= utf8.RuneSelf:
-			ascii = false
-		}
-	}
-	return nil, false
-}
-
-// num reads a number in JSON's grammar and parses it as encoding/json does,
-// with strconv.ParseFloat; a value out of float64's range is refused.
-//
-//radix:hotpath
-func (s *scanner) num() (float64, bool) {
-	b, i := s.b, s.i
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i+1)
-	default:
-		return 0, false
-	}
-	if i < len(b) && b[i] == '.' {
-		if i = digits(b, i+1); b[i-1] == '.' {
-			return 0, false
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		d := i
-		if i = digits(b, i); i == d {
-			return 0, false
-		}
-	}
-	tok := b[s.i:i]
-	if len(tok) == 1 && tok[0] == '0' {
-		// Nine in ten inputs of a sparse row: skip the parser.
-		s.i = i
-		return 0, true
-	}
-	v, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
-		return 0, false
-	}
-	s.i = i
-	return v, true
-}
-
-// digits returns the index of the first non-digit of b at or after i.
-//
-//radix:hotpath
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
 }

@@ -79,10 +79,10 @@
 // request/batch/latency counters plus per-class queue-wait series in
 // Prometheus text format. The Server wraps net/http with graceful
 // shutdown: stop accepting, drain in-flight handlers, then drain the
-// batchers. An infer request is decoded into a pooled exchange — its input
-// rows in one flat slice, read in one pass when the body has the form
-// clients send and by encoding/json otherwise — and the batcher writes the
-// outputs into the exchange's flat output block in place.
+// batchers. An infer request is decoded by json.Unmarshal into a pooled
+// exchange, whose rows keep their storage from one request to the next, and
+// the batcher writes the outputs into the exchange's flat output block in
+// place.
 //
 // Observability — the request path is instrumented with internal/obs
 // primitives chosen so measurement never contends with serving: latency

@@ -154,10 +154,10 @@ type Request struct {
 	// by Do itself when empty. Response echoes the effective ID.
 	TraceID string
 
-	// x, when set, is the pooled exchange the HTTP handler decoded the rows
-	// into: Do then writes the outputs into its storage instead of
-	// allocating them, and Response.Outputs are views of it.
-	x *exchange
+	// out, when it holds len(Rows)×OutputWidth() floats, is where Do writes
+	// the outputs instead of allocating them, and Response.Outputs are views
+	// of it: the HTTP handler passes its pooled exchange's block.
+	out []float64
 }
 
 // Response reports a completed Request with its QoS accounting.

@@ -750,10 +750,8 @@ func (m *Model) Do(ctx context.Context, req *Request) (*Response, error) {
 	}
 	// One block holds every output row, in request order.
 	n, w := len(req.Rows), m.outW
-	var out []float64
-	if req.x != nil {
-		out = req.x.output(n, w)
-	} else {
+	out := req.out
+	if len(out) != n*w {
 		out = make([]float64, n*w)
 	}
 	outs := make([][]float64, n)

@@ -366,12 +366,12 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			putExchange(x)
 		}
 	}()
-	var req InferRequest
 	var err error
 	x.body, err = ReadBody(x.body, http.MaxBytesReader(w, r.Body, MaxRequestBody), r.ContentLength)
 	if err == nil {
-		err = x.decodeInfer(&req)
+		err = x.decode()
 	}
+	req := &x.req
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		finish(http.StatusBadRequest, "", "", 0, err.Error(), nil)
@@ -413,7 +413,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	// Everything from arrival to submission — decode, model/class resolve,
 	// deadline math — is the admission span; the scheduler spans chain on.
 	admission := obs.MkSpan("admission", 0, time.Since(t0))
-	qreq := &Request{Rows: req.Inputs, Class: class, Deadline: DeadlineFromMs(deadlineMs), TraceID: traceID, x: x}
+	qreq := &Request{Rows: req.Inputs, Class: class, Deadline: DeadlineFromMs(deadlineMs), TraceID: traceID,
+		out: x.output(len(req.Inputs), m.OutputWidth())}
 	qresp, err := m.Do(r.Context(), qreq)
 	if err != nil {
 		switch {
