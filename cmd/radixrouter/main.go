@@ -93,19 +93,6 @@ import (
 	"github.com/radix-net/radixnet/internal/obs/slo"
 )
 
-// sloFlags accumulates repeated -slo MODEL:CLASS:LATENCY:TARGET_PCT flags.
-type sloFlags []string
-
-func (f *sloFlags) String() string { return strings.Join(*f, ",") }
-
-func (f *sloFlags) Set(v string) error {
-	if _, err := slo.ParseObjective(v); err != nil {
-		return err
-	}
-	*f = append(*f, v)
-	return nil
-}
-
 // backendFlags accumulates repeated -backend flags.
 type backendFlags []string
 
@@ -153,10 +140,10 @@ func main() {
 		nBackends     = flag.Int("backends", 3, "selftest: in-process radixserve backends to spin up")
 		shutdownTO    = flag.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown budget after SIGINT/SIGTERM")
 		backends      backendFlags
-		sloSpecs      sloFlags
+		objectives    slo.Flag
 	)
 	flag.Var(&backends, "backend", "radixserve backend, host:port or http://host:port (repeatable)")
-	flag.Var(&sloSpecs, "slo", "SLO objective MODEL:CLASS:LATENCY:TARGET_PCT (repeatable), evaluated against the FLEET-merged histograms; enables GET /v1/slo and radixrouter_slo_* metrics")
+	flag.Var(&objectives, "slo", "SLO objective MODEL:CLASS:LATENCY:TARGET_PCT (repeatable), evaluated against the FLEET-merged histograms; enables GET /v1/slo and radixrouter_slo_* metrics")
 	flag.Parse()
 
 	if *selftest {
@@ -179,10 +166,6 @@ func main() {
 		if name = strings.TrimSpace(name); name != "" {
 			metricsClasses = append(metricsClasses, name)
 		}
-	}
-	objectives, err := slo.ParseObjectives(sloSpecs)
-	if err != nil {
-		log.Fatal(err)
 	}
 	zones := map[string]string{}
 	for _, pair := range strings.Split(*zoneSeeds, ",") {

@@ -80,19 +80,6 @@ import (
 	"github.com/radix-net/radixnet/internal/serve"
 )
 
-// sloFlags accumulates repeated -slo MODEL:CLASS:LATENCY:TARGET_PCT flags.
-type sloFlags []string
-
-func (f *sloFlags) String() string { return strings.Join(*f, ",") }
-
-func (f *sloFlags) Set(v string) error {
-	if _, err := slo.ParseObjective(v); err != nil {
-		return err
-	}
-	*f = append(*f, v)
-	return nil
-}
-
 // modelSpec is one parsed -model flag.
 type modelSpec struct {
 	name string
@@ -166,10 +153,10 @@ func main() {
 		selftest     = flag.Bool("selftest", false, "run the end-to-end load-generator selftest and exit")
 		shutdownTO   = flag.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown budget after SIGINT/SIGTERM")
 		models       modelFlags
-		sloSpecs     sloFlags
+		objectives   slo.Flag
 	)
 	flag.Var(&models, "model", "model to serve, NAME=SPEC (repeatable); SPEC is a radix systems spec like 8,8,8 or gc:WIDTHxLAYERS")
-	flag.Var(&sloSpecs, "slo", "SLO objective MODEL:CLASS:LATENCY:TARGET_PCT (repeatable), e.g. '*:interactive:250ms:99' or 'e10::error:99.9'; enables GET /v1/slo and radixserve_slo_* metrics")
+	flag.Var(&objectives, "slo", "SLO objective MODEL:CLASS:LATENCY:TARGET_PCT (repeatable), e.g. '*:interactive:250ms:99' or 'e10::error:99.9'; enables GET /v1/slo and radixserve_slo_* metrics")
 	flag.Parse()
 
 	pol := serve.Policy{MaxBatch: *maxBatch, MaxLatency: *maxLatency, QueueDepth: *queue}
@@ -218,10 +205,6 @@ func main() {
 			info.Engines, time.Since(start).Round(time.Millisecond))
 	}
 
-	objectives, err := slo.ParseObjectives(sloSpecs)
-	if err != nil {
-		log.Fatal(err)
-	}
 	srv := serve.NewServerOpts(reg, *addr, serve.ServerOptions{
 		Pprof:       *pprof,
 		SlowRequest: *slowReq,

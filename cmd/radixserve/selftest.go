@@ -169,7 +169,7 @@ func runBackpressurePhase(ctx context.Context, t selftest.Target, reg *serve.Reg
 	// flood − MaxBatch − QueueDepth rejections must accumulate.
 	minRejected := int64(flood - tinyPol.MaxBatch - tinyPol.QueueDepth)
 	deadline := time.Now().Add(15 * time.Second)
-	for tiny.Metrics().Rejected.Load() < minRejected && time.Now().Before(deadline) {
+	for tiny.Metrics().Snapshot().Rejected < minRejected && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	tiny.Release(eng)
@@ -209,7 +209,7 @@ func runQoSPhase(ctx context.Context, t selftest.Target, reg *serve.Registry, m 
 	if err != nil || status != http.StatusGatewayTimeout {
 		return fmt.Errorf("qos: expired deadline: status %d err %v, want 504", status, err)
 	}
-	if m.Metrics().Expired.Load() == 0 {
+	if m.Metrics().Snapshot().Expired == 0 {
 		return fmt.Errorf("qos: expired-row counter still zero after a shed")
 	}
 	log.Printf("qos: expired deadline shed with 504")
@@ -263,7 +263,7 @@ func runProfilePhase(ctx context.Context, t selftest.Target, reg *serve.Registry
 			return fmt.Errorf("profile: layer %d accounting broken (edges = rows × nnz, rows <= batches × %d): %+v", l.Layer, profPol.MaxBatch, l)
 		}
 	}
-	if execNs := pm.Metrics().ExecNs.Load(); snap.TotalNs > execNs {
+	if execNs := pm.Metrics().ExecHist.Snapshot().Sum; snap.TotalNs > execNs {
 		return fmt.Errorf("profile: layers sum to %dns of kernel time, more than the model's %dns of execute time", snap.TotalNs, execNs)
 	}
 	log.Printf("profile: %d batches × %d layers profiled; edges = rows × nnz per layer, kernel time inside execute time",

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"slices"
+	"time"
 
 	"github.com/radix-net/radixnet/internal/serve"
 )
@@ -107,12 +108,17 @@ type AdminFanoutResponse struct {
 	Unreachable []string      `json:"unreachable,omitempty"`
 }
 
+// adminTimeout bounds each per-backend request of a control-plane fan-out
+// (register/reload/unregister). These run longer than probes —
+// registration builds engines and unregister blocks on the model's drain —
+// but stay finite so one wedged backend cannot stall an admin verb forever.
+const adminTimeout = 60 * time.Second
+
 // fanOut performs one admin verb against every target backend
-// concurrently, each bounded by AdminTimeout (a wedged backend must not
-// stall the verb forever), and collects per-backend outcomes in target
-// order.
+// concurrently, each bounded by adminTimeout, and collects per-backend
+// outcomes in target order.
 func (rt *Router) fanOut(ctx context.Context, targets []*Backend, verb func(context.Context, serve.Client) (int, error)) []AdminResult {
-	return perBackend(ctx, rt.adminTimeout, targets, func(ctx context.Context, b *Backend) AdminResult {
+	return perBackend(ctx, adminTimeout, targets, func(ctx context.Context, b *Backend) AdminResult {
 		status, err := verb(ctx, b.client)
 		res := AdminResult{Backend: b.id, Status: status}
 		var refused *serve.StatusError

@@ -118,7 +118,7 @@ func (a *autoscaler) cycle() {
 	backends, scrapes := a.rt.scrapeBackends(ctx)
 	violated := map[string]bool{}
 	if a.rt.slo != nil {
-		a.rt.sloRecord(scrapes, now)
+		a.rt.sloRecord(collectFleetSLOSamples(scrapes), now)
 		for _, st := range a.rt.slo.Evaluate(now) {
 			if st.State == slo.StateViolated {
 				violated[st.Model] = true
@@ -165,7 +165,7 @@ func (a *autoscaler) cycle() {
 			// budget: a scale-out builds engines on the new owners, which
 			// on a loaded machine takes far longer than one evaluation
 			// interval. The loop simply skips the ticks that elapse.
-			actCtx, actCancel := context.WithTimeout(context.Background(), a.rt.adminTimeout)
+			actCtx, actCancel := context.WithTimeout(context.Background(), adminTimeout)
 			_, err := a.rt.ScaleTo(actCtx, d.Model, d.To)
 			actCancel()
 			if err != nil {

@@ -11,6 +11,9 @@ var (
 		"Fleet-merged end-to-end request latency by model (bucket-wise sum across backends).", "model")
 	MetricModelQueueWait = obs.NewSeconds("radixrouter_model_queue_wait_seconds",
 		"Fleet-merged class-queue wait by model and class (bucket-wise sum across backends).", "class", "model")
+
+	metricModelClassRequestLatency = obs.NewSeconds("radixrouter_model_class_request_latency_seconds",
+		"Fleet-merged end-to-end request latency by model and class (bucket-wise sum across backends).", "class", "model")
 )
 
 // fleetHistograms maps each serve-tier histogram family to the
@@ -24,16 +27,23 @@ var fleetHistograms = []struct{ src, dst *obs.Family }{
 	{serve.MetricQueueWait, MetricModelQueueWait},
 	{serve.MetricExecute, obs.NewSeconds("radixrouter_model_execute_seconds",
 		"Fleet-merged engine execute time by model (bucket-wise sum across backends).", "model")},
-	{serve.MetricClassRequestLatency, obs.NewSeconds("radixrouter_model_class_request_latency_seconds",
-		"Fleet-merged end-to-end request latency by model and class (bucket-wise sum across backends).", "class", "model")},
+	{serve.MetricClassRequestLatency, metricModelClassRequestLatency},
 }
+
+// fleetMerge is one scrape round's fleet-merged histogram series, keyed
+// by the serve family merged, each merged once by its fleet family's
+// labels (fleetHistograms).
+type fleetMerge map[*obs.Family][]obs.HistSeries
 
 // writeFleetHistograms re-emits the serve tier's histogram families from
 // the backend scrapes as radixrouter_model_* families, summed bucket-wise
-// per label set (model, or model×class for queue wait).
-func writeFleetHistograms(w *obs.Writer, scrapes []*obs.Scrape) {
+// per label set (model, or model×class for queue wait), and returns the
+// merges for the SLO samples of the same scrapes to read.
+func writeFleetHistograms(w *obs.Writer, scrapes []*obs.Scrape) fleetMerge {
+	merged := make(fleetMerge, len(fleetHistograms))
 	for _, fh := range fleetHistograms {
 		series := obs.MergeHist(fh.src, fh.dst.Labels(), nil, scrapes...)
+		merged[fh.src] = series
 		if len(series) == 0 {
 			continue
 		}
@@ -42,4 +52,5 @@ func writeFleetHistograms(w *obs.Writer, scrapes []*obs.Scrape) {
 			w.Scraped(hs.Hist, hs.Values...)
 		}
 	}
+	return merged
 }

@@ -50,12 +50,6 @@ type RouterConfig struct {
 	// client-chosen strings — so a fleet serving custom classes lists them
 	// here to get real labels without touching retry policy.
 	MetricsClasses []string
-	// AdminTimeout bounds each per-backend request of a control-plane
-	// fan-out (register/reload/unregister). These run longer than probes —
-	// registration builds engines and unregister blocks on the model's
-	// drain — but must stay finite so one wedged backend cannot stall an
-	// admin verb forever. Default 60s.
-	AdminTimeout time.Duration
 	// Pprof mounts net/http/pprof under /debug/pprof/ on the router mux.
 	// Opt-in: profiling endpoints stay off production routers by default.
 	Pprof bool
@@ -77,17 +71,13 @@ type RouterConfig struct {
 	// load (fleet-merged queue-wait p90, 429 rate, throughput) and SLO burn
 	// state drive replica scale-up/down through the register/unregister
 	// fan-out, bounded by the policy's hysteresis/cooldown/step/min/max.
-	// See internal/autoscale for the policy contract. Enabling autoscale
-	// also enables SpreadReplicas — scaling out a hot model only flattens
-	// its tail if the replicas actually share the load.
+	// See internal/autoscale for the policy contract. Autoscaling also
+	// spreads load over a model's replicas: each request's healthy-owner
+	// walk starts at a rotating offset (the failover budget is unchanged),
+	// because scaling out a hot model only flattens its tail if the
+	// replicas share the load. Without it the first healthy owner serves
+	// everything and its successors are failover spares.
 	Autoscale *autoscale.Policy
-	// SpreadReplicas rotates each request's healthy-owner walk so a
-	// model's replicas share its load round-robin instead of the default
-	// primary-owner routing (first healthy owner serves everything,
-	// successors are failover spares). The failover budget is unchanged:
-	// a request still walks every owner, just starting from a rotating
-	// offset. Implied by Autoscale.
-	SpreadReplicas bool
 	// Set tunes health probing (interval, timeout, ejection threshold,
 	// ring vnodes).
 	Set SetConfig
@@ -106,7 +96,6 @@ type Router struct {
 	set          *BackendSet
 	replicas     int
 	maxBackoff   time.Duration
-	adminTimeout time.Duration
 	classRetries map[string]int
 	knownClasses map[string]bool
 	http         *http.Server
@@ -127,12 +116,11 @@ type Router struct {
 	regBodies   map[string][]byte
 	shedClass   map[string]string
 
-	scaler *autoscaler // nil = autoscaling disabled
+	scaler *autoscaler // nil = autoscaling disabled, and no load spreading
 
-	// spread rotates the owner walk per request (see
-	// RouterConfig.SpreadReplicas); rr is the rotation cursor.
-	spread bool
-	rr     atomic.Uint64
+	// rr is the rotation cursor of the owner walk under autoscaling (see
+	// RouterConfig.Autoscale).
+	rr atomic.Uint64
 }
 
 // DefaultClassRetries is the per-class backend-attempt budget used when
@@ -161,10 +149,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if maxBackoff <= 0 {
 		maxBackoff = time.Second
 	}
-	adminTimeout := cfg.AdminTimeout
-	if adminTimeout <= 0 {
-		adminTimeout = 60 * time.Second
-	}
 	classRetries := cfg.ClassRetries
 	if classRetries == nil {
 		classRetries = DefaultClassRetries()
@@ -191,7 +175,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		set:          set,
 		replicas:     replicas,
 		maxBackoff:   maxBackoff,
-		adminTimeout: adminTimeout,
 		classRetries: classRetries,
 		knownClasses: knownClasses,
 		start:        time.Now(),
@@ -210,7 +193,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		}
 		rt.scaler = scaler
 	}
-	rt.spread = cfg.SpreadReplicas || cfg.Autoscale != nil
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/infer", rt.handleInfer)
 	mux.HandleFunc("GET /v1/models", rt.handleModels)
@@ -489,7 +471,7 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 		rt.routeError(w, fwd, http.StatusServiceUnavailable, "no healthy backend for model %q", peek.Model)
 		return
 	}
-	if rt.spread && len(owners) > 1 {
+	if rt.scaler != nil && len(owners) > 1 {
 		// Replica load-spreading: start the owner walk at a rotating
 		// offset so replicas share the model's load; the full walk is
 		// preserved, so the failover budget is unchanged.

@@ -1,6 +1,7 @@
 // Package obs is the shared observability layer for the radixnet serving
-// stack: lock-free log-bucketed latency histograms with mergeable
-// snapshots and quantile extraction, windowed maxima, per-request traces
+// stack: lock-free log-bucketed latency histograms whose snapshots read
+// back in exposition form (ScrapedHist: merged, windowed and the one
+// quantile estimate), windowed maxima, per-request traces
 // with named span timings retained in a bounded lock-free ring, and the
 // /metrics exposition itself: every metric family of both tiers is
 // declared once (Family), one Writer renders the text, and one parser
@@ -165,51 +166,12 @@ type HistSnapshot struct {
 	Exemplars []Exemplar
 }
 
-// monus is a - b clamped at zero, for counters read at two moments.
-func monus(a, b uint64) uint64 {
-	if a < b {
-		return 0
-	}
-	return a - b
-}
-
-// Quantile reports an estimate of the q-quantile (0 < q <= 1) in the
-// observed unit, linearly interpolating within the containing bucket's
-// [2^(i-1), 2^i] bounds. Returns 0 for an empty snapshot. The estimate
-// for quantiles inside bucket i is never off by more than the bucket
-// width, i.e. at most 2x — the standard log-bucket error bound.
-func (s HistSnapshot) Quantile(q float64) int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	q = min(max(q, 0), 1)
-	rank := max(q*float64(s.Count), 1)
-	var cum float64
-	for i := 0; i < NumBuckets; i++ {
-		n := float64(s.Buckets[i])
-		if n == 0 {
-			continue
-		}
-		if cum+n >= rank {
-			lo := int64(0)
-			if i > 0 {
-				lo = BucketBound(i - 1)
-			}
-			hi := BucketBound(i)
-			frac := (rank - cum) / n
-			return lo + int64(frac*float64(hi-lo))
-		}
-		cum += n
-	}
-	return BucketBound(NumBuckets - 1)
-}
-
 // WindowedMax tracks a running maximum over scrape windows: Observe
 // folds values in, Rotate (called on scrape) reports the max over the
 // last two windows and starts a new one. Keeping one previous window
 // means a scrape arriving just after rotation still sees the recent
-// peak, while a long-lived fleet stops reporting a years-old worst case
-// — the fix for the all-time-max staleness bite in MetricsSnapshot.
+// peak, while a long-lived fleet stops reporting a years-old worst case,
+// as an all-time maximum beside it does.
 type WindowedMax struct {
 	cur  atomic.Int64
 	prev atomic.Int64

@@ -44,8 +44,10 @@ func TestBucketOf(t *testing.T) {
 
 func TestHistogramQuantileKnownDistribution(t *testing.T) {
 	// 1000 observations uniformly spread over (0, 100ms]: quantiles are
-	// known analytically, and the log-bucket estimate must land within
-	// the containing power-of-two bucket (factor-2 error bound).
+	// known analytically, and the log-bucket estimate read off the
+	// exposition ladder must land within the containing power-of-two
+	// bucket (factor-2 error bound).
+	f := testSeconds("t_seconds")
 	var h Histogram
 	for i := 1; i <= 1000; i++ {
 		h.Observe(int64(i) * int64(100*time.Millisecond) / 1000)
@@ -60,7 +62,7 @@ func TestHistogramQuantileKnownDistribution(t *testing.T) {
 	}{
 		{0.50, 50e6}, {0.90, 90e6}, {0.99, 99e6},
 	} {
-		got := float64(s.Quantile(c.q))
+		got := f.Scraped(s).Quantile(c.q) * 1e9
 		if got < c.true/2 || got > c.true*2 {
 			t.Errorf("q%.2f = %.3gns, want within 2x of %.3g", c.q, got, c.true)
 		}
@@ -72,8 +74,8 @@ func TestHistogramQuantileKnownDistribution(t *testing.T) {
 	}
 	// 3ms lands in bucket 22 (2097152, 4194304]ns; the estimate must stay
 	// within those bucket bounds.
-	got := pm.Snapshot().Quantile(0.99)
-	if got < BucketBound(21) || got > BucketBound(22) {
+	got := f.Scraped(pm.Snapshot()).Quantile(0.99) * 1e9
+	if got < float64(BucketBound(21)) || got > float64(BucketBound(22)) {
 		t.Errorf("point-mass p99 = %v, want within bucket 22 bounds", time.Duration(got))
 	}
 }
@@ -124,7 +126,8 @@ func TestHistogramExpositionExactBuckets(t *testing.T) {
 
 func TestScrapeRoundTrip(t *testing.T) {
 	// A histogram written by the Writer and re-read through ParseScrape
-	// must preserve count, sum, and quantile estimates.
+	// must preserve count, sum and every bucket: it is Family.Scraped of
+	// the snapshot.
 	var h Histogram
 	for i := 1; i <= 500; i++ {
 		h.Observe(int64(i) * int64(time.Millisecond) / 10) // 0.1ms..50ms
@@ -145,13 +148,6 @@ func TestScrapeRoundTrip(t *testing.T) {
 	}
 	if want := f.Scraped(snap); !reflect.DeepEqual(hist.Les, want.Les) || !reflect.DeepEqual(hist.Cum, want.Cum) || hist.Sum != want.Sum {
 		t.Fatalf("scrape of the exposition differs from Family.Scraped of the snapshot:\n got %+v\nwant %+v", hist, want)
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		native := float64(snap.Quantile(q)) / 1e9
-		scraped := hist.Quantile(q)
-		if scraped < native/2 || scraped > native*2 {
-			t.Errorf("q%.2f scraped=%g native=%g", q, scraped, native)
-		}
 	}
 	// Aggregation across label-distinct series: same family, two models,
 	// merged whole and merged per model.
@@ -218,11 +214,12 @@ func TestHistogramConcurrent(t *testing.T) {
 		}(g)
 	}
 	// Concurrent snapshots while observers run.
+	f := testSeconds("t_seconds")
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 200; i++ {
-			_ = h.Snapshot().Quantile(0.99)
+			_ = f.Scraped(h.Snapshot()).Quantile(0.99)
 		}
 	}()
 	wg.Wait()

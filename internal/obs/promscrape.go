@@ -398,6 +398,14 @@ func (h ScrapedHist) CountBelow(bound float64) float64 {
 	return float64(h.Cum[len(h.Cum)-1])
 }
 
+// monus is a - b clamped at zero, for counters read at two moments.
+func monus(a, b uint64) uint64 {
+	if a < b {
+		return 0
+	}
+	return a - b
+}
+
 // Sub subtracts an earlier scrape of the same family (identical le
 // ladder), yielding the window between the two scrapes. Mismatched
 // ladders or counter regressions clamp to zero rather than panicking —

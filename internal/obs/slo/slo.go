@@ -112,6 +112,28 @@ func ParseObjectives(specs []string) ([]Objective, error) {
 	return out, nil
 }
 
+// Flag is the repeatable -slo MODEL:CLASS:LATENCY:TARGET_PCT command-line
+// flag, a flag.Value holding the objectives set so far. Each value is
+// parsed as it is set, so a bad objective fails flag parsing.
+type Flag []Objective
+
+func (f *Flag) String() string {
+	specs := make([]string, len(*f))
+	for i, o := range *f {
+		specs[i] = o.String()
+	}
+	return strings.Join(specs, ",")
+}
+
+func (f *Flag) Set(spec string) error {
+	o, err := ParseObjective(spec)
+	if err != nil {
+		return err
+	}
+	*f = append(*f, o)
+	return nil
+}
+
 // Config tunes an Engine. Zero-value windows and thresholds take the
 // defaults below.
 type Config struct {

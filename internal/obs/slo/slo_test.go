@@ -1,7 +1,11 @@
 package slo
 
 import (
+	"flag"
+	"io"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,6 +53,30 @@ func TestParseObjective(t *testing.T) {
 		if o, err := ParseObjective(bad); err == nil {
 			t.Errorf("ParseObjective(%q) = %+v, want error", bad, o)
 		}
+	}
+}
+
+// TestFlag: the -slo flag parses each objective as it is set, refuses a
+// bad one without keeping it, and is the objective list.
+func TestFlag(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	var f Flag
+	fs.Var(&f, "slo", "objective")
+	if err := fs.Parse([]string{"-slo", "*:interactive:250ms:99", "-slo", "e10::error:99.9"}); err != nil {
+		t.Fatal(err)
+	}
+	if want := mustObjectives(t, "*:interactive:250ms:99", "e10::error:99.9"); !reflect.DeepEqual([]Objective(f), want) {
+		t.Fatalf("flag holds %+v, want %+v", f, want)
+	}
+	if got := f.String(); got != "*:interactive:250ms:99,e10::error:99.9" {
+		t.Fatalf("String() = %q", got)
+	}
+	if err := fs.Parse([]string{"-slo", "m::banana:99"}); err == nil || !strings.Contains(err.Error(), `invalid value "m::banana:99" for flag -slo`) {
+		t.Fatalf("bad objective: %v", err)
+	}
+	if len(f) != 2 {
+		t.Fatalf("a refused objective was kept: %+v", f)
 	}
 }
 

@@ -61,8 +61,8 @@ func (p Policy) withDefaults(engines int) Policy {
 var (
 	// ErrQueueFull is the backpressure signal: the request's class queue is
 	// at QueueDepth. Callers should shed or retry with backoff; the HTTP
-	// layer maps it to 429 with a Retry-After derived from the queue's
-	// drain rate.
+	// layer maps it to 429 with a Retry-After read from the class's
+	// queue-wait p90 (Model.RetryAfterSeconds).
 	ErrQueueFull = errors.New("serve: request queue full")
 	// ErrClosed reports a submission to a model that has been unregistered
 	// or whose registry has been closed (or is draining for shutdown). The
@@ -189,12 +189,10 @@ func (b *batcher) submit(p *pending) error {
 	if err := b.sched.enqueue(p); err != nil {
 		b.mu.Unlock()
 		b.inflight.Add(-1)
-		b.met.Rejected.Add(1)
 		b.met.class(p.class).Rejected.Add(1)
 		return b.fullErr[p.class]
 	}
 	b.mu.Unlock()
-	b.met.Accepted.Add(1)
 	b.met.class(p.class).Accepted.Add(1)
 	b.ping()
 	return nil
@@ -399,7 +397,6 @@ func (b *batcher) expire(shed []*pending) {
 	}
 	for _, p := range shed {
 		p.err = ErrDeadlineExceeded
-		b.met.Expired.Add(1)
 		b.met.class(p.class).Expired.Add(1)
 		close(p.done)
 	}
@@ -455,9 +452,6 @@ func (b *batcher) execute(reqs []*pending) {
 		m.Release(eng)
 	}
 	m.putBatchBuf(bufp)
-	b.met.Batches.Add(1)
-	b.met.BatchedRows.Add(int64(n))
-	b.met.ExecNs.Add(execDur.Nanoseconds())
 	b.met.ExecHist.Observe(execDur.Nanoseconds())
 	b.met.BatchHist.Observe(int64(n))
 	now := time.Now()
@@ -473,11 +467,9 @@ func (b *batcher) execute(reqs []*pending) {
 		if err != nil {
 			b.met.Failed.Add(1)
 		} else {
-			b.met.Completed.Add(1)
 			lat := now.Sub(p.enq).Nanoseconds()
 			b.met.observe(lat, p.trace)
 			cm := b.met.class(p.class)
-			cm.Completed.Add(1)
 			cm.LatencyHist.ObserveTraced(lat, p.trace)
 			cm.observeWait(p.wait.Nanoseconds(), p.trace)
 		}

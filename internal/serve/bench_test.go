@@ -76,7 +76,7 @@ func BenchmarkServe_Microbatch(b *testing.B) {
 		})
 	}
 	s := m.Metrics().Snapshot()
-	b.Logf("mean batch %.1f over %d batches", s.MeanBatch, s.Batches)
+	b.Logf("mean batch %.1f over %d batches", float64(s.BatchedRows)/float64(max(s.Batches, 1)), s.Batches)
 }
 
 // discardWriter is the cheapest http.ResponseWriter: headers kept, body

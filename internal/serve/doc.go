@@ -67,8 +67,8 @@
 //
 // Backpressure — each class queue is a hard bound. A submission that finds
 // its class full fails immediately with ErrQueueFull (surfaced as HTTP 429
-// with the class attributed and a Retry-After derived from queue depth and
-// drain rate) instead of queuing unboundedly; shutdown fails new
+// with the class attributed and a Retry-After read from the class's
+// queue-wait p90) instead of queuing unboundedly; shutdown fails new
 // submissions with ErrClosed (HTTP 503) while draining rows already
 // accepted.
 //
@@ -85,13 +85,20 @@
 // place.
 //
 // Observability — the request path is instrumented with internal/obs
-// primitives chosen so measurement never contends with serving: latency
-// (end-to-end per model, queue wait per model×class, execute per model)
-// is recorded in lock-free log-bucketed histograms (one atomic add per
-// observation, 0 allocs) exported as Prometheus histogram families whose
-// shared bucket ladder a router can merge bucket-wise; max-style gauges
-// are windowed (reset on scrape); 429 Retry-After is derived from the
-// live queue-wait p90 once enough samples exist. Every request carries a
+// primitives chosen so measurement never contends with serving, one
+// instrument per quantity: latency (end-to-end per model and per
+// model×class, queue wait per model×class, execute per model) and batch
+// size are recorded in lock-free log-bucketed histograms (one atomic add
+// per observation, 0 allocs) exported as Prometheus histogram families
+// whose shared bucket ladder a router can merge bucket-wise; row outcomes
+// are counted per class. Every other count is read from those: the
+// model's row counters are the class sums, completed rows a latency
+// histogram's count, batches, batched rows and engine-busy time the
+// batch-size and execute histograms' counts and sums (Metrics,
+// MetricsSnapshot). Histograms are read in one form, the exposition
+// ladder (obs.ScrapedHist), so the 429 Retry-After — the queue-wait p90
+// once enough samples exist — is the number a scraper of /metrics
+// computes. Max-style gauges are windowed (reset on scrape). Every request carries a
 // 32-hex trace ID (X-Radix-Trace-Id honored, else generated) returned in
 // the response header and body together with per-stage spans (admission,
 // queue, assemble, lease, execute, deliver); recent and slowest traces

@@ -118,15 +118,11 @@ func TestGoldenExposition(t *testing.T) {
 	}
 	m.Release(eng)
 
+	// The model's accepted, rejected, expired and completed rows, its
+	// batches, batched rows and engine-busy time are read from the class
+	// counters and the histograms below, as on a live server.
 	met := &m.met
-	met.Accepted.Store(1_000_000) // %g renders 1e+06
-	met.Rejected.Store(7)
-	met.Completed.Store(999_990)
 	met.Failed.Store(2)
-	met.Expired.Store(1)
-	met.Batches.Store(250_000)
-	met.BatchedRows.Store(1_234_567) // %g renders 1.234567e+06
-	met.ExecNs.Store(12_345_678_901)
 	met.MaxLatency.Store(int64(30 * time.Second))
 	met.Reloads.Store(1)
 	const (
@@ -150,9 +146,8 @@ func TestGoldenExposition(t *testing.T) {
 		met.BatchHist.Observe(rows)
 	}
 	inter, back := met.class(0), met.class(2)
-	inter.Accepted.Store(2_000_000)
+	inter.Accepted.Store(2_000_000) // %g renders 2e+06, and the model's 2.000003e+06
 	inter.Rejected.Store(5)
-	inter.Completed.Store(1_999_990)
 	inter.Expired.Store(1)
 	inter.MaxWaitNs.Store(int64(9 * time.Millisecond))
 	inter.WinWait.Observe(int64(2 * time.Millisecond))
@@ -161,7 +156,6 @@ func TestGoldenExposition(t *testing.T) {
 	inter.LatencyHist.ObserveTraced(int64(3*time.Millisecond), idB)
 	inter.LatencyHist.ObserveTraced(int64(40*time.Millisecond), idC)
 	back.Accepted.Store(3)
-	back.Completed.Store(3)
 	back.WaitHist.ObserveTraced(int64(700*time.Millisecond), idD)
 	back.LatencyHist.Observe(int64(900 * time.Millisecond))
 	s.status2xx.Store(41)

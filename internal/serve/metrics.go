@@ -3,36 +3,32 @@ package serve
 import (
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"github.com/radix-net/radixnet/internal/infer"
 	"github.com/radix-net/radixnet/internal/obs"
 )
 
-// Metrics counts one model's serving activity. All fields are atomic and
-// updated lock-free on the hot path; read them with Load (or through
-// Snapshot) at any time. The classes slice (one entry per registry class,
-// in qosSet order) is sized at registration and never resized, so per-class
-// counters are lock-free too.
+// Metrics holds one model's serving instruments, one per quantity: a
+// count or sum that another instrument already keeps is read from that
+// instrument, never counted a second time. Row outcomes are counted per
+// class, so the model's accepted, rejected and expired rows are the sums
+// over its classes; its completed rows are LatencyHist's count, its
+// batches and batched rows BatchHist's count and sum, and its engine-busy
+// time ExecHist's sum. Snapshot reads the model-level counts. Every field
+// is atomic and updated lock-free on the hot path. The classes slice (one
+// entry per registry class, in qosSet order) is sized at registration and
+// never resized, so per-class instruments are lock-free too.
 type Metrics struct {
-	Accepted    atomic.Int64 // rows admitted to a class queue
-	Rejected    atomic.Int64 // rows refused with ErrQueueFull (backpressure)
-	Completed   atomic.Int64 // rows inferred and delivered
-	Failed      atomic.Int64 // rows failed (engine error or shutdown)
-	Expired     atomic.Int64 // rows shed at dequeue for a passed deadline
-	Batches     atomic.Int64 // engine invocations
-	BatchedRows atomic.Int64 // rows across engine invocations
-	ExecNs      atomic.Int64 // total engine-busy ns over invocations
-	LatencyNs   atomic.Int64 // total enqueue→delivery ns over completed rows
-	MaxLatency  atomic.Int64 // worst single-row enqueue→delivery ns (all-time)
-	Reloads     atomic.Int64 // engine-pool hot swaps (Registry.Reload)
+	Failed     atomic.Int64 // rows failed (engine error or shutdown)
+	MaxLatency atomic.Int64 // worst single-row enqueue→delivery ns (all-time)
+	Reloads    atomic.Int64 // engine-pool hot swaps (Registry.Reload)
 
 	// LatencyHist buckets every completed row's enqueue→delivery latency
-	// (ns); ExecHist buckets engine invocation time per batch. Both are
-	// lock-free log2 histograms exported as Prometheus histogram families,
-	// the distribution view behind the sums/maxima above. BatchHist
-	// buckets the rows-per-engine-invocation distribution (unit: rows),
-	// the shape behind the MeanBatch point value.
+	// (ns); ExecHist buckets engine invocation time per batch (ns);
+	// BatchHist buckets the rows per engine invocation (unit: rows). All
+	// three are lock-free log2 histograms exported as Prometheus histogram
+	// families, and their counts and sums are the model's completed rows,
+	// batches, batched rows and engine-busy time.
 	LatencyHist obs.Histogram
 	ExecHist    obs.Histogram
 	BatchHist   obs.Histogram
@@ -44,20 +40,19 @@ type Metrics struct {
 	classes []ClassMetrics
 }
 
-// ClassMetrics counts one priority class's activity within a model.
+// ClassMetrics holds one priority class's instruments within a model.
 type ClassMetrics struct {
-	Accepted    atomic.Int64 // rows admitted to this class's queue
-	Rejected    atomic.Int64 // rows refused: this class's queue was full
-	Completed   atomic.Int64 // rows inferred and delivered
-	Expired     atomic.Int64 // rows shed at dequeue for a passed deadline
-	QueueWaitNs atomic.Int64 // total enqueue→dispatch ns over completed rows
-	MaxWaitNs   atomic.Int64 // worst single-row enqueue→dispatch ns (all-time)
+	Accepted  atomic.Int64 // rows admitted to this class's queue
+	Rejected  atomic.Int64 // rows refused: this class's queue was full
+	Expired   atomic.Int64 // rows shed at dequeue for a passed deadline
+	MaxWaitNs atomic.Int64 // worst single-row enqueue→dispatch ns (all-time)
 
-	// WaitHist buckets queue waits (ns) for quantile extraction — the
+	// WaitHist buckets completed rows' queue waits (ns) — the
 	// distribution the 25ms interactive p99 invariant and the Retry-After
 	// hint are read from. WinWait is the scrape-windowed worst wait.
 	// LatencyHist buckets the class's end-to-end enqueue→delivery latency
-	// (ns) — the per-model×class distribution latency SLOs evaluate.
+	// (ns) — the per-model×class distribution latency SLOs evaluate; its
+	// count is the class's completed rows.
 	WaitHist    obs.Histogram
 	WinWait     obs.WindowedMax
 	LatencyHist obs.Histogram
@@ -66,7 +61,6 @@ type ClassMetrics struct {
 // observeWait records one dispatched row's enqueue→dispatch queue wait,
 // stamping the wait bucket's exemplar with the row's trace ID.
 func (c *ClassMetrics) observeWait(ns int64, traceID string) {
-	c.QueueWaitNs.Add(ns)
 	c.WaitHist.ObserveTraced(ns, traceID)
 	c.WinWait.Observe(ns)
 	for {
@@ -77,96 +71,43 @@ func (c *ClassMetrics) observeWait(ns int64, traceID string) {
 	}
 }
 
-// class returns the per-class counters for a class id.
+// class returns the per-class instruments for a class id.
 func (m *Metrics) class(i int) *ClassMetrics { return &m.classes[i] }
 
-// MetricsSnapshot is a consistent-enough point-in-time copy of Metrics for
-// reporting (fields are loaded individually; exactness across fields is not
-// guaranteed under concurrent load).
+// MetricsSnapshot is a point-in-time copy of a model's counts, each read
+// from the one instrument that keeps it (see Metrics). Fields are loaded
+// individually; exactness across fields is not guaranteed under
+// concurrent load. Distributions are read from /metrics.
 type MetricsSnapshot struct {
 	Accepted, Rejected, Completed, Failed int64
 	Expired                               int64
 	Batches, BatchedRows, Reloads         int64
-	MeanBatch                             float64
-	MeanLatency, MaxLatency               time.Duration
-	// LatencyP50/P90/P99 are histogram-derived end-to-end latency
-	// quantiles over all completed rows (log2-bucket resolution).
-	LatencyP50, LatencyP90, LatencyP99 time.Duration
-	// WindowMaxLatency is the worst latency over the recent scrape
-	// windows — the resettable alternative to the all-time MaxLatency.
-	WindowMaxLatency time.Duration
 }
 
-// Snapshot loads every counter and derives the mean batch size and mean
-// per-row latency.
+// Snapshot reads every count: the row outcomes summed over the classes,
+// completed rows from LatencyHist, batches and batched rows from
+// BatchHist.
 func (m *Metrics) Snapshot() MetricsSnapshot {
+	batches := m.BatchHist.Snapshot()
 	s := MetricsSnapshot{
-		Accepted:    m.Accepted.Load(),
-		Rejected:    m.Rejected.Load(),
-		Completed:   m.Completed.Load(),
+		Completed:   int64(m.LatencyHist.Snapshot().Count),
 		Failed:      m.Failed.Load(),
-		Expired:     m.Expired.Load(),
-		Batches:     m.Batches.Load(),
-		BatchedRows: m.BatchedRows.Load(),
+		Batches:     int64(batches.Count),
+		BatchedRows: batches.Sum,
 		Reloads:     m.Reloads.Load(),
-		MaxLatency:  time.Duration(m.MaxLatency.Load()),
 	}
-	if s.Batches > 0 {
-		s.MeanBatch = float64(s.BatchedRows) / float64(s.Batches)
+	for i := range m.classes {
+		c := &m.classes[i]
+		s.Accepted += c.Accepted.Load()
+		s.Rejected += c.Rejected.Load()
+		s.Expired += c.Expired.Load()
 	}
-	if s.Completed > 0 {
-		s.MeanLatency = time.Duration(m.LatencyNs.Load() / s.Completed)
-	}
-	lh := m.LatencyHist.Snapshot()
-	s.LatencyP50 = time.Duration(lh.Quantile(0.50))
-	s.LatencyP90 = time.Duration(lh.Quantile(0.90))
-	s.LatencyP99 = time.Duration(lh.Quantile(0.99))
-	s.WindowMaxLatency = time.Duration(m.WinLatency.Value())
 	return s
-}
-
-// ClassSnapshot is a point-in-time copy of one class's counters.
-type ClassSnapshot struct {
-	Class                                  string
-	Accepted, Rejected, Completed, Expired int64
-	MeanQueueWait, MaxQueueWait            time.Duration
-	// WaitP50/P90/P99 are histogram-derived queue-wait quantiles;
-	// WindowMaxQueueWait is the recent-scrape-window worst wait.
-	WaitP50, WaitP90, WaitP99 time.Duration
-	WindowMaxQueueWait        time.Duration
-}
-
-// ClassSnapshots reports every class's counters in the registry's class
-// order (the Model's registry defines the class set).
-func (m *Model) ClassSnapshots() []ClassSnapshot {
-	out := make([]ClassSnapshot, m.qos.size())
-	for i := range out {
-		c := m.met.class(i)
-		s := ClassSnapshot{
-			Class:        m.qos.name(i),
-			Accepted:     c.Accepted.Load(),
-			Rejected:     c.Rejected.Load(),
-			Completed:    c.Completed.Load(),
-			Expired:      c.Expired.Load(),
-			MaxQueueWait: time.Duration(c.MaxWaitNs.Load()),
-		}
-		if s.Completed > 0 {
-			s.MeanQueueWait = time.Duration(c.QueueWaitNs.Load() / s.Completed)
-		}
-		wh := c.WaitHist.Snapshot()
-		s.WaitP50 = time.Duration(wh.Quantile(0.50))
-		s.WaitP90 = time.Duration(wh.Quantile(0.90))
-		s.WaitP99 = time.Duration(wh.Quantile(0.99))
-		s.WindowMaxQueueWait = time.Duration(c.WinWait.Value())
-		out[i] = s
-	}
-	return out
 }
 
 // observe records one delivered row's enqueue→delivery latency,
 // stamping the latency bucket's exemplar with the row's trace ID.
 func (m *Metrics) observe(ns int64, traceID string) {
-	m.LatencyNs.Add(ns)
 	m.LatencyHist.ObserveTraced(ns, traceID)
 	m.WinLatency.Observe(ns)
 	for {
@@ -216,18 +157,18 @@ var modelFamilies = []struct {
 	fam  *obs.Family
 	emit func(w *obs.Writer, m *Model)
 }{
-	{MetricRowsAccepted, func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Accepted.Load()), m.name) }},
-	{MetricRowsRejected, func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Rejected.Load()), m.name) }},
+	{MetricRowsAccepted, func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Snapshot().Accepted), m.name) }},
+	{MetricRowsRejected, func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Snapshot().Rejected), m.name) }},
 	{obs.NewCounter("radixserve_rows_completed_total", "Rows inferred and delivered.", "model"),
-		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Completed.Load()), m.name) }},
+		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Snapshot().Completed), m.name) }},
 	{MetricRowsFailed, func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Failed.Load()), m.name) }},
-	{MetricRowsExpired, func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Expired.Load()), m.name) }},
+	{MetricRowsExpired, func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Snapshot().Expired), m.name) }},
 	{obs.NewCounter("radixserve_batches_total", "Engine invocations (coalesced batches).", "model"),
-		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Batches.Load()), m.name) }},
+		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Snapshot().Batches), m.name) }},
 	{obs.NewCounter("radixserve_batched_rows_total", "Rows summed over engine invocations.", "model"),
-		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.BatchedRows.Load()), m.name) }},
+		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Snapshot().BatchedRows), m.name) }},
 	{obs.NewCounter("radixserve_engine_busy_seconds_total", "Engine time summed over invocations (drain-capacity basis).", "model"),
-		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.ExecNs.Load())/1e9, m.name) }},
+		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.ExecHist.Snapshot().Sum)/1e9, m.name) }},
 	{obs.NewGauge("radixserve_request_latency_seconds_max", "Worst single-row enqueue-to-delivery latency (all-time).", "model"),
 		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.MaxLatency.Load())/1e9, m.name) }},
 	{obs.NewGauge("radixserve_request_latency_seconds_maxwindow", "Worst single-row enqueue-to-delivery latency over the recent scrape windows (rotates on scrape).", "model"),
@@ -238,7 +179,7 @@ var modelFamilies = []struct {
 	{MetricClassRowsAccepted, perClass(func(m *Model, c int) float64 { return float64(m.met.class(c).Accepted.Load()) })},
 	{MetricClassRowsRejected, perClass(func(m *Model, c int) float64 { return float64(m.met.class(c).Rejected.Load()) })},
 	{obs.NewCounter("radixserve_class_rows_completed_total", "Rows inferred and delivered for the class.", "model", "class"),
-		perClass(func(m *Model, c int) float64 { return float64(m.met.class(c).Completed.Load()) })},
+		perClass(func(m *Model, c int) float64 { return float64(m.met.class(c).LatencyHist.Snapshot().Count) })},
 	{MetricClassRowsExpired, perClass(func(m *Model, c int) float64 { return float64(m.met.class(c).Expired.Load()) })},
 	{obs.NewGauge("radixserve_queue_wait_seconds_max", "Worst single-row enqueue-to-dispatch queue wait (all-time).", "model", "class"),
 		perClass(func(m *Model, c int) float64 { return float64(m.met.class(c).MaxWaitNs.Load()) / 1e9 })},

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -269,7 +270,7 @@ func TestMetricsRejectionCounters(t *testing.T) {
 	// The worker holds at most MaxBatch rows and the queue at most
 	// QueueDepth, so at least 8−2−2 submissions must be rejected.
 	deadline := time.Now().Add(5 * time.Second)
-	for m.Metrics().Rejected.Load() < 4 && time.Now().Before(deadline) {
+	for m.Metrics().Snapshot().Rejected < 4 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	m.Release(eng)
@@ -305,5 +306,89 @@ func TestMetricsRejectionCounters(t *testing.T) {
 	}
 	if got := p.value(t, fmt.Sprintf("radixserve_queue_depth{model=%q}", "m")); got != 0 {
 		t.Errorf("queue depth %g after drain, want 0", got)
+	}
+}
+
+// TestMetricsDerivedCountersAgree drives one model through a mixed
+// workload — completions in two classes, a dead-on-arrival expiry, a
+// queued expiry and a queue-full rejection — and checks, on the /metrics
+// text after the drain, that every model-level count agrees with the
+// instruments it is derived from: the row counters with their per-class
+// sums, completions with the latency histogram's count, batches and
+// batched rows with the batch-size histogram, and the in-flight identity
+// accepted = completed + failed + expired + queued.
+func TestMetricsDerivedCountersAgree(t *testing.T) {
+	pol := Policy{MaxBatch: 2, MaxLatency: time.Millisecond, QueueDepth: 1, Workers: 1}
+	_, m, ts := newTestServer(t, pol, 1)
+	row := make([]float64, m.InputWidth())
+	row[2] = 1
+	do := func(class string, deadline time.Time) error {
+		_, err := m.Do(context.Background(), &Request{Rows: [][]float64{row}, Class: class, Deadline: deadline})
+		return err
+	}
+	// One-row requests: each class queue holds one row.
+	for _, class := range []string{ClassInteractive, ClassInteractive, ClassBatch} {
+		if err := do(class, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := do(ClassBatch, time.Now().Add(-time.Second)); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("dead-on-arrival request: %v, want ErrDeadlineExceeded", err)
+	}
+
+	// Starve the worker: it holds an interactive row while it waits for
+	// the only engine, so a background row with a short deadline stays
+	// queued until the deadline passes, and a second background row finds
+	// that class's one-row queue full.
+	eng := m.Lease()
+	blocker := make(chan error, 1)
+	go func() { blocker <- do(ClassInteractive, time.Time{}) }()
+	waitFor(t, "worker holds the blocker", func() bool {
+		return m.bat.inflight.Load() == 1 && m.bat.depth() == 0
+	})
+	time.Sleep(5 * time.Millisecond) // outwait the blocker batch's collection window
+	queued := make(chan error, 1)
+	go func() { queued <- do(ClassBackground, time.Now().Add(20*time.Millisecond)) }()
+	waitFor(t, "background row queued", func() bool { return m.bat.depth() == 1 })
+	if err := do(ClassBackground, time.Time{}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("second background row: %v, want ErrQueueFull", err)
+	}
+	time.Sleep(40 * time.Millisecond) // let the queued row's deadline pass
+	m.Release(eng)
+	if err := <-blocker; err != nil {
+		t.Fatalf("blocker row: %v", err)
+	}
+	if err := <-queued; !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("queued row: %v, want ErrDeadlineExceeded", err)
+	}
+
+	p := parsePrometheus(t, scrapeMetrics(t, ts.URL))
+	model := func(name string) float64 { return p.value(t, name+`{model="m"}`) }
+	for _, outcome := range []struct {
+		name string
+		want float64
+	}{{"accepted", 6}, {"rejected", 1}, {"completed", 4}, {"expired", 2}} {
+		got := model("radixserve_rows_" + outcome.name + "_total")
+		var classes float64
+		for _, class := range []string{ClassInteractive, ClassBatch, ClassBackground} {
+			classes += p.value(t, fmt.Sprintf(`radixserve_class_rows_%s_total{model="m",class=%q}`, outcome.name, class))
+		}
+		if got != outcome.want || got != classes {
+			t.Errorf("rows %s: model %g, class sum %g, want both %g", outcome.name, got, classes, outcome.want)
+		}
+	}
+	completed := model("radixserve_rows_completed_total")
+	if n := model("radixserve_request_latency_seconds_count"); n != completed {
+		t.Errorf("latency histogram count %g, completed rows %g", n, completed)
+	}
+	if b, n := model("radixserve_batches_total"), model("radixserve_batch_rows_count"); b != n || b == 0 {
+		t.Errorf("batches %g, batch-size histogram count %g", b, n)
+	}
+	if r, s := model("radixserve_batched_rows_total"), model("radixserve_batch_rows_sum"); r != s || r != completed {
+		t.Errorf("batched rows %g, batch-size histogram sum %g, completed %g", r, s, completed)
+	}
+	accepted := model("radixserve_rows_accepted_total")
+	if rest := completed + model("radixserve_rows_failed_total") + model("radixserve_rows_expired_total") + model("radixserve_queue_depth"); accepted != rest {
+		t.Errorf("accepted %g != completed + failed + expired + queued = %g", accepted, rest)
 	}
 }

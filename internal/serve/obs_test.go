@@ -102,8 +102,7 @@ func TestHistogramExposition(t *testing.T) {
 }
 
 // TestWindowedMaxResetsOnScrape asserts the maxwindow gauge forgets an
-// old peak after scrapes while the all-time max keeps it — the
-// MetricsSnapshot staleness fix.
+// old peak after scrapes while the all-time max keeps it.
 func TestWindowedMaxResetsOnScrape(t *testing.T) {
 	pol := Policy{MaxBatch: 4, MaxLatency: time.Millisecond, QueueDepth: 7}
 	_, m, ts := newTestServer(t, pol, 1)
@@ -127,9 +126,8 @@ func TestWindowedMaxResetsOnScrape(t *testing.T) {
 	if v := p.value(t, `radixserve_request_latency_seconds_max{model="m"}`); v <= 0 {
 		t.Fatalf("all-time max lost: %g", v)
 	}
-	snap := m.Metrics().Snapshot()
-	if snap.MaxLatency <= 0 {
-		t.Fatalf("snapshot all-time max = %v", snap.MaxLatency)
+	if worst := m.Metrics().MaxLatency.Load(); worst <= 0 {
+		t.Fatalf("all-time max instrument = %v", time.Duration(worst))
 	}
 }
 

@@ -292,18 +292,20 @@ func TestQoSDoClassAndTimings(t *testing.T) {
 	if _, err := m.Do(context.Background(), &Request{Rows: [][]float64{row}, Class: "vip"}); !errors.Is(err, ErrUnknownClass) {
 		t.Fatalf("unknown class: %v, want ErrUnknownClass", err)
 	}
-	if got := m.Metrics().Accepted.Load(); got != 2 {
+	if got := m.Metrics().Snapshot().Accepted; got != 2 {
 		t.Fatalf("accepted = %d, want 2 (unknown class must not queue)", got)
 	}
 
-	// Per-class counters saw one batch row and one interactive row.
-	snaps := m.ClassSnapshots()
-	byName := make(map[string]ClassSnapshot, len(snaps))
-	for _, s := range snaps {
-		byName[s.Class] = s
-	}
-	if byName[ClassBatch].Completed != 1 || byName[ClassInteractive].Completed != 1 {
-		t.Fatalf("class completions: %+v", byName)
+	// Per-class latency histograms saw one batch row and one interactive
+	// row: their counts are the class completions.
+	for _, class := range []string{ClassBatch, ClassInteractive} {
+		id, err := m.qos.id(class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := m.met.class(id).LatencyHist.Snapshot().Count; n != 1 {
+			t.Fatalf("class %q completions = %d, want 1", class, n)
+		}
 	}
 }
 
@@ -367,7 +369,7 @@ func TestQoSDoDeadlineShedsQueuedRows(t *testing.T) {
 	if err := <-done; !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("queued-expired request: %v, want ErrDeadlineExceeded", err)
 	}
-	if got := m.Metrics().Expired.Load(); got != 2 {
+	if got := m.Metrics().Snapshot().Expired; got != 2 {
 		t.Fatalf("Expired = %d, want 2", got)
 	}
 }
@@ -396,7 +398,7 @@ func TestQoSHTTPClassDeadlineWire(t *testing.T) {
 	}
 
 	// Unknown class → 422 with attribution, before any row queues.
-	before := m.Metrics().Accepted.Load()
+	before := m.Metrics().Snapshot().Accepted
 	resp, body = postInfer(t, ts.URL, InferRequest{Model: "m", Inputs: [][]float64{row}, Class: "vip"})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("unknown class: status %d: %s", resp.StatusCode, body)
@@ -405,7 +407,7 @@ func TestQoSHTTPClassDeadlineWire(t *testing.T) {
 	if err := json.Unmarshal(body, &e); err != nil || e.Model != "m" || e.Class != "vip" {
 		t.Fatalf("422 body %s: want model and class attribution (err %v)", body, err)
 	}
-	if m.Metrics().Accepted.Load() != before {
+	if m.Metrics().Snapshot().Accepted != before {
 		t.Fatal("unknown-class request queued rows")
 	}
 
@@ -512,7 +514,7 @@ func TestQoSHTTPNaNDeadlineHeaderExecutes(t *testing.T) {
 			t.Fatalf("deadline header %q: outputs differ from the CSC oracle", h)
 		}
 	}
-	if shed := m.Metrics().Expired.Load(); shed != 0 {
+	if shed := m.Metrics().Snapshot().Expired; shed != 0 {
 		t.Errorf("%d rows counted as deadline sheds", shed)
 	}
 }
@@ -548,20 +550,20 @@ func TestQoSHTTP429ClassAttributionAndRetryAfter(t *testing.T) {
 			}
 		}()
 	}
-	waitFor(t, "rejections", func() bool { return m.Metrics().Rejected.Load() >= 8 })
+	waitFor(t, "rejections", func() bool { return m.Metrics().Snapshot().Rejected >= 8 })
 	m.Release(eng)
 	wg.Wait()
 	if got429.Load() == 0 {
 		t.Fatal("no 429s under class saturation")
 	}
 	// The rejections were attributed to the background class only.
-	snaps := m.ClassSnapshots()
-	for _, s := range snaps {
-		if s.Class == ClassBackground && s.Rejected == 0 {
+	for c := 0; c < m.qos.size(); c++ {
+		class, rejected := m.qos.name(c), m.met.class(c).Rejected.Load()
+		if class == ClassBackground && rejected == 0 {
 			t.Error("background rejections not counted per class")
 		}
-		if s.Class != ClassBackground && s.Rejected != 0 {
-			t.Errorf("class %q charged %d rejections for a background flood", s.Class, s.Rejected)
+		if class != ClassBackground && rejected != 0 {
+			t.Errorf("class %q charged %d rejections for a background flood", class, rejected)
 		}
 	}
 }

@@ -666,14 +666,17 @@ const retryAfterMinSamples = 32
 //
 // The primary basis is the class's MEASURED queue-wait distribution: a 429
 // means the class queue is full, so a newly admitted row would wait about
-// as long as recently dispatched rows did — the p90 of the exported
-// queue-wait histogram. A distribution quantile absorbs batching and DRR
-// interleave effects a depth/drain-rate point estimate has to model, and it
-// is exactly the number an operator sees on /metrics, so the hint is
-// auditable. Until the class has observed retryAfterMinSamples waits the
-// histogram is noise, and the cold fallback answers instead: queue depth
-// over the class's DRR share of the engine's measured drain capacity
-// (rows per second of engine-busy time — a property of the model, stable
+// as long as recently dispatched rows did — the p90 of
+// radixserve_queue_wait_seconds, read through the same ScrapedHist.Quantile
+// a scraper of /metrics computes it with, so the hint is exactly the number
+// an operator sees there. A p90 past the ladder's top rung (≈ 17.2s) is
+// only known to be at least that, and answers the 30s cap. A distribution
+// quantile absorbs batching and DRR interleave effects a depth/drain-rate
+// point estimate has to model. Until the class has observed
+// retryAfterMinSamples waits the histogram is noise, and the cold fallback
+// answers instead: queue depth over the class's DRR share of the engine's
+// measured drain capacity (batched rows per second of engine-busy time,
+// the sums of BatchHist and ExecHist — a property of the model, stable
 // across idle periods, so a long-idle model never tells its first burst to
 // park for the 30s cap while the queue actually drains in milliseconds).
 func (m *Model) RetryAfterSeconds(class string) int {
@@ -681,31 +684,21 @@ func (m *Model) RetryAfterSeconds(class string) int {
 	if err != nil {
 		id = m.qos.def // unknown classes never reach the queue; be safe anyway
 	}
-	if wh := m.met.class(id).WaitHist.Snapshot(); wh.Count >= retryAfterMinSamples {
-		secs := int(math.Ceil(float64(wh.Quantile(0.90)) / 1e9))
-		if secs < 1 {
-			secs = 1
-		}
-		if secs > 30 {
-			secs = 30
-		}
-		return secs
-	}
-	depth, share := m.bat.classBacklog(id)
-	rate := 1.0 // rows/s floor: a model that never executed answers something sane
-	if rows, busyNs := m.met.BatchedRows.Load(), m.met.ExecNs.Load(); rows > 0 && busyNs > 0 {
-		if r := float64(rows) / (float64(busyNs) / 1e9) * share; r > rate {
-			rate = r
-		}
-	}
-	secs := int(math.Ceil(float64(depth) / rate))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
+	var secs int
+	if wait := MetricQueueWait.Scraped(m.met.class(id).WaitHist.Snapshot()); wait.Count >= retryAfterMinSamples {
 		secs = 30
+		if top := wait.Cum[len(wait.Cum)-1]; float64(top) >= 0.90*float64(wait.Count) {
+			secs = int(math.Ceil(wait.Quantile(0.90)))
+		}
+	} else {
+		depth, share := m.bat.classBacklog(id)
+		rate := 1.0 // rows/s floor: a model that never executed answers something sane
+		if rows, busyNs := m.met.BatchHist.Snapshot().Sum, m.met.ExecHist.Snapshot().Sum; rows > 0 && busyNs > 0 {
+			rate = max(rate, float64(rows)/(float64(busyNs)/1e9)*share)
+		}
+		secs = int(math.Ceil(float64(depth) / rate))
 	}
-	return secs
+	return min(max(secs, 1), 30)
 }
 
 // Do submits one QoS-aware request — multi-row payload, priority class,
@@ -736,8 +729,6 @@ func (m *Model) Do(ctx context.Context, req *Request) (*Response, error) {
 		// accepted = completed + failed + expired + queued identity that
 		// dashboards derive in-flight counts from keeps holding.
 		n := int64(len(req.Rows))
-		m.met.Accepted.Add(n)
-		m.met.Expired.Add(n)
 		cm := m.met.class(class)
 		cm.Accepted.Add(n)
 		cm.Expired.Add(n)

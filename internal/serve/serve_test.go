@@ -216,9 +216,9 @@ func TestBackpressureDeterministic(t *testing.T) {
 	// rows, the queue at most QueueDepth, so at least
 	// submissions − MaxBatch − QueueDepth rows must be rejected.
 	deadline := time.Now().Add(5 * time.Second)
-	for m.Metrics().Rejected.Load() < submissions-int64(pol.MaxBatch)-int64(pol.QueueDepth) {
+	for m.Metrics().Snapshot().Rejected < submissions-int64(pol.MaxBatch)-int64(pol.QueueDepth) {
 		if time.Now().After(deadline) {
-			t.Fatalf("rejections never accumulated: %d", m.Metrics().Rejected.Load())
+			t.Fatalf("rejections never accumulated: %d", m.Metrics().Snapshot().Rejected)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -316,7 +316,7 @@ func TestCloseRejectsNewWorkAndDrains(t *testing.T) {
 			errs[r] = doRow(m, in.RowSlice(r), out)
 		}(r)
 	}
-	for m.Metrics().Accepted.Load() < int64(in.Rows()) {
+	for m.Metrics().Snapshot().Accepted < int64(in.Rows()) {
 		time.Sleep(time.Millisecond)
 	}
 	reg.Close()
@@ -473,7 +473,7 @@ func TestHTTPBackpressure429(t *testing.T) {
 		// At least 16−2−2 rejections must accumulate while the engine is
 		// held; then let the accepted rows finish.
 		deadline := time.Now().Add(5 * time.Second)
-		for m.Metrics().Rejected.Load() < 12 && time.Now().Before(deadline) {
+		for m.Metrics().Snapshot().Rejected < 12 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 		m.Release(eng)
@@ -584,22 +584,28 @@ func TestServerStartShutdown(t *testing.T) {
 	}
 }
 
+// TestMetricsSnapshotDerived: every model-level count is read from the
+// one instrument that keeps it — row outcomes summed over the classes,
+// completed rows from LatencyHist, batches and batched rows from
+// BatchHist — and observe keeps the all-time worst latency.
 func TestMetricsSnapshotDerived(t *testing.T) {
-	var m Metrics
-	m.Batches.Store(4)
-	m.BatchedRows.Store(10)
-	m.Completed.Store(10)
+	m := Metrics{classes: make([]ClassMetrics, 2)}
+	for _, rows := range []int64{4, 3, 3} {
+		m.BatchHist.Observe(rows)
+	}
 	m.observe(int64(2*time.Millisecond), "")
 	m.observe(int64(6*time.Millisecond), "")
-	s := m.Snapshot()
-	if s.MeanBatch != 2.5 {
-		t.Fatalf("MeanBatch = %v", s.MeanBatch)
+	m.class(0).Accepted.Store(5)
+	m.class(1).Accepted.Store(7)
+	m.class(0).Rejected.Store(1)
+	m.class(1).Expired.Store(2)
+	m.Failed.Store(3)
+	want := MetricsSnapshot{Accepted: 12, Rejected: 1, Completed: 2, Failed: 3, Expired: 2, Batches: 3, BatchedRows: 10}
+	if got := m.Snapshot(); got != want {
+		t.Fatalf("Snapshot = %+v, want %+v", got, want)
 	}
-	if s.MaxLatency != 6*time.Millisecond {
-		t.Fatalf("MaxLatency = %v", s.MaxLatency)
-	}
-	if s.MeanLatency != (8*time.Millisecond)/10 {
-		t.Fatalf("MeanLatency = %v", s.MeanLatency)
+	if got := time.Duration(m.MaxLatency.Load()); got != 6*time.Millisecond {
+		t.Fatalf("MaxLatency = %v", got)
 	}
 }
 

@@ -417,33 +417,27 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		out: x.output(len(req.Inputs), m.OutputWidth())}
 	qresp, err := m.Do(r.Context(), qreq)
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrQueueFull):
+		code := errStatus(err)
+		switch code {
+		case http.StatusTooManyRequests:
 			// The canonical backpressure response: bounded per-class queue,
 			// explicit shed, client retries with backoff. The model and
 			// class in the body let a router back off the one saturated
 			// queue rather than the whole backend; Retry-After is derived
-			// from the queue's depth and drain rate so the router's backoff
-			// path engages with a real number.
+			// from the queue's measured wait so the router's backoff path
+			// engages with a real number.
 			w.Header().Set("Retry-After", strconv.Itoa(m.RetryAfterSeconds(class)))
-			writeJSON(w, http.StatusTooManyRequests,
+			writeJSON(w, code,
 				ErrorResponse{Error: fmt.Sprintf("model %q: %v", m.Name(), err), Model: m.Name(), Class: class})
-		case errors.Is(err, ErrDeadlineExceeded):
+		case http.StatusGatewayTimeout:
 			// The request's own deadline expired while its rows were queued:
 			// they were shed, not executed. 504 tells the client (or router)
 			// the budget ran out server-side.
-			writeJSON(w, http.StatusGatewayTimeout,
-				ErrorResponse{Error: err.Error(), Model: m.Name(), Class: class})
-		case errors.Is(err, ErrClosed):
-			writeModelError(w, http.StatusServiceUnavailable, m.Name(), "%v", err)
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			// Client went away; the status is moot but keep the counter
-			// classes honest.
-			writeModelError(w, http.StatusServiceUnavailable, m.Name(), "%v", err)
+			writeJSON(w, code, ErrorResponse{Error: err.Error(), Model: m.Name(), Class: class})
 		default:
-			writeModelError(w, http.StatusBadRequest, m.Name(), "%v", err)
+			writeModelError(w, code, m.Name(), "%v", err)
 		}
-		finish(errStatus(err), m.Name(), class, len(req.Inputs), err.Error(), []obs.Span{admission})
+		finish(code, m.Name(), class, len(req.Inputs), err.Error(), []obs.Span{admission})
 		return
 	}
 	// Chain the scheduler spans after admission so start offsets read as
@@ -491,8 +485,10 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	finish(http.StatusOK, m.Name(), qresp.Class, len(outs), "", spans)
 }
 
-// errStatus maps a Model.Do error to the HTTP status handleInfer writes
-// for it — the trace ring records the same status the client saw.
+// errStatus maps a Model.Do error to the HTTP status handleInfer answers
+// it with: the one table, so the trace ring records the status the client
+// received. A departed client's context error is a 503; the status is
+// moot, but the status counters stay honest.
 func errStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrQueueFull):
@@ -683,11 +679,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // own lock-free histograms — the same numbers /metrics exports.
 func (s *Server) sloRecord(now time.Time) {
 	for _, m := range s.reg.all() {
-		met := &m.met
+		met, n := &m.met, m.met.Snapshot()
 		s.slo.Record(m.name, "", slo.Sample{
 			Hist:  MetricRequestLatency.Scraped(met.LatencyHist.Snapshot()),
-			Bad:   uint64(max64(met.Failed.Load(), 0) + max64(met.Expired.Load(), 0) + max64(met.Rejected.Load(), 0)),
-			Total: uint64(max64(met.Accepted.Load(), 0) + max64(met.Rejected.Load(), 0)),
+			Bad:   uint64(max64(n.Failed, 0) + max64(n.Expired, 0) + max64(n.Rejected, 0)),
+			Total: uint64(max64(n.Accepted, 0) + max64(n.Rejected, 0)),
 		}, now)
 		for c := 0; c < m.qos.size(); c++ {
 			cm := met.class(c)
