@@ -118,7 +118,7 @@ func (a *autoscaler) cycle() {
 	backends, scrapes := a.rt.scrapeBackends(ctx)
 	violated := map[string]bool{}
 	if a.rt.slo != nil {
-		a.rt.sloRecord(collectFleetSLOSamples(scrapes), now)
+		a.rt.sloRecord(scrapes, mergeFleet(scrapes), now)
 		for _, st := range a.rt.slo.Evaluate(now) {
 			if st.State == slo.StateViolated {
 				violated[st.Model] = true

@@ -110,12 +110,12 @@ func (rt *Router) scrapeBackends(ctx context.Context) ([]*Backend, []*obs.Scrape
 	})
 }
 
-// sloRecord feeds the router's SLO engine the cumulative fleet-merged
-// samples collectFleetSLOSamples derived from the backend scrapes, one per
-// model (aggregate) and per model×class — the router's objectives judge
-// the whole fleet's traffic, not any single node's.
-func (rt *Router) sloRecord(samples []fleetSLOSample, now time.Time) {
-	for _, fs := range samples {
+// sloRecord feeds the router's SLO engine one cumulative fleet-merged
+// sample per model (aggregate) and per model×class, derived from the
+// backend scrapes and their merge — the router's objectives judge the
+// whole fleet's traffic, not any single node's.
+func (rt *Router) sloRecord(scrapes []*obs.Scrape, merged fleetMerge, now time.Time) {
+	for _, fs := range collectFleetSLOSamples(scrapes, merged) {
 		rt.slo.Record(fs.model, fs.class, fs.sample, now)
 	}
 }
@@ -130,7 +130,7 @@ func (rt *Router) handleSLO(w http.ResponseWriter, r *http.Request) {
 	}
 	_, scrapes := rt.scrapeBackends(r.Context())
 	now := time.Now()
-	rt.sloRecord(collectFleetSLOSamples(scrapes), now)
+	rt.sloRecord(scrapes, mergeFleet(scrapes), now)
 	writeJSON(w, http.StatusOK, rt.slo.ViewOf(now))
 }
 
@@ -145,10 +145,11 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// log-bucket le ladder, so the router's merged view is a straight
 	// per-le sum across the scrapes — quantiles of the merged histogram
 	// are true fleet quantiles, not averages of per-node quantiles.
-	merged := writeFleetHistograms(&out, scrapes)
+	merged := mergeFleet(scrapes)
+	writeFleetHistograms(&out, merged)
 	if rt.slo != nil {
 		now := time.Now()
-		rt.sloRecord(collectFleetSLOSamples(scrapes, merged), now)
+		rt.sloRecord(scrapes, merged, now)
 		writeSLOMetrics(&out, rt.slo.Evaluate(now))
 	}
 	writeRuntimeMetrics(&out)

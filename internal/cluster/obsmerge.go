@@ -32,18 +32,26 @@ var fleetHistograms = []struct{ src, dst *obs.Family }{
 
 // fleetMerge is one scrape round's fleet-merged histogram series, keyed
 // by the serve family merged, each merged once by its fleet family's
-// labels (fleetHistograms).
+// labels (fleetHistograms). The re-emitted families and the SLO samples
+// of a round both read it.
 type fleetMerge map[*obs.Family][]obs.HistSeries
 
-// writeFleetHistograms re-emits the serve tier's histogram families from
-// the backend scrapes as radixrouter_model_* families, summed bucket-wise
-// per label set (model, or model×class for queue wait), and returns the
-// merges for the SLO samples of the same scrapes to read.
-func writeFleetHistograms(w *obs.Writer, scrapes []*obs.Scrape) fleetMerge {
+// mergeFleet merges each of the serve tier's histogram families in
+// fleetHistograms across the backend scrapes, bucket-wise per label set
+// (model, or model×class).
+func mergeFleet(scrapes []*obs.Scrape) fleetMerge {
 	merged := make(fleetMerge, len(fleetHistograms))
 	for _, fh := range fleetHistograms {
-		series := obs.MergeHist(fh.src, fh.dst.Labels(), nil, scrapes...)
-		merged[fh.src] = series
+		merged[fh.src] = obs.MergeHist(fh.src, fh.dst.Labels(), nil, scrapes...)
+	}
+	return merged
+}
+
+// writeFleetHistograms re-emits the merged serve-tier histogram families
+// as radixrouter_model_* families.
+func writeFleetHistograms(w *obs.Writer, merged fleetMerge) {
+	for _, fh := range fleetHistograms {
+		series := merged[fh.src]
 		if len(series) == 0 {
 			continue
 		}
@@ -52,5 +60,4 @@ func writeFleetHistograms(w *obs.Writer, scrapes []*obs.Scrape) fleetMerge {
 			w.Scraped(hs.Hist, hs.Values...)
 		}
 	}
-	return merged
 }

@@ -1,10 +1,6 @@
 package cluster
 
 import (
-	"cmp"
-	"slices"
-	"strings"
-
 	"github.com/radix-net/radixnet/internal/obs"
 	"github.com/radix-net/radixnet/internal/obs/slo"
 	"github.com/radix-net/radixnet/internal/serve"
@@ -22,42 +18,29 @@ type fleetSLOSample struct {
 // counters, and the per-model×class family likewise. Bad/Total mirror
 // the serve tier's own accounting (failed+expired+rejected over
 // accepted+rejected for the aggregate; the class counters lack a failed
-// series, so a class's Bad is expired+rejected). Aggregates come first,
-// each group in model (then class) order. The latency families are read
-// from merged when it is given — writeFleetHistograms' merges of the same
-// scrapes — and merged here, by the same labels, when it is not.
-func collectFleetSLOSamples(scrapes []*obs.Scrape, merged ...fleetMerge) []fleetSLOSample {
+// series, so a class's Bad is expired+rejected). The latency families
+// are read from merged, the same round's mergeFleet of the scrapes.
+// Aggregates come first; the SLO engine keys samples by model and class,
+// so no other order is kept.
+func collectFleetSLOSamples(scrapes []*obs.Scrape, merged fleetMerge) []fleetSLOSample {
 	byModel, byClass := MetricModelRequestLatency.Labels(), metricModelClassRequestLatency.Labels()
-	var latency, classLatency []obs.HistSeries
-	if len(merged) > 0 {
-		latency, classLatency = merged[0][serve.MetricRequestLatency], merged[0][serve.MetricClassRequestLatency]
-	} else {
-		latency = obs.MergeHist(serve.MetricRequestLatency, byModel, nil, scrapes...)
-		classLatency = obs.MergeHist(serve.MetricClassRequestLatency, byClass, nil, scrapes...)
-	}
 	var out []fleetSLOSample
 	accepted := obs.SumCounter(serve.MetricRowsAccepted, byModel, scrapes...)
 	rejected := obs.SumCounter(serve.MetricRowsRejected, byModel, scrapes...)
 	failed := obs.SumCounter(serve.MetricRowsFailed, byModel, scrapes...)
 	expired := obs.SumCounter(serve.MetricRowsExpired, byModel, scrapes...)
-	for _, hs := range latency {
+	for _, hs := range merged[serve.MetricRequestLatency] {
 		k := hs.Key
 		out = append(out, fleetSLOSample{model: hs.Values[0], sample: slo.Sample{
 			Hist: hs.Hist, Bad: failed[k] + expired[k] + rejected[k], Total: accepted[k] + rejected[k]}})
 	}
-	aggregates := len(out)
 	accepted = obs.SumCounter(serve.MetricClassRowsAccepted, byClass, scrapes...)
 	rejected = obs.SumCounter(serve.MetricClassRowsRejected, byClass, scrapes...)
 	expired = obs.SumCounter(serve.MetricClassRowsExpired, byClass, scrapes...)
-	for _, hs := range classLatency {
+	for _, hs := range merged[serve.MetricClassRequestLatency] {
 		k := hs.Key
 		out = append(out, fleetSLOSample{model: hs.Values[1], class: hs.Values[0], sample: slo.Sample{
 			Hist: hs.Hist, Bad: expired[k] + rejected[k], Total: accepted[k] + rejected[k]}})
 	}
-	// The class merge is keyed class first, in the fleet family's label
-	// order: put the class samples in model, then class, order.
-	slices.SortFunc(out[aggregates:], func(a, b fleetSLOSample) int {
-		return cmp.Or(strings.Compare(a.model, b.model), strings.Compare(a.class, b.class))
-	})
 	return out
 }

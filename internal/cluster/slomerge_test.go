@@ -70,7 +70,7 @@ func TestCollectFleetSLOSamples(t *testing.T) {
 		obs.ParseScrape(backendScrape(20, 3, 23, 2, 0, 1, "bbbb")),
 		nil, // a failed backend scrape must be skipped, not crash
 	}
-	samples := collectFleetSLOSamples(scrapes)
+	samples := collectFleetSLOSamples(scrapes, mergeFleet(scrapes))
 	if len(samples) != 2 {
 		t.Fatalf("%d samples, want 2 (aggregate + interactive): %+v", len(samples), samples)
 	}
@@ -105,7 +105,7 @@ func TestCollectFleetSLOSamples(t *testing.T) {
 func TestFleetMergeCarriesExemplars(t *testing.T) {
 	scrapes := []*obs.Scrape{obs.ParseScrape(backendScrape(10, 2, 12, 0, 0, 0, "cafe1234cafe1234cafe1234cafe1234"))}
 	var out obs.Writer
-	writeFleetHistograms(&out, scrapes)
+	writeFleetHistograms(&out, mergeFleet(scrapes))
 	text := string(out.Bytes())
 	if !strings.Contains(text, `radixrouter_model_request_latency_seconds_bucket{model="m",le="1"} 12 # {trace_id="cafe1234cafe1234cafe1234cafe1234"} 0.5`) {
 		t.Fatalf("merged exposition lost the exemplar:\n%s", text)

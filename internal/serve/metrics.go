@@ -88,12 +88,17 @@ type MetricsSnapshot struct {
 // completed rows from LatencyHist, batches and batched rows from
 // BatchHist.
 func (m *Metrics) Snapshot() MetricsSnapshot {
-	batches := m.BatchHist.Snapshot()
+	return m.counts(m.LatencyHist.Snapshot(), m.BatchHist.Snapshot())
+}
+
+// counts reads every count, taking completed rows, batches and batched
+// rows from the given copies of LatencyHist and BatchHist.
+func (m *Metrics) counts(latency, batch obs.HistSnapshot) MetricsSnapshot {
 	s := MetricsSnapshot{
-		Completed:   int64(m.LatencyHist.Snapshot().Count),
+		Completed:   int64(latency.Count),
 		Failed:      m.Failed.Load(),
-		Batches:     int64(batches.Count),
-		BatchedRows: batches.Sum,
+		Batches:     int64(batch.Count),
+		BatchedRows: batch.Sum,
 		Reloads:     m.Reloads.Load(),
 	}
 	for i := range m.classes {
@@ -103,6 +108,34 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		s.Expired += c.Expired.Load()
 	}
 	return s
+}
+
+// modelRead is one model's instruments read once for a /metrics scrape
+// and the SLO samples beside it: each histogram is copied once, and the
+// counts a histogram keeps are read from that copy, so a scrape's
+// counters agree with its histograms.
+type modelRead struct {
+	*Model
+	n                    MetricsSnapshot
+	latency, exec, batch obs.HistSnapshot
+	wait, classLatency   []obs.HistSnapshot // per class, in qosSet order
+}
+
+// readModels reads each model's instruments once.
+func readModels(models []*Model) []modelRead {
+	out := make([]modelRead, len(models))
+	for i, m := range models {
+		met, r := &m.met, &out[i]
+		*r = modelRead{Model: m,
+			latency: met.LatencyHist.Snapshot(), exec: met.ExecHist.Snapshot(), batch: met.BatchHist.Snapshot(),
+			wait: make([]obs.HistSnapshot, len(met.classes)), classLatency: make([]obs.HistSnapshot, len(met.classes))}
+		for c := range met.classes {
+			r.wait[c] = met.classes[c].WaitHist.Snapshot()
+			r.classLatency[c] = met.classes[c].LatencyHist.Snapshot()
+		}
+		r.n = met.counts(r.latency, r.batch)
+	}
+	return out
 }
 
 // observe records one delivered row's enqueue→delivery latency,
@@ -139,8 +172,8 @@ var (
 )
 
 // perClass writes one float sample per registry class of m.
-func perClass(value func(m *Model, c int) float64) func(*obs.Writer, *Model) {
-	return func(w *obs.Writer, m *Model) {
+func perClass(value func(m *modelRead, c int) float64) func(*obs.Writer, *modelRead) {
+	return func(w *obs.Writer, m *modelRead) {
 		for c := 0; c < m.qos.size(); c++ {
 			w.Float(value(m, c), m.name, m.qos.name(c))
 		}
@@ -149,72 +182,73 @@ func perClass(value func(m *Model, c int) float64) func(*obs.Writer, *Model) {
 
 // modelFamilies is every family with a series per model (or per
 // model×class), in exposition order, and how one model's samples of it
-// are written. Float renders a counter at 1e6 as 1e+06, Int as 1000000.
+// are written from its read. Float renders a counter at 1e6 as 1e+06,
+// Int as 1000000.
 // The histogram families all share obs's log2 le ladder, so the router
 // can merge backend series bucket-wise by summing counts; the *_max and
 // *_maxwindow gauges are the point series beside them.
 var modelFamilies = []struct {
 	fam  *obs.Family
-	emit func(w *obs.Writer, m *Model)
+	emit func(w *obs.Writer, m *modelRead)
 }{
-	{MetricRowsAccepted, func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Snapshot().Accepted), m.name) }},
-	{MetricRowsRejected, func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Snapshot().Rejected), m.name) }},
+	{MetricRowsAccepted, func(w *obs.Writer, m *modelRead) { w.Float(float64(m.n.Accepted), m.name) }},
+	{MetricRowsRejected, func(w *obs.Writer, m *modelRead) { w.Float(float64(m.n.Rejected), m.name) }},
 	{obs.NewCounter("radixserve_rows_completed_total", "Rows inferred and delivered.", "model"),
-		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Snapshot().Completed), m.name) }},
-	{MetricRowsFailed, func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Failed.Load()), m.name) }},
-	{MetricRowsExpired, func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Snapshot().Expired), m.name) }},
+		func(w *obs.Writer, m *modelRead) { w.Float(float64(m.n.Completed), m.name) }},
+	{MetricRowsFailed, func(w *obs.Writer, m *modelRead) { w.Float(float64(m.met.Failed.Load()), m.name) }},
+	{MetricRowsExpired, func(w *obs.Writer, m *modelRead) { w.Float(float64(m.n.Expired), m.name) }},
 	{obs.NewCounter("radixserve_batches_total", "Engine invocations (coalesced batches).", "model"),
-		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Snapshot().Batches), m.name) }},
+		func(w *obs.Writer, m *modelRead) { w.Float(float64(m.n.Batches), m.name) }},
 	{obs.NewCounter("radixserve_batched_rows_total", "Rows summed over engine invocations.", "model"),
-		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Snapshot().BatchedRows), m.name) }},
+		func(w *obs.Writer, m *modelRead) { w.Float(float64(m.n.BatchedRows), m.name) }},
 	{obs.NewCounter("radixserve_engine_busy_seconds_total", "Engine time summed over invocations (drain-capacity basis).", "model"),
-		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.ExecHist.Snapshot().Sum)/1e9, m.name) }},
+		func(w *obs.Writer, m *modelRead) { w.Float(float64(m.exec.Sum)/1e9, m.name) }},
 	{obs.NewGauge("radixserve_request_latency_seconds_max", "Worst single-row enqueue-to-delivery latency (all-time).", "model"),
-		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.MaxLatency.Load())/1e9, m.name) }},
+		func(w *obs.Writer, m *modelRead) { w.Float(float64(m.met.MaxLatency.Load())/1e9, m.name) }},
 	{obs.NewGauge("radixserve_request_latency_seconds_maxwindow", "Worst single-row enqueue-to-delivery latency over the recent scrape windows (rotates on scrape).", "model"),
-		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.WinLatency.Rotate())/1e9, m.name) }},
+		func(w *obs.Writer, m *modelRead) { w.Float(float64(m.met.WinLatency.Rotate())/1e9, m.name) }},
 	{obs.NewCounter("radixserve_reloads_total", "Engine-pool hot swaps applied to the model.", "model"),
-		func(w *obs.Writer, m *Model) { w.Float(float64(m.met.Reloads.Load()), m.name) }},
+		func(w *obs.Writer, m *modelRead) { w.Float(float64(m.met.Reloads.Load()), m.name) }},
 
-	{MetricClassRowsAccepted, perClass(func(m *Model, c int) float64 { return float64(m.met.class(c).Accepted.Load()) })},
-	{MetricClassRowsRejected, perClass(func(m *Model, c int) float64 { return float64(m.met.class(c).Rejected.Load()) })},
+	{MetricClassRowsAccepted, perClass(func(m *modelRead, c int) float64 { return float64(m.met.class(c).Accepted.Load()) })},
+	{MetricClassRowsRejected, perClass(func(m *modelRead, c int) float64 { return float64(m.met.class(c).Rejected.Load()) })},
 	{obs.NewCounter("radixserve_class_rows_completed_total", "Rows inferred and delivered for the class.", "model", "class"),
-		perClass(func(m *Model, c int) float64 { return float64(m.met.class(c).LatencyHist.Snapshot().Count) })},
-	{MetricClassRowsExpired, perClass(func(m *Model, c int) float64 { return float64(m.met.class(c).Expired.Load()) })},
+		perClass(func(m *modelRead, c int) float64 { return float64(m.classLatency[c].Count) })},
+	{MetricClassRowsExpired, perClass(func(m *modelRead, c int) float64 { return float64(m.met.class(c).Expired.Load()) })},
 	{obs.NewGauge("radixserve_queue_wait_seconds_max", "Worst single-row enqueue-to-dispatch queue wait (all-time).", "model", "class"),
-		perClass(func(m *Model, c int) float64 { return float64(m.met.class(c).MaxWaitNs.Load()) / 1e9 })},
+		perClass(func(m *modelRead, c int) float64 { return float64(m.met.class(c).MaxWaitNs.Load()) / 1e9 })},
 	{obs.NewGauge("radixserve_queue_wait_seconds_maxwindow", "Worst single-row enqueue-to-dispatch queue wait over the recent scrape windows (rotates on scrape).", "model", "class"),
-		perClass(func(m *Model, c int) float64 { return float64(m.met.class(c).WinWait.Rotate()) / 1e9 })},
+		perClass(func(m *modelRead, c int) float64 { return float64(m.met.class(c).WinWait.Rotate()) / 1e9 })},
 	{obs.NewGauge("radixserve_class_queue_depth", "Rows currently queued in the class.", "model", "class"),
-		perClass(func(m *Model, c int) float64 { return float64(m.bat.classDepth(c)) })},
+		perClass(func(m *modelRead, c int) float64 { return float64(m.bat.classDepth(c)) })},
 
-	{MetricRequestLatency, func(w *obs.Writer, m *Model) { w.Hist(m.met.LatencyHist.Snapshot(), m.name) }},
-	{MetricExecute, func(w *obs.Writer, m *Model) { w.Hist(m.met.ExecHist.Snapshot(), m.name) }},
-	{MetricQueueWait, func(w *obs.Writer, m *Model) {
-		for c := range m.met.classes {
-			w.Hist(m.met.classes[c].WaitHist.Snapshot(), m.name, m.qos.name(c))
+	{MetricRequestLatency, func(w *obs.Writer, m *modelRead) { w.Hist(m.latency, m.name) }},
+	{MetricExecute, func(w *obs.Writer, m *modelRead) { w.Hist(m.exec, m.name) }},
+	{MetricQueueWait, func(w *obs.Writer, m *modelRead) {
+		for c, h := range m.wait {
+			w.Hist(h, m.name, m.qos.name(c))
 		}
 	}},
-	{MetricClassRequestLatency, func(w *obs.Writer, m *Model) {
-		for c := range m.met.classes {
-			w.Hist(m.met.classes[c].LatencyHist.Snapshot(), m.name, m.qos.name(c))
+	{MetricClassRequestLatency, func(w *obs.Writer, m *modelRead) {
+		for c, h := range m.classLatency {
+			w.Hist(h, m.name, m.qos.name(c))
 		}
 	}},
 	// Window 0..12: le ladder 1..4096 rows, the plausible batch range.
 	{obs.NewBuckets("radixserve_batch_rows", "Rows per coalesced engine invocation.", 1, 0, 12, "model"),
-		func(w *obs.Writer, m *Model) { w.Hist(m.met.BatchHist.Snapshot(), m.name) }},
+		func(w *obs.Writer, m *modelRead) { w.Hist(m.batch, m.name) }},
 
 	{obs.NewGauge("radixserve_queue_depth", "Pending rows in the request queues (all classes).", "model"),
-		func(w *obs.Writer, m *Model) { w.Int(int64(m.bat.depth()), m.name) }},
+		func(w *obs.Writer, m *modelRead) { w.Int(int64(m.bat.depth()), m.name) }},
 	{obs.NewGauge("radixserve_queue_capacity", "Request queue bound summed over classes (depth/capacity is a valid utilization ratio; each class's own bound is capacity/classes).", "model"),
-		func(w *obs.Writer, m *Model) { w.Int(int64(m.qos.size()*m.pol.QueueDepth), m.name) }},
+		func(w *obs.Writer, m *modelRead) { w.Int(int64(m.qos.size()*m.pol.QueueDepth), m.name) }},
 	{obs.NewGauge("radixserve_model_generation", "Engine-pool generation (1 at registration, +1 per reload).", "model"),
-		func(w *obs.Writer, m *Model) { w.Int(int64(m.Generation()), m.name) }},
+		func(w *obs.Writer, m *modelRead) { w.Int(int64(m.Generation()), m.name) }},
 	// Warm-pool utilization.
 	{obs.NewGauge("radixserve_engine_pool_engines", "Warm engines in the model's current generation.", "model"),
-		func(w *obs.Writer, m *Model) { engines, _ := m.PoolStats(); w.Int(int64(engines), m.name) }},
+		func(w *obs.Writer, m *modelRead) { engines, _ := m.PoolStats(); w.Int(int64(engines), m.name) }},
 	{obs.NewGauge("radixserve_engine_pool_leased", "Engines currently leased out (executing or being checked out).", "model"),
-		func(w *obs.Writer, m *Model) { _, leased := m.PoolStats(); w.Int(int64(leased), m.name) }},
+		func(w *obs.Writer, m *modelRead) { _, leased := m.PoolStats(); w.Int(int64(leased), m.name) }},
 }
 
 // The engine-profiler families: the per-layer sampled kernel tallies
@@ -228,14 +262,15 @@ var (
 )
 
 // writeModelMetrics renders every model's families in Prometheus text
-// exposition format, one labeled series per model (and per model×class
-// for the QoS series), then — for models with layer profiling enabled —
-// the engine-profiler families, from one profile snapshot per model.
-func writeModelMetrics(w *obs.Writer, models []*Model) {
+// exposition format from one read per model, one labeled series per model
+// (and per model×class for the QoS series), then — for models with layer
+// profiling enabled — the engine-profiler families, from one profile
+// snapshot per model.
+func writeModelMetrics(w *obs.Writer, models []modelRead) {
 	for _, mf := range modelFamilies {
 		w.Family(mf.fam)
-		for _, m := range models {
-			mf.emit(w, m)
+		for i := range models {
+			mf.emit(w, &models[i])
 		}
 	}
 	type profiled struct {

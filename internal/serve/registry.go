@@ -685,7 +685,9 @@ func (m *Model) RetryAfterSeconds(class string) int {
 		id = m.qos.def // unknown classes never reach the queue; be safe anyway
 	}
 	var secs int
-	if wait := MetricQueueWait.Scraped(m.met.class(id).WaitHist.Snapshot()); wait.Count >= retryAfterMinSamples {
+	if wh := m.met.class(id).WaitHist.Snapshot(); wh.Count >= retryAfterMinSamples {
+		wh.Exemplars = nil // the quantile reads counts only
+		wait := MetricQueueWait.Scraped(wh)
 		secs = 30
 		if top := wait.Cum[len(wait.Cum)-1]; float64(top) >= 0.90*float64(wait.Count) {
 			secs = int(math.Ceil(wait.Quantile(0.90)))

@@ -658,8 +658,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// One scraper at a time: the maxwindow gauges rotate their window as
 	// they render, so concurrent scrapes must serialize or a racing
 	// scraper steals the window the other was about to read.
+	models := readModels(s.reg.all())
 	s.scrapeMu.Lock()
-	writeModelMetrics(&out, s.reg.all())
+	writeModelMetrics(&out, models)
 	s.scrapeMu.Unlock()
 	out.Family(metricHTTPResponses)
 	out.Int(s.status2xx.Load(), "2xx")
@@ -667,7 +668,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	out.Int(s.status5xx.Load(), "5xx")
 	out.Family(metricUptime).Float(time.Since(s.start).Seconds())
 	if s.slo != nil {
-		writeSLOMetrics(&out, s.sloEvaluate())
+		now := time.Now()
+		s.sloRecord(models, now)
+		writeSLOMetrics(&out, s.slo.Evaluate(now))
 	}
 	writeRuntimeMetrics(&out)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -675,20 +678,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // sloRecord feeds the SLO engine one cumulative sample per model (the
-// aggregate series, class "") and per model×class, all from this node's
-// own lock-free histograms — the same numbers /metrics exports.
-func (s *Server) sloRecord(now time.Time) {
-	for _, m := range s.reg.all() {
-		met, n := &m.met, m.met.Snapshot()
+// aggregate series, class "") and per model×class, all from the models'
+// reads of this node's own lock-free instruments — the same numbers
+// /metrics exports.
+func (s *Server) sloRecord(models []modelRead, now time.Time) {
+	for i := range models {
+		m := &models[i]
+		n := m.n
 		s.slo.Record(m.name, "", slo.Sample{
-			Hist:  MetricRequestLatency.Scraped(met.LatencyHist.Snapshot()),
+			Hist:  MetricRequestLatency.Scraped(m.latency),
 			Bad:   uint64(max64(n.Failed, 0) + max64(n.Expired, 0) + max64(n.Rejected, 0)),
 			Total: uint64(max64(n.Accepted, 0) + max64(n.Rejected, 0)),
 		}, now)
-		for c := 0; c < m.qos.size(); c++ {
-			cm := met.class(c)
+		for c, h := range m.classLatency {
+			cm := m.met.class(c)
 			s.slo.Record(m.name, m.qos.name(c), slo.Sample{
-				Hist:  MetricClassRequestLatency.Scraped(cm.LatencyHist.Snapshot()),
+				Hist:  MetricClassRequestLatency.Scraped(h),
 				Bad:   uint64(max64(cm.Expired.Load(), 0) + max64(cm.Rejected.Load(), 0)),
 				Total: uint64(max64(cm.Accepted.Load(), 0) + max64(cm.Rejected.Load(), 0)),
 			}, now)
@@ -703,13 +708,6 @@ func max64(v, floor int64) int64 {
 	return v
 }
 
-// sloEvaluate records fresh samples and evaluates every objective.
-func (s *Server) sloEvaluate() []slo.Status {
-	now := time.Now()
-	s.sloRecord(now)
-	return s.slo.Evaluate(now)
-}
-
 // handleSLO is GET /v1/slo: the burn-rate evaluation of every configured
 // objective against this node's own traffic. 404 when no objectives are
 // configured (the endpoint is off, not empty).
@@ -719,6 +717,6 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := time.Now()
-	s.sloRecord(now)
+	s.sloRecord(readModels(s.reg.all()), now)
 	writeJSON(w, http.StatusOK, s.slo.ViewOf(now))
 }
