@@ -285,10 +285,9 @@ func benchTrainEpoch(b *testing.B, useSparse bool) {
 
 // BenchmarkGCInference runs each Graph Challenge shape twice: with the
 // weights FromConfig assigns (one weight per layer, so every layer past the
-// first runs as a quotient — on the lifted 4096-wide stack too, which is
-// natural order) and with the same weights perturbed by 1 %, which puts every
-// layer on the per-column kernels. The pair reproduces the quotients' margin
-// without radixbench.
+// first runs as a quotient — on the lifted 4096-wide stack too) and with the
+// same weights perturbed by 1 %, which puts every layer on the per-column
+// kernels. The pair reproduces the quotients' margin without radixbench.
 func BenchmarkGCInference(b *testing.B) {
 	for _, spec := range []struct {
 		width, layers int
@@ -340,14 +339,14 @@ func BenchmarkE10_Infer(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// FromConfig auto-selects the radix butterfly kernel; build the CSC
-	// engine here so this benchmark keeps tracking the generic fused path
-	// (the radix kernel has its own benchmark below).
+	// The CSC engine on perturbed weights: every layer runs per column, so
+	// this benchmark keeps tracking the fused gather/scatter pair, not the
+	// quotients (BenchmarkGCInference times those).
 	engine, err := infer.FromConfigKernel(cfg, infer.KernelCSC)
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine.PerturbWeights(0.01, 1) // as BenchmarkRadixKernel's engines are, so the two compare
+	engine.PerturbWeights(0.01, 1)
 	width := 8 * 8 * 8 * 8
 	batch, err := dataset.SparseBatch(64, width, width/10, 1)
 	if err != nil {
@@ -373,7 +372,7 @@ func BenchmarkE10_Infer(b *testing.B) {
 // registration, a hot reload and an autoscaler ScaleTo each pay — and with
 // -benchmem what it allocates, on a stack with two distinct layers in 120
 // (Graph Challenge 1024×120) and on one where every layer is distinct (radix
-// (8,8,8)), for both families.
+// (8,8,8)), for both kinds: KernelAuto's numbering is what it adds.
 func BenchmarkEngineBuild(b *testing.B) {
 	gc, err := core.GraphChallengeConfig(1024, 120)
 	if err != nil {
@@ -397,49 +396,6 @@ func BenchmarkEngineBuild(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkRadixKernel pits the structure-aware butterfly kernel (compiled
-// mixed-radix stride plans, arithmetic addressing, zero index arrays in the
-// hot loop) against the generic fused CSC kernel on the same E10 acceptance
-// workload. The sub-benchmarks run the same config, weights and batch on
-// one engine per family — only the kernel the engine was built with differs
-// — and both must report 0 allocs/op in steady state; outputs are
-// bit-identical (property-tested and fuzzed in internal/infer).
-func BenchmarkRadixKernel(b *testing.B) {
-	cfg, err := core.NewConfig([]radix.System{radix.MustNew(8, 8, 8, 8)}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	width := 8 * 8 * 8 * 8
-	batch, err := dataset.SparseBatch(64, width, width/10, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, kind := range []infer.KernelKind{infer.KernelCSC, infer.KernelRadix} {
-		b.Run(kind.String(), func(b *testing.B) {
-			engine, err := infer.FromConfigKernel(cfg, kind)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Perturbed, so the radix engine runs its per-column kernels: left
-			// alone, its closing layer holds one weight and would sum classes
-			// (BenchmarkGCInference times that pair).
-			engine.PerturbWeights(0.01, 1)
-			edgesPerOp := float64(batch.Rows()) * float64(engine.TotalNNZ())
-			if _, err := engine.Infer(batch); err != nil { // size the buffers
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.Infer(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(edgesPerOp*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
-		})
 	}
 }
 

@@ -4,15 +4,14 @@
 // inputs through it, and reports throughput as edges traversed per second
 // (batch × total nnz / wall time), the challenge's headline metric.
 //
-// -kernel selects the kernel: "csc" pins the generic kernels, "radix"
-// demands the structure-aware path (fails on configs that don't compile to
-// stride plans), "auto" (default) resolves to radix whenever the plans
-// verify.
+// -kernel selects the kernel: "csc" runs every layer per column, un-numbered
+// (the oracle); "auto" (default) numbers the values and runs a layer they
+// number into fewer classes than columns as a quotient.
 //
 // Usage:
 //
 //	gcinfer [-width 1024] [-layers 120] [-batch 64] [-nnz 100] [-reps 3]
-//	gcinfer -radix 8,8,8,8 -batch 64 -kernel radix
+//	gcinfer -radix 8,8,8,8 -batch 64 -kernel csc
 package main
 
 import (
@@ -28,16 +27,16 @@ import (
 	"github.com/radix-net/radixnet/internal/sparse"
 )
 
-// parseKernel maps the -kernel flag to the family the engine is built with.
+// parseKernel maps the -kernel flag to the kind the engine is built with.
 // This flag is the one place a kernel is chosen by name: it exists so the CSC
 // oracle and the production path can be run on the same network and compared.
 func parseKernel(s string) (infer.KernelKind, error) {
-	for _, k := range []infer.KernelKind{infer.KernelAuto, infer.KernelCSC, infer.KernelRadix} {
+	for _, k := range []infer.KernelKind{infer.KernelAuto, infer.KernelCSC} {
 		if s == k.String() {
 			return k, nil
 		}
 	}
-	return infer.KernelAuto, fmt.Errorf("unknown kernel %q (want csc, radix or auto)", s)
+	return infer.KernelAuto, fmt.Errorf("unknown kernel %q (want csc or auto)", s)
 }
 
 func main() {
@@ -51,7 +50,7 @@ func main() {
 		nnz       = flag.Int("nnz", 0, "nonzeros per input row (0 = width/10)")
 		reps      = flag.Int("reps", 3, "timed repetitions (best-of)")
 		seed      = flag.Int64("seed", 1, "input seed")
-		kernel    = flag.String("kernel", "auto", "inference kernel: csc, radix, or auto")
+		kernel    = flag.String("kernel", "auto", "inference kernel: csc or auto")
 	)
 	flag.Parse()
 

@@ -242,9 +242,9 @@ func TestFacadeClusterExports(t *testing.T) {
 	}
 }
 
-// TestFacadeKernelSelection: InferFromConfig picks the radix kernel for a
-// radix config, and its engine matches the generic CSC kernel — the
-// bit-identity oracle — bit for bit.
+// TestFacadeKernelSelection: InferFromConfig builds a KernelAuto engine, which
+// numbers a radix config's closing layer into a quotient, and its engine
+// matches the un-numbered CSC engine — the bit-identity oracle — bit for bit.
 func TestFacadeKernelSelection(t *testing.T) {
 	cfg, err := radixnet.NewConfig([]radixnet.System{radixnet.MustSystem(4, 4)}, nil)
 	if err != nil {
@@ -258,8 +258,8 @@ func TestFacadeKernelSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fast.Kernel() != infer.KernelRadix {
-		t.Fatalf("InferFromConfig kernel = %v, want radix", fast.Kernel())
+	if fast.Kernel() != infer.KernelAuto || fast.QuotientLayers() != 1 {
+		t.Fatalf("InferFromConfig: kernel %v, %d quotient layers, want auto and 1", fast.Kernel(), fast.QuotientLayers())
 	}
 	in, err := dataset.SparseBatch(4, 16, 3, 7)
 	if err != nil {

@@ -7,9 +7,9 @@
 //
 // The paper's argument — structure known ahead of time beats runtime
 // bookkeeping — applies to the codebase itself: the repo's headline numbers
-// (index-free radix butterfly kernel, 0-alloc Histogram.Observe) rest on
-// compiler behavior that one innocent refactor can silently destroy, with a
-// noisy benchmark as the only tripwire. This package turns those invariants
+// (0-alloc Engine.Infer and Histogram.Observe, bounds-check-free CSC
+// gathers) rest on compiler behavior that one innocent refactor can silently
+// destroy, with a noisy benchmark as the only tripwire. This package turns those invariants
 // into machine-checked facts:
 //
 //   - hotpath: functions annotated //radix:hotpath must not call fmt/log/

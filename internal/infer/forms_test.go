@@ -13,9 +13,9 @@ import (
 	"github.com/radix-net/radixnet/internal/sparse"
 )
 
-// gcEngines builds Graph Challenge 1024×layers on the auto (radix) family and
+// gcEngines builds Graph Challenge 1024×layers as a KernelAuto engine and
 // on the CSC oracle.
-func gcEngines(t *testing.T, layers int) (rad, csc *Engine) {
+func gcEngines(t *testing.T, layers int) (auto, csc *Engine) {
 	t.Helper()
 	return stackEngines(t, repeat([]int{32, 32}, layers/2)...)
 }
@@ -65,9 +65,9 @@ func TestFormsFollowWeights(t *testing.T) {
 	}
 	for _, through := range []string{"engine", "clone"} {
 		t.Run(through, func(t *testing.T) {
-			rad, csc := gcEngines(t, 4)
-			mutate := rad // the engine whose methods change the weights
-			other := rad.Clone()
+			auto, csc := gcEngines(t, 4)
+			mutate := auto // the engine whose methods change the weights
+			other := auto.Clone()
 			if through == "clone" {
 				mutate, other = other, mutate
 			}
@@ -83,12 +83,12 @@ func TestFormsFollowWeights(t *testing.T) {
 			want := mustInfer(t, csc, batch)
 			check("fresh", 3, want)
 
-			w := rad.layers[0].Values()[0]
+			w := auto.layers[0].Values()[0]
 			mutate.PerturbWeights(0.01, 1)
 			csc.PerturbWeights(0.01, 1)
 			check("perturbed", 0, mustInfer(t, csc, batch))
 
-			for _, e := range []*Engine{rad, csc} {
+			for _, e := range []*Engine{auto, csc} {
 				for _, l := range e.layers {
 					vals := l.Values()
 					for i := range vals {
@@ -108,18 +108,18 @@ func TestFormsFollowWeights(t *testing.T) {
 // its quotient; so does, through
 // 1024×24, the same batch with eight rows made dense and one element of them
 // special — subnormal, MaxFloat64, NaN, +Inf — so that it reaches a layer-0
-// octet.
+// quad.
 func TestSpecialElementsAgree(t *testing.T) {
 	for _, layers := range []int{24, 120} {
-		rad, csc := gcEngines(t, layers)
+		auto, csc := gcEngines(t, layers)
 		batch, err := dataset.SparseBatch(64, 1024, 102, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rad.QuotientLayers() != layers-1 {
-			t.Errorf("1024×%d: %d quotient layers, want %d", layers, rad.QuotientLayers(), layers-1)
+		if auto.QuotientLayers() != layers-1 {
+			t.Errorf("1024×%d: %d quotient layers, want %d", layers, auto.QuotientLayers(), layers-1)
 		}
-		sameBits(t, fmt.Sprintf("1024×%d", layers), inferProfiled(t, rad, batch), mustInfer(t, csc, batch))
+		sameBits(t, fmt.Sprintf("1024×%d", layers), inferProfiled(t, auto, batch), mustInfer(t, csc, batch))
 		if layers == 120 {
 			continue // the single-element cases need no second depth
 		}
@@ -132,13 +132,13 @@ func TestSpecialElementsAgree(t *testing.T) {
 				}
 			}
 			hit.RowSlice(9)[700] = bad
-			sameBits(t, fmt.Sprintf("one element = %v", bad), inferProfiled(t, rad, hit), mustInfer(t, csc, hit))
+			sameBits(t, fmt.Sprintf("one element = %v", bad), inferProfiled(t, auto, hit), mustInfer(t, csc, hit))
 		}
 	}
 }
 
 // atExponent returns a 10-row batch — eight fully dense rows, which gather
-// through layer-0 octets, and two sparse ones — whose nonzero elements all
+// through layer-0 quads, and two sparse ones — whose nonzero elements all
 // carry biased exponent e (e = 0 makes them subnormal).
 func atExponent(t *testing.T, e int) *sparse.Dense {
 	t.Helper()
@@ -179,8 +179,8 @@ func TestBinadeEdgesAgree(t *testing.T) {
 		{120, 32, 0, 361, 2039},
 		{120, 0, -0.1, 4, 1563},
 	} {
-		rad, csc := gcEngines(t, c.layers)
-		for _, e := range []*Engine{rad, csc} {
+		auto, csc := gcEngines(t, c.layers)
+		for _, e := range []*Engine{auto, csc} {
 			e.cap = c.cap
 			for i := range e.bias {
 				e.bias[i] = c.bias
@@ -189,7 +189,7 @@ func TestBinadeEdgesAgree(t *testing.T) {
 		for _, exp := range []int{0, 1, c.lo - 1, c.lo, c.hi, c.hi + 1, 2046} {
 			batch := atExponent(t, exp)
 			name := fmt.Sprintf("1024×%d cap %v bias %v, exponent %d", c.layers, c.cap, c.bias, exp)
-			sameBits(t, name, inferProfiled(t, rad, batch), mustInfer(t, csc, batch))
+			sameBits(t, name, inferProfiled(t, auto, batch), mustInfer(t, csc, batch))
 		}
 	}
 }
@@ -209,7 +209,7 @@ func TestPowerOfTwoStacksAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rad, err := FromConfig(cfg)
+		auto, err := FromConfig(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,14 +219,14 @@ func TestPowerOfTwoStacksAgree(t *testing.T) {
 		}
 		cap := []float64{0, 32, 0x1p-40, 0x1p900}[rng.Intn(4)]
 		var ks []int
-		for l := range rad.layers {
+		for l := range auto.layers {
 			k := rng.Intn(13) - 8
 			if rng.Intn(8) == 0 {
 				k = []int{-300, 300}[rng.Intn(2)]
 			}
 			ks = append(ks, k)
 			bias := []float64{-0.3, 0, 0.2, 1e-300, -1e-3, -0x1p-600, 1e-310}[rng.Intn(7)]
-			for _, e := range []*Engine{rad, csc} {
+			for _, e := range []*Engine{auto, csc} {
 				e.cap, e.bias[l] = cap, bias
 				vals := e.layers[l].Values()
 				for i := range vals {
@@ -234,7 +234,7 @@ func TestPowerOfTwoStacksAgree(t *testing.T) {
 				}
 			}
 		}
-		rad.RefreshWeights()
+		auto.RefreshWeights()
 		csc.RefreshWeights()
 		width := cfg.LayerWidths()[0]
 		batch, err := sparse.NewDense(12, width)
@@ -248,8 +248,8 @@ func TestPowerOfTwoStacksAgree(t *testing.T) {
 			e := []int{0, 2046, draw.Intn(2047)}[draw.Intn(3)]
 			batch.Data()[i] = math.Ldexp(0.5+draw.Float64()/2, e-1022) * float64(1-2*draw.Intn(2))
 		}
-		name := fmt.Sprintf("trial %d: %v weights 2^%v bias %v cap %v", trial, radices, ks, rad.bias, cap)
-		sameBits(t, name, inferProfiled(t, rad, batch), mustInfer(t, csc, batch))
+		name := fmt.Sprintf("trial %d: %v weights 2^%v bias %v cap %v", trial, radices, ks, auto.bias, cap)
+		sameBits(t, name, inferProfiled(t, auto, batch), mustInfer(t, csc, batch))
 		if t.Failed() {
 			return
 		}
@@ -262,17 +262,17 @@ func TestPowerOfTwoStacksAgree(t *testing.T) {
 // classes behind it; the other closing layer, complete within each residue
 // class, keeps its 32. Writing the value back joins them again. Two clones infer concurrently before, between and after; all of
 // it equals the CSC engine and ReferenceInfer bit for bit, on quotients
-// throughout. 13 rows: an octet, a quad and a single through every gather.
+// throughout. 13 rows: three quads and a single through every gather.
 func TestClosedFollowsWeights(t *testing.T) {
-	rad, csc := gcEngines(t, 4)
-	a, b := rad.Clone(), rad.Clone()
+	auto, csc := gcEngines(t, 4)
+	a, b := auto.Clone(), auto.Clone()
 	batch, err := dataset.SparseBatch(13, 1024, 1000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	batch.RowSlice(3)[17] = math.MaxFloat64 // one extreme element among ordinary ones
 	const layer, edge = 1, 4097
-	w := rad.layers[layer].Values()[edge]
+	w := auto.layers[layer].Values()[edge]
 	for _, c := range []struct {
 		what    string
 		v       float64

@@ -60,11 +60,10 @@ type Engine struct {
 	bias   []float64 // one uniform bias per layer
 	cap    float64   // activation ceiling; 0 disables clamping
 
-	kernels []*sparse.Kernel      // CSC gather form of each layer
-	radix   []*sparse.RadixKernel // verified stride plans, nil on the CSC family
-	kind    KernelKind            // kernel family the engine was built with
-	cols    []layerKernel         // each layer bound to that family; immutable
-	steps   []layerKernel         // what each layer runs, cols[l] or its quotient; clones share the array
+	kernels []*sparse.Kernel // CSC gather form of each layer
+	kind    KernelKind       // KernelAuto numbers the values; KernelCSC never does
+	cols    []layerKernel    // each layer's per-column step; immutable
+	steps   []layerKernel    // what each layer runs, cols[l] or its quotient; clones share the array
 	pool    *parallel.Pool
 	run     func(lo, hi int) // bound once; dispatched once per batch on the pool
 	inUse   atomic.Bool      // single-flight guard for the output and scratch
@@ -145,25 +144,19 @@ func New(layers []*sparse.Matrix, bias []float64, cap float64) (*Engine, error) 
 	}
 	e := &Engine{layers: layers, bias: append([]float64(nil), bias...), cap: cap}
 	e.kernels = make([]*sparse.Kernel, len(layers))
-	steps := make([]layerKernel, len(layers))
+	e.cols = make([]layerKernel, len(layers))
 	for i, l := range layers {
 		k, err := sparse.NewKernel(l)
 		if err != nil {
 			return nil, fmt.Errorf("infer: layer %d: %w", i, err)
 		}
 		e.kernels[i] = k
-		steps[i] = cscLayer{kern: k, mat: l}
+		e.cols[i] = cscLayer{kern: k, mat: l}
 	}
-	e.bind(steps)
+	e.steps = append([]layerKernel(nil), e.cols...)
 	e.pool = parallel.Shared()
 	e.run = e.tiles
 	return e, nil
-}
-
-// bind installs the per-layer kernels. Construction only: an engine never
-// changes family once it can be called.
-func (e *Engine) bind(cols []layerKernel) {
-	e.cols, e.steps = cols, append([]layerKernel(nil), cols...)
 }
 
 // FromTopology assigns every edge of the FNNT the same weight and every
@@ -185,12 +178,11 @@ func FromTopology(g *topology.FNNT, weight, bias, cap float64) (*Engine, error) 
 // FromConfig generates the RadiX-Net of cfg and wraps it in an engine with
 // Graph Challenge weighting: every edge weighs 4/fan-in (1/8 on the
 // challenge's fan-in of 32, 1/2 on radix (8,8,8)), bias −0.10, cap 32.
-// Kernel selection is KernelAuto: the config proves the layers
-// radix-structured, so stride plans are compiled. A layer past the first
-// whose values number its columns into fewer classes than columns (on Graph
-// Challenge stacks, every layer past the first) runs as a quotient through
-// the CSC gather; the others run the structure-aware butterfly kernel
-// (FromConfigKernel(cfg, KernelCSC) builds the generic oracle instead).
+// Kernel selection is KernelAuto: a layer past the first whose values number
+// its columns into fewer classes than columns (on Graph Challenge stacks,
+// every layer past the first) runs as a quotient through the CSC gather; the
+// others run the CSC gather / CSR scatter pair per column
+// (FromConfigKernel(cfg, KernelCSC) builds the un-numbered oracle instead).
 func FromConfig(cfg core.Config) (*Engine, error) {
 	return FromConfigKernel(cfg, KernelAuto)
 }
@@ -303,10 +295,9 @@ func (e *Engine) tile(s *tileSet, lo, hi int) {
 // count — and returns how many were live. Mostly-zero rows take the layer's
 // scatter, whose zero-input skip does only the work the row's live activations
 // require, unless the step is a quotient, which gathers every row. Dense rows
-// take its gather (every output written once, no random writes), blocked as
-// wide as the layer allows so each weight is loaded once per block; what is
-// left at the end of the tile runs widest form first — one quad if four or
-// more rows remain, then single rows. A dead row stays zero through a
+// take its gather (every output written once, no random writes), blockRows
+// rows to a call so each weight is loaded once per block; what is left at the
+// end of the tile runs one row at a time. A dead row stays zero through a
 // non-positive bias and is skipped; a positive one resurrects it: its image is
 // the constant clamp(relu(bias)) > 0 in every element, filled directly (its
 // gather would be a no-op over zeros).
@@ -315,7 +306,7 @@ func (e *Engine) tile(s *tileSet, lo, hi int) {
 func (e *Engine) layerStep(s *tileSet, cur *cursor, n int) (rows int) {
 	need := cur.need
 	var blk rowBlock
-	var at [8]int
+	var at [blockRows]int
 	q := 0
 	for i := 0; i < n; i++ {
 		live := int(s.nnz[i])
@@ -342,18 +333,13 @@ func (e *Engine) layerStep(s *tileSet, cur *cursor, n int) (rows int) {
 		}
 		at[q], blk.in[q], blk.out[q] = i, in, out
 		q++
-		if q == need.block {
+		if q == blockRows {
 			gatherBlock(s, cur, &blk, &at, 0, q)
 			q = 0
 		}
 	}
-	for t := 0; t < q; {
-		w := 1
-		if q-t >= 4 {
-			w = 4
-		}
-		gatherBlock(s, cur, &blk, &at, t, w)
-		t += w
+	for t := 0; t < q; t++ {
+		gatherBlock(s, cur, &blk, &at, t, 1)
 	}
 	return rows
 }
@@ -362,7 +348,7 @@ func (e *Engine) layerStep(s *tileSet, cur *cursor, n int) (rows int) {
 // records their activation counts.
 //
 //radix:hotpath
-func gatherBlock(s *tileSet, cur *cursor, blk *rowBlock, at *[8]int, t, w int) {
+func gatherBlock(s *tileSet, cur *cursor, blk *rowBlock, at *[blockRows]int, t, w int) {
 	var sub rowBlock
 	copy(sub.in[:], blk.in[t:t+w])
 	copy(sub.out[:], blk.out[t:t+w])
@@ -464,7 +450,7 @@ func (e *Engine) infer(y0 *sparse.Dense) (*sparse.Dense, error) {
 	// One dispatch for the whole batch. The grain keeps pool chunks, hence
 	// tiles, at whole gather blocks, so the widest form engages even when many
 	// workers shrink the chunks.
-	e.pool.Run(batch, e.plan[0].block, e.run)
+	e.pool.Run(batch, blockRows, e.run)
 	if e.timed {
 		e.report(prof, time.Since(t0))
 	}
@@ -543,15 +529,14 @@ func (e *Engine) ReferenceInfer(y0 *sparse.Dense) (*sparse.Dense, error) {
 // matrices. Call it after mutating weights through Matrix.Values(); Infer
 // otherwise keeps using the values the kernels last saw. A layer whose matrix
 // left the stack's constant run gets CSC value storage of its own here; layers
-// that were not written keep reading the run. The radix kernels read the
-// matrices and CSC kernels on every call, so a radix engine only numbers the
-// values again, rebinding the steps of every clone.
+// that were not written keep reading the run. A KernelAuto engine then numbers
+// the values again, rebinding the steps of every clone.
 func (e *Engine) RefreshWeights() {
 	for i, l := range e.layers {
 		// Same pattern, same engine: Refresh cannot fail here.
 		_ = e.kernels[i].Refresh(l)
 	}
-	if e.radix != nil {
+	if e.kind == KernelAuto {
 		e.number()
 	}
 }
@@ -564,8 +549,8 @@ func (e *Engine) Footprint() sparse.Footprint {
 }
 
 // Clone returns an engine sharing this engine's weight stack — the layer
-// matrices, biases, CSC and radix kernels, compiled stride plans and kernel
-// family, whatever storage those in turn share between layers — with fresh,
+// matrices, biases, CSC kernels, kernel kind and the steps its numbering
+// bound, whatever storage those in turn share between layers — with fresh,
 // independent scratch state (output, tile scratch sets, single-flight
 // guard). A pool of clones serves concurrent batches without duplicating the
 // model: N clones cost N sets of activation buffers, not N
@@ -576,7 +561,7 @@ func (e *Engine) Footprint() sparse.Footprint {
 // frozen after the pool is built.
 func (e *Engine) Clone() *Engine {
 	c := &Engine{layers: e.layers, bias: e.bias, cap: e.cap, kernels: e.kernels,
-		radix: e.radix, kind: e.kind, cols: e.cols, steps: e.steps, pool: e.pool}
+		kind: e.kind, cols: e.cols, steps: e.steps, pool: e.pool}
 	c.run = c.tiles
 	c.prof.Store(e.prof.Load()) // clones aggregate into the parent's profiler
 	return c

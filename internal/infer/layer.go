@@ -6,45 +6,47 @@ import (
 	"github.com/radix-net/radixnet/internal/sparse"
 )
 
-// layerKernel is one weight layer bound to the kernel family its engine was
-// built with, or to the quotient of that layer (quotientLayer). The family is
-// resolved once, at construction; Engine.layerStep owns the gather-vs-scatter
-// choice and the row blocking and reaches the arithmetic only through this
-// interface. Every implementation accumulates in the same order, so all
-// families agree bit for bit.
+// layerKernel is one weight layer: the per-column CSC/CSR pair (cscLayer) or
+// the quotient of that layer (quotientLayer), bound at construction and at
+// RefreshWeights. Engine.layerStep owns the gather-vs-scatter choice and the
+// row blocking and reaches the arithmetic only through this interface. Both
+// implementations accumulate in the same order, so they agree bit for bit.
 type layerKernel interface {
 	// needs is asked once per step: RefreshWeights may rebind the layer.
 	needs() layerNeeds
 	// scatter runs one mostly-zero row.
 	scatter(out, in []float64, bias, clip float64) int
-	// gather runs the first n rows of the block — n is needs().block, 4 or 1
-	// — and returns their activation counts; scratch is what needs asked for.
-	// The block travels by value: a pointer to a step-local array passed
-	// through an interface would move the array to the heap on every step.
-	gather(rows rowBlock, n int, scratch []float64, bias, clip float64) [8]int
+	// gather runs the first n rows of the block — n is blockRows or 1 — and
+	// returns their activation counts; scratch is what needs asked for. The
+	// block travels by value: a pointer to a step-local array passed through
+	// an interface would move the array to the heap on every step.
+	gather(rows rowBlock, n int, scratch []float64, bias, clip float64) [blockRows]int
 }
 
 // layerNeeds is what a layer declares to the engine that runs it.
 type layerNeeds struct {
-	block    int  // widest gather block, 8 or 4 rows; also the pool grain
 	scratch  int  // float64s of scratch a row stages in
 	quotient bool // a quotientLayer: it gathers every row, into classes
 	in, out  int  // leading entries of a row the step reads and writes
 }
 
-// rowBlock is up to eight batch rows' input and output slices.
-type rowBlock struct{ in, out [8][]float64 }
+// blockRows is the widest gather block, and the pool's grain. A gather loads
+// a row index per stored entry, so widening its block past four leaves the
+// index traffic in place.
+const blockRows = 4
+
+// rowBlock is up to blockRows batch rows' input and output slices.
+type rowBlock struct{ in, out [blockRows][]float64 }
 
 // cscLayer is the generic pair — CSC gather, CSR scatter — correct for any
-// pattern. A gather loads a row index per stored entry, so widening its
-// block past four leaves the index traffic in place: quads are its widest.
+// pattern.
 type cscLayer struct {
 	kern *sparse.Kernel
 	mat  *sparse.Matrix
 }
 
 func (l cscLayer) needs() layerNeeds {
-	return layerNeeds{block: 4, in: l.mat.Rows(), out: l.mat.Cols()}
+	return layerNeeds{in: l.mat.Rows(), out: l.mat.Cols()}
 }
 
 func (l cscLayer) scatter(out, in []float64, bias, clip float64) int {
@@ -52,40 +54,13 @@ func (l cscLayer) scatter(out, in []float64, bias, clip float64) int {
 }
 
 //radix:hotpath
-func (l cscLayer) gather(r rowBlock, n int, _ []float64, bias, clip float64) (nnz [8]int) {
+func (l cscLayer) gather(r rowBlock, n int, _ []float64, bias, clip float64) (nnz [blockRows]int) {
 	if n == 4 {
 		l.kern.FusedGatherRow4(r.out[0], r.out[1], r.out[2], r.out[3],
-			r.in[0], r.in[1], r.in[2], r.in[3], bias, clip, (*[4]int)(nnz[:4]))
+			r.in[0], r.in[1], r.in[2], r.in[3], bias, clip, &nnz)
 		return nnz
 	}
 	nnz[0] = l.kern.FusedGatherRow(r.out[0], r.in[0], bias, clip)
-	return nnz
-}
-
-// radixLayer is the structure-aware butterfly kernel in natural order.
-// Arithmetic addressing removes the per-entry index load, so it blocks eight
-// rows per weight load.
-type radixLayer struct{ rk *sparse.RadixKernel }
-
-func (l radixLayer) needs() layerNeeds {
-	return layerNeeds{block: 8, in: l.rk.Rows(), out: l.rk.Cols()}
-}
-
-func (l radixLayer) scatter(out, in []float64, bias, clip float64) int {
-	return l.rk.FusedScatterRow(out, in, bias, clip)
-}
-
-//radix:hotpath
-func (l radixLayer) gather(r rowBlock, n int, _ []float64, bias, clip float64) (nnz [8]int) {
-	switch n {
-	case 8:
-		l.rk.FusedGatherRow8(&r.out, &r.in, bias, clip, &nnz)
-	case 4:
-		l.rk.FusedGatherRow4(r.out[0], r.out[1], r.out[2], r.out[3],
-			r.in[0], r.in[1], r.in[2], r.in[3], bias, clip, (*[4]int)(nnz[:4]))
-	default:
-		nnz[0] = l.rk.FusedGatherRow(r.out[0], r.in[0], bias, clip)
-	}
 	return nnz
 }
 
@@ -93,8 +68,8 @@ func (l radixLayer) gather(r rowBlock, n int, _ []float64, bias, clip float64) (
 // there are columns (sparse.NewQuotient): its rows in and out are class
 // vectors — except that a row a per-column step left is read whole, each
 // position its own class, and a row the engine returns or a per-column step
-// reads next is expanded to the whole row. It has no weight stream worth an
-// octet and nothing to scatter: every row gathers, four at a time.
+// reads next is expanded to the whole row. It has nothing to scatter: every
+// row gathers, four at a time.
 type quotientLayer struct {
 	q      *sparse.Kernel
 	mult   []int32 // columns per class
@@ -102,7 +77,7 @@ type quotientLayer struct {
 }
 
 func (l quotientLayer) needs() layerNeeds {
-	n := layerNeeds{block: 4, quotient: true, in: l.q.Rows(), out: l.q.Cols()}
+	n := layerNeeds{quotient: true, in: l.q.Rows(), out: l.q.Cols()}
 	if l.expand != nil {
 		n.scratch, n.out = l.q.Cols(), len(l.expand)
 	}
@@ -117,10 +92,10 @@ func (l quotientLayer) scatter([]float64, []float64, float64, float64) int {
 // once per column it stands for.
 //
 //radix:hotpath
-func (l quotientLayer) gather(r rowBlock, n int, scratch []float64, bias, clip float64) (nnz [8]int) {
+func (l quotientLayer) gather(r rowBlock, n int, scratch []float64, bias, clip float64) (nnz [blockRows]int) {
 	if n == 4 {
 		l.q.FusedGatherRow4(r.out[0], r.out[1], r.out[2], r.out[3],
-			r.in[0], r.in[1], r.in[2], r.in[3], bias, clip, (*[4]int)(nnz[:4]))
+			r.in[0], r.in[1], r.in[2], r.in[3], bias, clip, &nnz)
 	} else {
 		l.q.FusedGatherRow(r.out[0], r.in[0], bias, clip)
 	}

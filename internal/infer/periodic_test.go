@@ -27,9 +27,9 @@ func (s scatterSpy) scatter(out, in []float64, bias, clip float64) int {
 // multiply-adds per live input and then an epilogue over all 1024 columns, the
 // quotient 1024 in all — and equals the CSC engine bit for bit.
 func TestStructuredLayersGatherEveryRow(t *testing.T) {
-	rad, csc := gcEngines(t, 2)
+	auto, csc := gcEngines(t, 2)
 	var scattered atomic.Int64
-	rad.steps[1] = scatterSpy{rad.steps[1], &scattered}
+	auto.steps[1] = scatterSpy{auto.steps[1], &scattered}
 	batch, err := dataset.SparseBatch(3, 1024, 1000, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -43,18 +43,18 @@ func TestStructuredLayersGatherEveryRow(t *testing.T) {
 			t.Fatalf("row %d enters the closing layer with %d live elements, want 32 of 1024", r, live)
 		}
 	}
-	rad.EnableProfiling(1)
-	got := mustInfer(t, rad, batch)
-	snap, _ := rad.Profile()
+	auto.EnableProfiling(1)
+	got := mustInfer(t, auto, batch)
+	snap, _ := auto.Profile()
 	if snap.Layers[1].Quotient != 1 || scattered.Load() != 0 {
 		t.Errorf("closing layer: %d quotient batches, %d rows scattered; want 1 and 0", snap.Layers[1].Quotient, scattered.Load())
 	}
 	sameBits(t, "thin rows through a closing layer", got, mustInfer(t, csc, batch))
 }
 
-// stackEngines builds the given numeral systems on the auto family and on the
+// stackEngines builds the given numeral systems as a KernelAuto engine and as the
 // CSC oracle.
-func stackEngines(t *testing.T, systems ...[]int) (rad, csc *Engine) {
+func stackEngines(t *testing.T, systems ...[]int) (auto, csc *Engine) {
 	t.Helper()
 	return configEngine(t, KernelAuto, nil, systems...), configEngine(t, KernelCSC, nil, systems...)
 }
@@ -110,12 +110,12 @@ func ranQuotients(t *testing.T, snap ProfileSnapshot) []bool {
 // long as the row — is 8 classes from layer 1 on; and under a Kronecker lift
 // by 2, where a layer's two output blocks are one block, (8,8) twice is 8
 // classes of 128 columns from layer 1 on. A quotient layer runs on each, and
-// each stack equals the CSC engine bit for bit on 13 rows (an octet, a quad, a
+// each stack equals the CSC engine bit for bit on 13 rows (three quads and a
 // single), one of them holding MaxFloat64.
 func TestQuotientClassCounts(t *testing.T) {
 	for _, c := range []struct {
 		name string
-		rad  *Engine
+		auto *Engine
 		csc  *Engine
 		want []int
 	}{
@@ -128,25 +128,25 @@ func TestQuotientClassCounts(t *testing.T) {
 		{"(8,8)² lifted by 2", configEngine(t, KernelAuto, []int{2, 2, 2, 2, 2}, []int{8, 8}, []int{8, 8}), configEngine(t, KernelCSC, []int{2, 2, 2, 2, 2}, []int{8, 8}, []int{8, 8}),
 			[]int{128, 8, 8, 8}},
 	} {
-		if got := classes(c.rad); fmt.Sprint(got) != fmt.Sprint(c.want) {
+		if got := classes(c.auto); fmt.Sprint(got) != fmt.Sprint(c.want) {
 			t.Errorf("%s numbers %v classes, want %v", c.name, got, c.want)
 		}
 		quotients := 0
 		for l, n := range c.want {
-			if n < c.rad.layers[l].Cols() {
+			if n < c.auto.layers[l].Cols() {
 				quotients++
 			}
 		}
-		if c.rad.QuotientLayers() != quotients || c.csc.QuotientLayers() != 0 {
-			t.Errorf("%s: %d quotient layers (CSC %d), want %d (0)", c.name, c.rad.QuotientLayers(), c.csc.QuotientLayers(), quotients)
+		if c.auto.QuotientLayers() != quotients || c.csc.QuotientLayers() != 0 {
+			t.Errorf("%s: %d quotient layers (CSC %d), want %d (0)", c.name, c.auto.QuotientLayers(), c.csc.QuotientLayers(), quotients)
 		}
-		width := c.rad.layers[0].Rows()
+		width := c.auto.layers[0].Rows()
 		batch, err := dataset.SparseBatch(13, width, width-width/8, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		batch.RowSlice(2)[1] = math.MaxFloat64
-		sameBits(t, c.name, inferProfiled(t, c.rad, batch), mustInfer(t, c.csc, batch))
+		sameBits(t, c.name, inferProfiled(t, c.auto, batch), mustInfer(t, c.csc, batch))
 	}
 }
 
@@ -155,21 +155,21 @@ func TestQuotientClassCounts(t *testing.T) {
 // and building it runs at most four numbering passes — all of them on the
 // first three layers past the first.
 func TestGCNumberingPasses(t *testing.T) {
-	rad, _ := gcEngines(t, 120)
-	n := rad.number()
+	auto, _ := gcEngines(t, 120)
+	n := auto.number()
 	t.Logf("numbering 1024×120: %d passes", n)
 	if n > 4 {
 		t.Errorf("numbering 1024×120 ran %d passes, want at most 4", n)
 	}
-	if rad.QuotientLayers() != 119 {
-		t.Errorf("%d quotient layers, want 119", rad.QuotientLayers())
+	if auto.QuotientLayers() != 119 {
+		t.Errorf("%d quotient layers, want 119", auto.QuotientLayers())
 	}
 }
 
 // TestPeriodicHandoffs pins what each layer runs and hands on, shape by shape:
 // the classes a quotient layer gathers and the class vectors between them, whole
 // rows where a per-column step or the caller reads — and that whatever is
-// selected equals the CSC engine bit for bit on 13 rows (an octet, a quad, a
+// selected equals the CSC engine bit for bit on 13 rows (three quads and a
 // single), one of them holding MaxFloat64.
 func TestPeriodicHandoffs(t *testing.T) {
 	for _, c := range []struct {
@@ -195,18 +195,18 @@ func TestPeriodicHandoffs(t *testing.T) {
 		{[][]int{{8, 8}}, []step{{0, 0, 0}, {8, 0, 0}}},
 		{[][]int{{64}, {64}}, []step{{0, 0, 0}, {1, 0, 0}}},
 	} {
-		rad, csc := stackEngines(t, c.systems...)
+		auto, csc := stackEngines(t, c.systems...)
 		name := fmt.Sprint(c.systems)
-		if got := declared(rad); fmt.Sprint(got) != fmt.Sprint(c.want) {
+		if got := declared(auto); fmt.Sprint(got) != fmt.Sprint(c.want) {
 			t.Errorf("%s declares %v, want %v", name, got, c.want)
 		}
-		width := rad.layers[0].Rows()
+		width := auto.layers[0].Rows()
 		batch, err := dataset.SparseBatch(13, width, width-width/8, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		batch.RowSlice(2)[1] = math.MaxFloat64
-		sameBits(t, name, inferProfiled(t, rad, batch), mustInfer(t, csc, batch))
+		sameBits(t, name, inferProfiled(t, auto, batch), mustInfer(t, csc, batch))
 	}
 }
 
@@ -220,15 +220,15 @@ func TestPeriodicHandoffs(t *testing.T) {
 // concurrently before, between and after; everything equals the CSC engine
 // and ReferenceInfer bit for bit.
 func TestPeriodicFollowsWeights(t *testing.T) {
-	rad, csc := gcEngines(t, 6)
-	a, b := rad.Clone(), rad.Clone()
+	auto, csc := gcEngines(t, 6)
+	a, b := auto.Clone(), auto.Clone()
 	batch, err := dataset.SparseBatch(13, 1024, 1000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	batch.RowSlice(3)[17] = math.MaxFloat64 // one extreme element among ordinary ones
 	const layer, edge = 1, 4097
-	w := rad.layers[layer].Values()[edge]
+	w := auto.layers[layer].Values()[edge]
 	whole := []step{{0, 0, 0}, {32, 0, 32}, {32, 32, 32}, {32, 32, 32}, {32, 32, 32}, {32, 32, 0}}
 	for _, c := range []struct {
 		what string
@@ -276,8 +276,8 @@ func TestPeriodicFollowsWeights(t *testing.T) {
 // every class — and leave the stack expanded like the live ones. Rows that
 // enter all zero come back at layer 2 as well.
 func TestPeriodicRevivedRows(t *testing.T) {
-	rad, csc := gcEngines(t, 6)
-	for _, e := range []*Engine{rad, csc} {
+	auto, csc := gcEngines(t, 6)
+	for _, e := range []*Engine{auto, csc} {
 		copy(e.bias, []float64{-0.3, -0.3, 0.2, 0, 0.2, -0.1})
 	}
 	batch, err := dataset.SparseBatch(13, 1024, 1000, 13)
@@ -299,12 +299,12 @@ func TestPeriodicRevivedRows(t *testing.T) {
 			t.Fatalf("row %d leaves layer 0 with %d live elements", r, n)
 		}
 	}
-	if got := declared(rad); got[2] != (step{32, 32, 32}) || got[4] != (step{32, 32, 32}) {
+	if got := declared(auto); got[2] != (step{32, 32, 32}) || got[4] != (step{32, 32, 32}) {
 		t.Fatalf("layers 2 and 4 declare %v and %v", got[2], got[4])
 	}
 	want := mustInfer(t, csc, batch)
-	sameBits(t, "revived rows", mustInfer(t, rad, batch), want)
-	ref, err := rad.ReferenceInfer(batch)
+	sameBits(t, "revived rows", mustInfer(t, auto, batch), want)
+	ref, err := auto.ReferenceInfer(batch)
 	if err != nil {
 		t.Fatal(err)
 	}

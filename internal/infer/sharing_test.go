@@ -79,19 +79,19 @@ func perturbLayer(e *Engine, k int, seed int64) {
 // stack computes the same bits on every path.
 func TestPerturbOneLayerLeavesOthers(t *testing.T) {
 	const layers = 6
-	batch, err := dataset.SparseBatch(13, 1024, 300, 5) // an octet, a quad, a single
+	batch, err := dataset.SparseBatch(13, 1024, 300, 5) // three quads and a single
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct{ k, quotients int }{{0, 5}, {3, 3}, {layers - 1, 4}} {
 		k := c.k
-		rad, csc := gcEngines(t, layers)
-		clone := rad.Clone()
+		auto, csc := gcEngines(t, layers)
+		clone := auto.Clone()
 		w := 4.0 / 32
-		perturbLayer(rad, k, 7)
+		perturbLayer(auto, k, 7)
 		perturbLayer(csc, k, 7)
 
-		for _, e := range []*Engine{rad, csc} {
+		for _, e := range []*Engine{auto, csc} {
 			for l, m := range e.layers {
 				if l == k {
 					continue
@@ -111,7 +111,7 @@ func TestPerturbOneLayerLeavesOthers(t *testing.T) {
 					k, e.Kernel(), fp, 3*gcEdges*8)
 			}
 		}
-		if got := rad.QuotientLayers(); got != c.quotients {
+		if got := auto.QuotientLayers(); got != c.quotients {
 			t.Errorf("k=%d: %d quotient layers, want %d", k, got, c.quotients)
 		}
 
@@ -119,12 +119,12 @@ func TestPerturbOneLayerLeavesOthers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := rad.ReferenceInfer(batch)
+		ref, err := auto.ReferenceInfer(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameBits(t, "radix reference", ref, want)
-		for name, e := range map[string]*Engine{"csc": csc, "radix": rad, "radix clone": clone} {
+		sameBits(t, "auto reference", ref, want)
+		for name, e := range map[string]*Engine{"csc": csc, "auto": auto, "auto clone": clone} {
 			sameBits(t, name, mustInfer(t, e, batch), want)
 		}
 	}
@@ -135,8 +135,8 @@ func TestPerturbOneLayerLeavesOthers(t *testing.T) {
 // the layers every clone holds, so all of them — serving concurrently before
 // and after, never during — compute the new weights.
 func TestPerturbThroughCloneVisibleToAll(t *testing.T) {
-	rad, _ := gcEngines(t, 4)
-	engines := []*Engine{rad, rad.Clone(), rad.Clone()}
+	auto, _ := gcEngines(t, 4)
+	engines := []*Engine{auto, auto.Clone(), auto.Clone()}
 	batch, err := dataset.SparseBatch(16, 1024, 300, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestPerturbThroughCloneVisibleToAll(t *testing.T) {
 	for i, out := range all() {
 		sameBits(t, []string{"parent", "perturbed clone", "other clone"}[i], out, want)
 	}
-	if fp := rad.Footprint(); fp.DistinctLayers != 4 || fp.ValueBytes != 4*2*gcEdges*8 {
+	if fp := auto.Footprint(); fp.DistinctLayers != 4 || fp.ValueBytes != 4*2*gcEdges*8 {
 		t.Errorf("footprint after perturbing every layer: %+v, want 4 distinct layers, %d value bytes", fp, 4*2*gcEdges*8)
 	}
 }

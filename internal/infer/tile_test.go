@@ -21,7 +21,7 @@ func onPool(t testing.TB, e *Engine, workers int) {
 }
 
 // configEngine builds the given numeral systems, lifted by shape when it is
-// not nil, on the given family.
+// not nil, as the given kind.
 func configEngine(t testing.TB, kind KernelKind, shape []int, systems ...[]int) *Engine {
 	t.Helper()
 	var sys []radix.System
@@ -50,7 +50,7 @@ func killRows(batch *sparse.Dense) {
 // batch is cut into tiles — by the pool's worker count, by its size against
 // the gather blocks and tileRows — changes no bit of any row, no row's live
 // count entering any layer, and no category: every cut equals ReferenceInfer
-// word for word, on every family and on the paths only some rows take (dead
+// word for word, on both kinds and on the paths only some rows take (dead
 // rows, rows a positive bias brings back, layers off the shared weight).
 func TestInferIndependentOfWorkers(t *testing.T) {
 	gc := [][]int{{32, 32}, {32, 32}, {32, 32}}
@@ -168,25 +168,29 @@ func repeat(sys []int, n int) [][]int {
 // one engine's batch on a private pool of one worker and of two, on the shapes
 // the benchmark's workloads run and the two that change what a tile holds — a
 // stack off the shared weight, and a batch whose tiles are half dead — plus
-// written weights on 1024×24, where every layer runs the natural-order octet on
-// its own values rather than a quotient.
+// written weights on 1024×24 and on (8,8,8) (width 512) at one row and eight,
+// where every layer runs per column on its own values rather than a quotient.
 func BenchmarkInferWorkers(b *testing.B) {
+	gc := func(layers int) [][]int { return repeat([]int{32, 32}, layers/2) }
 	for _, c := range []struct {
 		name          string
-		layers, rows  int
+		systems       [][]int
+		width, rows   int
 		perturb, dead bool
 	}{
-		{"gc1024x120_b64", 120, 64, false, false},
-		{"gc1024x120_b64_perturbed", 120, 64, true, false},
-		{"gc1024x120_b64_halfdead", 120, 64, false, true},
-		{"gc1024x24_b16", 24, 16, false, false},
-		{"gc1024x24_b64_perturbed", 24, 64, true, false},
+		{"gc1024x120_b64", gc(120), 1024, 64, false, false},
+		{"gc1024x120_b64_perturbed", gc(120), 1024, 64, true, false},
+		{"gc1024x120_b64_halfdead", gc(120), 1024, 64, false, true},
+		{"gc1024x24_b16", gc(24), 1024, 16, false, false},
+		{"gc1024x24_b64_perturbed", gc(24), 1024, 64, true, false},
+		{"r888_b1_perturbed", [][]int{{8, 8, 8}}, 512, 1, true, false},
+		{"r888_b8_perturbed", [][]int{{8, 8, 8}}, 512, 8, true, false},
 	} {
-		e := configEngine(b, KernelAuto, nil, repeat([]int{32, 32}, c.layers/2)...)
+		e := configEngine(b, KernelAuto, nil, c.systems...)
 		if c.perturb {
 			e.PerturbWeights(0.01, 1)
 		}
-		batch, err := dataset.SparseBatch(c.rows, 1024, 102, 1)
+		batch, err := dataset.SparseBatch(c.rows, c.width, c.width/10, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -14,11 +14,11 @@
 // clones the resulting engine into a pool of warm instances: clones share
 // the immutable weight stack (matrices + precomputed CSC kernels) but own
 // their ping-pong scratch, so the pool costs N activation buffers, not N
-// model copies. The kernel family is not a serving option: every generation
-// is built with automatic selection (radix when the config's stride plans
-// verify, CSC otherwise) and GET /v1/models reports the result. Engines are
-// leased per batch over a buffered channel; infer.ErrBusy backs the contract
-// that no two batches ever share an engine. Each engine gets a private
+// model copies. The kernel is not a serving option: every generation is
+// built by infer.FromConfig, which numbers its values, and GET /v1/models
+// reports how many layers run as quotients. Engines are leased per batch
+// over a buffered channel; infer.ErrBusy backs the contract that no two
+// batches ever share an engine. Each engine gets a private
 // parallel.Pool sized parallel.Quota(poolSize): with many engines each runs
 // its layer loops serially and parallelism comes from concurrent batches,
 // avoiding core oversubscription.

@@ -9,13 +9,11 @@ import (
 
 	"github.com/radix-net/radixnet/internal/core"
 	"github.com/radix-net/radixnet/internal/dataset"
-	"github.com/radix-net/radixnet/internal/infer"
 	"github.com/radix-net/radixnet/internal/radix"
 )
 
-// liftedConfig is a Kronecker-lifted config: it compiles stride plans and runs
-// the radix kernels too, with every tap repeated over the lift — and its
-// closing layer on a quotient all the same.
+// liftedConfig is a Kronecker-lifted config: every tap is repeated over the
+// lift, and its closing layer runs on a quotient all the same.
 func liftedConfig(t *testing.T) core.Config {
 	t.Helper()
 	cfg, err := core.NewConfig([]radix.System{radix.MustNew(4, 4)}, []int{2, 2, 2})
@@ -25,10 +23,10 @@ func liftedConfig(t *testing.T) core.Config {
 	return cfg
 }
 
-// TestRegistryServesResolvedKernel: serving always builds with automatic
-// kernel selection, so a config-built model — plain or lifted —
-// resolves to the radix kernel, reports it, serves outputs bitwise identical
-// to the CSC oracle, and keeps doing all three across a reload.
+// TestRegistryServesResolvedKernel: serving always builds with
+// infer.FromConfig, so a config-built model — plain or lifted — numbers its
+// values (its closing layer runs on a quotient), serves outputs bitwise
+// identical to the CSC oracle, and keeps doing both across a reload.
 func TestRegistryServesResolvedKernel(t *testing.T) {
 	reg := NewRegistry(Policy{MaxBatch: 4, MaxLatency: time.Millisecond})
 	defer reg.Close()
@@ -47,8 +45,8 @@ func TestRegistryServesResolvedKernel(t *testing.T) {
 		}
 		want := referenceOutputs(t, cfg, in)
 		for gen := 1; gen <= 2; gen++ {
-			if got := m.Kernel(); got != infer.KernelRadix {
-				t.Fatalf("%s generation %d kernel = %v, want radix", name, gen, got)
+			if got := m.Info().QuotientLayers; got != 1 {
+				t.Fatalf("%s generation %d: %d quotient layers, want 1", name, gen, got)
 			}
 			resp, err := m.Do(t.Context(), &Request{Rows: rows})
 			if err != nil {
@@ -71,8 +69,9 @@ func TestRegistryServesResolvedKernel(t *testing.T) {
 }
 
 // TestHTTPModelsReportKernel: the register response and GET /v1/models
-// report the kernel each model's engines resolved to, and the storage its
-// layers hold (shared arrays once).
+// report how each model's engines use the kernel — the layers they run as
+// quotients — and the storage its layers hold (shared arrays once), and no
+// "kernel" field: every model runs the same kernels.
 func TestHTTPModelsReportKernel(t *testing.T) {
 	_, _, ts := newTestServer(t, Policy{MaxBatch: 4, MaxLatency: time.Millisecond}, 1)
 
@@ -84,11 +83,11 @@ func TestHTTPModelsReportKernel(t *testing.T) {
 	if err := json.Unmarshal(body, &info); err != nil {
 		t.Fatal(err)
 	}
-	if info.Kernel != "radix" {
-		t.Fatalf("register info kernel = %q, want radix", info.Kernel)
+	if strings.Contains(string(body), `"kernel"`) {
+		t.Fatalf("register info still reports a kernel: %s", body)
 	}
-	// A lifted stack runs natural order, and its closing layer — both output
-	// blocks one block, four residue classes of 32 columns — on a quotient.
+	// A lifted stack runs its closing layer — both output blocks one block,
+	// four residue classes of 32 columns — on a quotient.
 	if info.QuotientLayers != 1 {
 		t.Fatalf("register info: %d quotient layers on a lifted config, want 1", info.QuotientLayers)
 	}
@@ -107,7 +106,7 @@ func TestHTTPModelsReportKernel(t *testing.T) {
 	if code, body = adminDo(t, http.MethodPost, ts.URL+"/v1/models", registerBody(t, "twice", twice, 1)); code != http.StatusCreated {
 		t.Fatalf("register (4,4)(4,4): status %d: %s", code, body)
 	}
-	if !strings.Contains(string(body), `"kernel":"radix","quotient_layers":3,`) {
+	if !strings.Contains(string(body), `"quotient_layers":3,`) {
 		t.Fatalf("register (4,4)(4,4): kernel-use fields missing from %s", body)
 	}
 
@@ -119,18 +118,15 @@ func TestHTTPModelsReportKernel(t *testing.T) {
 	if err := json.Unmarshal(body, &list); err != nil {
 		t.Fatal(err)
 	}
-	kernels := map[string]string{}
-	for _, mi := range list["models"] {
-		kernels[mi.Name] = mi.Kernel
-		// "m" is testConfig's (4,4): the second layer closes the system.
-		if mi.Name == "m" && mi.QuotientLayers != 1 {
-			t.Fatalf("model m: %d quotient layers, want 1", mi.QuotientLayers)
-		}
-		if mi.Name == "twice" && mi.QuotientLayers != 3 {
-			t.Fatalf("model twice: %d quotient layers, want 3", mi.QuotientLayers)
-		}
+	if strings.Contains(string(body), `"kernel"`) {
+		t.Fatalf("model list still reports a kernel: %s", body)
 	}
-	if kernels["m"] != "radix" || kernels["lift"] != "radix" || kernels["twice"] != "radix" {
-		t.Fatalf("listed kernels = %v", kernels)
+	quotients := map[string]int{}
+	for _, mi := range list["models"] {
+		quotients[mi.Name] = mi.QuotientLayers
+	}
+	// "m" is testConfig's (4,4): the second layer closes the system.
+	if quotients["m"] != 1 || quotients["lift"] != 1 || quotients["twice"] != 3 {
+		t.Fatalf("listed quotient layers = %v, want m 1, lift 1, twice 3", quotients)
 	}
 }

@@ -58,10 +58,10 @@ type enginePool struct {
 	once    sync.Once
 }
 
-// newEnginePool builds one generation: the base engine from cfg (serving
-// always builds with automatic kernel selection), clones sharing its weight
-// stack (and, on the radix kernel, its compiled stride plans), and a private
-// worker pool per engine sized to a fair share of the machine.
+// newEnginePool builds one generation: the base engine from cfg
+// (infer.FromConfig), clones sharing its weight stack and the steps its
+// numbering bound, and a private worker pool per engine sized to a fair share
+// of the machine.
 func newEnginePool(cfg core.Config, engines int, profileEvery int) (*enginePool, error) {
 	if engines < 1 {
 		engines = 1
@@ -151,9 +151,6 @@ type ModelInfo struct {
 	Layers      int     `json:"layers"`
 	Weights     int     `json:"weights"`
 	Density     float64 `json:"density"`
-	// Kernel is the kernel family the model's engines resolved to ("csc" or
-	// "radix" — never "auto", which resolves at build time).
-	Kernel string `json:"kernel"`
 	// QuotientLayers says how much of the stack's structure the current
 	// generation's engines use (infer.Engine.QuotientLayers, read when
 	// asked): the layers whose values number their columns into fewer classes
@@ -256,12 +253,10 @@ func (r *Registry) DefaultClass() string { return r.qos.name(r.qos.def) }
 
 // Register builds the RadiX-Net of cfg with Graph Challenge weighting and
 // registers it under name with a pool of `engines` warm engine instances
-// (min 1), using the registry's default policy and infer.FromConfig's
-// kernel selection. When the config compiles to verified stride plans (every
-// standard EMR config does), a layer past the first whose values number its
-// columns into fewer classes than columns runs as a quotient through the CSC
-// gather and the others run the structure-aware radix kernel; otherwise
-// every layer runs the generic CSC kernel.
+// (min 1), using the registry's default policy, built by infer.FromConfig: a
+// layer past the first whose values number its columns into fewer classes
+// than columns runs as a quotient through the CSC gather, and the others run
+// the CSC gather / CSR scatter pair per column.
 func (r *Registry) Register(name string, cfg core.Config, engines int) (*Model, error) {
 	return r.RegisterWithPolicy(name, cfg, engines, r.pol)
 }
@@ -359,8 +354,7 @@ func (r *Registry) Unregister(name string) error {
 // model's input and output widths (ErrIncompatible otherwise); interior
 // topology, weights, and pool size may all change. engines < 1 keeps the
 // current pool size, so a weights-only reload preserves the model's
-// serving capacity. The new generation's kernel is selected afresh from the
-// new config.
+// serving capacity. The new generation's values are numbered afresh.
 func (r *Registry) Reload(name string, cfg core.Config, engines int) (*Model, error) {
 	r.mu.RLock()
 	m, ok := r.models[name]
@@ -529,11 +523,6 @@ func (m *Model) Config() core.Config { return m.pool.Load().cfg }
 // incremented by every successful Reload.
 func (m *Model) Generation() int { return m.pool.Load().gen }
 
-// Kernel reports the kernel family the model's current engine generation
-// was built with: radix when its config compiled to verified stride plans,
-// CSC otherwise (never KernelAuto). Engines keep their family for life.
-func (m *Model) Kernel() infer.KernelKind { return m.pool.Load().all[0].Kernel() }
-
 // InputWidth returns the width a request row must have.
 func (m *Model) InputWidth() int { return m.inW }
 
@@ -555,7 +544,6 @@ func (m *Model) Info() ModelInfo {
 		Layers:       ep.layers,
 		Weights:      ep.weights,
 		Density:      ep.density,
-		Kernel:       ep.all[0].Kernel().String(),
 		Engines:      cap(ep.engines),
 		MaxBatch:     m.pol.MaxBatch,
 		MaxLatencyMs: float64(m.pol.MaxLatency) / float64(time.Millisecond),

@@ -116,8 +116,8 @@ type ErrorResponse struct {
 // configuration in the graphio JSON wire format. The policy fields apply
 // only to registration (a reload keeps the model's batcher and policy);
 // zero policy fields take the server registry's defaults. There is no kernel
-// field: every generation is built with automatic kernel selection, and a
-// body that still carries "kernel" is refused with 400.
+// field: every generation is built by infer.FromConfig, and a body that still
+// carries "kernel" is refused with 400.
 type RegisterRequest struct {
 	// Name is the model's registry name. Required for POST /v1/models;
 	// ignored on PUT, where the path names the model.
@@ -526,7 +526,7 @@ func decodeRegisterRequest(w http.ResponseWriter, r *http.Request) (RegisterRequ
 		return req.RegisterRequest, false
 	}
 	if req.Kernel != nil {
-		writeError(w, http.StatusBadRequest, `the "kernel" field was removed: the kernel is selected automatically from the config and reported by GET /v1/models`)
+		writeError(w, http.StatusBadRequest, `the "kernel" field was removed: every model runs the same kernels`)
 		return req.RegisterRequest, false
 	}
 	if len(req.Config) == 0 {

@@ -15,8 +15,7 @@ type Footprint struct {
 }
 
 // StackFootprint measures the storage behind a layer stack: its matrices and
-// the CSC kernels built on them. A radix kernel reads those two and holds no
-// values of its own.
+// the CSC kernels built on them.
 func StackFootprint(mats []*Matrix, kerns []*Kernel) Footprint {
 	type layer struct {
 		pat  *Pattern

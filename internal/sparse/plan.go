@@ -6,8 +6,7 @@ import (
 )
 
 // ErrNotRadixStructured is returned by CompileStridePlan when a pattern is
-// not the mixed-radix layer the given parameters describe. Callers that
-// auto-select kernels treat it as "fall back to CSC".
+// not the mixed-radix layer the given parameters describe.
 var ErrNotRadixStructured = errors.New("sparse: pattern is not radix-structured")
 
 // StridePlan is a compiled, index-free description of one RadiX-Net layer's
@@ -23,6 +22,10 @@ var ErrNotRadixStructured = errors.New("sparse: pattern is not radix-structured"
 // those runs; compilation verifies the claimed structure edge-for-edge
 // against the actual pattern, so a plan can never silently disagree with
 // the matrix it schedules.
+//
+// No engine runs a plan. Its runtime half (colRuns, which RadixKernel reads)
+// survives only for radixbench's sparse.* probes, until the benchmark-only
+// change that re-points them to CSC/CSR (ROADMAP I.3, M).
 type StridePlan struct {
 	rows, cols   int
 	np           int // N′: nodes per pre-lift layer
@@ -37,8 +40,10 @@ type StridePlan struct {
 // place value pv, radix, dense shape dPrev→dNext) into a stride plan,
 // verifying against pat that the plan enumerates exactly the pattern's edge
 // set. It returns ErrNotRadixStructured (wrapped) when the pattern differs
-// from the structure the parameters imply, so auto-selection can fall back
-// to the generic CSC kernel.
+// from the structure the parameters imply. Tests use it to check core.Build
+// against the paper's edge rule (TestConfigLayersFollowEdgeRule in
+// internal/infer); radixbench's sparse.plan_compile_ms probe times it until
+// ROADMAP I.3 re-points the sparse.* probes to CSC/CSR.
 func CompileStridePlan(pat *Pattern, np, pv, radix, dPrev, dNext int) (*StridePlan, error) {
 	if np < 1 || pv < 1 || radix < 1 || dPrev < 1 || dNext < 1 {
 		return nil, fmt.Errorf("sparse: invalid stride-plan parameters np=%d pv=%d radix=%d shape %d→%d",

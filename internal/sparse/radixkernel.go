@@ -20,6 +20,12 @@ import "fmt"
 // order and scatters accumulate input rows in ascending order — the same
 // orders as Kernel.FusedGatherRow/FusedGatherRow4 and Matrix.FusedScatterRow
 // — so all paths produce bit-identical float64 results.
+//
+// No engine runs it: the engine runs the CSC gather / CSR scatter pair. It
+// survives only because radixbench's sparse.* probes time it, and goes, with
+// NewRadixKernel and StridePlan's runtime half, in the benchmark-only change
+// that re-points those probes to CSC/CSR (ROADMAP I.3, M). Until then
+// FuzzInferPathsAgree holds it bit-identical to CSC on every layer it draws.
 type RadixKernel struct {
 	plan   *StridePlan
 	mat    *Matrix
@@ -30,7 +36,8 @@ type RadixKernel struct {
 // NewRadixKernel binds a compiled stride plan to the matrix and CSC kernel
 // it schedules. All three must be built on the identical Pattern the plan
 // was verified against; mismatches are rejected rather than silently
-// scrambling the value ordering.
+// scrambling the value ordering. Its callers are radixbench's sparse.* probes
+// and the tests that keep the kernel they time bit-identical to CSC.
 func NewRadixKernel(m *Matrix, k *Kernel, plan *StridePlan) (*RadixKernel, error) {
 	if m.pat != plan.src || k.src != plan.src {
 		return nil, fmt.Errorf("sparse: radix kernel requires matrix, kernel and plan built on the identical pattern (%s)", plan)
@@ -105,127 +112,6 @@ func (rk *RadixKernel) FusedGatherRow(out, in []float64, bias, cap float64) int 
 		}
 	}
 	return nnz
-}
-
-// FusedGatherRow4 is FusedGatherRow over four batch rows at once: each
-// weight is loaded once and applied to all four rows on independent
-// accumulator chains, and — unlike Kernel.FusedGatherRow4 — the in-edge
-// addresses are generated arithmetically, so the quad loop performs zero
-// index loads. Per-row results are bit-identical to four FusedGatherRow
-// calls. nnz receives the per-row positive-activation counts. It does not
-// allocate.
-func (rk *RadixKernel) FusedGatherRow4(out0, out1, out2, out3, in0, in1, in2, in3 []float64, bias, cap float64, nnz *[4]int) {
-	p := rk.plan
-	rows := p.rows
-	in0 = in0[:rows]
-	in1 = in1[:rows]
-	in2 = in2[:rows]
-	in3 = in3[:rows]
-	cols := p.cols
-	out0 = out0[:cols]
-	out1 = out1[:cols]
-	out2 = out2[:cols]
-	out3 = out3[:cols]
-	vals := rk.kern.vals
-	np, pv, radix, m, dPrev := p.np, p.pv, p.radix, p.m, p.dPrev
-	var c0nnz, c1nnz, c2nnz, c3nnz int
-	vi := 0
-	c := 0
-	for bcol := 0; bcol < p.dNext; bcol++ {
-		lo, t := 0, 0
-		for cc := 0; cc < np; cc++ {
-			var a0, a1, a2, a3 float64
-			if t >= radix-1 && dPrev == 1 {
-				// Fast path (pure EMR layer, no circulant wrap): one
-				// contiguous stride-pv run of exactly radix edges.
-				q := lo + (t-radix+1)*pv
-				for j := 0; j < radix; j++ {
-					w := vals[vi]
-					vi++
-					a0 += w * in0[q]
-					a1 += w * in1[q]
-					a2 += w * in2[q]
-					a3 += w * in3[q]
-					q += pv
-				}
-			} else {
-				t1, n1, t2, n2 := p.colRuns(t)
-				for a := 0; a < dPrev; a++ {
-					base := a*np + lo
-					q := base + t1*pv
-					for j := 0; j < n1; j++ {
-						w := vals[vi]
-						vi++
-						a0 += w * in0[q]
-						a1 += w * in1[q]
-						a2 += w * in2[q]
-						a3 += w * in3[q]
-						q += pv
-					}
-					q = base + t2*pv
-					for j := 0; j < n2; j++ {
-						w := vals[vi]
-						vi++
-						a0 += w * in0[q]
-						a1 += w * in1[q]
-						a2 += w * in2[q]
-						a3 += w * in3[q]
-						q += pv
-					}
-				}
-			}
-			v0 := a0 + bias
-			v1 := a1 + bias
-			v2 := a2 + bias
-			v3 := a3 + bias
-			if v0 <= 0 {
-				v0 = 0
-			} else {
-				if cap > 0 && v0 > cap {
-					v0 = cap
-				}
-				c0nnz++
-			}
-			if v1 <= 0 {
-				v1 = 0
-			} else {
-				if cap > 0 && v1 > cap {
-					v1 = cap
-				}
-				c1nnz++
-			}
-			if v2 <= 0 {
-				v2 = 0
-			} else {
-				if cap > 0 && v2 > cap {
-					v2 = cap
-				}
-				c2nnz++
-			}
-			if v3 <= 0 {
-				v3 = 0
-			} else {
-				if cap > 0 && v3 > cap {
-					v3 = cap
-				}
-				c3nnz++
-			}
-			out0[c] = v0
-			out1[c] = v1
-			out2[c] = v2
-			out3[c] = v3
-			c++
-			lo++
-			if lo == pv {
-				lo = 0
-				t++
-				if t == m {
-					t = 0
-				}
-			}
-		}
-	}
-	nnz[0], nnz[1], nnz[2], nnz[3] = c0nnz, c1nnz, c2nnz, c3nnz
 }
 
 // FusedGatherRow8 is FusedGatherRow over eight batch rows at once — the
@@ -404,9 +290,8 @@ func (rk *RadixKernel) FusedGatherRow8(outs, ins *[8][]float64, bias, cap float6
 // FusedScatterRow is the CSR dual with arithmetic addressing: the fused
 // feedforward step computed by scattering each nonzero input activation
 // across its out-edges, whose columns are generated from the plan instead of
-// loaded from the pattern's index array. Mostly-zero rows take this path in
-// the engine, so layer 0 of a Graph Challenge workload is index-free too.
-// Accumulation visits input rows in ascending order, matching
+// loaded from the pattern's index array. Accumulation visits input rows in
+// ascending order, matching
 // Matrix.FusedScatterRow bit-for-bit. It does not allocate.
 func (rk *RadixKernel) FusedScatterRow(out, in []float64, bias, cap float64) int {
 	p := rk.plan
