@@ -422,7 +422,7 @@ func BenchmarkBrainStream(b *testing.B) {
 	b.ReportMetric(float64(count)*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 }
 
-// --- E12: conjecture harness (tiny budget; full run via trainbench) ---
+// --- E12: conjecture harness (tiny budget; no real-budget run in-tree) ---
 
 func BenchmarkConjectureFit(b *testing.B) {
 	cfg := approx.RunConfig{
@@ -567,7 +567,7 @@ func BenchmarkAblation_Eq5ShapeSweep(b *testing.B) {
 	}
 }
 
-// Extension: configuration search (cmd/radixsearch workflow).
+// Extension: configuration search (the examples/topology_search workflow).
 func BenchmarkSearch(b *testing.B) {
 	spec := core.SearchSpec{Width: 256, Density: 1.0 / 16, EdgeLayers: 8, Tolerance: 0.3}
 	b.ReportAllocs()

@@ -223,3 +223,32 @@ func TestFacadeHasCallers(t *testing.T) {
 		t.Fatalf("radixnet.go exports names no example, README Go block or kept signature uses; delete them: %s", strings.Join(uncalled, ", "))
 	}
 }
+
+// TestCommandsHaveCallers fails when a program under cmd/ is named by
+// neither README.md nor the CI workflow, printing the commands to delete: a
+// command nobody is told to run backs no claim.
+func TestCommandsHaveCallers(t *testing.T) {
+	var callers strings.Builder
+	for _, path := range []string{"README.md", ".github/workflows/ci.yml"} {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		callers.Write(text)
+	}
+	dirs, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var orphans []string
+	for _, d := range dirs {
+		named := regexp.MustCompile(`\bcmd/` + regexp.QuoteMeta(d.Name()) + `\b`)
+		if d.IsDir() && !named.MatchString(callers.String()) {
+			orphans = append(orphans, d.Name())
+		}
+	}
+	t.Logf("cmd/: %d commands, %d named by README.md or CI", len(dirs), len(dirs)-len(orphans))
+	if len(orphans) > 0 {
+		t.Fatalf("cmd/ holds commands neither README.md nor .github/workflows/ci.yml names; delete them or document them: %s", strings.Join(orphans, ", "))
+	}
+}

@@ -240,49 +240,6 @@ func familyResult(widths []int, errs []float64, params []int) FamilyResult {
 	return fr
 }
 
-// RunAveraged repeats Run over `seeds` independent initializations and
-// returns a Result whose per-width sup errors are geometric means across
-// seeds. Training noise dominates single runs at small widths (low R²
-// fits); averaging recovers the underlying decay trend without changing
-// the per-run code path.
-func RunAveraged(target Target, cfg RunConfig, seeds int) (Result, error) {
-	if seeds < 1 {
-		return Result{}, errors.New("approx: need at least one seed")
-	}
-	var agg Result
-	denseLog := make([]float64, len(cfg.Widths))
-	sparseLog := make([]float64, len(cfg.Widths))
-	for s := 0; s < seeds; s++ {
-		runCfg := cfg
-		runCfg.Seed = cfg.Seed + int64(s)*7919
-		res, err := Run(target, runCfg)
-		if err != nil {
-			return Result{}, err
-		}
-		if s == 0 {
-			agg = res
-		}
-		for i := range cfg.Widths {
-			if !cfg.SparseOnly {
-				denseLog[i] += math.Log(math.Max(res.Dense.SupErr[i], 1e-12))
-			}
-			sparseLog[i] += math.Log(math.Max(res.Sparse.SupErr[i], 1e-12))
-		}
-	}
-	inv := 1 / float64(seeds)
-	for i := range cfg.Widths {
-		if !cfg.SparseOnly {
-			agg.Dense.SupErr[i] = math.Exp(denseLog[i] * inv)
-		}
-		agg.Sparse.SupErr[i] = math.Exp(sparseLog[i] * inv)
-	}
-	if !cfg.SparseOnly {
-		agg.Dense = familyResult(cfg.Widths, agg.Dense.SupErr, agg.Dense.Params)
-	}
-	agg.Sparse = familyResult(cfg.Widths, agg.Sparse.SupErr, agg.Sparse.Params)
-	return agg, nil
-}
-
 // FitDecay fits δ̂ ≈ C·N^{-p} by least squares on log δ̂ vs log N and
 // returns p together with the fit's R². Zero or negative errors are clamped
 // to 1e-12 before taking logs.

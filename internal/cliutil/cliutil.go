@@ -1,19 +1,16 @@
-// Package cliutil holds flag-parsing helpers shared by the command-line
-// tools: a RadiX-Net configuration can be given either as semicolon-
-// separated systems plus a comma-separated shape, or as a JSON file in the
-// graphio wire format.
+// Package cliutil holds the helpers the command-line tools share: the
+// semicolon-separated numeral systems of radixserve's -model flag, the
+// NAME=N class maps of the QoS flags of radixserve and radixrouter, and the
+// commit hash in the benchmark's environment fingerprint.
 package cliutil
 
 import (
 	"errors"
 	"fmt"
-	"os"
 	"os/exec"
 	"strconv"
 	"strings"
 
-	"github.com/radix-net/radixnet/internal/core"
-	"github.com/radix-net/radixnet/internal/graphio"
 	"github.com/radix-net/radixnet/internal/radix"
 )
 
@@ -32,23 +29,6 @@ func ParseSystems(text string) ([]radix.System, error) {
 		systems = append(systems, s)
 	}
 	return systems, nil
-}
-
-// ParseShape parses "1,2,2,1" into a dense shape; empty means nil (all ones).
-func ParseShape(text string) ([]int, error) {
-	if strings.TrimSpace(text) == "" {
-		return nil, nil
-	}
-	parts := strings.Split(text, ",")
-	shape := make([]int, 0, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("cliutil: shape entry %d: %w", i, err)
-		}
-		shape = append(shape, v)
-	}
-	return shape, nil
 }
 
 // ParseClassWeights parses a "-class-weight"/"-class-retries"–style flag,
@@ -88,31 +68,4 @@ func GitSHA() string {
 		return "unknown"
 	}
 	return strings.TrimSpace(string(out))
-}
-
-// LoadConfig resolves a configuration from either a JSON file path or a
-// systems/shape flag pair. Exactly one source must be provided.
-func LoadConfig(jsonPath, systemsFlag, shapeFlag string) (core.Config, error) {
-	switch {
-	case jsonPath != "" && systemsFlag != "":
-		return core.Config{}, errors.New("cliutil: provide either -config or -systems, not both")
-	case jsonPath != "":
-		data, err := os.ReadFile(jsonPath)
-		if err != nil {
-			return core.Config{}, fmt.Errorf("cliutil: %w", err)
-		}
-		return graphio.UnmarshalConfig(data)
-	case systemsFlag != "":
-		systems, err := ParseSystems(systemsFlag)
-		if err != nil {
-			return core.Config{}, err
-		}
-		shape, err := ParseShape(shapeFlag)
-		if err != nil {
-			return core.Config{}, err
-		}
-		return core.NewConfig(systems, shape)
-	default:
-		return core.Config{}, errors.New("cliutil: provide -config FILE or -systems SPEC")
-	}
 }

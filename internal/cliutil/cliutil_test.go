@@ -1,8 +1,6 @@
 package cliutil
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -30,23 +28,6 @@ func TestParseSystems(t *testing.T) {
 	}
 }
 
-func TestParseShape(t *testing.T) {
-	shape, err := ParseShape("1, 2 ,3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shape) != 3 || shape[1] != 2 {
-		t.Fatalf("shape = %v", shape)
-	}
-	empty, err := ParseShape("  ")
-	if err != nil || empty != nil {
-		t.Fatalf("empty shape: %v %v", empty, err)
-	}
-	if _, err := ParseShape("1,x"); err == nil {
-		t.Fatal("non-numeric shape accepted")
-	}
-}
-
 func TestParseClassWeights(t *testing.T) {
 	w, err := ParseClassWeights("interactive=8, batch=2 ,background=1")
 	if err != nil {
@@ -63,49 +44,6 @@ func TestParseClassWeights(t *testing.T) {
 		if _, err := ParseClassWeights(bad); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
-	}
-}
-
-func TestLoadConfigFromFlags(t *testing.T) {
-	cfg, err := LoadConfig("", "(2,2);(4)", "1,2,1,1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.NPrime() != 4 || cfg.TotalRadices() != 3 {
-		t.Fatalf("cfg = %s", cfg)
-	}
-}
-
-func TestLoadConfigFromJSON(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cfg.json")
-	if err := os.WriteFile(path, []byte(`{"systems":[[2,2],[4]]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := LoadConfig(path, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.NPrime() != 4 {
-		t.Fatalf("cfg = %s", cfg)
-	}
-}
-
-func TestLoadConfigErrors(t *testing.T) {
-	if _, err := LoadConfig("", "", ""); err == nil {
-		t.Fatal("no source accepted")
-	}
-	if _, err := LoadConfig("x.json", "(2,2)", ""); err == nil {
-		t.Fatal("both sources accepted")
-	}
-	if _, err := LoadConfig("/nonexistent/cfg.json", "", ""); err == nil {
-		t.Fatal("missing file accepted")
-	}
-	if _, err := LoadConfig("", "(2,2);(3)", ""); err == nil {
-		t.Fatal("invalid config (non-divisor) accepted")
-	}
-	if _, err := LoadConfig("", "(2,2)", "1,x"); err == nil {
-		t.Fatal("bad shape accepted")
 	}
 }
 

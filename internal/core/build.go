@@ -120,8 +120,8 @@ func Build(cfg Config) (*topology.FNNT, error) {
 // definitions in §III.A — explicit edge enumeration j → j+n·νi (mod N′)
 // into a coordinate builder, followed by definitional block replication for
 // the Kronecker lift. It exists as an independent implementation against
-// which Build is property-tested (experiment E5) and is exported for the
-// verification command.
+// which Build is property-tested (experiment E5); it is exported because
+// tests outside this package compare against it too.
 func BuildReference(cfg Config) (*topology.FNNT, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -271,7 +271,9 @@ func TestBuildMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
-// --- Theorem 1 across random configs: symmetry + exact path counts ---
+// --- Theorem 1 across random configs: symmetry + exact path counts, the
+// streaming verifier, path-connectedness, and the paper's printed formula
+// wherever the last system has the full product N′ ---
 
 func TestTheorem1Property(t *testing.T) {
 	prop := func(seed int64) bool {
@@ -285,10 +287,22 @@ func TestTheorem1Property(t *testing.T) {
 			return false
 		}
 		m, ok := g.Symmetric()
-		if !ok {
+		if !ok || m.Cmp(cfg.TheoreticalPaths()) != 0 {
 			return false
 		}
-		return m.Cmp(cfg.TheoreticalPaths()) == 0
+		if ms, ok := g.SymmetricStreaming(); !ok || ms.Cmp(m) != 0 {
+			t.Logf("%s: streaming verifier disagrees with m = %v", cfg, m)
+			return false
+		}
+		if !g.PathConnected() {
+			t.Logf("%s: not path-connected", cfg)
+			return false
+		}
+		if cfg.LastProduct() == cfg.NPrime() && cfg.PaperTheoreticalPaths().Cmp(m) != 0 {
+			t.Logf("%s: paper formula %v, exact m = %v", cfg, cfg.PaperTheoreticalPaths(), m)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

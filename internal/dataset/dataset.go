@@ -166,38 +166,6 @@ func Gaussians(n, dim, classes int, spread float64, seed int64) (*Dataset, error
 	return &Dataset{X: x, Labels: labels, Classes: classes}, nil
 }
 
-// TwoMoons samples the classic interleaved-crescents binary task: two
-// half-circles offset so that no linear separator exists. It is the
-// nonlinear complement to Gaussians for exercising hidden-layer capacity.
-func TwoMoons(n int, noise float64, seed int64) (*Dataset, error) {
-	if n < 2 {
-		return nil, errors.New("dataset: need at least two samples")
-	}
-	if noise < 0 {
-		return nil, fmt.Errorf("dataset: noise %g must be non-negative", noise)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	x, err := sparse.NewDense(n, 2)
-	if err != nil {
-		return nil, err
-	}
-	labels := make([]int, n)
-	for i := 0; i < n; i++ {
-		k := i % 2
-		labels[i] = k
-		theta := rng.Float64() * math.Pi
-		var px, py float64
-		if k == 0 {
-			px, py = math.Cos(theta), math.Sin(theta)
-		} else {
-			px, py = 1-math.Cos(theta), 0.5-math.Sin(theta)
-		}
-		x.Set(i, 0, px+rng.NormFloat64()*noise)
-		x.Set(i, 1, py+rng.NormFloat64()*noise)
-	}
-	return &Dataset{X: x, Labels: labels, Classes: 2}, nil
-}
-
 // SparseBatch generates a batch of mostly-zero activation rows for the
 // inference engine: each of the n rows has exactly nnzPerRow entries set to
 // values in (0, 1], at uniformly random positions — the shape of Graph

@@ -166,43 +166,6 @@ func TestTargets(t *testing.T) {
 	}
 }
 
-func TestTwoMoons(t *testing.T) {
-	d, err := TwoMoons(200, 0.05, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.X.Cols() != 2 || d.Classes != 2 {
-		t.Fatal("moons shape wrong")
-	}
-	counts := [2]int{}
-	for _, l := range d.Labels {
-		counts[l]++
-	}
-	if counts[0] != 100 || counts[1] != 100 {
-		t.Fatalf("class balance %v", counts)
-	}
-	// Not linearly separable in x alone: both classes span overlapping x
-	// ranges.
-	min0, max1 := math.Inf(1), math.Inf(-1)
-	for i := 0; i < d.X.Rows(); i++ {
-		if d.Labels[i] == 0 && d.X.At(i, 0) < min0 {
-			min0 = d.X.At(i, 0)
-		}
-		if d.Labels[i] == 1 && d.X.At(i, 0) > max1 {
-			max1 = d.X.At(i, 0)
-		}
-	}
-	if max1 <= min0 {
-		t.Fatal("moons unexpectedly separable along x")
-	}
-	if _, err := TwoMoons(1, 0.1, 1); err == nil {
-		t.Fatal("single sample accepted")
-	}
-	if _, err := TwoMoons(10, -1, 1); err == nil {
-		t.Fatal("negative noise accepted")
-	}
-}
-
 func TestSparseBatch(t *testing.T) {
 	b, err := SparseBatch(10, 64, 5, 3)
 	if err != nil {

@@ -1,5 +1,6 @@
-// Fuzz round-trip properties for the serialization formats the serving
-// registry's model loading rests on: any input the readers accept must
+// Fuzz round-trip properties for graphio's two formats: the configuration
+// JSON that every register and reload body of the serving tier carries, and
+// the TSV edge list the facade writes. Any input a reader accepts must
 // survive a write→read cycle unchanged. Run as unit tests over the seed
 // corpus by `go test`, or open-endedly with `go test -fuzz FuzzX`.
 package graphio
@@ -104,38 +105,6 @@ func FuzzReadTSVRoundTrip(f *testing.F) {
 		}
 		if !g.Equal(g2) {
 			t.Fatalf("round trip changed the topology:\n%v\nvs\n%v", g, g2)
-		}
-	})
-}
-
-func FuzzReadMatrixMarketRoundTrip(f *testing.F) {
-	for _, radices := range [][]int{{2, 2}, {4, 4}} {
-		g := core.MixedRadix(radix.MustNew(radices...))
-		var buf bytes.Buffer
-		if err := WriteMatrixMarket(&buf, g.Sub(0)); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.String())
-	}
-	f.Add("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n")
-	f.Add("%%MatrixMarket matrix coordinate pattern general\n% comment\n3 3 2\n1 2\n2 3\n")
-	f.Add("%%MatrixMarket matrix coordinate pattern general\n2 2 5\n1 1\n")
-	f.Add("not a header\n1 1 1\n")
-	f.Fuzz(func(t *testing.T, text string) {
-		p, err := ReadMatrixMarket(strings.NewReader(text))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteMatrixMarket(&buf, p); err != nil {
-			t.Fatalf("WriteMatrixMarket of accepted pattern: %v", err)
-		}
-		p2, err := ReadMatrixMarket(&buf)
-		if err != nil {
-			t.Fatalf("re-read of own output: %v\n%s", err, buf.String())
-		}
-		if !p.Equal(p2) {
-			t.Fatalf("round trip changed the pattern:\n%v\nvs\n%v", p, p2)
 		}
 	})
 }

@@ -1,7 +1,6 @@
-// Package graphio serializes RadiX-Net topologies and configurations to the
-// interchange formats used around the paper's ecosystem: Graph Challenge
-// style TSV edge lists, Matrix Market pattern files, Graphviz DOT for
-// inspection, and JSON for configurations.
+// Package graphio serializes RadiX-Net topologies and configurations: TSV
+// edge lists for topologies, and JSON for the configurations the serving
+// tier's register and reload bodies carry.
 package graphio
 
 import (
@@ -113,175 +112,6 @@ func ReadTSV(r io.Reader) (*topology.FNNT, error) {
 		subs[l] = b.Pattern()
 	}
 	return topology.New(subs...)
-}
-
-// WriteChallengeTSV writes one layer in the Graph Challenge convention:
-// 1-indexed `src dst weight` lines with a constant weight.
-func WriteChallengeTSV(w io.Writer, p *sparse.Pattern, weight float64) error {
-	bw := bufio.NewWriter(w)
-	for r := 0; r < p.Rows(); r++ {
-		for _, c := range p.Row(r) {
-			if _, err := fmt.Fprintf(bw, "%d\t%d\t%g\n", r+1, c+1, weight); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadChallengeTSV parses a Graph Challenge layer file into a pattern and a
-// parallel weight slice aligned with the pattern's stored entries.
-func ReadChallengeTSV(r io.Reader, rows, cols int) (*sparse.Matrix, error) {
-	coo, err := sparse.NewCOO(rows, cols)
-	if err != nil {
-		return nil, err
-	}
-	type key struct{ r, c int }
-	weights := make(map[key]float64)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("%w: line %d: want 3 fields", ErrFormat, lineNo)
-		}
-		u, err1 := strconv.Atoi(fields[0])
-		v, err2 := strconv.Atoi(fields[1])
-		wt, err3 := strconv.ParseFloat(fields[2], 64)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("%w: line %d: %q", ErrFormat, lineNo, line)
-		}
-		if err := coo.Add(u-1, v-1); err != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrFormat, lineNo, err)
-		}
-		weights[key{u - 1, v - 1}] += wt
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	pat := coo.Pattern()
-	vals := make([]float64, 0, pat.NNZ())
-	for r := 0; r < pat.Rows(); r++ {
-		for _, c := range pat.Row(r) {
-			vals = append(vals, weights[key{r, c}])
-		}
-	}
-	return sparse.NewMatrix(pat, vals)
-}
-
-// WriteMatrixMarket writes a pattern in Matrix Market coordinate pattern
-// format (1-indexed).
-func WriteMatrixMarket(w io.Writer, p *sparse.Pattern) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate pattern general\n%d %d %d\n",
-		p.Rows(), p.Cols(), p.NNZ()); err != nil {
-		return err
-	}
-	for r := 0; r < p.Rows(); r++ {
-		for _, c := range p.Row(r) {
-			if _, err := fmt.Fprintf(bw, "%d %d\n", r+1, c+1); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadMatrixMarket parses a Matrix Market coordinate pattern file.
-func ReadMatrixMarket(r io.Reader) (*sparse.Pattern, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("%w: empty input", ErrFormat)
-	}
-	header := sc.Text()
-	if !strings.HasPrefix(header, "%%MatrixMarket") || !strings.Contains(header, "coordinate") {
-		return nil, fmt.Errorf("%w: bad header %q", ErrFormat, header)
-	}
-	var rows, cols, nnz int
-	sized := false
-	var coo *sparse.COO
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if !sized {
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("%w: bad size line %q", ErrFormat, line)
-			}
-			var err error
-			if rows, err = strconv.Atoi(fields[0]); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-			}
-			if cols, err = strconv.Atoi(fields[1]); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-			}
-			if nnz, err = strconv.Atoi(fields[2]); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-			}
-			if coo, err = sparse.NewCOO(rows, cols); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-			}
-			sized = true
-			continue
-		}
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("%w: bad entry %q", ErrFormat, line)
-		}
-		u, err1 := strconv.Atoi(fields[0])
-		v, err2 := strconv.Atoi(fields[1])
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("%w: bad entry %q", ErrFormat, line)
-		}
-		if err := coo.Add(u-1, v-1); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrFormat, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if !sized {
-		return nil, fmt.Errorf("%w: missing size line", ErrFormat)
-	}
-	if coo.Len() != nnz {
-		return nil, fmt.Errorf("%w: declared %d entries, got %d", ErrFormat, nnz, coo.Len())
-	}
-	return coo.Pattern(), nil
-}
-
-// WriteDOT renders the topology as a layered Graphviz digraph, suitable for
-// visual inspection of small networks (Fig. 1–5 scale).
-func WriteDOT(w io.Writer, g *topology.FNNT, name string) error {
-	bw := bufio.NewWriter(w)
-	if name == "" {
-		name = "fnnt"
-	}
-	fmt.Fprintf(bw, "digraph %q {\n  rankdir=LR;\n  node [shape=circle, fontsize=10];\n", name)
-	for i, size := range g.LayerSizes() {
-		fmt.Fprintf(bw, "  subgraph cluster_%d { label=\"U%d\"; rank=same;", i, i)
-		for v := 0; v < size; v++ {
-			fmt.Fprintf(bw, " L%dN%d [label=%d];", i, v, v)
-		}
-		fmt.Fprintf(bw, " }\n")
-	}
-	for l := 0; l < g.NumSubs(); l++ {
-		sub := g.Sub(l)
-		for r := 0; r < sub.Rows(); r++ {
-			for _, c := range sub.Row(r) {
-				fmt.Fprintf(bw, "  L%dN%d -> L%dN%d;\n", l, r, l+1, c)
-			}
-		}
-	}
-	fmt.Fprintln(bw, "}")
-	return bw.Flush()
 }
 
 // ConfigJSON is the JSON wire form of a core.Config.

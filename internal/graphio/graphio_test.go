@@ -94,96 +94,6 @@ func TestReadTSVDanglingNodesRejected(t *testing.T) {
 	}
 }
 
-func TestChallengeTSVRoundTrip(t *testing.T) {
-	g := fig1Topology(t)
-	var buf bytes.Buffer
-	if err := WriteChallengeTSV(&buf, g.Sub(0), 0.0625); err != nil {
-		t.Fatal(err)
-	}
-	m, err := ReadChallengeTSV(&buf, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Pattern().Equal(g.Sub(0)) {
-		t.Fatal("challenge TSV round trip changed the pattern")
-	}
-	for _, v := range m.Values() {
-		if v != 0.0625 {
-			t.Fatalf("weight = %g, want 0.0625", v)
-		}
-	}
-}
-
-func TestReadChallengeTSVMalformed(t *testing.T) {
-	for _, in := range []string{"1 2\n", "x 1 0.5\n", "1 99 0.5\n"} {
-		if _, err := ReadChallengeTSV(strings.NewReader(in), 4, 4); err == nil {
-			t.Fatalf("input %q accepted", in)
-		}
-	}
-}
-
-func TestMatrixMarketRoundTrip(t *testing.T) {
-	g := fig1Topology(t)
-	for i := 0; i < g.NumSubs(); i++ {
-		var buf bytes.Buffer
-		if err := WriteMatrixMarket(&buf, g.Sub(i)); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.HasPrefix(buf.String(), "%%MatrixMarket") {
-			t.Fatal("missing header")
-		}
-		back, err := ReadMatrixMarket(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !back.Equal(g.Sub(i)) {
-			t.Fatalf("layer %d: Matrix Market round trip changed the pattern", i)
-		}
-	}
-}
-
-func TestReadMatrixMarketMalformed(t *testing.T) {
-	cases := []string{
-		"",
-		"not a header\n2 2 1\n1 1\n",
-		"%%MatrixMarket matrix coordinate pattern general\n",
-		"%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n", // nnz mismatch
-		"%%MatrixMarket matrix coordinate pattern general\n2 2 1\n3 1\n", // out of range
-		"%%MatrixMarket matrix coordinate pattern general\nx 2 1\n1 1\n", // bad size
-		"%%MatrixMarket matrix array real general\n2 2\n1.0\n1.0\n",      // not coordinate
-	}
-	for i, in := range cases {
-		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
-			t.Fatalf("case %d accepted", i)
-		}
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	g := fig1Topology(t)
-	var buf bytes.Buffer
-	if err := WriteDOT(&buf, g, "fig1"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "digraph \"fig1\"") {
-		t.Fatal("missing digraph header")
-	}
-	if !strings.Contains(out, "L0N0 -> L1N0") {
-		t.Fatal("missing expected edge")
-	}
-	if strings.Count(out, "->") != g.NumEdges() {
-		t.Fatalf("DOT has %d edges, want %d", strings.Count(out, "->"), g.NumEdges())
-	}
-	var buf2 bytes.Buffer
-	if err := WriteDOT(&buf2, g, ""); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf2.String(), "digraph \"fnnt\"") {
-		t.Fatal("default name not applied")
-	}
-}
-
 func TestConfigJSONRoundTrip(t *testing.T) {
 	cfg, err := core.NewConfig(
 		[]radix.System{radix.MustNew(3, 3, 4), radix.MustNew(2, 3)},

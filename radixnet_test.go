@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/big"
-	"strings"
 	"testing"
 
 	radixnet "github.com/radix-net/radixnet"
@@ -188,17 +187,6 @@ func TestFacadePresets(t *testing.T) {
 	}
 	if bs.Synapses.Sign() <= 0 {
 		t.Fatal("brain synapse count not positive")
-	}
-}
-
-func TestFacadeDOTOutput(t *testing.T) {
-	net := buildNet(t, radixnet.MustSystem(2, 2))
-	var buf bytes.Buffer
-	if err := graphio.WriteDOT(&buf, net, "example"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "digraph") {
-		t.Fatal("DOT output missing digraph")
 	}
 }
 
