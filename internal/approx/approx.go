@@ -50,8 +50,7 @@ type RunConfig struct {
 	Grid        int // sup-norm evaluation grid size
 	Seed        int64
 	BatchSize   int
-	SparseOnly  bool // skip the dense family (used by benches)
-	MaxParallel int  // trainer workers; <1 means GOMAXPROCS
+	MaxParallel int // trainer workers; <1 means GOMAXPROCS
 }
 
 // DefaultRunConfig returns a configuration small enough for tests yet able
@@ -107,19 +106,7 @@ func Run(target Target, cfg RunConfig) (Result, error) {
 			return Result{}, fmt.Errorf("approx: width %d too small", width)
 		}
 		seed := cfg.Seed + int64(wi)*1000
-		if !cfg.SparseOnly {
-			net, err := denseFamily(width, cfg.Hidden, seed)
-			if err != nil {
-				return Result{}, err
-			}
-			sup, err := trainAndMeasure(net, x, y, target.F, cfg, seed)
-			if err != nil {
-				return Result{}, err
-			}
-			denseErr = append(denseErr, sup)
-			denseParams = append(denseParams, net.NumParams())
-		}
-		net, err := SparseFamily(width, cfg.Hidden, seed)
+		net, err := denseFamily(width, cfg.Hidden, seed)
 		if err != nil {
 			return Result{}, err
 		}
@@ -127,12 +114,20 @@ func Run(target Target, cfg RunConfig) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
+		denseErr = append(denseErr, sup)
+		denseParams = append(denseParams, net.NumParams())
+		net, err = SparseFamily(width, cfg.Hidden, seed)
+		if err != nil {
+			return Result{}, err
+		}
+		sup, err = trainAndMeasure(net, x, y, target.F, cfg, seed)
+		if err != nil {
+			return Result{}, err
+		}
 		sparseErr = append(sparseErr, sup)
 		sparseParams = append(sparseParams, net.NumParams())
 	}
-	if !cfg.SparseOnly {
-		res.Dense = familyResult(cfg.Widths, denseErr, denseParams)
-	}
+	res.Dense = familyResult(cfg.Widths, denseErr, denseParams)
 	res.Sparse = familyResult(cfg.Widths, sparseErr, sparseParams)
 	return res, nil
 }

@@ -164,6 +164,9 @@ func TestTargets(t *testing.T) {
 			}
 		}
 	}
+	if _, err := (&Dataset{Labels: []int{3}, Classes: 3}).Targets(); err == nil {
+		t.Fatal("out-of-range label accepted")
+	}
 }
 
 func TestSparseBatch(t *testing.T) {

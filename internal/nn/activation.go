@@ -11,7 +11,6 @@ import (
 // terms of the cached forward output (which suffices for every activation in
 // this package).
 type Activation struct {
-	name  string
 	fn    func(float64) float64
 	deriv func(y float64) float64 // derivative as a function of the OUTPUT y
 	lastY *sparse.Dense
@@ -20,7 +19,6 @@ type Activation struct {
 // ReLU returns the rectified linear activation max(0, x).
 func ReLU() *Activation {
 	return &Activation{
-		name: "relu",
 		fn: func(x float64) float64 {
 			if x > 0 {
 				return x
@@ -32,25 +30,6 @@ func ReLU() *Activation {
 				return 1
 			}
 			return 0
-		},
-	}
-}
-
-// LeakyReLU returns max(αx, x) for a small negative slope α.
-func LeakyReLU(alpha float64) *Activation {
-	return &Activation{
-		name: "leaky_relu",
-		fn: func(x float64) float64 {
-			if x > 0 {
-				return x
-			}
-			return alpha * x
-		},
-		deriv: func(y float64) float64 {
-			if y > 0 {
-				return 1
-			}
-			return alpha
 		},
 	}
 }
@@ -59,7 +38,6 @@ func LeakyReLU(alpha float64) *Activation {
 // "sigmoidal" function from Cybenko's theorem (§IV.A).
 func Sigmoid() *Activation {
 	return &Activation{
-		name:  "sigmoid",
 		fn:    func(x float64) float64 { return 1 / (1 + math.Exp(-x)) },
 		deriv: func(y float64) float64 { return y * (1 - y) },
 	}
@@ -68,14 +46,10 @@ func Sigmoid() *Activation {
 // Tanh returns the hyperbolic tangent activation.
 func Tanh() *Activation {
 	return &Activation{
-		name:  "tanh",
 		fn:    math.Tanh,
 		deriv: func(y float64) float64 { return 1 - y*y },
 	}
 }
-
-// Name returns the activation's identifier.
-func (a *Activation) Name() string { return a.name }
 
 // InSize returns 0: activations accept any width.
 func (a *Activation) InSize() int { return 0 }
@@ -113,5 +87,5 @@ func (a *Activation) Params() []Param { return nil }
 
 // CloneShared returns an independent activation of the same kind.
 func (a *Activation) CloneShared() Layer {
-	return &Activation{name: a.name, fn: a.fn, deriv: a.deriv}
+	return &Activation{fn: a.fn, deriv: a.deriv}
 }

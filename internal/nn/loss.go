@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -12,15 +11,11 @@ import (
 // the gradient of that mean loss with respect to the predictions.
 type Loss interface {
 	Loss(pred, target *sparse.Dense) (float64, *sparse.Dense, error)
-	Name() string
 }
 
 // MSE is the mean squared error ½‖pred−target‖²/batch, the regression loss
 // used by the conjecture experiments.
 type MSE struct{}
-
-// Name returns "mse".
-func (MSE) Name() string { return "mse" }
 
 // Loss computes the mean squared error and its gradient.
 func (MSE) Loss(pred, target *sparse.Dense) (float64, *sparse.Dense, error) {
@@ -44,9 +39,6 @@ func (MSE) Loss(pred, target *sparse.Dense) (float64, *sparse.Dense, error) {
 // cross-entropy loss against one-hot targets; the fused gradient is the
 // numerically stable (softmax − target)/batch.
 type SoftmaxCrossEntropy struct{}
-
-// Name returns "softmax_xent".
-func (SoftmaxCrossEntropy) Name() string { return "softmax_xent" }
 
 // Loss computes mean cross-entropy after a row-wise softmax of pred.
 func (SoftmaxCrossEntropy) Loss(pred, target *sparse.Dense) (float64, *sparse.Dense, error) {
@@ -82,24 +74,6 @@ func (SoftmaxCrossEntropy) Loss(pred, target *sparse.Dense) (float64, *sparse.De
 		}
 	}
 	return total * invB, grad, nil
-}
-
-// OneHot encodes integer class labels as a batch of one-hot rows.
-func OneHot(labels []int, classes int) (*sparse.Dense, error) {
-	if classes < 1 {
-		return nil, errors.New("nn: classes must be positive")
-	}
-	out, err := sparse.NewDense(len(labels), classes)
-	if err != nil {
-		return nil, err
-	}
-	for i, l := range labels {
-		if l < 0 || l >= classes {
-			return nil, fmt.Errorf("nn: label %d out of range [0,%d)", l, classes)
-		}
-		out.Set(i, l, 1)
-	}
-	return out, nil
 }
 
 // Argmax returns the index of the largest value in each row of the batch.

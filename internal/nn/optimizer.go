@@ -11,81 +11,45 @@ import (
 // calls (they key internal state by parameter index).
 type Optimizer interface {
 	Step(params []Param) error
-	Name() string
 }
 
-// SGD is stochastic gradient descent with optional classical momentum and
-// L2 weight decay.
+// SGD is plain stochastic gradient descent: W −= LR·G.
 type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-	velocity    [][]float64
+	LR float64
 }
-
-// Name returns "sgd".
-func (o *SGD) Name() string { return "sgd" }
 
 // Step applies one SGD update.
 func (o *SGD) Step(params []Param) error {
 	if o.LR <= 0 {
 		return errors.New("nn: SGD learning rate must be positive")
 	}
-	if o.Momentum != 0 && o.velocity == nil {
-		o.velocity = make([][]float64, len(params))
-		for i, p := range params {
-			o.velocity[i] = make([]float64, len(p.W))
-		}
-	}
-	if o.velocity != nil && len(o.velocity) != len(params) {
-		return errors.New("nn: SGD reused across different parameter lists")
-	}
-	for i, p := range params {
+	for _, p := range params {
 		if len(p.W) != len(p.G) {
 			return ErrShape
 		}
 		for j := range p.W {
-			g := p.G[j] + o.WeightDecay*p.W[j]
-			if o.Momentum != 0 {
-				v := o.Momentum*o.velocity[i][j] - o.LR*g
-				o.velocity[i][j] = v
-				p.W[j] += v
-			} else {
-				p.W[j] -= o.LR * g
-			}
+			p.W[j] -= o.LR * p.G[j]
 		}
 	}
 	return nil
 }
 
-// Adam is the Adam optimizer (Kingma & Ba) with bias correction.
+// Adam is the Adam optimizer (Kingma & Ba) with bias correction and their
+// default β₁ = 0.9, β₂ = 0.999, ε = 1e-8.
 type Adam struct {
-	LR      float64
-	Beta1   float64 // default 0.9 when zero
-	Beta2   float64 // default 0.999 when zero
-	Epsilon float64 // default 1e-8 when zero
-	t       int
-	m, v    [][]float64
+	LR   float64
+	t    int
+	m, v [][]float64
 }
-
-// Name returns "adam".
-func (o *Adam) Name() string { return "adam" }
 
 // Step applies one Adam update.
 func (o *Adam) Step(params []Param) error {
 	if o.LR <= 0 {
 		return errors.New("nn: Adam learning rate must be positive")
 	}
-	b1, b2, eps := o.Beta1, o.Beta2, o.Epsilon
-	if b1 == 0 {
-		b1 = 0.9
-	}
-	if b2 == 0 {
-		b2 = 0.999
-	}
-	if eps == 0 {
-		eps = 1e-8
-	}
+	// Variables, not untyped constants: an untyped 1-b1 folds to exactly 0.1
+	// at compile time, where the float64 subtraction gives 0.09999999999999998.
+	b1, b2, eps := 0.9, 0.999, 1e-8
 	if o.m == nil {
 		o.m = make([][]float64, len(params))
 		o.v = make([][]float64, len(params))

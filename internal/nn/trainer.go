@@ -225,21 +225,9 @@ func (t *Trainer) TrainEpoch(x, target *sparse.Dense, rng *rand.Rand) (float64, 
 
 // Fit trains for the given number of epochs and returns per-epoch stats.
 func (t *Trainer) Fit(x, target *sparse.Dense, epochs int) (History, error) {
-	return t.FitScheduled(x, target, epochs, nil)
-}
-
-// FitScheduled is Fit with an optional per-epoch learning-rate schedule
-// applied to the optimizer before each epoch. A nil schedule leaves the
-// optimizer's rate untouched.
-func (t *Trainer) FitScheduled(x, target *sparse.Dense, epochs int, sched Schedule) (History, error) {
 	var h History
 	rng := rand.New(rand.NewSource(t.Seed))
 	for e := 0; e < epochs; e++ {
-		if sched != nil {
-			if err := ApplySchedule(t.Opt, sched, e); err != nil {
-				return h, err
-			}
-		}
 		loss, err := t.TrainEpoch(x, target, rng)
 		if err != nil {
 			return h, err
