@@ -1,9 +1,9 @@
 // Command radixrouter is the sharding router tier for a fleet of
 // radixserve instances: it places models onto backends with a
-// consistent-hash ring (virtual nodes, replication factor -replicas),
-// actively probes each backend's GET /healthz (ejecting nodes after
-// consecutive failures and re-admitting them on recovery), and exposes the
-// same HTTP API as a single radixserve node:
+// consistent-hash ring (128 virtual nodes per backend, replication factor
+// -replicas), actively probes each backend's GET /healthz (ejecting nodes
+// after consecutive failures and re-admitting them on recovery), and
+// exposes the same HTTP API as a single radixserve node:
 //
 //	POST   /v1/infer          forwarded to the model's owning healthy
 //	                          replica, with bounded retry-on-next-replica
@@ -49,10 +49,10 @@
 // register/unregister fan-out — bounded by hysteresis (-autoscale-up-p90 /
 // -autoscale-down-p90 bands, -autoscale-up-after debounce,
 // -autoscale-min-samples evidence gate), cooldown, step, and min/max; an
-// SLO violated at the replica ceiling sheds -autoscale-shed-class as a
+// SLO violated at the replica ceiling sheds the background class as a
 // last resort. Live state is on GET /v1/autoscale.
 //
-// With -selftest the binary instead builds an in-process fleet (-backends
+// With -selftest the binary instead builds an in-process fleet (three
 // radixserve instances plus the router on ephemeral ports), shards models
 // across it, verifies routed outputs bit-identical to direct Engine.Infer,
 // exercises the fleet control plane (runtime registration on the ring
@@ -68,23 +68,19 @@
 // Usage:
 //
 //	radixrouter -backend host1:8080 -backend host2:8080 [-addr :8090]
-//	            [-replicas 2] [-vnodes 128] [-probe-interval 2s]
+//	            [-replicas 2] [-probe-interval 2s]
 //	            [-probe-timeout 1s] [-fail-after 3] [-max-backoff 1s]
 //	            [-zones host1:8080=zone-a,host2:8080=zone-b]
 //	            [-autoscale] [-autoscale-interval 5s] [-autoscale-max 8]
-//	            [-pprof] [-slow-request 250ms] [-trace-depth 256]
-//	radixrouter -selftest [-backends 3]
+//	            [-pprof] [-slow-request 250ms]
+//	radixrouter -selftest
 package main
 
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/radix-net/radixnet/internal/autoscale"
@@ -93,126 +89,67 @@ import (
 	"github.com/radix-net/radixnet/internal/obs/slo"
 )
 
-// backendFlags accumulates repeated -backend flags.
-type backendFlags []string
-
-func (f *backendFlags) String() string { return strings.Join(*f, ",") }
-
-func (f *backendFlags) Set(v string) error {
-	if strings.TrimSpace(v) == "" {
-		return fmt.Errorf("empty backend address")
-	}
-	*f = append(*f, v)
-	return nil
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("radixrouter: ")
 	var (
-		addr          = flag.String("addr", ":8090", "router listen address")
-		replicas      = flag.Int("replicas", 2, "ring owners per model (the failover budget)")
-		vnodes        = flag.Int("vnodes", cluster.DefaultVnodes, "virtual nodes per backend on the hash ring")
-		probeInterval = flag.Duration("probe-interval", 2*time.Second, "per-backend /healthz probe cadence")
-		probeTimeout  = flag.Duration("probe-timeout", time.Second, "single probe budget")
-		failAfter     = flag.Int("fail-after", 3, "consecutive failures (probe or forward) that eject a backend")
-		maxBackoff    = flag.Duration("max-backoff", time.Second, "cap on Retry-After backoff honored for backend 429s")
-		classRetries  = flag.String("class-retries", "", "per-QoS-class backend attempt caps, NAME=N,... (default background=1,batch=2; unlisted classes walk every replica)")
-		classNames    = flag.String("classes", "", "extra QoS class names to label in per-class metrics, comma-separated (unknown classes bucket as \"other\")")
-		pprof         = flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
-		slowReq       = flag.Duration("slow-request", 0, "log routed requests slower than this with their trace ID and span breakdown (0: off)")
-		traceDepth    = flag.Int("trace-depth", 0, "recent request traces retained for GET /debug/traces (0: default 256)")
-		sloFast       = flag.Duration("slo-fast-window", 0, "SLO fast burn-rate window (0: default 5m)")
-		sloSlow       = flag.Duration("slo-slow-window", 0, "SLO slow burn-rate window (0: default 1h)")
-		zoneSeeds     = flag.String("zones", "", "static backend zone seeds, ID=ZONE,... (backends self-reporting a zone on /healthz override these); zones spread each model's replicas across failure domains")
-		autoOn        = flag.Bool("autoscale", false, "run the replica autoscale control loop (queue-wait p90, 429 rate, and SLO burn state drive per-model replica counts)")
-		autoInterval  = flag.Duration("autoscale-interval", 0, "autoscale evaluation period (0: default 5s)")
-		autoMin       = flag.Int("autoscale-min", 0, "autoscale floor on per-model replicas (0: default 1)")
-		autoMax       = flag.Int("autoscale-max", 0, "autoscale ceiling on per-model replicas (0: the fleet size)")
-		autoStep      = flag.Int("autoscale-step", 0, "max replicas one autoscale decision adds or removes (0: default 1)")
-		autoCooldown  = flag.Int("autoscale-cooldown", 0, "evaluation intervals a model is frozen after an actuation (0: default 3)")
-		autoUpAfter   = flag.Int("autoscale-up-after", 0, "consecutive above-band intervals before a model scales out; SLO-violated pressure is exempt (0: default 1)")
-		autoMinSamp   = flag.Int("autoscale-min-samples", 0, "fewest queue-wait observations an evaluation window needs before its p90 may trigger scale-out; 429 rate and SLO burn still actuate (0: gate off)")
-		autoUpP90     = flag.Duration("autoscale-up-p90", 0, "queue-wait p90 above which a model scales out (0: default 50ms)")
-		autoDownP90   = flag.Duration("autoscale-down-p90", 0, "queue-wait p90 below which a model counts toward scale-in; must stay below -autoscale-up-p90 (0: default up-p90/4)")
-		autoShedClass = flag.String("autoscale-shed-class", "", "QoS class shed when an SLO stays violated at the replica ceiling (default background)")
-		selftest      = flag.Bool("selftest", false, "run the in-process fleet selftest and exit")
-		nBackends     = flag.Int("backends", 3, "selftest: in-process radixserve backends to spin up")
-		shutdownTO    = flag.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown budget after SIGINT/SIGTERM")
-		backends      backendFlags
-		objectives    slo.Flag
+		cfg  cluster.RouterConfig
+		auto autoscale.Policy
 	)
-	flag.Var(&backends, "backend", "radixserve backend, host:port or http://host:port (repeatable)")
-	flag.Var(&objectives, "slo", "SLO objective MODEL:CLASS:LATENCY:TARGET_PCT (repeatable), evaluated against the FLEET-merged histograms; enables GET /v1/slo and radixrouter_slo_* metrics")
+	flag.StringVar(&cfg.Addr, "addr", ":8090", "router listen address")
+	flag.IntVar(&cfg.Replicas, "replicas", 2, "ring owners per model (the failover budget)")
+	flag.DurationVar(&cfg.Set.ProbeInterval, "probe-interval", 2*time.Second, "per-backend /healthz probe cadence")
+	flag.DurationVar(&cfg.Set.ProbeTimeout, "probe-timeout", time.Second, "single probe budget")
+	flag.IntVar(&cfg.Set.FailAfter, "fail-after", 3, "consecutive failures (probe or forward) that eject a backend")
+	flag.DurationVar(&cfg.MaxBackoff, "max-backoff", time.Second, "cap on Retry-After backoff honored for backend 429s")
+	flag.Func("class-retries", "per-QoS-class backend attempt caps, NAME=N,... (default background=1,batch=2; unlisted classes walk every replica)", func(v string) (err error) {
+		cfg.ClassRetries, err = cliutil.ParseClassWeights(v)
+		return err
+	})
+	flag.Func("classes", "extra QoS class names to label in per-class metrics, comma-separated (unknown classes bucket as \"other\")", func(v string) error {
+		cfg.MetricsClasses = strings.FieldsFunc(v, func(r rune) bool { return r == ',' || r == ' ' })
+		return nil
+	})
+	flag.BoolVar(&cfg.Pprof, "pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
+	flag.DurationVar(&cfg.SlowRequest, "slow-request", 0, "log routed requests slower than this with their trace ID and span breakdown (0: off)")
+	flag.Func("zones", "static backend zone seeds, ID=ZONE,... (backends self-reporting a zone on /healthz override these); zones spread each model's replicas across failure domains", func(v string) (err error) {
+		cfg.Set.Zones, err = cliutil.ParseZones(v)
+		return err
+	})
+	autoOn := flag.Bool("autoscale", false, "run the replica autoscale control loop (queue-wait p90, 429 rate, and SLO burn state drive per-model replica counts)")
+	flag.DurationVar(&auto.Interval, "autoscale-interval", 0, "autoscale evaluation period (0: default 5s)")
+	flag.IntVar(&auto.MinReplicas, "autoscale-min", 0, "autoscale floor on per-model replicas (0: default 1)")
+	flag.IntVar(&auto.MaxReplicas, "autoscale-max", 0, "autoscale ceiling on per-model replicas (0: the fleet size)")
+	flag.IntVar(&auto.MaxStep, "autoscale-step", 0, "max replicas one autoscale decision adds or removes (0: default 1)")
+	flag.IntVar(&auto.Cooldown, "autoscale-cooldown", 0, "evaluation intervals a model is frozen after an actuation (0: default 3)")
+	flag.IntVar(&auto.UpAfter, "autoscale-up-after", 0, "consecutive above-band intervals before a model scales out; SLO-violated pressure is exempt (0: default 1)")
+	flag.IntVar(&auto.MinSamples, "autoscale-min-samples", 0, "fewest queue-wait observations an evaluation window needs before its p90 may trigger scale-out; 429 rate and SLO burn still actuate (0: gate off)")
+	flag.DurationVar(&auto.ScaleUpP90, "autoscale-up-p90", 0, "queue-wait p90 above which a model scales out (0: default 50ms)")
+	flag.DurationVar(&auto.ScaleDownP90, "autoscale-down-p90", 0, "queue-wait p90 below which a model counts toward scale-in; must stay below -autoscale-up-p90 (0: default up-p90/4)")
+	selftest := flag.Bool("selftest", false, "run the in-process fleet selftest and exit")
+	shutdownTO := flag.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown budget after SIGINT/SIGTERM")
+	flag.Func("backend", "radixserve backend, host:port or http://host:port (repeatable)", func(v string) error {
+		cfg.Backends = append(cfg.Backends, v)
+		return nil
+	})
+	flag.Var((*slo.Flag)(&cfg.SLO), "slo", "SLO objective MODEL:CLASS:LATENCY:TARGET_PCT (repeatable), evaluated against the FLEET-merged histograms; enables GET /v1/slo and radixrouter_slo_* metrics")
 	flag.Parse()
 
 	if *selftest {
-		if err := runSelftest(context.Background(), *nBackends, *replicas); err != nil {
+		if err := runSelftest(context.Background(), cfg.Replicas); err != nil {
 			log.Fatalf("selftest FAILED: %v", err)
 		}
 		log.Printf("selftest PASSED")
 		return
 	}
 
-	if len(backends) == 0 {
+	if len(cfg.Backends) == 0 {
 		log.Fatal("no backends: pass at least one -backend host:port (or run -selftest)")
 	}
-	retries, err := cliutil.ParseClassWeights(*classRetries)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var metricsClasses []string
-	for _, name := range strings.Split(*classNames, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			metricsClasses = append(metricsClasses, name)
-		}
-	}
-	zones := map[string]string{}
-	for _, pair := range strings.Split(*zoneSeeds, ",") {
-		if pair = strings.TrimSpace(pair); pair == "" {
-			continue
-		}
-		id, zone, ok := strings.Cut(pair, "=")
-		if !ok || id == "" || zone == "" {
-			log.Fatalf("bad -zones entry %q: want ID=ZONE", pair)
-		}
-		zones[id] = zone
-	}
-	var autoPol *autoscale.Policy
 	if *autoOn {
-		autoPol = &autoscale.Policy{
-			Interval:     *autoInterval,
-			MinReplicas:  *autoMin,
-			MaxReplicas:  *autoMax,
-			MaxStep:      *autoStep,
-			Cooldown:     *autoCooldown,
-			UpAfter:      *autoUpAfter,
-			MinSamples:   *autoMinSamp,
-			ScaleUpP90:   *autoUpP90,
-			ScaleDownP90: *autoDownP90,
-			ShedClass:    *autoShedClass,
-		}
+		cfg.Autoscale = &auto
 	}
-	rt, err := cluster.NewRouter(cluster.RouterConfig{
-		Addr:           *addr,
-		Backends:       backends,
-		Replicas:       *replicas,
-		MaxBackoff:     *maxBackoff,
-		ClassRetries:   retries,
-		MetricsClasses: metricsClasses,
-		Pprof:          *pprof,
-		SlowRequest:    *slowReq,
-		TraceDepth:     *traceDepth,
-		SLO:            slo.Config{Objectives: objectives, FastWindow: *sloFast, SlowWindow: *sloSlow},
-		Autoscale:      autoPol,
-		Set: cluster.SetConfig{
-			ProbeInterval: *probeInterval,
-			ProbeTimeout:  *probeTimeout,
-			FailAfter:     *failAfter,
-			Vnodes:        *vnodes,
-			Zones:         zones,
-		},
-	})
+	rt, err := cluster.NewRouter(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -220,22 +157,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ids := make([]string, 0, len(backends))
+	ids := make([]string, 0, len(cfg.Backends))
 	for _, b := range rt.Set().Backends() {
 		ids = append(ids, b.ID())
 	}
 	log.Printf("routing %d backends [%s] with %d replicas per model, serving on %s",
 		len(ids), strings.Join(ids, " "), rt.Replicas(), bound)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	<-ctx.Done()
-	stop()
-	log.Printf("shutting down (draining for up to %v)", *shutdownTO)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *shutdownTO)
-	defer cancel()
-	if err := rt.Shutdown(shutdownCtx); err != nil {
-		log.Fatalf("shutdown: %v", err)
-	}
-	log.Printf("drained cleanly")
+	cliutil.DrainOnSignal(context.Background(), *shutdownTO, rt.Shutdown)
 }

@@ -21,17 +21,18 @@ import (
 	"github.com/radix-net/radixnet/internal/sparse"
 )
 
-// runSelftest drives the sharded fleet end-to-end: nBackends in-process
+// selftestBackends is the in-process fleet size of the main selftest phases:
+// enough for a replica pair plus a backend to kill.
+const selftestBackends = 3
+
+// runSelftest drives the sharded fleet end-to-end: selftestBackends in-process
 // radixserve instances, models placed by the router's ring, bit-identity
 // against direct Engine.Infer, the fleet control plane, routed QoS and
 // observability, and a mid-load backend kill that must complete with zero
 // failed requests. The phases shared with the radixserve tier live in
 // internal/selftest and run here against the router; what needs the ring,
 // the backends' registries or a backend to kill is in this file.
-func runSelftest(ctx context.Context, nBackends, replicas int) error {
-	if nBackends < 2 {
-		nBackends = 2 // failover needs somewhere to fail over to
-	}
+func runSelftest(ctx context.Context, replicas int) error {
 	if replicas < 2 {
 		replicas = 2
 	}
@@ -45,7 +46,7 @@ func runSelftest(ctx context.Context, nBackends, replicas int) error {
 	}
 	models := []string{"shard-0", "shard-1", "shard-2", "shard-3"}
 
-	fleet, err := selftest.StartFleet(ctx, nBackends, serve.Policy{MaxBatch: 32, MaxLatency: time.Millisecond}, serve.ServerOptions{})
+	fleet, err := selftest.StartFleet(ctx, selftestBackends, serve.Policy{MaxBatch: 32, MaxLatency: time.Millisecond}, serve.ServerOptions{})
 	if err != nil {
 		return err
 	}
@@ -70,9 +71,8 @@ func runSelftest(ctx context.Context, nBackends, replicas int) error {
 		MaxBackoff: 100 * time.Millisecond,
 		// The selftest doubles as an observability smoke test: profiling
 		// endpoints and the trace ring must answer on the router too.
-		Pprof:      true,
-		TraceDepth: 256,
-		SLO:        slo.Config{Objectives: rtObjectives},
+		Pprof: true,
+		SLO:   rtObjectives,
 		Set: cluster.SetConfig{
 			ProbeInterval: 100 * time.Millisecond,
 			FailAfter:     2,
@@ -93,7 +93,7 @@ func runSelftest(ctx context.Context, nBackends, replicas int) error {
 	}
 	width := cfg.LayerWidths()[0]
 	log.Printf("fleet: %d backends × %d models (width %d, %d layers, %d replicas), built in %v",
-		nBackends, len(models), width, len(cfg.LayerWidths())-1, replicas, time.Since(buildStart).Round(time.Millisecond))
+		selftestBackends, len(models), width, len(cfg.LayerWidths())-1, replicas, time.Since(buildStart).Round(time.Millisecond))
 
 	bound, err := rt.Start()
 	if err != nil {

@@ -396,7 +396,7 @@ func runAutoscalePhase(ctx context.Context) error {
 	}
 	rtB, err := cluster.NewRouter(cluster.RouterConfig{
 		Addr: "127.0.0.1:0", Backends: fleet.Addrs, Replicas: 1,
-		SLO: slo.Config{Objectives: objectives},
+		SLO: objectives,
 		Autoscale: &autoscale.Policy{
 			Interval:     interval,
 			MinReplicas:  1,

@@ -10,8 +10,8 @@
 // budget after which still-queued rows are shed with 504 instead of
 // executing). Each model schedules its per-class queues by deficit
 // round-robin, so a background flood cannot starve interactive traffic;
-// -exec-slots bounds batch executions across models, granted
-// share-weighted when models contend.
+// -exec-slots bounds batch executions across models, which take turns
+// when they contend.
 //
 // Endpoints:
 //
@@ -57,8 +57,7 @@
 //	radixserve [-addr :8080] [-model e10=8,8,8,8]... [-engines 2]
 //	           [-max-batch 32] [-max-latency 2ms] [-queue 256]
 //	           [-class-weight interactive=8,batch=2,background=1]
-//	           [-default-class interactive] [-exec-slots 0]
-//	           [-pprof] [-slow-request 250ms] [-trace-depth 256]
+//	           [-exec-slots 0] [-pprof] [-slow-request 250ms]
 //	radixserve -selftest
 package main
 
@@ -67,11 +66,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/radix-net/radixnet/internal/cliutil"
@@ -84,30 +80,6 @@ import (
 type modelSpec struct {
 	name string
 	cfg  core.Config
-}
-
-// modelFlags accumulates repeated -model NAME=SPEC flags.
-type modelFlags []modelSpec
-
-func (f *modelFlags) String() string {
-	names := make([]string, len(*f))
-	for i, m := range *f {
-		names[i] = m.name
-	}
-	return strings.Join(names, ",")
-}
-
-func (f *modelFlags) Set(v string) error {
-	name, spec, ok := strings.Cut(v, "=")
-	if !ok || name == "" || spec == "" {
-		return fmt.Errorf("want NAME=SPEC, got %q", v)
-	}
-	cfg, err := parseModelSpec(spec)
-	if err != nil {
-		return err
-	}
-	*f = append(*f, modelSpec{name: name, cfg: cfg})
-	return nil
 }
 
 // parseModelSpec resolves "gc:WIDTHxLAYERS" or a cliutil systems spec.
@@ -135,36 +107,41 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("radixserve: ")
 	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		engines      = flag.Int("engines", 2, "warm engines per model (the pool leased per batch)")
-		maxBatch     = flag.Int("max-batch", 32, "rows coalesced into one engine invocation")
-		maxLatency   = flag.Duration("max-latency", 2*time.Millisecond, "how long a short batch waits for more rows (negative: no waiting)")
-		queue        = flag.Int("queue", 256, "pending-row bound PER CLASS; beyond it requests get 429")
-		classWeights = flag.String("class-weight", "", "QoS classes and weighted-fair-queuing weights, NAME=N,... (default interactive=8,batch=2,background=1)")
-		defaultClass = flag.String("default-class", "", "class for requests that name none (default interactive)")
-		execSlots    = flag.Int("exec-slots", 0, "cross-model concurrent batch executions (engine quota; 0: GOMAXPROCS, negative: unlimited)")
-		pprof        = flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
-		slowReq      = flag.Duration("slow-request", 0, "log requests slower than this with their trace ID and span breakdown (0: off)")
-		traceDepth   = flag.Int("trace-depth", 0, "recent request traces retained for GET /debug/traces (0: default 256)")
-		profEvery    = flag.Int("profile-every", 16, "time every Nth engine batch per layer (Gedges/s on /metrics; 0: off)")
-		zone         = flag.String("zone", "", "failure domain (rack/availability zone) self-reported on /healthz for the router's zone-aware placement")
-		sloFast      = flag.Duration("slo-fast-window", 0, "SLO fast burn-rate window (0: default 5m)")
-		sloSlow      = flag.Duration("slo-slow-window", 0, "SLO slow burn-rate window (0: default 1h)")
-		selftest     = flag.Bool("selftest", false, "run the end-to-end load-generator selftest and exit")
-		shutdownTO   = flag.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown budget after SIGINT/SIGTERM")
-		models       modelFlags
-		objectives   slo.Flag
+		pol    serve.Policy
+		qos    serve.QoSConfig
+		opts   serve.ServerOptions
+		models []modelSpec
 	)
-	flag.Var(&models, "model", "model to serve, NAME=SPEC (repeatable); SPEC is a radix systems spec like 8,8,8 or gc:WIDTHxLAYERS")
-	flag.Var(&objectives, "slo", "SLO objective MODEL:CLASS:LATENCY:TARGET_PCT (repeatable), e.g. '*:interactive:250ms:99' or 'e10::error:99.9'; enables GET /v1/slo and radixserve_slo_* metrics")
+	addr := flag.String("addr", ":8080", "listen address")
+	engines := flag.Int("engines", 2, "warm engines per model (the pool leased per batch)")
+	flag.IntVar(&pol.MaxBatch, "max-batch", 32, "rows coalesced into one engine invocation")
+	flag.DurationVar(&pol.MaxLatency, "max-latency", 2*time.Millisecond, "how long a short batch waits for more rows (negative: no waiting)")
+	flag.IntVar(&pol.QueueDepth, "queue", 256, "pending-row bound PER CLASS; beyond it requests get 429")
+	flag.Func("class-weight", "QoS classes and weighted-fair-queuing weights, NAME=N,... (default interactive=8,batch=2,background=1; unlabeled requests run as interactive, else the heaviest class)", func(v string) (err error) {
+		qos.Weights, err = cliutil.ParseClassWeights(v)
+		return err
+	})
+	flag.IntVar(&qos.ExecSlots, "exec-slots", 0, "cross-model concurrent batch executions (engine quota; 0: GOMAXPROCS, negative: unlimited)")
+	flag.BoolVar(&opts.Pprof, "pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
+	flag.DurationVar(&opts.SlowRequest, "slow-request", 0, "log requests slower than this with their trace ID and span breakdown (0: off)")
+	profEvery := flag.Int("profile-every", 16, "time every Nth engine batch per layer (Gedges/s on /metrics; 0: off)")
+	flag.StringVar(&opts.Zone, "zone", "", "failure domain (rack/availability zone) self-reported on /healthz for the router's zone-aware placement")
+	selftest := flag.Bool("selftest", false, "run the end-to-end load-generator selftest and exit")
+	shutdownTO := flag.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown budget after SIGINT/SIGTERM")
+	flag.Func("model", "model to serve, NAME=SPEC (repeatable); SPEC is a radix systems spec like 8,8,8 or gc:WIDTHxLAYERS", func(v string) error {
+		name, spec, ok := strings.Cut(v, "=")
+		if !ok || name == "" || spec == "" {
+			return fmt.Errorf("want NAME=SPEC, got %q", v)
+		}
+		cfg, err := parseModelSpec(spec)
+		if err != nil {
+			return err
+		}
+		models = append(models, modelSpec{name: name, cfg: cfg})
+		return nil
+	})
+	flag.Var((*slo.Flag)(&opts.SLO), "slo", "SLO objective MODEL:CLASS:LATENCY:TARGET_PCT (repeatable), e.g. '*:interactive:250ms:99' or 'e10::error:99.9'; enables GET /v1/slo and radixserve_slo_* metrics")
 	flag.Parse()
-
-	pol := serve.Policy{MaxBatch: *maxBatch, MaxLatency: *maxLatency, QueueDepth: *queue}
-	weights, err := cliutil.ParseClassWeights(*classWeights)
-	if err != nil {
-		log.Fatal(err)
-	}
-	qos := serve.QoSConfig{Weights: weights, DefaultClass: *defaultClass, ExecSlots: *execSlots}
 
 	if *selftest {
 		if err := runSelftest(context.Background(), *engines, pol, qos); err != nil {
@@ -205,28 +182,11 @@ func main() {
 			info.Engines, time.Since(start).Round(time.Millisecond))
 	}
 
-	srv := serve.NewServerOpts(reg, *addr, serve.ServerOptions{
-		Pprof:       *pprof,
-		SlowRequest: *slowReq,
-		TraceDepth:  *traceDepth,
-		SLO:         slo.Config{Objectives: objectives, FastWindow: *sloFast, SlowWindow: *sloSlow},
-		Zone:        *zone,
-	})
+	srv := serve.NewServerOpts(reg, *addr, opts)
 	bound, err := srv.Start()
 	if err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("serving on %s (POST /v1/infer, GET /v1/models /healthz /metrics)", bound)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	<-ctx.Done()
-	stop()
-	log.Printf("shutting down (draining for up to %v)", *shutdownTO)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *shutdownTO)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		log.Fatalf("shutdown: %v", err)
-	}
-	log.Printf("drained cleanly")
+	cliutil.DrainOnSignal(context.Background(), *shutdownTO, srv.Shutdown)
 }

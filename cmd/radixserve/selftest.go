@@ -63,7 +63,7 @@ func runSelftest(ctx context.Context, engines int, pol serve.Policy, qos serve.Q
 	}
 	srv := serve.NewServerOpts(reg, "127.0.0.1:0", serve.ServerOptions{
 		Pprof: true,
-		SLO:   slo.Config{Objectives: sloObjectives},
+		SLO:   sloObjectives,
 	})
 	addr, err := srv.Start()
 	if err != nil {

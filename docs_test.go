@@ -42,6 +42,62 @@ func TestREADMEMetricReference(t *testing.T) {
 	}
 }
 
+// TestREADMEFlagReference fails when a server's flag table in README.md and
+// the flags its main.go registers differ, naming each flag on one side
+// only. A registered flag is the first string literal passed to a flag.*
+// call; a table row names its flag in the first cell, as "`-name ...`".
+func TestREADMEFlagReference(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowFlag := regexp.MustCompile("^\\| `-([a-z0-9-]+)")
+	for _, bin := range []string{"radixserve", "radixrouter"} {
+		file, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", bin, "main.go"), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var code []string
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || fmt.Sprint(sel.X) != "flag" {
+				return true
+			}
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					code = append(code, strings.Trim(lit.Value, "\"`"))
+					break
+				}
+			}
+			return true
+		})
+		if len(code) == 0 {
+			t.Fatalf("cmd/%s/main.go registers no flags", bin)
+		}
+		_, rest, _ := strings.Cut(string(readme), "<!-- flags:"+bin+":begin -->\n")
+		table, _, _ := strings.Cut(rest, "<!-- flags:"+bin+":end -->")
+		var doc []string
+		for _, row := range strings.Split(table, "\n") {
+			if m := rowFlag.FindStringSubmatch(row); m != nil {
+				doc = append(doc, m[1])
+			}
+		}
+		for _, name := range code {
+			if !slices.Contains(doc, name) {
+				t.Errorf("%s registers -%s, which its README flag table lacks", bin, name)
+			}
+		}
+		for _, name := range doc {
+			if !slices.Contains(code, name) {
+				t.Errorf("README's %s flag table lists -%s, which cmd/%s/main.go does not register", bin, name, bin)
+			}
+		}
+	}
+}
+
 // TestCitedDocsExist fails when README.md or any Go file (package docs,
 // comments, printed hints) names a Markdown file that is not in the
 // repository, resolved from the root or from the citing file's directory.

@@ -50,7 +50,7 @@ func main() {
 		log.Fatal(err)
 	}
 	srv := radixnet.NewServerOpts(reg, "127.0.0.1:0", radixnet.ServerOptions{
-		SLO: radixnet.SLOConfig{Objectives: objectives},
+		SLO: objectives,
 	})
 	addr, err := srv.Start()
 	if err != nil {

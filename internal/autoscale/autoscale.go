@@ -42,9 +42,17 @@ const (
 	DefaultCooldown    = 3
 	DefaultDownAfter   = 3
 	DefaultScaleUpP90  = 50 * time.Millisecond
-	DefaultRate429High = 0.05
-	DefaultShedClass   = "background"
 	defaultDownDivisor = 4 // ScaleDownP90 = ScaleUpP90 / 4
+)
+
+// Rate429High is the rejected-request fraction (rejected / offered) above
+// which a model scales out regardless of queue-wait. ShedClass is the QoS
+// class shed as a last resort when a model's SLO stays violated at its
+// replica ceiling; shedding clears once the model strings together a
+// below-band streak.
+const (
+	Rate429High = 0.05
+	ShedClass   = "background"
 )
 
 // Policy bounds the control loop. The zero value validates to the
@@ -86,10 +94,6 @@ type Policy struct {
 	// 429 rate and a healthy SLO) a model counts a below-band interval.
 	// Must be strictly less than ScaleUpP90. Default ScaleUpP90/4.
 	ScaleDownP90 time.Duration
-	// Rate429High is the rejected-request fraction (rejected / offered)
-	// above which a model scales out regardless of queue-wait. Default
-	// 0.05.
-	Rate429High float64
 	// MinSamples is the fewest queue-wait observations a window must hold
 	// before its p90 may trigger a scale-out. A p90 computed over a handful
 	// of rows is noise — on a loaded host a single stalled request pushes a
@@ -98,11 +102,6 @@ type Policy struct {
 	// The gate applies only to the queue-wait path; 429 rate and SLO burn
 	// carry their own evidence and still actuate. 0 disables the gate.
 	MinSamples int
-	// ShedClass is the QoS class shed as a last resort when a model's SLO
-	// stays violated at its replica ceiling; "" keeps the default
-	// "background". Shedding clears once the model strings together a
-	// below-band streak.
-	ShedClass string
 }
 
 // Validate fills defaults in place and rejects inconsistent policies.
@@ -140,12 +139,6 @@ func (p *Policy) Validate() error {
 	if p.ScaleDownP90 >= p.ScaleUpP90 {
 		return fmt.Errorf("autoscale: ScaleDownP90 %v must be strictly below ScaleUpP90 %v (hysteresis dead band)",
 			p.ScaleDownP90, p.ScaleUpP90)
-	}
-	if p.Rate429High <= 0 {
-		p.Rate429High = DefaultRate429High
-	}
-	if p.ShedClass == "" {
-		p.ShedClass = DefaultShedClass
 	}
 	return nil
 }
@@ -268,7 +261,7 @@ func (c *Controller) evalModel(stat ModelStats, st *modelState) *Decision {
 	p90Up := stat.QueueWaitP90 >= c.pol.ScaleUpP90 &&
 		(c.pol.MinSamples <= 0 || stat.Samples >= uint64(c.pol.MinSamples))
 	pressure := p90Up ||
-		stat.Rate429 >= c.pol.Rate429High ||
+		stat.Rate429 >= Rate429High ||
 		stat.SLOViolated
 	down := !pressure &&
 		stat.QueueWaitP90 <= c.pol.ScaleDownP90 &&
@@ -306,13 +299,13 @@ func (c *Controller) evalModel(stat ModelStats, st *modelState) *Decision {
 			Model: stat.Model, From: stat.Replicas, To: to,
 			Reason: upReason(stat, c.pol),
 		}
-	case up && stat.SLOViolated && !st.shedding && c.pol.ShedClass != "":
+	case up && stat.SLOViolated && !st.shedding:
 		// At the replica ceiling with the SLO still burning: shed the
 		// sacrificial class so the protected classes can recover.
 		st.shedding = true
 		return &Decision{
-			Model: stat.Model, Shed: c.pol.ShedClass,
-			Reason: fmt.Sprintf("slo violated at replica ceiling %d; shedding class %q", max, c.pol.ShedClass),
+			Model: stat.Model, Shed: ShedClass,
+			Reason: fmt.Sprintf("slo violated at replica ceiling %d; shedding class %q", max, ShedClass),
 		}
 	case down && st.lowStreak >= c.pol.DownAfter && st.shedding:
 		// Recovery unwinds in reverse: readmit the shed class first, and
@@ -341,8 +334,8 @@ func upReason(stat ModelStats, pol Policy) string {
 	switch {
 	case stat.SLOViolated:
 		return "slo objective violated"
-	case stat.Rate429 >= pol.Rate429High:
-		return fmt.Sprintf("429 rate %.1f%% >= %.1f%%", 100*stat.Rate429, 100*pol.Rate429High)
+	case stat.Rate429 >= Rate429High:
+		return fmt.Sprintf("429 rate %.1f%% >= %.1f%%", 100*stat.Rate429, 100*Rate429High)
 	default:
 		return fmt.Sprintf("queue-wait p90 %v >= %v",
 			stat.QueueWaitP90.Round(time.Microsecond), pol.ScaleUpP90)

@@ -34,8 +34,7 @@ func TestValidateDefaults(t *testing.T) {
 	}
 	if p.Interval != DefaultInterval || p.MinReplicas != 1 || p.MaxStep != DefaultMaxStep ||
 		p.Cooldown != DefaultCooldown || p.DownAfter != DefaultDownAfter ||
-		p.ScaleUpP90 != DefaultScaleUpP90 || p.ScaleDownP90 != DefaultScaleUpP90/4 ||
-		p.Rate429High != DefaultRate429High || p.ShedClass != DefaultShedClass {
+		p.ScaleUpP90 != DefaultScaleUpP90 || p.ScaleDownP90 != DefaultScaleUpP90/4 {
 		t.Fatalf("defaults not applied: %+v", p)
 	}
 }
@@ -180,8 +179,8 @@ func TestShedAtCeilingAndRecovery(t *testing.T) {
 	c := mustNew(t, pol())
 	violated := ModelStats{Model: "m", Replicas: 4, Ceiling: 4, SLOViolated: true, QueueWaitP90: time.Second}
 	ds := c.Evaluate([]ModelStats{violated})
-	if len(ds) != 1 || ds[0].Shed != DefaultShedClass {
-		t.Fatalf("SLO violation at ceiling must shed %q, got %+v", DefaultShedClass, ds)
+	if len(ds) != 1 || ds[0].Shed != ShedClass {
+		t.Fatalf("SLO violation at ceiling must shed %q, got %+v", ShedClass, ds)
 	}
 	// Still violated: no duplicate shed decisions.
 	if ds := c.Evaluate([]ModelStats{violated}); len(ds) != 0 {

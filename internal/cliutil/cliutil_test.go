@@ -47,6 +47,21 @@ func TestParseClassWeights(t *testing.T) {
 	}
 }
 
+func TestParseZones(t *testing.T) {
+	z, err := ParseZones("10.0.0.7:8080=rack-a, http://10.0.0.8:8080=rack-b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(z) != 2 || z["10.0.0.7:8080"] != "rack-a" || z["http://10.0.0.8:8080"] != "rack-b" {
+		t.Fatalf("zones = %v", z)
+	}
+	for _, bad := range []string{"a:1", "=rack", "a:1=", "a:1=x,a:1=y"} {
+		if _, err := ParseZones(bad); err == nil {
+			t.Errorf("%q accepted", bad)
+		}
+	}
+}
+
 func TestGitSHA(t *testing.T) {
 	sha := GitSHA()
 	if sha == "" {

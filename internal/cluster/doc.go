@@ -14,7 +14,7 @@
 //	                              └── health prober ──▶ GET /healthz per node
 //
 // Ring — a consistent-hash ring with virtual nodes places models onto
-// backends by model name. Each backend is hashed at Vnodes positions; a
+// backends by model name. Each backend is hashed at DefaultVnodes positions; a
 // model's owners are the first Replicas distinct backends clockwise from
 // the model's hash. Adding or removing one backend therefore moves only
 // ~1/N of the keyspace, so fleet changes re-place few models.

@@ -113,7 +113,7 @@ func TestGoldenExposition(t *testing.T) {
 	}
 	rt, err := NewRouter(RouterConfig{
 		Backends: []string{"backend-a:8080", "backend-b:8080"},
-		SLO:      slo.Config{Objectives: objectives},
+		SLO:      objectives,
 		Set:      SetConfig{ProbeInterval: time.Hour, Client: &http.Client{Transport: backends}},
 	})
 	if err != nil {
@@ -172,7 +172,7 @@ func BenchmarkRouterMetricsMerge(b *testing.B) {
 	}
 	rt, err := NewRouter(RouterConfig{
 		Backends: addrs,
-		SLO:      slo.Config{Objectives: objectives},
+		SLO:      objectives,
 		Set:      SetConfig{ProbeInterval: time.Hour, Client: &http.Client{Transport: backends}},
 	})
 	if err != nil {

@@ -102,16 +102,15 @@ type SetConfig struct {
 	// FailAfter is the consecutive-failure count (probes and forwards
 	// combined) that ejects a backend from rotation. Default 3.
 	FailAfter int
-	// Vnodes is the ring's virtual-node count per backend. Default
-	// DefaultVnodes.
-	Vnodes int
 	// Client issues probes and forwards. Default: a dedicated client with
 	// pooled keep-alive connections.
 	Client *http.Client
-	// Zones statically assigns failure domains by backend id, seeding what
-	// probes would learn from each backend's /healthz self-report (the
-	// self-report wins once a probe answers — the backend knows where it
-	// runs). Backends absent from the map start unzoned.
+	// Zones statically assigns failure domains by backend, keyed in either
+	// form a backend address takes ("host:port" or "http://host:port"),
+	// seeding what probes would learn from each backend's /healthz
+	// self-report (the self-report wins once a probe answers — the backend
+	// knows where it runs). Backends absent from the map start unzoned; a
+	// key naming no backend is an error.
 	Zones map[string]string
 }
 
@@ -124,9 +123,6 @@ func (c SetConfig) withDefaults() SetConfig {
 	}
 	if c.FailAfter <= 0 {
 		c.FailAfter = 3
-	}
-	if c.Vnodes <= 0 {
-		c.Vnodes = DefaultVnodes
 	}
 	if c.Client == nil {
 		tr := http.DefaultTransport.(*http.Transport).Clone()
@@ -187,7 +183,7 @@ func NewBackendSet(addrs []string, cfg SetConfig) (*BackendSet, error) {
 	cfg = cfg.withDefaults()
 	s := &BackendSet{
 		cfg:      cfg,
-		ring:     NewRing(cfg.Vnodes),
+		ring:     NewRing(DefaultVnodes),
 		backends: make(map[string]*Backend, len(addrs)),
 		stop:     make(chan struct{}),
 	}
@@ -201,12 +197,20 @@ func NewBackendSet(addrs []string, cfg SetConfig) (*BackendSet, error) {
 		}
 		b := &Backend{id: id, client: serve.Client{URL: url, HTTP: cfg.Client}}
 		b.healthy.Store(true)
-		if z, ok := cfg.Zones[id]; ok {
-			b.setZone(z)
-		}
 		s.backends[id] = b
 		s.order = append(s.order, id)
 		s.ring.Add(id)
+	}
+	for key, zone := range cfg.Zones {
+		id, _, err := normalizeBackend(key)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: zone seed %q: %w", key, err)
+		}
+		b, ok := s.backends[id]
+		if !ok {
+			return nil, fmt.Errorf("cluster: zone seed %q names no backend", key)
+		}
+		b.setZone(zone)
 	}
 	return s, nil
 }

@@ -167,7 +167,6 @@ func TestRouterTraceEndToEnd(t *testing.T) {
 		Backends:    []string{backend.URL},
 		Replicas:    1,
 		SlowRequest: time.Nanosecond,
-		TraceDepth:  8,
 		Logger:      slog.New(slog.NewTextHandler(&logBuf, nil)),
 		Set:         SetConfig{ProbeInterval: time.Hour},
 	})

@@ -8,8 +8,8 @@ import (
 	"sync"
 )
 
-// DefaultVnodes is the virtual-node count per backend when RingConfig leaves
-// it zero. 128 points per node keeps the keyspace share of an N-node fleet
+// DefaultVnodes is the virtual-node count per backend on every BackendSet's
+// ring, and NewRing's for vnodes ≤ 0. 128 points per node keeps the keyspace share of an N-node fleet
 // within a few percent of 1/N while the ring stays small enough to rebuild
 // on every membership change.
 const DefaultVnodes = 128

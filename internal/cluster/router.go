@@ -57,16 +57,13 @@ type RouterConfig struct {
 	// (trace ID, model, class, per-span breakdown) for every routed
 	// request whose end-to-end time meets the threshold. 0 disables.
 	SlowRequest time.Duration
-	// TraceDepth sets how many recent request traces the router retains
-	// for GET /debug/traces. 0 selects obs.DefaultTraceDepth.
-	TraceDepth int
 	// Logger receives slow-request records. Nil selects slog.Default().
 	Logger *slog.Logger
-	// SLO configures burn-rate objectives the router evaluates against
-	// the FLEET-merged histogram families (the whole fleet's traffic, not
-	// one backend's) on GET /v1/slo and as radixrouter_slo_* gauges; no
-	// objectives disables both.
-	SLO slo.Config
+	// SLO lists the burn-rate objectives the router evaluates against the
+	// FLEET-merged histogram families (the whole fleet's traffic, not one
+	// backend's) on GET /v1/slo and as radixrouter_slo_* gauges; none
+	// disables both.
+	SLO []slo.Objective
 	// Autoscale, when non-nil, runs the replica control loop: per-model
 	// load (fleet-merged queue-wait p90, 429 rate, throughput) and SLO burn
 	// state drive replica scale-up/down through the register/unregister
@@ -78,8 +75,8 @@ type RouterConfig struct {
 	// replicas share the load. Without it the first healthy owner serves
 	// everything and its successors are failover spares.
 	Autoscale *autoscale.Policy
-	// Set tunes health probing (interval, timeout, ejection threshold,
-	// ring vnodes).
+	// Set tunes health probing (interval, timeout, ejection threshold) and
+	// seeds backend zones.
 	Set SetConfig
 }
 
@@ -178,7 +175,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		classRetries: classRetries,
 		knownClasses: knownClasses,
 		start:        time.Now(),
-		traces:       obs.NewTraceRing(cfg.TraceDepth),
+		traces:       obs.NewTraceRing(obs.DefaultTraceDepth),
 		slow:         cfg.SlowRequest,
 		log:          logger,
 		slo:          slo.New(cfg.SLO),
@@ -526,34 +523,19 @@ func (rt *Router) routeError(w http.ResponseWriter, fwd *inferForward, code int,
 	writeJSON(w, code, serve.ErrorResponse{Error: fwd.errMsg, Model: fwd.model, Class: fwd.class})
 }
 
-// recordTrace publishes the request's trace to the ring and, past the
-// slow-request threshold, logs the span breakdown with the trace ID so
-// router-side and backend-side records of one request correlate.
+// recordTrace closes the request's trace: into the ring and, past the
+// slow-request threshold, the log (obs.TraceRing.Finish).
 func (rt *Router) recordTrace(fwd *inferForward) {
-	total := time.Since(fwd.t0)
-	tr := &obs.Trace{
+	rt.traces.Finish(&obs.Trace{
 		ID:      fwd.traceID,
 		Model:   fwd.model,
 		Class:   fwd.class,
 		Backend: fwd.backend,
 		Start:   fwd.t0,
-		TotalMs: float64(total.Nanoseconds()) / 1e6,
 		Status:  fwd.status,
 		Error:   fwd.errMsg,
 		Spans:   fwd.spans,
-	}
-	rt.traces.Add(tr)
-	if rt.slow > 0 && total >= rt.slow {
-		rt.log.Warn("slow request",
-			"trace_id", fwd.traceID,
-			"model", fwd.model,
-			"class", fwd.class,
-			"backend", fwd.backend,
-			"status", fwd.status,
-			"total_ms", tr.TotalMs,
-			"spans", tr.SpanLine(),
-		)
-	}
+	}, rt.slow, rt.log)
 }
 
 // consultedIntendedOwners reports whether the consulted (healthy) owners

@@ -15,11 +15,9 @@ type fleetSLOSample struct {
 
 // collectFleetSLOSamples folds backend scrapes into cumulative SLO
 // samples: the per-model aggregate latency family plus row-outcome
-// counters, and the per-model×class family likewise. Bad/Total mirror
-// the serve tier's own accounting (failed+expired+rejected over
-// accepted+rejected for the aggregate; the class counters lack a failed
-// series, so a class's Bad is expired+rejected). The latency families
-// are read from merged, the same round's mergeFleet of the scrapes.
+// counters, and the per-model×class family likewise, counted by
+// slo.Outcome as the serve tier counts its own. The latency families are
+// read from merged, the same round's mergeFleet of the scrapes.
 // Aggregates come first; the SLO engine keys samples by model and class,
 // so no other order is kept.
 func collectFleetSLOSamples(scrapes []*obs.Scrape, merged fleetMerge) []fleetSLOSample {
@@ -31,16 +29,16 @@ func collectFleetSLOSamples(scrapes []*obs.Scrape, merged fleetMerge) []fleetSLO
 	expired := obs.SumCounter(serve.MetricRowsExpired, byModel, scrapes...)
 	for _, hs := range merged[serve.MetricRequestLatency] {
 		k := hs.Key
-		out = append(out, fleetSLOSample{model: hs.Values[0], sample: slo.Sample{
-			Hist: hs.Hist, Bad: failed[k] + expired[k] + rejected[k], Total: accepted[k] + rejected[k]}})
+		out = append(out, fleetSLOSample{model: hs.Values[0],
+			sample: slo.Outcome(hs.Hist, accepted[k], rejected[k], failed[k], expired[k])})
 	}
 	accepted = obs.SumCounter(serve.MetricClassRowsAccepted, byClass, scrapes...)
 	rejected = obs.SumCounter(serve.MetricClassRowsRejected, byClass, scrapes...)
 	expired = obs.SumCounter(serve.MetricClassRowsExpired, byClass, scrapes...)
 	for _, hs := range merged[serve.MetricClassRequestLatency] {
 		k := hs.Key
-		out = append(out, fleetSLOSample{model: hs.Values[1], class: hs.Values[0], sample: slo.Sample{
-			Hist: hs.Hist, Bad: expired[k] + rejected[k], Total: accepted[k] + rejected[k]}})
+		out = append(out, fleetSLOSample{model: hs.Values[1], class: hs.Values[0],
+			sample: slo.Outcome(hs.Hist, accepted[k], rejected[k], 0, expired[k])})
 	}
 	return out
 }

@@ -133,7 +133,7 @@ func TestRouterSLOViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := startFleetOpts(t, 2, []string{"m"}, SetConfig{ProbeInterval: time.Hour}, func(rc *RouterConfig) {
-		rc.SLO = slo.Config{Objectives: objectives}
+		rc.SLO = objectives
 	})
 	in, err := dataset.SparseBatch(1, 16, 4, 37)
 	if err != nil {
@@ -188,7 +188,7 @@ func TestFleetSeesHostileModelName(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := startFleetOpts(t, 2, []string{name}, SetConfig{ProbeInterval: time.Hour}, func(rc *RouterConfig) {
-		rc.SLO = slo.Config{Objectives: objectives}
+		rc.SLO = objectives
 		rc.Autoscale = &autoscale.Policy{Interval: time.Hour} // armed, never fires: the test runs one cycle itself
 	})
 	const n = 6

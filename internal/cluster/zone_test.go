@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -134,5 +135,27 @@ func TestWalkSpreadKeyMovementOnZoneJoinLeave(t *testing.T) {
 	}
 	if moved == 0 {
 		t.Fatal("zone join moved no keys: the new nodes own nothing")
+	}
+}
+
+// TestZoneSeedsNormalized pins the -zones seed contract: a seed may name a
+// backend in either address form -backend accepts, and a seed naming no
+// backend is refused by its key rather than silently dropped.
+func TestZoneSeedsNormalized(t *testing.T) {
+	set, err := NewBackendSet([]string{"10.0.0.7:8080", "http://10.0.0.8:8080"}, SetConfig{
+		Zones: map[string]string{"http://10.0.0.7:8080": "zone-a", "10.0.0.8:8080/": "zone-b"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range map[string]string{"10.0.0.7:8080": "zone-a", "10.0.0.8:8080": "zone-b"} {
+		b, ok := set.Backend(id)
+		if !ok || b.Zone() != want {
+			t.Errorf("backend %s: zone %q, want %q", id, b.Zone(), want)
+		}
+	}
+	_, err = NewBackendSet([]string{"10.0.0.7:8080"}, SetConfig{Zones: map[string]string{"10.0.0.9:8080": "zone-c"}})
+	if err == nil || !strings.Contains(err.Error(), "10.0.0.9:8080") {
+		t.Fatalf("seed naming no backend: err %v, want one naming the key", err)
 	}
 }

@@ -1,9 +1,9 @@
 // Package slo evaluates serving objectives ("99% of gc requests finish
 // within 250ms") against the observability stack's histogram scrapes
 // using the multi-window burn-rate method: the rate at which the error
-// budget is being consumed is measured over a fast window (default 5m,
-// catches pages-worthy regressions in minutes) and a slow window
-// (default 1h, suppresses one-scrape blips), and an objective is
+// budget is being consumed is measured over a fast window (5m, catches
+// page-worthy regressions in minutes) and a slow window (1h, suppresses
+// one-scrape blips), and an objective is
 // violated only when both windows burn hot — the standard SRE
 // alerting shape.
 //
@@ -134,53 +134,19 @@ func (f *Flag) Set(spec string) error {
 	return nil
 }
 
-// Config tunes an Engine. Zero-value windows and thresholds take the
-// defaults below.
-type Config struct {
-	Objectives []Objective
-	// FastWindow/SlowWindow are the two burn-rate windows.
-	FastWindow time.Duration // default 5m
-	SlowWindow time.Duration // default 1h
-	// FastBurn/SlowBurn are the violation thresholds: the objective is
-	// violated when both windows burn at or above their threshold, in
-	// budget-consumption multiples of sustainable (1.0 = exactly on
-	// target). Defaults 14.4 and 6 — the classic page thresholds.
-	FastBurn float64
-	SlowBurn float64
-	// MaxSamples bounds the retained scrape samples per series
-	// (default 512).
-	MaxSamples int
-}
-
+// The burn-rate recipe: an objective is violated when its fast window
+// burns at or above FastBurn and its slow window at or above SlowBurn, in
+// budget-consumption multiples of sustainable (1.0 = exactly on target).
+// 14.4 over 5m and 6 over 1h are the classic page thresholds, calibrated
+// to those windows, so the four are one recipe, not four knobs.
+// MaxSamples bounds the retained scrape samples per series.
 const (
-	DefaultFastWindow = 5 * time.Minute
-	DefaultSlowWindow = time.Hour
-	DefaultFastBurn   = 14.4
-	DefaultSlowBurn   = 6.0
-	defaultMaxSamples = 512
+	FastWindow = 5 * time.Minute
+	SlowWindow = time.Hour
+	FastBurn   = 14.4
+	SlowBurn   = 6.0
+	MaxSamples = 512
 )
-
-func (c Config) withDefaults() Config {
-	if c.FastWindow <= 0 {
-		c.FastWindow = DefaultFastWindow
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = DefaultSlowWindow
-	}
-	if c.SlowWindow < c.FastWindow {
-		c.SlowWindow = c.FastWindow
-	}
-	if c.FastBurn <= 0 {
-		c.FastBurn = DefaultFastBurn
-	}
-	if c.SlowBurn <= 0 {
-		c.SlowBurn = DefaultSlowBurn
-	}
-	if c.MaxSamples <= 0 {
-		c.MaxSamples = defaultMaxSamples
-	}
-	return c
-}
 
 // Sample is one cumulative observation of a series: the latency
 // histogram (in seconds, the exported unit) plus row-outcome counters
@@ -188,10 +154,18 @@ func (c Config) withDefaults() Config {
 // the engine forms windows by subtracting retained samples.
 type Sample struct {
 	Hist obs.ScrapedHist
-	// Bad/Total are cumulative row counts for the error objective
-	// (failed+expired+rejected vs accepted, in the serving stack).
+	// Bad/Total are cumulative row counts for the error objective, as
+	// Outcome counts them.
 	Bad   uint64
 	Total uint64
+}
+
+// Outcome is the one row-outcome rule both tiers feed their engines: a
+// series' Bad rows are failed + expired + rejected, and its Total rows
+// accepted + rejected. The per-class counters have no failed series, so a
+// class passes failed = 0.
+func Outcome(h obs.ScrapedHist, accepted, rejected, failed, expired uint64) Sample {
+	return Sample{Hist: h, Bad: failed + expired + rejected, Total: accepted + rejected}
 }
 
 type seriesKey struct{ model, class string }
@@ -208,7 +182,7 @@ type series struct {
 // Engine retains per-series sample history and evaluates the
 // configured objectives on demand. Safe for concurrent use.
 type Engine struct {
-	cfg Config
+	objectives []Objective
 
 	mu     sync.Mutex
 	series map[seriesKey]*series
@@ -216,15 +190,12 @@ type Engine struct {
 
 // New builds an engine; a nil return means no objectives were
 // configured (callers treat that as "SLO evaluation off").
-func New(cfg Config) *Engine {
-	if len(cfg.Objectives) == 0 {
+func New(objectives []Objective) *Engine {
+	if len(objectives) == 0 {
 		return nil
 	}
-	return &Engine{cfg: cfg.withDefaults(), series: map[seriesKey]*series{}}
+	return &Engine{objectives: objectives, series: map[seriesKey]*series{}}
 }
-
-// Config reports the engine's effective (defaulted) configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Record retains one cumulative sample for (model, class) at now.
 // Samples older than the slow window (plus one slot of slack for the
@@ -244,7 +215,7 @@ func (e *Engine) Record(model, class string, s Sample, now time.Time) {
 	sr.samples = append(sr.samples, timedSample{t: now, s: s})
 	// Prune: drop samples that can no longer serve as a slow-window
 	// baseline, but always keep one sample older than the cutoff.
-	cutoff := now.Add(-e.cfg.SlowWindow)
+	cutoff := now.Add(-SlowWindow)
 	firstKeep := 0
 	for i := 0; i < len(sr.samples)-1; i++ {
 		if sr.samples[i+1].t.After(cutoff) {
@@ -255,7 +226,7 @@ func (e *Engine) Record(model, class string, s Sample, now time.Time) {
 	if firstKeep > 0 {
 		sr.samples = append(sr.samples[:0], sr.samples[firstKeep:]...)
 	}
-	if over := len(sr.samples) - e.cfg.MaxSamples; over > 0 {
+	if over := len(sr.samples) - MaxSamples; over > 0 {
 		// Beyond the cap, thin from the oldest end but keep the very
 		// oldest as the long-window baseline.
 		sr.samples = append(sr.samples[:1], sr.samples[1+over:]...)
@@ -381,12 +352,12 @@ func (e *Engine) Evaluate(now time.Time) []Status {
 	defer e.mu.Unlock()
 	var out []Status
 	for k, sr := range e.series {
-		fast, okF := sr.window(now, e.cfg.FastWindow)
-		slow, okS := sr.window(now, e.cfg.SlowWindow)
+		fast, okF := sr.window(now, FastWindow)
+		slow, okS := sr.window(now, SlowWindow)
 		if !okF || !okS {
 			continue
 		}
-		for _, o := range e.cfg.Objectives {
+		for _, o := range e.objectives {
 			if !o.matches(k.model, k.class) {
 				continue
 			}
@@ -400,7 +371,7 @@ func (e *Engine) Evaluate(now time.Time) []Status {
 				st.BudgetRemaining = 0
 			}
 			switch {
-			case st.FastBurn >= e.cfg.FastBurn && st.SlowBurn >= e.cfg.SlowBurn:
+			case st.FastBurn >= FastBurn && st.SlowBurn >= SlowBurn:
 				st.State = StateViolated
 			case st.FastBurn > 1 || st.SlowBurn > 1:
 				st.State = StateWarn
@@ -438,10 +409,10 @@ func (e *Engine) ViewOf(now time.Time) View {
 		statuses = []Status{}
 	}
 	return View{
-		FastWindow: e.cfg.FastWindow.String(),
-		SlowWindow: e.cfg.SlowWindow.String(),
-		FastBurn:   e.cfg.FastBurn,
-		SlowBurn:   e.cfg.SlowBurn,
+		FastWindow: FastWindow.String(),
+		SlowWindow: SlowWindow.String(),
+		FastBurn:   FastBurn,
+		SlowBurn:   SlowBurn,
 		Statuses:   statuses,
 	}
 }

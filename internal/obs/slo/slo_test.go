@@ -81,7 +81,7 @@ func TestFlag(t *testing.T) {
 }
 
 func TestNewNilWithoutObjectives(t *testing.T) {
-	if e := New(Config{}); e != nil {
+	if e := New(nil); e != nil {
 		t.Fatal("New with no objectives should disable the engine (nil)")
 	}
 }
@@ -120,7 +120,7 @@ func TestLatencyBurnStates(t *testing.T) {
 	}
 	t0 := time.Unix(1700000000, 0)
 	for _, tc := range cases {
-		e := New(Config{Objectives: mustObjectives(t, "m::10ms:99")})
+		e := New(mustObjectives(t, "m::10ms:99"))
 		e.Record("m", "", Sample{Hist: histWithGood(tc.good, 100)}, t0)
 		statuses := e.Evaluate(t0)
 		if len(statuses) != 1 {
@@ -141,7 +141,7 @@ func TestLatencyBurnStates(t *testing.T) {
 
 func TestErrorObjective(t *testing.T) {
 	t0 := time.Unix(1700000000, 0)
-	e := New(Config{Objectives: mustObjectives(t, "m::error:99")})
+	e := New(mustObjectives(t, "m::error:99"))
 	e.Record("m", "", Sample{Bad: 10, Total: 100}, t0)
 	statuses := e.Evaluate(t0)
 	if len(statuses) != 1 {
@@ -159,7 +159,7 @@ func TestErrorObjective(t *testing.T) {
 // door; the caller's histogram is not touched.
 func TestRecordRetainsNoExemplars(t *testing.T) {
 	t0 := time.Unix(1700000000, 0)
-	e := New(Config{Objectives: mustObjectives(t, "m::10ms:99")})
+	e := New(mustObjectives(t, "m::10ms:99"))
 	h := histWithGood(90, 100)
 	h.Exemplars = []obs.ScrapedExemplar{{TraceID: "aaaa", Value: 0.005}, {}, {TraceID: "bbbb", Value: 3}}
 	for i := 0; i < 3; i++ {
@@ -184,15 +184,11 @@ func TestRecordRetainsNoExemplars(t *testing.T) {
 // page-only-on-sustained-burn property multi-window alerting exists for.
 func TestWindowDelta(t *testing.T) {
 	t0 := time.Unix(1700000000, 0)
-	e := New(Config{
-		Objectives: mustObjectives(t, "m::error:99"),
-		FastWindow: time.Minute,
-		SlowWindow: time.Hour,
-	})
+	e := New(mustObjectives(t, "m::error:99"))
 	// Cumulative counters: 50 of the first 100 requests were bad; the
 	// next 100 (inside the fast window) were all good.
 	e.Record("m", "", Sample{Bad: 50, Total: 100}, t0)
-	now := t0.Add(2 * time.Minute)
+	now := t0.Add(FastWindow + time.Minute)
 	e.Record("m", "", Sample{Bad: 50, Total: 200}, now)
 
 	statuses := e.Evaluate(now)
@@ -216,10 +212,10 @@ func TestWindowDelta(t *testing.T) {
 
 func TestClassWildcardMatching(t *testing.T) {
 	t0 := time.Unix(1700000000, 0)
-	e := New(Config{Objectives: mustObjectives(t,
+	e := New(mustObjectives(t,
 		"*:*:10ms:99", // concrete classes only
 		"*::10ms:99",  // the per-model aggregate only
-	)})
+	))
 	e.Record("m", "", Sample{Hist: histWithGood(100, 100)}, t0)
 	e.Record("m", "interactive", Sample{Hist: histWithGood(100, 100)}, t0)
 
@@ -237,7 +233,7 @@ func TestClassWildcardMatching(t *testing.T) {
 }
 
 func TestViewOfNeverNilStatuses(t *testing.T) {
-	e := New(Config{Objectives: mustObjectives(t, "absent::10ms:99")})
+	e := New(mustObjectives(t, "absent::10ms:99"))
 	v := e.ViewOf(time.Unix(1700000000, 0))
 	if v.Statuses == nil {
 		t.Fatal("ViewOf returned nil Statuses")

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math/rand/v2"
 	"net/http"
 	"sort"
@@ -99,14 +100,12 @@ type TraceRing struct {
 	next  atomic.Uint64
 }
 
-// DefaultTraceDepth is the ring size used when a caller passes n <= 0.
+// DefaultTraceDepth is the ring size both tiers retain for GET
+// /debug/traces.
 const DefaultTraceDepth = 256
 
-// NewTraceRing returns a ring retaining the last n traces.
+// NewTraceRing returns a ring retaining the last n > 0 traces.
 func NewTraceRing(n int) *TraceRing {
-	if n <= 0 {
-		n = DefaultTraceDepth
-	}
 	return &TraceRing{slots: make([]atomic.Pointer[Trace], n)}
 }
 
@@ -117,6 +116,22 @@ func (r *TraceRing) Add(t *Trace) {
 	seq := r.next.Add(1)
 	t.seq = seq
 	r.slots[(seq-1)%uint64(len(r.slots))].Store(t)
+}
+
+// Finish closes a request's trace: it stamps TotalMs from t.Start, adds t
+// to the ring and, when slow is positive and the request took at least
+// slow, logs a "slow request" record with the trace ID — the same ID on
+// both tiers, so one grep correlates them — and the span breakdown. t must
+// not be mutated afterwards.
+func (r *TraceRing) Finish(t *Trace, slow time.Duration, log *slog.Logger) {
+	total := time.Since(t.Start)
+	t.TotalMs = ms(total)
+	r.Add(t)
+	if slow > 0 && total >= slow {
+		log.Warn("slow request",
+			"trace_id", t.ID, "model", t.Model, "class", t.Class, "backend", t.Backend,
+			"status", t.Status, "rows", t.Rows, "total_ms", t.TotalMs, "spans", t.SpanLine())
+	}
 }
 
 // Len reports the total number of traces ever added.

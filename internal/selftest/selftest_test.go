@@ -177,13 +177,13 @@ func smokeModel(t *testing.T) (core.Config, *sparse.Dense, [][]float64) {
 
 // sloObjectives arms the loose and the unmeetable objective
 // ExemplarSLOPhase expects on model.
-func sloObjectives(t *testing.T, model string) slo.Config {
+func sloObjectives(t *testing.T, model string) []slo.Objective {
 	t.Helper()
 	objectives, err := slo.ParseObjectives([]string{model + "::10s:50", model + "::1us:99"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return slo.Config{Objectives: objectives}
+	return objectives
 }
 
 // TestSmokeNode boots one radixserve node and runs the shared phases

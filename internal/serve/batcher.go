@@ -32,10 +32,6 @@ type Policy struct {
 	// concurrently. Default: the model's engine-pool size (so a collector
 	// never waits long for an engine lease).
 	Workers int
-	// Share is the model's weight when models contend for the registry's
-	// engine quota (QoSConfig.ExecSlots): contended execution slots are
-	// granted in Share proportion. Default 1.
-	Share int
 }
 
 // withDefaults fills zero fields; engines is the model's pool size.
@@ -51,9 +47,6 @@ func (p Policy) withDefaults(engines int) Policy {
 	}
 	if p.Workers <= 0 {
 		p.Workers = engines
-	}
-	if p.Share <= 0 {
-		p.Share = 1
 	}
 	return p
 }

@@ -396,20 +396,22 @@ func TestHTTPAdminEndpoints(t *testing.T) {
 	if code, _ = adminDo(t, http.MethodPost, ts.URL+"/v1/models", []byte(`{"config":{"systems":[[4,4]]}}`)); code != http.StatusUnprocessableEntity {
 		t.Fatalf("nameless register: status %d", code)
 	}
-	// The removed "kernel" field is refused by name on both admin verbs — a
-	// lenient decoder would otherwise build a different kernel from the one
-	// the client asked for and answer 201.
-	for _, c := range []struct{ method, url, body string }{
-		{http.MethodPost, "/v1/models", `{"name":"pinned","kernel":"csc","config":{"systems":[[4,4]]}}`},
-		{http.MethodPut, "/v1/models/live", `{"kernel":"auto","config":{"systems":[[4,4]]}}`},
+	// The removed "kernel" and "share" fields are refused by name on both
+	// admin verbs — a lenient decoder would otherwise serve the model
+	// without what the client asked for and answer 201.
+	for _, c := range []struct{ field, method, url, body string }{
+		{"kernel", http.MethodPost, "/v1/models", `{"name":"pinned","kernel":"csc","config":{"systems":[[4,4]]}}`},
+		{"kernel", http.MethodPut, "/v1/models/live", `{"kernel":"auto","config":{"systems":[[4,4]]}}`},
+		{"share", http.MethodPost, "/v1/models", `{"name":"pinned","share":2,"config":{"systems":[[4,4]]}}`},
+		{"share", http.MethodPut, "/v1/models/live", `{"share":2,"config":{"systems":[[4,4]]}}`},
 	} {
 		code, body = adminDo(t, c.method, ts.URL+c.url, []byte(c.body))
-		if code != http.StatusBadRequest || !strings.Contains(string(body), `\"kernel\" field was removed`) {
-			t.Fatalf("%s with kernel field: status %d: %s", c.method, code, body)
+		if code != http.StatusBadRequest || !strings.Contains(string(body), `\"`+c.field+`\" field was removed`) {
+			t.Fatalf("%s with %s field: status %d: %s", c.method, c.field, code, body)
 		}
 	}
 	if code, body = adminDo(t, http.MethodGet, ts.URL+"/v1/models", nil); strings.Contains(string(body), "pinned") || strings.Contains(string(body), `"generation":2`) {
-		t.Fatalf("refused kernel requests changed the registry: %d: %s", code, body)
+		t.Fatalf("refused requests changed the registry: %d: %s", code, body)
 	}
 
 	// The runtime-registered model serves.

@@ -5,19 +5,13 @@ import (
 	"sync"
 )
 
-// strideScale is the stride numerator: a model's stride is strideScale /
-// Policy.Share, so a model with twice the share advances its pass half as
-// fast and wins twice the contended slots.
-const strideScale = 1 << 20
-
 // dispatcher is the registry-wide engine quota: at most capacity batch
 // executions run concurrently across every model. When models contend,
-// freed slots are granted by stride scheduling — each model carries a pass
-// value advanced by stride = strideScale/share per slot taken, and the
-// waiter with the smallest pass wins — so over any contention window each
-// model's slot share converges to Share / Σ shares. A model idle while
-// others ran rejoins at the current virtual time instead of cashing in its
-// stale low pass, so idleness earns no burst credit.
+// freed slots are granted by stride scheduling with one stride for all —
+// each model carries a pass value advanced by one per slot taken, and the
+// waiter with the smallest pass wins — so contending models take turns. A
+// model idle while others ran rejoins at the current virtual time instead
+// of cashing in its stale low pass, so idleness earns no burst credit.
 type dispatcher struct {
 	mu       sync.Mutex
 	capacity int
@@ -30,8 +24,7 @@ type dispatcher struct {
 // dispClient is one model's stride-scheduling state, guarded by the
 // dispatcher's mutex.
 type dispClient struct {
-	pass   uint64
-	stride uint64
+	pass uint64
 }
 
 type dispWaiter struct {
@@ -47,20 +40,6 @@ func newDispatcher(capacity int) *dispatcher {
 	return &dispatcher{capacity: capacity}
 }
 
-func newDispClient(share int) dispClient {
-	if share < 1 {
-		share = 1
-	}
-	if share > strideScale {
-		// Uncapped, strideScale/share would truncate to a stride of 0: the
-		// model's pass never advances, it wins every contended slot, and
-		// every other model starves — the exact failure the stride
-		// scheduler exists to prevent. Clamp so stride is always ≥ 1.
-		share = strideScale
-	}
-	return dispClient{stride: strideScale / uint64(share)}
-}
-
 // acquire blocks until the model owns one execution slot. Slots must be
 // released; the batcher brackets every engine invocation with
 // acquire/release, so a slot is never held longer than one batch.
@@ -70,7 +49,7 @@ func (d *dispatcher) acquire(c *dispClient) {
 		c.pass = d.vtime
 	}
 	myPass := c.pass
-	c.pass += c.stride
+	c.pass++
 	if d.inUse < d.capacity {
 		d.inUse++
 		if myPass > d.vtime {

@@ -62,8 +62,7 @@
 // rows up front so they still coalesce whole). Because every batch goes
 // through the same Engine.Infer gather/scatter kernels, batched results
 // are bit-identical to per-row inference. When QoSConfig.ExecSlots bounds
-// the registry's engine quota, models contending for slots are granted
-// them share-weighted (Policy.Share) by a stride scheduler.
+// the registry's engine quota, models contending for slots take turns.
 //
 // Backpressure — each class queue is a hard bound. A submission that finds
 // its class full fails immediately with ErrQueueFull (surfaced as HTTP 429

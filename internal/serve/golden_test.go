@@ -101,7 +101,7 @@ func TestGoldenExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServerOpts(reg, "127.0.0.1:0", ServerOptions{SLO: slo.Config{Objectives: objectives}})
+	s := NewServerOpts(reg, "127.0.0.1:0", ServerOptions{SLO: objectives})
 
 	// One profiled batch straight through a leased engine: the profiler
 	// tallies edges (deterministic) and kernel time (masked) without

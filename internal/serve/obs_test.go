@@ -223,7 +223,6 @@ func TestHTTPTraceEndToEnd(t *testing.T) {
 	srv := NewServerOpts(reg, "127.0.0.1:0", ServerOptions{
 		Pprof:       true,
 		SlowRequest: time.Nanosecond, // everything is slow: force the log path
-		TraceDepth:  16,
 		Logger:      slog.New(slog.NewTextHandler(&logBuf, nil)),
 	})
 	ts := httptest.NewServer(srv.Handler())

@@ -38,23 +38,20 @@ var (
 )
 
 // QoSConfig sets a registry's quality-of-service policy: the class set with
-// its weighted-fair-queuing weights, the class unlabeled requests fall into,
-// and the machine-wide engine quota models share.
+// its weighted-fair-queuing weights and the machine-wide engine quota models
+// share. Unlabeled requests fall into "interactive" when the set has it,
+// else into the heaviest class.
 type QoSConfig struct {
 	// Weights maps class name → scheduling weight (≥ 1). Inside each model,
 	// a deficit-round-robin scheduler dispatches rows across the classes in
 	// weight proportion whenever more than one class is backlogged. Nil
 	// selects DefaultClassWeights.
 	Weights map[string]int
-	// DefaultClass is the class of requests that do not name one — every
-	// request with an empty Class (HTTP bodies without "class").
-	// Default "interactive", so existing traffic keeps top priority.
-	DefaultClass string
 	// ExecSlots bounds batch executions running concurrently across ALL
 	// models in the registry — the engine quota models contend for. When
-	// models compete, slots are granted share-weighted (Policy.Share) by a
-	// stride scheduler. 0 selects GOMAXPROCS; negative disables the quota
-	// (every model executes whenever it holds an engine).
+	// models compete, they take turns at the freed slots. 0 selects
+	// GOMAXPROCS; negative disables the quota (every model executes
+	// whenever it holds an engine).
 	ExecSlots int
 }
 
@@ -100,20 +97,11 @@ func newQoSSet(cfg QoSConfig) (*qosSet, error) {
 		q.weights[i] = weights[name]
 		q.ids[name] = i
 	}
-	def := cfg.DefaultClass
-	if def == "" {
-		def = ClassInteractive
-		if _, ok := q.ids[def]; !ok {
-			// A custom class set without "interactive": the heaviest class is
-			// the least surprising default for unlabeled traffic.
-			def = q.names[0]
-		}
+	// Unlabeled traffic keeps top priority: "interactive", or in a custom
+	// class set without it the heaviest class (names[0], def's zero value).
+	if i, ok := q.ids[ClassInteractive]; ok {
+		q.def = i
 	}
-	di, ok := q.ids[def]
-	if !ok {
-		return nil, fmt.Errorf("serve: default class %q not in class set", def)
-	}
-	q.def = di
 	return q, nil
 }
 

@@ -172,7 +172,6 @@ type ModelInfo struct {
 	MaxLatencyMs float64 `json:"max_latency_ms"`
 	QueueDepth   int     `json:"queue_depth"`
 	Workers      int     `json:"workers"`
-	Share        int     `json:"share,omitempty"`
 }
 
 // Registry loads and owns served models: it builds RadiX-Net engines by
@@ -279,12 +278,11 @@ func (r *Registry) RegisterWithPolicy(name string, cfg core.Config, engines int,
 	}
 	widths := cfg.LayerWidths()
 	m := &Model{
-		name:  name,
-		inW:   widths[0],
-		outW:  widths[len(widths)-1],
-		pol:   pol,
-		qos:   r.qos,
-		dispC: newDispClient(pol.Share),
+		name: name,
+		inW:  widths[0],
+		outW: widths[len(widths)-1],
+		pol:  pol,
+		qos:  r.qos,
 	}
 	m.met.classes = make([]ClassMetrics, r.qos.size())
 	// Exemplar capture on every latency-bearing histogram: one atomic
@@ -549,7 +547,6 @@ func (m *Model) Info() ModelInfo {
 		MaxLatencyMs: float64(m.pol.MaxLatency) / float64(time.Millisecond),
 		QueueDepth:   m.pol.QueueDepth,
 		Workers:      m.pol.Workers,
-		Share:        m.pol.Share,
 
 		QuotientLayers: ep.all[0].QuotientLayers(),
 		DistinctLayers: fp.DistinctLayers,

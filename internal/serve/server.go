@@ -116,8 +116,9 @@ type ErrorResponse struct {
 // configuration in the graphio JSON wire format. The policy fields apply
 // only to registration (a reload keeps the model's batcher and policy);
 // zero policy fields take the server registry's defaults. There is no kernel
-// field: every generation is built by infer.FromConfig, and a body that still
-// carries "kernel" is refused with 400.
+// field: every generation is built by infer.FromConfig. There is no share
+// field: contending models take turns at the engine quota. A body that still
+// carries either is refused with 400.
 type RegisterRequest struct {
 	// Name is the model's registry name. Required for POST /v1/models;
 	// ignored on PUT, where the path names the model.
@@ -127,13 +128,12 @@ type RegisterRequest struct {
 	// Engines sizes the warm engine pool. On registration, min 1; on
 	// reload, 0 (or omitted) keeps the model's current pool size.
 	Engines int `json:"engines,omitempty"`
-	// MaxBatch, MaxLatencyMs, QueueDepth, Workers, Share override the
-	// batching policy at registration.
+	// MaxBatch, MaxLatencyMs, QueueDepth, Workers override the batching
+	// policy at registration.
 	MaxBatch     int     `json:"max_batch,omitempty"`
 	MaxLatencyMs float64 `json:"max_latency_ms,omitempty"`
 	QueueDepth   int     `json:"queue_depth,omitempty"`
 	Workers      int     `json:"workers,omitempty"`
-	Share        int     `json:"share,omitempty"`
 }
 
 // AdminResponse is the success body of DELETE /v1/models/{name}.
@@ -181,8 +181,8 @@ type Server struct {
 }
 
 // ServerOptions configures a Server's observability surface. The zero
-// value is the production default: tracing on (bounded ring), pprof off,
-// slow-request logging off.
+// value is the production default: tracing on (a ring of
+// obs.DefaultTraceDepth), pprof off, slow-request logging off.
 type ServerOptions struct {
 	// Pprof mounts net/http/pprof under /debug/pprof/ on the server mux.
 	// Opt-in: profiling endpoints expose stacks and heap contents, so they
@@ -191,13 +191,11 @@ type ServerOptions struct {
 	// SlowRequest logs any /v1/infer request slower than this threshold
 	// via slog, with the trace ID and full span breakdown. 0 disables.
 	SlowRequest time.Duration
-	// TraceDepth bounds the /debug/traces ring (0 → obs.DefaultTraceDepth).
-	TraceDepth int
 	// Logger receives slow-request records; nil selects slog.Default().
 	Logger *slog.Logger
-	// SLO configures burn-rate objectives evaluated on GET /v1/slo and
-	// exported as radixserve_slo_* gauges; no objectives disables both.
-	SLO slo.Config
+	// SLO lists the burn-rate objectives evaluated on GET /v1/slo and
+	// exported as radixserve_slo_* gauges; none disables both.
+	SLO []slo.Objective
 	// Zone is this backend's failure domain (rack, availability zone),
 	// self-reported on GET /healthz so the cluster router's zone-aware
 	// placement can spread a model's replicas across domains. Empty opts
@@ -216,7 +214,7 @@ func NewServerOpts(reg *Registry, addr string, opts ServerOptions) *Server {
 	s := &Server{
 		reg:    reg,
 		start:  time.Now(),
-		traces: obs.NewTraceRing(opts.TraceDepth),
+		traces: obs.NewTraceRing(obs.DefaultTraceDepth),
 		slow:   opts.SlowRequest,
 		log:    opts.Logger,
 		slo:    slo.New(opts.SLO),
@@ -338,23 +336,11 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	traceID := obs.RequestTraceID(r.Header)
 	w.Header().Set(obs.HeaderTraceID, traceID)
-	// finish retains the request in the trace ring and, past the slow
-	// threshold, logs the span breakdown with the trace ID — the same ID
-	// the router logs, so one grep correlates both tiers.
 	finish := func(status int, model, class string, rows int, errStr string, spans []obs.Span) {
-		total := time.Since(t0)
-		tr := &obs.Trace{
+		s.traces.Finish(&obs.Trace{
 			ID: traceID, Model: model, Class: class, Start: t0,
-			TotalMs: float64(total.Nanoseconds()) / 1e6,
-			Status:  status, Rows: rows, Error: errStr, Spans: spans,
-		}
-		s.traces.Add(tr)
-		if s.slow > 0 && total >= s.slow {
-			s.log.Warn("slow request",
-				"trace_id", traceID, "model", model, "class", class,
-				"status", status, "rows", rows, "total_ms", tr.TotalMs,
-				"spans", tr.SpanLine())
-		}
+			Status: status, Rows: rows, Error: errStr, Spans: spans,
+		}, s.slow, s.log)
 	}
 	// The request's rows and outputs live in a pooled exchange. Rows a
 	// departed client left queued or executing still use it after Do
@@ -513,12 +499,13 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 // parseable config (else 422 was written). Returns ok=false once a
 // response has been written.
 func decodeRegisterRequest(w http.ResponseWriter, r *http.Request) (RegisterRequest, bool) {
-	// The decoder ignores fields it does not know, so the one field this API
-	// used to honour is refused by name: a client that still pins a kernel
-	// must hear that it no longer can, not be served a different one.
+	// The decoder ignores fields it does not know, so the fields this API
+	// used to honour are refused by name: a client that still pins a kernel
+	// or a share must hear that it no longer can, not be served without it.
 	var req struct {
 		RegisterRequest
 		Kernel json.RawMessage `json:"kernel"`
+		Share  json.RawMessage `json:"share"`
 	}
 	body := http.MaxBytesReader(w, r.Body, MaxRequestBody)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
@@ -527,6 +514,10 @@ func decodeRegisterRequest(w http.ResponseWriter, r *http.Request) (RegisterRequ
 	}
 	if req.Kernel != nil {
 		writeError(w, http.StatusBadRequest, `the "kernel" field was removed: every model runs the same kernels`)
+		return req.RegisterRequest, false
+	}
+	if req.Share != nil {
+		writeError(w, http.StatusBadRequest, `the "share" field was removed: contending models take turns at the engine quota`)
 		return req.RegisterRequest, false
 	}
 	if len(req.Config) == 0 {
@@ -544,7 +535,6 @@ func (req RegisterRequest) adminPolicy() (Policy, bool) {
 		MaxLatency: time.Duration(req.MaxLatencyMs * float64(time.Millisecond)),
 		QueueDepth: req.QueueDepth,
 		Workers:    req.Workers,
-		Share:      req.Share,
 	}
 	return pol, pol != Policy{}
 }
@@ -685,28 +675,19 @@ func (s *Server) sloRecord(models []modelRead, now time.Time) {
 	for i := range models {
 		m := &models[i]
 		n := m.n
-		s.slo.Record(m.name, "", slo.Sample{
-			Hist:  MetricRequestLatency.Scraped(m.latency),
-			Bad:   uint64(max64(n.Failed, 0) + max64(n.Expired, 0) + max64(n.Rejected, 0)),
-			Total: uint64(max64(n.Accepted, 0) + max64(n.Rejected, 0)),
-		}, now)
+		s.slo.Record(m.name, "", slo.Outcome(MetricRequestLatency.Scraped(m.latency),
+			count(n.Accepted), count(n.Rejected), count(n.Failed), count(n.Expired)), now)
 		for c, h := range m.classLatency {
 			cm := m.met.class(c)
-			s.slo.Record(m.name, m.qos.name(c), slo.Sample{
-				Hist:  MetricClassRequestLatency.Scraped(h),
-				Bad:   uint64(max64(cm.Expired.Load(), 0) + max64(cm.Rejected.Load(), 0)),
-				Total: uint64(max64(cm.Accepted.Load(), 0) + max64(cm.Rejected.Load(), 0)),
-			}, now)
+			s.slo.Record(m.name, m.qos.name(c), slo.Outcome(MetricClassRequestLatency.Scraped(h),
+				count(cm.Accepted.Load()), count(cm.Rejected.Load()), 0, count(cm.Expired.Load())), now)
 		}
 	}
 }
 
-func max64(v, floor int64) int64 {
-	if v < floor {
-		return floor
-	}
-	return v
-}
+// count reads a counter as the unsigned count the SLO engine takes,
+// flooring at zero.
+func count(v int64) uint64 { return uint64(max(v, 0)) }
 
 // handleSLO is GET /v1/slo: the burn-rate evaluation of every configured
 // objective against this node's own traffic. 404 when no objectives are

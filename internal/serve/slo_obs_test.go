@@ -157,7 +157,7 @@ func TestSLOEndpointViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServerOpts(reg, "127.0.0.1:0", ServerOptions{SLO: slo.Config{Objectives: objectives}})
+	srv := NewServerOpts(reg, "127.0.0.1:0", ServerOptions{SLO: objectives})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); reg.Close() })
 

@@ -149,8 +149,8 @@ func NewRegistry(pol ServePolicy) *Registry { return serve.NewRegistry(pol) }
 type Server = serve.Server
 
 // ServerOptions tunes a Server's observability surface: opt-in pprof
-// endpoints, the slow-request log threshold, the /debug/traces ring
-// depth, and the SLO burn-rate engine (SLOConfig).
+// endpoints, the slow-request log threshold, and the objectives of the
+// SLO burn-rate engine (SLOObjective).
 type ServerOptions = serve.ServerOptions
 
 // NewServerOpts wraps the registry in an HTTP inference server bound to
@@ -161,13 +161,10 @@ func NewServerOpts(reg *Registry, addr string, opts ServerOptions) *Server {
 
 // SLOObjective is one service-level objective: a latency bound (or the
 // error-rate kind) with a target success ratio, scoped to a model
-// and/or QoS class ("*" or empty are wildcards).
+// and/or QoS class ("*" or empty are wildcards). ServerOptions.SLO lists
+// the objectives that arm a Server's burn-rate engine, which judges them
+// over a 5 m and a 1 h window.
 type SLOObjective = slo.Objective
-
-// SLOConfig arms the multi-window SLO burn-rate engine on a Server (via
-// ServerOptions.SLO): the objectives plus the fast/slow burn windows
-// (defaults 5 m / 1 h).
-type SLOConfig = slo.Config
 
 // SLOView is the GET /v1/slo response body: the window configuration
 // and every objective's status — fast/slow burn rates, the remaining
