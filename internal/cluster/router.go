@@ -436,12 +436,8 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 		rt.routeError(w, fwd, http.StatusBadRequest, "reading request body: %v", err)
 		return
 	}
-	var peek struct {
-		Model      string  `json:"model"`
-		Class      string  `json:"class"`
-		DeadlineMs float64 `json:"deadline_ms"`
-	}
-	if err := json.Unmarshal(body, &peek); err != nil {
+	peek, err := serve.PeekInferRequest(body)
+	if err != nil {
 		rt.routeError(w, fwd, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -117,3 +117,59 @@ func TestAdaptiveWindowLightLoadConverges(t *testing.T) {
 			got, fastPathGrace, time.Duration(b.classWait[0].Load()))
 	}
 }
+
+// TestCollectStopsOnceEveryRowIsHeld pins the in-window half of the
+// batcher wait: a collector whose batch holds every row in flight, once the
+// multi-row request announcing them has submitted its last row, dispatches
+// at once instead of waiting out the rest of its window. The window here
+// is 2 s; waiting it out is the failure.
+func TestCollectStopsOnceEveryRowIsHeld(t *testing.T) {
+	reg := NewRegistry(Policy{MaxBatch: 8, MaxLatency: 2 * time.Second, Workers: 1})
+	defer reg.Close()
+	m, err := reg.Register("m", testConfig(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := m.bat
+	b.classWait[0].Store(time.Second.Nanoseconds())
+	if got := b.collectWindow(); got != 2*time.Second {
+		t.Fatalf("precondition: window = %v, want 2s", got)
+	}
+	in, err := dataset.SparseBatch(4, m.InputWidth(), 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]*pending, 4)
+	for i := range rows {
+		rows[i] = &pending{row: in.RowSlice(i), out: make([]float64, m.OutputWidth()), done: make(chan struct{}), enq: time.Now()}
+	}
+	b.incoming.Add(4) // as Model.Do announces a 4-row request
+	if err := b.submit(rows[0]); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(time.Second); b.depth() != 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the collector never took the first row")
+		}
+	}
+	start := time.Now()
+	for _, p := range rows[1:] {
+		if err := b.submit(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.withdraw(4)
+	for i, p := range rows {
+		select {
+		case <-p.done:
+		case <-time.After(3 * time.Second):
+			t.Fatalf("row %d never completed", i)
+		}
+		if p.err != nil {
+			t.Fatalf("row %d: %v", i, p.err)
+		}
+	}
+	if waited := time.Since(start); waited >= time.Second {
+		t.Fatalf("dispatched %v after the last row was submitted, want well under the 2s window", waited)
+	}
+}

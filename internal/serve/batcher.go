@@ -162,6 +162,14 @@ func (b *batcher) ping() {
 	}
 }
 
+// withdraw ends a multi-row request's announcement of n rows (incoming)
+// and pings, so that a collector holding the request's rows sees at once
+// that no more are coming instead of waiting out its window.
+func (b *batcher) withdraw(n int64) {
+	b.incoming.Add(-n)
+	b.ping()
+}
+
 // submit enqueues one row without blocking: ErrQueueFull when the row's
 // class queue is at capacity, ErrClosed after close. Rejections return the
 // class's pre-wrapped error so the full-queue path never formats.
@@ -298,6 +306,11 @@ func (b *batcher) worker() {
 					b.expire(shed)
 					if left > 0 {
 						b.ping()
+					}
+					if !b.companyPossible(len(reqs)) {
+						// Every row the system knows about is in this
+						// batch: the rest of the window cannot add one.
+						break collect
 					}
 				case <-timer.C:
 					break collect

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
@@ -13,6 +16,7 @@ import (
 
 	"github.com/radix-net/radixnet/internal/core"
 	"github.com/radix-net/radixnet/internal/dataset"
+	"github.com/radix-net/radixnet/internal/obs"
 )
 
 // sameInferRequest reports where got and want differ, bit for bit on every
@@ -43,6 +47,21 @@ func sameInferRequest(got, want InferRequest) string {
 	return ""
 }
 
+// exchangeBodies are bodies decoded one after another into one exchange,
+// each against what it decodes to fresh. A null in a row is a value
+// json.Unmarshal leaves as it found it, which fresh is zero: after
+// [[0.25,9,9]], [[1,null,3]] must read [1 0 3], not the previous
+// request's 9.
+var exchangeBodies = []string{
+	`{"model":"n","inputs":[[1,-0,2.5e-3],[],[7]]}`,
+	`{"model":"m"}`,
+	`{"inputs":[[1,2]]}`,
+	`{"inputs":[[0.25,9,9]]}`,
+	`{"inputs":[[1,null,3]]}`,
+	`{"inputs":[[5,6,7],[8,9]]}`,
+	`{"inputs":[null,[null,null]]}`,
+}
+
 // TestExchangeDecode pins what pooling the request may change and what it
 // may not. A request decoded into a used exchange is the request a fresh
 // InferRequest decodes to — no field, row or value left over from the one
@@ -59,13 +78,7 @@ func TestExchangeDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := new(exchange)
-	for _, body := range []string{
-		string(big),
-		`{"model":"n","inputs":[[1,-0,2.5e-3],[],[7]]}`,
-		string(big),
-		`{"model":"m"}`,
-		`{"inputs":[[1,2]]}`,
-	} {
+	for _, body := range append([]string{string(big)}, exchangeBodies...) {
 		var want InferRequest
 		if err := json.Unmarshal([]byte(body), &want); err != nil {
 			t.Fatal(err)
@@ -138,8 +151,11 @@ func TestReadBody(t *testing.T) {
 // of an 8-row Graph Challenge 1024×24 request — the serve_gc1024x24_burst2
 // shape. The handler used to allocate ≈ 42 KB a row (json.Decoder's growing
 // buffer, a reflect-grown slice per input row, a fresh output row); with
-// exchanges pooled it is under 1 KB, so 4 KB is a budget a regression to
-// per-row slices cannot hide under.
+// exchanges pooled and the body decoded and the reply written without
+// encoding/json it is ≈ 600 B, what the batcher's pending rows, the spans
+// and the trace cost. The least of three rounds is taken: a sync.Pool keeps
+// one item per P, so a collector that first runs on another P fills that
+// P's slot with a new 256 KiB batch buffer once, which is not a cost per row.
 func TestHandleInferAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector defeats sync.Pool on purpose")
@@ -148,9 +164,13 @@ func TestHandleInferAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const rows, budget = 8, 4096
+	const rows, budget = 8, 600
 	serve := handlerFixture(t, cfg, rows)
-	perRow, _ := bytesPerRow(serve, 20, rows)
+	perRow := math.Inf(1)
+	for range 3 {
+		b, _ := bytesPerRow(serve, 20, rows)
+		perRow = min(perRow, b)
+	}
 	if perRow > budget {
 		t.Fatalf("%.0f B allocated per row served, budget %d", perRow, budget)
 	}
@@ -221,4 +241,167 @@ func TestHTTPInferCancelledClientsKeepRepliesExact(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+}
+
+// routerPeek is what the cluster router decoded a request into before it
+// read bodies with PeekInferRequest: the oracle for the peek.
+type routerPeek struct {
+	Model      string  `json:"model"`
+	Class      string  `json:"class"`
+	DeadlineMs float64 `json:"deadline_ms"`
+}
+
+// FuzzInferRequestDecode holds the /v1/infer decoder to json.Unmarshal: for
+// any body, decoding into a fresh exchange and into one that has decoded
+// every earlier input either fails where json.Unmarshal into a fresh
+// InferRequest fails or gives the same request, bit for bit on every float.
+// PeekInferRequest fails where json.Unmarshal into routerPeek fails and
+// otherwise reads the same model, class and deadline.
+func FuzzInferRequestDecode(f *testing.F) {
+	for _, body := range exchangeBodies {
+		f.Add([]byte(body))
+	}
+	for _, body := range []string{
+		`{"model":"mé\n","class":"b\"\\\/\b\f\r\t","inputs":[[1]]}`,
+		`{"model":"mé","class":"😀\ud800x","inputs":[]}`,
+		"{\"model\":\"\xff\xfe\",\"inputs\":[[2]]}",
+		`{"MODEL":"m","Inputs":[[1]],"CLASS":"c","Deadline_MS":3,"CATEGORIES":true}`,
+		`{"claſs":"c","inputſ":[[1]],"model":"m"}`,
+		`{"model":"a","model":"b","inputs":[[1,2,3]],"inputs":[[null,5]],"inputs":[[null,null,null,null]]}`,
+		`{"inputs":[[1],[2]],"inputs":[[3]],"inputs":[[null],[null]]}`,
+		`{"inputs":[[1,2]],"inputs":[[]],"inputs":[[null,null]]}`,
+		`{"inputs":[[1,2]],"inputs":null,"inputs":[[null]]}`,
+		`{"model":"m","inputs":[[1e400]]}`,
+		`{"model":"m","inputs":[[1e-400,-1e-400]],"deadline_ms":1e400}`,
+		`{"model":"m","other":1e400,"inputs":[[-0,0.0,-0.0]]}`,
+		`{"inputs":[[01]]}`, `{"inputs":[[.5]]}`, `{"inputs":[[+1]]}`, `{"inputs":[[1.]]}`,
+		`{"inputs":[[1e]]}`, `{"inputs":[[-]]}`, `{"inputs":[[1E+2,1e-2,123456789012345678901234]]}`,
+		`{"inputs":[[1]]}x`, `{"inputs":[[1]]} `, ` {"inputs":[[1]]}}`, `{"inputs":[[1]],}`,
+		`{"inputs":[[[1]]]}`, `{"inputs":[1]}`, `{"inputs":{"a":1}}`, `{"inputs":"x"}`,
+		`null`, ` null `, `{"model":null,"class":null,"deadline_ms":null,"categories":null,"inputs":null}`,
+		`{"inputs":[null]}`, `{"inputs":[[null]]}`, `[]`, `"m"`, `1`, `true`, ``, `{`,
+		`{"x":{"y":[true,false,null,"s",{"z":-1.5e3}]},"model":"m"}`,
+		`{"model":1}`, `{"class":true}`, `{"deadline_ms":"5"}`, `{"categories":1}`,
+		"{\"model\":\"a\x01\"}", `{"model":"\x"}`, `{"model":"\u12"}`, `{"a" 1}`, `{1:2}`,
+		`{"x":` + strings.Repeat("[", maxDepth) + strings.Repeat("]", maxDepth) + `}`,
+		`{"x":` + strings.Repeat("[", maxDepth-1) + strings.Repeat("]", maxDepth-1) + `}`,
+	} {
+		f.Add([]byte(body))
+	}
+	used := new(exchange)
+	used.body = []byte(`{"inputs":[[9,9,9,9,9],[9,9,9,9,9],[9,9,9,9,9]]}`)
+	if err := used.decode(); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want InferRequest
+		wantErr := json.Unmarshal(body, &want)
+		for _, x := range []*exchange{new(exchange), used} {
+			x.body = append(x.body[:0], body...)
+			err := x.decode()
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("%q: decoder error %v, json.Unmarshal error %v", body, err, wantErr)
+			}
+			if err == nil {
+				if d := sameInferRequest(x.req, want); d != "" {
+					t.Fatalf("%q: %s differs from json.Unmarshal's", body, d)
+				}
+			}
+		}
+		var old routerPeek
+		oldErr := json.Unmarshal(body, &old)
+		peek, err := PeekInferRequest(body)
+		if (err != nil) != (oldErr != nil) {
+			t.Fatalf("%q: peek error %v, json.Unmarshal error %v", body, err, oldErr)
+		}
+		if err == nil && (peek.Model != old.Model || peek.Class != old.Class ||
+			math.Float64bits(peek.DeadlineMs) != math.Float64bits(old.DeadlineMs) ||
+			peek.Inputs != nil || peek.Categories) {
+			t.Fatalf("%q: peek read %+v, json.Unmarshal %+v", body, peek, old)
+		}
+	})
+}
+
+// TestAppendResponseMatchesEncoder holds the 200 reply to encoding/json:
+// on seeded random responses appendResponse writes exactly the bytes
+// json.NewEncoder(w).Encode(resp) writes, and it fails where Encode fails.
+func TestAppendResponseMatchesEncoder(t *testing.T) {
+	const two53 = 1 << 53
+	specials := []float64{
+		0, math.Copysign(0, -1), 32, -32, 1, 0.5, 0.1, 1e20, 123456.789,
+		two53 - 1, -(two53 - 1), two53, -two53, two53 + 2, math.Nextafter(two53, 0), math.Nextafter(-two53, 0),
+		1e-6, -1e-6, math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1), 1e-7, 1e-10, 1.5e-300,
+		1e21, -1e21, math.Nextafter(1e21, 0), math.Nextafter(1e21, 2e21), 1e22, 1e300,
+		5e-324, -5e-324, 3 * 5e-324, math.Nextafter(2.2250738585072014e-308, 0), 2.2250738585072014e-308,
+		math.MaxFloat64, -math.MaxFloat64,
+	}
+	names := []string{"", "m", "gc1024x24", "<script>&amp;</script>", "line\u2028para\u2029end",
+		"\xff\xfe bad \xc3", "\u00e9 \u2013 \ufffd", "quote\" back\\ ctl\x00\x01\x1f\b\f\n\r\t\x7f"}
+	rng := rand.New(rand.NewSource(1))
+	float := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return specials[rng.Intn(len(specials))]
+		case 1:
+			return float64(rng.Intn(65) - 32)
+		case 2:
+			return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30))
+		}
+		for {
+			if v := math.Float64frombits(rng.Uint64()); !math.IsNaN(v) && !math.IsInf(v, 0) {
+				return v
+			}
+		}
+	}
+	name := func() string { return names[rng.Intn(len(names))] }
+	for k := 0; k < 2000; k++ {
+		resp := InferResponse{Model: name(), Rows: rng.Intn(9) - 1, Class: name(), TraceID: name()}
+		if rng.Intn(2) == 0 {
+			resp.QueueWaitMs, resp.ExecuteMs = float(), float()
+		}
+		if rng.Intn(8) != 0 {
+			resp.Outputs = make([][]float64, rng.Intn(4))
+			for i := range resp.Outputs {
+				if rng.Intn(8) == 0 {
+					continue // a nil row
+				}
+				resp.Outputs[i] = make([]float64, rng.Intn(6))
+				for j := range resp.Outputs[i] {
+					resp.Outputs[i][j] = float()
+				}
+			}
+		}
+		for range rng.Intn(4) {
+			resp.Spans = append(resp.Spans, obs.Span{Name: name(), StartMs: float(), DurMs: float()})
+		}
+		if rng.Intn(2) == 0 { // categories on
+			n := rng.Intn(4)
+			resp.Active, resp.Argmax = make([]bool, n), make([]int, n)
+			for i := range n {
+				resp.Active[i], resp.Argmax[i] = rng.Intn(2) == 0, rng.Intn(2048)-1024
+			}
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendResponse([]byte("stale"), &resp)
+		if err != nil || !bytes.Equal(got[len("stale"):], want.Bytes()) {
+			t.Fatalf("response %d: wrote %s (%v), encoding/json writes %s", k, got, err, want.Bytes())
+		}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, resp := range []InferResponse{
+			{Outputs: [][]float64{{1, v}}},
+			{ExecuteMs: v},
+			{Spans: []obs.Span{{Name: "queue", DurMs: v}}},
+		} {
+			if err := json.NewEncoder(io.Discard).Encode(resp); err == nil {
+				t.Fatalf("encoding/json wrote %v", v)
+			}
+			if _, err := appendResponse(nil, &resp); !errors.Is(err, errNotFinite) {
+				t.Fatalf("%+v: %v, want errNotFinite", resp, err)
+			}
+		}
+	}
 }

@@ -59,10 +59,12 @@
 // in-flight row waits only a short grace window rather than the full
 // budget (the single-client fast path: a closed-loop client pays
 // microseconds, not the batching budget; multi-row requests announce their
-// rows up front so they still coalesce whole). Because every batch goes
-// through the same Engine.Infer gather/scatter kernels, batched results
-// are bit-identical to per-row inference. When QoSConfig.ExecSlots bounds
-// the registry's engine quota, models contending for slots take turns.
+// rows up front so they still coalesce whole, and a collector that comes
+// to hold every row in flight once an announcement ends dispatches then).
+// Because every batch goes through the same Engine.Infer gather/scatter
+// kernels, batched results are bit-identical to per-row inference. When
+// QoSConfig.ExecSlots bounds the registry's engine quota, models contending
+// for slots take turns.
 //
 // Backpressure — each class queue is a hard bound. A submission that finds
 // its class full fails immediately with ErrQueueFull (surfaced as HTTP 429
@@ -78,10 +80,11 @@
 // request/batch/latency counters plus per-class queue-wait series in
 // Prometheus text format. The Server wraps net/http with graceful
 // shutdown: stop accepting, drain in-flight handlers, then drain the
-// batchers. An infer request is decoded by json.Unmarshal into a pooled
-// exchange, whose rows keep their storage from one request to the next, and
-// the batcher writes the outputs into the exchange's flat output block in
-// place.
+// batchers. An infer request is decoded in one pass, without encoding/json
+// but to the request json.Unmarshal gives, into a pooled exchange, whose
+// rows keep their storage from one request to the next; the batcher writes
+// the outputs into the exchange's flat output block in place, and the reply
+// is written over the body buffer byte for byte as encoding/json writes it.
 //
 // Observability — the request path is instrumented with internal/obs
 // primitives chosen so measurement never contends with serving, one

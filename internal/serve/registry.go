@@ -746,7 +746,7 @@ func (m *Model) Do(ctx context.Context, req *Request) (*Response, error) {
 	}
 	withdraw := func() {
 		if announced != 0 {
-			m.bat.incoming.Add(-announced)
+			m.bat.withdraw(announced)
 			announced = 0
 		}
 	}

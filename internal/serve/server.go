@@ -461,13 +461,22 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			resp.Argmax[i] = best
 		}
 	}
+	// The reply is written over the request body, which is decoded by now.
+	x.body, err = appendResponse(x.body[:0], &resp)
+	if err != nil {
+		writeModelError(w, http.StatusInternalServerError, m.Name(), "%v", err)
+		finish(http.StatusInternalServerError, m.Name(), qresp.Class, len(outs), err.Error(), spans)
+		return
+	}
 	// The compact span breakdown rides the response headers so an
 	// upstream router can graft this backend's queue/execute spans into
 	// its own trace (stitched distributed tracing without a collector).
 	if enc := obs.EncodeSpans(spans); enc != "" {
 		w.Header().Set(obs.HeaderSpans, enc)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(x.body) // a failed write is a departed client: no one is left to tell
 	finish(http.StatusOK, m.Name(), qresp.Class, len(outs), "", spans)
 }
 
