@@ -455,10 +455,11 @@ func (d *decoder) scanNumber() (mant uint64, short bool, err error) {
 	}
 	if i < len(b) && b[i] == '.' {
 		short = false
-		if i++; digits(b, i) == i {
-			return 0, false, d.failAt(i, "want a digit after '.'")
+		j := digits(b, i+1)
+		if j == i+1 {
+			return 0, false, d.failAt(j, "want a digit after '.'")
 		}
-		i = digits(b, i)
+		i = j
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		short = false
@@ -466,10 +467,11 @@ func (d *decoder) scanNumber() (mant uint64, short bool, err error) {
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		if digits(b, i) == i {
-			return 0, false, d.failAt(i, "want a digit in the exponent")
+		j := digits(b, i)
+		if j == i {
+			return 0, false, d.failAt(j, "want a digit in the exponent")
 		}
-		i = digits(b, i)
+		i = j
 	}
 	d.i = i
 	return mant, short, nil
