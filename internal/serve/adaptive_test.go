@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -122,54 +124,145 @@ func TestAdaptiveWindowLightLoadConverges(t *testing.T) {
 // batcher wait: a collector whose batch holds every row in flight, once the
 // multi-row request announcing them has submitted its last row, dispatches
 // at once instead of waiting out the rest of its window. The window here
-// is 2 s; waiting it out is the failure.
+// is 2 s; waiting it out is the failure. With two collectors the idle one
+// must not swallow the wake-up that ends the announcement: the rows are
+// queued in one step so that one collector takes them all, and the rounds
+// repeat so that a wake-up going to either collector at random would be
+// caught.
 func TestCollectStopsOnceEveryRowIsHeld(t *testing.T) {
-	reg := NewRegistry(Policy{MaxBatch: 8, MaxLatency: 2 * time.Second, Workers: 1})
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			reg := NewRegistry(Policy{MaxBatch: 8, MaxLatency: 2 * time.Second, Workers: workers})
+			defer reg.Close()
+			m, err := reg.Register("m", testConfig(t), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := m.bat
+			in, err := dataset.SparseBatch(4, m.InputWidth(), 3, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rounds := 1
+			if workers > 1 {
+				rounds = 4
+			}
+			for range rounds {
+				b.classWait[0].Store(time.Second.Nanoseconds())
+				if got := b.collectWindow(); got != 2*time.Second {
+					t.Fatalf("precondition: window = %v, want 2s", got)
+				}
+				rows := make([]*pending, 4)
+				for i := range rows {
+					rows[i] = &pending{row: in.RowSlice(i), out: make([]float64, m.OutputWidth()), done: make(chan struct{}), enq: time.Now()}
+				}
+				b.incoming.Add(4) // as Model.Do announces a 4-row request
+				var start time.Time
+				if workers == 1 {
+					if err := b.submit(rows[0]); err != nil {
+						t.Fatal(err)
+					}
+					waitTaken(t, b)
+					start = time.Now()
+					for _, p := range rows[1:] {
+						if err := b.submit(p); err != nil {
+							t.Fatal(err)
+						}
+					}
+				} else {
+					b.mu.Lock()
+					for _, p := range rows {
+						b.inflight.Add(1)
+						if err := b.sched.enqueue(p); err != nil {
+							b.mu.Unlock()
+							t.Fatal(err)
+						}
+					}
+					b.mu.Unlock()
+					b.ping()
+					waitTaken(t, b)
+					start = time.Now()
+				}
+				b.withdraw(4)
+				for i, p := range rows {
+					select {
+					case <-p.done:
+					case <-time.After(3 * time.Second):
+						t.Fatalf("row %d never completed", i)
+					}
+					if p.err != nil {
+						t.Fatalf("row %d: %v", i, p.err)
+					}
+				}
+				if waited := time.Since(start); waited >= time.Second {
+					t.Fatalf("dispatched %v after the last row was announced, want well under the 2s window", waited)
+				}
+			}
+		})
+	}
+}
+
+// waitTaken waits until a collector has taken every queued row.
+func waitTaken(t *testing.T, b *batcher) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); b.depth() != 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no collector took the queued rows")
+		}
+	}
+}
+
+// TestGraceWindowCoalescesStaggeredRows pins that the single-row fast path
+// still gathers company: rows of concurrent single-row clients, arriving one
+// after another inside the grace window, share one batch even though each
+// arrival leaves the batch holding every row in flight. Each try submits a
+// row, waits until the collector holds it, then does the same with two more;
+// a try whose rows took longer than half the grace window to submit proves
+// nothing on a busy host and is not counted.
+func TestGraceWindowCoalescesStaggeredRows(t *testing.T) {
+	reg := NewRegistry(Policy{MaxBatch: 8, MaxLatency: 2 * time.Millisecond, Workers: 1})
 	defer reg.Close()
 	m, err := reg.Register("m", testConfig(t), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := m.bat
-	b.classWait[0].Store(time.Second.Nanoseconds())
-	if got := b.collectWindow(); got != 2*time.Second {
-		t.Fatalf("precondition: window = %v, want 2s", got)
-	}
-	in, err := dataset.SparseBatch(4, m.InputWidth(), 3, 7)
+	in, err := dataset.SparseBatch(3, m.InputWidth(), 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]*pending, 4)
-	for i := range rows {
-		rows[i] = &pending{row: in.RowSlice(i), out: make([]float64, m.OutputWidth()), done: make(chan struct{}), enq: time.Now()}
-	}
-	b.incoming.Add(4) // as Model.Do announces a 4-row request
-	if err := b.submit(rows[0]); err != nil {
-		t.Fatal(err)
-	}
-	for deadline := time.Now().Add(time.Second); b.depth() != 0; time.Sleep(100 * time.Microsecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the collector never took the first row")
+	counted := 0
+	for range 100 {
+		rows := make([]*pending, 3)
+		start := time.Now()
+		for i := range rows {
+			rows[i] = &pending{row: in.RowSlice(i), out: make([]float64, m.OutputWidth()), done: make(chan struct{}), enq: time.Now()}
+			if err := b.submit(rows[i]); err != nil {
+				t.Fatal(err)
+			}
+			for i < len(rows)-1 && b.depth() != 0 {
+				runtime.Gosched()
+			}
+		}
+		staggered := time.Since(start)
+		for _, p := range rows {
+			<-p.done
+			if p.err != nil {
+				t.Fatal(p.err)
+			}
+		}
+		if staggered > fastPathGrace/2 {
+			continue
+		}
+		counted++
+		// A batch's rows share one dispatch instant.
+		dispatch := rows[0].enq.Add(rows[0].wait)
+		if rows[1].enq.Add(rows[1].wait).Equal(dispatch) && rows[2].enq.Add(rows[2].wait).Equal(dispatch) {
+			return
 		}
 	}
-	start := time.Now()
-	for _, p := range rows[1:] {
-		if err := b.submit(p); err != nil {
-			t.Fatal(err)
-		}
+	if counted == 0 {
+		t.Skip("the host never submitted three rows inside half the grace window")
 	}
-	b.withdraw(4)
-	for i, p := range rows {
-		select {
-		case <-p.done:
-		case <-time.After(3 * time.Second):
-			t.Fatalf("row %d never completed", i)
-		}
-		if p.err != nil {
-			t.Fatalf("row %d: %v", i, p.err)
-		}
-	}
-	if waited := time.Since(start); waited >= time.Second {
-		t.Fatalf("dispatched %v after the last row was submitted, want well under the 2s window", waited)
-	}
+	t.Fatalf("in %d tries, rows staggered inside the grace window never shared a batch", counted)
 }

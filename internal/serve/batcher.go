@@ -124,20 +124,25 @@ type batcher struct {
 	fullErr []error
 
 	notify chan struct{} // capacity 1; pinged whenever queued work may exist
-	done   chan struct{} // closed by close()
-	wg     sync.WaitGroup
+	// withdrawn (capacity 1) is signalled when an announcement ends. Only a
+	// collector inside its window listens, so an idle peer cannot take the
+	// signal meant for the collector holding the announced rows.
+	withdrawn chan struct{}
+	done      chan struct{} // closed by close()
+	wg        sync.WaitGroup
 }
 
 func newBatcher(m *Model, pol Policy, qos *qosSet, disp *dispatcher) *batcher {
 	b := &batcher{
-		model:  m,
-		pol:    pol,
-		met:    &m.met,
-		qos:    qos,
-		disp:   disp,
-		sched:  newClassSched(qos, pol.QueueDepth),
-		notify: make(chan struct{}, 1),
-		done:   make(chan struct{}),
+		model:     m,
+		pol:       pol,
+		met:       &m.met,
+		qos:       qos,
+		disp:      disp,
+		sched:     newClassSched(qos, pol.QueueDepth),
+		notify:    make(chan struct{}, 1),
+		withdrawn: make(chan struct{}, 1),
+		done:      make(chan struct{}),
 	}
 	b.fullErr = make([]error, qos.size())
 	for c := range b.fullErr {
@@ -163,11 +168,15 @@ func (b *batcher) ping() {
 }
 
 // withdraw ends a multi-row request's announcement of n rows (incoming)
-// and pings, so that a collector holding the request's rows sees at once
-// that no more are coming instead of waiting out its window.
+// and wakes the collector in its window, so that one holding the request's
+// rows sees at once that no more are coming instead of waiting out the
+// window.
 func (b *batcher) withdraw(n int64) {
 	b.incoming.Add(-n)
-	b.ping()
+	select {
+	case b.withdrawn <- struct{}{}:
+	default:
+	}
 }
 
 // submit enqueues one row without blocking: ErrQueueFull when the row's
@@ -283,7 +292,8 @@ func (b *batcher) worker() {
 		}
 		if !closed && len(reqs) < b.pol.MaxBatch && b.pol.MaxLatency > 0 {
 			wait := b.collectWindow()
-			if !b.companyPossible(len(reqs)) {
+			graced := !b.companyPossible(len(reqs))
+			if graced {
 				// Single-client fast path: the batch already holds every row
 				// the system knows about, so the full latency budget cannot
 				// buy company. A zero wait would be wrong too — concurrent
@@ -299,22 +309,25 @@ func (b *batcher) worker() {
 			for len(reqs) < b.pol.MaxBatch {
 				select {
 				case <-b.notify:
-					b.mu.Lock()
-					reqs, shed = b.sched.take(reqs, b.pol.MaxBatch, time.Now())
-					left = b.sched.pending
-					b.mu.Unlock()
-					b.expire(shed)
-					if left > 0 {
-						b.ping()
-					}
-					if !b.companyPossible(len(reqs)) {
-						// Every row the system knows about is in this
-						// batch: the rest of the window cannot add one.
-						break collect
-					}
+				case <-b.withdrawn:
 				case <-timer.C:
 					break collect
 				case <-b.done:
+					break collect
+				}
+				b.mu.Lock()
+				reqs, shed = b.sched.take(reqs, b.pol.MaxBatch, time.Now())
+				left = b.sched.pending
+				b.mu.Unlock()
+				b.expire(shed)
+				if left > 0 {
+					b.ping()
+				}
+				if !graced && !b.companyPossible(len(reqs)) {
+					// The window was opened for rows in flight or announced,
+					// and every one of them is now in this batch: the rest
+					// of the window cannot add one. A grace window is left
+					// to run out, for single-row clients not yet counted.
 					break collect
 				}
 			}
