@@ -52,18 +52,14 @@
 // SLO violated at the replica ceiling sheds the background class as a
 // last resort. Live state is on GET /v1/autoscale.
 //
-// With -selftest the binary instead builds an in-process fleet (three
-// radixserve instances plus the router on ephemeral ports), shards models
-// across it, verifies routed outputs bit-identical to direct Engine.Infer,
-// exercises the fleet control plane (runtime registration on the ring
-// owners, hot-reload of every replica under concurrent routed load with
-// zero failures, fleet-wide unregister → 404), kills a backend mid-load to
-// prove zero-failure retry failover, proves QoS starvation-freedom through
-// the router (a saturating background flood cannot starve interactive
-// probes), runs the autoscale control loop on its own larger fleet, and
-// exits nonzero on any failure. It asserts behaviour only and writes no
-// file; performance is measured by the repository's benchmark
-// (BENCHMARK.json, radixbench/).
+// With -selftest the binary instead runs the autoscale acceptance phase:
+// an in-process fleet of 24 radixserve instances behind the router, a
+// static-replica baseline against the autoscaled run under zipfian load,
+// zone-diverse scale-out and SLO-triggered actuation, exiting nonzero on
+// any failure (about a minute of wall clock). The other acceptance phases
+// of both tiers run under `go test ./internal/selftest`. It asserts
+// behaviour only and writes no file; performance is measured by the
+// repository's benchmark (BENCHMARK.json, radixbench/).
 //
 // Usage:
 //
@@ -126,7 +122,7 @@ func main() {
 	flag.IntVar(&auto.MinSamples, "autoscale-min-samples", 0, "fewest queue-wait observations an evaluation window needs before its p90 may trigger scale-out; 429 rate and SLO burn still actuate (0: gate off)")
 	flag.DurationVar(&auto.ScaleUpP90, "autoscale-up-p90", 0, "queue-wait p90 above which a model scales out (0: default 50ms)")
 	flag.DurationVar(&auto.ScaleDownP90, "autoscale-down-p90", 0, "queue-wait p90 below which a model counts toward scale-in; must stay below -autoscale-up-p90 (0: default up-p90/4)")
-	selftest := flag.Bool("selftest", false, "run the in-process fleet selftest and exit")
+	selftest := flag.Bool("selftest", false, "run the in-process autoscale acceptance phase and exit")
 	shutdownTO := flag.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown budget after SIGINT/SIGTERM")
 	flag.Func("backend", "radixserve backend, host:port or http://host:port (repeatable)", func(v string) error {
 		cfg.Backends = append(cfg.Backends, v)
@@ -136,7 +132,7 @@ func main() {
 	flag.Parse()
 
 	if *selftest {
-		if err := runSelftest(context.Background(), cfg.Replicas); err != nil {
+		if err := runAutoscalePhase(context.Background()); err != nil {
 			log.Fatalf("selftest FAILED: %v", err)
 		}
 		log.Printf("selftest PASSED")

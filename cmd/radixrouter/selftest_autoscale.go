@@ -377,6 +377,8 @@ func runAutoscalePhase(ctx context.Context) error {
 		}
 	}
 	{
+		// An unused dialed connection would hold Shutdown for 5 s.
+		client.CloseIdleConnections()
 		sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 		err := rtA.Shutdown(sctx)
 		cancel()
@@ -419,6 +421,7 @@ func runAutoscalePhase(ctx context.Context) error {
 	}
 	tb := selftest.Routed(client, "http://"+boundB, hot)
 	defer func() {
+		client.CloseIdleConnections()
 		sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 		defer cancel()
 		if err := rtB.Shutdown(sctx); err != nil {

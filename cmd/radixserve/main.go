@@ -39,26 +39,12 @@
 // configuration. With no -model flags two demo models are served: demo
 // (radix 4,4,4) and e10 (radix 8,8,8,8, the E10 acceptance network).
 //
-// With -selftest the binary instead starts an in-process server on an
-// ephemeral port, drives it end-to-end with concurrent HTTP load at several
-// concurrency levels, verifies that batched results are bit-identical to
-// per-row Engine.Infer, that saturation produces 429s rather than unbounded
-// queuing, that the model control plane works live (runtime
-// registration bit-identical to boot-time, hot-reload under concurrent
-// load with zero failures, unregister → 404), and that QoS holds under
-// pressure (a saturating background flood cannot starve interactive
-// traffic: interactive p99 stays within its bound while background still
-// progresses), and exits nonzero on any failure. It asserts behaviour only
-// and writes no file; performance is measured by the repository's benchmark
-// (BENCHMARK.json, radixbench/).
-//
 // Usage:
 //
 //	radixserve [-addr :8080] [-model e10=8,8,8,8]... [-engines 2]
 //	           [-max-batch 32] [-max-latency 2ms] [-queue 256]
 //	           [-class-weight interactive=8,batch=2,background=1]
 //	           [-exec-slots 0] [-pprof] [-slow-request 250ms]
-//	radixserve -selftest
 package main
 
 import (
@@ -126,7 +112,6 @@ func main() {
 	flag.DurationVar(&opts.SlowRequest, "slow-request", 0, "log requests slower than this with their trace ID and span breakdown (0: off)")
 	profEvery := flag.Int("profile-every", 16, "time every Nth engine batch per layer (Gedges/s on /metrics; 0: off)")
 	flag.StringVar(&opts.Zone, "zone", "", "failure domain (rack/availability zone) self-reported on /healthz for the router's zone-aware placement")
-	selftest := flag.Bool("selftest", false, "run the end-to-end load-generator selftest and exit")
 	shutdownTO := flag.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown budget after SIGINT/SIGTERM")
 	flag.Func("model", "model to serve, NAME=SPEC (repeatable); SPEC is a radix systems spec like 8,8,8 or gc:WIDTHxLAYERS", func(v string) error {
 		name, spec, ok := strings.Cut(v, "=")
@@ -142,14 +127,6 @@ func main() {
 	})
 	flag.Var((*slo.Flag)(&opts.SLO), "slo", "SLO objective MODEL:CLASS:LATENCY:TARGET_PCT (repeatable), e.g. '*:interactive:250ms:99' or 'e10::error:99.9'; enables GET /v1/slo and radixserve_slo_* metrics")
 	flag.Parse()
-
-	if *selftest {
-		if err := runSelftest(context.Background(), *engines, pol, qos); err != nil {
-			log.Fatalf("selftest FAILED: %v", err)
-		}
-		log.Printf("selftest PASSED")
-		return
-	}
 
 	if len(models) == 0 {
 		for _, def := range []struct{ name, spec string }{

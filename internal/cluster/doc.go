@@ -38,9 +38,9 @@
 // Prometheus series (each line labeled with its backend) under the
 // router's own radixrouter_* series; GET /healthz reports per-backend
 // probe state. Because backends run the same deterministic engines,
-// routed results are bit-identical to single-node inference — cmd/
-// radixrouter's selftest proves exactly that, plus zero failed requests
-// across a mid-load backend kill.
+// routed results are bit-identical to single-node inference —
+// internal/selftest's TestSmokeFleet proves exactly that, plus zero failed
+// requests across a mid-load backend kill.
 //
 // QoS — the router is class-aware. It peeks the request's "class" and
 // "deadline_ms" alongside the model name and forwards both to backends as

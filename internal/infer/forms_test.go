@@ -103,16 +103,18 @@ func TestFormsFollowWeights(t *testing.T) {
 	}
 }
 
-// TestSpecialElementsAgree: a Graph Challenge batch through 1024×24 and
-// 1024×120 equals the CSC engine bit for bit, every layer past the first on
-// its quotient; so does, through
+// TestSpecialElementsAgree: a Graph Challenge batch through 1024×2, ×6, ×24
+// and ×120 equals the CSC engine bit for bit, every layer past the first on
+// its quotient (13 rows — three quads and a single — on the shallow stacks,
+// 64 on the deep ones); so does, through
 // 1024×24, the same batch with eight rows made dense and one element of them
 // special — subnormal, MaxFloat64, NaN, +Inf — so that it reaches a layer-0
 // quad.
 func TestSpecialElementsAgree(t *testing.T) {
-	for _, layers := range []int{24, 120} {
+	for _, c := range []struct{ layers, rows int }{{2, 13}, {6, 13}, {24, 64}, {120, 64}} {
+		layers := c.layers
 		auto, csc := gcEngines(t, layers)
-		batch, err := dataset.SparseBatch(64, 1024, 102, 1)
+		batch, err := dataset.SparseBatch(c.rows, 1024, 102, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +122,7 @@ func TestSpecialElementsAgree(t *testing.T) {
 			t.Errorf("1024×%d: %d quotient layers, want %d", layers, auto.QuotientLayers(), layers-1)
 		}
 		sameBits(t, fmt.Sprintf("1024×%d", layers), inferProfiled(t, auto, batch), mustInfer(t, csc, batch))
-		if layers == 120 {
+		if layers != 24 {
 			continue // the single-element cases need no second depth
 		}
 		for _, bad := range []float64{5e-324, 1e-310, math.MaxFloat64, math.NaN(), math.Inf(1)} {

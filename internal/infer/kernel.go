@@ -26,7 +26,7 @@ const (
 	KernelAuto
 )
 
-// String returns the kernel's name, as gcinfer's -kernel flag spells it.
+// String returns the kernel's name, "csc" or "auto".
 func (k KernelKind) String() string {
 	switch k {
 	case KernelCSC:

@@ -1,11 +1,10 @@
 // Package selftest is the one end-to-end acceptance harness of the serving
-// stack: `radixserve -selftest`, `radixrouter -selftest` and this package's
-// own go test smoke all drive the same helpers and the same phases over real
-// HTTP. A single radixserve node and a radixrouter in front of a fleet
-// expose the same API, so a phase is written once against a Target and runs
-// unchanged against either tier; what is specific to a tier (leasing an
-// engine away, killing a backend, the autoscale loop) stays in that tier's
-// cmd file and calls the helpers here.
+// stack. Its go tests boot a radixserve node and a radixrouter in front of a
+// three-node fleet on ephemeral ports and drive both over real HTTP with the
+// same phases: a node and a router expose the same API, so a phase is
+// written once against a Target and runs unchanged against either tier.
+// The exported helpers are what `radixrouter -selftest` also uses for its
+// autoscale phase, the one scenario that needs tens of seconds of wall clock.
 //
 // The harness asserts behaviour only. Performance is recorded by the
 // repository's benchmark (BENCHMARK.json, radixbench/), never by a selftest.
@@ -16,8 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"slices"
-	"sync"
 	"time"
 
 	"github.com/radix-net/radixnet/internal/cluster"
@@ -41,14 +38,6 @@ type Target struct {
 	// per-model×class scheduler queue wait.
 	LatencyFamily   *obs.Family
 	QueueWaitFamily *obs.Family
-}
-
-// Node targets a single radixserve instance, which exports its own
-// histograms.
-func Node(client *http.Client, url, model string) Target {
-	return Target{Client: serve.Client{URL: url, HTTP: client}, Model: model,
-		LatencyFamily:   serve.MetricRequestLatency,
-		QueueWaitFamily: serve.MetricQueueWait}
 }
 
 // Routed targets a radixrouter, which re-exports its backends' histograms
@@ -99,22 +88,6 @@ func PostBody(ctx context.Context, t Target, body []byte) (int, string, serve.In
 	return status, hdr.Get("X-Radix-Backend"), out, err
 }
 
-// Post sends one inference request (any rows, class, deadline) for the
-// target's model.
-func Post(ctx context.Context, t Target, req serve.InferRequest) (int, string, serve.InferResponse, error) {
-	req.Model = t.Model
-	body, err := json.Marshal(req)
-	if err != nil {
-		return 0, "", serve.InferResponse{}, err
-	}
-	return PostBody(ctx, t, body)
-}
-
-// PostRow sends one single-row inference request for the target's model.
-func PostRow(ctx context.Context, t Target, row []float64) (int, string, serve.InferResponse, error) {
-	return Post(ctx, t, serve.InferRequest{Inputs: [][]float64{row}})
-}
-
 // Register registers the target's model over the wire from graphio config
 // JSON (POST /v1/models must answer 201) and returns the request body, which
 // PUT /v1/models/{name} accepts again as a hot-reload.
@@ -131,47 +104,6 @@ func Register(ctx context.Context, t Target, cfg core.Config, engines int) ([]by
 		return nil, fmt.Errorf("register %s: status %d err %v", t.Model, status, err)
 	}
 	return body, nil
-}
-
-// Percentile returns the p-th percentile (0–100) of the latencies.
-func Percentile(lat []time.Duration, p int) time.Duration {
-	s := slices.Sorted(slices.Values(lat))
-	idx := (len(s) * p) / 100
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
-}
-
-// ExemplarTraceIDs returns the trace IDs of the exemplars on the model's
-// buckets of histogram family f, in le order.
-func ExemplarTraceIDs(sc *obs.Scrape, f *obs.Family, model string) []string {
-	var ids []string
-	for _, hs := range obs.MergeHist(f, nil, []obs.Label{{Name: "model", Value: model}}, sc) {
-		for _, e := range hs.Hist.Exemplars {
-			if e.TraceID != "" {
-				ids = append(ids, e.TraceID)
-			}
-		}
-	}
-	return ids
-}
-
-// HistWindow reads one histogram family out of two /metrics scrapes and
-// returns the after-minus-before window, so only the traffic between the
-// scrapes counts. Without a where filter every label set of the family
-// merges. The family may be absent from the before scrape (nothing
-// observed yet) but must be present after. Log-bucketed: quantiles carry
-// at most 2× resolution error.
-func HistWindow(before, after *obs.Scrape, f *obs.Family, where ...obs.Label) (obs.ScrapedHist, error) {
-	ha := obs.MergeHist(f, nil, where, after)
-	if len(ha) == 0 {
-		return obs.ScrapedHist{}, fmt.Errorf("%s%v missing from /metrics", f.Name(), where)
-	}
-	if hb := obs.MergeHist(f, nil, where, before); len(hb) > 0 {
-		return ha[0].Hist.Sub(hb[0].Hist), nil
-	}
-	return ha[0].Hist, nil
 }
 
 // Oracle computes the per-row ground truth: every row of in pushed alone
@@ -195,56 +127,6 @@ func Oracle(cfg core.Config, in *sparse.Dense) ([][]float64, error) {
 		expected[r] = append([]float64(nil), y.Data()...)
 	}
 	return expected, nil
-}
-
-// CheckRow is the per-row oracle check: one single-row request must answer
-// 200 with one output row bit-identical to want and, when owners is
-// non-nil, come from one of those backends (routing pinned to the ring
-// placement).
-func CheckRow(ctx context.Context, t Target, row, want []float64, owners []string) error {
-	status, by, resp, err := PostRow(ctx, t, row)
-	if err != nil || status != http.StatusOK || len(resp.Outputs) != 1 {
-		return fmt.Errorf("%s: status %d err %v", t.Model, status, err)
-	}
-	if owners != nil && !slices.Contains(owners, by) {
-		return fmt.Errorf("%s: answered by %q, not an owner %v", t.Model, by, owners)
-	}
-	return sameRow(resp.Outputs[0], want)
-}
-
-// sameRow requires got bit-identical to the per-row Engine.Infer output.
-func sameRow(got, want []float64) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("output width %d, want %d", len(got), len(want))
-	}
-	for c, v := range got {
-		if v != want[c] {
-			return fmt.Errorf("col %d: got %v want %v (not bit-identical to direct Engine.Infer)", c, v, want[c])
-		}
-	}
-	return nil
-}
-
-// failures counts the errors concurrent load workers hit and keeps the
-// first for the report.
-type failures struct {
-	mu    sync.Mutex
-	n     int
-	first error
-}
-
-func (f *failures) add(err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.n++; f.first == nil {
-		f.first = err
-	}
-}
-
-func (f *failures) count() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.n
 }
 
 // Fleet is n in-process radixserve nodes on ephemeral ports, booted empty:

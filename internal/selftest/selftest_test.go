@@ -3,6 +3,7 @@ package selftest
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -42,14 +43,14 @@ func TestPercentile(t *testing.T) {
 		{"p99 of 1..100", ms(hundred...), 99, 100 * time.Millisecond},
 		{"p50 of 1..100", ms(hundred...), 50, 51 * time.Millisecond},
 	} {
-		if got := Percentile(tc.lat, tc.p); got != tc.want {
-			t.Errorf("%s: Percentile(p=%d) = %v, want %v", tc.name, tc.p, got, tc.want)
+		if got := percentile(tc.lat, tc.p); got != tc.want {
+			t.Errorf("%s: percentile(p=%d) = %v, want %v", tc.name, tc.p, got, tc.want)
 		}
 	}
 	in := ms(3, 1, 2)
-	Percentile(in, 50)
+	percentile(in, 50)
 	if !reflect.DeepEqual(in, ms(3, 1, 2)) {
-		t.Errorf("Percentile reordered its input: %v", in)
+		t.Errorf("percentile reordered its input: %v", in)
 	}
 }
 
@@ -108,7 +109,7 @@ func TestExemplarTraceIDs(t *testing.T) {
 		{"no annotations", scrapeBefore, lat, "b", nil},
 		{"missing family", scrapeBefore, wait, "a", nil},
 	} {
-		if got := ExemplarTraceIDs(tc.scrape, tc.family, tc.model); !reflect.DeepEqual(got, tc.want) {
+		if got := exemplarTraceIDs(tc.scrape, tc.family, tc.model); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -133,7 +134,7 @@ func TestHistWindow(t *testing.T) {
 		{name: "label set absent after", family: lat, want: []obs.Label{model("c")}, missing: true},
 		{name: "family absent after", family: serve.MetricExecute, missing: true},
 	} {
-		win, err := HistWindow(scrapeBefore, scrapeAfter, tc.family, tc.want...)
+		win, err := histWindow(scrapeBefore, scrapeAfter, tc.family, tc.want...)
 		if tc.missing {
 			if err == nil {
 				t.Errorf("%s: no error for a family missing from the after scrape", tc.name)
@@ -149,7 +150,7 @@ func TestHistWindow(t *testing.T) {
 		}
 	}
 	// All six of a's windowed observations sit at or below 2ms.
-	win, _ := HistWindow(scrapeBefore, scrapeAfter, lat, model("a"))
+	win, _ := histWindow(scrapeBefore, scrapeAfter, lat, model("a"))
 	if p99 := win.Quantile(0.99); p99 <= 0.001 || p99 > 0.002 {
 		t.Errorf("windowed p99 %v outside (0.001, 0.002]", p99)
 	}
@@ -176,7 +177,7 @@ func smokeModel(t *testing.T) (core.Config, *sparse.Dense, [][]float64) {
 }
 
 // sloObjectives arms the loose and the unmeetable objective
-// ExemplarSLOPhase expects on model.
+// exemplarSLOPhase expects on model.
 func sloObjectives(t *testing.T, model string) []slo.Objective {
 	t.Helper()
 	objectives, err := slo.ParseObjectives([]string{model + "::10s:50", model + "::1us:99"})
@@ -186,10 +187,10 @@ func sloObjectives(t *testing.T, model string) []slo.Objective {
 	return objectives
 }
 
-// TestSmokeNode boots one radixserve node and runs the shared phases
-// against it — the same functions `radixserve -selftest` calls.
+// TestSmokeNode boots one radixserve node and runs every node-tier
+// acceptance phase against it over HTTP.
 func TestSmokeNode(t *testing.T) {
-	ctx := context.Background()
+	ctx := t.Context()
 	cfg, in, expected := smokeModel(t)
 	fleet, err := StartFleet(ctx, 1, serve.Policy{MaxBatch: 32, MaxLatency: time.Millisecond},
 		serve.ServerOptions{Pprof: true, SLO: sloObjectives(t, "smoke")})
@@ -198,47 +199,53 @@ func TestSmokeNode(t *testing.T) {
 	}
 	defer fleet.Shutdown(ctx)
 	addr := fleet.Addrs[0]
-	if _, err := fleet.Regs[addr].Register("smoke", cfg, 2); err != nil {
+	reg := fleet.Regs[addr]
+	// Profile every engine batch: profilePhase checks the per-layer tallies
+	// against the batches it sent, so no batch may be skipped.
+	reg.SetProfileEvery(1)
+	if _, err := reg.Register("smoke", cfg, 2); err != nil {
 		t.Fatal(err)
 	}
-	tg := Node(NewClient(), "http://"+addr, "smoke")
-	defer tg.HTTP.CloseIdleConnections()
+	tg := node(NewClient(), "http://"+addr, "smoke")
+	defer tg.HTTP.CloseIdleConnections() // before Shutdown: see TestSmokeFleet
 
-	if err := BitIdentityPhase(ctx, tg, in, expected, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := ConcurrencyPhase(ctx, tg, []string{tg.Model}, in, expected); err != nil {
-		t.Fatal(err)
-	}
+	bitIdentityPhase(t, tg, in, expected, nil)
+	concurrencyPhase(t, tg, []string{tg.Model}, in, expected)
 	live := tg.For("live")
-	if err := ControlPlanePhase(ctx, live, cfg, 2, in, expected, nil); err != nil {
+	controlPlanePhase(t, live, cfg, 2, in, expected, nil)
+	infos, err := live.Models(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := fleet.Regs[addr].Model(live.Model); !ok || m.Generation() != 1+Reloads {
-		t.Fatalf("model %q registered=%v, want generation %d", live.Model, ok, 1+Reloads)
+	i := slices.IndexFunc(infos, func(info serve.ModelInfo) bool { return info.Name == live.Model })
+	if i < 0 || infos[i].Generation != 1+reloads {
+		t.Fatalf("GET /v1/models: model %q at index %d of %+v, want generation %d", live.Model, i, infos, 1+reloads)
 	}
-	if err := UnregisterPhase(ctx, live, in.RowSlice(0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ObsPhase(ctx, tg, in.RowSlice(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ExemplarSLOPhase(ctx, tg, in); err != nil {
-		t.Fatal(err)
-	}
+	unregisterPhase(t, live, in.RowSlice(0))
+	qosPhase(t, tg, in, expected)
+	obsPhase(t, tg, in.RowSlice(0))
+	exemplarSLOPhase(t, tg, in)
+	profilePhase(t, tg.For("profiled"), reg, cfg)
 }
 
 // TestSmokeFleet boots three backends behind a router and runs the same
-// phases through it — the functions `radixrouter -selftest` calls, with
-// routing pinned to each model's ring owners.
+// phases through it, with routing pinned to each model's ring owners, then
+// the router's own: ring-exact control-plane fan-out, stitched traces,
+// backend engine profiles in the merged exposition, and a backend killed
+// mid-load.
 func TestSmokeFleet(t *testing.T) {
-	ctx := context.Background()
+	ctx := t.Context()
 	cfg, in, expected := smokeModel(t)
 	fleet, err := StartFleet(ctx, 3, serve.Policy{MaxBatch: 32, MaxLatency: time.Millisecond}, serve.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fleet.Shutdown(ctx)
+	for _, reg := range fleet.Regs {
+		// Profile every engine batch so the merged /metrics exposition
+		// carries radixserve_engine_gedges_per_sec for engineProfilePhase.
+		reg.SetProfileEvery(1)
+	}
 	models := []string{"shard-0", "shard-1"}
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
 		Addr:       "127.0.0.1:0",
@@ -265,6 +272,11 @@ func TestSmokeFleet(t *testing.T) {
 	}
 	tg := Routed(NewClient(), "http://"+bound, models[0])
 	defer func() {
+		// A connection the client dialed and never used is StateNew on the
+		// router, and http.Server.Shutdown waits up to 5 s before it closes
+		// one; with load from several workers, 1 of 12 runs without this left
+		// one behind. Closing the client's idle connections first closes
+		// it, and any dial that lands afterwards too.
 		tg.HTTP.CloseIdleConnections()
 		sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 		defer cancel()
@@ -274,34 +286,29 @@ func TestSmokeFleet(t *testing.T) {
 	}()
 
 	for _, model := range models {
-		if err := BitIdentityPhase(ctx, tg.For(model), in, expected, rt.Placement(model)); err != nil {
-			t.Fatal(err)
-		}
+		bitIdentityPhase(t, tg.For(model), in, expected, rt.Placement(model))
 	}
-	if err := ConcurrencyPhase(ctx, tg, models, in, expected); err != nil {
-		t.Fatal(err)
-	}
+	concurrencyPhase(t, tg, models, in, expected)
 	live := tg.For("live")
 	owners := rt.Placement(live.Model)
-	if err := ControlPlanePhase(ctx, live, cfg, 1, in, expected, owners); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range owners {
-		if m, ok := fleet.Regs[id].Model(live.Model); !ok || m.Generation() != 1+Reloads {
-			t.Fatalf("owner %s: model %q registered=%v, want generation %d", id, live.Model, ok, 1+Reloads)
+	controlPlanePhase(t, live, cfg, 1, in, expected, owners)
+	// The fan-out verdicts: exactly the ring owners host the model, and a
+	// fleet-wide reload reached every one of them each time.
+	for id, reg := range fleet.Regs {
+		m, has := reg.Model(live.Model)
+		if has != slices.Contains(owners, id) {
+			t.Fatalf("control plane: backend %s hosts=%v, want placement %v", id, has, owners)
+		}
+		if has && m.Generation() != 1+reloads {
+			t.Fatalf("control plane: backend %s at generation %d after %d fleet reloads, want %d",
+				id, m.Generation(), reloads, 1+reloads)
 		}
 	}
-	if err := UnregisterPhase(ctx, live, in.RowSlice(0)); err != nil {
-		t.Fatal(err)
-	}
-	found, err := ObsPhase(ctx, tg, in.RowSlice(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if found.Backend == "" {
-		t.Errorf("router trace carries no backend attribution: %+v", found)
-	}
-	if err := ExemplarSLOPhase(ctx, tg, in); err != nil {
-		t.Fatal(err)
-	}
+	unregisterPhase(t, live, in.RowSlice(0))
+	qosPhase(t, tg.For(models[1]), in, expected)
+	stitchedTracePhase(t, obsPhase(t, tg, in.RowSlice(0)))
+	exemplarSLOPhase(t, tg, in)
+	engineProfilePhase(t, tg)
+	// Last: it kills one of the backends.
+	failoverPhase(t, tg, rt, fleet, in, expected)
 }

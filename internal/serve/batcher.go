@@ -262,6 +262,9 @@ func (b *batcher) classBacklog(class int) (depth int, share float64) {
 func (b *batcher) worker() {
 	defer b.wg.Done()
 	reqs := make([]*pending, 0, b.pol.MaxBatch)
+	// The collector's staging buffer: one batch's input rows, copied in
+	// contiguously for the engine, reused by every batch it executes.
+	buf := make([]float64, b.pol.MaxBatch*b.model.inW)
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
@@ -338,7 +341,7 @@ func (b *batcher) worker() {
 				}
 			}
 		}
-		b.execute(reqs)
+		b.execute(reqs, buf)
 	}
 }
 
@@ -422,7 +425,8 @@ func (b *batcher) expire(shed []*pending) {
 	b.inflight.Add(-int64(len(shed)))
 }
 
-// execute leases an engine (bounded by the registry's cross-model engine
+// execute stages the batch's rows in buf (the collector's MaxBatch×inW
+// buffer), leases an engine (bounded by the registry's cross-model engine
 // quota when one is configured), runs one fused forward pass over the
 // coalesced batch, copies each row's output into its pending slot, and
 // completes every request. Output rows are copied out of the engine's
@@ -431,15 +435,13 @@ func (b *batcher) expire(shed []*pending) {
 // defer are per batch, not per row, hence the allowances.
 //
 //radix:hotpath allow=time,defer
-func (b *batcher) execute(reqs []*pending) {
+func (b *batcher) execute(reqs []*pending, buf []float64) {
 	m := b.model
 	n := len(reqs)
 	if b.disp != nil {
 		b.disp.acquire(&m.dispC)
 		defer b.disp.release()
 	}
-	bufp := m.batchBuf()
-	buf := *bufp
 	for i, p := range reqs {
 		copy(buf[i*m.inW:(i+1)*m.inW], p.row)
 	}
@@ -470,7 +472,6 @@ func (b *batcher) execute(reqs []*pending) {
 		execEnd = execStart.Add(execDur)
 		m.Release(eng)
 	}
-	m.putBatchBuf(bufp)
 	b.met.ExecHist.Observe(execDur.Nanoseconds())
 	b.met.BatchHist.Observe(int64(n))
 	now := time.Now()

@@ -160,10 +160,10 @@ func TestReadBody(t *testing.T) {
 // exchanges pooled and the body decoded and the reply written without
 // encoding/json it is ≈ 600 B, what the batcher's pending rows, the spans
 // and the trace cost. The budget leaves 5 % over that for runtime noise and
-// still fails at the ≈ 652 B the encoding/json codec cost. The least of
-// three rounds is taken: a sync.Pool keeps one item per P, so a collector
-// that first runs on another P fills that P's slot with a new 256 KiB batch
-// buffer once, which is not a cost per row.
+// still fails at the ≈ 652 B the encoding/json codec cost. Each collector
+// owns its 256 KiB staging buffer, so no round pays for one; the least of
+// three rounds is still taken, because a single round can catch a runtime
+// allocation that is no cost per row (one of 36 read 631 B).
 func TestHandleInferAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector defeats sync.Pool on purpose")

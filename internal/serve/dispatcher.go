@@ -9,9 +9,12 @@ import (
 // executions run concurrently across every model. When models contend,
 // freed slots are granted by stride scheduling with one stride for all —
 // each model carries a pass value advanced by one per slot taken, and the
-// waiter with the smallest pass wins — so contending models take turns. A
-// model idle while others ran rejoins at the current virtual time instead
-// of cashing in its stale low pass, so idleness earns no burst credit.
+// waiter with the smallest pass wins — so contending models take turns.
+// With every stride equal, stride scheduling is round-robin across models
+// on a virtual clock: the pass counts slots taken, and the smallest pass is
+// the model whose turn it is. A model idle while others ran rejoins at the
+// current virtual time instead of cashing in its stale low pass, so
+// idleness earns no burst credit.
 type dispatcher struct {
 	mu       sync.Mutex
 	capacity int

@@ -135,7 +135,6 @@ type Model struct {
 	pool atomic.Pointer[enginePool]
 	home sync.Map // *infer.Engine → *enginePool, routes Release across generations
 
-	bufs  sync.Pool // staging buffers, MaxBatch×inW float64s each
 	met   Metrics
 	bat   *batcher
 	dispC dispClient // stride state for the registry's engine quota
@@ -292,10 +291,6 @@ func (r *Registry) RegisterWithPolicy(name string, cfg core.Config, engines int,
 	for i := range m.met.classes {
 		m.met.classes[i].WaitHist.EnableExemplars()
 		m.met.classes[i].LatencyHist.EnableExemplars()
-	}
-	m.bufs.New = func() any {
-		s := make([]float64, pol.MaxBatch*m.inW)
-		return &s
 	}
 	m.indexPool(ep)
 	m.pool.Store(ep)
@@ -618,14 +613,6 @@ func (m *Model) Release(e *infer.Engine) {
 	ep.engines <- e
 	ep.unlease()
 }
-
-// batchBuf takes a MaxBatch×InputWidth staging buffer from the model's
-// buffer pool. The pointer, not the slice, round-trips through the pool:
-// re-boxing the header on put would cost one heap allocation per batch.
-func (m *Model) batchBuf() *[]float64 { return m.bufs.Get().(*[]float64) }
-
-// putBatchBuf returns a staging buffer to the pool.
-func (m *Model) putBatchBuf(b *[]float64) { m.bufs.Put(b) }
 
 // ResolveClass canonicalizes a request class name ("" → the registry's
 // default class), or fails with ErrUnknownClass. The HTTP layer uses it to

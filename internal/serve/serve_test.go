@@ -481,8 +481,10 @@ func TestHTTPBackpressure429(t *testing.T) {
 	}()
 	wg.Wait()
 	<-release
-	if got429.Load() == 0 {
-		t.Fatal("no 429 responses under saturation")
+	// Every rejection is a 429, and the engine was held until 16−2−2 had
+	// accumulated.
+	if n := got429.Load(); n < 12 {
+		t.Fatalf("%d 429 responses under saturation, want >= 12", n)
 	}
 	if got200.Load() == 0 {
 		t.Fatal("no requests completed after release")
