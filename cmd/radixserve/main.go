@@ -102,7 +102,7 @@ func main() {
 	engines := flag.Int("engines", 2, "warm engines per model (the pool leased per batch)")
 	flag.IntVar(&pol.MaxBatch, "max-batch", 32, "rows coalesced into one engine invocation")
 	flag.DurationVar(&pol.MaxLatency, "max-latency", 2*time.Millisecond, "how long a short batch waits for more rows (negative: no waiting)")
-	flag.IntVar(&pol.QueueDepth, "queue", 256, "pending-row bound PER CLASS; beyond it requests get 429")
+	flag.IntVar(&pol.QueueDepth, "queue", 256, "pending-row bound PER CLASS; beyond it requests get 429, and a request with more rows gets 413")
 	flag.Func("class-weight", "QoS classes and weighted-fair-queuing weights, NAME=N,... (default interactive=8,batch=2,background=1; unlabeled requests run as interactive, else the heaviest class)", func(v string) (err error) {
 		qos.Weights, err = cliutil.ParseClassWeights(v)
 		return err

@@ -432,6 +432,47 @@ func TestRouterFailover(t *testing.T) {
 	}
 }
 
+// TestRouterRelaysRequestTooLarge pins that a backend's 413 — a request
+// with more rows than its class queue holds, which every replica would
+// refuse alike — is relayed as it came, after one attempt, with the model
+// and class the backend named.
+func TestRouterRelaysRequestTooLarge(t *testing.T) {
+	f := startFleet(t, 2, []string{"m"}, SetConfig{ProbeInterval: time.Hour})
+	owners := f.router.Placement("m")
+	rows := make([][]float64, 257) // the fleet's class queues hold 256
+	for i := range rows {
+		rows[i] = make([]float64, 16)
+	}
+	resp, body := f.post(t, "m", rows)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", resp.StatusCode, body)
+	}
+	var e serve.ErrorResponse
+	if err := json.Unmarshal(body, &e); err != nil || e.Model != "m" || e.Class != serve.ClassInteractive {
+		t.Fatalf("413 body %s: want model %q and class %q (err %v)", body, "m", serve.ClassInteractive, err)
+	}
+	if by := resp.Header.Get("X-Radix-Backend"); by != owners[0] {
+		t.Fatalf("413 relayed from %q, want the first owner %q", by, owners[0])
+	}
+	if n := f.router.met.failovers.Load(); n != 0 {
+		t.Fatalf("%d failovers for a 413, want none", n)
+	}
+	for _, id := range owners {
+		b, _ := f.router.Set().Backend(id)
+		want := int64(0)
+		if id == owners[0] {
+			want = 1
+		}
+		if got := b.forwarded.Load(); got != want {
+			t.Fatalf("backend %s relayed %d replies, want %d", id, got, want)
+		}
+		m, _ := f.regs[id].Model("m")
+		if s := m.Metrics().Snapshot(); s.Accepted != 0 || s.Rejected != 0 {
+			t.Fatalf("backend %s counted the 413 request: %+v", id, s)
+		}
+	}
+}
+
 // TestRouterMergedModelsAndHealthz checks the fan-out endpoints: the model
 // union with placement, and per-backend health reporting.
 func TestRouterMergedModelsAndHealthz(t *testing.T) {

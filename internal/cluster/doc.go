@@ -59,7 +59,14 @@
 // backend and echoed on the response; the router records route,
 // attempt:<backend>, and backoff:<backend> spans into a bounded trace
 // ring served by GET /debug/traces, and RouterConfig.SlowRequest logs
-// slow routed requests with their span breakdown. GET /metrics adds
+// slow routed requests with their span breakdown. The retention contract
+// is the serve tier's: a reply's trace is in the ring by the time its last
+// byte arrives. handleInfer files it in a deferred call, before it
+// returns, and the relayed or router-made reply carries no Content-Length,
+// so its end (the whole of a short reply, buffered; the terminating chunk
+// of a long one) leaves only at return. Setting Content-Length on a relayed
+// reply would let a long one's last byte leave during the copy, and breaks
+// the contract unless the trace is filed before the copy. GET /metrics adds
 // per-backend attempt-latency histograms and — because every obs
 // histogram shares one bucket ladder — re-exports the fleet's serve-tier
 // histograms summed bucket-wise as radixrouter_model_* families, exactly

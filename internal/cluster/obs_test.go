@@ -357,3 +357,79 @@ func TestRouterTraceIDBoundedAtTheEdge(t *testing.T) {
 		t.Errorf("router ring holds %d traces, want one per request (%d)", n, len(cases))
 	}
 }
+
+// TestRouterTraceFiledBeforeReplyEnds pins the router's half of the trace
+// retention contract: a reply's trace is in the ring by the time the
+// reply's last byte arrives, so a /debug/traces?trace=<id> read right after
+// the reply finds it, with the reply's status. It covers a relayed 200
+// large enough to be chunked, a relayed 429 and the router's own 404, a
+// few rounds each.
+func TestRouterTraceFiledBeforeReplyEnds(t *testing.T) {
+	big := serve.InferResponse{Model: "m", Rows: 1, Outputs: [][]float64{make([]float64, 512)}}
+	for i := range big.Outputs[0] {
+		big.Outputs[0][i] = float64(i) / 3
+	}
+	backend := fakeBackend(t, []string{"m", "busy"}, func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		peek, _ := serve.PeekInferRequest(body)
+		w.Header().Set("Content-Type", "application/json")
+		switch peek.Model {
+		case "m":
+			json.NewEncoder(w).Encode(big)
+		case "busy":
+			w.Header().Set("Retry-After", "0")
+			w.WriteHeader(http.StatusTooManyRequests)
+			json.NewEncoder(w).Encode(serve.ErrorResponse{Error: "queue full", Model: peek.Model})
+		default:
+			w.WriteHeader(http.StatusNotFound)
+			json.NewEncoder(w).Encode(serve.ErrorResponse{Error: "unknown model", Model: peek.Model})
+		}
+	})
+	_, url := startRouter(t, RouterConfig{
+		Addr:     "127.0.0.1:0",
+		Backends: []string{backend.URL},
+		Replicas: 1,
+		Set:      SetConfig{ProbeInterval: time.Hour},
+	})
+	for range 5 {
+		resp := routerTraceRoundTrip(t, url, http.StatusOK, "m")
+		if resp.ContentLength != -1 {
+			t.Fatalf("200 reply carried Content-Length %d, want a chunked reply", resp.ContentLength)
+		}
+		routerTraceRoundTrip(t, url, http.StatusTooManyRequests, "busy")
+		routerTraceRoundTrip(t, url, http.StatusNotFound, "nope")
+	}
+}
+
+// routerTraceRoundTrip posts one row for model, reads the whole reply,
+// checks its status, and at once looks its trace up by ID: it must be
+// retained with that status.
+func routerTraceRoundTrip(t *testing.T, url string, status int, model string) *http.Response {
+	t.Helper()
+	body, _ := json.Marshal(serve.InferRequest{Model: model, Inputs: [][]float64{{1}}})
+	resp, err := http.Post(url+"/v1/infer", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != status {
+		t.Fatalf("%s: status %d, want %d", model, resp.StatusCode, status)
+	}
+	id := resp.Header.Get(obs.HeaderTraceID)
+	tr, err := http.Get(url + "/debug/traces?trace=" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Body.Close()
+	var view struct {
+		Trace *obs.Trace `json:"trace"`
+	}
+	if err := json.NewDecoder(tr.Body).Decode(&view); err != nil {
+		t.Fatal(err)
+	}
+	if tr.StatusCode != http.StatusOK || view.Trace == nil || view.Trace.Status != status {
+		t.Fatalf("trace %s read right after its %d reply: lookup status %d, trace %+v", id, status, tr.StatusCode, view.Trace)
+	}
+	return resp
+}

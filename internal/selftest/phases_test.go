@@ -16,6 +16,7 @@ import (
 	"github.com/radix-net/radixnet/internal/cluster"
 	"github.com/radix-net/radixnet/internal/core"
 	"github.com/radix-net/radixnet/internal/dataset"
+	"github.com/radix-net/radixnet/internal/infer"
 	"github.com/radix-net/radixnet/internal/obs"
 	"github.com/radix-net/radixnet/internal/obs/slo"
 	"github.com/radix-net/radixnet/internal/serve"
@@ -327,7 +328,7 @@ func unregisterPhase(t *testing.T, tg Target, row []float64) {
 // priority scheduling never changes results, and the class annotation must
 // come back on every response — through a router that is the body → router
 // header → backend scheduler round trip.
-func qosPhase(t *testing.T, tg Target, in *sparse.Dense, expected [][]float64) {
+func qosPhase(t *testing.T, tg Target, serving []*serve.Model, in *sparse.Dense, expected [][]float64) {
 	t.Helper()
 	ctx := t.Context()
 	baseRows := in.Rows()
@@ -339,11 +340,15 @@ func qosPhase(t *testing.T, tg Target, in *sparse.Dense, expected [][]float64) {
 		for i := 0; i < probes; i++ {
 			r := i % baseRows
 			start := time.Now()
-			status, _, resp, err := postReq(ctx, tg, serve.InferRequest{
+			// A starved probe would wait as long as the flood lasts, and the
+			// flood lasts until the probes end: bound each one.
+			pctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+			status, _, resp, err := postReq(pctx, tg, serve.InferRequest{
 				Class: serve.ClassInteractive, Inputs: [][]float64{in.RowSlice(r)},
 			})
+			cancel()
 			if err != nil || status != http.StatusOK || len(resp.Outputs) != 1 {
-				return nil, nil, fmt.Errorf("qos: interactive probe %d: status %d err %v", i, status, err)
+				return nil, nil, fmt.Errorf("qos: interactive probe %d: status %d err %v (starved behind the flood?)", i, status, err)
 			}
 			if resp.Class != serve.ClassInteractive {
 				return nil, nil, fmt.Errorf("qos: probe %d scheduled as class %q, want %q (class lost in routing?)", i, resp.Class, serve.ClassInteractive)
@@ -365,10 +370,16 @@ func qosPhase(t *testing.T, tg Target, in *sparse.Dense, expected [][]float64) {
 	// Saturating background flood: multi-row requests from several workers
 	// (bodies pre-marshaled and replies discarded undecoded, so the flood's
 	// pressure lands on the server's queues, not on client-side JSON),
-	// shedding 429s with client-side pacing, until the phase ends.
+	// shedding 429s with client-side pacing, until the phase ends. On its
+	// own the smoke model drains a flood faster than HTTP delivers it, and
+	// the background queue would empty between batches; so the serving
+	// engines are throttled (throttleEngines) for the loaded window, and the
+	// workers keep 256 rows in flight, more than the collectors hold. The
+	// background queue then stays backlogged for many batches: a scheduler
+	// that served background whenever it had rows would starve every probe.
 	const (
-		floodWorkers = 4
-		rowsPerReq   = 16
+		floodWorkers = 8
+		rowsPerReq   = 32
 	)
 	stop := make(chan struct{})
 	var bgRows atomic.Int64
@@ -379,6 +390,11 @@ func qosPhase(t *testing.T, tg Target, in *sparse.Dense, expected [][]float64) {
 		wg.Wait()
 	})
 	defer stopFlood()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		throttleEngines(serving, stop)
+	}()
 	for w := 0; w < floodWorkers; w++ {
 		reqRows := make([][]float64, rowsPerReq)
 		for i := range reqRows {
@@ -484,6 +500,40 @@ func qosPhase(t *testing.T, tg Target, in *sparse.Dense, expected [][]float64) {
 		p99u.Round(time.Microsecond), p99l.Round(time.Microsecond), bound, waitP99.Round(time.Microsecond), bgDuring)
 }
 
+// throttleEngines makes the serving models' engines the bottleneck until
+// stop is closed: it holds every engine for a millisecond at a time, and
+// between holds each collector already waiting for an engine runs one
+// batch (a released engine goes to the longest waiter, and the next lease
+// here queues behind the collectors).
+func throttleEngines(serving []*serve.Model, stop <-chan struct{}) {
+	type lease struct {
+		m   *serve.Model
+		eng *infer.Engine
+	}
+	var held []lease
+	for {
+		for _, m := range serving {
+			n, _ := m.PoolStats()
+			for range n {
+				held = append(held, lease{m, m.Lease()})
+			}
+		}
+		select {
+		case <-stop:
+		case <-time.After(time.Millisecond):
+		}
+		for _, l := range held {
+			l.m.Release(l.eng)
+		}
+		held = held[:0]
+		select {
+		case <-stop:
+			return
+		default:
+		}
+	}
+}
+
 // tracesView is the GET /debug/traces listing both tiers answer.
 type tracesView struct {
 	Total  uint64       `json:"total"`
@@ -535,25 +585,21 @@ func obsPhase(t *testing.T, tg Target, row []float64) *obs.Trace {
 		}
 	}
 
-	// Both tiers retain a trace after the response is written, so the
-	// listing can trail the reply by a scheduling quantum; poll briefly.
+	// Both tiers retain a reply's trace by the time its last byte arrives
+	// (the retention contract in serve's and cluster's package docs), so
+	// one listing must hold it.
 	var found *obs.Trace
 	var view tracesView
-	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
-		if err := tg.GetJSON(ctx, "/debug/traces?n=16", &view); err != nil {
-			t.Fatalf("obs: /debug/traces: %v", err)
+	if err := tg.GetJSON(ctx, "/debug/traces?n=16", &view); err != nil {
+		t.Fatalf("obs: /debug/traces: %v", err)
+	}
+	for _, tr := range view.Recent {
+		if tr.ID == traceID && len(tr.Spans) >= 5 {
+			found = tr
 		}
-		for _, tr := range view.Recent {
-			if tr.ID == traceID && len(tr.Spans) >= 5 {
-				found = tr
-			}
-		}
-		if found != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("obs: trace %s not retained with spans in /debug/traces (%d total)", traceID, view.Total)
-		}
+	}
+	if found == nil {
+		t.Fatalf("obs: trace %s not retained with spans in /debug/traces (%d total)", traceID, view.Total)
 	}
 
 	if err := tg.GetJSON(ctx, "/debug/pprof/cmdline", nil); err != nil {

@@ -222,7 +222,8 @@ func TestSmokeNode(t *testing.T) {
 		t.Fatalf("GET /v1/models: model %q at index %d of %+v, want generation %d", live.Model, i, infos, 1+reloads)
 	}
 	unregisterPhase(t, live, in.RowSlice(0))
-	qosPhase(t, tg, in, expected)
+	smoke, _ := reg.Model("smoke")
+	qosPhase(t, tg, []*serve.Model{smoke}, in, expected)
 	obsPhase(t, tg, in.RowSlice(0))
 	exemplarSLOPhase(t, tg, in)
 	profilePhase(t, tg.For("profiled"), reg, cfg)
@@ -305,7 +306,12 @@ func TestSmokeFleet(t *testing.T) {
 		}
 	}
 	unregisterPhase(t, live, in.RowSlice(0))
-	qosPhase(t, tg.For(models[1]), in, expected)
+	var serving []*serve.Model
+	for _, id := range rt.Placement(models[1]) {
+		m, _ := fleet.Regs[id].Model(models[1])
+		serving = append(serving, m)
+	}
+	qosPhase(t, tg.For(models[1]), serving, in, expected)
 	stitchedTracePhase(t, obsPhase(t, tg, in.RowSlice(0)))
 	exemplarSLOPhase(t, tg, in)
 	engineProfilePhase(t, tg)

@@ -21,12 +21,13 @@ type Policy struct {
 	// latency for batch density; negative disables waiting (a batch takes
 	// only what is already queued), zero selects the default of 2ms.
 	MaxLatency time.Duration
-	// QueueDepth bounds pending rows PER CLASS; a submission finding its
-	// class's queue full fails with ErrQueueFull instead of queuing
-	// unboundedly, and a flood in one class can never crowd another class
-	// out of queue space. Rows already held by collecting workers are
-	// outside this bound, so total in-flight rows are at most
-	// classes×QueueDepth + Workers×MaxBatch. Default 256.
+	// QueueDepth bounds pending rows PER CLASS; a request whose rows do not
+	// all fit in its class's queue fails whole with ErrQueueFull instead of
+	// queuing unboundedly (one with more rows than QueueDepth can never fit
+	// and fails with ErrRequestTooLarge), and a flood in one class can
+	// never crowd another class out of queue space. Rows already held by
+	// collecting workers are outside this bound, so total in-flight rows
+	// are at most classes×QueueDepth + Workers×MaxBatch. Default 256.
 	QueueDepth int
 	// Workers is the number of collector goroutines executing batches
 	// concurrently. Default: the model's engine-pool size (so a collector
@@ -57,6 +58,11 @@ var (
 	// layer maps it to 429 with a Retry-After read from the class's
 	// queue-wait p90 (Model.RetryAfterSeconds).
 	ErrQueueFull = errors.New("serve: request queue full")
+	// ErrRequestTooLarge reports a request with more rows than its class
+	// queue holds (Policy.QueueDepth): it could never be admitted whole,
+	// so it is refused before any row is queued. The HTTP layer maps it to
+	// 413.
+	ErrRequestTooLarge = errors.New("serve: request larger than its class queue")
 	// ErrClosed reports a submission to a model that has been unregistered
 	// or whose registry has been closed (or is draining for shutdown). The
 	// HTTP layer maps it to 503.
@@ -78,14 +84,14 @@ type pending struct {
 	wait     time.Duration // enqueue → engine dispatch, set before done
 	exec     time.Duration // engine invocation elapsed, set before done
 
-	// Span timings for request tracing, set before done: deq is when the
-	// row left its class queue (span "queue" = deq−enq), assemble is
-	// dequeue→batch-dispatch (company collection), lease is the engine
-	// lease acquisition wait, deliver is post-engine completion fan-out.
-	deq      time.Time
-	assemble time.Duration
-	lease    time.Duration
-	deliver  time.Duration
+	// Span timings for request tracing, set before done: queued is
+	// enqueue→dequeue (span "queue", set when the row leaves its class
+	// queue; wait−queued is span "assemble", company collection), lease is
+	// the engine lease acquisition wait, deliver is post-engine completion
+	// fan-out.
+	queued  time.Duration
+	lease   time.Duration
+	deliver time.Duration
 }
 
 // batcher is one model's QoS scheduler: per-class bounded queues drained by
@@ -97,13 +103,11 @@ type batcher struct {
 	qos   *qosSet
 	disp  *dispatcher // registry engine quota; nil when disabled
 
-	// inflight counts rows between submit and completion; incoming counts
-	// rows a multi-row request has announced but not yet submitted. Together
-	// they tell a collector whether waiting out the latency budget can
-	// possibly gain company: a batch holding every in-flight row dispatches
-	// immediately, so closed-loop single clients never pay MaxLatency.
+	// inflight counts rows between submit and completion. It tells a
+	// collector whether waiting out the latency budget can possibly gain
+	// company: a batch holding every in-flight row waits only the grace
+	// window, so closed-loop single clients never pay MaxLatency.
 	inflight atomic.Int64
-	incoming atomic.Int64
 
 	// classWait holds one EWMA per QoS class of the pure queue delay
 	// (dequeue − enqueue, nanoseconds) — the time rows actually spend
@@ -124,25 +128,20 @@ type batcher struct {
 	fullErr []error
 
 	notify chan struct{} // capacity 1; pinged whenever queued work may exist
-	// withdrawn (capacity 1) is signalled when an announcement ends. Only a
-	// collector inside its window listens, so an idle peer cannot take the
-	// signal meant for the collector holding the announced rows.
-	withdrawn chan struct{}
-	done      chan struct{} // closed by close()
-	wg        sync.WaitGroup
+	done   chan struct{} // closed by close()
+	wg     sync.WaitGroup
 }
 
 func newBatcher(m *Model, pol Policy, qos *qosSet, disp *dispatcher) *batcher {
 	b := &batcher{
-		model:     m,
-		pol:       pol,
-		met:       &m.met,
-		qos:       qos,
-		disp:      disp,
-		sched:     newClassSched(qos, pol.QueueDepth),
-		notify:    make(chan struct{}, 1),
-		withdrawn: make(chan struct{}, 1),
-		done:      make(chan struct{}),
+		model:  m,
+		pol:    pol,
+		met:    &m.met,
+		qos:    qos,
+		disp:   disp,
+		sched:  newClassSched(qos, pol.QueueDepth),
+		notify: make(chan struct{}, 1),
+		done:   make(chan struct{}),
 	}
 	b.fullErr = make([]error, qos.size())
 	for c := range b.fullErr {
@@ -167,43 +166,37 @@ func (b *batcher) ping() {
 	}
 }
 
-// withdraw ends a multi-row request's announcement of n rows (incoming)
-// and wakes the collector in its window, so that one holding the request's
-// rows sees at once that no more are coming instead of waiting out the
-// window.
-func (b *batcher) withdraw(n int64) {
-	b.incoming.Add(-n)
-	select {
-	case b.withdrawn <- struct{}{}:
-	default:
-	}
-}
-
-// submit enqueues one row without blocking: ErrQueueFull when the row's
-// class queue is at capacity, ErrClosed after close. Rejections return the
-// class's pre-wrapped error so the full-queue path never formats.
+// submit queues one request's rows, all of one class, as a unit and
+// without blocking: every row or none. ErrQueueFull when the class queue
+// lacks room for all of them, ErrClosed after close; a refused request
+// counts every one of its rows. Rejections return the class's pre-wrapped
+// error so the full-queue path never formats.
 //
 //radix:hotpath
-func (b *batcher) submit(p *pending) error {
+func (b *batcher) submit(ps []pending) error {
+	class := ps[0].class
+	n := int64(len(ps))
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		// Shutdown, not backpressure: keep the Rejected (queue-full) series
 		// clean for operators alerting on it.
-		b.met.Failed.Add(1)
+		b.met.Failed.Add(n)
 		return ErrClosed
 	}
-	// Count the row in flight before it becomes visible to collectors, so a
-	// collector never observes inflight < rows it holds.
-	b.inflight.Add(1)
-	if err := b.sched.enqueue(p); err != nil {
+	if b.sched.room(class) < len(ps) {
 		b.mu.Unlock()
-		b.inflight.Add(-1)
-		b.met.class(p.class).Rejected.Add(1)
-		return b.fullErr[p.class]
+		b.met.class(class).Rejected.Add(n)
+		return b.fullErr[class]
+	}
+	// Count the rows in flight before they become visible to collectors, so
+	// a collector never observes inflight < rows it holds.
+	b.inflight.Add(n)
+	for i := range ps {
+		_ = b.sched.enqueue(&ps[i]) // cannot fail: room was checked under this lock
 	}
 	b.mu.Unlock()
-	b.met.class(p.class).Accepted.Add(1)
+	b.met.class(class).Accepted.Add(n)
 	b.ping()
 	return nil
 }
@@ -312,7 +305,6 @@ func (b *batcher) worker() {
 			for len(reqs) < b.pol.MaxBatch {
 				select {
 				case <-b.notify:
-				case <-b.withdrawn:
 				case <-timer.C:
 					break collect
 				case <-b.done:
@@ -327,10 +319,11 @@ func (b *batcher) worker() {
 					b.ping()
 				}
 				if !graced && !b.companyPossible(len(reqs)) {
-					// The window was opened for rows in flight or announced,
-					// and every one of them is now in this batch: the rest
-					// of the window cannot add one. A grace window is left
-					// to run out, for single-row clients not yet counted.
+					// The window was opened for rows in flight elsewhere,
+					// and every row in flight is now in this batch: the
+					// rest of the window cannot add one. A grace window is
+					// left to run out, for single-row clients not yet
+					// counted.
 					break collect
 				}
 			}
@@ -399,14 +392,15 @@ func (b *batcher) collectWindow() time.Duration {
 // companyPossible reports whether a collector holding held rows has any
 // reason to wait out the full latency budget: rows in flight beyond its
 // own batch (concurrent clients whose rows are queued or executing
-// elsewhere and who may resubmit) or rows a multi-row request has
-// announced but not yet submitted. When the batch already holds every row
-// the system knows about — the closed-loop single-client case — the
-// budget cannot buy company and the collector waits only fastPathGrace.
-// This is a heuristic: a false "possible" still bounds latency by
-// MaxLatency, exactly the pre-fast-path behavior.
+// elsewhere and who may resubmit). A request's rows are queued together,
+// so a collector never holds part of a request whose other rows are yet
+// to arrive. When the batch already holds every row in flight — the
+// closed-loop single-client case — the budget cannot buy company and the
+// collector waits only fastPathGrace. This is a heuristic: a false
+// "possible" still bounds latency by MaxLatency, exactly the pre-fast-path
+// behavior.
 func (b *batcher) companyPossible(held int) bool {
-	return b.inflight.Load()+b.incoming.Load() > int64(held)
+	return b.inflight.Load() > int64(held)
 }
 
 // expire completes rows shed at dequeue for a passed deadline: never
@@ -448,10 +442,7 @@ func (b *batcher) execute(reqs []*pending, buf []float64) {
 	dispatch := time.Now()
 	for _, p := range reqs {
 		p.wait = dispatch.Sub(p.enq)
-		if !p.deq.IsZero() {
-			p.assemble = dispatch.Sub(p.deq)
-			b.noteQueueDelay(p.class, p.deq.Sub(p.enq))
-		}
+		b.noteQueueDelay(p.class, p.queued)
 	}
 	var execDur, leaseDur time.Duration
 	var execEnd time.Time

@@ -158,12 +158,13 @@ func TestReadBody(t *testing.T) {
 // shape. The handler used to allocate ≈ 42 KB a row (json.Decoder's growing
 // buffer, a reflect-grown slice per input row, a fresh output row); with
 // exchanges pooled and the body decoded and the reply written without
-// encoding/json it is ≈ 600 B, what the batcher's pending rows, the spans
-// and the trace cost. The budget leaves 5 % over that for runtime noise and
-// still fails at the ≈ 652 B the encoding/json codec cost. Each collector
-// owns its 256 KiB staging buffer, so no round pays for one; the least of
-// three rounds is still taken, because a single round can catch a runtime
-// allocation that is no cost per row (one of 36 read 631 B).
+// encoding/json it is ≈ 573 B, what the request's slab of pending rows,
+// their completion channels, the spans and the trace cost. The budget leaves
+// 32 B over that for runtime noise and still fails at the ≈ 652 B the
+// encoding/json codec cost. Each collector owns its 256 KiB staging buffer,
+// so no round pays for one; the least of three rounds is still taken,
+// because a single round can catch a runtime allocation that is no cost per
+// row (one of 36 read 631 B).
 func TestHandleInferAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector defeats sync.Pool on purpose")
@@ -172,7 +173,7 @@ func TestHandleInferAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const rows, budget = 8, 630
+	const rows, budget = 8, 605
 	serve := handlerFixture(t, cfg, rows)
 	perRow := math.Inf(1)
 	for range 3 {

@@ -58,20 +58,24 @@
 // approaches the engine's dense-batch rate. A batch already holding every
 // in-flight row waits only a short grace window rather than the full
 // budget (the single-client fast path: a closed-loop client pays
-// microseconds, not the batching budget; multi-row requests announce their
-// rows up front so they still coalesce whole, and a collector that comes
-// to hold every row in flight once an announcement ends dispatches then).
+// microseconds, not the batching budget). A request's rows are queued in
+// one step, so a collector never holds part of a request whose other rows
+// are still to come; one that comes to hold every row in flight during its
+// full window dispatches then.
 // Because every batch goes through the same Engine.Infer gather/scatter
 // kernels, batched results are bit-identical to per-row inference. When
 // QoSConfig.ExecSlots bounds the registry's engine quota, models contending
 // for slots take turns.
 //
-// Backpressure — each class queue is a hard bound. A submission that finds
-// its class full fails immediately with ErrQueueFull (surfaced as HTTP 429
+// Backpressure — each class queue is a hard bound, and a request is
+// admitted whole or refused whole. A request whose rows do not all fit in
+// its class queue fails immediately with ErrQueueFull (surfaced as HTTP 429
 // with the class attributed and a Retry-After read from the class's
-// queue-wait p90) instead of queuing unboundedly; shutdown fails new
-// submissions with ErrClosed (HTTP 503) while draining rows already
-// accepted.
+// queue-wait p90) instead of queuing unboundedly, and none of its rows
+// runs; a request with more rows than the class queue holds could never
+// fit and fails with ErrRequestTooLarge (HTTP 413, naming both numbers).
+// Shutdown fails new submissions with ErrClosed (HTTP 503) while draining
+// rows already accepted.
 //
 // HTTP API — POST /v1/infer runs rows through the batcher (body fields
 // "class" and "deadline_ms", or the X-Radix-Class/X-Radix-Deadline-Ms
@@ -106,6 +110,15 @@
 // queue, assemble, lease, execute, deliver); recent and slowest traces
 // are retained in a bounded lock-free ring served by GET /debug/traces,
 // and ServerOptions.SlowRequest logs outliers with their span breakdown.
+// The retention contract: a reply's trace is in the ring by the time its
+// last byte arrives, so a client that reads /debug/traces?trace=<id> after
+// a reply finds it. It holds because the handler files the trace before
+// it returns, and no reply's end leaves before then: the replies carry no
+// Content-Length, so a short one is buffered until the handler returns and
+// a long one is chunked, its terminating chunk written at return. Setting
+// Content-Length on these replies would let a long one's last byte leave
+// during Write, and breaks the contract unless the trace is filed before
+// Write.
 // ServerOptions.Pprof mounts net/http/pprof; /metrics always includes Go
 // runtime gauges.
 package serve

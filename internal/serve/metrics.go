@@ -43,7 +43,7 @@ type Metrics struct {
 // ClassMetrics holds one priority class's instruments within a model.
 type ClassMetrics struct {
 	Accepted  atomic.Int64 // rows admitted to this class's queue
-	Rejected  atomic.Int64 // rows refused: this class's queue was full
+	Rejected  atomic.Int64 // rows of requests refused whole: this class's queue lacked room
 	Expired   atomic.Int64 // rows shed at dequeue for a passed deadline
 	MaxWaitNs atomic.Int64 // worst single-row enqueue→dispatch ns (all-time)
 
@@ -158,11 +158,11 @@ func (m *Metrics) observe(ns int64, traceID string) {
 // table that writes them.
 var (
 	MetricRowsAccepted        = obs.NewCounter("radixserve_rows_accepted_total", "Rows admitted to the request queue.", "model")
-	MetricRowsRejected        = obs.NewCounter("radixserve_rows_rejected_total", "Rows rejected with backpressure (class queue full).", "model")
+	MetricRowsRejected        = obs.NewCounter("radixserve_rows_rejected_total", "Rows of requests refused whole with backpressure (the class queue lacked room for all of them).", "model")
 	MetricRowsFailed          = obs.NewCounter("radixserve_rows_failed_total", "Rows failed by engine error or shutdown.", "model")
 	MetricRowsExpired         = obs.NewCounter("radixserve_rows_expired_total", "Rows shed at dequeue for a passed deadline (never executed).", "model")
 	MetricClassRowsAccepted   = obs.NewCounter("radixserve_class_rows_accepted_total", "Rows admitted to the class queue.", "model", "class")
-	MetricClassRowsRejected   = obs.NewCounter("radixserve_class_rows_rejected_total", "Rows rejected because the class queue was full.", "model", "class")
+	MetricClassRowsRejected   = obs.NewCounter("radixserve_class_rows_rejected_total", "Rows of requests refused whole because the class queue lacked room for all of them.", "model", "class")
 	MetricClassRowsExpired    = obs.NewCounter("radixserve_class_rows_expired_total", "Rows of the class shed at dequeue for a passed deadline.", "model", "class")
 	MetricRequestLatency      = obs.NewSeconds("radixserve_request_latency_seconds", "Enqueue-to-delivery latency of completed rows.", "model")
 	MetricExecute             = obs.NewSeconds("radixserve_execute_seconds", "Engine invocation time per coalesced batch.", "model")

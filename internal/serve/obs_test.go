@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/radix-net/radixnet/internal/core"
 	"github.com/radix-net/radixnet/internal/obs"
+	"github.com/radix-net/radixnet/internal/radix"
 )
 
 func scrapeMetrics(t *testing.T, url string) string {
@@ -386,4 +388,87 @@ func TestTraceIDBoundedAtTheEdge(t *testing.T) {
 	if n := s.Traces().Len(); n != uint64(len(hostileTraceIDs)) {
 		t.Errorf("ring holds %d traces, want one per request (%d)", n, len(hostileTraceIDs))
 	}
+}
+
+// TestTraceFiledBeforeReplyEnds pins the trace retention contract: a
+// reply's trace is in the ring by the time the reply's last byte arrives,
+// so a /debug/traces?trace=<id> read right after the reply finds it, with
+// the reply's status. It covers a 200 whose 512-wide row makes the reply
+// chunked (written in part before the handler returns), a 429 and a 404,
+// a few rounds each.
+func TestTraceFiledBeforeReplyEnds(t *testing.T) {
+	cfg, err := core.NewConfig([]radix.System{radix.MustNew(8, 8, 8)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry(Policy{MaxBatch: 1, QueueDepth: 1, Workers: 1})
+	defer reg.Close()
+	m, err := reg.Register("m", cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(reg, "127.0.0.1:0").Handler())
+	defer ts.Close()
+	row := make([]float64, m.InputWidth())
+	for i := range row {
+		row[i] = float64(i%7) / 3 // outputs with many digits: a reply of ≈ 10 KB
+	}
+	for range 5 {
+		resp := traceRoundTrip(t, ts.URL, http.StatusOK, InferRequest{Model: "m", Inputs: [][]float64{row}})
+		if resp.ContentLength != -1 {
+			t.Fatalf("200 reply carried Content-Length %d, want a chunked reply", resp.ContentLength)
+		}
+		traceRoundTrip(t, ts.URL, http.StatusNotFound, InferRequest{Model: "nope", Inputs: [][]float64{row}})
+
+		// A 429: one row holds the collector, blocked on the engine the
+		// test holds, and one fills the one-slot queue.
+		eng := m.Lease()
+		accepted := m.Metrics().Snapshot().Accepted
+		var wg sync.WaitGroup
+		for queued := range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := doRow(m, row, make([]float64, m.OutputWidth())); err != nil {
+					t.Error(err)
+				}
+			}()
+			accepted++
+			for deadline := time.Now().Add(5 * time.Second); m.Metrics().Snapshot().Accepted != accepted || m.bat.depth() != queued; time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					m.Release(eng)
+					t.Fatalf("row %d never reached the batcher", queued)
+				}
+			}
+		}
+		traceRoundTrip(t, ts.URL, http.StatusTooManyRequests, InferRequest{Model: "m", Inputs: [][]float64{row}})
+		m.Release(eng)
+		wg.Wait()
+	}
+}
+
+// traceRoundTrip posts req, reads the whole reply, checks its status, and
+// at once looks its trace up by ID: it must be retained with that status.
+func traceRoundTrip(t *testing.T, url string, status int, req InferRequest) *http.Response {
+	t.Helper()
+	resp, _ := postInfer(t, url, req)
+	if resp.StatusCode != status {
+		t.Fatalf("status %d, want %d", resp.StatusCode, status)
+	}
+	id := resp.Header.Get(obs.HeaderTraceID)
+	tr, err := http.Get(url + "/debug/traces?trace=" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Body.Close()
+	var view struct {
+		Trace *obs.Trace `json:"trace"`
+	}
+	if err := json.NewDecoder(tr.Body).Decode(&view); err != nil {
+		t.Fatal(err)
+	}
+	if tr.StatusCode != http.StatusOK || view.Trace == nil || view.Trace.Status != status {
+		t.Fatalf("trace %s read right after its %d reply: lookup status %d, trace %+v", id, status, tr.StatusCode, view.Trace)
+	}
+	return resp
 }

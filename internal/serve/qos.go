@@ -279,7 +279,7 @@ func (s *classSched) take(dst []*pending, max int, now time.Time) (got, shed []*
 		}
 		for cq.n > 0 && cq.deficit > 0 && len(got) < max {
 			p := cq.pop()
-			p.deq = now // trace span boundary: row left its class queue
+			p.queued = now.Sub(p.enq) // trace span boundary: row left its class queue
 			s.pending--
 			if !p.deadline.IsZero() && now.After(p.deadline) {
 				shed = append(shed, p)
@@ -303,3 +303,6 @@ func (s *classSched) take(dst []*pending, max int, now time.Time) (got, shed []*
 
 // depth reports one class's queued rows.
 func (s *classSched) depth(class int) int { return s.classes[class].n }
+
+// room reports how many more rows one class's queue can take.
+func (s *classSched) room(class int) int { return len(s.classes[class].buf) - s.classes[class].n }

@@ -680,14 +680,14 @@ func (m *Model) RetryAfterSeconds(class string) int {
 // every row completes or ctx is done. Rows coalesce with concurrent
 // requests' rows into shared engine batches; the scheduler dispatches
 // across classes by deficit round-robin, so a flood in one class cannot
-// starve another. The request fails as a unit: a row of the wrong width
-// fails it before any row is queued; on the first submission
-// rejection the remaining rows are not submitted, already-submitted rows
-// are awaited, and the first error is returned (ErrQueueFull under
-// backpressure, ErrDeadlineExceeded when rows expired queued, ErrClosed
-// during shutdown, ErrUnknownClass for a class the registry does not
-// serve). On a ctx error rows may still execute later; their outputs are
-// dropped.
+// starve another. The request is admitted as a unit: every row is queued
+// in one step or none is. It fails before any row is queued on a row of
+// the wrong width, a class the registry does not serve
+// (ErrUnknownClass), or more rows than the class queue holds
+// (ErrRequestTooLarge); it is refused whole with ErrQueueFull under
+// backpressure and ErrClosed during shutdown; once queued, it fails with
+// the first row error (ErrDeadlineExceeded when rows expired queued). On
+// a ctx error rows may still execute later; their outputs are dropped.
 func (m *Model) Do(ctx context.Context, req *Request) (*Response, error) {
 	if req == nil || len(req.Rows) == 0 {
 		return nil, fmt.Errorf("serve: model %q: empty batch", m.name)
@@ -696,16 +696,20 @@ func (m *Model) Do(ctx context.Context, req *Request) (*Response, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", m.name, err)
 	}
+	n, w := len(req.Rows), m.outW
+	if n > m.pol.QueueDepth {
+		return nil, fmt.Errorf("serve: model %q: %w: %d rows, class %q queue holds %d",
+			m.name, ErrRequestTooLarge, n, m.qos.name(class), m.pol.QueueDepth)
+	}
 	if !req.Deadline.IsZero() && !time.Now().Before(req.Deadline) {
 		// Already dead on arrival: shed without touching the queues, with
 		// the books identical to a dequeue-time shed — Accepted AND Expired,
 		// exactly as if the rows had queued and expired instantly, so the
 		// accepted = completed + failed + expired + queued identity that
 		// dashboards derive in-flight counts from keeps holding.
-		n := int64(len(req.Rows))
 		cm := m.met.class(class)
-		cm.Accepted.Add(n)
-		cm.Expired.Add(n)
+		cm.Accepted.Add(int64(n))
+		cm.Expired.Add(int64(n))
 		return nil, fmt.Errorf("serve: model %q: %w", m.name, ErrDeadlineExceeded)
 	}
 	for i, row := range req.Rows {
@@ -713,59 +717,38 @@ func (m *Model) Do(ctx context.Context, req *Request) (*Response, error) {
 			return nil, fmt.Errorf("serve: model %q: row %d width %d, want %d", m.name, i, len(row), m.inW)
 		}
 	}
-	// One block holds every output row, in request order.
-	n, w := len(req.Rows), m.outW
+	// One block holds every output row, in request order, and one slab
+	// every pending row.
 	out := req.out
 	if len(out) != n*w {
 		out = make([]float64, n*w)
 	}
 	outs := make([][]float64, n)
-	pendings := make([]*pending, 0, n)
-	// Announce multi-row requests up front so collectors holding their
-	// first rows keep waiting for the rest instead of taking the
-	// single-client fast path and splitting the request into tiny batches.
-	// Single rows are not announced: the announcement window would defeat
-	// the fast path for closed-loop clients.
-	var announced int64
-	if len(req.Rows) > 1 {
-		announced = int64(len(req.Rows))
-		m.bat.incoming.Add(announced)
-	}
-	withdraw := func() {
-		if announced != 0 {
-			m.bat.withdraw(announced)
-			announced = 0
-		}
-	}
-	defer withdraw()
-	var firstErr error
+	ps := make([]pending, n)
+	enq := time.Now()
 	for i, row := range req.Rows {
 		outs[i] = out[i*w : (i+1)*w : (i+1)*w]
-		p := &pending{
+		ps[i] = pending{
 			row:      row,
 			out:      outs[i],
 			done:     make(chan struct{}),
-			enq:      time.Now(),
+			enq:      enq,
 			class:    class,
 			deadline: req.Deadline,
 			trace:    req.TraceID,
 		}
-		if err := m.bat.submit(p); err != nil {
-			firstErr = err
-			break
-		}
-		pendings = append(pendings, p)
 	}
-	// Every row is now either in flight (counted by the batcher) or never
-	// going to arrive; withdraw the announcement before awaiting results so
-	// collectors don't wait on rows that will not come.
-	withdraw()
+	if err := m.bat.submit(ps); err != nil {
+		return nil, err
+	}
 	resp := &Response{Outputs: outs, Class: m.qos.name(class), TraceID: req.TraceID}
 	if resp.TraceID == "" {
 		resp.TraceID = obs.NewTraceID()
 	}
+	var firstErr error
 	var queueD, assembleD, leaseD, deliverD time.Duration
-	for _, p := range pendings {
+	for i := range ps {
+		p := &ps[i]
 		select {
 		case <-p.done:
 			if p.err != nil && firstErr == nil {
@@ -777,13 +760,11 @@ func (m *Model) Do(ctx context.Context, req *Request) (*Response, error) {
 			if p.exec > resp.Execute {
 				resp.Execute = p.exec
 			}
-			if !p.deq.IsZero() {
-				if d := p.deq.Sub(p.enq); d > queueD {
-					queueD = d
-				}
+			if p.queued > queueD {
+				queueD = p.queued
 			}
-			if p.assemble > assembleD {
-				assembleD = p.assemble
+			if a := p.wait - p.queued; a > assembleD {
+				assembleD = a
 			}
 			if p.lease > leaseD {
 				leaseD = p.lease

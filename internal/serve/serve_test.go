@@ -290,6 +290,86 @@ func TestInferBatchWholeRequestSemantics(t *testing.T) {
 	if _, err := m.Do(context.Background(), &Request{}); err == nil {
 		t.Fatal("empty batch accepted")
 	}
+
+	// A request the class queue cannot take whole is refused whole: none of
+	// its rows is queued, every one is counted rejected, none runs.
+	t.Run("refused whole", func(t *testing.T) {
+		reg := NewRegistry(Policy{MaxBatch: 2, QueueDepth: 4, Workers: 1})
+		defer reg.Close()
+		m, err := reg.Register("m", cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := m.Lease() // the collector's batch blocks on the only engine
+		released := false
+		defer func() {
+			if !released {
+				m.Release(eng)
+			}
+		}()
+		errs := make(chan error, 2)
+		submit := func(rows [][]float64, accepted int64, queued int) {
+			t.Helper()
+			go func() {
+				_, err := m.Do(context.Background(), &Request{Rows: rows})
+				errs <- err
+			}()
+			for deadline := time.Now().Add(5 * time.Second); m.Metrics().Snapshot().Accepted != accepted || m.bat.depth() != queued; time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("accepted %d, queued %d; want %d and %d", m.Metrics().Snapshot().Accepted, m.bat.depth(), accepted, queued)
+				}
+			}
+		}
+		submit(rows[0:2], 2, 0) // taken by the collector, which then blocks
+		submit(rows[2:5], 5, 3) // queued: one slot of four left
+		before := m.Metrics().Snapshot()
+		if _, err := m.Do(context.Background(), &Request{Rows: rows[4:6]}); !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("2-row request into 1 free slot: err %v, want ErrQueueFull", err)
+		}
+		after := m.Metrics().Snapshot()
+		if after.Accepted != before.Accepted || after.Rejected != before.Rejected+2 {
+			t.Fatalf("refused request: accepted %d → %d, rejected %d → %d; want accepted unchanged, rejected +2",
+				before.Accepted, after.Accepted, before.Rejected, after.Rejected)
+		}
+		if got := m.bat.depth(); got != 3 {
+			t.Fatalf("refused request left %d rows queued, want the 3 queued before it", got)
+		}
+		m.Release(eng)
+		released = true
+		for range 2 {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s := m.Metrics().Snapshot(); s.Completed != 5 || s.BatchedRows != 5 {
+			t.Fatalf("completed %d rows in batches of %d rows, want the 5 admitted rows only", s.Completed, s.BatchedRows)
+		}
+	})
+
+	// A request with more rows than its class queue holds could never be
+	// admitted whole: it is refused before any row is queued, and over HTTP
+	// it is a 413 that names its model and class.
+	t.Run("too large", func(t *testing.T) {
+		_, m, ts := newTestServer(t, Policy{MaxBatch: 2, QueueDepth: 4, Workers: 1}, 1)
+		_, err := m.Do(context.Background(), &Request{Rows: rows[:5]})
+		if !errors.Is(err, ErrRequestTooLarge) || errStatus(err) != http.StatusRequestEntityTooLarge {
+			t.Fatalf("5 rows into a 4-row queue: err %v (status %d), want ErrRequestTooLarge (413)", err, errStatus(err))
+		}
+		if msg := err.Error(); !strings.Contains(msg, "5 rows") || !strings.Contains(msg, "holds 4") {
+			t.Fatalf("error %q does not name both the request's rows and the queue's depth", msg)
+		}
+		resp, body := postInfer(t, ts.URL, InferRequest{Model: "m", Class: ClassBatch, Inputs: rows[:5]})
+		var e ErrorResponse
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(body, &e) != nil || e.Model != "m" || e.Class != ClassBatch {
+			t.Fatalf("over HTTP: status %d, body %s; want 413 naming model %q and class %q", resp.StatusCode, body, "m", ClassBatch)
+		}
+		if s := m.Metrics().Snapshot(); s.Accepted != 0 || s.Rejected != 0 || s.Completed != 0 || m.bat.depth() != 0 {
+			t.Fatalf("too-large requests touched the queue: %+v, depth %d", s, m.bat.depth())
+		}
+		if _, err := m.Do(context.Background(), &Request{Rows: rows[:4]}); err != nil {
+			t.Fatalf("a request that fits the queue exactly: %v", err)
+		}
+	})
 }
 
 func TestCloseRejectsNewWorkAndDrains(t *testing.T) {
@@ -664,9 +744,8 @@ func TestSingleClientFastPathLatency(t *testing.T) {
 }
 
 // TestInferBatchCoalescesDespiteFastPath guards the other side of the fast
-// path: a multi-row request announces its rows up front, so a collector
-// that wins the race for the first row keeps waiting for its siblings
-// instead of executing a tiny batch per row.
+// path: a multi-row request's rows are queued in one step, so the collector
+// takes them together instead of executing a tiny batch per row.
 func TestInferBatchCoalescesDespiteFastPath(t *testing.T) {
 	cfg := testConfig(t)
 	reg := NewRegistry(Policy{MaxBatch: 8, MaxLatency: 100 * time.Millisecond, Workers: 1})

@@ -415,10 +415,12 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After", strconv.Itoa(m.RetryAfterSeconds(class)))
 			writeJSON(w, code,
 				ErrorResponse{Error: fmt.Sprintf("model %q: %v", m.Name(), err), Model: m.Name(), Class: class})
-		case http.StatusGatewayTimeout:
-			// The request's own deadline expired while its rows were queued:
-			// they were shed, not executed. 504 tells the client (or router)
-			// the budget ran out server-side.
+		case http.StatusGatewayTimeout, http.StatusRequestEntityTooLarge:
+			// 504: the request's own deadline expired while its rows were
+			// queued; they were shed, not executed, and the budget ran out
+			// server-side. 413: the request has more rows than its class
+			// queue holds and could never be admitted whole; retrying it
+			// cannot help, splitting it can.
 			writeJSON(w, code, ErrorResponse{Error: err.Error(), Model: m.Name(), Class: class})
 		default:
 			writeModelError(w, code, m.Name(), "%v", err)
@@ -490,6 +492,8 @@ func errStatus(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDeadlineExceeded):
 		return http.StatusGatewayTimeout
+	case errors.Is(err, ErrRequestTooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrClosed),
 		errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):
