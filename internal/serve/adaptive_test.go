@@ -127,63 +127,65 @@ func TestAdaptiveWindowLightLoadConverges(t *testing.T) {
 // The rows elsewhere are counted in flight by hand, as rows executing on
 // another collector are, and finish while the collector waits; finishing
 // wakes nobody, so the second request's arrival is what the collector acts
-// on. There is one collector, so that wake-up can only go to it. A try in
-// which the collector decided on its window only after the rows elsewhere
-// had finished takes the grace window instead, runs the two requests in
-// two batches, and is not counted.
+// on. There is one collector (the workers=1 case), so that wake-up can
+// only go to it. A try in which the collector decided on its window only
+// after the rows elsewhere had finished takes the grace window instead,
+// runs the two requests in two batches, and is not counted.
 func TestCollectStopsOnceEveryRowIsHeld(t *testing.T) {
-	reg := NewRegistry(Policy{MaxBatch: 8, MaxLatency: 2 * time.Second, Workers: 1})
-	defer reg.Close()
-	m, err := reg.Register("m", testConfig(t), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := m.bat
-	in, err := dataset.SparseBatch(4, m.InputWidth(), 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range 5 {
-		b.classWait[0].Store(time.Second.Nanoseconds())
-		if got := b.collectWindow(); got != 2*time.Second {
-			t.Fatalf("precondition: window = %v, want 2s", got)
-		}
-		rows := make([]pending, 4)
-		for i := range rows {
-			rows[i] = pending{row: in.RowSlice(i), out: make([]float64, m.OutputWidth()), done: make(chan struct{}), enq: time.Now()}
-		}
-		const elsewhere = 3
-		b.inflight.Add(elsewhere)
-		if err := b.submit(rows[:2]); err != nil {
+	t.Run("workers=1", func(t *testing.T) {
+		reg := NewRegistry(Policy{MaxBatch: 8, MaxLatency: 2 * time.Second, Workers: 1})
+		defer reg.Close()
+		m, err := reg.Register("m", testConfig(t), 1)
+		if err != nil {
 			t.Fatal(err)
 		}
-		waitTaken(t, b)
-		time.Sleep(time.Millisecond) // let the collector open its window
-		b.inflight.Add(-elsewhere)
-		start := time.Now()
-		if err := b.submit(rows[2:]); err != nil {
+		b := m.bat
+		in, err := dataset.SparseBatch(4, m.InputWidth(), 3, 7)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range rows {
-			p := &rows[i]
-			select {
-			case <-p.done:
-			case <-time.After(3 * time.Second):
-				t.Fatalf("row %d never completed", i)
+		for range 5 {
+			b.classWait[0].Store(time.Second.Nanoseconds())
+			if got := b.collectWindow(); got != 2*time.Second {
+				t.Fatalf("precondition: window = %v, want 2s", got)
 			}
-			if p.err != nil {
-				t.Fatalf("row %d: %v", i, p.err)
+			rows := make([]pending, 4)
+			for i := range rows {
+				rows[i] = pending{row: in.RowSlice(i), out: make([]float64, m.OutputWidth()), done: make(chan struct{}), enq: time.Now()}
+			}
+			const elsewhere = 3
+			b.inflight.Add(elsewhere)
+			if err := b.submit(rows[:2]); err != nil {
+				t.Fatal(err)
+			}
+			waitTaken(t, b)
+			time.Sleep(time.Millisecond) // let the collector open its window
+			b.inflight.Add(-elsewhere)
+			start := time.Now()
+			if err := b.submit(rows[2:]); err != nil {
+				t.Fatal(err)
+			}
+			for i := range rows {
+				p := &rows[i]
+				select {
+				case <-p.done:
+				case <-time.After(3 * time.Second):
+					t.Fatalf("row %d never completed", i)
+				}
+				if p.err != nil {
+					t.Fatalf("row %d: %v", i, p.err)
+				}
+			}
+			if waited := time.Since(start); waited >= time.Second {
+				t.Fatalf("dispatched %v after the collector came to hold every row in flight, want well under the 2s window", waited)
+			}
+			dispatch := rows[0].enq.Add(rows[0].wait)
+			if rows[3].enq.Add(rows[3].wait).Equal(dispatch) {
+				return
 			}
 		}
-		if waited := time.Since(start); waited >= time.Second {
-			t.Fatalf("dispatched %v after the collector came to hold every row in flight, want well under the 2s window", waited)
-		}
-		dispatch := rows[0].enq.Add(rows[0].wait)
-		if rows[3].enq.Add(rows[3].wait).Equal(dispatch) {
-			return
-		}
-	}
-	t.Skip("the collector never opened its full window before the rows elsewhere finished")
+		t.Skip("the collector never opened its full window before the rows elsewhere finished")
+	})
 }
 
 // waitTaken waits until a collector has taken every queued row.
