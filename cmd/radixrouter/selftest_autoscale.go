@@ -122,7 +122,7 @@ func runAutoscalePhase(ctx context.Context) error {
 	if w := coldCfg.LayerWidths()[0]; w != width {
 		return fmt.Errorf("autoscale: hot/cold model widths diverge: %d vs %d", width, w)
 	}
-	pol := serve.Policy{MaxBatch: maxBatch, MaxLatency: time.Millisecond, QueueDepth: 4096, Workers: 1}
+	pol := serve.Policy{MaxBatch: maxBatch, MaxLatency: time.Millisecond, QueueDepth: 4096}
 
 	fleet, err := selftest.StartFleet(ctx, nBackends, pol, serve.ServerOptions{})
 	if err != nil {

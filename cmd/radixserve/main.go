@@ -21,8 +21,9 @@
 //	POST   /v1/models         register a model at runtime from graphio config
 //	                          JSON: {"name":"m","config":{"systems":[[8,8]]}}
 //	PUT    /v1/models/{name}  atomic hot-reload: swap the model's engine pool
-//	                          for one built from the request config; in-flight
-//	                          batches finish on the old engines
+//	                          for one of the same size built from the request
+//	                          config; in-flight batches finish on the old
+//	                          engines
 //	DELETE /v1/models/{name}  drain and unregister the model
 //	GET    /healthz           liveness ("ok", or "draining" with 503 during
 //	                          graceful shutdown)
@@ -99,7 +100,7 @@ func main() {
 		models []modelSpec
 	)
 	addr := flag.String("addr", ":8080", "listen address")
-	engines := flag.Int("engines", 2, "warm engines per model (the pool leased per batch)")
+	engines := flag.Int("engines", 2, "warm engines per model, each driven by its own batch worker")
 	flag.IntVar(&pol.MaxBatch, "max-batch", 32, "rows coalesced into one engine invocation")
 	flag.DurationVar(&pol.MaxLatency, "max-latency", 2*time.Millisecond, "how long a short batch waits for more rows (negative: no waiting)")
 	flag.IntVar(&pol.QueueDepth, "queue", 256, "pending-row bound PER CLASS; beyond it requests get 429, and a request with more rows gets 413")

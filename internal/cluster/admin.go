@@ -226,15 +226,20 @@ func (rt *Router) handleAdminReload(w http.ResponseWriter, r *http.Request) {
 	// refresh the cached register body (the reload body is the same
 	// RegisterRequest shape with the name coming from the path) so a later
 	// scale-out builds the reloaded weights on new owners, not the
-	// originals — and not a config every backend refused.
-	var req serve.RegisterRequest
-	if slices.ContainsFunc(results, AdminResult.ok) && json.Unmarshal(body, &req) == nil && len(req.Config) > 0 {
+	// originals — and not a config every backend refused. A reload changes
+	// only the config, so a cached body keeps its engine count and policy.
+	var reload serve.RegisterRequest
+	if slices.ContainsFunc(results, AdminResult.ok) && json.Unmarshal(body, &reload) == nil && len(reload.Config) > 0 {
+		rt.scaleMu.Lock()
+		req := reload
+		if prev := rt.regBodies[name]; prev != nil && json.Unmarshal(prev, &req) == nil {
+			req.Config = reload.Config
+		}
 		req.Name = name
 		if reg, err := json.Marshal(req); err == nil {
-			rt.scaleMu.Lock()
 			rt.regBodies[name] = reg
-			rt.scaleMu.Unlock()
 		}
+		rt.scaleMu.Unlock()
 	}
 	writeAdminFanout(w, name, "reload", http.StatusOK, targets, results, unreachable)
 }

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -355,6 +356,36 @@ func TestRouterAdminFanout(t *testing.T) {
 		m, ok := f.regs[id].Model("live")
 		if !ok || m.Generation() != 2 {
 			t.Fatalf("backend %s generation after fleet reload: %v", id, m)
+		}
+	}
+	// A reload keeps each copy's engine count: every copy refuses a body
+	// naming another count, and the router relays the 422 with both
+	// numbers; a body naming no count is applied.
+	for _, c := range []struct {
+		engines, status int
+		says            string
+	}{{2, http.StatusUnprocessableEntity, "has 1, the reload asks for 2"}, {0, http.StatusOK, `"status":200`}} {
+		reload, err := json.Marshal(serve.RegisterRequest{Config: cfgJSON, Engines: c.engines})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, body = adminDo(t, http.MethodPut, f.url+"/v1/models/live", reload); code != c.status || !strings.Contains(string(body), c.says) {
+			t.Fatalf("reload with engines %d: status %d, want %d: %s", c.engines, code, c.status, body)
+		}
+	}
+	// The bare reload replaced the config a scale-out registers, not the
+	// engine count the model was registered with.
+	var cached serve.RegisterRequest
+	if err := json.Unmarshal(f.router.registerBody("live"), &cached); err != nil || cached.Engines != 1 {
+		t.Fatalf("cached register body after a bare reload: %+v (%v), want 1 engine", cached, err)
+	}
+	for _, id := range owners {
+		m, ok := f.regs[id].Model("live")
+		if !ok {
+			t.Fatalf("backend %s lost the model", id)
+		}
+		if info := m.Info(); info.Generation != 3 || info.Engines != 1 {
+			t.Fatalf("backend %s after a refused and an applied reload: generation %d, %d engines; want 3 and 1", id, info.Generation, info.Engines)
 		}
 	}
 	if code, _ = adminDo(t, http.MethodPut, f.url+"/v1/models/ghost", regBody); code != http.StatusNotFound {

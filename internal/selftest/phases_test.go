@@ -711,7 +711,7 @@ func exemplarSLOPhase(t *testing.T, tg Target, in *sparse.Dense) {
 // kernel time sits inside the model's execute time.
 func profilePhase(t *testing.T, tg Target, reg *serve.Registry, cfg core.Config) {
 	t.Helper()
-	profPol := serve.Policy{MaxBatch: 64, MaxLatency: -1, QueueDepth: 256, Workers: 1}
+	profPol := serve.Policy{MaxBatch: 64, MaxLatency: -1, QueueDepth: 256}
 	pm, err := reg.RegisterWithPolicy(tg.Model, cfg, runtime.GOMAXPROCS(0), profPol)
 	if err != nil {
 		t.Fatalf("profile: register profiled model: %v", err)

@@ -133,7 +133,7 @@ func TestAdaptiveWindowLightLoadConverges(t *testing.T) {
 // runs the two requests in two batches, and is not counted.
 func TestCollectStopsOnceEveryRowIsHeld(t *testing.T) {
 	t.Run("workers=1", func(t *testing.T) {
-		reg := NewRegistry(Policy{MaxBatch: 8, MaxLatency: 2 * time.Second, Workers: 1})
+		reg := NewRegistry(Policy{MaxBatch: 8, MaxLatency: 2 * time.Second})
 		defer reg.Close()
 		m, err := reg.Register("m", testConfig(t), 1)
 		if err != nil {
@@ -188,6 +188,69 @@ func TestCollectStopsOnceEveryRowIsHeld(t *testing.T) {
 	})
 }
 
+// TestOneWorkerCollectsAtATime pins that a model's workers take turns at
+// collecting. With the default policy, two engines and a 2 s window, the
+// collecting worker opens its full window for a 2-row request while 3 rows
+// are counted in flight elsewhere; those rows finish, and a second 2-row
+// request arrives. The idle worker is waiting for its turn, not for rows,
+// so the collector takes the second request, holds every row in flight and
+// dispatches. An idle worker listening for rows would take the second
+// request into a full window of its own, and both batches would wait out
+// the 2 s. Every round must finish well under 1 s.
+func TestOneWorkerCollectsAtATime(t *testing.T) {
+	reg := NewRegistry(Policy{MaxLatency: 2 * time.Second})
+	defer reg.Close()
+	m, err := reg.Register("m", testConfig(t), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := m.bat
+	in, err := dataset.SparseBatch(4, m.InputWidth(), 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := 0
+	for round := range 8 {
+		b.classWait[0].Store(time.Second.Nanoseconds())
+		rows := make([]pending, 4)
+		for i := range rows {
+			rows[i] = pending{row: in.RowSlice(i), out: make([]float64, m.OutputWidth()), done: make(chan struct{}), enq: time.Now()}
+		}
+		const elsewhere = 3
+		b.inflight.Add(elsewhere)
+		if err := b.submit(rows[:2]); err != nil {
+			t.Fatal(err)
+		}
+		waitTaken(t, b)
+		time.Sleep(time.Millisecond) // let the collector open its window
+		b.inflight.Add(-elsewhere)
+		start := time.Now()
+		if err := b.submit(rows[2:]); err != nil {
+			t.Fatal(err)
+		}
+		for i := range rows {
+			p := &rows[i]
+			select {
+			case <-p.done:
+			case <-time.After(3 * time.Second):
+				t.Fatalf("round %d: row %d never completed", round, i)
+			}
+			if p.err != nil {
+				t.Fatalf("round %d: row %d: %v", round, i, p.err)
+			}
+		}
+		if waited := time.Since(start); waited >= time.Second {
+			t.Fatalf("round %d: the second request completed %v after it arrived, want well under the 2s window", round, waited)
+		}
+		if rows[0].enq.Add(rows[0].wait).Equal(rows[3].enq.Add(rows[3].wait)) {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Skip("the collector never opened its full window before the rows elsewhere finished")
+	}
+}
+
 // waitTaken waits until a collector has taken every queued row.
 func waitTaken(t *testing.T, b *batcher) {
 	t.Helper()
@@ -206,7 +269,7 @@ func waitTaken(t *testing.T, b *batcher) {
 // a try whose rows took longer than half the grace window to submit proves
 // nothing on a busy host and is not counted.
 func TestGraceWindowCoalescesStaggeredRows(t *testing.T) {
-	reg := NewRegistry(Policy{MaxBatch: 8, MaxLatency: 2 * time.Millisecond, Workers: 1})
+	reg := NewRegistry(Policy{MaxBatch: 8, MaxLatency: 2 * time.Millisecond})
 	defer reg.Close()
 	m, err := reg.Register("m", testConfig(t), 1)
 	if err != nil {

@@ -26,17 +26,13 @@ type Policy struct {
 	// queuing unboundedly (one with more rows than QueueDepth can never fit
 	// and fails with ErrRequestTooLarge), and a flood in one class can
 	// never crowd another class out of queue space. Rows already held by
-	// collecting workers are outside this bound, so total in-flight rows
-	// are at most classes×QueueDepth + Workers×MaxBatch. Default 256.
+	// batch workers are outside this bound, so total in-flight rows are at
+	// most classes×QueueDepth + engines×MaxBatch. Default 256.
 	QueueDepth int
-	// Workers is the number of collector goroutines executing batches
-	// concurrently. Default: the model's engine-pool size (so a collector
-	// never waits long for an engine lease).
-	Workers int
 }
 
-// withDefaults fills zero fields; engines is the model's pool size.
-func (p Policy) withDefaults(engines int) Policy {
+// withDefaults fills zero fields.
+func (p Policy) withDefaults() Policy {
 	if p.MaxBatch <= 0 {
 		p.MaxBatch = 32
 	}
@@ -45,9 +41,6 @@ func (p Policy) withDefaults(engines int) Policy {
 	}
 	if p.QueueDepth <= 0 {
 		p.QueueDepth = 256
-	}
-	if p.Workers <= 0 {
-		p.Workers = engines
 	}
 	return p
 }
@@ -95,7 +88,8 @@ type pending struct {
 }
 
 // batcher is one model's QoS scheduler: per-class bounded queues drained by
-// Workers collector goroutines running deficit round-robin across classes.
+// deficit round-robin across classes, by one batch worker per engine that
+// take turns at collecting.
 type batcher struct {
 	model *Model
 	pol   Policy
@@ -114,7 +108,7 @@ type batcher struct {
 	// waiting for a collector, NOT the enqueue→dispatch wait, which
 	// includes the deliberate collection window and would feed the window
 	// back into itself (positive feedback driving it permanently to
-	// MaxLatency). The collectors' adaptive collection window derives from
+	// MaxLatency). The collector's adaptive collection window derives from
 	// the max across classes: idle models converge to the fast-path grace,
 	// saturated ones to the full MaxLatency budget.
 	classWait []atomic.Int64
@@ -126,6 +120,11 @@ type batcher struct {
 	// fullErr holds one pre-wrapped ErrQueueFull per class, built at
 	// construction so the submit hot path rejects without formatting.
 	fullErr []error
+
+	// collecting is the collector's turn: the worker holding it takes rows
+	// and waits out the collection window, and is the only one selecting
+	// on notify. It is released before execute.
+	collecting sync.Mutex
 
 	notify chan struct{} // capacity 1; pinged whenever queued work may exist
 	done   chan struct{} // closed by close()
@@ -148,17 +147,16 @@ func newBatcher(m *Model, pol Policy, qos *qosSet, disp *dispatcher) *batcher {
 		b.fullErr[c] = fmt.Errorf("%w (class %q)", ErrQueueFull, qos.name(c))
 	}
 	b.classWait = make([]atomic.Int64, qos.size())
-	b.wg.Add(pol.Workers)
-	for i := 0; i < pol.Workers; i++ {
+	b.wg.Add(m.engines)
+	for range m.engines {
 		go b.worker()
 	}
 	return b
 }
 
-// ping wakes one sleeping collector. The buffered channel keeps the wakeup
-// even when no collector is in its select yet, so submit→sleep races never
-// lose a signal; a collector that takes a batch and leaves rows behind
-// re-pings so its peers pick up the rest.
+// ping wakes the collecting worker. The buffered channel keeps the wakeup
+// even when the collector is not in its select yet, so submit→sleep races
+// never lose a signal.
 func (b *batcher) ping() {
 	select {
 	case b.notify <- struct{}{}:
@@ -180,7 +178,10 @@ func (b *batcher) submit(ps []pending) error {
 	if b.closed {
 		b.mu.Unlock()
 		// Shutdown, not backpressure: keep the Rejected (queue-full) series
-		// clean for operators alerting on it.
+		// clean for operators alerting on it. Accepted and Failed, as if
+		// the rows had failed at once, so accepted = completed + failed +
+		// expired + queued holds, as for Do's dead-on-arrival shed.
+		b.met.class(class).Accepted.Add(n)
 		b.met.Failed.Add(n)
 		return ErrClosed
 	}
@@ -189,7 +190,7 @@ func (b *batcher) submit(ps []pending) error {
 		b.met.class(class).Rejected.Add(n)
 		return b.fullErr[class]
 	}
-	// Count the rows in flight before they become visible to collectors, so
+	// Count the rows in flight before they become visible to the collector, so
 	// a collector never observes inflight < rows it holds.
 	b.inflight.Add(n)
 	for i := range ps {
@@ -249,92 +250,76 @@ func (b *batcher) classBacklog(class int) (depth int, share float64) {
 	return depth, float64(b.sched.classes[class].weight) / float64(weights)
 }
 
-// worker is one collector loop: take a weighted-fair batch, wait out the
-// latency budget if the batch is still short, then execute. Exits when the
+// worker is one engine's batch loop: collect a batch in the collector's
+// turn, then execute it while another worker collects. Exits when the
 // batcher is closed and every queue is empty.
 func (b *batcher) worker() {
 	defer b.wg.Done()
 	reqs := make([]*pending, 0, b.pol.MaxBatch)
-	// The collector's staging buffer: one batch's input rows, copied in
+	// The worker's staging buffer: one batch's input rows, copied in
 	// contiguously for the engine, reused by every batch it executes.
 	buf := make([]float64, b.pol.MaxBatch*b.model.inW)
+	// Go 1.23 timers: after Reset returns, no tick of an earlier setting is
+	// received, so the timer is reused without stopping or draining it.
 	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
+	for {
+		if reqs = b.collect(reqs[:0], timer); len(reqs) == 0 {
+			return
+		}
+		b.execute(reqs, buf)
 	}
+}
+
+// collect waits for the collector's turn, then takes a weighted-fair batch,
+// sleeping on notify while every queue is empty, and waits out the latency
+// budget while the batch is short. Only the worker whose turn it is listens
+// for new rows, so a request that arrives while a batch collects joins it
+// instead of opening a second window on an idle worker. It returns no rows
+// only once the batcher is closed and drained.
+func (b *batcher) collect(reqs []*pending, timer *time.Timer) []*pending {
+	b.collecting.Lock()
+	defer b.collecting.Unlock()
+	var window <-chan time.Time // nil until the collection window opens
+	graced := false
 	for {
 		var shed []*pending
 		b.mu.Lock()
-		reqs, shed = b.sched.take(reqs[:0], b.pol.MaxBatch, time.Now())
-		left := b.sched.pending
-		closed := b.closed
+		reqs, shed = b.sched.take(reqs, b.pol.MaxBatch, time.Now())
+		left, closed := b.sched.pending, b.closed
 		b.mu.Unlock()
 		b.expire(shed)
-		if left > 0 {
-			b.ping() // more work than one batch: wake a peer
-		}
-		if len(reqs) == 0 {
-			if closed {
-				if left == 0 {
-					return
-				}
-				continue // shed-only take; keep draining
-			}
-			select {
-			case <-b.notify:
-			case <-b.done:
-			}
-			continue
-		}
-		if !closed && len(reqs) < b.pol.MaxBatch && b.pol.MaxLatency > 0 {
+		switch {
+		case len(reqs) == 0 && closed && left == 0:
+			return reqs
+		case len(reqs) == 0: // wait for rows; once closed, done is ready and the drain goes on
+		case closed || len(reqs) == b.pol.MaxBatch || b.pol.MaxLatency <= 0:
+			return reqs
+		case window == nil:
 			wait := b.collectWindow()
-			graced := !b.companyPossible(len(reqs))
-			if graced {
-				// Single-client fast path: the batch already holds every row
-				// the system knows about, so the full latency budget cannot
-				// buy company. A zero wait would be wrong too — concurrent
-				// clients' first rows arrive staggered by scheduler
-				// microseconds and would each execute alone — so wait one
-				// short grace window instead of the budget.
-				if wait > fastPathGrace {
-					wait = fastPathGrace
-				}
+			if graced = !b.companyPossible(len(reqs)); graced {
+				// Single-client fast path: the batch already holds every
+				// row the system knows about, so the full latency budget
+				// cannot buy company. A zero wait would be wrong too —
+				// concurrent clients' first rows arrive staggered by
+				// scheduler microseconds and would each execute alone — so
+				// wait one short grace window instead of the budget.
+				wait = min(wait, fastPathGrace)
 			}
 			timer.Reset(wait)
-		collect:
-			for len(reqs) < b.pol.MaxBatch {
-				select {
-				case <-b.notify:
-				case <-timer.C:
-					break collect
-				case <-b.done:
-					break collect
-				}
-				b.mu.Lock()
-				reqs, shed = b.sched.take(reqs, b.pol.MaxBatch, time.Now())
-				left = b.sched.pending
-				b.mu.Unlock()
-				b.expire(shed)
-				if left > 0 {
-					b.ping()
-				}
-				if !graced && !b.companyPossible(len(reqs)) {
-					// The window was opened for rows in flight elsewhere,
-					// and every row in flight is now in this batch: the
-					// rest of the window cannot add one. A grace window is
-					// left to run out, for single-row clients not yet
-					// counted.
-					break collect
-				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
+			window = timer.C
+		case !graced && !b.companyPossible(len(reqs)):
+			// The window was opened for rows in flight elsewhere, and every
+			// row in flight is now in this batch: the rest of the window
+			// cannot add one. A grace window is left to run out, for
+			// single-row clients not yet counted.
+			return reqs
 		}
-		b.execute(reqs, buf)
+		select {
+		case <-b.notify:
+		case <-window:
+			return reqs
+		case <-b.done: // the next take sees closed
+		}
 	}
 }
 
@@ -419,7 +404,7 @@ func (b *batcher) expire(shed []*pending) {
 	b.inflight.Add(-int64(len(shed)))
 }
 
-// execute stages the batch's rows in buf (the collector's MaxBatch×inW
+// execute stages the batch's rows in buf (the worker's MaxBatch×inW
 // buffer), leases an engine (bounded by the registry's cross-model engine
 // quota when one is configured), runs one fused forward pass over the
 // coalesced batch, copies each row's output into its pending slot, and

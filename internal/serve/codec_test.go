@@ -194,7 +194,7 @@ func TestHandleInferAllocBudget(t *testing.T) {
 // the waiting clients' outputs — checked bit for bit — or the race detector
 // would say so.
 func TestHTTPInferCancelledClientsKeepRepliesExact(t *testing.T) {
-	_, m, ts := newTestServer(t, Policy{MaxBatch: 8, MaxLatency: 2 * time.Millisecond, Workers: 1}, 1)
+	_, m, ts := newTestServer(t, Policy{MaxBatch: 8, MaxLatency: 2 * time.Millisecond}, 1)
 	in, err := dataset.SparseBatch(12, m.InputWidth(), 4, 5)
 	if err != nil {
 		t.Fatal(err)

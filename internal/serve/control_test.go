@@ -74,7 +74,7 @@ func TestReloadValidation(t *testing.T) {
 	reg := NewRegistry(Policy{})
 	defer reg.Close()
 	cfg := testConfig(t)
-	if _, err := reg.Reload("ghost", cfg, 1); !errors.Is(err, ErrNotRegistered) {
+	if _, err := reg.Reload("ghost", cfg); !errors.Is(err, ErrNotRegistered) {
 		t.Fatalf("Reload of unknown model = %v, want ErrNotRegistered", err)
 	}
 	if _, err := reg.Register("r", cfg, 1); err != nil {
@@ -84,12 +84,12 @@ func TestReloadValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Reload("r", wide, 1); !errors.Is(err, ErrIncompatible) {
+	if _, err := reg.Reload("r", wide); !errors.Is(err, ErrIncompatible) {
 		t.Fatalf("shape-changing Reload = %v, want ErrIncompatible", err)
 	}
 	// A malformed config must error like Register does, not panic in the
 	// width check.
-	if _, err := reg.Reload("r", core.Config{}, 1); err == nil {
+	if _, err := reg.Reload("r", core.Config{}); err == nil {
 		t.Fatal("Reload of an invalid (empty) config accepted")
 	}
 	if got := mustModel(t, reg, "r").Generation(); got != 1 {
@@ -138,7 +138,7 @@ func TestReloadSwapsWeights(t *testing.T) {
 		}
 	}
 	check(wantA, "gen1")
-	if _, err := reg.Reload("w", cfgB, 3); err != nil {
+	if _, err := reg.Reload("w", cfgB); err != nil {
 		t.Fatal(err)
 	}
 	if m.Generation() != 2 {
@@ -147,18 +147,18 @@ func TestReloadSwapsWeights(t *testing.T) {
 	if m.Metrics().Reloads.Load() != 1 {
 		t.Fatalf("Reloads = %d, want 1", m.Metrics().Reloads.Load())
 	}
-	if m.Info().Engines != 3 {
-		t.Fatalf("engine pool after reload = %d, want 3", m.Info().Engines)
+	// A reload keeps the engine count: the model runs one batch worker
+	// per engine, so a resized pool would hold engines no worker drives.
+	if m.Info().Engines != 2 {
+		t.Fatalf("engine pool after reload = %d, want 2 (kept)", m.Info().Engines)
 	}
 	check(wantB, "gen2")
-	// And back, proving repeated swaps stay clean. engines ≤ 0 must keep
-	// the current pool size — a weights-only reload must not quietly
-	// collapse the pool.
-	if _, err := reg.Reload("w", cfgA, 0); err != nil {
+	// And back, proving repeated swaps stay clean.
+	if _, err := reg.Reload("w", cfgA); err != nil {
 		t.Fatal(err)
 	}
-	if m.Info().Engines != 3 {
-		t.Fatalf("engines after size-less reload = %d, want 3 (preserved)", m.Info().Engines)
+	if m.Info().Engines != 2 {
+		t.Fatalf("engines after the second reload = %d, want 2 (kept)", m.Info().Engines)
 	}
 	check(wantA, "gen3")
 }
@@ -177,7 +177,7 @@ func TestReloadWaitsForLeasedEngines(t *testing.T) {
 	e1 := m.Lease()
 	done := make(chan error, 1)
 	go func() {
-		_, err := reg.Reload("l", cfg, 1)
+		_, err := reg.Reload("l", cfg)
 		done <- err
 	}()
 	select {
@@ -265,7 +265,7 @@ func TestConcurrentInferDuringReload(t *testing.T) {
 	}
 	for i := 0; i < reloads; i++ {
 		waitRows(int64((i + 1) * 20))
-		if _, err := reg.Reload("hot", cfg, 1+i%3); err != nil {
+		if _, err := reg.Reload("hot", cfg); err != nil {
 			t.Fatalf("reload %d: %v", i, err)
 		}
 	}
@@ -366,8 +366,9 @@ func registerBody(t *testing.T, name string, cfg core.Config, engines int) []byt
 
 // TestHTTPAdminEndpoints walks the whole control plane over the wire:
 // register (201, then 409 on the duplicate), infer against the new model,
-// hot-reload (200, generation 2, 404 unknown, 422 shape change), and
-// unregister (200, then 404 everywhere).
+// hot-reload (200 with the model's engine count or none, 404 unknown, 422
+// shape change or another engine count), and unregister (200, then 404
+// everywhere).
 func TestHTTPAdminEndpoints(t *testing.T) {
 	_, _, ts := newTestServer(t, Policy{MaxBatch: 4, MaxLatency: time.Millisecond}, 1)
 	cfg := testConfigLocal(t)
@@ -396,14 +397,16 @@ func TestHTTPAdminEndpoints(t *testing.T) {
 	if code, _ = adminDo(t, http.MethodPost, ts.URL+"/v1/models", []byte(`{"config":{"systems":[[4,4]]}}`)); code != http.StatusUnprocessableEntity {
 		t.Fatalf("nameless register: status %d", code)
 	}
-	// The removed "kernel" and "share" fields are refused by name on both
-	// admin verbs — a lenient decoder would otherwise serve the model
-	// without what the client asked for and answer 201.
+	// The removed "kernel", "share" and "workers" fields are refused by
+	// name on both admin verbs — a lenient decoder would otherwise serve
+	// the model without what the client asked for and answer 201.
 	for _, c := range []struct{ field, method, url, body string }{
 		{"kernel", http.MethodPost, "/v1/models", `{"name":"pinned","kernel":"csc","config":{"systems":[[4,4]]}}`},
 		{"kernel", http.MethodPut, "/v1/models/live", `{"kernel":"auto","config":{"systems":[[4,4]]}}`},
 		{"share", http.MethodPost, "/v1/models", `{"name":"pinned","share":2,"config":{"systems":[[4,4]]}}`},
 		{"share", http.MethodPut, "/v1/models/live", `{"share":2,"config":{"systems":[[4,4]]}}`},
+		{"workers", http.MethodPost, "/v1/models", `{"name":"pinned","workers":2,"config":{"systems":[[4,4]]}}`},
+		{"workers", http.MethodPut, "/v1/models/live", `{"workers":2,"config":{"systems":[[4,4]]}}`},
 	} {
 		code, body = adminDo(t, c.method, ts.URL+c.url, []byte(c.body))
 		if code != http.StatusBadRequest || !strings.Contains(string(body), `\"`+c.field+`\" field was removed`) {
@@ -436,16 +439,24 @@ func TestHTTPAdminEndpoints(t *testing.T) {
 		}
 	}
 
-	// Reload.
-	code, body = adminDo(t, http.MethodPut, ts.URL+"/v1/models/live", registerBody(t, "", cfg, 1))
-	if code != http.StatusOK {
-		t.Fatalf("reload: status %d: %s", code, body)
+	// Reload. The engine count is the model's: a body naming another is
+	// refused with both numbers, one naming the same count or none is
+	// applied.
+	code, body = adminDo(t, http.MethodPut, ts.URL+"/v1/models/live", registerBody(t, "", cfg, 3))
+	if code != http.StatusUnprocessableEntity || !strings.Contains(string(body), "has 2, the reload asks for 3") {
+		t.Fatalf("reload to 3 engines: status %d: %s", code, body)
 	}
-	if err := json.Unmarshal(body, &info); err != nil {
-		t.Fatal(err)
-	}
-	if info.Generation != 2 || info.Engines != 1 {
-		t.Fatalf("reload info = %+v", info)
+	for i, engines := range []int{2, 0} {
+		code, body = adminDo(t, http.MethodPut, ts.URL+"/v1/models/live", registerBody(t, "", cfg, engines))
+		if code != http.StatusOK {
+			t.Fatalf("reload with engines %d: status %d: %s", engines, code, body)
+		}
+		if err := json.Unmarshal(body, &info); err != nil {
+			t.Fatal(err)
+		}
+		if info.Generation != 2+i || info.Engines != 2 {
+			t.Fatalf("reload with engines %d: info = %+v", engines, info)
+		}
 	}
 	if code, _ = adminDo(t, http.MethodPut, ts.URL+"/v1/models/ghost", registerBody(t, "", cfg, 1)); code != http.StatusNotFound {
 		t.Fatalf("reload unknown: status %d", code)
@@ -465,10 +476,10 @@ func TestHTTPAdminEndpoints(t *testing.T) {
 	}
 	mtext, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
-	if !strings.Contains(string(mtext), `radixserve_model_generation{model="live"} 2`) {
+	if !strings.Contains(string(mtext), `radixserve_model_generation{model="live"} 3`) {
 		t.Fatalf("metrics missing generation gauge:\n%s", mtext)
 	}
-	if !strings.Contains(string(mtext), `radixserve_reloads_total{model="live"} 1`) {
+	if !strings.Contains(string(mtext), `radixserve_reloads_total{model="live"} 2`) {
 		t.Fatalf("metrics missing reloads counter:\n%s", mtext)
 	}
 

@@ -16,32 +16,34 @@
 // their ping-pong scratch, so the pool costs N activation buffers, not N
 // model copies. The kernel is not a serving option: every generation is
 // built by infer.FromConfig, which numbers its values, and GET /v1/models
-// reports how many layers run as quotients. Engines are leased per batch
-// over a buffered channel; infer.ErrBusy backs the contract that no two
-// batches ever share an engine. Each engine gets a private
-// parallel.Pool sized parallel.Quota(poolSize): with many engines each runs
-// its layer loops serially and parallelism comes from concurrent batches,
-// avoiding core oversubscription.
+// reports how many layers run as quotients. A model runs one batch worker
+// per engine, so the pool size is the model's only concurrency number.
+// Engines are leased per batch over a buffered channel; infer.ErrBusy backs
+// the contract that no two batches ever share an engine. Each engine gets a
+// private parallel.Pool sized parallel.Quota(poolSize): with many engines
+// each runs its layer loops serially and parallelism comes from concurrent
+// batches, avoiding core oversubscription.
 //
 // Control plane — the registry is live: Unregister drains a model and
 // removes it, and Reload hot-swaps a model's entire engine pool for one
-// built from a new config of the same input/output shape. Because a pool's
-// engines share one weight stack, generations swap as a unit: the new pool
+// built from a new config of the same input/output shape and the same
+// engine count. Because a pool's engines share one weight stack,
+// generations swap as a unit: the new pool
 // is built off-lock, installed with one atomic pointer swap, and the old
 // generation is retired only after lease counting shows its last
 // checked-out engine home — so in-flight batches finish on the weights
 // they started with and concurrent callers never see a failure.
 // HTTP surfaces these as POST /v1/models (409 on duplicates), PUT
-// /v1/models/{name} (404 unknown, 422 shape change), and DELETE
-// /v1/models/{name} (404 unknown).
+// /v1/models/{name} (404 unknown, 422 shape change or another engine
+// count), and DELETE /v1/models/{name} (404 unknown).
 //
 // QoS scheduler — the request path is QoS-aware end to end. Callers submit
 // a Request carrying a priority class (default set: interactive/batch/
 // background with weights 8/2/1, configurable via QoSConfig), an optional
 // deadline, and a multi-row payload; Model.Do returns a Response with
 // queue-wait and execute timings. Each model keeps one bounded FIFO per
-// class (capacity Policy.QueueDepth each) drained by Policy.Workers
-// collector goroutines running deficit round-robin: every visit to a
+// class (capacity Policy.QueueDepth each), drained by the model's batch
+// workers in deficit round-robin order: every visit to a
 // backlogged class credits it weight rows, so dispatch converges to weight
 // proportions under contention and any backlogged class with nonzero
 // weight makes progress within a bounded number of dispatches — a
@@ -49,19 +51,24 @@
 // whose deadline has passed are shed at dequeue (ErrDeadlineExceeded,
 // HTTP 504), never executed.
 //
-// Micro-batching — a collector takes a weighted-fair batch and — if still
-// short of Policy.MaxBatch — waits up to Policy.MaxLatency for more rows
-// before leasing an engine and running one fused forward pass over the
-// coalesced batch (classes share batches; priority decides dequeue order,
-// not batch membership). Single-row latency is therefore bounded by
-// MaxLatency plus one batch execution, while throughput under load
-// approaches the engine's dense-batch rate. A batch already holding every
-// in-flight row waits only a short grace window rather than the full
+// Micro-batching — the workers take turns at collecting: one worker at a
+// time, the collector, takes a weighted-fair batch and — if still short of
+// Policy.MaxBatch — waits up to Policy.MaxLatency for more rows, then hands
+// the turn on before leasing an engine and running one fused forward pass
+// over the coalesced batch (classes share batches; priority decides
+// dequeue order, not batch membership). Only the collector listens for new
+// rows, so a request that arrives while a batch collects joins it, and
+// the other workers execute meanwhile. Single-row latency is therefore
+// bounded by MaxLatency plus one batch execution, while throughput under
+// load approaches the engine's dense-batch rate. A batch already holding
+// every in-flight row waits only a short grace window rather than the full
 // budget (the single-client fast path: a closed-loop client pays
 // microseconds, not the batching budget). A request's rows are queued in
 // one step, so a collector never holds part of a request whose other rows
 // are still to come; one that comes to hold every row in flight during its
-// full window dispatches then.
+// full window dispatches then. That is a heuristic: rows finishing on
+// another engine mid-window wake nobody, and the window then ends on its
+// timer.
 // Because every batch goes through the same Engine.Infer gather/scatter
 // kernels, batched results are bit-identical to per-row inference. When
 // QoSConfig.ExecSlots bounds the registry's engine quota, models contending

@@ -94,7 +94,7 @@ func TestGoldenExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(reg.Close)
-	if _, err := reg.Reload("m", cfg, 2); err != nil { // generation 2
+	if _, err := reg.Reload("m", cfg); err != nil { // generation 2
 		t.Fatal(err)
 	}
 	objectives, err := slo.ParseObjectives([]string{"m:interactive:5ms:99"})

@@ -61,7 +61,7 @@ func TestRegistryServesResolvedKernel(t *testing.T) {
 					}
 				}
 			}
-			if _, err := reg.Reload(name, cfg, 0); err != nil {
+			if _, err := reg.Reload(name, cfg); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -253,7 +253,7 @@ func TestClassQueueWaitExposition(t *testing.T) {
 // TestMetricsRejectionCounters saturates a starved model and asserts the
 // rejected/accepted split on /metrics matches the client-observed split.
 func TestMetricsRejectionCounters(t *testing.T) {
-	pol := Policy{MaxBatch: 2, MaxLatency: time.Millisecond, QueueDepth: 2, Workers: 1}
+	pol := Policy{MaxBatch: 2, MaxLatency: time.Millisecond, QueueDepth: 2}
 	_, m, ts := newTestServer(t, pol, 1)
 	eng := m.Lease() // starve the worker so the queue can only fill
 	row := make([]float64, m.InputWidth())
@@ -309,6 +309,30 @@ func TestMetricsRejectionCounters(t *testing.T) {
 	}
 }
 
+// TestClosedModelRefusalKeepsIdentity: a request refused by a closed model
+// counts its rows as accepted and failed, so the in-flight identity
+// accepted = completed + failed + expired + queued still holds, as it does
+// for a dead-on-arrival request.
+func TestClosedModelRefusalKeepsIdentity(t *testing.T) {
+	reg := NewRegistry(Policy{})
+	m, err := reg.Register("m", testConfig(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Close()
+	row := make([]float64, m.InputWidth())
+	if _, err := m.Do(context.Background(), &Request{Rows: [][]float64{row, row, row}}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("request to a closed model: %v, want ErrClosed", err)
+	}
+	s := m.Metrics().Snapshot()
+	if s.Accepted != 3 || s.Failed != 3 {
+		t.Fatalf("accepted %d, failed %d, want 3 and 3", s.Accepted, s.Failed)
+	}
+	if gap := s.Accepted - (s.Completed + s.Failed + s.Expired + int64(m.bat.depth())); gap != 0 {
+		t.Fatalf("accepted − (completed + failed + expired + queued) = %d, want 0", gap)
+	}
+}
+
 // TestMetricsDerivedCountersAgree drives one model through a mixed
 // workload — completions in two classes, a dead-on-arrival expiry, a
 // queued expiry and a queue-full rejection — and checks, on the /metrics
@@ -318,7 +342,7 @@ func TestMetricsRejectionCounters(t *testing.T) {
 // batched rows with the batch-size histogram, and the in-flight identity
 // accepted = completed + failed + expired + queued.
 func TestMetricsDerivedCountersAgree(t *testing.T) {
-	pol := Policy{MaxBatch: 2, MaxLatency: time.Millisecond, QueueDepth: 1, Workers: 1}
+	pol := Policy{MaxBatch: 2, MaxLatency: time.Millisecond, QueueDepth: 1}
 	_, m, ts := newTestServer(t, pol, 1)
 	row := make([]float64, m.InputWidth())
 	row[2] = 1

@@ -401,7 +401,7 @@ func TestTraceFiledBeforeReplyEnds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry(Policy{MaxBatch: 1, QueueDepth: 1, Workers: 1})
+	reg := NewRegistry(Policy{MaxBatch: 1, QueueDepth: 1})
 	defer reg.Close()
 	m, err := reg.Register("m", cfg, 1)
 	if err != nil {

@@ -306,7 +306,7 @@ func TestQoSDoClassAndTimings(t *testing.T) {
 // executed.
 func TestQoSDoDeadlineShedsQueuedRows(t *testing.T) {
 	cfg := testConfig(t)
-	reg := NewRegistry(Policy{MaxBatch: 4, MaxLatency: time.Millisecond, QueueDepth: 8, Workers: 1})
+	reg := NewRegistry(Policy{MaxBatch: 4, MaxLatency: time.Millisecond, QueueDepth: 8})
 	defer reg.Close()
 	m, err := reg.Register("m", cfg, 1)
 	if err != nil {
@@ -515,7 +515,7 @@ func TestQoSHTTPNaNDeadlineHeaderExecutes(t *testing.T) {
 // answers 429 naming the class, with a positive integer Retry-After
 // derived from queue depth and drain rate.
 func TestQoSHTTP429ClassAttributionAndRetryAfter(t *testing.T) {
-	pol := Policy{MaxBatch: 2, MaxLatency: 2 * time.Millisecond, QueueDepth: 2, Workers: 1}
+	pol := Policy{MaxBatch: 2, MaxLatency: 2 * time.Millisecond, QueueDepth: 2}
 	_, m, ts := newTestServer(t, pol, 1)
 	row := make([]float64, m.InputWidth())
 	row[0] = 1
@@ -603,7 +603,7 @@ func TestQoSDoConcurrentReloadUnregisterRace(t *testing.T) {
 		}(w)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := reg.Reload("m", cfg, 2); err != nil {
+		if _, err := reg.Reload("m", cfg); err != nil {
 			t.Fatalf("reload %d: %v", i, err)
 		}
 	}

@@ -63,9 +63,6 @@ type enginePool struct {
 // numbering bound, and a private worker pool per engine sized to a fair share
 // of the machine.
 func newEnginePool(cfg core.Config, engines int, profileEvery int) (*enginePool, error) {
-	if engines < 1 {
-		engines = 1
-	}
 	base, err := infer.FromConfig(cfg)
 	if err != nil {
 		return nil, err
@@ -126,11 +123,12 @@ func (ep *enginePool) retire() {
 // engines (swappable as a unit by Registry.Reload) plus the weighted-fair
 // micro-batching scheduler in front of it.
 type Model struct {
-	name string
-	inW  int // invariant across reloads (queued rows must stay executable)
-	outW int // invariant across reloads
-	pol  Policy
-	qos  *qosSet // the registry's class universe, shared by every model
+	name    string
+	inW     int // invariant across reloads (queued rows must stay executable)
+	outW    int // invariant across reloads
+	engines int // every generation's pool size, one batch worker each
+	pol     Policy
+	qos     *qosSet // the registry's class universe, shared by every model
 
 	pool atomic.Pointer[enginePool]
 	home sync.Map // *infer.Engine → *enginePool, routes Release across generations
@@ -170,7 +168,6 @@ type ModelInfo struct {
 	MaxBatch     int     `json:"max_batch"`
 	MaxLatencyMs float64 `json:"max_latency_ms"`
 	QueueDepth   int     `json:"queue_depth"`
-	Workers      int     `json:"workers"`
 }
 
 // Registry loads and owns served models: it builds RadiX-Net engines by
@@ -251,7 +248,8 @@ func (r *Registry) DefaultClass() string { return r.qos.name(r.qos.def) }
 
 // Register builds the RadiX-Net of cfg with Graph Challenge weighting and
 // registers it under name with a pool of `engines` warm engine instances
-// (min 1), using the registry's default policy, built by infer.FromConfig: a
+// (min 1), each driven by its own batch worker, using the registry's
+// default policy, built by infer.FromConfig: a
 // layer past the first whose values number its columns into fewer classes
 // than columns runs as a quotient through the CSC gather, and the others run
 // the CSC gather / CSR scatter pair per column.
@@ -267,7 +265,7 @@ func (r *Registry) RegisterWithPolicy(name string, cfg core.Config, engines int,
 	if engines < 1 {
 		engines = 1
 	}
-	pol = pol.withDefaults(engines)
+	pol = pol.withDefaults()
 
 	// Build outside the lock: generation is the expensive part and must not
 	// serialize against lookups.
@@ -277,11 +275,12 @@ func (r *Registry) RegisterWithPolicy(name string, cfg core.Config, engines int,
 	}
 	widths := cfg.LayerWidths()
 	m := &Model{
-		name: name,
-		inW:  widths[0],
-		outW: widths[len(widths)-1],
-		pol:  pol,
-		qos:  r.qos,
+		name:    name,
+		inW:     widths[0],
+		outW:    widths[len(widths)-1],
+		engines: engines,
+		pol:     pol,
+		qos:     r.qos,
 	}
 	m.met.classes = make([]ClassMetrics, r.qos.size())
 	// Exemplar capture on every latency-bearing histogram: one atomic
@@ -345,10 +344,10 @@ func (r *Registry) Unregister(name string) error {
 // model's batcher, queue, and policy survive the swap, so concurrent
 // Do calls observe zero failures. The new configuration must keep the
 // model's input and output widths (ErrIncompatible otherwise); interior
-// topology, weights, and pool size may all change. engines < 1 keeps the
-// current pool size, so a weights-only reload preserves the model's
-// serving capacity. The new generation's values are numbered afresh.
-func (r *Registry) Reload(name string, cfg core.Config, engines int) (*Model, error) {
+// topology and weights may change. The pool size does not: the new
+// generation has as many engines as the model has batch workers. The new
+// generation's values are numbered afresh.
+func (r *Registry) Reload(name string, cfg core.Config) (*Model, error) {
 	r.mu.RLock()
 	m, ok := r.models[name]
 	closed := r.closed
@@ -369,15 +368,9 @@ func (r *Registry) Reload(name string, cfg core.Config, engines int) (*Model, er
 		return nil, fmt.Errorf("%w: model %q serves %d→%d, new config is %d→%d",
 			ErrIncompatible, name, m.inW, m.outW, widths[0], widths[len(widths)-1])
 	}
-	if engines < 1 {
-		// Unspecified pool size means "same as now": a weights-only reload
-		// must not quietly collapse an 8-engine pool to 1.
-		engines = cap(m.pool.Load().engines)
-	}
-
 	// The expensive build happens with no locks held and the old pool
 	// still serving traffic.
-	ep, err := newEnginePool(cfg, engines, int(r.profEvery.Load()))
+	ep, err := newEnginePool(cfg, m.engines, int(r.profEvery.Load()))
 	if err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", name, err)
 	}
@@ -408,12 +401,12 @@ func (r *Registry) Reload(name string, cfg core.Config, engines int) (*Model, er
 }
 
 // ReloadJSON is Reload for a configuration in the graphio JSON wire format.
-func (r *Registry) ReloadJSON(name string, cfgJSON []byte, engines int) (*Model, error) {
+func (r *Registry) ReloadJSON(name string, cfgJSON []byte) (*Model, error) {
 	cfg, err := graphio.UnmarshalConfig(cfgJSON)
 	if err != nil {
 		return nil, fmt.Errorf("serve: model %q: %w", name, err)
 	}
-	return r.Reload(name, cfg, engines)
+	return r.Reload(name, cfg)
 }
 
 // Model returns the named model.
@@ -537,11 +530,10 @@ func (m *Model) Info() ModelInfo {
 		Layers:       ep.layers,
 		Weights:      ep.weights,
 		Density:      ep.density,
-		Engines:      cap(ep.engines),
+		Engines:      m.engines,
 		MaxBatch:     m.pol.MaxBatch,
 		MaxLatencyMs: float64(m.pol.MaxLatency) / float64(time.Millisecond),
 		QueueDepth:   m.pol.QueueDepth,
-		Workers:      m.pol.Workers,
 
 		QuotientLayers: ep.all[0].QuotientLayers(),
 		DistinctLayers: fp.DistinctLayers,
@@ -581,8 +573,7 @@ func (m *Model) PoolStats() (engines, leased int) {
 
 // Lease checks a warm engine out of the current generation's pool, blocking
 // until one is free. The caller owns the engine exclusively until Release;
-// the batcher leases one per batch, and direct callers may lease around the
-// batcher for bulk offline work. Every Lease must be paired with Release
+// the batcher leases one per batch. Every Lease must be paired with Release
 // before the model is unregistered or the registry closed. A Reload
 // concurrent with Lease is safe: the lease either lands on the old
 // generation (which is retired only after the matching Release) or the new

@@ -135,7 +135,7 @@ func TestSingleRowBitIdenticalToDirectEngine(t *testing.T) {
 // rows).
 func TestConcurrentClientsCoalesceAndMatch(t *testing.T) {
 	cfg := testConfig(t)
-	reg := NewRegistry(Policy{MaxBatch: 8, MaxLatency: 100 * time.Millisecond, Workers: 1})
+	reg := NewRegistry(Policy{MaxBatch: 8, MaxLatency: 100 * time.Millisecond})
 	defer reg.Close()
 	m, err := reg.Register("m", cfg, 1)
 	if err != nil {
@@ -188,7 +188,7 @@ func TestConcurrentClientsCoalesceAndMatch(t *testing.T) {
 // engine returns.
 func TestBackpressureDeterministic(t *testing.T) {
 	cfg := testConfig(t)
-	pol := Policy{MaxBatch: 4, MaxLatency: 2 * time.Millisecond, QueueDepth: 4, Workers: 1}
+	pol := Policy{MaxBatch: 4, MaxLatency: 2 * time.Millisecond, QueueDepth: 4}
 	reg := NewRegistry(pol)
 	defer reg.Close()
 	m, err := reg.Register("m", cfg, 1)
@@ -294,7 +294,7 @@ func TestInferBatchWholeRequestSemantics(t *testing.T) {
 	// A request the class queue cannot take whole is refused whole: none of
 	// its rows is queued, every one is counted rejected, none runs.
 	t.Run("refused whole", func(t *testing.T) {
-		reg := NewRegistry(Policy{MaxBatch: 2, QueueDepth: 4, Workers: 1})
+		reg := NewRegistry(Policy{MaxBatch: 2, QueueDepth: 4})
 		defer reg.Close()
 		m, err := reg.Register("m", cfg, 1)
 		if err != nil {
@@ -350,7 +350,7 @@ func TestInferBatchWholeRequestSemantics(t *testing.T) {
 	// admitted whole: it is refused before any row is queued, and over HTTP
 	// it is a 413 that names its model and class.
 	t.Run("too large", func(t *testing.T) {
-		_, m, ts := newTestServer(t, Policy{MaxBatch: 2, QueueDepth: 4, Workers: 1}, 1)
+		_, m, ts := newTestServer(t, Policy{MaxBatch: 2, QueueDepth: 4}, 1)
 		_, err := m.Do(context.Background(), &Request{Rows: rows[:5]})
 		if !errors.Is(err, ErrRequestTooLarge) || errStatus(err) != http.StatusRequestEntityTooLarge {
 			t.Fatalf("5 rows into a 4-row queue: err %v (status %d), want ErrRequestTooLarge (413)", err, errStatus(err))
@@ -517,7 +517,7 @@ func TestHTTPInferEndToEnd(t *testing.T) {
 }
 
 func TestHTTPBackpressure429(t *testing.T) {
-	pol := Policy{MaxBatch: 2, MaxLatency: 2 * time.Millisecond, QueueDepth: 2, Workers: 1}
+	pol := Policy{MaxBatch: 2, MaxLatency: 2 * time.Millisecond, QueueDepth: 2}
 	_, m, ts := newTestServer(t, pol, 1)
 	in, err := dataset.SparseBatch(16, m.InputWidth(), 4, 2)
 	if err != nil {
@@ -692,16 +692,16 @@ func TestMetricsSnapshotDerived(t *testing.T) {
 }
 
 func TestPolicyDefaults(t *testing.T) {
-	p := Policy{}.withDefaults(3)
-	if p.MaxBatch != 32 || p.MaxLatency != 2*time.Millisecond || p.QueueDepth != 256 || p.Workers != 3 {
+	p := Policy{}.withDefaults()
+	if p.MaxBatch != 32 || p.MaxLatency != 2*time.Millisecond || p.QueueDepth != 256 {
 		t.Fatalf("defaults = %+v", p)
 	}
-	p = Policy{MaxLatency: -1}.withDefaults(1)
+	p = Policy{MaxLatency: -1}.withDefaults()
 	if p.MaxLatency != -1 {
 		t.Fatal("negative MaxLatency (no waiting) must be preserved")
 	}
-	keep := Policy{MaxBatch: 7, MaxLatency: time.Second, QueueDepth: 9, Workers: 2}.withDefaults(5)
-	if keep.MaxBatch != 7 || keep.MaxLatency != time.Second || keep.QueueDepth != 9 || keep.Workers != 2 {
+	keep := Policy{MaxBatch: 7, MaxLatency: time.Second, QueueDepth: 9}.withDefaults()
+	if keep.MaxBatch != 7 || keep.MaxLatency != time.Second || keep.QueueDepth != 9 {
 		t.Fatalf("explicit policy overridden: %+v", keep)
 	}
 }
@@ -715,7 +715,7 @@ func TestPolicyDefaults(t *testing.T) {
 func TestSingleClientFastPathLatency(t *testing.T) {
 	cfg := testConfig(t)
 	const budget = 300 * time.Millisecond
-	reg := NewRegistry(Policy{MaxBatch: 8, MaxLatency: budget, Workers: 1})
+	reg := NewRegistry(Policy{MaxBatch: 8, MaxLatency: budget})
 	defer reg.Close()
 	m, err := reg.Register("m", cfg, 1)
 	if err != nil {
@@ -748,7 +748,7 @@ func TestSingleClientFastPathLatency(t *testing.T) {
 // takes them together instead of executing a tiny batch per row.
 func TestInferBatchCoalescesDespiteFastPath(t *testing.T) {
 	cfg := testConfig(t)
-	reg := NewRegistry(Policy{MaxBatch: 8, MaxLatency: 100 * time.Millisecond, Workers: 1})
+	reg := NewRegistry(Policy{MaxBatch: 8, MaxLatency: 100 * time.Millisecond})
 	defer reg.Close()
 	m, err := reg.Register("m", cfg, 1)
 	if err != nil {

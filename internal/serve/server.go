@@ -117,23 +117,24 @@ type ErrorResponse struct {
 // only to registration (a reload keeps the model's batcher and policy);
 // zero policy fields take the server registry's defaults. There is no kernel
 // field: every generation is built by infer.FromConfig. There is no share
-// field: contending models take turns at the engine quota. A body that still
-// carries either is refused with 400.
+// field: contending models take turns at the engine quota. There is no
+// workers field: a model runs one batch worker per engine. A body that still
+// carries any of them is refused with 400.
 type RegisterRequest struct {
 	// Name is the model's registry name. Required for POST /v1/models;
 	// ignored on PUT, where the path names the model.
 	Name string `json:"name,omitempty"`
 	// Config is the graphio config JSON ({"systems":[[...]],"shape":[...]}).
 	Config json.RawMessage `json:"config"`
-	// Engines sizes the warm engine pool. On registration, min 1; on
-	// reload, 0 (or omitted) keeps the model's current pool size.
+	// Engines sizes the warm engine pool, one batch worker per engine. On
+	// registration, min 1. A reload keeps the model's count: 0 (or omitted)
+	// and the same count are accepted, any other count gets 422.
 	Engines int `json:"engines,omitempty"`
-	// MaxBatch, MaxLatencyMs, QueueDepth, Workers override the batching
-	// policy at registration.
+	// MaxBatch, MaxLatencyMs, QueueDepth override the batching policy at
+	// registration.
 	MaxBatch     int     `json:"max_batch,omitempty"`
 	MaxLatencyMs float64 `json:"max_latency_ms,omitempty"`
 	QueueDepth   int     `json:"queue_depth,omitempty"`
-	Workers      int     `json:"workers,omitempty"`
 }
 
 // AdminResponse is the success body of DELETE /v1/models/{name}.
@@ -513,12 +514,14 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 // response has been written.
 func decodeRegisterRequest(w http.ResponseWriter, r *http.Request) (RegisterRequest, bool) {
 	// The decoder ignores fields it does not know, so the fields this API
-	// used to honour are refused by name: a client that still pins a kernel
-	// or a share must hear that it no longer can, not be served without it.
+	// used to honour are refused by name: a client that still pins a
+	// kernel, a share or a worker count must hear that it no longer can,
+	// not be served without it.
 	var req struct {
 		RegisterRequest
-		Kernel json.RawMessage `json:"kernel"`
-		Share  json.RawMessage `json:"share"`
+		Kernel  json.RawMessage `json:"kernel"`
+		Share   json.RawMessage `json:"share"`
+		Workers json.RawMessage `json:"workers"`
 	}
 	body := http.MaxBytesReader(w, r.Body, MaxRequestBody)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
@@ -531,6 +534,10 @@ func decodeRegisterRequest(w http.ResponseWriter, r *http.Request) (RegisterRequ
 	}
 	if req.Share != nil {
 		writeError(w, http.StatusBadRequest, `the "share" field was removed: contending models take turns at the engine quota`)
+		return req.RegisterRequest, false
+	}
+	if req.Workers != nil {
+		writeError(w, http.StatusBadRequest, `the "workers" field was removed: a model runs one batch worker per engine`)
 		return req.RegisterRequest, false
 	}
 	if len(req.Config) == 0 {
@@ -547,7 +554,6 @@ func (req RegisterRequest) adminPolicy() (Policy, bool) {
 		MaxBatch:   req.MaxBatch,
 		MaxLatency: time.Duration(req.MaxLatencyMs * float64(time.Millisecond)),
 		QueueDepth: req.QueueDepth,
-		Workers:    req.Workers,
 	}
 	return pol, pol != Policy{}
 }
@@ -601,14 +607,20 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 // engine pool for one built from the request config. In-flight and queued
 // rows are unaffected — they finish on whichever generation their batch
 // leases. 200 with the new ModelInfo on success; 404 unknown model, 422 on
-// an unusable or shape-changing config, 503 while draining.
+// an unusable or shape-changing config or an engine count other than the
+// model's, 503 while draining.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	req, ok := decodeRegisterRequest(w, r)
 	if !ok {
 		return
 	}
-	m, err := s.reg.ReloadJSON(name, req.Config, req.Engines)
+	if m, ok := s.reg.Model(name); ok && req.Engines != 0 && req.Engines != m.engines {
+		writeModelError(w, http.StatusUnprocessableEntity, name,
+			"a reload keeps the engine count: model %q has %d, the reload asks for %d", name, m.engines, req.Engines)
+		return
+	}
+	m, err := s.reg.ReloadJSON(name, req.Config)
 	if err != nil {
 		writeAdminError(w, name, err)
 		return

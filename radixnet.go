@@ -132,8 +132,8 @@ func InferFromConfig(cfg Config) (*InferEngine, error) { return infer.FromConfig
 type Registry = serve.Registry
 
 // ServePolicy bounds a model's micro-batching scheduler: batch size cap,
-// latency budget, queue depth (the backpressure threshold), and worker
-// count. Zero fields select defaults.
+// latency budget and queue depth (the backpressure threshold); a model runs
+// one batch worker per engine. Zero fields select defaults.
 type ServePolicy = serve.Policy
 
 // NewRegistry returns an empty model registry whose registrations default
