@@ -50,16 +50,9 @@
 // -autoscale-down-p90 bands, -autoscale-up-after debounce,
 // -autoscale-min-samples evidence gate), cooldown, step, and min/max; an
 // SLO violated at the replica ceiling sheds the background class as a
-// last resort. Live state is on GET /v1/autoscale.
-//
-// With -selftest the binary instead runs the autoscale acceptance phase:
-// an in-process fleet of 24 radixserve instances behind the router, a
-// static-replica baseline against the autoscaled run under zipfian load,
-// zone-diverse scale-out and SLO-triggered actuation, exiting nonzero on
-// any failure (about a minute of wall clock). The other acceptance phases
-// of both tiers run under `go test ./internal/selftest`. It asserts
-// behaviour only and writes no file; performance is measured by the
-// repository's benchmark (BENCHMARK.json, radixbench/).
+// last resort. Live state is on GET /v1/autoscale. The loop's acceptance
+// test is TestAutoscaleLoopEndToEnd in internal/cluster; the other
+// acceptance phases of both tiers are `go test ./internal/selftest`.
 //
 // Usage:
 //
@@ -69,7 +62,6 @@
 //	            [-zones host1:8080=zone-a,host2:8080=zone-b]
 //	            [-autoscale] [-autoscale-interval 5s] [-autoscale-max 8]
 //	            [-pprof] [-slow-request 250ms]
-//	radixrouter -selftest
 package main
 
 import (
@@ -122,7 +114,6 @@ func main() {
 	flag.IntVar(&auto.MinSamples, "autoscale-min-samples", 0, "fewest queue-wait observations an evaluation window needs before its p90 may trigger scale-out; 429 rate and SLO burn still actuate (0: gate off)")
 	flag.DurationVar(&auto.ScaleUpP90, "autoscale-up-p90", 0, "queue-wait p90 above which a model scales out (0: default 50ms)")
 	flag.DurationVar(&auto.ScaleDownP90, "autoscale-down-p90", 0, "queue-wait p90 below which a model counts toward scale-in; must stay below -autoscale-up-p90 (0: default up-p90/4)")
-	selftest := flag.Bool("selftest", false, "run the in-process autoscale acceptance phase and exit")
 	shutdownTO := flag.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown budget after SIGINT/SIGTERM")
 	flag.Func("backend", "radixserve backend, host:port or http://host:port (repeatable)", func(v string) error {
 		cfg.Backends = append(cfg.Backends, v)
@@ -131,16 +122,8 @@ func main() {
 	flag.Var((*slo.Flag)(&cfg.SLO), "slo", "SLO objective MODEL:CLASS:LATENCY:TARGET_PCT (repeatable), evaluated against the FLEET-merged histograms; enables GET /v1/slo and radixrouter_slo_* metrics")
 	flag.Parse()
 
-	if *selftest {
-		if err := runAutoscalePhase(context.Background()); err != nil {
-			log.Fatalf("selftest FAILED: %v", err)
-		}
-		log.Printf("selftest PASSED")
-		return
-	}
-
 	if len(cfg.Backends) == 0 {
-		log.Fatal("no backends: pass at least one -backend host:port (or run -selftest)")
+		log.Fatal("no backends: pass at least one -backend host:port")
 	}
 	if *autoOn {
 		cfg.Autoscale = &auto

@@ -198,18 +198,21 @@ type load struct {
 	accepted, rejected uint64
 }
 
-// loadWindows holds each (backend id, model)'s last cumulative report.
-// Windows are taken per backend and then summed, never on the fleet-merged
-// series: fleet membership varies between cycles, and differencing a merge
-// that lost a backend clamps that window to zero, then books the backend's
-// whole history as one interval's traffic when it returns — a phantom p90
-// and 429-rate spike the controller would act on.
-type loadWindows map[[2]string]load
+// loadWindows holds each backend's last cumulative report per model, keyed
+// by backend id. Windows are taken per backend and then summed, never on
+// the fleet-merged series: fleet membership varies between cycles, and
+// differencing a merge that lost a backend clamps that window to zero, then
+// books the backend's whole history as one interval's traffic when it
+// returns — a phantom p90 and 429-rate spike the controller would act on.
+type loadWindows map[string]map[string]load
 
 // advance windows this cycle's scrapes (index-aligned with backends; nil:
 // ejected or failed) against each backend's previous report and returns
 // the per-model sums. An unscraped backend keeps its previous report, so on
-// its return it contributes only what it served since.
+// its return it contributes only what it served since. A scraped backend's
+// report is replaced whole: a model it no longer lists was unregistered
+// there, and if it is registered there again, its counters start from zero
+// and must not be differenced against the old copy's.
 func (prev loadWindows) advance(backends []*Backend, scrapes []*obs.Scrape) map[string]load {
 	byModel := []string{"model"}
 	windows := map[string]load{}
@@ -219,11 +222,12 @@ func (prev loadWindows) advance(backends []*Backend, scrapes []*obs.Scrape) map[
 		}
 		accepted := obs.SumCounter(serve.MetricRowsAccepted, byModel, scrape)
 		rejected := obs.SumCounter(serve.MetricRowsRejected, byModel, scrape)
+		last, report := prev[backends[i].id], map[string]load{}
+		prev[backends[i].id] = report
 		for _, hs := range obs.MergeHist(serve.MetricQueueWait, byModel, nil, scrape) {
 			model := hs.Values[0]
-			key := [2]string{backends[i].id, model}
-			was, now := prev[key], load{hs.Hist, accepted[hs.Key], rejected[hs.Key]}
-			prev[key] = now
+			was, now := last[model], load{hs.Hist, accepted[hs.Key], rejected[hs.Key]}
+			report[model] = now
 			sum := windows[model]
 			windows[model] = load{
 				wait:     sum.wait.Add(now.wait.Sub(was.wait)),
@@ -255,8 +259,8 @@ type AutoscaleStatus struct {
 
 // handleAutoscale is GET /v1/autoscale: the control loop's live state —
 // per-model load signals, stability counters, and the recent actuation
-// log. The selftest's convergence assertions read StableIntervals from
-// here. 404 when autoscaling is disabled.
+// log. TestAutoscaleLoopEndToEnd reads its convergence (StableIntervals)
+// and SLO actuation checks from here. 404 when autoscaling is disabled.
 func (rt *Router) handleAutoscale(w http.ResponseWriter, r *http.Request) {
 	if rt.scaler == nil {
 		writeJSON(w, http.StatusNotFound, AutoscaleStatus{Enabled: false})

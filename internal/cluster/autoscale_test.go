@@ -36,7 +36,9 @@ func (n *cannedNode) scrape() *obs.Scrape {
 // one cycle's scrape (ejected, or the scrape failed) and returns. Windowed
 // on the fleet-merged series, cycle 2 clamped to nothing and cycle 3 booked
 // b's whole history as one interval's traffic; per backend, every cycle
-// sees exactly what was served in it.
+// sees exactly what was served in it. Then m is scaled in off b and out
+// onto it again: b's new copy counts from zero, and differenced against
+// the old copy's report its window clamped to nothing.
 func TestAutoscaleWindowsSurviveMembershipChange(t *testing.T) {
 	backends := []*Backend{{id: "a"}, {id: "b"}}
 	var a, b cannedNode
@@ -67,4 +69,12 @@ func TestAutoscaleWindowsSurviveMembershipChange(t *testing.T) {
 	a.serve(100, time.Millisecond, 0)
 	b.serve(10, time.Millisecond, 0)
 	check(3, []*obs.Scrape{a.scrape(), b.scrape()}, 110, 0, 4*time.Millisecond)
+
+	a.serve(100, time.Millisecond, 0)
+	check(4, []*obs.Scrape{a.scrape(), obs.ParseScrape("")}, 100, 0, 4*time.Millisecond)
+
+	b = cannedNode{}
+	a.serve(100, time.Millisecond, 0)
+	b.serve(50, time.Millisecond, 0)
+	check(5, []*obs.Scrape{a.scrape(), b.scrape()}, 150, 0, 4*time.Millisecond)
 }

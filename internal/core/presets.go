@@ -91,6 +91,13 @@ func Fig5Config(nprime int) (Config, error) {
 // official challenge data kept fan-in at 32 by further subsampling, a step
 // outside the RadiX-Net algebra; see the E10 section of bench_test.go).
 // `layers` must be even so it divides into (32,32) systems.
+//
+// Under infer.FromConfig's single weight the stack flattens: every output
+// of a full system sees every input along the same number of paths, and a
+// gain of 4 per layer drives the rows to the cap, so from layer 6 on every
+// output is the cap 32 (TestFromConfigGraphChallengeFlattens, in
+// internal/infer). An end-to-end comparison on a deeper stack sees only
+// the cap.
 func GraphChallengeConfig(width, layers int) (Config, error) {
 	const base = 1024
 	if width < base || width%base != 0 {

@@ -176,13 +176,13 @@ func FromTopology(g *topology.FNNT, weight, bias, cap float64) (*Engine, error) 
 }
 
 // FromConfig generates the RadiX-Net of cfg and wraps it in an engine with
-// Graph Challenge weighting: every edge weighs 4/fan-in (1/8 on the
-// challenge's fan-in of 32, 1/2 on radix (8,8,8)), bias −0.10, cap 32.
-// Kernel selection is KernelAuto: a layer past the first whose values number
-// its columns into fewer classes than columns (on Graph Challenge stacks,
-// every layer past the first) runs as a quotient through the CSC gather; the
-// others run the CSC gather / CSR scatter pair per column
-// (FromConfigKernel(cfg, KernelCSC) builds the un-numbered oracle instead).
+// Graph Challenge weighting: every edge weighs 4/fan-in (1/8 at fan-in 32,
+// 1/2 on radix (8,8,8)), bias −0.10, cap 32. Under this one weight a
+// core.GraphChallengeConfig stack flattens: from layer 6 on, every output
+// is the cap 32. Kernel selection is KernelAuto: a layer past the first whose
+// values number its columns into fewer classes than columns runs as a quotient
+// through the CSC gather, the others the CSC gather / CSR scatter pair per
+// column (FromConfigKernel(cfg, KernelCSC) builds the un-numbered oracle).
 func FromConfig(cfg core.Config) (*Engine, error) {
 	return FromConfigKernel(cfg, KernelAuto)
 }

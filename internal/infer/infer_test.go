@@ -439,6 +439,38 @@ func TestFromConfigGraphChallengeShape(t *testing.T) {
 	}
 }
 
+// TestFromConfigGraphChallengeFlattens pins what FromConfig's doc says of a
+// Graph Challenge stack under its one weight: by layer 6 every output of a
+// 64-row batch at 10 % live is the cap 32, so an end-to-end comparison on
+// a deeper stack sees only the cap. Four layers still tell rows apart.
+func TestFromConfigGraphChallengeFlattens(t *testing.T) {
+	batch, err := dataset.SparseBatch(64, 1024, 102, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ layers, distinct int }{{4, 161}, {6, 1}, {24, 1}} {
+		cfg, err := core.GraphChallengeConfig(1024, tc.layers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := FromConfig(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := e.Infer(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		values := map[float64]bool{}
+		for _, v := range y.Data() {
+			values[v] = true
+		}
+		if len(values) != tc.distinct || (tc.distinct == 1 && !values[32]) {
+			t.Errorf("GC 1024x%d: %d distinct outputs, want %d (the cap 32 alone when 1)", tc.layers, len(values), tc.distinct)
+		}
+	}
+}
+
 func TestInferCategories(t *testing.T) {
 	e := smallEngine(t)
 	batch, err := dataset.SparseBatch(6, 16, 4, 2)

@@ -25,25 +25,29 @@ import (
 
 // node targets a single radixserve instance, which exports its own
 // histograms.
-func node(client *http.Client, url, model string) Target {
-	return Target{Client: serve.Client{URL: url, HTTP: client}, Model: model,
-		LatencyFamily:   serve.MetricRequestLatency,
-		QueueWaitFamily: serve.MetricQueueWait}
+func node(client *http.Client, url, model string) target {
+	return target{Client: serve.Client{URL: url, HTTP: client}, model: model,
+		latencyFamily:   serve.MetricRequestLatency,
+		queueWaitFamily: serve.MetricQueueWait}
 }
 
 // postReq sends one inference request (any rows, class, deadline) for the
-// target's model.
-func postReq(ctx context.Context, tg Target, req serve.InferRequest) (int, string, serve.InferResponse, error) {
-	req.Model = tg.Model
+// target's model and returns the HTTP status, the answering backend id (the
+// router's X-Radix-Backend header; empty against a single node) and the
+// decoded response (valid only for status 200).
+func postReq(ctx context.Context, tg target, req serve.InferRequest) (int, string, serve.InferResponse, error) {
+	var out serve.InferResponse
+	req.Model = tg.model
 	body, err := json.Marshal(req)
 	if err != nil {
-		return 0, "", serve.InferResponse{}, err
+		return 0, "", out, err
 	}
-	return PostBody(ctx, tg, body)
+	status, hdr, err := post(ctx, tg, body, "", &out)
+	return status, hdr.Get("X-Radix-Backend"), out, err
 }
 
 // postRow sends one single-row inference request for the target's model.
-func postRow(ctx context.Context, tg Target, row []float64) (int, string, serve.InferResponse, error) {
+func postRow(ctx context.Context, tg target, row []float64) (int, string, serve.InferResponse, error) {
 	return postReq(ctx, tg, serve.InferRequest{Inputs: [][]float64{row}})
 }
 
@@ -93,13 +97,13 @@ func histWindow(before, after *obs.Scrape, f *obs.Family, where ...obs.Label) (o
 // non-nil, come from one of those backends (routing pinned to the ring
 // placement). It returns an error rather than failing the test, so load
 // goroutines can call it.
-func checkRow(ctx context.Context, tg Target, row, want []float64, owners []string) error {
+func checkRow(ctx context.Context, tg target, row, want []float64, owners []string) error {
 	status, by, resp, err := postRow(ctx, tg, row)
 	if err != nil || status != http.StatusOK || len(resp.Outputs) != 1 {
-		return fmt.Errorf("%s: status %d err %v", tg.Model, status, err)
+		return fmt.Errorf("%s: status %d err %v", tg.model, status, err)
 	}
 	if owners != nil && !slices.Contains(owners, by) {
-		return fmt.Errorf("%s: answered by %q, not an owner %v", tg.Model, by, owners)
+		return fmt.Errorf("%s: answered by %q, not an owner %v", tg.model, by, owners)
 	}
 	return sameRow(resp.Outputs[0], want)
 }
@@ -142,7 +146,7 @@ func (f *failures) count() int {
 // bitIdentityPhase sends every row of in once, sequentially, and requires
 // each reply bit-identical to per-row Engine.Infer and — through a router,
 // where owners is the model's ring placement — answered only by an owner.
-func bitIdentityPhase(t *testing.T, tg Target, in *sparse.Dense, expected [][]float64, owners []string) {
+func bitIdentityPhase(t *testing.T, tg target, in *sparse.Dense, expected [][]float64, owners []string) {
 	t.Helper()
 	for r := 0; r < in.Rows(); r++ {
 		if err := checkRow(t.Context(), tg, in.RowSlice(r), expected[r], owners); err != nil {
@@ -159,7 +163,7 @@ func bitIdentityPhase(t *testing.T, tg Target, in *sparse.Dense, expected [][]fl
 // exported latency histogram, windowed to the level by a before/after
 // scrape: the window must hold exactly the level's requests (a broken
 // bucket-wise fleet merge miscounts) and its p99 must be plausible.
-func concurrencyPhase(t *testing.T, tg Target, models []string, in *sparse.Dense, expected [][]float64) {
+func concurrencyPhase(t *testing.T, tg target, models []string, in *sparse.Dense, expected [][]float64) {
 	t.Helper()
 	ctx := t.Context()
 	baseRows := in.Rows()
@@ -188,7 +192,7 @@ func concurrencyPhase(t *testing.T, tg Target, models []string, in *sparse.Dense
 						return
 					}
 					r := i % baseRows
-					if err := checkRow(ctx, tg.For(models[i%len(models)]), in.RowSlice(r), expected[r], nil); err != nil {
+					if err := checkRow(ctx, tg.forModel(models[i%len(models)]), in.RowSlice(r), expected[r], nil); err != nil {
 						failed.add(fmt.Errorf("row %d: %w", i, err))
 						return
 					}
@@ -203,7 +207,7 @@ func concurrencyPhase(t *testing.T, tg Target, models []string, in *sparse.Dense
 		if err != nil {
 			t.Fatal(err)
 		}
-		win, err := histWindow(before, after, tg.LatencyFamily, want...)
+		win, err := histWindow(before, after, tg.latencyFamily, want...)
 		if err != nil {
 			t.Fatalf("concurrency %d: %v", conc, err)
 		}
@@ -233,16 +237,16 @@ const reloads = 3
 // concurrent load with zero failed or bit-divergent requests. The model is
 // left registered at generation 1+reloads for the caller's own checks;
 // unregisterPhase removes it.
-func controlPlanePhase(t *testing.T, tg Target, cfg core.Config, engines int, in *sparse.Dense, expected [][]float64, owners []string) {
+func controlPlanePhase(t *testing.T, tg target, cfg core.Config, engines int, in *sparse.Dense, expected [][]float64, owners []string) {
 	t.Helper()
 	ctx := t.Context()
-	regBody, err := Register(ctx, tg, cfg, engines)
+	regBody, err := register(ctx, tg, cfg, engines)
 	if err != nil {
 		t.Fatalf("control plane: %v", err)
 	}
 	bitIdentityPhase(t, tg, in, expected, owners)
 	rows := in.Rows()
-	t.Logf("control plane: runtime-registered %q bit-identical to direct Engine.Infer (%d rows)", tg.Model, rows)
+	t.Logf("control plane: runtime-registered %q bit-identical to direct Engine.Infer (%d rows)", tg.model, rows)
 
 	// Hot-reload under concurrent load: every request across every swap
 	// must succeed and stay bit-identical (same config, deterministic
@@ -286,7 +290,7 @@ func controlPlanePhase(t *testing.T, tg Target, cfg core.Config, engines int, in
 	}
 	for i := 0; i < reloads; i++ {
 		waitRows(int64((i + 1) * 16))
-		if status, err := tg.Reload(ctx, tg.Model, regBody); err != nil || status != http.StatusOK {
+		if status, err := tg.Reload(ctx, tg.model, regBody); err != nil || status != http.StatusOK {
 			t.Fatalf("control plane: reload %d: status %d err %v", i, status, err)
 		}
 	}
@@ -302,17 +306,17 @@ func controlPlanePhase(t *testing.T, tg Target, cfg core.Config, engines int, in
 
 // unregisterPhase removes the target's model (fleet-wide through a router)
 // and requires inference against it to answer 404 afterwards.
-func unregisterPhase(t *testing.T, tg Target, row []float64) {
+func unregisterPhase(t *testing.T, tg target, row []float64) {
 	t.Helper()
 	ctx := t.Context()
-	if status, err := tg.Unregister(ctx, tg.Model); err != nil || status != http.StatusOK {
-		t.Fatalf("control plane: unregister %s: status %d err %v", tg.Model, status, err)
+	if status, err := tg.Unregister(ctx, tg.model); err != nil || status != http.StatusOK {
+		t.Fatalf("control plane: unregister %s: status %d err %v", tg.model, status, err)
 	}
 	status, _, _, err := postRow(ctx, tg, row)
 	if err != nil || status != http.StatusNotFound {
 		t.Fatalf("control plane: infer after unregister: status %d err %v, want 404", status, err)
 	}
-	t.Logf("control plane: unregistered %q; inference now 404", tg.Model)
+	t.Logf("control plane: unregistered %q; inference now 404", tg.model)
 }
 
 // qosPhase is the starvation-freedom acceptance phase: measure interactive
@@ -328,7 +332,7 @@ func unregisterPhase(t *testing.T, tg Target, row []float64) {
 // priority scheduling never changes results, and the class annotation must
 // come back on every response — through a router that is the body → router
 // header → backend scheduler round trip.
-func qosPhase(t *testing.T, tg Target, serving []*serve.Model, in *sparse.Dense, expected [][]float64) {
+func qosPhase(t *testing.T, tg target, serving []*serve.Model, in *sparse.Dense, expected [][]float64) {
 	t.Helper()
 	ctx := t.Context()
 	baseRows := in.Rows()
@@ -400,7 +404,7 @@ func qosPhase(t *testing.T, tg Target, serving []*serve.Model, in *sparse.Dense,
 		for i := range reqRows {
 			reqRows[i] = in.RowSlice((w + i) % baseRows)
 		}
-		body, err := json.Marshal(serve.InferRequest{Model: tg.Model, Class: serve.ClassBackground, Inputs: reqRows})
+		body, err := json.Marshal(serve.InferRequest{Model: tg.model, Class: serve.ClassBackground, Inputs: reqRows})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -472,8 +476,8 @@ func qosPhase(t *testing.T, tg Target, serving []*serve.Model, in *sparse.Dense,
 	// that but far below what a starved row (behind hundreds of queued
 	// background rows) would see. The probes' own client-side tally only
 	// annotates the failure message.
-	win, err := histWindow(before, after, tg.QueueWaitFamily,
-		obs.Label{Name: "model", Value: tg.Model}, obs.Label{Name: "class", Value: serve.ClassInteractive})
+	win, err := histWindow(before, after, tg.queueWaitFamily,
+		obs.Label{Name: "model", Value: tg.model}, obs.Label{Name: "class", Value: serve.ClassInteractive})
 	if err != nil {
 		t.Fatalf("qos: %v", err)
 	}
@@ -548,7 +552,7 @@ type tracesView struct {
 // retained with its spans in GET /debug/traces; and the opt-in pprof
 // endpoints answer. Returns the retained trace for tier-specific shape
 // checks (a router's must be stitched).
-func obsPhase(t *testing.T, tg Target, row []float64) *obs.Trace {
+func obsPhase(t *testing.T, tg target, row []float64) *obs.Trace {
 	t.Helper()
 	ctx := t.Context()
 	status, _, minted, err := postRow(ctx, tg, row)
@@ -560,7 +564,7 @@ func obsPhase(t *testing.T, tg Target, row []float64) *obs.Trace {
 	}
 
 	const traceID = "cafe0000cafe0000cafe0000cafe0000"
-	body, err := json.Marshal(serve.InferRequest{Model: tg.Model, Inputs: [][]float64{row}})
+	body, err := json.Marshal(serve.InferRequest{Model: tg.model, Inputs: [][]float64{row}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,7 +621,7 @@ func obsPhase(t *testing.T, tg Target, row []float64) *obs.Trace {
 // a router) must report a deliberately breached 1µs objective on the
 // target's model as "violated" and a loose 10s one as "ok". The caller arms
 // both objectives when it builds the tier.
-func exemplarSLOPhase(t *testing.T, tg Target, in *sparse.Dense) {
+func exemplarSLOPhase(t *testing.T, tg target, in *sparse.Dense) {
 	t.Helper()
 	ctx := t.Context()
 	// Fresh probes so the latency buckets carry recent exemplars whose
@@ -632,9 +636,9 @@ func exemplarSLOPhase(t *testing.T, tg Target, in *sparse.Dense) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := exemplarTraceIDs(scrape, tg.LatencyFamily, tg.Model)
+	ids := exemplarTraceIDs(scrape, tg.latencyFamily, tg.model)
 	if len(ids) == 0 {
-		t.Fatalf("deep-obs: no exemplar annotations on %s buckets", tg.LatencyFamily.Name())
+		t.Fatalf("deep-obs: no exemplar annotations on %s buckets", tg.latencyFamily.Name())
 	}
 	// Exemplars name the most recent request per bucket; old buckets may
 	// reference traces the ring has since evicted, so any one resolving
@@ -675,7 +679,7 @@ func exemplarSLOPhase(t *testing.T, tg Target, in *sparse.Dense) {
 	var breached, loose *slo.Status
 	for i := range view.Statuses {
 		st := &view.Statuses[i]
-		if st.Model != tg.Model || st.Class != "" {
+		if st.Model != tg.model || st.Class != "" {
 			continue
 		}
 		switch st.Objective.Latency {
@@ -686,7 +690,7 @@ func exemplarSLOPhase(t *testing.T, tg Target, in *sparse.Dense) {
 		}
 	}
 	if breached == nil || loose == nil {
-		t.Fatalf("deep-obs: /v1/slo missing objectives for %s (%d statuses)", tg.Model, len(view.Statuses))
+		t.Fatalf("deep-obs: /v1/slo missing objectives for %s (%d statuses)", tg.model, len(view.Statuses))
 	}
 	if breached.State != slo.StateViolated {
 		t.Fatalf("deep-obs: unmeetable 1µs objective reports %q (fast burn %.2f, slow %.2f), want %q",
@@ -709,10 +713,10 @@ func exemplarSLOPhase(t *testing.T, tg Target, in *sparse.Dense) {
 // throughput figure would not): per layer edges = rows × nnz and rows ≤
 // batches × MaxBatch, every layer saw the same batches, and the per-layer
 // kernel time sits inside the model's execute time.
-func profilePhase(t *testing.T, tg Target, reg *serve.Registry, cfg core.Config) {
+func profilePhase(t *testing.T, tg target, reg *serve.Registry, cfg core.Config) {
 	t.Helper()
 	profPol := serve.Policy{MaxBatch: 64, MaxLatency: -1, QueueDepth: 256}
-	pm, err := reg.RegisterWithPolicy(tg.Model, cfg, runtime.GOMAXPROCS(0), profPol)
+	pm, err := reg.RegisterWithPolicy(tg.model, cfg, runtime.GOMAXPROCS(0), profPol)
 	if err != nil {
 		t.Fatalf("profile: register profiled model: %v", err)
 	}
@@ -800,7 +804,7 @@ func stitchedTracePhase(t *testing.T, found *obs.Trace) {
 // engineProfilePhase requires the backend engine profiles to surface
 // through the router's merged /metrics exposition, backend-labeled (the
 // backends profile every batch).
-func engineProfilePhase(t *testing.T, tg Target) {
+func engineProfilePhase(t *testing.T, tg target) {
 	t.Helper()
 	scrape, err := tg.Metrics(t.Context())
 	if err != nil {
@@ -823,10 +827,10 @@ func engineProfilePhase(t *testing.T, tg Target) {
 // succeed: in-flight rows drain through the dying node's graceful shutdown,
 // and everything after fails over to the surviving replica. Zero failures
 // is the acceptance bar.
-func failoverPhase(t *testing.T, tg Target, rt *cluster.Router, fleet *Fleet, in *sparse.Dense, expected [][]float64) {
+func failoverPhase(t *testing.T, tg target, rt *cluster.Router, fleet *nodeFleet, in *sparse.Dense, expected [][]float64) {
 	t.Helper()
 	ctx := t.Context()
-	victim := rt.Placement(tg.Model)[0]
+	victim := rt.Placement(tg.model)[0]
 	const (
 		floodWorkers  = 8
 		floodRequests = 400
@@ -861,7 +865,7 @@ func failoverPhase(t *testing.T, tg Target, rt *cluster.Router, fleet *Fleet, in
 		<-killGate
 		sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 		defer cancel()
-		_ = fleet.Srvs[victim].Shutdown(sctx) // the point is killing it
+		_ = fleet.srvs[victim].Shutdown(sctx) // the point is killing it
 		killed.Store(1)
 	}()
 	wg.Wait()

@@ -169,7 +169,7 @@ func smokeModel(t *testing.T) (core.Config, *sparse.Dense, [][]float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expected, err := Oracle(cfg, in)
+	expected, err := oracle(cfg, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,41 +192,41 @@ func sloObjectives(t *testing.T, model string) []slo.Objective {
 func TestSmokeNode(t *testing.T) {
 	ctx := t.Context()
 	cfg, in, expected := smokeModel(t)
-	fleet, err := StartFleet(ctx, 1, serve.Policy{MaxBatch: 32, MaxLatency: time.Millisecond},
+	fleet, err := startFleet(ctx, 1, serve.Policy{MaxBatch: 32, MaxLatency: time.Millisecond},
 		serve.ServerOptions{Pprof: true, SLO: sloObjectives(t, "smoke")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fleet.Shutdown(ctx)
-	addr := fleet.Addrs[0]
-	reg := fleet.Regs[addr]
+	defer fleet.shutdown(ctx)
+	addr := fleet.addrs[0]
+	reg := fleet.regs[addr]
 	// Profile every engine batch: profilePhase checks the per-layer tallies
 	// against the batches it sent, so no batch may be skipped.
 	reg.SetProfileEvery(1)
 	if _, err := reg.Register("smoke", cfg, 2); err != nil {
 		t.Fatal(err)
 	}
-	tg := node(NewClient(), "http://"+addr, "smoke")
+	tg := node(newClient(), "http://"+addr, "smoke")
 	defer tg.HTTP.CloseIdleConnections() // before Shutdown: see TestSmokeFleet
 
 	bitIdentityPhase(t, tg, in, expected, nil)
-	concurrencyPhase(t, tg, []string{tg.Model}, in, expected)
-	live := tg.For("live")
+	concurrencyPhase(t, tg, []string{tg.model}, in, expected)
+	live := tg.forModel("live")
 	controlPlanePhase(t, live, cfg, 2, in, expected, nil)
 	infos, err := live.Models(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := slices.IndexFunc(infos, func(info serve.ModelInfo) bool { return info.Name == live.Model })
+	i := slices.IndexFunc(infos, func(info serve.ModelInfo) bool { return info.Name == live.model })
 	if i < 0 || infos[i].Generation != 1+reloads {
-		t.Fatalf("GET /v1/models: model %q at index %d of %+v, want generation %d", live.Model, i, infos, 1+reloads)
+		t.Fatalf("GET /v1/models: model %q at index %d of %+v, want generation %d", live.model, i, infos, 1+reloads)
 	}
 	unregisterPhase(t, live, in.RowSlice(0))
 	smoke, _ := reg.Model("smoke")
 	qosPhase(t, tg, []*serve.Model{smoke}, in, expected)
 	obsPhase(t, tg, in.RowSlice(0))
 	exemplarSLOPhase(t, tg, in)
-	profilePhase(t, tg.For("profiled"), reg, cfg)
+	profilePhase(t, tg.forModel("profiled"), reg, cfg)
 }
 
 // TestSmokeFleet boots three backends behind a router and runs the same
@@ -237,12 +237,12 @@ func TestSmokeNode(t *testing.T) {
 func TestSmokeFleet(t *testing.T) {
 	ctx := t.Context()
 	cfg, in, expected := smokeModel(t)
-	fleet, err := StartFleet(ctx, 3, serve.Policy{MaxBatch: 32, MaxLatency: time.Millisecond}, serve.ServerOptions{})
+	fleet, err := startFleet(ctx, 3, serve.Policy{MaxBatch: 32, MaxLatency: time.Millisecond}, serve.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fleet.Shutdown(ctx)
-	for _, reg := range fleet.Regs {
+	defer fleet.shutdown(ctx)
+	for _, reg := range fleet.regs {
 		// Profile every engine batch so the merged /metrics exposition
 		// carries radixserve_engine_gedges_per_sec for engineProfilePhase.
 		reg.SetProfileEvery(1)
@@ -250,7 +250,7 @@ func TestSmokeFleet(t *testing.T) {
 	models := []string{"shard-0", "shard-1"}
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
 		Addr:       "127.0.0.1:0",
-		Backends:   fleet.Addrs,
+		Backends:   fleet.addrs,
 		Replicas:   2,
 		MaxBackoff: 100 * time.Millisecond,
 		Pprof:      true,
@@ -262,7 +262,7 @@ func TestSmokeFleet(t *testing.T) {
 	}
 	for _, model := range models {
 		for _, id := range rt.Placement(model) {
-			if _, err := fleet.Regs[id].Register(model, cfg, 1); err != nil {
+			if _, err := fleet.regs[id].Register(model, cfg, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -271,7 +271,7 @@ func TestSmokeFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg := Routed(NewClient(), "http://"+bound, models[0])
+	tg := routed(newClient(), "http://"+bound, models[0])
 	defer func() {
 		// A connection the client dialed and never used is StateNew on the
 		// router, and http.Server.Shutdown waits up to 5 s before it closes
@@ -287,16 +287,16 @@ func TestSmokeFleet(t *testing.T) {
 	}()
 
 	for _, model := range models {
-		bitIdentityPhase(t, tg.For(model), in, expected, rt.Placement(model))
+		bitIdentityPhase(t, tg.forModel(model), in, expected, rt.Placement(model))
 	}
 	concurrencyPhase(t, tg, models, in, expected)
-	live := tg.For("live")
-	owners := rt.Placement(live.Model)
+	live := tg.forModel("live")
+	owners := rt.Placement(live.model)
 	controlPlanePhase(t, live, cfg, 1, in, expected, owners)
 	// The fan-out verdicts: exactly the ring owners host the model, and a
 	// fleet-wide reload reached every one of them each time.
-	for id, reg := range fleet.Regs {
-		m, has := reg.Model(live.Model)
+	for id, reg := range fleet.regs {
+		m, has := reg.Model(live.model)
 		if has != slices.Contains(owners, id) {
 			t.Fatalf("control plane: backend %s hosts=%v, want placement %v", id, has, owners)
 		}
@@ -308,10 +308,10 @@ func TestSmokeFleet(t *testing.T) {
 	unregisterPhase(t, live, in.RowSlice(0))
 	var serving []*serve.Model
 	for _, id := range rt.Placement(models[1]) {
-		m, _ := fleet.Regs[id].Model(models[1])
+		m, _ := fleet.regs[id].Model(models[1])
 		serving = append(serving, m)
 	}
-	qosPhase(t, tg.For(models[1]), serving, in, expected)
+	qosPhase(t, tg.forModel(models[1]), serving, in, expected)
 	stitchedTracePhase(t, obsPhase(t, tg, in.RowSlice(0)))
 	exemplarSLOPhase(t, tg, in)
 	engineProfilePhase(t, tg)
