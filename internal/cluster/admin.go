@@ -13,26 +13,20 @@ import (
 	"github.com/radix-net/radixnet/internal/serve"
 )
 
-// registerBody returns the model's cached register request body — the
-// desired config a scale-out re-registers on new owners — or nil when the
-// model was never registered through this router.
-func (rt *Router) registerBody(model string) []byte {
-	rt.scaleMu.RLock()
-	defer rt.scaleMu.RUnlock()
-	return rt.regBodies[model]
-}
-
 // ScaleTo moves a model to n replicas through the admin fan-out: new ring
-// owners get the model's cached register body POSTed (engines built before
-// any traffic routes to them), surplus owners get a targeted DELETE whose
-// server-side drain is lease-counted — in-flight batches finish on the old
-// replica, so a scale-down drops zero requests. The replica override is
-// raised only after scale-out registration completes and lowered before
-// scale-in draining starts, so the routing walk never widens onto a backend
-// that does not host the model yet nor keeps sending to one being drained.
-// Returns the per-backend outcomes of whichever fan-out ran.
+// owners get the register request on the model's record POSTed (engines
+// built before any traffic routes to them), surplus owners get a targeted
+// DELETE whose server-side drain is lease-counted — in-flight batches
+// finish on the old replica, so a scale-down drops zero requests. The
+// record's replica count is raised only after scale-out registration
+// completes and lowered before scale-in draining starts, so the routing
+// walk never widens onto a backend that does not host the model yet nor
+// keeps sending to one being drained. Returns the per-backend outcomes of
+// whichever fan-out ran.
 func (rt *Router) ScaleTo(ctx context.Context, model string, n int) ([]AdminResult, error) {
-	cur := rt.ReplicasFor(model)
+	var cur int
+	var reg *serve.RegisterRequest
+	rt.withRecord(model, func(st *modelState) { cur, reg = rt.replicasOf(st), st.reg })
 	if fleet := len(rt.set.backends); n > fleet {
 		n = fleet
 	}
@@ -45,9 +39,12 @@ func (rt *Router) ScaleTo(ctx context.Context, model string, n int) ([]AdminResu
 	curIDs := rt.set.Placement(model, cur)
 	newIDs := rt.set.Placement(model, n)
 	if n > cur {
-		body := rt.registerBody(model)
-		if body == nil {
-			return nil, fmt.Errorf("cluster: cannot scale out %q: no cached register config (model was not registered through this router)", model)
+		if reg == nil {
+			return nil, fmt.Errorf("cluster: cannot scale out %q: no register config on record (model was not registered through this router)", model)
+		}
+		body, err := json.Marshal(reg)
+		if err != nil {
+			return nil, err
 		}
 		results := rt.fanOut(ctx, rt.set.except(newIDs, curIDs), func(ctx context.Context, c serve.Client) (int, error) {
 			return c.Register(ctx, body)
@@ -60,10 +57,10 @@ func (rt *Router) ScaleTo(ctx context.Context, model string, n int) ([]AdminResu
 					model, n, res.Backend, res.Status, res.Error)
 			}
 		}
-		rt.setReplicas(model, n)
+		rt.withRecord(model, func(st *modelState) { st.replicas = n })
 		return results, nil
 	}
-	rt.setReplicas(model, n)
+	rt.withRecord(model, func(st *modelState) { st.replicas = n })
 	results := rt.fanOut(ctx, rt.set.except(curIDs, newIDs), func(ctx context.Context, c serve.Client) (int, error) {
 		return c.Unregister(ctx, model)
 	})
@@ -175,31 +172,27 @@ func (rt *Router) handleAdminRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "", "reading request body: %v", err)
 		return
 	}
-	var peek struct {
-		Name string `json:"name"`
-	}
-	if err := json.Unmarshal(body, &peek); err != nil {
+	var req serve.RegisterRequest
+	if err := json.Unmarshal(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "", "bad request body: %v", err)
 		return
 	}
-	if peek.Name == "" {
+	if req.Name == "" {
 		writeError(w, http.StatusUnprocessableEntity, "", "missing model name")
 		return
 	}
-	targets := rt.set.except(rt.set.Placement(peek.Name, rt.ReplicasFor(peek.Name)), nil)
+	targets := rt.set.except(rt.set.Placement(req.Name, rt.ReplicasFor(req.Name)), nil)
 	results := rt.fanOut(r.Context(), targets, func(ctx context.Context, c serve.Client) (int, error) {
 		return c.Register(ctx, body)
 	})
-	// Cache the register body as the model's desired config: a later
-	// autoscale scale-out re-registers exactly this on new ring owners. A
-	// body every target refused (409: the name is taken by another config)
-	// is not the fleet's state and must not become it at the next scale-out.
+	// The request becomes the model's desired config: a later scale-out
+	// registers exactly this on new ring owners. A body every target
+	// refused (409: the name is taken by another config) is not the fleet's
+	// state and must not become it at the next scale-out.
 	if slices.ContainsFunc(results, AdminResult.ok) {
-		rt.scaleMu.Lock()
-		rt.regBodies[peek.Name] = body
-		rt.scaleMu.Unlock()
+		rt.withRecord(req.Name, func(st *modelState) { st.reg = &req })
 	}
-	writeAdminFanout(w, peek.Name, "register", http.StatusCreated, targets, results, nil)
+	writeAdminFanout(w, req.Name, "register", http.StatusCreated, targets, results, nil)
 }
 
 // handleAdminReload is PUT /v1/models/{name} fleet-wide: every backend
@@ -222,24 +215,21 @@ func (rt *Router) handleAdminReload(w http.ResponseWriter, r *http.Request) {
 	results := rt.fanOut(r.Context(), targets, func(ctx context.Context, c serve.Client) (int, error) {
 		return c.Reload(ctx, name, body)
 	})
-	// A reload some backend applied changes the model's desired config;
-	// refresh the cached register body (the reload body is the same
-	// RegisterRequest shape with the name coming from the path) so a later
-	// scale-out builds the reloaded weights on new owners, not the
+	// A reload some backend applied changes the model's desired config, so
+	// a later scale-out builds the reloaded weights on new owners, not the
 	// originals — and not a config every backend refused. A reload changes
-	// only the config, so a cached body keeps its engine count and policy.
+	// only the config: a recorded request keeps its engine count and policy.
 	var reload serve.RegisterRequest
 	if slices.ContainsFunc(results, AdminResult.ok) && json.Unmarshal(body, &reload) == nil && len(reload.Config) > 0 {
-		rt.scaleMu.Lock()
-		req := reload
-		if prev := rt.regBodies[name]; prev != nil && json.Unmarshal(prev, &req) == nil {
-			req.Config = reload.Config
-		}
-		req.Name = name
-		if reg, err := json.Marshal(req); err == nil {
-			rt.regBodies[name] = reg
-		}
-		rt.scaleMu.Unlock()
+		rt.withRecord(name, func(st *modelState) {
+			req := reload
+			if st.reg != nil {
+				req = *st.reg
+				req.Config = reload.Config
+			}
+			req.Name = name
+			st.reg = &req
+		})
 	}
 	writeAdminFanout(w, name, "reload", http.StatusOK, targets, results, unreachable)
 }
@@ -257,12 +247,10 @@ func (rt *Router) handleAdminUnregister(w http.ResponseWriter, r *http.Request) 
 	results := rt.fanOut(r.Context(), targets, func(ctx context.Context, c serve.Client) (int, error) {
 		return c.Unregister(ctx, name)
 	})
-	// The model is gone fleet-wide: drop its autoscale state so a future
+	// The model is gone fleet-wide: drop its record so a future
 	// registration starts from the configured default again.
 	rt.scaleMu.Lock()
-	delete(rt.regBodies, name)
-	delete(rt.repOverride, name)
-	delete(rt.shedClass, name)
+	delete(rt.models, name)
 	rt.scaleMu.Unlock()
 	writeAdminFanout(w, name, "unregister", http.StatusOK, targets, results, unreachable)
 }

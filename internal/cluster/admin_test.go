@@ -375,9 +375,11 @@ func TestRouterAdminFanout(t *testing.T) {
 	}
 	// The bare reload replaced the config a scale-out registers, not the
 	// engine count the model was registered with.
-	var cached serve.RegisterRequest
-	if err := json.Unmarshal(f.router.registerBody("live"), &cached); err != nil || cached.Engines != 1 {
-		t.Fatalf("cached register body after a bare reload: %+v (%v), want 1 engine", cached, err)
+	f.router.scaleMu.RLock()
+	cached := f.router.models["live"].reg
+	f.router.scaleMu.RUnlock()
+	if cached == nil || cached.Engines != 1 {
+		t.Fatalf("recorded register request after a bare reload: %+v, want 1 engine", cached)
 	}
 	for _, id := range owners {
 		m, ok := f.regs[id].Model("live")

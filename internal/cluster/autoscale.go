@@ -136,9 +136,13 @@ func (a *autoscaler) cycle() {
 	stats := make([]autoscale.ModelStats, 0, len(windows))
 	for _, model := range slices.Sorted(maps.Keys(windows)) {
 		win := windows[model]
+		// A model with scraped history gets a record, so its replicas take
+		// turns even if it was registered on the backends directly.
+		var replicas int
+		a.rt.withRecord(model, func(st *modelState) { replicas = a.rt.replicasOf(st) })
 		stat := autoscale.ModelStats{
 			Model:        model,
-			Replicas:     a.rt.ReplicasFor(model),
+			Replicas:     replicas,
 			Ceiling:      fleet,
 			QueueWaitP90: time.Duration(win.wait.Quantile(0.90) * float64(time.Second)),
 			Samples:      win.wait.Count,
@@ -156,10 +160,8 @@ func (a *autoscaler) cycle() {
 	for _, d := range decisions {
 		ad := AppliedDecision{Decision: d, Time: now}
 		switch {
-		case d.Shed != "":
-			a.rt.setShed(d.Model, d.Shed)
-		case d.Unshed:
-			a.rt.setShed(d.Model, "")
+		case d.Shed != "" || d.Unshed:
+			a.rt.withRecord(d.Model, func(st *modelState) { st.shed = d.Shed })
 		default:
 			// Actuation gets the admin fan-out budget, not the scrape
 			// budget: a scale-out builds engines on the new owners, which
@@ -272,9 +274,13 @@ func (rt *Router) handleAutoscale(w http.ResponseWriter, r *http.Request) {
 		Enabled:  true,
 		Policy:   a.ctl.Policy(),
 		LastEval: a.lastEval,
-		Models:   a.status,
+		Models:   slices.Clone(a.status),
 		Recent:   append([]AppliedDecision(nil), a.recent...),
 	}
 	a.mu.Unlock()
+	// The count routing uses, not the one the cycle evaluated before acting.
+	for i := range out.Models {
+		out.Models[i].Replicas = rt.ReplicasFor(out.Models[i].Model)
+	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -129,19 +129,91 @@ func TestShedClassReturns429(t *testing.T) {
 		}
 		return resp.StatusCode
 	}
-	f.router.setShed("m", "background")
+	f.router.withRecord("m", func(st *modelState) { st.shed = "background" })
 	if code := post("background"); code != http.StatusTooManyRequests {
 		t.Fatalf("shed class: status %d, want 429", code)
 	}
 	if code := post("interactive"); code != http.StatusOK {
 		t.Fatalf("protected class during shed: status %d, want 200", code)
 	}
-	f.router.setShed("m", "")
+	f.router.withRecord("m", func(st *modelState) { st.shed = "" })
 	if code := post("background"); code != http.StatusOK {
 		t.Fatalf("after unshed: status %d, want 200", code)
 	}
 	if f.router.Metrics().Shed != 1 {
 		t.Fatalf("shed counter = %d, want 1", f.router.Metrics().Shed)
+	}
+}
+
+// TestRotationIsPerModel: under autoscaling each model's owner walk turns
+// on its own cursor, so models sent in lock-step still spread. With one
+// cursor for the whole router, two models sent strictly alternating
+// requests took every other turn each, and every request of a model
+// landed on one replica.
+func TestRotationIsPerModel(t *testing.T) {
+	const perModel = 40
+	f := startFleetOpts(t, 4, nil, SetConfig{ProbeInterval: time.Hour}, func(cfg *RouterConfig) {
+		cfg.Autoscale = &autoscale.Policy{Interval: time.Hour} // no cycle runs
+	})
+	cfgJSON, err := graphio.MarshalConfig(f.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := []string{"left", "right"}
+	for _, model := range models {
+		body, err := json.Marshal(serve.RegisterRequest{Name: model, Config: cfgJSON, Engines: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, reply := adminDo(t, http.MethodPost, f.url+"/v1/models", body); code != http.StatusCreated {
+			t.Fatalf("register %s: status %d: %s", model, code, reply)
+		}
+	}
+	landed := map[string]map[string]int{}
+	for range perModel {
+		for _, model := range models {
+			resp, body := f.post(t, model, [][]float64{make([]float64, 16)})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", model, resp.StatusCode, body)
+			}
+			if landed[model] == nil {
+				landed[model] = map[string]int{}
+			}
+			landed[model][resp.Header.Get("X-Radix-Backend")]++
+		}
+	}
+	for _, model := range models {
+		replicas := f.router.Placement(model)
+		if len(replicas) != 2 {
+			t.Fatalf("%s placed on %v, want 2 replicas", model, replicas)
+		}
+		for _, id := range replicas {
+			if k := landed[model][id]; k < perModel/2-1 || k > perModel/2+1 {
+				t.Fatalf("%s's %d alternating requests landed %v: replica %s took %d, want %d ± 1", model, perModel, landed[model], id, k, perModel/2)
+			}
+		}
+	}
+}
+
+// TestRoutedNamesMakeNoRecord: the model name in /v1/infer is
+// client-chosen, so routing must never add a record. A thousand requests
+// naming a thousand models no backend hosts are each answered 404, and the
+// router holds no record afterwards.
+func TestRoutedNamesMakeNoRecord(t *testing.T) {
+	f := startFleetOpts(t, 3, nil, SetConfig{ProbeInterval: time.Hour}, func(cfg *RouterConfig) {
+		cfg.Autoscale = &autoscale.Policy{Interval: time.Hour}
+	})
+	for i := range 1000 {
+		model := fmt.Sprintf("ghost-%d", i)
+		if resp, body := f.post(t, model, [][]float64{make([]float64, 16)}); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: status %d, want 404: %s", model, resp.StatusCode, body)
+		}
+	}
+	f.router.scaleMu.RLock()
+	n := len(f.router.models)
+	f.router.scaleMu.RUnlock()
+	if n != 0 {
+		t.Fatalf("routing unhosted names left %d records, want 0", n)
 	}
 }
 
@@ -186,7 +258,9 @@ func TestAutoscaleStatusEndpoint(t *testing.T) {
 // its replicas (each brings its own batcher, which is what cuts the hot
 // model's tail); it scales back in after DownAfter low intervals; every
 // model then holds its count for three intervals; an unmeetable SLO scales
-// its model out within two intervals. No assertion reads the clock.
+// its model out within two intervals. After every cycle, GET
+// /v1/autoscale reports each model at the replica count routing uses. No
+// assertion reads the clock.
 func TestAutoscaleLoopEndToEnd(t *testing.T) {
 	const (
 		hot, cold, probe = "hot", "cold", "probe"
@@ -356,6 +430,17 @@ func TestAutoscaleLoopEndToEnd(t *testing.T) {
 		}
 		return st
 	}
+	// cycle runs one evaluation; /v1/autoscale must then report the
+	// replica count routing uses, the one after the cycle's actuation.
+	cycle := func() {
+		t.Helper()
+		rt.scaler.cycle()
+		for _, ms := range status().Models {
+			if got := rt.ReplicasFor(ms.Model); ms.Replicas != got {
+				t.Fatalf("/v1/autoscale reports %s at %d replicas, ReplicasFor says %d", ms.Model, ms.Replicas, got)
+			}
+		}
+	}
 
 	// Scale-out. Every engine of hot's one owner is leased away while a
 	// burst queues behind it.
@@ -384,7 +469,7 @@ func TestAutoscaleLoopEndToEnd(t *testing.T) {
 	burst.Wait()
 	resume()
 	hotLoad(8)
-	rt.scaler.cycle()
+	cycle()
 	if got := rt.ReplicasFor(hot); got != 1+pol.MaxStep {
 		t.Fatalf("hot model at %d replicas after a held-engine burst, want %d (status %+v)", got, 1+pol.MaxStep, status().Models)
 	}
@@ -418,7 +503,7 @@ func TestAutoscaleLoopEndToEnd(t *testing.T) {
 	// Scale-in after DownAfter low intervals, clients still running.
 	for range pol.DownAfter {
 		hotLoad(8)
-		rt.scaler.cycle()
+		cycle()
 	}
 	if got := rt.ReplicasFor(hot); got != pol.MinReplicas {
 		t.Fatalf("hot model at %d replicas after %d low intervals, want %d (status %+v)", got, pol.DownAfter, pol.MinReplicas, status().Models)
@@ -427,7 +512,7 @@ func TestAutoscaleLoopEndToEnd(t *testing.T) {
 	// Convergence: every model holds its count for three intervals.
 	for range 3 {
 		hotLoad(8)
-		rt.scaler.cycle()
+		cycle()
 	}
 	st := status()
 	for _, model := range []string{hot, cold} {
@@ -450,7 +535,7 @@ func TestAutoscaleLoopEndToEnd(t *testing.T) {
 	}
 	var scaled *AppliedDecision
 	for c := 0; c < 2 && scaled == nil; c++ {
-		rt.scaler.cycle()
+		cycle()
 		for _, d := range status().Recent {
 			if d.Model == probe && d.To > d.From && strings.Contains(d.Reason, "slo") {
 				scaled = &d

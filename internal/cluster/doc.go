@@ -73,6 +73,13 @@
 // the histogram a single node seeing all traffic would have exported.
 // RouterConfig.Pprof mounts net/http/pprof on the router mux.
 //
+// Model state — one record per model is the router's one source of truth
+// for it: the replica count, the register request a scale-out registers,
+// the shed class and the model's own rotation cursor. Routing reads it and
+// never makes one; a model without one routes with the default replicas, no
+// shed, and its walk from its first healthy owner. GET /v1/autoscale reports
+// the record's replica count, the one routing uses after the cycle's actuation.
+//
 // Control plane — the router fans the serve-tier admin verbs out
 // fleet-wide, so models move without restarting backends: POST /v1/models
 // registers a model on its ring-intended replicas (placement-aware),

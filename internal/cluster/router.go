@@ -70,10 +70,10 @@ type RouterConfig struct {
 	// fan-out, bounded by the policy's hysteresis/cooldown/step/min/max.
 	// See internal/autoscale for the policy contract. Autoscaling also
 	// spreads load over a model's replicas: each request's healthy-owner
-	// walk starts at a rotating offset (the failover budget is unchanged),
-	// because scaling out a hot model only flattens its tail if the
-	// replicas share the load. Without it the first healthy owner serves
-	// everything and its successors are failover spares.
+	// walk starts at its model's rotating offset (the failover budget is
+	// unchanged), because scaling out a hot model only flattens its tail
+	// if the replicas share the load. Without it the first healthy owner
+	// serves everything and its successors are failover spares.
 	Autoscale *autoscale.Policy
 	// Set tunes health probing (interval, timeout, ejection threshold) and
 	// seeds backend zones.
@@ -103,21 +103,25 @@ type Router struct {
 	log          *slog.Logger
 	slo          *slo.Engine // nil = no objectives configured
 
-	// Per-model dynamic state written by the autoscale control loop (and
-	// the admin verbs): replica-count overrides consulted everywhere the
-	// static replicas default was, the last register body per model (the
-	// desired config a scale-out re-registers on new owners), and the QoS
-	// class currently shed per model (last-resort SLO actuation).
-	scaleMu     sync.RWMutex
-	repOverride map[string]int
-	regBodies   map[string][]byte
-	shedClass   map[string]string
+	// models holds the record of every model the admin verbs or the
+	// autoscale loop have touched.
+	scaleMu sync.RWMutex
+	models  map[string]*modelState
 
 	scaler *autoscaler // nil = autoscaling disabled, and no load spreading
+}
 
-	// rr is the rotation cursor of the owner walk under autoscaling (see
-	// RouterConfig.Autoscale).
-	rr atomic.Uint64
+// modelState is a model's record (package doc, "Model state"). Only the
+// admin verbs, ScaleTo and the autoscale loop make or write one, so names
+// in /v1/infer cannot grow Router.models. Guarded by scaleMu.
+type modelState struct {
+	replicas int // override of the configured default (0 = none)
+	// reg is the register request some backend last applied, which a
+	// scale-out registers on new owners (nil = not registered through this
+	// router). Replaced, never written in place.
+	reg  *serve.RegisterRequest
+	shed string        // the QoS class refused at the router ("" = none)
+	rr   atomic.Uint64 // rotation cursor, turned by routing under the read lock
 }
 
 // DefaultClassRetries is the per-class backend-attempt budget used when
@@ -179,9 +183,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		slow:         cfg.SlowRequest,
 		log:          logger,
 		slo:          slo.New(cfg.SLO),
-		repOverride:  make(map[string]int),
-		regBodies:    make(map[string][]byte),
-		shedClass:    make(map[string]string),
+		models:       make(map[string]*modelState),
 	}
 	if cfg.Autoscale != nil {
 		scaler, err := newAutoscaler(rt, *cfg.Autoscale)
@@ -226,58 +228,52 @@ func (rt *Router) Traces() *obs.TraceRing { return rt.traces }
 // autoscaler has touched carry their own count — see ReplicasFor).
 func (rt *Router) Replicas() int { return rt.replicas }
 
-// ReplicasFor returns a model's effective replica count: the autoscaler's
-// override when one exists, the configured default otherwise, capped at the
-// fleet size. On the routing hot path for every inference request.
-//
-//radix:hotpath
+// ReplicasFor returns a model's effective replica count: its record's
+// override when there is one, the configured default otherwise, capped at
+// the fleet size.
 func (rt *Router) ReplicasFor(model string) int {
 	rt.scaleMu.RLock()
-	n, ok := rt.repOverride[model]
-	rt.scaleMu.RUnlock()
-	if !ok || n <= 0 {
+	defer rt.scaleMu.RUnlock()
+	return rt.replicasOf(rt.models[model])
+}
+
+// replicasOf is ReplicasFor on a record (nil: none). The caller holds
+// scaleMu.
+func (rt *Router) replicasOf(st *modelState) int {
+	if st == nil || st.replicas <= 0 {
 		return rt.replicas
 	}
-	if fleet := len(rt.set.backends); n > fleet {
-		return fleet
-	}
-	return n
+	return min(st.replicas, len(rt.set.backends))
 }
 
-// setReplicas records a model's autoscaler-decided replica count (n <= 0
-// clears the override, falling back to the configured default).
-func (rt *Router) setReplicas(model string, n int) {
-	rt.scaleMu.Lock()
-	if n <= 0 {
-		delete(rt.repOverride, model)
-	} else {
-		rt.repOverride[model] = n
-	}
-	rt.scaleMu.Unlock()
-}
-
-// shedFor reports the QoS class currently being shed for a model ("" =
-// none). Hot path: consulted once per routed request.
+// route is handleInfer's one lookup of a model's record: the class shed
+// for it, its replica count and the next turn of its rotation (0 without a
+// record). On the routing hot path for every inference request.
 //
 //radix:hotpath
-func (rt *Router) shedFor(model string) string {
+func (rt *Router) route(model string) (shed string, replicas int, turn uint64) {
 	rt.scaleMu.RLock()
-	c := rt.shedClass[model]
+	st := rt.models[model]
+	replicas = rt.replicasOf(st)
+	if st != nil {
+		shed, turn = st.shed, st.rr.Add(1)-1
+	}
 	rt.scaleMu.RUnlock()
-	return c
+	return shed, replicas, turn
 }
 
-// setShed installs (class != "") or clears (class == "") a model's shed
-// class — the autoscaler's last-resort actuation when an SLO objective
-// stays violated at the replica ceiling.
-func (rt *Router) setShed(model, class string) {
+// withRecord runs fn on a model's record under scaleMu, making the record
+// if there is none. Only the admin verbs, ScaleTo and the autoscale loop
+// call it.
+func (rt *Router) withRecord(model string, fn func(st *modelState)) {
 	rt.scaleMu.Lock()
-	if class == "" {
-		delete(rt.shedClass, model)
-	} else {
-		rt.shedClass[model] = class
+	defer rt.scaleMu.Unlock()
+	st := rt.models[model]
+	if st == nil {
+		st = &modelState{}
+		rt.models[model] = st
 	}
-	rt.scaleMu.Unlock()
+	fn(st)
 }
 
 // Placement returns the ring's intended owners for a model, in failover
@@ -447,7 +443,8 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	fwd.model, fwd.class = peek.Model, peek.Class
 	rt.met.classRequest(rt.classLabel(peek.Class))
-	if shed := rt.shedFor(peek.Model); shed != "" && shed == peek.Class {
+	shed, replicas, turn := rt.route(peek.Model)
+	if shed != "" && shed == peek.Class {
 		// Last-resort SLO actuation: the autoscaler is shedding this class
 		// at the router so the protected classes' objective can recover.
 		// Same contract as backend backpressure — 429 plus Retry-After, the
@@ -458,17 +455,16 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 			"class %q shed for model %q (SLO protection)", peek.Class, peek.Model)
 		return
 	}
-	owners := rt.set.Owners(peek.Model, rt.ReplicasFor(peek.Model))
+	owners := rt.set.Owners(peek.Model, replicas)
 	if len(owners) == 0 {
 		rt.met.unroutable.Add(1)
 		rt.routeError(w, fwd, http.StatusServiceUnavailable, "no healthy backend for model %q", peek.Model)
 		return
 	}
-	if rt.scaler != nil && len(owners) > 1 {
-		// Replica load-spreading: start the owner walk at a rotating
-		// offset so replicas share the model's load; the full walk is
+	if k := int(turn % uint64(len(owners))); rt.scaler != nil && k > 0 {
+		// Replica load-spreading: start the owner walk at the model's
+		// rotating offset so replicas share its load; the full walk is
 		// preserved, so the failover budget is unchanged.
-		k := int(rt.rr.Add(1)-1) % len(owners)
 		owners = append(owners[k:len(owners):len(owners)], owners[:k]...)
 	}
 	attempts := rt.classAttempts(peek.Class, len(owners))
@@ -495,7 +491,7 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if notFound == len(owners) && rt.consultedIntendedOwners(peek.Model, owners) {
+	if notFound == len(owners) && rt.consultedIntendedOwners(peek.Model, replicas, owners) {
 		// The model's intended ring owners are all alive and answered "no
 		// such model": that is a deterministic client error, not a fleet
 		// failure — relaying 503 would invite pointless retries. When the
@@ -538,12 +534,12 @@ func (rt *Router) recordTrace(fwd *inferForward) {
 // include every backend the ring intends to host the model — i.e. whether
 // a unanimous "unknown model" verdict came from the model's real owners
 // rather than from substitutes walking past ejected ones.
-func (rt *Router) consultedIntendedOwners(model string, consulted []*Backend) bool {
+func (rt *Router) consultedIntendedOwners(model string, replicas int, consulted []*Backend) bool {
 	ids := make(map[string]bool, len(consulted))
 	for _, b := range consulted {
 		ids[b.id] = true
 	}
-	for _, id := range rt.set.Placement(model, rt.ReplicasFor(model)) {
+	for _, id := range rt.set.Placement(model, replicas) {
 		if !ids[id] {
 			return false
 		}
