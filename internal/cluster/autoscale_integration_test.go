@@ -23,23 +23,32 @@ import (
 	"github.com/radix-net/radixnet/internal/sparse"
 )
 
+// registerRouted registers each model through the router's admin POST,
+// with the fleet's config and one engine, so the router holds its record.
+func (f *testFleet) registerRouted(t *testing.T, models ...string) {
+	t.Helper()
+	cfgJSON, err := graphio.MarshalConfig(f.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range models {
+		body, err := json.Marshal(serve.RegisterRequest{Name: model, Config: cfgJSON, Engines: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, reply := adminDo(t, http.MethodPost, f.url+"/v1/models", body); code != http.StatusCreated {
+			t.Fatalf("register %s: status %d: %s", model, code, reply)
+		}
+	}
+}
+
 // TestScaleToWidensAndNarrows drives the actuation path end to end over
 // real backends: a router-registered model scales out to new ring owners
 // (engines built before routing widens), serves correctly at the wider
 // replica count, then scales back in with the surplus copies drained.
 func TestScaleToWidensAndNarrows(t *testing.T) {
 	f := startFleet(t, 5, nil, SetConfig{ProbeInterval: time.Hour})
-	cfgJSON, err := graphio.MarshalConfig(f.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	regBody, err := json.Marshal(serve.RegisterRequest{Name: "live", Config: cfgJSON, Engines: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code, body := adminDo(t, http.MethodPost, f.url+"/v1/models", regBody); code != http.StatusCreated {
-		t.Fatalf("register: status %d: %s", code, body)
-	}
+	f.registerRouted(t, "live")
 	rt := f.router
 	ctx := context.Background()
 
@@ -155,20 +164,8 @@ func TestRotationIsPerModel(t *testing.T) {
 	f := startFleetOpts(t, 4, nil, SetConfig{ProbeInterval: time.Hour}, func(cfg *RouterConfig) {
 		cfg.Autoscale = &autoscale.Policy{Interval: time.Hour} // no cycle runs
 	})
-	cfgJSON, err := graphio.MarshalConfig(f.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	models := []string{"left", "right"}
-	for _, model := range models {
-		body, err := json.Marshal(serve.RegisterRequest{Name: model, Config: cfgJSON, Engines: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if code, reply := adminDo(t, http.MethodPost, f.url+"/v1/models", body); code != http.StatusCreated {
-			t.Fatalf("register %s: status %d: %s", model, code, reply)
-		}
-	}
+	f.registerRouted(t, models...)
 	landed := map[string]map[string]int{}
 	for range perModel {
 		for _, model := range models {
@@ -300,19 +297,7 @@ func TestAutoscaleLoopEndToEnd(t *testing.T) {
 		cfg.Set.Zones = zoneOf
 	})
 	rt := f.router
-	cfgJSON, err := graphio.MarshalConfig(f.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, model := range []string{hot, cold, probe} {
-		body, err := json.Marshal(serve.RegisterRequest{Name: model, Config: cfgJSON, Engines: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if code, reply := adminDo(t, http.MethodPost, f.url+"/v1/models", body); code != http.StatusCreated {
-			t.Fatalf("register %s: status %d: %s", model, code, reply)
-		}
-	}
+	f.registerRouted(t, hot, cold, probe)
 
 	in, err := dataset.SparseBatch(16, 16, 4, 29)
 	if err != nil {
