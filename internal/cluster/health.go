@@ -20,6 +20,9 @@ import (
 type Backend struct {
 	id     string // ring identity (host:port)
 	client serve.Client
+	// attemptSpan and backoffSpan name a routed request's spans on this
+	// backend ("attempt:<id>", "backoff:<id>").
+	attemptSpan, backoffSpan string
 
 	healthy     atomic.Bool
 	consecFails atomic.Int64 // probe + forward failures since the last good probe
@@ -195,7 +198,8 @@ func NewBackendSet(addrs []string, cfg SetConfig) (*BackendSet, error) {
 		if _, dup := s.backends[id]; dup {
 			return nil, fmt.Errorf("cluster: duplicate backend %q", id)
 		}
-		b := &Backend{id: id, client: serve.Client{URL: url, HTTP: cfg.Client}}
+		b := &Backend{id: id, client: serve.Client{URL: url, HTTP: cfg.Client},
+			attemptSpan: "attempt:" + id, backoffSpan: "backoff:" + id}
 		b.healthy.Store(true)
 		s.backends[id] = b
 		s.order = append(s.order, id)

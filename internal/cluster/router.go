@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -102,6 +101,7 @@ type Router struct {
 	slow         time.Duration
 	log          *slog.Logger
 	slo          *slo.Engine // nil = no objectives configured
+	poolBodies   bool        // the backend transport is net/http's (poolsBodies)
 
 	// models holds the record of every model the admin verbs or the
 	// autoscale loop have touched.
@@ -183,6 +183,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		slow:         cfg.SlowRequest,
 		log:          logger,
 		slo:          slo.New(cfg.SLO),
+		poolBodies:   poolsBodies(set.cfg.Client),
 		models:       make(map[string]*modelState),
 	}
 	if cfg.Autoscale != nil {
@@ -334,31 +335,32 @@ func writeError(w http.ResponseWriter, code int, model, format string, args ...a
 }
 
 // inferForward is one routed inference request's QoS and tracing state:
-// the class the router peeked (forwarded verbatim), the absolute deadline
-// derived from the body's deadline_ms at arrival (each forward attempt
-// carries only the REMAINING budget, so failovers and backoffs shrink it
-// instead of resetting it), whether the class's attempt budget permits
-// waiting out a backend's 429 Retry-After, and the trace accumulated as
-// the request moves through the owner walk — the span chain (route,
-// attempt:<backend>, backoff:<backend>) plus the final status the client
-// was answered with.
+// the absolute deadline derived from the body's deadline_ms at arrival
+// (each forward attempt carries only the REMAINING budget, so failovers
+// and backoffs shrink it instead of resetting it), whether the class's
+// attempt budget permits waiting out a backend's 429 Retry-After, and the
+// trace accumulated as the request moves through the owner walk: the
+// peeked model and class (the class is forwarded verbatim), the span chain
+// (route, attempt:<backend>, backoff:<backend>, and the answering
+// backend's own spans stitched under its attempt), the final status the
+// client was answered with (0: none, the client is gone), the backend
+// whose reply was relayed and the error text. The trace ring keeps the
+// trace and with it the record, so a request's trace and the room for its
+// usual eight spans are one allocation.
 type inferForward struct {
-	model        string
-	class        string
+	obs.Trace
 	deadline     time.Time // zero = none
 	allowBackoff bool
 
-	traceID string
-	t0      time.Time
-	spans   []obs.Span
-	status  int    // final HTTP status written to the client (0: none — client gone)
-	backend string // the backend whose response was relayed, if any
-	errMsg  string // error body text, for trace correlation
+	spanBuf [8]obs.Span // route, attempt, and a backend's six stages
 }
 
 // span appends a named span covering start..now to the request's trace.
 func (f *inferForward) span(name string, start time.Time) {
-	f.spans = append(f.spans, obs.MkSpan(name, start.Sub(f.t0), time.Since(start)))
+	if f.Spans == nil {
+		f.Spans = f.spanBuf[:0] // a trace refused before routing keeps no spans
+	}
+	f.Spans = append(f.Spans, obs.MkSpan(name, start.Sub(f.Start), time.Since(start)))
 }
 
 // remainingMs reports the milliseconds left in the request's budget, or 0
@@ -425,14 +427,17 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 	rt.met.requests.Add(1)
 	traceID := obs.RequestTraceID(r.Header)
 	w.Header().Set(obs.HeaderTraceID, traceID)
-	fwd := &inferForward{traceID: traceID, t0: time.Now()}
+	fwd := &inferForward{Trace: obs.Trace{ID: traceID, Start: time.Now()}}
 	defer rt.recordTrace(fwd)
-	body, err := serve.ReadBody(nil, http.MaxBytesReader(w, r.Body, serve.MaxRequestBody), r.ContentLength)
+	body, ctx := rt.forwardBody(r.Context())
+	defer body.release()
+	var err error
+	body.b, err = serve.ReadBody(body.b, http.MaxBytesReader(w, r.Body, serve.MaxRequestBody), r.ContentLength)
 	if err != nil {
 		rt.routeError(w, fwd, http.StatusBadRequest, "reading request body: %v", err)
 		return
 	}
-	peek, err := serve.PeekInferRequest(body)
+	peek, err := serve.PeekInferRequest(body.b)
 	if err != nil {
 		rt.routeError(w, fwd, http.StatusBadRequest, "bad request body: %v", err)
 		return
@@ -441,7 +446,7 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 		rt.routeError(w, fwd, http.StatusBadRequest, "missing model name")
 		return
 	}
-	fwd.model, fwd.class = peek.Model, peek.Class
+	fwd.Model, fwd.Class = peek.Model, peek.Class
 	rt.met.classRequest(rt.classLabel(peek.Class))
 	shed, replicas, turn := rt.route(peek.Model)
 	if shed != "" && shed == peek.Class {
@@ -473,13 +478,13 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	fwd.deadline = serve.DeadlineFromMs(peek.DeadlineMs) // overflow-clamped
 	fwd.allowBackoff = rt.classAllowsBackoff(peek.Class)
-	fwd.span("route", fwd.t0) // body peek + owner selection
+	fwd.span("route", fwd.Start) // body peek + owner selection
 	notFound := 0
 	for i, b := range owners {
 		if i > 0 {
 			rt.met.failovers.Add(1)
 		}
-		switch rt.tryBackend(w, r, b, body, fwd) {
+		switch rt.tryBackend(ctx, w, r, b, body.b, fwd) {
 		case forwardDone:
 			return
 		case forwardNotFound:
@@ -510,24 +515,15 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 // routeError answers a router-originated error, recording the status and
 // message on the request's trace.
 func (rt *Router) routeError(w http.ResponseWriter, fwd *inferForward, code int, format string, args ...any) {
-	fwd.status = code
-	fwd.errMsg = fmt.Sprintf(format, args...)
-	writeJSON(w, code, serve.ErrorResponse{Error: fwd.errMsg, Model: fwd.model, Class: fwd.class})
+	fwd.Status = code
+	fwd.Error = fmt.Sprintf(format, args...)
+	writeJSON(w, code, serve.ErrorResponse{Error: fwd.Error, Model: fwd.Model, Class: fwd.Class})
 }
 
 // recordTrace closes the request's trace: into the ring and, past the
 // slow-request threshold, the log (obs.TraceRing.Finish).
 func (rt *Router) recordTrace(fwd *inferForward) {
-	rt.traces.Finish(&obs.Trace{
-		ID:      fwd.traceID,
-		Model:   fwd.model,
-		Class:   fwd.class,
-		Backend: fwd.backend,
-		Start:   fwd.t0,
-		Status:  fwd.status,
-		Error:   fwd.errMsg,
-		Spans:   fwd.spans,
-	}, rt.slow, rt.log)
+	rt.traces.Finish(&fwd.Trace, rt.slow, rt.log)
 }
 
 // consultedIntendedOwners reports whether the consulted (healthy) owners
@@ -560,7 +556,7 @@ const (
 // forwardDone means a response was written to the client; anything else
 // tells the caller whether the replica failed or simply doesn't host the
 // model.
-func (rt *Router) tryBackend(w http.ResponseWriter, r *http.Request, b *Backend, body []byte, fwd *inferForward) forwardOutcome {
+func (rt *Router) tryBackend(ctx context.Context, w http.ResponseWriter, r *http.Request, b *Backend, body []byte, fwd *inferForward) forwardOutcome {
 	for attempt := 0; ; attempt++ {
 		remainingMs, ok := fwd.remainingMs()
 		if !ok {
@@ -575,8 +571,8 @@ func (rt *Router) tryBackend(w http.ResponseWriter, r *http.Request, b *Backend,
 		// at this attempt — the backend sheds queued rows against the real
 		// end-to-end deadline, not a fresh copy of the original budget.
 		attemptStart := time.Now()
-		resp, err := b.client.Infer(r.Context(), body, fwd.traceID, fwd.class, remainingMs)
-		fwd.span("attempt:"+b.id, attemptStart)
+		resp, err := b.client.Infer(ctx, body, fwd.ID, fwd.Class, remainingMs)
+		fwd.span(b.attemptSpan, attemptStart)
 		if err != nil {
 			if r.Context().Err() != nil {
 				// The *client* hung up mid-forward: the transport error is
@@ -621,7 +617,7 @@ func (rt *Router) tryBackend(w http.ResponseWriter, r *http.Request, b *Backend,
 				clientGone = true
 			case <-time.After(wait):
 			}
-			fwd.span("backoff:"+b.id, backoffStart)
+			fwd.span(b.backoffSpan, backoffStart)
 			if clientGone {
 				return forwardDone // client gone; nothing left to write
 			}
@@ -643,19 +639,17 @@ func (rt *Router) tryBackend(w http.ResponseWriter, r *http.Request, b *Backend,
 			// backoff from here; Retry-After is relayed).
 			rt.set.noteForwardSuccess(b)
 			b.forwarded.Add(1)
-			fwd.status = resp.StatusCode
-			fwd.backend = b.id
+			fwd.Status = resp.StatusCode
+			fwd.Backend = b.id
 			// Stitch: the backend's span breakdown arrives in the response
 			// header with offsets relative to ITS arrival time; rebasing by
 			// the winning attempt's start grafts admission→queue→execute
 			// under attempt:<id> on the router's own time base, so one
 			// /debug/traces entry tells the whole cross-tier story. A
-			// malformed header is dropped, never trusted.
+			// malformed header is dropped whole, never trusted.
 			if enc := resp.Header.Get(obs.HeaderSpans); enc != "" {
-				if bspans, err := obs.DecodeSpans(enc); err == nil {
-					base := float64(attemptStart.Sub(fwd.t0).Nanoseconds()) / 1e6
-					fwd.spans = append(fwd.spans, obs.RebaseSpans(bspans, base)...)
-				}
+				base := float64(attemptStart.Sub(fwd.Start).Nanoseconds()) / 1e6
+				fwd.Spans, _ = obs.AppendRebasedSpans(fwd.Spans, enc, base)
 			}
 			relay(w, resp, b.id)
 			return forwardDone
@@ -668,12 +662,12 @@ func (rt *Router) tryBackend(w http.ResponseWriter, r *http.Request, b *Backend,
 // a response has been written.
 func (rt *Router) writeDeadline(w http.ResponseWriter, fwd *inferForward, where string) forwardOutcome {
 	rt.met.deadlines.Add(1)
-	fwd.status = http.StatusGatewayTimeout
-	fwd.errMsg = "deadline exceeded " + where
+	fwd.Status = http.StatusGatewayTimeout
+	fwd.Error = "deadline exceeded " + where
 	writeJSON(w, http.StatusGatewayTimeout, serve.ErrorResponse{
-		Error: fwd.errMsg,
-		Model: fwd.model,
-		Class: fwd.class,
+		Error: fwd.Error,
+		Model: fwd.Model,
+		Class: fwd.Class,
 	})
 	return forwardDone
 }
@@ -725,5 +719,5 @@ func relay(w http.ResponseWriter, resp *http.Response, backendID string) {
 	}
 	w.Header().Set("X-Radix-Backend", backendID)
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body) //nolint:errcheck // client disconnects are benign
+	copyReply(w, resp.Body)
 }

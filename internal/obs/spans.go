@@ -31,24 +31,26 @@ const (
 // encoded; the rest are dropped (they would be sub-µs bookkeeping
 // stages, never the story).
 func EncodeSpans(spans []Span) string {
-	if len(spans) == 0 {
-		return ""
-	}
+	return string(AppendSpans(nil, spans))
+}
+
+// AppendSpans appends EncodeSpans(spans) to dst, so a caller that keeps
+// dst builds the header with no garbage but the final string.
+func AppendSpans(dst []byte, spans []Span) []byte {
 	if len(spans) > MaxWireSpans {
 		spans = spans[:MaxWireSpans]
 	}
-	var b strings.Builder
 	for i, s := range spans {
 		if i > 0 {
-			b.WriteByte(';')
+			dst = append(dst, ';')
 		}
-		b.WriteString(url.QueryEscape(s.Name))
-		b.WriteByte('|')
-		b.WriteString(strconv.FormatFloat(s.StartMs, 'f', 3, 64))
-		b.WriteByte('|')
-		b.WriteString(strconv.FormatFloat(s.DurMs, 'f', 3, 64))
+		dst = append(dst, url.QueryEscape(s.Name)...) // no copy for a name that needs no escape
+		dst = append(dst, '|')
+		dst = strconv.AppendFloat(dst, s.StartMs, 'f', 3, 64)
+		dst = append(dst, '|')
+		dst = strconv.AppendFloat(dst, s.DurMs, 'f', 3, 64)
 	}
-	return b.String()
+	return dst
 }
 
 // DecodeSpans parses EncodeSpans output. It never panics on malformed
@@ -68,23 +70,11 @@ func DecodeSpans(s string) ([]Span, error) {
 	}
 	out := make([]Span, 0, len(records))
 	for _, rec := range records {
-		parts := strings.Split(rec, "|")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("obs: malformed span record %q", rec)
+		sp, err := parseSpan(rec)
+		if err != nil {
+			return nil, err
 		}
-		name, err := url.QueryUnescape(parts[0])
-		if err != nil || name == "" {
-			return nil, fmt.Errorf("obs: malformed span name %q", parts[0])
-		}
-		start, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil || start < 0 || start != start || start > 1e12 {
-			return nil, fmt.Errorf("obs: malformed span start %q", parts[1])
-		}
-		dur, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil || dur < 0 || dur != dur || dur > 1e12 {
-			return nil, fmt.Errorf("obs: malformed span duration %q", parts[2])
-		}
-		out = append(out, Span{Name: name, StartMs: start, DurMs: dur})
+		out = append(out, sp)
 	}
 	return out, nil
 }
@@ -103,4 +93,59 @@ func RebaseSpans(spans []Span, baseMs float64) []Span {
 		out[i] = s
 	}
 	return out
+}
+
+// AppendRebasedSpans decodes the EncodeSpans header s and appends its spans
+// to dst, every StartMs shifted by baseMs: what the router does with a
+// backend's spans, writing them straight into the trace it retains. It
+// accepts exactly what DecodeSpans accepts and yields, bit for bit,
+// RebaseSpans(DecodeSpans(s), baseMs), without DecodeSpans' two splits and
+// two slices; names are views of s unless they carry escapes. On an error
+// dst comes back at its old length.
+func AppendRebasedSpans(dst []Span, s string, baseMs float64) ([]Span, error) {
+	if s == "" {
+		return dst, nil
+	}
+	if len(s) > maxWireBytes {
+		return dst, fmt.Errorf("obs: span header too long (%d bytes)", len(s))
+	}
+	if n := strings.Count(s, ";") + 1; n > MaxWireSpans {
+		return dst, fmt.Errorf("obs: too many spans (%d)", n)
+	}
+	n := len(dst)
+	for rest, more := s, true; more; {
+		var rec string
+		rec, rest, more = strings.Cut(rest, ";")
+		sp, err := parseSpan(rec)
+		if err != nil {
+			return dst[:n], err
+		}
+		sp.StartMs += baseMs
+		dst = append(dst, sp)
+	}
+	return dst, nil
+}
+
+// parseSpan parses one "name|start_ms|duration_ms" record: any timing
+// that does not parse, is negative or not finite, or passes 1e12 ms is
+// refused, as is an empty or badly escaped name.
+func parseSpan(rec string) (Span, error) {
+	rawName, times, ok1 := strings.Cut(rec, "|")
+	rawStart, rawDur, ok2 := strings.Cut(times, "|")
+	if !ok1 || !ok2 || strings.IndexByte(rawDur, '|') >= 0 {
+		return Span{}, fmt.Errorf("obs: malformed span record %q", rec)
+	}
+	name, err := url.QueryUnescape(rawName)
+	if err != nil || name == "" {
+		return Span{}, fmt.Errorf("obs: malformed span name %q", rawName)
+	}
+	start, err := strconv.ParseFloat(rawStart, 64)
+	if err != nil || start < 0 || start != start || start > 1e12 {
+		return Span{}, fmt.Errorf("obs: malformed span start %q", rawStart)
+	}
+	dur, err := strconv.ParseFloat(rawDur, 64)
+	if err != nil || dur < 0 || dur != dur || dur > 1e12 {
+		return Span{}, fmt.Errorf("obs: malformed span duration %q", rawDur)
+	}
+	return Span{Name: name, StartMs: start, DurMs: dur}, nil
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -98,14 +99,30 @@ func TestRebaseSpans(t *testing.T) {
 	}
 }
 
+// FuzzDecodeSpans feeds hostile headers to both decoders. DecodeSpans must
+// never panic or accept an invalid span, and AppendRebasedSpans — the
+// router's in-place stitch — must refuse exactly what DecodeSpans refuses
+// and otherwise append, after the spans already in its slice, spans bit
+// for bit equal to RebaseSpans(DecodeSpans(s), base).
 func FuzzDecodeSpans(f *testing.F) {
-	f.Add("queue|0.000|1.500;execute|1.500|3.250")
-	f.Add("a%7Cb|1|2")
-	f.Add(";;;")
-	f.Add("x|1e308|1e308")
-	f.Fuzz(func(t *testing.T, s string) {
+	f.Add("queue|0.000|1.500;execute|1.500|3.250", 2.5)
+	f.Add("a%7Cb|1|2", 0.0)
+	f.Add(";;;", 1.0)
+	f.Add("x|1e308|1e308", 1e-3)
+	f.Fuzz(func(t *testing.T, s string, base float64) {
 		spans, err := DecodeSpans(s) // must never panic
+		prefix := []Span{{Name: "route", StartMs: 0, DurMs: 0.5}}
+		got, gotErr := AppendRebasedSpans(slices.Clip(prefix), s, base)
+		if (err == nil) != (gotErr == nil) {
+			t.Fatalf("%q: DecodeSpans error %v, AppendRebasedSpans error %v", s, err, gotErr)
+		}
+		if len(got) < 1 || got[0] != prefix[0] {
+			t.Fatalf("%q: the spans already in the slice changed: %+v", s, got)
+		}
 		if err != nil {
+			if len(got) != 1 {
+				t.Fatalf("%q: refused, but the slice grew to %d spans", s, len(got))
+			}
 			return
 		}
 		for _, sp := range spans {
@@ -113,5 +130,46 @@ func FuzzDecodeSpans(f *testing.F) {
 				t.Fatalf("accepted invalid span %+v from %q", sp, s)
 			}
 		}
+		want := RebaseSpans(spans, base)
+		if len(got)-1 != len(want) {
+			t.Fatalf("%q: stitched %d spans, want %d", s, len(got)-1, len(want))
+		}
+		for i, w := range want {
+			g := got[i+1]
+			if g.Name != w.Name || math.Float64bits(g.StartMs) != math.Float64bits(w.StartMs) ||
+				math.Float64bits(g.DurMs) != math.Float64bits(w.DurMs) {
+				t.Fatalf("%q: span %d stitched as %+v, want %+v", s, i, g, w)
+			}
+		}
 	})
+}
+
+// TestAppendRebasedSpansAllocs pins the stitch's cost: nothing for a header
+// whose names carry no escapes, once the slice has room.
+func TestAppendRebasedSpansAllocs(t *testing.T) {
+	const enc = "admission|0.000|0.012;queue|0.012|0.004;assemble|0.016|1.071;lease|1.087|0.001;execute|1.088|0.015;deliver|1.103|0.002"
+	dst := make([]Span, 0, 8)
+	if n := testing.AllocsPerRun(20, func() {
+		out, err := AppendRebasedSpans(dst[:1], enc, 0.25)
+		if err != nil || len(out) != 7 {
+			t.Fatalf("%d spans, %v", len(out), err)
+		}
+	}); n != 0 {
+		t.Fatalf("%.0f allocations per stitch, want 0", n)
+	}
+}
+
+// TestAppendSpansReusesBuffer pins the header encoder's cost: nothing into
+// a buffer that already has room, and the bytes EncodeSpans returns.
+func TestAppendSpansReusesBuffer(t *testing.T) {
+	spans := []Span{{Name: "admission", DurMs: 0.012}, {Name: "queue", StartMs: 0.012, DurMs: 1.5}}
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(20, func() {
+		buf = AppendSpans(buf[:0], spans)
+	}); n != 0 {
+		t.Fatalf("%.0f allocations per encode, want 0", n)
+	}
+	if string(buf) != EncodeSpans(spans) || string(buf) != "admission|0.000|0.012;queue|0.012|1.500" {
+		t.Fatalf("AppendSpans wrote %q, EncodeSpans %q", buf, EncodeSpans(spans))
+	}
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
@@ -19,9 +18,20 @@ import (
 // both tiers echo it on the response.
 const HeaderTraceID = "X-Radix-Trace-Id"
 
-// NewTraceID returns a 32-hex-char random trace ID (128 bits).
+// NewTraceID returns a 32-hex-char random trace ID (128 bits). The string
+// is its one allocation: both tiers mint one for every request that
+// arrives without an ID.
 func NewTraceID() string {
-	return fmt.Sprintf("%016x%016x", rand.Uint64(), rand.Uint64())
+	const digits = "0123456789abcdef"
+	var b [32]byte
+	for half := 0; half < 32; half += 16 {
+		x := rand.Uint64()
+		for i := half + 15; i >= half; i-- {
+			b[i] = digits[x&15]
+			x >>= 4
+		}
+	}
+	return string(b[:])
 }
 
 // RequestTraceID returns the trace ID a request travels under: the

@@ -18,6 +18,12 @@ func TestNewTraceID(t *testing.T) {
 	if a == b {
 		t.Fatal("trace ids collide")
 	}
+	if strings.Trim(a, "0123456789abcdef") != "" {
+		t.Fatalf("trace id %q is not lower-case hex", a)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = NewTraceID() }); n > 1 {
+		t.Fatalf("%.0f allocations per trace id, want 1", n)
+	}
 }
 
 func TestTraceRingRecentSlowest(t *testing.T) {

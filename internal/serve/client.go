@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -122,9 +123,16 @@ func (c Client) Infer(ctx context.Context, body []byte, traceID, class string, r
 		req.Header.Set(HeaderClass, class)
 	}
 	if remainingMs > 0 {
-		req.Header.Set(HeaderDeadlineMs, strconv.FormatFloat(remainingMs, 'f', 3, 64))
+		req.Header.Set(HeaderDeadlineMs, formatBudget(remainingMs))
 	}
 	return c.HTTP.Do(req)
+}
+
+// formatBudget renders a positive deadline budget in milliseconds at µs
+// resolution, rounded up: a budget under half a µs must not go out as
+// "0.000", which the handler would read as no deadline at all.
+func formatBudget(ms float64) string {
+	return strconv.FormatFloat(math.Ceil(ms*1e3)/1e3, 'f', 3, 64)
 }
 
 // GetJSON decodes the reply of GET path into out. A nil out makes it a

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -247,6 +248,28 @@ func TestClient(t *testing.T) {
 		}
 		tr.checkBodies(t, true)
 	})
+}
+
+// TestClientInferTinyBudgetKeepsDeadline sends budgets too small to print
+// at µs resolution. Each must reach the handler as a deadline, read the way
+// handleInfer reads it: a budget that went out as "0.000" would parse as 0,
+// replace the body's deadline_ms, and let the rows run unbounded.
+func TestClientInferTinyBudgetKeepsDeadline(t *testing.T) {
+	for _, ms := range []float64{0.0004, 1e-9, 0.0005, 0.0015} {
+		var got string
+		c, _ := memClient(viaHandler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			got = r.Header.Get(HeaderDeadlineMs)
+		})))
+		resp, err := c.Infer(context.Background(), []byte(`{"model":"m"}`), "", "", ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		DecodeReply(resp, nil)
+		v, err := strconv.ParseFloat(got, 64)
+		if err != nil || DeadlineFromMs(v).IsZero() || v < ms {
+			t.Errorf("a %g ms budget reached the handler as %q: no deadline, or a shorter one", ms, got)
+		}
+	}
 }
 
 // TestCheckHealth exercises the probe the cluster router ejects on.

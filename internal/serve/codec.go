@@ -20,9 +20,10 @@ import (
 // requests already grew: decode parses into req.Inputs and each of its rows
 // within their capacity, instead of growing a slice per row per request.
 type exchange struct {
-	body []byte
-	req  InferRequest
-	out  []float64 // every output row, back to back
+	body  []byte
+	spans []byte // the reply's span header, as built
+	req   InferRequest
+	out   []float64 // every output row, back to back
 
 	// The first rows row slots of req.Inputs' storage, and the first
 	// written[i] values of slot i's row, hold what this request's body

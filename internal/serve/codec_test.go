@@ -17,6 +17,7 @@ import (
 	"github.com/radix-net/radixnet/internal/core"
 	"github.com/radix-net/radixnet/internal/dataset"
 	"github.com/radix-net/radixnet/internal/obs"
+	"github.com/radix-net/radixnet/internal/radix"
 )
 
 // sameInferRequest reports where got and want differ, bit for bit on every
@@ -154,36 +155,54 @@ func TestReadBody(t *testing.T) {
 }
 
 // TestHandleInferAllocBudget bounds what the request path allocates per row
-// of an 8-row Graph Challenge 1024×24 request — the serve_gc1024x24_burst2
-// shape. The handler used to allocate ≈ 42 KB a row (json.Decoder's growing
-// buffer, a reflect-grown slice per input row, a fresh output row); with
-// exchanges pooled and the body decoded and the reply written without
-// encoding/json it is ≈ 573 B, what the request's slab of pending rows,
-// their completion channels, the spans and the trace cost. The budget leaves
-// 32 B over that for runtime noise and still fails at the ≈ 652 B the
-// encoding/json codec cost. Each collector owns its 256 KiB staging buffer,
-// so no round pays for one; the least of three rounds is still taken,
-// because a single round can catch a runtime allocation that is no cost per
-// row (one of 36 read 631 B).
+// on two shapes. An 8-row Graph Challenge 1024×24 request, the
+// serve_gc1024x24_burst2 shape, used to cost ≈ 42 KB a row (json.Decoder's
+// growing buffer, a reflect-grown slice per input row, a fresh output row);
+// with exchanges pooled and the body decoded and the reply written without
+// encoding/json it cost ≈ 573 B, and ≈ 501 B since the span header is built
+// in the exchange and the trace holds its spans. One 512-wide row, the
+// serve_row512_c1 shape, shows what a request costs whatever its rows, which
+// the 8-row budget spreads thin: ≈ 1,208 B (was ≈ 1,784 B with the header
+// built in a strings.Builder, a trace-filing closure and the scheduler's
+// span chain copied behind admission), what the request's pending row and
+// completion channel, its response, the trace with room for its six spans,
+// and the header's string cost. Each budget leaves 24 B per row over the
+// measure for runtime noise: less than the 32 B a row that growing pending
+// past 184 B costs at 8 rows (the slab's next size class). Each collector owns its staging buffer, so no
+// round pays for one; the least of three rounds is still taken, because a
+// single round can catch a runtime allocation that is no cost per row (one
+// of 36 read 631 B on the 8-row shape when it measured 573 B).
 func TestHandleInferAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector defeats sync.Pool on purpose")
 	}
-	cfg, err := core.GraphChallengeConfig(1024, 24)
+	gc, err := core.GraphChallengeConfig(1024, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const rows, budget = 8, 605
-	serve := handlerFixture(t, cfg, rows)
-	perRow := math.Inf(1)
-	for range 3 {
-		b, _ := bytesPerRow(serve, 20, rows)
-		perRow = min(perRow, b)
+	row512, err := core.NewConfig([]radix.System{radix.MustNew(8, 8, 8)}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if perRow > budget {
-		t.Fatalf("%.0f B allocated per row served, budget %d", perRow, budget)
+	for _, c := range []struct {
+		name   string
+		cfg    core.Config
+		rows   int
+		budget float64
+	}{{"gc1024x24_rows8", gc, 8, 525}, {"row512_rows1", row512, 1, 1232}} {
+		t.Run(c.name, func(t *testing.T) {
+			serve := handlerFixture(t, c.cfg, c.rows)
+			perRow := math.Inf(1)
+			for range 3 {
+				b, _ := bytesPerRow(serve, 20, c.rows)
+				perRow = min(perRow, b)
+			}
+			if perRow > c.budget {
+				t.Fatalf("%.0f B allocated per row served, budget %.0f", perRow, c.budget)
+			}
+			t.Logf("%.0f B allocated per row served, budget %.0f", perRow, c.budget)
+		})
 	}
-	t.Logf("%.0f B allocated per row served, budget %d", perRow, budget)
 }
 
 // TestHTTPInferCancelledClientsKeepRepliesExact races clients that give up

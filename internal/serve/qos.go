@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -146,6 +147,10 @@ type Request struct {
 	// the outputs instead of allocating them, and Response.Outputs are views
 	// of it: the HTTP handler passes its pooled exchange's block.
 	out []float64
+	// spans, when set, holds the spans of the caller's own stages before Do
+	// (the HTTP handler's admission), and Response.Spans is it with the
+	// scheduler chain appended: the handler passes its trace's storage.
+	spans []obs.Span
 }
 
 // Response reports a completed Request with its QoS accounting.
@@ -166,24 +171,32 @@ type Response struct {
 	TraceID string
 	// Spans are the per-stage scheduler timings — queue, assemble, lease,
 	// execute, deliver — each the worst across the request's rows, start
-	// offsets chained cumulatively. The HTTP layer prepends its own
-	// admission span and echoes the chain on the wire.
+	// offsets chained cumulatively, after the spans the request brought
+	// (the HTTP layer's admission, which it echoes with the chain on the
+	// wire).
 	Spans []obs.Span
 }
 
-// pipelineSpans renders the scheduler-stage durations as a span chain
-// with cumulative start offsets. Each duration is the worst across the
-// request's rows, so the chain is representative of the request's
-// critical path rather than a strict timeline of any single row.
-func pipelineSpans(queue, assemble, lease, execute, deliver time.Duration) []obs.Span {
+// pipelineSpans appends the scheduler-stage durations to spans as a chain
+// with cumulative start offsets, the first starting where the last of
+// spans ends. Each duration is the worst across the request's rows, so the
+// chain is representative of the request's critical path rather than a
+// strict timeline of any single row.
+func pipelineSpans(spans []obs.Span, queue, assemble, lease, execute, deliver time.Duration) []obs.Span {
 	stages := [...]struct {
 		name string
 		d    time.Duration
 	}{{"queue", queue}, {"assemble", assemble}, {"lease", lease}, {"execute", execute}, {"deliver", deliver}}
-	spans := make([]obs.Span, 0, len(stages))
+	base := 0.0
+	if n := len(spans); n > 0 {
+		base = spans[n-1].StartMs + spans[n-1].DurMs
+	}
+	spans = slices.Grow(spans, len(stages))
 	at := time.Duration(0)
 	for _, s := range stages {
-		spans = append(spans, obs.MkSpan(s.name, at, s.d))
+		sp := obs.MkSpan(s.name, at, s.d)
+		sp.StartMs += base
+		spans = append(spans, sp)
 		at += s.d
 	}
 	return spans

@@ -770,6 +770,6 @@ func (m *Model) Do(ctx context.Context, req *Request) (*Response, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	resp.Spans = pipelineSpans(queueD, assembleD, leaseD, resp.Execute, deliverD)
+	resp.Spans = pipelineSpans(req.spans, queueD, assembleD, leaseD, resp.Execute, deliverD)
 	return resp, nil
 }

@@ -333,16 +333,24 @@ func writeModelError(w http.ResponseWriter, code int, model string, format strin
 	writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...), Model: model})
 }
 
+// servedTrace is a request's trace with room for its spans, admission and
+// the five scheduler stages: one allocation, which the trace ring keeps.
+type servedTrace struct {
+	obs.Trace
+	spanBuf [6]obs.Span
+}
+
+// finish files a request's trace with its outcome.
+func (s *Server) finish(tr *servedTrace, status int, model, class string, rows int, errStr string, spans []obs.Span) {
+	tr.Status, tr.Model, tr.Class, tr.Rows, tr.Error, tr.Spans = status, model, class, rows, errStr, spans
+	s.traces.Finish(&tr.Trace, s.slow, s.log)
+}
+
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	traceID := obs.RequestTraceID(r.Header)
 	w.Header().Set(obs.HeaderTraceID, traceID)
-	finish := func(status int, model, class string, rows int, errStr string, spans []obs.Span) {
-		s.traces.Finish(&obs.Trace{
-			ID: traceID, Model: model, Class: class, Start: t0,
-			Status: status, Rows: rows, Error: errStr, Spans: spans,
-		}, s.slow, s.log)
-	}
+	tr := &servedTrace{Trace: obs.Trace{ID: traceID, Start: t0}}
 	// The request's rows and outputs live in a pooled exchange. Rows a
 	// departed client left queued or executing still use it after Do
 	// returns, so an exchange is pooled again only while the request's
@@ -361,18 +369,18 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	req := &x.req
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		finish(http.StatusBadRequest, "", "", 0, err.Error(), nil)
+		s.finish(tr, http.StatusBadRequest, "", "", 0, err.Error(), nil)
 		return
 	}
 	m, ok := s.reg.Model(req.Model)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown model %q", req.Model)
-		finish(http.StatusNotFound, req.Model, "", 0, "unknown model", nil)
+		s.finish(tr, http.StatusNotFound, req.Model, "", 0, "unknown model", nil)
 		return
 	}
 	if len(req.Inputs) == 0 {
 		writeError(w, http.StatusBadRequest, "empty inputs")
-		finish(http.StatusBadRequest, req.Model, "", 0, "empty inputs", nil)
+		s.finish(tr, http.StatusBadRequest, req.Model, "", 0, "empty inputs", nil)
 		return
 	}
 	// Router-forwarded QoS metadata wins over the body: the class header
@@ -388,7 +396,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		// row is queued, like an unparseable config on the admin plane.
 		writeJSON(w, http.StatusUnprocessableEntity,
 			ErrorResponse{Error: err.Error(), Model: m.Name(), Class: req.Class})
-		finish(http.StatusUnprocessableEntity, m.Name(), req.Class, len(req.Inputs), err.Error(), nil)
+		s.finish(tr, http.StatusUnprocessableEntity, m.Name(), req.Class, len(req.Inputs), err.Error(), nil)
 		return
 	}
 	deadlineMs := req.DeadlineMs
@@ -398,10 +406,11 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Everything from arrival to submission — decode, model/class resolve,
-	// deadline math — is the admission span; the scheduler spans chain on.
-	admission := obs.MkSpan("admission", 0, time.Since(t0))
+	// deadline math — is the admission span; Do chains the scheduler spans
+	// on after it, in the trace's own storage.
+	tr.spanBuf[0] = obs.MkSpan("admission", 0, time.Since(t0))
 	qreq := &Request{Rows: req.Inputs, Class: class, Deadline: DeadlineFromMs(deadlineMs), TraceID: traceID,
-		out: x.output(len(req.Inputs), m.OutputWidth())}
+		out: x.output(len(req.Inputs), m.OutputWidth()), spans: tr.spanBuf[:1]}
 	qresp, err := m.Do(r.Context(), qreq)
 	if err != nil {
 		code := errStatus(err)
@@ -426,17 +435,10 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		default:
 			writeModelError(w, code, m.Name(), "%v", err)
 		}
-		finish(code, m.Name(), class, len(req.Inputs), err.Error(), []obs.Span{admission})
+		s.finish(tr, code, m.Name(), class, len(req.Inputs), err.Error(), tr.spanBuf[:1])
 		return
 	}
-	// Chain the scheduler spans after admission so start offsets read as
-	// one request timeline.
-	spans := make([]obs.Span, 0, len(qresp.Spans)+1)
-	spans = append(spans, admission)
-	for _, sp := range qresp.Spans {
-		sp.StartMs += admission.DurMs
-		spans = append(spans, sp)
-	}
+	spans := qresp.Spans
 	outs := qresp.Outputs
 	resp := InferResponse{
 		Model:       m.Name(),
@@ -468,19 +470,20 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	x.body, err = appendResponse(x.body[:0], &resp)
 	if err != nil {
 		writeModelError(w, http.StatusInternalServerError, m.Name(), "%v", err)
-		finish(http.StatusInternalServerError, m.Name(), qresp.Class, len(outs), err.Error(), spans)
+		s.finish(tr, http.StatusInternalServerError, m.Name(), qresp.Class, len(outs), err.Error(), spans)
 		return
 	}
 	// The compact span breakdown rides the response headers so an
 	// upstream router can graft this backend's queue/execute spans into
 	// its own trace (stitched distributed tracing without a collector).
-	if enc := obs.EncodeSpans(spans); enc != "" {
-		w.Header().Set(obs.HeaderSpans, enc)
+	// It is built in the exchange's buffer; the header keeps a copy.
+	if x.spans = obs.AppendSpans(x.spans[:0], spans); len(x.spans) > 0 {
+		w.Header().Set(obs.HeaderSpans, string(x.spans))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(x.body) // a failed write is a departed client: no one is left to tell
-	finish(http.StatusOK, m.Name(), qresp.Class, len(outs), "", spans)
+	s.finish(tr, http.StatusOK, m.Name(), qresp.Class, len(outs), "", spans)
 }
 
 // errStatus maps a Model.Do error to the HTTP status handleInfer answers
