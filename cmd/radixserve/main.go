@@ -9,9 +9,9 @@
 // with weights 8/2/1, overridable via -class-weight) and "deadline_ms" (a
 // budget after which still-queued rows are shed with 504 instead of
 // executing). Each model schedules its per-class queues by deficit
-// round-robin, so a background flood cannot starve interactive traffic;
-// -exec-slots bounds batch executions across models, which take turns
-// when they contend.
+// round-robin, so a background flood cannot starve interactive traffic.
+// At most GOMAXPROCS batch executions run at once across all models; set
+// GOMAXPROCS to give the models fewer cores.
 //
 // Endpoints:
 //
@@ -45,7 +45,7 @@
 //	radixserve [-addr :8080] [-model e10=8,8,8,8]... [-engines 2]
 //	           [-max-batch 32] [-max-latency 2ms] [-queue 256]
 //	           [-class-weight interactive=8,batch=2,background=1]
-//	           [-exec-slots 0] [-pprof] [-slow-request 250ms]
+//	           [-pprof] [-slow-request 250ms]
 package main
 
 import (
@@ -108,7 +108,6 @@ func main() {
 		qos.Weights, err = cliutil.ParseClassWeights(v)
 		return err
 	})
-	flag.IntVar(&qos.ExecSlots, "exec-slots", 0, "cross-model concurrent batch executions (engine quota; 0: GOMAXPROCS, negative: unlimited)")
 	flag.BoolVar(&opts.Pprof, "pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
 	flag.DurationVar(&opts.SlowRequest, "slow-request", 0, "log requests slower than this with their trace ID and span breakdown (0: off)")
 	profEvery := flag.Int("profile-every", 16, "time every Nth engine batch per layer (Gedges/s on /metrics; 0: off)")

@@ -33,10 +33,12 @@ import (
 //
 // The allow= escape hatches exist because the contract is per-function, not
 // per-line: ObserveTraced intentionally publishes one *Exemplar per
-// observation (allow=alloc), and the batcher's execute holds a defer for
-// dispatcher-token safety (allow=defer). The escape/BCE gates (gates.go)
-// remain the ground truth for what the compiler actually did; this analyzer
-// is the fast, in-editor approximation that names the offending operation.
+// observation (allow=alloc), and the batcher's execute reads the clock once
+// per batch (allow=time); no annotated function defers today, since
+// execute gives its engine-quota slot back with a plain receive. The
+// escape/BCE gates (gates.go) remain the ground truth for what the compiler
+// actually did; this analyzer is the fast, in-editor approximation that
+// names the offending operation.
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "report allocation/logging/clock/defer operations inside //radix:hotpath functions",

@@ -172,9 +172,9 @@ func (rt *Router) handleAdminRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "", "reading request body: %v", err)
 		return
 	}
-	var req serve.RegisterRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "", "bad request body: %v", err)
+	req, bad := serve.DecodeRegisterRequest(body)
+	if bad != nil {
+		writeError(w, bad.Status, "", "%s", bad.Message)
 		return
 	}
 	if req.Name == "" {
@@ -207,6 +207,11 @@ func (rt *Router) handleAdminReload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, name, "reading request body: %v", err)
 		return
 	}
+	reload, bad := serve.DecodeRegisterRequest(body)
+	if bad != nil {
+		writeError(w, bad.Status, name, "%s", bad.Message)
+		return
+	}
 	targets, unreachable := rt.set.backendsHosting(r.Context(), name)
 	if len(targets) == 0 && len(unreachable) == 0 {
 		writeError(w, http.StatusNotFound, name, "model %q not hosted by any reachable backend", name)
@@ -219,8 +224,7 @@ func (rt *Router) handleAdminReload(w http.ResponseWriter, r *http.Request) {
 	// a later scale-out builds the reloaded weights on new owners, not the
 	// originals — and not a config every backend refused. A reload changes
 	// only the config: a recorded request keeps its engine count and policy.
-	var reload serve.RegisterRequest
-	if slices.ContainsFunc(results, AdminResult.ok) && json.Unmarshal(body, &reload) == nil && len(reload.Config) > 0 {
+	if slices.ContainsFunc(results, AdminResult.ok) {
 		rt.withRecord(name, func(st *modelState) {
 			req := reload
 			if st.reg != nil {

@@ -561,3 +561,83 @@ func TestRefusedAdminBodyIsNotCached(t *testing.T) {
 		})
 	}
 }
+
+// TestRouterRelaysBackendRedirect: a backend answering /v1/infer with 307
+// has its status relayed to the caller. The router does not repost the body
+// to the Location, which may name any host.
+func TestRouterRelaysBackendRedirect(t *testing.T) {
+	var mu sync.Mutex
+	hits := 0
+	target := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		hits++
+		mu.Unlock()
+	}))
+	t.Cleanup(target.Close)
+	backend := fakeBackend(t, []string{"m"}, func(w http.ResponseWriter, r *http.Request) {
+		http.Redirect(w, r, target.URL+"/v1/infer", http.StatusTemporaryRedirect)
+	})
+	rt, err := NewRouter(RouterConfig{Backends: []string{backend.Listener.Addr().String()}, Replicas: 1, Set: SetConfig{ProbeInterval: time.Hour}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(serve.InferRequest{Model: "m", Inputs: [][]float64{{1}}})
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(body)))
+	if rec.Code != http.StatusTemporaryRedirect {
+		t.Errorf("status %d, want the backend's 307 relayed", rec.Code)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if hits != 0 {
+		t.Fatalf("the Location target got %d requests, want none", hits)
+	}
+}
+
+// TestRouterRefusesBadAdminBody: the router decodes register and reload
+// bodies as a backend does, so a body every backend would refuse (data
+// after the JSON value, a removed field, no config) gets the backend's
+// status from the router itself, and no backend hears of it.
+func TestRouterRefusesBadAdminBody(t *testing.T) {
+	var mu sync.Mutex
+	var contacted []string
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			writeJSON(w, http.StatusOK, serve.Health{Status: "ok"})
+			return
+		}
+		mu.Lock()
+		contacted = append(contacted, r.Method+" "+r.URL.Path)
+		mu.Unlock()
+		writeJSON(w, http.StatusCreated, serve.AdminResponse{Model: "m", Status: "registered"})
+	}))
+	t.Cleanup(backend.Close)
+	rt, err := NewRouter(RouterConfig{Backends: []string{backend.Listener.Addr().String()}, Replicas: 1, Set: SetConfig{ProbeInterval: time.Hour}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		method, path, body string
+		status             int
+	}{
+		{http.MethodPost, "/v1/models", `{"name":"m","config":{"systems":[[4,4]]}} junk`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/models", `{"name":"m","config":{"systems":[[4,4]]}}{"name":"z"}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/models", `{"name":"m","kernel":"csc","config":{"systems":[[4,4]]}}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/models", `{"name":"m"}`, http.StatusUnprocessableEntity},
+		{http.MethodPut, "/v1/models/m", `{"config":{"systems":[[4,4]]}} junk`, http.StatusBadRequest},
+		{http.MethodPut, "/v1/models/m", `{"config":{"systems":[[4,4]]}}{"name":"z"}`, http.StatusBadRequest},
+		{http.MethodPut, "/v1/models/m", `{"share":2,"config":{"systems":[[4,4]]}}`, http.StatusBadRequest},
+		{http.MethodPut, "/v1/models/m", `{"engines":1}`, http.StatusUnprocessableEntity},
+	} {
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+		if rec.Code != c.status {
+			t.Errorf("%s %s %s: status %d, want %d", c.method, c.path, c.body, rec.Code, c.status)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(contacted) > 0 {
+		t.Fatalf("refused bodies reached the backend: %v", contacted)
+	}
+}

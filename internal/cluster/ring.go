@@ -191,17 +191,7 @@ func (r *Ring) OwnersSpread(key string, n int, zoneOf func(node string) string) 
 // Owners returns the first n distinct nodes clockwise from key's hash —
 // the key's replica set in failover order. Fewer than n nodes on the ring
 // yields all of them.
-func (r *Ring) Owners(key string, n int) []string {
-	if n <= 0 {
-		return nil
-	}
-	owners := make([]string, 0, n)
-	r.Walk(key, func(node string) bool {
-		owners = append(owners, node)
-		return len(owners) < n
-	})
-	return owners
-}
+func (r *Ring) Owners(key string, n int) []string { return r.OwnersSpread(key, n, nil) }
 
 // String summarizes the ring for logs.
 func (r *Ring) String() string {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"github.com/radix-net/radixnet/internal/parallel"
 	"github.com/radix-net/radixnet/internal/radix"
 	"github.com/radix-net/radixnet/internal/sparse"
@@ -13,38 +11,15 @@ import (
 // N (§III.A, Fig. 1): L+1 layers of N′ nodes where node j of layer i−1
 // connects to nodes j + n·νi (mod N′) for n ∈ {0, …, Ni−1}, with νi the
 // place value of digit i. Equivalently Wi = Σ_n P^{n·νi} (eq. 1–2).
+//
+// It is Build of the one-system config, so it panics only on an empty
+// system.
 func MixedRadix(sys radix.System) *topology.FNNT {
-	g, err := mixedRadixOn(sys.Product(), sys)
+	g, err := EMR(sys)
 	if err != nil {
 		panic("core: mixed-radix construction cannot fail on its own product: " + err.Error())
 	}
 	return g
-}
-
-// mixedRadixOn builds the mixed-radix topology of sys on n nodes per layer.
-// The paper's generator (Fig. 6) always uses n = N′ even for the last
-// system, whose own product may be a proper divisor of N′; the shifts then
-// wrap modulo N′.
-func mixedRadixOn(n int, sys radix.System) (*topology.FNNT, error) {
-	if sys.Len() == 0 {
-		return nil, radix.ErrEmpty
-	}
-	if n < 1 || n%sys.Product() != 0 {
-		return nil, fmt.Errorf("core: system product %d must divide layer width %d", sys.Product(), n)
-	}
-	subs := make([]*sparse.Pattern, sys.Len())
-	parallel.BlocksGrain(sys.Len(), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r := sys.Radix(i)
-			pv := sys.PlaceValue(i)
-			shifts := make([]int, r)
-			for j := 0; j < r; j++ {
-				shifts[j] = j * pv
-			}
-			subs[i] = sparse.SumOfShifts(n, shifts)
-		}
-	})
-	return topology.New(subs...)
 }
 
 // EMR returns the extended mixed-radix topology of the given systems: the

@@ -95,7 +95,7 @@ type batcher struct {
 	pol   Policy
 	met   *Metrics
 	qos   *qosSet
-	disp  *dispatcher // registry engine quota; nil when disabled
+	slots chan struct{} // the registry's engine quota, shared by every model
 
 	// inflight counts rows between submit and completion. It tells a
 	// collector whether waiting out the latency budget can possibly gain
@@ -131,13 +131,13 @@ type batcher struct {
 	wg     sync.WaitGroup
 }
 
-func newBatcher(m *Model, pol Policy, qos *qosSet, disp *dispatcher) *batcher {
+func newBatcher(m *Model, pol Policy, qos *qosSet, slots chan struct{}) *batcher {
 	b := &batcher{
 		model:  m,
 		pol:    pol,
 		met:    &m.met,
 		qos:    qos,
-		disp:   disp,
+		slots:  slots,
 		sched:  newClassSched(qos, pol.QueueDepth),
 		notify: make(chan struct{}, 1),
 		done:   make(chan struct{}),
@@ -404,23 +404,21 @@ func (b *batcher) expire(shed []*pending) {
 	b.inflight.Add(-int64(len(shed)))
 }
 
-// execute stages the batch's rows in buf (the worker's MaxBatch×inW
-// buffer), leases an engine (bounded by the registry's cross-model engine
-// quota when one is configured), runs one fused forward pass over the
-// coalesced batch, copies each row's output into its pending slot, and
-// completes every request. Output rows are copied out of the engine's
-// ping-pong view before the engine is released, so the view is never read
-// after the next lease-holder overwrites it. Clock reads and the quota
-// defer are per batch, not per row, hence the allowances.
+// execute takes one of the registry's execution slots, stages the batch's
+// rows in buf (the worker's MaxBatch×inW buffer), leases an engine, runs one
+// fused forward pass over the coalesced batch, copies each row's output into
+// its pending slot, completes every request and gives the slot back. Models
+// waiting for a slot get one in the order the Go runtime wakes blocked
+// channel senders. Output rows are copied out of the engine's ping-pong view
+// before the engine is released, so the view is never read after the next
+// lease-holder overwrites it. Clock reads are per batch, not per row, hence
+// the allowance.
 //
-//radix:hotpath allow=time,defer
+//radix:hotpath allow=time
 func (b *batcher) execute(reqs []*pending, buf []float64) {
+	b.slots <- struct{}{}
 	m := b.model
 	n := len(reqs)
-	if b.disp != nil {
-		b.disp.acquire(&m.dispC)
-		defer b.disp.release()
-	}
 	for i, p := range reqs {
 		copy(buf[i*m.inW:(i+1)*m.inW], p.row)
 	}
@@ -472,4 +470,5 @@ func (b *batcher) execute(reqs []*pending, buf []float64) {
 		close(p.done)
 	}
 	b.inflight.Add(-int64(n))
+	<-b.slots
 }

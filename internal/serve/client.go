@@ -19,10 +19,15 @@ import (
 // exposes the same API, so the same client drives either tier: the cluster
 // router holds one per backend and the selftest harness one per target. It
 // is the only code outside the benchmark that builds a request for that
-// API, so path escaping, the reply-size bound, drain-and-close and the
-// reading of error bodies are each decided here, once.
+// API, so path escaping, the reply-size bound, drain-and-close, the reading
+// of error bodies and the refusal to follow redirects are each decided
+// here, once.
 type Client struct {
-	URL  string // scheme://host:port, no trailing slash
+	URL string // scheme://host:port, no trailing slash
+	// HTTP supplies the Transport (nil: http.DefaultTransport) and, when
+	// non-zero, a Timeout bounding each request until its reply body is
+	// closed. Its redirect policy and cookie jar are not used: every
+	// request is one round trip, and a 3xx reaches the caller as it came.
 	HTTP *http.Client
 }
 
@@ -85,6 +90,41 @@ func (c Client) request(ctx context.Context, method, path string, body []byte) (
 	return req, err
 }
 
+// do sends req as one round trip on the client's transport. Unlike
+// http.Client.Do it follows no redirect — a backend's 307 must not make a
+// proxy hop repost the body to wherever it points — and copies no header
+// map for one.
+func (c Client) do(req *http.Request) (*http.Response, error) {
+	rt := c.HTTP.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
+	if c.HTTP.Timeout <= 0 {
+		return rt.RoundTrip(req)
+	}
+	ctx, cancel := context.WithTimeout(req.Context(), c.HTTP.Timeout)
+	resp, err := rt.RoundTrip(req.WithContext(ctx))
+	if err != nil {
+		cancel()
+		return nil, err
+	}
+	resp.Body = cancelOnClose{resp.Body, cancel}
+	return resp, nil
+}
+
+// cancelOnClose ends a reply's timeout context when its body is closed, as
+// http.Client does for its Timeout.
+type cancelOnClose struct {
+	io.ReadCloser
+	cancel context.CancelFunc
+}
+
+func (b cancelOnClose) Close() error {
+	err := b.ReadCloser.Close()
+	b.cancel()
+	return err
+}
+
 // call issues one request and returns a reply below 400 unread, with its
 // status (0: no reply); one at or above 400 is consumed into a
 // *StatusError.
@@ -93,7 +133,7 @@ func (c Client) call(ctx context.Context, method, path string, body []byte) (*ht
 	if err != nil {
 		return nil, 0, err
 	}
-	resp, err := c.HTTP.Do(req)
+	resp, err := c.do(req)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -125,7 +165,7 @@ func (c Client) Infer(ctx context.Context, body []byte, traceID, class string, r
 	if remainingMs > 0 {
 		req.Header.Set(HeaderDeadlineMs, formatBudget(remainingMs))
 	}
-	return c.HTTP.Do(req)
+	return c.do(req)
 }
 
 // formatBudget renders a positive deadline budget in milliseconds at µs

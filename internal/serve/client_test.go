@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -312,5 +313,49 @@ func TestCheckHealth(t *testing.T) {
 	defer cancel()
 	if _, err := c.Health(ctx); err == nil {
 		t.Fatal("hung backend probed healthy")
+	}
+}
+
+// TestClientFollowsNoRedirect: a backend answering 307 gets no second
+// request. The redirect reaches the caller as it came, from Infer (whose
+// reply the router relays) and from the admin verbs alike, and the
+// Location target never sees the body reposted.
+func TestClientFollowsNoRedirect(t *testing.T) {
+	var mu sync.Mutex
+	var paths []string
+	c, _ := memClient(viaHandler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		paths = append(paths, r.URL.Path)
+		mu.Unlock()
+		http.Redirect(w, r, "/elsewhere", http.StatusTemporaryRedirect)
+	})))
+	resp, err := c.Infer(context.Background(), []byte(`{"model":"m","inputs":[[1]]}`), "", "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusTemporaryRedirect || resp.Header.Get("Location") != "/elsewhere" {
+		t.Errorf("Infer: status %d, Location %q; want the backend's 307 to /elsewhere", resp.StatusCode, resp.Header.Get("Location"))
+	}
+	DecodeReply(resp, nil)
+	if status, err := c.Register(context.Background(), []byte(`{"name":"m"}`)); status != http.StatusTemporaryRedirect || err != nil {
+		t.Errorf("Register: status %d, err %v; want the backend's 307", status, err)
+	}
+	if want := []string{"/v1/infer", "/v1/models"}; !slices.Equal(paths, want) {
+		t.Fatalf("the backend saw %v, want only %v", paths, want)
+	}
+}
+
+// TestClientTimeoutBoundsRequest: a non-zero HTTP.Timeout still ends a
+// request to a backend that never answers.
+func TestClientTimeoutBoundsRequest(t *testing.T) {
+	c, _ := memClient(viaHandler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	})))
+	c.HTTP.Timeout = 20 * time.Millisecond
+	if _, err := c.Infer(context.Background(), []byte(`{"model":"m"}`), "", "", 0); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Infer on a hung backend: %v, want the timeout", err)
+	}
+	if _, err := c.Models(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Models on a hung backend: %v, want the timeout", err)
 	}
 }

@@ -498,6 +498,26 @@ func TestHTTPAdminEndpoints(t *testing.T) {
 
 // testConfigLocal mirrors testConfig but avoids colliding with the "m"
 // model newTestServer registers (the admin test registers its own names).
+// TestAdminBodyTrailingDataRefused: an admin body is exactly one JSON
+// value. Data after it, junk or a second value, gets a 400 on both verbs
+// and changes nothing, as the router's decoding of the same body does.
+func TestAdminBodyTrailingDataRefused(t *testing.T) {
+	_, m, ts := newTestServer(t, Policy{}, 1)
+	for _, c := range []struct{ method, url, body string }{
+		{http.MethodPost, "/v1/models", `{"name":"x","config":{"systems":[[4,4]]}} junk`},
+		{http.MethodPost, "/v1/models", `{"name":"x","config":{"systems":[[4,4]]}}{"name":"z"}`},
+		{http.MethodPut, "/v1/models/m", `{"config":{"systems":[[4,4]]}} junk`},
+		{http.MethodPut, "/v1/models/m", `{"config":{"systems":[[4,4]]}}{"name":"z"}`},
+	} {
+		if code, body := adminDo(t, c.method, ts.URL+c.url, []byte(c.body)); code != http.StatusBadRequest {
+			t.Errorf("%s %s %s: status %d: %s; want 400", c.method, c.url, c.body, code, body)
+		}
+	}
+	if _, body := adminDo(t, http.MethodGet, ts.URL+"/v1/models", nil); strings.Contains(string(body), `"x"`) || strings.Contains(string(body), `"z"`) || m.Info().Generation != 1 {
+		t.Fatalf("refused bodies changed the registry: generation %d, models %s", m.Info().Generation, body)
+	}
+}
+
 func testConfigLocal(t *testing.T) core.Config {
 	t.Helper()
 	return testConfig(t)

@@ -70,9 +70,11 @@
 // another engine mid-window wake nobody, and the window then ends on its
 // timer.
 // Because every batch goes through the same Engine.Infer gather/scatter
-// kernels, batched results are bit-identical to per-row inference. When
-// QoSConfig.ExecSlots bounds the registry's engine quota, models contending
-// for slots take turns.
+// kernels, batched results are bit-identical to per-row inference. The
+// registry's engine quota lets at most GOMAXPROCS batches execute at once
+// across all models; batches waiting for a slot get one in the Go runtime's
+// wake order for blocked channel senders, and no model has more than its
+// engine count of them waiting.
 //
 // Backpressure — each class queue is a hard bound, and a request is
 // admitted whole or refused whole. A request whose rows do not all fit in

@@ -39,21 +39,14 @@ var (
 )
 
 // QoSConfig sets a registry's quality-of-service policy: the class set with
-// its weighted-fair-queuing weights and the machine-wide engine quota models
-// share. Unlabeled requests fall into "interactive" when the set has it,
-// else into the heaviest class.
+// its weighted-fair-queuing weights. Unlabeled requests fall into
+// "interactive" when the set has it, else into the heaviest class.
 type QoSConfig struct {
 	// Weights maps class name → scheduling weight (≥ 1). Inside each model,
 	// a deficit-round-robin scheduler dispatches rows across the classes in
 	// weight proportion whenever more than one class is backlogged. Nil
 	// selects DefaultClassWeights.
 	Weights map[string]int
-	// ExecSlots bounds batch executions running concurrently across ALL
-	// models in the registry — the engine quota models contend for. When
-	// models compete, they take turns at the freed slots. 0 selects
-	// GOMAXPROCS; negative disables the quota (every model executes
-	// whenever it holds an engine).
-	ExecSlots int
 }
 
 // qosSet is the resolved class universe shared by every model of one

@@ -177,55 +177,51 @@ func TestQoSPerClassQueueIsolation(t *testing.T) {
 	}
 }
 
-// TestQoSDispatcherStrideShares: contended execution slots are granted in
-// turns. With the slot held and 4+4 waiters queued from two models, one
-// model's waiters all queued before the other's, the grants alternate.
-func TestQoSDispatcherStrideShares(t *testing.T) {
-	d := newDispatcher(1)
-	var hold dispClient
-	d.acquire(&hold) // pin the only slot so waiters pile up
-
-	var big, small dispClient
-	type grant struct{ who string }
-	grants := make(chan grant, 8)
-	var wg sync.WaitGroup
-	queued := 0
-	enqueue := func(who string, c *dispClient, n int) {
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				d.acquire(c)
-				grants <- grant{who}
-				d.release()
-			}()
-			// Serialize enqueues so every waiter is in the heap (with its
-			// pass assigned in order) before the first grant.
-			queued++
-			waitFor(t, "waiter queued", func() bool {
-				d.mu.Lock()
-				defer d.mu.Unlock()
-				return d.waiters.Len() == queued
-			})
+// TestQoSEngineQuotaBound: one execution slot is one batch executing at a
+// time across every model of the registry. Model a's batch takes the slot
+// and waits for a's only engine, leased away here, so model b's request
+// must not return until that engine comes back. Nothing is timed but the
+// wait that b must outlast, so a slow host cannot make it fail.
+func TestQoSEngineQuotaBound(t *testing.T) {
+	reg := NewRegistry(Policy{MaxBatch: 1, MaxLatency: -1})
+	defer reg.Close()
+	reg.slots = make(chan struct{}, 1)
+	a, err := reg.Register("a", testConfig(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := reg.Register("b", testConfig(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	do := func(m *Model) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := m.Do(context.Background(), &Request{Rows: [][]float64{make([]float64, m.InputWidth())}})
+			done <- err
+		}()
+		return done
+	}
+	eng := a.Lease()
+	released := false
+	defer func() { // before reg.Close, which waits for a's batch to drain
+		if !released {
+			a.Release(eng)
 		}
+	}()
+	aDone := do(a)
+	waitFor(t, "model a's batch to take the only slot", func() bool { return len(reg.slots) == 1 })
+	bDone := do(b)
+	select {
+	case err := <-bDone:
+		t.Fatalf("model b's request returned (err %v) while model a's batch held the only slot", err)
+	case <-time.After(100 * time.Millisecond):
 	}
-	enqueue("big", &big, 4)
-	enqueue("small", &small, 4)
-	d.release() // let the chain run: each grant releases for the next
-	wg.Wait()
-	close(grants)
-	var order []string
-	for g := range grants {
-		order = append(order, g.who)
-	}
-	if len(order) != 8 {
-		t.Fatalf("got %d grants, want 8", len(order))
-	}
-	// Equal strides: both models' passes are {0,1,2,3}, and a tie goes to
-	// the waiter queued first, so big and small take turns.
-	for i, who := range order {
-		if want := []string{"big", "small"}[i%2]; who != want {
-			t.Fatalf("grant %d went to %s, want %s (order %v)", i, who, want, order)
+	a.Release(eng)
+	released = true
+	for name, done := range map[string]<-chan error{"a": aDone, "b": bDone} {
+		if err := <-done; err != nil {
+			t.Fatalf("model %s: %v", name, err)
 		}
 	}
 }
@@ -626,7 +622,7 @@ func TestQoSRegistryConfigValidation(t *testing.T) {
 	if _, err := NewRegistryQoS(Policy{}, QoSConfig{Weights: map[string]int{"": 3}}); err == nil {
 		t.Error("empty class name accepted")
 	}
-	reg, err := NewRegistryQoS(Policy{}, QoSConfig{Weights: map[string]int{"gold": 4, "bronze": 1}, ExecSlots: -1})
+	reg, err := NewRegistryQoS(Policy{}, QoSConfig{Weights: map[string]int{"gold": 4, "bronze": 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

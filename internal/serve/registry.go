@@ -133,9 +133,8 @@ type Model struct {
 	pool atomic.Pointer[enginePool]
 	home sync.Map // *infer.Engine → *enginePool, routes Release across generations
 
-	met   Metrics
-	bat   *batcher
-	dispC dispClient // stride state for the registry's engine quota
+	met Metrics
+	bat *batcher
 }
 
 // ModelInfo is the externally visible description of a registered model,
@@ -173,13 +172,14 @@ type ModelInfo struct {
 // Registry loads and owns served models: it builds RadiX-Net engines by
 // config, keeps a warm engine pool per model, and runs each model's
 // weighted-fair micro-batcher. Every model shares the registry's class set
-// and, when configured, its cross-model engine quota. Models can be
-// registered, hot-reloaded, and unregistered at runtime. Safe for
-// concurrent use.
+// and its cross-model engine quota. Models can be registered, hot-reloaded,
+// and unregistered at runtime. Safe for concurrent use.
 type Registry struct {
-	pol  Policy // default policy for Register
-	qos  *qosSet
-	disp *dispatcher // nil when the engine quota is disabled
+	pol Policy // default policy for Register
+	qos *qosSet
+	// slots is the cross-model engine quota: one buffered slot per
+	// GOMAXPROCS, each batch execution of every model holding one.
+	slots chan struct{}
 
 	mu     sync.RWMutex
 	models map[string]*Model
@@ -216,22 +216,20 @@ func NewRegistry(pol Policy) *Registry {
 }
 
 // NewRegistryQoS is NewRegistry with an explicit QoS configuration: the
-// class set and weights the weighted-fair scheduler uses, the default class
-// for unlabeled requests, and the registry-wide engine quota.
+// class set and weights the weighted-fair scheduler uses and the default
+// class for unlabeled requests. The registry-wide engine quota is
+// GOMAXPROCS batch executions at once across all models.
 func NewRegistryQoS(pol Policy, qos QoSConfig) (*Registry, error) {
 	qs, err := newQoSSet(qos)
 	if err != nil {
 		return nil, err
 	}
-	r := &Registry{pol: pol, qos: qs, models: make(map[string]*Model)}
-	if qos.ExecSlots >= 0 {
-		slots := qos.ExecSlots
-		if slots == 0 {
-			slots = runtime.GOMAXPROCS(0)
-		}
-		r.disp = newDispatcher(slots)
-	}
-	return r, nil
+	return &Registry{
+		pol:    pol,
+		qos:    qs,
+		slots:  make(chan struct{}, runtime.GOMAXPROCS(0)),
+		models: make(map[string]*Model),
+	}, nil
 }
 
 // Classes reports the registry's class set with its scheduling weights.
@@ -293,7 +291,7 @@ func (r *Registry) RegisterWithPolicy(name string, cfg core.Config, engines int,
 	}
 	m.indexPool(ep)
 	m.pool.Store(ep)
-	m.bat = newBatcher(m, pol, r.qos, r.disp)
+	m.bat = newBatcher(m, pol, r.qos, r.slots)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -117,7 +118,7 @@ type ErrorResponse struct {
 // only to registration (a reload keeps the model's batcher and policy);
 // zero policy fields take the server registry's defaults. There is no kernel
 // field: every generation is built by infer.FromConfig. There is no share
-// field: contending models take turns at the engine quota. There is no
+// field: models share the engine quota without weights. There is no
 // workers field: a model runs one batch worker per engine. A body that still
 // carries any of them is refused with 400.
 type RegisterRequest struct {
@@ -511,43 +512,52 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string][]ModelInfo{"models": s.reg.List()})
 }
 
-// decodeRegisterRequest reads and validates an admin body shared by
-// register and reload: well-formed JSON (else 400 was written) with a
-// parseable config (else 422 was written). Returns ok=false once a
-// response has been written.
+// decodeRegisterRequest reads a register or reload body and decodes it with
+// DecodeRegisterRequest, answering a refusal itself.
 func decodeRegisterRequest(w http.ResponseWriter, r *http.Request) (RegisterRequest, bool) {
-	// The decoder ignores fields it does not know, so the fields this API
-	// used to honour are refused by name: a client that still pins a
-	// kernel, a share or a worker count must hear that it no longer can,
-	// not be served without it.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBody))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+		return RegisterRequest{}, false
+	}
+	req, bad := DecodeRegisterRequest(body)
+	if bad != nil {
+		writeError(w, bad.Status, "%s", bad.Message)
+		return RegisterRequest{}, false
+	}
+	return req, true
+}
+
+// DecodeRegisterRequest decodes a register or reload body. Both tiers
+// decode admin bodies with it, so the router refuses before any fan-out
+// what every backend would: a body that is not exactly one JSON value, or
+// carries trailing data after it, is a 400; so is a field this API no
+// longer honours (the decoder ignores fields it does not know, so a client
+// that still pins a kernel, a share or a worker count must hear that it no
+// longer can, not be served without it); a body with no config is a 422.
+func DecodeRegisterRequest(body []byte) (RegisterRequest, *StatusError) {
 	var req struct {
 		RegisterRequest
 		Kernel  json.RawMessage `json:"kernel"`
 		Share   json.RawMessage `json:"share"`
 		Workers json.RawMessage `json:"workers"`
 	}
-	body := http.MaxBytesReader(w, r.Body, MaxRequestBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return req.RegisterRequest, false
+	status, msg := http.StatusBadRequest, ""
+	switch err := json.Unmarshal(body, &req); {
+	case err != nil:
+		msg = "bad request body: " + err.Error()
+	case req.Kernel != nil:
+		msg = `the "kernel" field was removed: every model runs the same kernels`
+	case req.Share != nil:
+		msg = `the "share" field was removed: models share the engine quota without weights`
+	case req.Workers != nil:
+		msg = `the "workers" field was removed: a model runs one batch worker per engine`
+	case len(req.Config) == 0:
+		status, msg = http.StatusUnprocessableEntity, "missing config"
+	default:
+		return req.RegisterRequest, nil
 	}
-	if req.Kernel != nil {
-		writeError(w, http.StatusBadRequest, `the "kernel" field was removed: every model runs the same kernels`)
-		return req.RegisterRequest, false
-	}
-	if req.Share != nil {
-		writeError(w, http.StatusBadRequest, `the "share" field was removed: contending models take turns at the engine quota`)
-		return req.RegisterRequest, false
-	}
-	if req.Workers != nil {
-		writeError(w, http.StatusBadRequest, `the "workers" field was removed: a model runs one batch worker per engine`)
-		return req.RegisterRequest, false
-	}
-	if len(req.Config) == 0 {
-		writeError(w, http.StatusUnprocessableEntity, "missing config")
-		return req.RegisterRequest, false
-	}
-	return req.RegisterRequest, true
+	return RegisterRequest{}, &StatusError{Status: status, Message: msg}
 }
 
 // adminPolicy maps a request's policy overrides to a Policy; all-zero means
